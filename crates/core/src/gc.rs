@@ -290,20 +290,19 @@ impl Ssd {
                 done = done.max(res?);
             }
             Scheme::Cagc => {
+                // Absorption can drain *later* snapshot pages mid-quantum
+                // (promotion of a stored copy inside this victim), so the
+                // quantum cannot be pre-filtered like the blind one. Take
+                // the snapshot in runs no longer than the budget left:
+                // a run that held stale pages is followed by another.
                 let mut read_ready = now;
                 while moved < budget as u64 && job.next < job.pages.len() {
-                    let ppn = job.pages[job.next];
-                    job.next += 1;
-                    // The snapshot may be stale: a foreground overwrite or a
-                    // dedup absorption between slices can have drained this
-                    // page already.
-                    if self.dev.page_state(ppn) != PageState::Valid {
-                        continue;
-                    }
-                    moved += 1;
-                    let (end, next_ready) =
-                        self.migrate_page_content_aware(job.victim, ppn, read_ready)?;
-                    read_ready = next_ready;
+                    let run = (budget - moved as usize).min(job.pages.len() - job.next);
+                    let pages = &job.pages[job.next..job.next + run];
+                    job.next += run;
+                    let (valid, end) =
+                        self.migrate_content_aware(job.victim, pages, &mut read_ready)?;
+                    moved += valid;
                     done = done.max(end);
                 }
             }
@@ -353,15 +352,8 @@ impl Ssd {
             }
             Scheme::Cagc => {
                 let mut read_ready = t;
-                for &ppn in &job.pages[job.next..] {
-                    if self.dev.page_state(ppn) != PageState::Valid {
-                        continue;
-                    }
-                    let (end, next_ready) =
-                        self.migrate_page_content_aware(job.victim, ppn, read_ready)?;
-                    read_ready = next_ready;
-                    done = done.max(end);
-                }
+                let rest = &job.pages[job.next..];
+                done = self.migrate_content_aware(job.victim, rest, &mut read_ready)?.1;
             }
         }
         let erase_end = self.erase_victim(job.victim, done)?;
@@ -545,7 +537,10 @@ impl Ssd {
             Scheme::Baseline | Scheme::InlineDedup | Scheme::InlineSampled => {
                 self.migrate_blind(&valids, t)
             }
-            Scheme::Cagc => self.migrate_content_aware(victim, &valids, t),
+            Scheme::Cagc => {
+                let mut read_ready = t;
+                self.migrate_content_aware(victim, &valids, &mut read_ready).map(|r| r.1)
+            }
         };
         self.valids_scratch = valids;
         let done = done?;
@@ -646,6 +641,7 @@ impl Ssd {
                 }
             }
         }
+        self.warm(batch.iter().map(|&(old, _, _)| old), std::iter::empty());
         for i in 0..batch.len() {
             let (old, new, end) = batch[i];
             if let Err(e) = self.remap_sharers(old, new) {
@@ -663,39 +659,83 @@ impl Ssd {
         Ok(done)
     }
 
-    /// Content-aware migration (Fig. 5): hash each valid page on the hash
-    /// engine, probe the index, and either absorb (hit) or place by
-    /// reference count (miss / stored copy).
+    /// Content-aware migration (Fig. 5) of `pages`, a run of one victim's
+    /// valid-page snapshot: hash each still-valid page on the hash engine,
+    /// probe the index, and either absorb (hit) or place by reference
+    /// count (miss / stored copy).
+    ///
+    /// Three passes (docs/PERFORMANCE.md, "gather → warm → apply"):
+    /// **gather** every page's fingerprint, **warm** the table lines the
+    /// pages are about to touch, then **apply** the per-page pipeline in
+    /// snapshot order. Fingerprinting is pure and the warm pass only
+    /// reads, so simulated time, event order and every counter are those
+    /// of a page-at-a-time loop; what changes is that the run's
+    /// independent cache misses overlap instead of each waiting behind the
+    /// previous page's program + remap work.
+    ///
+    /// Returns `(pages still valid at their turn, completion)`.
+    /// `read_ready` is when the next page's read may issue; it carries the
+    /// `overlap_hash = false` stall from page to page and run to run.
     fn migrate_content_aware(
         &mut self,
         victim: BlockId,
-        valids: &[Ppn],
-        t: Nanos,
-    ) -> Result<Nanos, FlashError> {
-        let mut done = t;
-        let mut read_ready = t;
-        for &ppn in valids {
-            // A promotion earlier in this pass may have already drained
-            // this page (its stored copy lived later in the same victim).
+        pages: &[Ppn],
+        read_ready: &mut Nanos,
+    ) -> Result<(u64, Nanos), FlashError> {
+        let mut fps = std::mem::take(&mut self.fps_scratch);
+        fps.clear();
+        // A tracked page's fingerprint sits in the index slab, one dense-map
+        // load away (`Ssd::audit` checks it is the content's fingerprint);
+        // only untracked pages go to the memo.
+        fps.extend(pages.iter().map(|&ppn| match self.index.fp_of_ppn(ppn) {
+            Some(fp) => {
+                debug_assert_eq!(fp, Fingerprint::of_content(self.content_at(ppn)));
+                fp
+            }
+            None => self.fingerprint_of(self.content_at(ppn)),
+        }));
+        // Only untracked pages probe by fingerprint; a tracked page is its
+        // own stored copy and is looked up by address.
+        let untracked =
+            pages.iter().zip(&fps).filter(|&(&p, _)| self.index.refs_of_ppn(p).is_none());
+        self.warm(pages.iter().copied(), untracked.map(|(_, fp)| fp));
+        let mut valid = 0u64;
+        let mut done = *read_ready;
+        let mut outcome = Ok(());
+        for (&ppn, &fp) in pages.iter().zip(&fps) {
+            // A foreground overwrite between slices, or a promotion earlier
+            // in this pass (its stored copy lived later in the same
+            // victim), may have already drained this page.
             if self.dev.page_state(ppn) != PageState::Valid {
                 continue;
             }
-            let (end, next_ready) = self.migrate_page_content_aware(victim, ppn, read_ready)?;
-            read_ready = next_ready;
-            done = done.max(end);
+            valid += 1;
+            match self.migrate_page_content_aware(victim, ppn, fp, *read_ready) {
+                Ok((end, next_ready)) => {
+                    *read_ready = next_ready;
+                    done = done.max(end);
+                }
+                Err(e) => {
+                    outcome = Err(e);
+                    break;
+                }
+            }
         }
-        Ok(done)
+        self.fps_scratch = fps;
+        outcome.map(|()| (valid, done))
     }
 
     /// Content-aware migration of one page (the Fig. 5 per-page pipeline):
-    /// read, fingerprint on the hash engine, probe the index, then absorb
-    /// or place by reference count. Returns `(completion, next_read_ready)`
-    /// — the second value carries the hash-serialization stall of the
+    /// read, fingerprint on the hash engine (`fp`, gathered beforehand, is
+    /// what the engine computes), probe the index, then absorb or place by
+    /// reference count. Returns `(completion, next_read_ready)` — the
+    /// second value carries the hash-serialization stall of the
     /// `overlap_hash = false` ablation to the following page.
     fn migrate_page_content_aware(
         &mut self,
         victim: BlockId,
         ppn: Ppn,
+        fp: Fingerprint,
         read_ready: Nanos,
     ) -> Result<(Nanos, Nanos), FlashError> {
         self.gc_stats.pages_scanned += 1;
@@ -708,12 +748,12 @@ impl Ssd {
             .span(Track::Hash, "fingerprint", h.start, h.end, &[("ppn", ppn)]);
         let next_ready = if self.cfg.overlap_hash { read_ready } else { h.end };
         let decided = h.end + self.cfg.lookup_ns;
-        let content = self.content_at(ppn);
-        // Memoized: the simulated hash cost was charged above; the memo
-        // only avoids recomputing the same SHA-1 on the wall clock.
-        let fp = self.fingerprint_of(content);
 
-        let end = match self.index.lookup(&fp) {
+        // A tracked page is the stored copy of its own content, so its
+        // probe is answered by address; anything the fingerprint probe
+        // finds for an untracked page is a copy stored elsewhere.
+        let stored = self.index.lookup_ppn(ppn).map(|(_, entry)| entry);
+        let end = match stored.or_else(|| self.index.lookup(&fp)) {
             Some(entry) if entry.ppn != ppn => {
                 // Redundant page: the content already has a stored copy
                 // elsewhere. Absorb all sharers — no flash write.

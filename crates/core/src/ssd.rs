@@ -220,6 +220,9 @@ pub struct Ssd {
     pub(crate) sharers_scratch: Vec<Lpn>,
     /// Scratch for a victim's valid-page snapshot.
     pub(crate) valids_scratch: Vec<Ppn>,
+    /// Scratch for the fingerprints gathered ahead of a batch of pages
+    /// (GC migration run, multi-page inline-dedup write).
+    pub(crate) fps_scratch: Vec<Fingerprint>,
     /// Scratch for batched blind migration: `(old ppn, new ppn, program
     /// end)` per migrated page, applied as one grouped metadata pass.
     pub(crate) gc_batch: Vec<(Ppn, Ppn, Nanos)>,
@@ -274,6 +277,7 @@ impl Ssd {
             gc_job: None,
             sharers_scratch: Vec::new(),
             valids_scratch: Vec::new(),
+            fps_scratch: Vec::new(),
             gc_batch: Vec::new(),
             first_retirement_ns: None,
             end_ns: 0,
@@ -475,6 +479,9 @@ impl Ssd {
                 // Baseline/CAGC this matches the per-die serialization of
                 // the shared frontier; for Inline-Dedupe it puts every
                 // page's hash+lookup on the request's critical path.)
+                if req.pages > 1 {
+                    self.warm_write(req);
+                }
                 let mut ready = at;
                 for (i, lpn) in req.lpns().enumerate() {
                     ready = self.write_page(lpn, req.contents[i], ready)?;
@@ -547,16 +554,11 @@ impl Ssd {
     /// `sample_gauges`).
     pub fn health(&self) -> HealthLog {
         let d = self.dev.stats();
-        let mut wear: Vec<u32> =
-            (0..self.dev.block_count()).map(|b| self.dev.block(b).erase_count()).collect();
-        wear.sort_unstable();
-        let pick = |q: f64| -> u32 {
-            if wear.is_empty() {
-                return 0;
-            }
-            let idx = ((wear.len() - 1) as f64 * q).round() as usize;
-            wear[idx.min(wear.len() - 1)]
-        };
+        // Percentile = the block at rank round((n - 1) * q) by wear, read
+        // off the device's erase-count histogram (this runs per sampled
+        // host request on fault-armed traced runs).
+        let last = (self.dev.block_count() as usize).saturating_sub(1);
+        let pick = |q: f64| self.dev.wear_at_rank((last as f64 * q).round() as usize);
         // Spare headroom above the point is_read_only() trips: usable
         // blocks beyond (GC reserve + read-only floor), scaled against the
         // pristine device's headroom.
@@ -572,7 +574,7 @@ impl Ssd {
             spare_pool_permille: spare_now * 1000 / spare_pristine,
             wear_p50: pick(0.50),
             wear_p90: pick(0.90),
-            wear_max: wear.last().copied().unwrap_or(0),
+            wear_max: pick(1.0),
             read_only: self.is_read_only(),
         }
     }
@@ -1085,11 +1087,56 @@ impl Ssd {
         Ok(())
     }
 
+    /// The warm pass of gather → warm → apply (docs/PERFORMANCE.md): load,
+    /// and do nothing else with, the table lines a batch is about to
+    /// touch — for each physical page in `ppns` its block's validity
+    /// bitmap, its index entry and its first sharer's forward-map entry
+    /// (only the first: a popular content has thousands of sharers, and an
+    /// overwrite of one must not walk the rest), and for each fingerprint
+    /// in `fps` its probe chain. Issued back to back the loads are
+    /// independent, so their cache misses overlap; in the apply pass each
+    /// would wait behind the previous page's work. Plain loads kept alive
+    /// by [`std::hint::black_box`]: portable, and a missing line is
+    /// fetched the same way a prefetch hint would fetch it.
+    pub(crate) fn warm<'a>(
+        &self,
+        ppns: impl Iterator<Item = Ppn>,
+        fps: impl Iterator<Item = &'a Fingerprint>,
+    ) {
+        let mut acc = 0u64;
+        for ppn in ppns {
+            acc ^= self.dev.page_state(ppn) as u64;
+            acc ^= u64::from(self.index.refs_of_ppn(ppn).unwrap_or(0));
+            if let Some(&l) = self.rmap.lpns(ppn).first() {
+                acc ^= self.map.get(l).unwrap_or(0);
+            }
+        }
+        for fp in fps {
+            acc ^= self.index.peek(fp).map_or(0, |e| e.ppn);
+        }
+        std::hint::black_box(acc);
+    }
+
+    /// Gather and warm passes for a multi-page host write: every page
+    /// releases the copy its LPN pointed at (reverse-map slot, index entry,
+    /// block bitmap of the old PPN), and Inline-Dedupe also probes the
+    /// index with each page's fingerprint — fetched here through the memo,
+    /// which leaves the memo cells warm for [`Ssd::write_page_inline`].
+    fn warm_write(&mut self, req: &Request) {
+        let mut fps = std::mem::take(&mut self.fps_scratch);
+        fps.clear();
+        if self.cfg.scheme == Scheme::InlineDedup {
+            fps.extend(req.contents.iter().map(|&c| self.fingerprint_of(c)));
+        }
+        self.warm(req.lpns().filter_map(|l| self.map.get(l)), fps.iter());
+        self.fps_scratch = fps;
+    }
+
     /// The SHA-1 fingerprint of `content`, memoized: bit-identical to
     /// [`Fingerprint::of_content`] but each distinct content is hashed at
     /// most once per thread (wall-clock only — the simulated hash-engine
     /// charge is separate). See [`FingerprintCache::of_content_cached`].
-    pub(crate) fn fingerprint_of(&mut self, content: ContentId) -> Fingerprint {
+    pub(crate) fn fingerprint_of(&self, content: ContentId) -> Fingerprint {
         FingerprintCache::of_content_cached(content)
     }
 
@@ -1133,7 +1180,11 @@ impl Ssd {
     /// Checks: forward/reverse map agreement; every referenced physical
     /// page is `Valid`; reference counts equal sharer counts; the per-block
     /// valid-page totals equal the number of referenced physical pages; the
-    /// fingerprint index is internally consistent.
+    /// fingerprint index is internally consistent, and the fingerprint it
+    /// stores for a page is the fingerprint of the content stored there
+    /// (what lets GC migration take a tracked page's fingerprint from the
+    /// index instead of hashing — however the entry got there: GC insert,
+    /// inline write, relocation or crash recovery).
     pub fn audit(&self) -> Result<(), String> {
         self.index.audit()?;
         if self.rmap.total_refs() != self.map.mapped_count() {
@@ -1156,6 +1207,10 @@ impl Ssd {
                             "ppn {ppn}: index refcount {refs} != {} sharers",
                             lpns.len()
                         ));
+                    }
+                    let fp = Fingerprint::of_content(self.content_at(ppn));
+                    if self.index.fp_of_ppn(ppn) != Some(fp) {
+                        return Err(format!("ppn {ppn}: indexed fingerprint is not its content's"));
                     }
                 }
                 None => {
@@ -1182,5 +1237,21 @@ impl Ssd {
             ));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn audit_rejects_an_indexed_fingerprint_that_is_not_the_contents() {
+        let mut ssd = Ssd::new(SsdConfig::tiny(Scheme::InlineDedup));
+        ssd.process(&Request::write(1_000, 3, vec![ContentId(7)]));
+        ssd.audit().expect("consistent after one write");
+        let ppn = ssd.mapped_ppn(3).expect("lpn 3 was written");
+        ssd.content_of[ppn as usize] = 8;
+        let err = ssd.audit().expect_err("index still holds the fingerprint of content 7");
+        assert!(err.contains("indexed fingerprint"), "{err}");
     }
 }

@@ -17,11 +17,28 @@
 
 use crate::fingerprint::{ContentId, Fingerprint};
 
+/// One memo cell, exactly half a cache line and aligned to it, so a probe
+/// never straddles two lines (an `Option<(u64, Fingerprint)>` is 40 bytes
+/// and did on two probes in five).
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(32))]
+struct Cell {
+    key: u64,
+    fp: Fingerprint,
+    occupied: bool,
+}
+
+const VACANT: Cell = Cell {
+    key: 0,
+    fp: Fingerprint([0; 20]),
+    occupied: false,
+};
+
 /// Memo table from content id to its SHA-1 fingerprint (see module docs).
 #[derive(Debug, Clone, Default)]
 pub struct FingerprintCache {
-    /// Open-addressed, linear-probe cells: `(content id, digest)`.
-    cells: Vec<Option<(u64, Fingerprint)>>,
+    /// Open-addressed, linear-probe cells.
+    cells: Vec<Cell>,
     len: usize,
 }
 
@@ -68,35 +85,40 @@ impl FingerprintCache {
     /// first sight. Exactly equal to `Fingerprint::of_content(id)`.
     pub fn get_or_insert(&mut self, id: ContentId) -> Fingerprint {
         if self.cells.is_empty() {
-            self.cells = vec![None; 64];
+            self.cells = vec![VACANT; 64];
         } else if (self.len + 1) * 4 > self.cells.len() * 3 {
             self.grow();
         }
         let mask = self.cells.len() - 1;
         let mut i = (mix(id.0) as usize) & mask;
         loop {
-            match &self.cells[i] {
-                Some((key, fp)) if *key == id.0 => return *fp,
-                Some(_) => i = (i + 1) & mask,
-                None => {
-                    let fp = Fingerprint::of_content(id);
-                    self.cells[i] = Some((id.0, fp));
-                    self.len += 1;
-                    return fp;
-                }
+            let c = &self.cells[i];
+            if !c.occupied {
+                let fp = Fingerprint::of_content(id);
+                self.cells[i] = Cell {
+                    key: id.0,
+                    fp,
+                    occupied: true,
+                };
+                self.len += 1;
+                return fp;
             }
+            if c.key == id.0 {
+                return c.fp;
+            }
+            i = (i + 1) & mask;
         }
     }
 
     fn grow(&mut self) {
-        let mut bigger: Vec<Option<(u64, Fingerprint)>> = vec![None; self.cells.len() * 2];
+        let mut bigger = vec![VACANT; self.cells.len() * 2];
         let mask = bigger.len() - 1;
-        for cell in self.cells.drain(..).flatten() {
-            let mut i = (mix(cell.0) as usize) & mask;
-            while bigger[i].is_some() {
+        for cell in self.cells.drain(..).filter(|c| c.occupied) {
+            let mut i = (mix(cell.key) as usize) & mask;
+            while bigger[i].occupied {
                 i = (i + 1) & mask;
             }
-            bigger[i] = Some(cell);
+            bigger[i] = cell;
         }
         self.cells = bigger;
     }
@@ -119,6 +141,12 @@ mod tests {
             assert_eq!(cache.get_or_insert(id), Fingerprint::of_content(id));
         }
         assert_eq!(cache.len(), 500);
+    }
+
+    #[test]
+    fn cell_is_half_a_cache_line() {
+        assert_eq!(std::mem::size_of::<Cell>(), 32);
+        assert_eq!(std::mem::align_of::<Cell>(), 32);
     }
 
     #[test]

@@ -304,6 +304,23 @@ impl FingerprintIndex {
         hit
     }
 
+    /// [`FingerprintIndex::lookup`] of the fingerprint stored at `ppn`,
+    /// without the probe: the dense PPN map leads straight to the entry.
+    /// `None` (and nothing counted) when `ppn` is untracked — there is no
+    /// fingerprint to look up; otherwise the counters move exactly as
+    /// `lookup(&fp_of_ppn(ppn))` would move them, and the entry returned is
+    /// the one that lookup would find (a fingerprint has one entry).
+    pub fn lookup_ppn(&mut self, ppn: u64) -> Option<(Fingerprint, FpEntry)> {
+        let slot = self.ppn_slot(ppn);
+        if slot == NONE_SLOT {
+            return None;
+        }
+        self.stats.lookups += 1;
+        self.stats.hits += 1;
+        let s = self.slot_ref(slot);
+        Some((s.fp, s.entry))
+    }
+
     /// Non-counting read (for assertions/reports).
     pub fn peek(&self, fp: &Fingerprint) -> Option<FpEntry> {
         self.find_slot(fp).map(|s| self.slot_ref(s).entry)

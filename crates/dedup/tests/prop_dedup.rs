@@ -55,6 +55,11 @@ harness_proptest! {
     /// to keep drop-in compatible: trim-attributed releases, the
     /// recovery-style forget-then-restore move, and the GC-absorption
     /// forget that drops an entry without counting an invalidation.
+    ///
+    /// After every operation it also checks, for every physical page ever
+    /// used, that the by-address lookup GC migration relies on is the
+    /// by-fingerprint one: `lookup_ppn(p)` ≡ `lookup(&fp_of_ppn(p))`, in
+    /// the entry returned and in the `IndexStats` it leaves behind.
     #[test]
     fn index_agrees_with_naive_model(ops in vec((0u8..6, 0u64..20), 1..300)) {
         let mut ix = FingerprintIndex::new();
@@ -144,6 +149,14 @@ harness_proptest! {
                 prop_assert_eq!(ix.fp_of_ppn(ppn), Some(Fingerprint::of_content(ContentId(c))));
             }
             ix.audit().map_err(TestCaseError::fail)?;
+            let (mut by_ppn, mut by_fp) = (ix.clone(), ix.clone());
+            for ppn in 0..next_ppn {
+                let expect = by_fp
+                    .fp_of_ppn(ppn)
+                    .map(|fp| (fp, by_fp.lookup(&fp).expect("a stored fingerprint is indexed")));
+                prop_assert_eq!(by_ppn.lookup_ppn(ppn), expect);
+                prop_assert_eq!(by_ppn.stats(), by_fp.stats());
+            }
         }
     }
 

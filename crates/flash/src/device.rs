@@ -69,6 +69,10 @@ pub struct FlashDevice {
     /// every [`Block`] — and maintenance is a single store on the
     /// fill/invalidate/erase transitions.
     victim_valid: Vec<u16>,
+    /// `wear_hist[c]` = blocks erased exactly `c` times, maintained by
+    /// [`FlashDevice::erase`] so wear percentiles need no per-call sort.
+    /// Erase counts only grow, so the last bucket is never empty.
+    wear_hist: Vec<u32>,
 }
 
 /// Sentinel in [`FlashDevice::victim_valid`]: block not full (free, open
@@ -104,6 +108,7 @@ impl FlashDevice {
             retired_count: 0,
             seq: 0,
             victim_valid: vec![VICTIM_UNTRACKED; geometry.total_blocks() as usize],
+            wear_hist: vec![geometry.total_blocks()],
         }
     }
 
@@ -442,6 +447,11 @@ impl FlashDevice {
             return Err(FlashError::EraseFailed { block, at: r.end });
         }
         self.blocks[block as usize].erase(r.end);
+        self.wear_hist[wear as usize] -= 1;
+        if wear as usize + 1 == self.wear_hist.len() {
+            self.wear_hist.push(0);
+        }
+        self.wear_hist[wear as usize + 1] += 1;
         self.sync_victim_valid(block);
         for ppn in self.geometry.pages_of_block(block) {
             self.oob[ppn as usize] = PageOob::default();
@@ -475,6 +485,20 @@ impl FlashDevice {
             sum += b.erase_count() as u64;
         }
         (min, max, sum as f64 / self.blocks.len() as f64)
+    }
+
+    /// Erase count of the block at 0-based `rank` when all blocks (retired
+    /// ones included) are ordered by erase count, clamped to the most-worn
+    /// block: `sorted_erase_counts[rank]` without the sort.
+    pub fn wear_at_rank(&self, rank: usize) -> u32 {
+        let mut below = 0usize;
+        for (count, &blocks) in self.wear_hist.iter().enumerate() {
+            below += blocks as usize;
+            if rank < below {
+                return count as u32;
+            }
+        }
+        (self.wear_hist.len() - 1) as u32
     }
 
     /// Population standard deviation of per-block erase counts — the
@@ -535,6 +559,23 @@ mod tests {
 
     fn host(lpn: u64) -> PageOob {
         PageOob::host(lpn, None)
+    }
+
+    #[test]
+    fn wear_at_rank_matches_the_sorted_erase_counts() {
+        let mut d = dev();
+        // Uneven wear: block b is erased b times (b = 0 stays pristine).
+        for b in 0..d.block_count() {
+            for _ in 0..b {
+                d.erase(b, 0).unwrap();
+            }
+        }
+        let mut sorted: Vec<u32> = (0..d.block_count()).map(|b| d.block(b).erase_count()).collect();
+        sorted.sort_unstable();
+        for (rank, &wear) in sorted.iter().enumerate() {
+            assert_eq!(d.wear_at_rank(rank), wear, "rank {rank}");
+        }
+        assert_eq!(d.wear_at_rank(sorted.len() + 5), *sorted.last().unwrap(), "clamped");
     }
 
     #[test]

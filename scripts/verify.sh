@@ -117,6 +117,16 @@ cargo run --release --offline -p cagc-bench --bin repro -- \
 cmp "$TRACE_TMP/chaos1/sweep_chaos.csv" "$TRACE_TMP/chaos2/sweep_chaos.csv" \
   || { echo "FAIL: sweep_chaos.csv must be byte-identical across worker counts"; exit 1; }
 
+echo "== benchmark package: unit tests + a short GC-heavy run (BENCHMARK.json) =="
+# benchmark/ is a workspace of its own, so `cargo test --workspace` above
+# never reaches it: its tests hold the catalog <-> BENCHMARK.json drift
+# check. The 3 s run is judged on exit status only — the output checks
+# (every iteration reproduces the warm-up's bytes, Ssd::audit clean);
+# timing is the benchmark driver's business, not this gate's.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  --workload gc_write_heavy --seed 7 --seconds 3 --trace 0 > /dev/null
+
 echo "== perf: fleet fan-out bench vs committed baseline (docs/FLEET.md) =="
 # Same retry discipline as the hotpath gate below. The w1-vs-w8 speedup
 # floor is only meaningful with real cores behind the workers, so the
