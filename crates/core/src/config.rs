@@ -66,11 +66,6 @@ pub struct SsdConfig {
     pub gc_high: f64,
     /// Free blocks withheld for GC migration (deadlock guard).
     pub gc_reserve_blocks: u32,
-    /// Victims collected per trigger check. FlashSim-style FTLs clean one
-    /// block per trigger and re-check on the next write, keeping GC
-    /// interference fine-grained; larger values batch reclamation into
-    /// longer, burstier rounds.
-    pub gc_victims_per_trigger: u32,
     /// Controller-only service for a read of an unmapped LPN.
     pub read_miss_ns: Nanos,
     /// Fingerprint index probe/update cost on the critical path.
@@ -179,7 +174,6 @@ impl SsdConfig {
             gc_low: (low_blocks / total_blocks as f64).min(0.90),
             gc_high: (high_blocks / total_blocks as f64).min(0.95),
             gc_reserve_blocks,
-            gc_victims_per_trigger: 1,
             read_miss_ns: us(1),
             lookup_ns: us(1),
             honor_trim: true,
@@ -252,7 +246,6 @@ mod tests {
         assert_eq!(c.victim, VictimKind::Greedy);
         assert_eq!(c.cold_threshold, 1);
         assert!(c.overlap_hash && c.placement);
-        assert_eq!(c.gc_victims_per_trigger, 1);
         // The 20% watermark applies to the OP pool: the low trigger sits
         // between the GC reserve and the reserve plus all OP blocks.
         let total = c.flash.geometry().total_blocks() as f64;

@@ -16,6 +16,13 @@
 //! Baseline and Inline-Dedupe use the blind migrator: every valid page is
 //! copied, no content processing (Inline-Dedupe already deduplicated on the
 //! write path, so its GC never sees redundant pages).
+//!
+//! There is one collector. Every entry point — the watermark trigger,
+//! [`Ssd::force_gc`], idle-window GC, the allocator's emergency round,
+//! a preemptible slice, [`Ssd::gc_pump`], the urgent catch-up leg — drains
+//! a victim through the same `GcJob` lifecycle, `begin_job` →
+//! `step_job(budget)` → `erase_victim`, inside the same accounting scope
+//! (`as_gc`); they differ in the budget and in the span they emit.
 
 use cagc_dedup::Fingerprint;
 use cagc_flash::{BlockId, FlashError, JournalOp, PageOob, PageState, Ppn};
@@ -26,18 +33,22 @@ use cagc_trace::Track;
 use crate::config::Scheme;
 use crate::ssd::{fp_stamp, Ssd, TraceCtx};
 
-/// A suspended preemptible GC job: one victim whose valid pages are being
-/// migrated in [`crate::SsdConfig::gc_slice_pages`]-sized quanta. The page
-/// list is a snapshot taken at job start; pages invalidated between slices
-/// (foreground overwrites, dedup absorption) are re-checked and skipped
-/// when their quantum comes up.
+/// One victim being drained: the block, a snapshot of its valid pages
+/// taken when the job began, and a cursor. Every GC entry point drains
+/// victims through a job; run-to-completion GC steps it once with an
+/// unbounded budget, preemptible GC ([`crate::SsdConfig::gc_preempt`])
+/// steps it [`crate::SsdConfig::gc_slice_pages`] at a time and parks it in
+/// `Ssd::gc_job` between quanta. Pages invalidated after the snapshot
+/// (foreground overwrites between slices, dedup absorption) are re-checked
+/// and skipped when their turn comes.
 #[derive(Debug, Clone)]
 pub(crate) struct GcJob {
     /// Victim block being drained. It stays out of the frontier pool until
     /// its erase, and a new job is never started while one is suspended,
     /// so no other GC path touches it.
     pub victim: BlockId,
-    /// Snapshot of the victim's valid pages at job start.
+    /// Snapshot of the victim's valid pages at job start (the buffer is
+    /// `Ssd::valids_scratch`, handed back when the victim is erased).
     pub pages: Vec<Ppn>,
     /// Next index into `pages` to migrate.
     pub next: usize,
@@ -51,76 +62,68 @@ impl Ssd {
     /// die contention (reads/programs/erases reserved on the die timelines),
     /// which is exactly how GC hurts foreground I/O in a real SSD and the
     /// effect Figs. 11/12 measure.
+    ///
+    /// Run-to-completion (the paper's loop): below the low watermark, one
+    /// whole victim per trigger — FlashSim-style, re-checked on the next
+    /// write. Migration of the next trigger's victim overlaps this one's
+    /// erase (Sec. III-B parallelism) through the per-die timelines.
+    ///
+    /// Preemptible ([`crate::SsdConfig::gc_preempt`]), per trigger check:
+    ///
+    /// * **urgent** (free < `gc_urgent_fraction`): preemption is suspended
+    ///   — whole victims until the low watermark clears ([`Ssd::catch_up`]);
+    /// * **triggered** (job pending, or free below the low watermark): run
+    ///   exactly one `gc_slice_pages` quantum, then yield back to the
+    ///   foreground with the remainder suspended in [`GcJob`];
+    /// * otherwise: no work.
     pub(crate) fn maybe_gc(&mut self, now: Nanos) -> Result<Nanos, FlashError> {
-        if self.cfg.gc_preempt {
-            return self.maybe_gc_preempt(now);
-        }
-        if !self.trigger.should_start(self.alloc.free_fraction()) {
+        let free = self.alloc.free_fraction();
+        let end = if self.cfg.gc_preempt && free < self.cfg.gc_urgent_fraction {
+            self.as_gc(now, Self::catch_up)?
+        } else if self.gc_job.is_none() && free >= self.cfg.gc_low {
             return Ok(now);
-        }
-        self.gc_stats.invocations += 1;
-        // GC is always traced (sampling applies to host ops only); the
-        // context renames die spans to migrate_read/migrate_write and is
-        // restored on exit so a sampled host request resumes its own spans.
+        } else if self.cfg.gc_preempt {
+            self.as_gc(now, Self::slice)?
+        } else {
+            // With preemption off `invocations` counts trigger firings,
+            // reclaimable victim or not, where `begin_job` counts victims
+            // started.
+            let fired = self.gc_stats.invocations + 1;
+            let end = self.as_gc(now, Self::round);
+            self.gc_stats.invocations = fired;
+            end?
+        };
+        // A trigger that found nothing to reclaim still opens a GC period
+        // at `now`: the write that tripped it belongs to the population
+        // Fig. 11 averages over.
+        self.gc_active_until = self.gc_active_until.max(now);
+        Ok(end)
+    }
+
+    /// Run `work` at `now` as GC and account the time it took. GC is always
+    /// traced (sampling applies to host ops only); the context renames die
+    /// spans to migrate_read/migrate_write and is restored on exit — also
+    /// when a mid-GC power loss propagates to `Ssd::recover` — so a sampled
+    /// host request resumes its own spans. `work` returns when its last
+    /// erase or migration completes; returning `now` means nothing was
+    /// reclaimable and nothing is accounted.
+    fn as_gc(
+        &mut self,
+        now: Nanos,
+        work: fn(&mut Self, Nanos) -> Result<Nanos, FlashError>,
+    ) -> Result<Nanos, FlashError> {
         let prev_ctx = self.tctx;
         if self.tracer.is_enabled() {
             self.tctx = TraceCtx::Gc;
         }
-        // `cursor` is when the next victim's migration may start;
-        // `round_end` tracks the last erase completion. Migration of victim
-        // k+1 overlaps the erase of victim k (Sec. III-B parallelism) —
-        // per-die timelines serialize same-die conflicts automatically.
-        // At the default of one victim per trigger the overlap happens
-        // across consecutive triggers through the same die timelines.
-        let mut cursor = now;
-        let mut round_end = now;
-        let mut victims = 0u32;
-        let mut stalls = 0u32;
-        let mut outcome = Ok(());
-        while victims < self.cfg.gc_victims_per_trigger
-            && self.trigger.should_start(self.alloc.free_fraction())
-        {
-            let Some(victim) = self.select_victim(cursor) else { break };
-            let free_before = self.alloc.free_blocks();
-            let (migrated_done, erase_end) = match self.collect_victim(victim, cursor) {
-                Ok(v) => v,
-                Err(e) => {
-                    // Restore the trace context before propagating (a
-                    // mid-GC power loss lands in `Ssd::recover`).
-                    outcome = Err(e);
-                    break;
-                }
-            };
-            victims += 1;
-            cursor = migrated_done;
-            round_end = round_end.max(erase_end);
-            // Safety valve: a victim so full of valid pages that migrating
-            // it consumed as many blocks as it freed makes no net progress;
-            // two such victims in a row means the device is effectively out
-            // of reclaimable space for this round.
-            if self.alloc.free_blocks() <= free_before {
-                stalls += 1;
-                if stalls >= 2 {
-                    break;
-                }
-            } else {
-                stalls = 0;
-            }
-        }
+        let result = work(self, now);
         self.tctx = prev_ctx;
-        outcome?;
-        if victims > 0 {
-            self.tracer.span(
-                Track::Gc,
-                "gc_round",
-                now,
-                round_end,
-                &[("victims", u64::from(victims))],
-            );
+        let end = result?;
+        if end > now {
+            self.gc_stats.busy_ns += end - now;
+            self.gc_active_until = self.gc_active_until.max(end);
         }
-        self.gc_stats.busy_ns += round_end.saturating_sub(now);
-        self.gc_active_until = self.gc_active_until.max(round_end);
-        Ok(round_end)
+        Ok(end)
     }
 
     /// Background GC inside an idle window (enabled by
@@ -159,205 +162,10 @@ impl Ssd {
         self.force_gc_inner(now).unwrap_or(now)
     }
 
-    /// Preemptible GC entry (the [`crate::SsdConfig::gc_preempt`] state
-    /// machine). Per trigger check:
-    ///
-    /// * **urgent** (free < `gc_urgent_fraction`): preemption is suspended
-    ///   — drain the in-flight job, then collect whole victims until the
-    ///   low watermark clears (the escalation leg);
-    /// * **triggered** (job pending, or free below the low watermark): run
-    ///   exactly one `gc_slice_pages` quantum, then yield back to the
-    ///   foreground with the remainder suspended in [`GcJob`];
-    /// * otherwise: no work.
-    fn maybe_gc_preempt(&mut self, now: Nanos) -> Result<Nanos, FlashError> {
-        if self.alloc.free_fraction() < self.cfg.gc_urgent_fraction {
-            return self.gc_catch_up(now);
-        }
-        if self.gc_job.is_none() && !self.trigger.should_start(self.alloc.free_fraction()) {
-            return Ok(now);
-        }
-        let prev_ctx = self.tctx;
-        if self.tracer.is_enabled() {
-            self.tctx = TraceCtx::Gc;
-        }
-        let result = self.run_gc_slice(now);
-        self.tctx = prev_ctx;
-        let end = result?;
-        self.gc_stats.busy_ns += end.saturating_sub(now);
-        self.gc_active_until = self.gc_active_until.max(end);
-        Ok(end)
-    }
-
-    /// Urgency escalation: free space fell below the urgent floor, so the
-    /// foreground is outrunning sliced reclamation. Run whole victims —
-    /// starting with the suspended job, whose erase is the fastest path to
-    /// a free block — until the low watermark clears or no victim makes
-    /// net progress (the same two-stall valve as the non-preemptible loop).
-    fn gc_catch_up(&mut self, now: Nanos) -> Result<Nanos, FlashError> {
-        let prev_ctx = self.tctx;
-        if self.tracer.is_enabled() {
-            self.tctx = TraceCtx::Gc;
-        }
-        self.tracer.instant(
-            Track::Gc,
-            "gc_urgent",
-            now,
-            &[("free_blocks", u64::from(self.alloc.free_blocks()))],
-        );
-        let mut cursor = now;
-        let mut round_end = now;
-        let mut stalls = 0u32;
-        let mut outcome = Ok(());
-        loop {
-            let free_before = self.alloc.free_blocks();
-            let step = if let Some(job) = self.gc_job.take() {
-                self.finish_job(job, cursor)
-            } else {
-                if self.alloc.free_fraction() >= self.cfg.gc_low {
-                    break;
-                }
-                let Some(victim) = self.select_victim(cursor) else { break };
-                self.gc_stats.invocations += 1;
-                self.collect_victim(victim, cursor)
-            };
-            match step {
-                Ok((done, erase_end)) => {
-                    cursor = done;
-                    round_end = round_end.max(erase_end);
-                }
-                Err(e) => {
-                    outcome = Err(e);
-                    break;
-                }
-            }
-            if self.alloc.free_blocks() <= free_before {
-                stalls += 1;
-                if stalls >= 2 {
-                    break;
-                }
-            } else {
-                stalls = 0;
-            }
-        }
-        self.tctx = prev_ctx;
-        outcome?;
-        self.gc_stats.busy_ns += round_end.saturating_sub(now);
-        self.gc_active_until = self.gc_active_until.max(round_end);
-        Ok(round_end)
-    }
-
-    /// One preemption quantum: take the suspended job (or select a fresh
-    /// victim and snapshot its valid pages), migrate up to
-    /// `gc_slice_pages` still-valid pages, then either erase the drained
-    /// victim or suspend the remainder and yield.
-    fn run_gc_slice(&mut self, now: Nanos) -> Result<Nanos, FlashError> {
-        let mut job = match self.gc_job.take() {
-            Some(j) => j,
-            None => {
-                let Some(victim) = self.select_victim(now) else { return Ok(now) };
-                self.gc_stats.invocations += 1;
-                let geom = *self.dev.geometry();
-                let blk = self.dev.block(victim);
-                let mut pages: Vec<Ppn> = Vec::with_capacity(blk.valid_count() as usize);
-                blk.for_each_valid(|p| pages.push(geom.ppn(victim, p)));
-                GcJob { victim, pages, next: 0 }
-            }
-        };
-        let budget = self.cfg.gc_slice_pages as usize;
-        let mut done = now;
-        let mut moved = 0u64;
-        match self.cfg.scheme {
-            Scheme::Baseline | Scheme::InlineDedup | Scheme::InlineSampled => {
-                // Pre-filter this quantum's still-valid pages (the snapshot
-                // may be stale: a foreground overwrite between slices can
-                // have drained a page already), then migrate them as one
-                // grouped batch. Blind migration never invalidates other
-                // snapshot pages, so the pre-filter cannot go stale
-                // mid-batch.
-                let mut quantum = std::mem::take(&mut self.valids_scratch);
-                quantum.clear();
-                while quantum.len() < budget && job.next < job.pages.len() {
-                    let ppn = job.pages[job.next];
-                    job.next += 1;
-                    if self.dev.page_state(ppn) != PageState::Valid {
-                        continue;
-                    }
-                    quantum.push(ppn);
-                }
-                moved = quantum.len() as u64;
-                let res = self.migrate_blind(&quantum, now);
-                self.valids_scratch = quantum;
-                done = done.max(res?);
-            }
-            Scheme::Cagc => {
-                // Absorption can drain *later* snapshot pages mid-quantum
-                // (promotion of a stored copy inside this victim), so the
-                // quantum cannot be pre-filtered like the blind one. Take
-                // the snapshot in runs no longer than the budget left:
-                // a run that held stale pages is followed by another.
-                let mut read_ready = now;
-                while moved < budget as u64 && job.next < job.pages.len() {
-                    let run = (budget - moved as usize).min(job.pages.len() - job.next);
-                    let pages = &job.pages[job.next..job.next + run];
-                    job.next += run;
-                    let (valid, end) =
-                        self.migrate_content_aware(job.victim, pages, &mut read_ready)?;
-                    moved += valid;
-                    done = done.max(end);
-                }
-            }
-        }
-        if job.next >= job.pages.len() {
-            let erase_end = self.erase_victim(job.victim, done)?;
-            self.tracer.span(
-                Track::Gc,
-                "gc_slice",
-                now,
-                erase_end,
-                &[("pages", moved), ("victim", u64::from(job.victim)), ("erased", 1)],
-            );
-            Ok(erase_end)
-        } else {
-            let remaining = (job.pages.len() - job.next) as u64;
-            self.tracer.span(
-                Track::Gc,
-                "gc_slice",
-                now,
-                done,
-                &[("pages", moved), ("victim", u64::from(job.victim)), ("erased", 0)],
-            );
-            self.tracer
-                .instant(Track::Gc, "gc_yield", done, &[("remaining", remaining)]);
-            self.gc_job = Some(job);
-            Ok(done)
-        }
-    }
-
-    /// Run a suspended job to completion: migrate every remaining valid
-    /// page and erase the victim. Returns `(migration_done, erase_end)`.
-    fn finish_job(&mut self, job: GcJob, t: Nanos) -> Result<(Nanos, Nanos), FlashError> {
-        let mut done = t;
-        match self.cfg.scheme {
-            Scheme::Baseline | Scheme::InlineDedup | Scheme::InlineSampled => {
-                let mut rest = std::mem::take(&mut self.valids_scratch);
-                rest.clear();
-                for &ppn in &job.pages[job.next..] {
-                    if self.dev.page_state(ppn) == PageState::Valid {
-                        rest.push(ppn);
-                    }
-                }
-                let res = self.migrate_blind(&rest, t);
-                self.valids_scratch = rest;
-                done = done.max(res?);
-            }
-            Scheme::Cagc => {
-                let mut read_ready = t;
-                let rest = &job.pages[job.next..];
-                done = self.migrate_content_aware(job.victim, rest, &mut read_ready)?.1;
-            }
-        }
-        let erase_end = self.erase_victim(job.victim, done)?;
-        Ok((done, erase_end))
+    /// [`Ssd::force_gc`] that propagates a mid-GC power loss instead of
+    /// absorbing it.
+    pub(crate) fn force_gc_inner(&mut self, now: Nanos) -> Result<Nanos, FlashError> {
+        self.as_gc(now, Self::round)
     }
 
     /// Advance preemptible GC by one quantum on the *caller's* clock —
@@ -368,113 +176,190 @@ impl Ssd {
     /// A mid-slice power loss is absorbed (`None`); the next host command
     /// observes the crash exactly as with [`Ssd::force_gc`].
     pub fn gc_pump(&mut self, now: Nanos) -> Option<Nanos> {
-        if !self.cfg.gc_preempt {
+        if !self.cfg.gc_preempt
+            || (self.gc_job.is_none() && self.alloc.free_fraction() >= self.cfg.gc_high)
+        {
             return None;
         }
-        if self.gc_job.is_none() && self.alloc.free_fraction() >= self.cfg.gc_high {
-            return None;
-        }
-        let prev_ctx = self.tctx;
-        if self.tracer.is_enabled() {
-            self.tctx = TraceCtx::Gc;
-        }
-        let result = self.run_gc_slice(now);
-        self.tctx = prev_ctx;
-        match result {
-            Ok(end) if end > now => {
-                self.gc_stats.busy_ns += end - now;
-                self.gc_active_until = self.gc_active_until.max(end);
-                Some(end)
-            }
-            Ok(_) | Err(_) => None,
-        }
+        self.as_gc(now, Self::slice).ok().filter(|&end| end > now)
     }
 
-    /// [`Ssd::force_gc`] that propagates a mid-GC power loss instead of
-    /// absorbing it.
-    pub(crate) fn force_gc_inner(&mut self, now: Nanos) -> Result<Nanos, FlashError> {
-        // A suspended preemptible job owns its victim: finish it first —
-        // its erase is the fastest path to a free block for the caller
-        // (the stalled allocator or the idle-GC window).
-        if let Some(job) = self.gc_job.take() {
-            let prev_ctx = self.tctx;
-            if self.tracer.is_enabled() {
-                self.tctx = TraceCtx::Gc;
-            }
-            let result = self.finish_job(job, now);
-            self.tctx = prev_ctx;
-            let (_, erase_end) = result?;
-            self.tracer
-                .span(Track::Gc, "gc_round", now, erase_end, &[("victims", 1)]);
-            self.gc_stats.busy_ns += erase_end.saturating_sub(now);
-            self.gc_active_until = self.gc_active_until.max(erase_end);
-            return Ok(erase_end);
-        }
-        let Some(victim) = self.select_victim(now) else { return Ok(now) };
-        self.gc_stats.invocations += 1;
-        let prev_ctx = self.tctx;
-        if self.tracer.is_enabled() {
-            self.tctx = TraceCtx::Gc;
-        }
-        let result = self.collect_victim(victim, now);
-        self.tctx = prev_ctx;
-        let (_, erase_end) = result?;
-        self.tracer
-            .span(Track::Gc, "gc_round", now, erase_end, &[("victims", 1)]);
-        self.gc_stats.busy_ns += erase_end.saturating_sub(now);
-        self.gc_active_until = self.gc_active_until.max(erase_end);
+    /// One whole victim at `now`: the suspended job if there is one — it
+    /// owns its victim, and its erase is the fastest path to a free block
+    /// for the caller (the trigger, the stalled allocator, the idle window)
+    /// — else a fresh one. Returns the erase completion, `now` when no
+    /// block is reclaimable.
+    fn round(&mut self, now: Nanos) -> Result<Nanos, FlashError> {
+        let Some(job) = self.gc_job.take().or_else(|| self.begin_job(now)) else {
+            return Ok(now);
+        };
+        let (_, erase_end) = self.finish_job(job, now)?;
+        self.tracer.span(Track::Gc, "gc_round", now, erase_end, &[("victims", 1)]);
         Ok(erase_end)
     }
 
-    /// Snapshot candidates and ask the policy. Open frontiers, free blocks
-    /// and blocks whose erase would reclaim nothing are never victims. The
-    /// reclaim gain counts stranded free pages — pages a program failure
-    /// (or recovery) left behind a closed write pointer — alongside the
-    /// invalid ones: without that, a block abandoned before accumulating
-    /// any garbage is invisible to GC and its free pages are lost until an
-    /// overwrite happens to land there, which under sustained fault
-    /// injection starves foreground allocation outright.
-    fn select_victim(&mut self, now: Nanos) -> Option<BlockId> {
-        if !self.tracer.is_enabled() {
-            // Hottest path: Greedy over a fault-free device is answered
-            // from the device's dense valid-count index — no per-block
-            // walk at all. Fault-free, every closed block is full, so the
-            // index's candidate set (and tie-break) is bit-identical to
-            // the scan below; with faults armed, stranded non-full blocks
-            // exist and the scan stays authoritative.
-            if self.selector.kind() == cagc_ftl::VictimKind::Greedy && !self.dev.faults_active() {
-                return self.dev.greedy_full_victim();
+    /// Urgency escalation: free space fell below the urgent floor, so the
+    /// foreground is outrunning sliced reclamation. Run whole victims —
+    /// starting with the suspended job — until the low watermark clears or
+    /// no victim makes net progress.
+    fn catch_up(&mut self, now: Nanos) -> Result<Nanos, FlashError> {
+        self.tracer.instant(
+            Track::Gc,
+            "gc_urgent",
+            now,
+            &[("free_blocks", u64::from(self.alloc.free_blocks()))],
+        );
+        // `cursor` is when the next victim's migration may start;
+        // `round_end` tracks the last erase completion. Migration of victim
+        // k+1 overlaps the erase of victim k (Sec. III-B parallelism) —
+        // per-die timelines serialize same-die conflicts automatically.
+        let mut cursor = now;
+        let mut round_end = now;
+        let mut stalls = 0u32;
+        loop {
+            let free_before = self.alloc.free_blocks();
+            let job = match self.gc_job.take() {
+                Some(job) => job,
+                None if self.alloc.free_fraction() >= self.cfg.gc_low => break,
+                None => match self.begin_job(cursor) {
+                    Some(job) => job,
+                    None => break,
+                },
+            };
+            let (done, erase_end) = self.finish_job(job, cursor)?;
+            cursor = done;
+            round_end = round_end.max(erase_end);
+            // Safety valve: a victim so full of valid pages that migrating
+            // it consumed as many blocks as it freed makes no net progress;
+            // two such victims in a row means the device is effectively out
+            // of reclaimable space for this round.
+            if self.alloc.free_blocks() <= free_before {
+                stalls += 1;
+                if stalls >= 2 {
+                    break;
+                }
+            } else {
+                stalls = 0;
             }
-            // Hot path: stream candidates straight into the policy. The
-            // deterministic policies fold the stream in O(1) space; the
-            // sampling ones buffer into selector-owned scratch — either
-            // way no per-selection Vec is allocated.
-            let dev = &self.dev;
-            let alloc = &self.alloc;
-            let candidates = (0..dev.block_count()).filter_map(|b| {
-                if alloc.is_open(b) || dev.is_retired(b) {
-                    return None;
-                }
-                let blk = dev.block(b);
-                if blk.is_free() || blk.invalid_count() + blk.free_count() == 0 {
-                    return None;
-                }
-                Some(VictimCandidate {
-                    block: b,
-                    valid: blk.valid_count(),
-                    invalid: blk.invalid_count(),
-                    trimmed: blk.trimmed_count(),
-                    stranded: blk.free_count(),
-                    pages: blk.pages(),
-                    erase_count: blk.erase_count(),
-                    last_modified: blk.last_modified(),
-                })
-            });
-            return self.selector.select_streaming(candidates, now);
         }
-        // Traced path: materialize the snapshot — the stranded-pages gauge
-        // and the victim_select instant both want the whole candidate set.
-        let mut candidates = Vec::new();
+        Ok(round_end)
+    }
+
+    /// One preemption quantum: take the suspended job (or begin one),
+    /// migrate up to `gc_slice_pages` still-valid pages, then either erase
+    /// the drained victim or suspend the remainder and yield.
+    fn slice(&mut self, now: Nanos) -> Result<Nanos, FlashError> {
+        let Some(mut job) = self.gc_job.take().or_else(|| self.begin_job(now)) else {
+            return Ok(now);
+        };
+        let (moved, done) = self.step_job(&mut job, self.cfg.gc_slice_pages as usize, now)?;
+        let remaining = (job.pages.len() - job.next) as u64;
+        let end = if remaining == 0 { self.erase_victim(job.victim, done)? } else { done };
+        self.tracer.span(
+            Track::Gc,
+            "gc_slice",
+            now,
+            end,
+            &[
+                ("pages", moved as u64),
+                ("victim", u64::from(job.victim)),
+                ("erased", u64::from(remaining == 0)),
+            ],
+        );
+        if remaining > 0 {
+            self.tracer.instant(Track::Gc, "gc_yield", done, &[("remaining", remaining)]);
+            self.gc_job = Some(job);
+        } else {
+            self.valids_scratch = job.pages;
+        }
+        Ok(end)
+    }
+
+    /// Select a victim at `t` and snapshot its valid pages. `None` when no
+    /// block is reclaimable.
+    fn begin_job(&mut self, t: Nanos) -> Option<GcJob> {
+        let victim = self.select_victim(t)?;
+        self.gc_stats.invocations += 1;
+        let geom = *self.dev.geometry();
+        // The snapshot lives in a recycled buffer — collection runs
+        // thousands of times per replay. (A job dropped by `Ssd::recover`
+        // takes its buffer with it; the next one allocates afresh.)
+        let mut pages = std::mem::take(&mut self.valids_scratch);
+        pages.clear();
+        self.dev.block(victim).for_each_valid(|p| pages.push(geom.ppn(victim, p)));
+        Some(GcJob { victim, pages, next: 0 })
+    }
+
+    /// Migrate up to `budget` still-valid pages of `job`'s snapshot,
+    /// starting at `t`. Returns `(pages migrated or absorbed, completion)`.
+    fn step_job(
+        &mut self,
+        job: &mut GcJob,
+        budget: usize,
+        t: Nanos,
+    ) -> Result<(usize, Nanos), FlashError> {
+        match self.cfg.scheme {
+            Scheme::Baseline | Scheme::InlineDedup | Scheme::InlineSampled => {
+                self.migrate_blind(job, budget, t)
+            }
+            Scheme::Cagc => {
+                // Absorption can drain *later* snapshot pages mid-quantum
+                // (promotion of a stored copy inside this victim), so the
+                // quantum cannot be counted out up front. Take the snapshot
+                // in runs no longer than the budget left: a run that held
+                // stale pages is followed by another.
+                let mut read_ready = t;
+                let mut moved = 0;
+                let mut done = t;
+                while moved < budget && job.next < job.pages.len() {
+                    let run = (budget - moved).min(job.pages.len() - job.next);
+                    let pages = &job.pages[job.next..job.next + run];
+                    job.next += run;
+                    let (valid, end) =
+                        self.migrate_content_aware(job.victim, pages, &mut read_ready)?;
+                    moved += valid;
+                    done = done.max(end);
+                }
+                Ok((moved, done))
+            }
+        }
+    }
+
+    /// Run a job to completion: migrate every remaining valid page and
+    /// erase the victim. Returns `(migration_done, erase_end)`: the erase
+    /// is issued at `migration_done` and the *next* victim may start
+    /// migrating immediately while it runs.
+    fn finish_job(&mut self, mut job: GcJob, t: Nanos) -> Result<(Nanos, Nanos), FlashError> {
+        let (_, done) = self.step_job(&mut job, usize::MAX, t)?;
+        let erase_end = self.erase_victim(job.victim, done)?;
+        self.valids_scratch = job.pages;
+        Ok((done, erase_end))
+    }
+
+    /// Choose the next victim. Open frontiers, free blocks and blocks whose
+    /// erase would reclaim nothing are never victims. The reclaim gain
+    /// counts stranded free pages — pages a program failure (or recovery)
+    /// left behind a closed write pointer — alongside the invalid ones:
+    /// without that, a block abandoned before accumulating any garbage is
+    /// invisible to GC and its free pages are lost until an overwrite
+    /// happens to land there, which under sustained fault injection starves
+    /// foreground allocation outright.
+    fn select_victim(&mut self, now: Nanos) -> Option<BlockId> {
+        let traced = self.tracer.is_enabled();
+        // Hottest path: Greedy over a fault-free device is answered from
+        // the device's dense valid-count index — no per-block walk at all.
+        // Fault-free, every closed block is full, so the index's candidate
+        // set (and tie-break) is bit-identical to the scan below; with
+        // faults armed, stranded non-full blocks exist and the scan stays
+        // authoritative. Traced runs scan for the gauge's sake.
+        if !traced
+            && self.selector.kind() == cagc_ftl::VictimKind::Greedy
+            && !self.dev.faults_active()
+        {
+            return self.dev.greedy_full_victim();
+        }
+        let mut candidates = std::mem::take(&mut self.candidates_scratch);
+        candidates.clear();
         for b in 0..self.dev.block_count() {
             if self.alloc.is_open(b) || self.dev.is_retired(b) {
                 continue;
@@ -495,7 +380,7 @@ impl Ssd {
             });
         }
         let chosen = self.selector.select(&candidates, now);
-        if self.tracer.is_enabled() {
+        if traced {
             // The candidate walk just paid for the O(blocks) scan, so the
             // stranded-pages gauge comes for free here.
             let stranded: u64 = candidates.iter().map(|c| u64::from(c.stranded)).sum();
@@ -518,34 +403,8 @@ impl Ssd {
                 );
             }
         }
+        self.candidates_scratch = candidates;
         chosen
-    }
-
-    /// Collect one victim. Returns `(migration_done, erase_end)`:
-    /// the erase is issued at `migration_done` and the *next* victim may
-    /// start migrating immediately while it runs.
-    fn collect_victim(&mut self, victim: BlockId, t: Nanos) -> Result<(Nanos, Nanos), FlashError> {
-        let geom = *self.dev.geometry();
-        // The valid-page snapshot lives in a reusable scratch buffer —
-        // collection runs thousands of times per replay and the snapshot
-        // is dead as soon as the migration pass returns.
-        let mut valids = std::mem::take(&mut self.valids_scratch);
-        valids.clear();
-        self.dev.block(victim).for_each_valid(|p| valids.push(geom.ppn(victim, p)));
-
-        let done = match self.cfg.scheme {
-            Scheme::Baseline | Scheme::InlineDedup | Scheme::InlineSampled => {
-                self.migrate_blind(&valids, t)
-            }
-            Scheme::Cagc => {
-                let mut read_ready = t;
-                self.migrate_content_aware(victim, &valids, &mut read_ready).map(|r| r.1)
-            }
-        };
-        self.valids_scratch = valids;
-        let done = done?;
-        let erase_end = self.erase_victim(victim, done)?;
-        Ok((done, erase_end))
     }
 
     /// Erase a fully-drained victim at `done`: snapshot trim attribution,
@@ -608,12 +467,27 @@ impl Ssd {
     /// touches other snapshot pages (no dedup absorption), so deferring
     /// the metadata updates cannot change what later pages observe; each
     /// source is invalidated at its *own* program-completion time, exactly
-    /// as before.
-    fn migrate_blind(&mut self, valids: &[Ppn], t: Nanos) -> Result<Nanos, FlashError> {
+    /// as before. For the same reason a snapshot page found stale in pass 1
+    /// (overwritten by the foreground since an earlier slice) was stale
+    /// before the pass began: skipping it there is a pre-filter.
+    ///
+    /// Takes up to `budget` still-valid pages from `job`'s cursor; returns
+    /// `(pages migrated, completion)`.
+    fn migrate_blind(
+        &mut self,
+        job: &mut GcJob,
+        budget: usize,
+        t: Nanos,
+    ) -> Result<(usize, Nanos), FlashError> {
         let mut done = t;
         let mut batch = std::mem::take(&mut self.gc_batch);
         batch.clear();
-        for &ppn in valids {
+        while batch.len() < budget && job.next < job.pages.len() {
+            let ppn = job.pages[job.next];
+            job.next += 1;
+            if self.dev.page_state(ppn) != PageState::Valid {
+                continue;
+            }
             self.gc_stats.pages_scanned += 1;
             let read_end = match self.read_flash(ppn, t) {
                 Ok(v) => v,
@@ -654,9 +528,10 @@ impl Ssd {
             self.dev.invalidate(old, end);
             self.gc_stats.pages_migrated += 1;
         }
+        let moved = batch.len();
         batch.clear();
         self.gc_batch = batch;
-        Ok(done)
+        Ok((moved, done))
     }
 
     /// Content-aware migration (Fig. 5) of `pages`, a run of one victim's
@@ -681,7 +556,7 @@ impl Ssd {
         victim: BlockId,
         pages: &[Ppn],
         read_ready: &mut Nanos,
-    ) -> Result<(u64, Nanos), FlashError> {
+    ) -> Result<(usize, Nanos), FlashError> {
         let mut fps = std::mem::take(&mut self.fps_scratch);
         fps.clear();
         // A tracked page's fingerprint sits in the index slab, one dense-map
@@ -699,7 +574,7 @@ impl Ssd {
         let untracked =
             pages.iter().zip(&fps).filter(|&(&p, _)| self.index.refs_of_ppn(p).is_none());
         self.warm(pages.iter().copied(), untracked.map(|(_, fp)| fp));
-        let mut valid = 0u64;
+        let mut valid = 0;
         let mut done = *read_ready;
         let mut outcome = Ok(());
         for (&ppn, &fp) in pages.iter().zip(&fps) {
@@ -884,37 +759,21 @@ impl Ssd {
     }
 
     /// Point every sharer of `old` at `new` (a freshly-programmed copy with
-    /// no sharers of its own), in forward map, reverse map and — when fault
-    /// injection is armed — the journal.
-    ///
-    /// The fault-free fast path moves the reverse-map slot wholesale
-    /// ([`cagc_ftl::ReverseMap::relocate`], O(1) and allocation-free) after
-    /// retargeting the forward entries in place; journaling is skipped
-    /// outright because [`Ssd::journal`] is a no-op without faults armed.
-    /// With faults armed the sharer set is buffered through scratch so each
-    /// remap can be journaled between the map updates, byte-identical to
-    /// the original per-sharer loop.
+    /// no sharers of its own): retarget the forward entries in place —
+    /// each remap journaled when fault injection is armed (fault-free runs
+    /// never crash, so recovery never reads a journal; see
+    /// [`Ssd::journal`]) — then move the reverse-map slot wholesale
+    /// ([`cagc_ftl::ReverseMap::relocate`], O(1) and allocation-free).
     fn remap_sharers(&mut self, old: Ppn, new: Ppn) -> Result<(), FlashError> {
-        if self.dev.faults_active() {
-            let mut sharers = std::mem::take(&mut self.sharers_scratch);
-            self.rmap.take_into(old, &mut sharers);
-            debug_assert!(!sharers.is_empty(), "relocating an unreferenced page");
-            for &l in &sharers {
-                self.map.set(l, new);
-                self.rmap.add(new, l);
-                if let Err(e) = self.journal(JournalOp::Remap { lpn: l, ppn: new }) {
-                    self.sharers_scratch = sharers;
-                    return Err(e);
-                }
+        debug_assert!(self.rmap.count(old) > 0, "relocating an unreferenced page");
+        let journaled = self.dev.faults_active();
+        for &l in self.rmap.lpns(old) {
+            self.map.set(l, new);
+            if journaled {
+                self.dev.journal_append(JournalOp::Remap { lpn: l, ppn: new })?;
             }
-            self.sharers_scratch = sharers;
-        } else {
-            debug_assert!(self.rmap.count(old) > 0, "relocating an unreferenced page");
-            for &l in self.rmap.lpns(old) {
-                self.map.set(l, new);
-            }
-            self.rmap.relocate(old, new);
         }
+        self.rmap.relocate(old, new);
         Ok(())
     }
 }

@@ -30,7 +30,7 @@ use std::collections::HashSet;
 
 use cagc_dedup::{ContentId, FingerprintIndex};
 use cagc_flash::{JournalOp, PageState, Ppn};
-use cagc_ftl::{Allocator, GcTrigger, MappingTable, ReverseMap};
+use cagc_ftl::{Allocator, MappingTable, ReverseMap};
 use cagc_harness::{Json, ToJson};
 use cagc_sim::time::Nanos;
 
@@ -266,7 +266,6 @@ impl Ssd {
         self.index = index;
         self.alloc = alloc;
         self.prehash_filter = prehash_filter;
-        self.trigger = GcTrigger::new(self.cfg.gc_low, self.cfg.gc_high);
         // A preemptible GC job suspended across the crash referenced
         // pre-crash physical state; the rebuilt maps supersede it and the
         // victim re-enters the candidate pool untouched.

@@ -22,7 +22,7 @@
 use cagc_dedup::{ContentId, Fingerprint, FingerprintCache, FingerprintIndex, HashEngine};
 use cagc_flash::{BlockId, FlashDevice, FlashError, JournalOp, PageOob, Ppn};
 use cagc_ftl::{
-    Allocator, GcStats, GcTrigger, Lpn, MappingTable, Region, ReverseMap, VictimSelector,
+    Allocator, GcStats, Lpn, MappingTable, Region, ReverseMap, VictimCandidate, VictimSelector,
 };
 use cagc_metrics::{Cdf, Histogram};
 use cagc_sim::time::Nanos;
@@ -179,7 +179,6 @@ pub struct Ssd {
     pub(crate) index: FingerprintIndex,
     pub(crate) hash: HashEngine,
     pub(crate) selector: VictimSelector,
-    pub(crate) trigger: GcTrigger,
     pub(crate) gc_stats: GcStats,
     /// Content stored at each PPN (`NO_CONTENT` when free/stale).
     pub(crate) content_of: Vec<u64>,
@@ -218,8 +217,11 @@ pub struct Ssd {
     /// Scratch for sharer sets detached during migration (journaling paths
     /// that need `&mut self` while walking the set).
     pub(crate) sharers_scratch: Vec<Lpn>,
-    /// Scratch for a victim's valid-page snapshot.
+    /// Scratch for a victim's valid-page snapshot (lent to the running
+    /// [`crate::gc::GcJob`], back when its victim is erased).
     pub(crate) valids_scratch: Vec<Ppn>,
+    /// Scratch for the victim-selection candidate scan.
+    pub(crate) candidates_scratch: Vec<VictimCandidate>,
     /// Scratch for the fingerprints gathered ahead of a batch of pages
     /// (GC migration run, multi-page inline-dedup write).
     pub(crate) fps_scratch: Vec<Fingerprint>,
@@ -255,7 +257,6 @@ impl Ssd {
             index: FingerprintIndex::new(),
             hash: HashEngine::new(cfg.flash.hash_ns),
             selector: VictimSelector::new(cfg.victim, cfg.victim_seed),
-            trigger: GcTrigger::new(cfg.gc_low, cfg.gc_high),
             gc_stats: GcStats::default(),
             content_of: vec![NO_CONTENT; geom.total_pages() as usize],
             prehash_filter: std::collections::HashSet::new(),
@@ -277,6 +278,7 @@ impl Ssd {
             gc_job: None,
             sharers_scratch: Vec::new(),
             valids_scratch: Vec::new(),
+            candidates_scratch: Vec::new(),
             fps_scratch: Vec::new(),
             gc_batch: Vec::new(),
             first_retirement_ns: None,

@@ -1,50 +1,16 @@
-//! GC triggering and accounting.
+//! GC accounting.
 
 use cagc_sim::time::Nanos;
-
-/// Watermark-based GC trigger (Table I: watermark 20 %).
-///
-/// GC starts when the free-block fraction drops below `low` and keeps
-/// collecting victims until it recovers above `high` (hysteresis avoids
-/// thrashing at the boundary).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GcTrigger {
-    /// Start collecting below this free fraction.
-    pub low: f64,
-    /// Stop collecting at/above this free fraction.
-    pub high: f64,
-}
-
-impl GcTrigger {
-    /// A trigger with hysteresis band `[low, high]`.
-    ///
-    /// # Panics
-    /// Panics unless `0 < low <= high < 1`.
-    pub fn new(low: f64, high: f64) -> Self {
-        assert!(0.0 < low && low <= high && high < 1.0, "bad watermarks [{low}, {high}]");
-        Self { low, high }
-    }
-
-    /// The paper's configuration: start at 20 % free, recover to 25 %.
-    pub fn table1() -> Self {
-        Self::new(0.20, 0.25)
-    }
-
-    /// Should a GC round begin at this free fraction?
-    pub fn should_start(&self, free_fraction: f64) -> bool {
-        free_fraction < self.low
-    }
-
-    /// Once collecting, should another victim be processed?
-    pub fn should_continue(&self, free_fraction: f64) -> bool {
-        free_fraction < self.high
-    }
-}
 
 /// Counters describing all GC activity of a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcStats {
-    /// GC rounds (trigger firings).
+    /// GC activations. Under run-to-completion GC this is the number of
+    /// watermark *trigger firings* (counted even when no block was
+    /// reclaimable) plus victims started by forced or idle-window rounds;
+    /// under preemptible GC it is the number of *victims started* (by a
+    /// slice, the urgent catch-up leg or a forced round — resuming a
+    /// suspended victim is not counted again).
     pub invocations: u64,
     /// Victim blocks erased (the Fig. 9 metric).
     pub blocks_erased: u64,
@@ -85,34 +51,6 @@ impl GcStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table1_watermark_is_20_percent() {
-        let t = GcTrigger::table1();
-        assert!(!t.should_start(0.21));
-        assert!(t.should_start(0.19));
-        assert!(t.should_continue(0.24));
-        assert!(!t.should_continue(0.25));
-    }
-
-    #[test]
-    fn hysteresis_band_behaves() {
-        let t = GcTrigger::new(0.1, 0.3);
-        assert!(!t.should_start(0.15)); // above low: no new round
-        assert!(t.should_continue(0.15)); // but an active round continues
-    }
-
-    #[test]
-    #[should_panic(expected = "bad watermarks")]
-    fn inverted_watermarks_rejected() {
-        GcTrigger::new(0.5, 0.2);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad watermarks")]
-    fn degenerate_watermarks_rejected() {
-        GcTrigger::new(0.0, 0.2);
-    }
 
     #[test]
     fn reclaim_efficiency_math() {

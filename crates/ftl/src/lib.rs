@@ -12,8 +12,8 @@
 //!   frontiers and the GC reserve that prevents migration deadlock.
 //! * [`victim`] — the victim-selection policies, deterministic under a
 //!   seed.
-//! * [`gc`] — watermark trigger with hysteresis (Table I: 20 %) and the
-//!   [`gc::GcStats`] counters behind Figs. 9, 10 and 13.
+//! * [`gc`] — the [`gc::GcStats`] counters behind Figs. 9, 10 and 13 (the
+//!   watermark trigger itself is two `SsdConfig` fractions in `cagc-core`).
 //!
 //! ## Victim-policy semantics
 //!
@@ -50,7 +50,7 @@ pub mod rmap;
 pub mod victim;
 
 pub use allocator::{Allocator, Region};
-pub use gc::{GcStats, GcTrigger};
+pub use gc::GcStats;
 pub use mapping::{Lpn, MappingTable};
 pub use rmap::ReverseMap;
 pub use victim::{VictimCandidate, VictimKind, VictimSelector};

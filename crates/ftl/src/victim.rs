@@ -51,6 +51,23 @@ pub struct VictimCandidate {
     pub last_modified: Nanos,
 }
 
+impl VictimCandidate {
+    /// Greedy ordering: the *smallest* key is the best victim. Max reclaim
+    /// gain (invalid + stranded) first; ties go to the block with the most
+    /// trim garbage (stable — deferring a trim-heavy block gains nothing,
+    /// while an overwrite-hot block grows more invalid pages by waiting),
+    /// then the least-worn, then the lowest id (which makes the order
+    /// total, so selection is deterministic).
+    fn greedy_key(&self) -> (u32, u32, u32, BlockId) {
+        (
+            u32::MAX - (self.invalid + self.stranded),
+            u32::MAX - self.trimmed,
+            self.erase_count,
+            self.block,
+        )
+    }
+}
+
 /// Which victim-selection algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VictimKind {
@@ -105,17 +122,12 @@ impl VictimKind {
 pub struct VictimSelector {
     kind: VictimKind,
     rng: SimRng,
-    /// Scratch buffer for the sampling policies in
-    /// [`VictimSelector::select_streaming`] (Random and D-Choices need the
-    /// whole candidate set materialized for index draws; the deterministic
-    /// policies fold the stream without it).
-    scratch: Vec<VictimCandidate>,
 }
 
 impl VictimSelector {
     /// A selector of the given kind; `seed` only matters for `Random`.
     pub fn new(kind: VictimKind, seed: u64) -> Self {
-        Self { kind, rng: SimRng::seed_from_u64(seed), scratch: Vec::new() }
+        Self { kind, rng: SimRng::seed_from_u64(seed) }
     }
 
     /// The algorithm this selector runs.
@@ -134,17 +146,9 @@ impl VictimSelector {
                 let i = self.rng.gen_range_usize(0..candidates.len());
                 Some(candidates[i].block)
             }
-            VictimKind::Greedy => candidates
-                .iter()
-                // max reclaim gain (invalid + stranded); ties: most trim
-                // garbage (stable — deferring a trim-heavy block gains
-                // nothing, while an overwrite-hot block grows more invalid
-                // pages by waiting), then least-worn, then lowest id
-                // (stable).
-                .min_by_key(|c| {
-                    (u32::MAX - (c.invalid + c.stranded), u32::MAX - c.trimmed, c.erase_count, c.block)
-                })
-                .map(|c| c.block),
+            VictimKind::Greedy => {
+                candidates.iter().min_by_key(|c| c.greedy_key()).map(|c| c.block)
+            }
             VictimKind::CostBenefit => candidates
                 .iter()
                 .map(|c| (Self::cost_benefit_score(c, now), c))
@@ -163,51 +167,8 @@ impl VictimSelector {
                 let d = VictimKind::D_CHOICES.min(candidates.len());
                 (0..d)
                     .map(|_| &candidates[self.rng.gen_range_usize(0..candidates.len())])
-                    .min_by_key(|c| {
-                        (u32::MAX - (c.invalid + c.stranded), u32::MAX - c.trimmed, c.erase_count, c.block)
-                    })
+                    .min_by_key(|c| c.greedy_key())
                     .map(|c| c.block)
-            }
-        }
-    }
-
-    /// Choose a victim from a candidate *stream* without materializing it.
-    ///
-    /// Semantically identical to collecting the iterator into a slice and
-    /// calling [`VictimSelector::select`] — same winner, same RNG draws —
-    /// but the deterministic policies (Greedy, Cost-Benefit, FIFO) fold the
-    /// stream in O(1) space. The sampling policies (Random, D-Choices) need
-    /// indexed access for their draws, so they buffer the stream into a
-    /// selector-owned scratch vector (amortized allocation-free).
-    pub fn select_streaming(
-        &mut self,
-        candidates: impl Iterator<Item = VictimCandidate>,
-        now: Nanos,
-    ) -> Option<BlockId> {
-        match self.kind {
-            VictimKind::Greedy => candidates
-                .min_by_key(|c| {
-                    (u32::MAX - (c.invalid + c.stranded), u32::MAX - c.trimmed, c.erase_count, c.block)
-                })
-                .map(|c| c.block),
-            VictimKind::CostBenefit => candidates
-                .map(|c| (Self::cost_benefit_score(&c, now), c))
-                .min_by(|(sa, ca), (sb, cb)| {
-                    sb.partial_cmp(sa)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(ca.block.cmp(&cb.block))
-                })
-                .map(|(_, c)| c.block),
-            VictimKind::Fifo => {
-                candidates.min_by_key(|c| (c.last_modified, c.block)).map(|c| c.block)
-            }
-            VictimKind::Random | VictimKind::DChoices => {
-                let mut scratch = std::mem::take(&mut self.scratch);
-                scratch.clear();
-                scratch.extend(candidates);
-                let pick = self.select(&scratch, now);
-                self.scratch = scratch;
-                pick
             }
         }
     }
@@ -380,41 +341,6 @@ mod tests {
         assert_eq!(picks1, picks2, "same seed, same picks");
         let distinct: std::collections::HashSet<_> = picks1.iter().collect();
         assert!(distinct.len() > 3, "random policy should spread picks");
-    }
-
-    #[test]
-    fn streaming_select_agrees_with_slice_select() {
-        // Mixed candidate set with ties, stranded pages and trim garbage;
-        // every policy must pick the same victim from the stream as from
-        // the slice, with identical RNG evolution for the sampling ones.
-        let cands: Vec<VictimCandidate> = (0..40)
-            .map(|b| {
-                let mut c = cand(b, 64 - (b % 13) * 4, (b % 13) * 4, b % 5, (b as Nanos) * 700);
-                c.trimmed = (b % 7).min(c.invalid);
-                c.stranded = b % 3;
-                c
-            })
-            .collect();
-        for kind in VictimKind::EXTENDED {
-            let mut by_slice = VictimSelector::new(kind, 99);
-            let mut by_stream = VictimSelector::new(kind, 99);
-            for round in 0..30 {
-                let now = 1_000_000 + round * 50_000;
-                assert_eq!(
-                    by_stream.select_streaming(cands.iter().copied(), now),
-                    by_slice.select(&cands, now),
-                    "{kind:?} diverged at round {round}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_select_empty_gives_none() {
-        for kind in VictimKind::EXTENDED {
-            let mut s = VictimSelector::new(kind, 1);
-            assert_eq!(s.select_streaming(std::iter::empty(), 0), None);
-        }
     }
 
     #[test]

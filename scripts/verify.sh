@@ -54,6 +54,15 @@ cargo run --release --offline -p cagc-bench --bin repro -- \
 grep -q "^gc_wall," "$TRACE_TMP/insp/inspect_diff.csv" \
   || { echo "FAIL: inspect --diff must report a gc_wall delta row"; exit 1; }
 
+echo "== goldens: every figure, table, ablation and sweep at --scale quick (results/quick/) =="
+# fig9 above is one artifact of thirty; this regenerates the whole `all
+# ablations` set (26 CSVs) and compares every byte, so a change to the code
+# under any of them cannot rot a committed result unseen.
+cargo run --release --offline -p cagc-bench --bin repro -- \
+  --scale quick --out "$TRACE_TMP/quick" all ablations > /dev/null
+diff -r results/quick "$TRACE_TMP/quick" \
+  || { echo "FAIL: repro --scale quick all ablations must regenerate results/quick/ byte-identical"; exit 1; }
+
 echo "== smoke: trim sensitivity (asserts honoring < ignoring) =="
 cargo run --release --offline --example trim_sensitivity -- --smoke
 
