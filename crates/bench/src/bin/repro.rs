@@ -59,7 +59,7 @@ fn smoke(scale: &Scale, trace_out: Option<&std::path::Path>, sample: u64, preemp
     let report = ssd.replay(&trace);
     println!("{}", report.render());
     if let Some(path) = trace_out {
-        let chrome = ssd.chrome_trace().render();
+        let chrome = ssd.chrome_trace();
         let parsed = cagc_harness::Json::parse(&chrome).expect("emitted trace must parse");
         assert_eq!(parsed.render(), chrome, "harness parser round-trip");
         std::fs::write(path, &chrome).expect("write Chrome trace");
@@ -113,7 +113,7 @@ fn inspect(
 ) {
     use cagc_trace::{from_tracer, parse_jsonl, GcAnatomy, ParsedTrace, SpanProfile};
 
-    fn load(path: &std::path::Path) -> ParsedTrace {
+    fn load(path: &std::path::Path) -> ParsedTrace<'static> {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
         parse_jsonl(&text).unwrap_or_else(|e| panic!("parse {}: {e}", path.display()))
@@ -131,11 +131,14 @@ fn inspect(
         return;
     }
 
+    // Declared first: the live records borrow from the device's tracer.
+    let ssd;
     let parsed = match trace_in {
         Some(p) => load(p),
         None => {
-            let mut ssd = smoke_device(scale, true, sample, preempt);
-            let _ = ssd.replay(&smoke_trace(scale));
+            let mut device = smoke_device(scale, true, sample, preempt);
+            let _ = device.replay(&smoke_trace(scale));
+            ssd = device;
             from_tracer(ssd.tracer())
         }
     };

@@ -333,11 +333,11 @@ impl Ssd {
         &mut self.tracer
     }
 
-    /// Chrome trace-event document for the recording: `pid = channel`,
-    /// `tid = die`, plus a synthetic "ftl" process carrying the
-    /// host/gc/hash/fault tracks and the gauge counters. Load the rendered
-    /// JSON in Perfetto or `chrome://tracing`.
-    pub fn chrome_trace(&self) -> cagc_harness::Json {
+    /// Rendered Chrome trace-event document for the recording:
+    /// `pid = channel`, `tid = die`, plus a synthetic "ftl" process
+    /// carrying the host/gc/hash/fault tracks and the gauge counters. Load
+    /// it in Perfetto or `chrome://tracing`.
+    pub fn chrome_trace(&self) -> String {
         cagc_trace::chrome_trace(&self.tracer, self.cfg.flash.geometry().channels)
     }
 

@@ -91,7 +91,7 @@ fn chrome_trace_round_trips_and_is_seed_deterministic() {
         let trace = gc_heavy_trace(9);
         let mut ssd = traced_ssd(SsdConfig::tiny(Scheme::Cagc), TraceConfig::default());
         ssd.replay(&trace);
-        (ssd.chrome_trace().render(), ssd.trace_jsonl())
+        (ssd.chrome_trace(), ssd.trace_jsonl())
     };
     let (chrome_a, jsonl_a) = run();
     let (chrome_b, jsonl_b) = run();

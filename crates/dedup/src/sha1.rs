@@ -70,14 +70,17 @@ impl Sha1 {
     /// Finish and produce the 20-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.len_bytes * 8;
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, 8-byte big-endian bit length. `update`
+        // never leaves a full buffer, so the 0x80 always fits; the length
+        // spills into a second block when fewer than 8 bytes follow it.
+        let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0; 64];
         }
-        // Append length manually (update would recount it).
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
 
         let mut out = [0u8; DIGEST_LEN];
@@ -176,10 +179,22 @@ mod tests {
 
     #[test]
     fn length_boundary_padding_cases() {
-        // 55, 56, 63, 64 bytes exercise all padding branches.
-        for n in [55usize, 56, 63, 64, 119, 120] {
+        // The last length whose padding fits its block, the first that
+        // spills, a tail with no zero fill, nothing after a full block —
+        // in the first block and in the second. Digests from a reference
+        // implementation (Python's hashlib).
+        for (n, want) in [
+            (55usize, "6090c2fa6dd5cbd5c13f464e7001b0e4d10a138f"),
+            (56, "6fa5580ac496dbf805006c3c0d103c1784690815"),
+            (63, "7612ebff94a5bd9aa26341e337df6d317904d707"),
+            (64, "19167c83c72622dfeacbaa547af1e68786e3dd36"),
+            (119, "2400e634e0ba1ddddb3c3bb8e2b225a847eda6a7"),
+            (120, "97552dfb88f3fdedf3f8d17df685af2bb3bd3dd4"),
+            (128, "a1689008028f622f313af6d4539a112177393329"),
+        ] {
             let data = vec![0xABu8; n];
             let d1 = Sha1::digest(&data);
+            assert_eq!(hex(&d1), want, "wrong digest at length {n}");
             let mut s = Sha1::new();
             s.update(&data[..n / 2]);
             s.update(&data[n / 2..]);

@@ -63,7 +63,7 @@ impl Json {
     /// Render to a compact JSON string (no whitespace).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.render_into(&mut out);
         out
     }
 
@@ -86,31 +86,25 @@ impl Json {
         Ok(value)
     }
 
-    fn write(&self, out: &mut String) {
+    /// Append the compact rendering to `out` ([`Json::render`] without
+    /// the fresh `String`).
+    pub fn render_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::U64(n) => {
-                let _ = write!(out, "{n}");
-            }
+            Json::U64(n) => write_u64(*n, out),
             Json::I64(n) => {
                 let _ = write!(out, "{n}");
             }
-            Json::F64(x) => {
-                if x.is_finite() {
-                    let _ = write!(out, "{x}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(s, out),
+            Json::F64(x) => write_f64(*x, out),
+            Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out);
+                    item.render_into(out);
                 }
                 out.push(']');
             }
@@ -120,9 +114,9 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    write_str(k, out);
                     out.push(':');
-                    v.write(out);
+                    v.render_into(out);
                 }
                 out.push('}');
             }
@@ -130,7 +124,27 @@ impl Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Append `n` exactly as [`Json::U64`] renders it. The `write_*`
+/// functions are the renderer's own leaf routines, public so that a
+/// writer streaming many small objects straight into one `String` (the
+/// trace exporters) cannot drift from the tree rendering by a byte.
+pub fn write_u64(n: u64, out: &mut String) {
+    let _ = write!(out, "{n}");
+}
+
+/// Append `x` exactly as [`Json::F64`] renders it (`null` when not
+/// finite).
+pub fn write_f64(x: f64, out: &mut String) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Append `s` as a quoted, escaped JSON string — exactly as
+/// [`Json::Str`] and object keys render.
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -30,6 +30,32 @@ use crate::profile::{intersect, subtract, total_len, union};
 pub const GC_PHASES: [&str; 5] =
     ["victim_select", "migrate_read", "fingerprint", "migrate_write", "erase"];
 
+/// What a record is to the anatomy, decided once per record.
+enum Role {
+    /// A `gc_round` container span.
+    Round,
+    /// A `gc_slice` container span.
+    Slice,
+    /// A phase record, by position in [`GC_PHASES`].
+    Phase(usize),
+}
+
+impl Role {
+    fn of(rec: &SpanRec) -> Option<Role> {
+        let gc_span = rec.track == Track::Gc && rec.is_span();
+        Some(match &*rec.name {
+            "gc_round" if gc_span => Role::Round,
+            "gc_slice" if gc_span => Role::Slice,
+            "victim_select" => Role::Phase(0),
+            "migrate_read" => Role::Phase(1),
+            "fingerprint" => Role::Phase(2),
+            "migrate_write" => Role::Phase(3),
+            "erase" => Role::Phase(4),
+            _ => return None,
+        })
+    }
+}
+
 /// Per-phase decomposition entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseStat {
@@ -67,34 +93,32 @@ impl GcAnatomy {
     pub fn from_spans(spans: &[SpanRec]) -> Self {
         let mut wall_ivs = Vec::new();
         let (mut rounds, mut slices) = (0u64, 0u64);
+        // Phase intervals, queue-extended; clipped to the wall below.
+        let mut phase_ivs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); GC_PHASES.len()];
+        let mut calls = [0u64; GC_PHASES.len()];
         for r in spans {
-            if r.track == Track::Gc && r.is_span() {
-                match r.name.as_str() {
-                    "gc_round" => rounds += 1,
-                    "gc_slice" => slices += 1,
-                    _ => continue,
+            let (start, end) = (r.ts_ns(), r.ts_ns() + r.dur_ns());
+            match Role::of(r) {
+                None => {}
+                Some(Role::Round) => {
+                    rounds += 1;
+                    wall_ivs.push((start, end));
                 }
-                wall_ivs.push((r.ts_ns(), r.ts_ns() + r.dur_ns()));
+                Some(Role::Slice) => {
+                    slices += 1;
+                    wall_ivs.push((start, end));
+                }
+                Some(Role::Phase(p)) => {
+                    calls[p] += 1;
+                    if r.is_span() {
+                        let queued = r.arg("queued_ns").unwrap_or(0);
+                        phase_ivs[p].push((start.saturating_sub(queued), end));
+                    }
+                }
             }
         }
         let wall = union(wall_ivs);
         let gc_wall_ns = total_len(&wall);
-
-        // Phase intervals, queue-extended and clipped to the wall.
-        let mut phase_ivs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); GC_PHASES.len()];
-        let mut calls = [0u64; 5];
-        for r in spans {
-            let Some(p) = GC_PHASES.iter().position(|&n| n == r.name) else {
-                continue;
-            };
-            calls[p] += 1;
-            if !r.is_span() {
-                continue;
-            }
-            let queued = r.arg("queued_ns").unwrap_or(0);
-            let start = r.ts_ns().saturating_sub(queued);
-            phase_ivs[p].push((start, r.ts_ns() + r.dur_ns()));
-        }
         let clipped: Vec<Vec<(u64, u64)>> = phase_ivs
             .into_iter()
             .map(|ivs| intersect(&union(ivs), &wall))
@@ -255,52 +279,54 @@ impl ToJson for GcAnatomy {
 mod tests {
     use super::*;
     use crate::event::EventKind;
+    use crate::parse::Args;
 
-    fn span(track: Track, name: &str, start: u64, end: u64) -> SpanRec {
+    fn span(track: Track, name: &'static str, start: u64, end: u64) -> SpanRec<'static> {
         SpanRec {
             track,
-            name: name.to_string(),
+            name: name.into(),
             kind: EventKind::Span { start_ns: start, end_ns: end },
-            args: Vec::new(),
+            args: Args::Live(&[]),
         }
     }
 
-    fn die(name: &str, start: u64, end: u64, queued: u64) -> SpanRec {
-        SpanRec {
-            track: Track::Die { channel: 0, die: 0 },
-            name: name.to_string(),
-            kind: EventKind::Span { start_ns: start, end_ns: end },
-            args: vec![("queued_ns".to_string(), queued)],
-        }
+    fn with_queue(rec: SpanRec<'static>, queued: u64) -> SpanRec<'static> {
+        SpanRec { args: Args::Parsed(vec![("queued_ns".to_string(), queued)]), ..rec }
+    }
+
+    fn die(name: &'static str, start: u64, end: u64, queued: u64) -> SpanRec<'static> {
+        with_queue(span(Track::Die { channel: 0, die: 0 }, name, start, end), queued)
     }
 
     /// One synthetic GC round with full pipelining:
     /// wall [0,100]; read [0,20], hash [20,40] (queue-extended from 30),
     /// write [40,70], erase [60,100] overlapping the write by 10.
-    fn round() -> Vec<SpanRec> {
+    fn round() -> Vec<SpanRec<'static>> {
         vec![
             span(Track::Gc, "gc_round", 0, 100),
             SpanRec {
                 track: Track::Gc,
-                name: "victim_select".to_string(),
+                name: "victim_select".into(),
                 kind: EventKind::Instant { at_ns: 0 },
-                args: Vec::new(),
+                args: Args::Live(&[]),
             },
             die("migrate_read", 0, 20, 0),
-            span(Track::Hash, "fingerprint", 30, 40).with_queue(10),
+            with_queue(span(Track::Hash, "fingerprint", 30, 40), 10),
             die("migrate_write", 40, 70, 0),
             die("erase", 60, 100, 0),
         ]
     }
 
-    trait WithQueue {
-        fn with_queue(self, q: u64) -> SpanRec;
-    }
-    impl WithQueue for SpanRec {
-        fn with_queue(mut self, q: u64) -> SpanRec {
-            self.args.push(("queued_ns".to_string(), q));
-            self
+    #[test]
+    fn roles_follow_the_phase_order() {
+        for (p, name) in GC_PHASES.into_iter().enumerate() {
+            assert!(matches!(Role::of(&span(Track::Hash, name, 0, 1)), Some(Role::Phase(q)) if q == p));
         }
+        // Container names count only as spans on the GC track.
+        assert!(matches!(Role::of(&span(Track::Gc, "gc_round", 0, 1)), Some(Role::Round)));
+        assert!(matches!(Role::of(&span(Track::Gc, "gc_slice", 0, 1)), Some(Role::Slice)));
+        assert!(Role::of(&span(Track::Host, "gc_round", 0, 1)).is_none());
+        assert!(Role::of(&span(Track::Gc, "dedup_drop", 0, 1)).is_none());
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //!
 //! Names and argument keys are `&'static str` by design: the set of event
 //! kinds the simulator emits is closed, so recording an event never
-//! allocates for its identity — only the (small) argument vector.
+//! allocates for its identity. The key/value payload lives in the
+//! recording [`Tracer`](crate::Tracer)'s flat argument arena, so an
+//! [`Event`] owns no heap at all — it is `Copy`.
 
 /// Where an event is drawn in the trace viewer.
 ///
@@ -53,8 +55,13 @@ pub enum EventKind {
     },
 }
 
-/// One recorded trace event.
-#[derive(Debug, Clone, PartialEq)]
+/// One key/value pair of an event's payload (LPN, PPN, block, retry
+/// count, …).
+pub type Arg = (&'static str, u64);
+
+/// One recorded trace event. Its payload is read back through
+/// [`Tracer::args`](crate::Tracer::args).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
     /// Track the event belongs to.
     pub track: Track,
@@ -62,8 +69,10 @@ pub struct Event {
     pub name: &'static str,
     /// Span or instant, with timestamps.
     pub kind: EventKind,
-    /// Small key/value payload (LPN, PPN, block, retry count, …).
-    pub args: Vec<(&'static str, u64)>,
+    /// Where the payload starts in the recording tracer's argument arena.
+    pub(crate) args_at: usize,
+    /// How many arena entries belong to this event.
+    pub(crate) args_len: u32,
 }
 
 impl Event {

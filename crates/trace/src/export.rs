@@ -1,15 +1,20 @@
 //! Deterministic exporters: Chrome trace-event JSON (loadable in
 //! Perfetto / `chrome://tracing`) and a JSONL event log for scripts.
 //!
-//! Both formats are produced through the in-tree harness serializer, so
-//! identical recordings render to identical bytes: object keys keep
-//! insertion order, integers render exactly, and the only floats emitted
+//! Identical recordings render to identical bytes: object keys keep a
+//! fixed order, integers render exactly, and the only floats emitted
 //! (`ts`/`dur` microseconds, gauge means) are pure functions of the
-//! recorded integers.
+//! recorded integers. Events — the bulk of any recording — are written
+//! straight into the output `String`, with no [`Json`] tree in between;
+//! every number and string still goes through the harness serializer's
+//! own leaf routines, so the bytes are the ones a tree would render
+//! (pinned by `streamed_events_equal_the_tree_rendering`). The few
+//! metadata, gauge and trailer entries are built as trees.
 
+use cagc_harness::json::{write_f64, write_str, write_u64};
 use cagc_harness::Json;
 
-use crate::event::{Event, EventKind, Track};
+use crate::event::{Arg, Event, EventKind, Track};
 use crate::tracer::Tracer;
 
 /// Chrome thread ids for the synthetic FTL process (`pid = channels`).
@@ -49,10 +54,6 @@ fn ts_us(ns: u64) -> f64 {
     ns as f64 / 1000.0
 }
 
-fn args_obj(args: &[(&'static str, u64)]) -> Json {
-    Json::Obj(args.iter().map(|&(k, v)| (k.to_string(), Json::U64(v))).collect())
-}
-
 fn metadata(pid: u64, tid: u64, which: &'static str, label: String) -> Json {
     Json::obj([
         ("ph", Json::Str("M".into())),
@@ -63,41 +64,76 @@ fn metadata(pid: u64, tid: u64, which: &'static str, label: String) -> Json {
     ])
 }
 
-fn event_json(event: &Event, channels: u32) -> Json {
-    let (pid, tid) = pid_tid(event.track, channels);
-    let mut pairs: Vec<(String, Json)> = vec![
-        ("name".into(), Json::Str(event.name.into())),
-        ("cat".into(), Json::Str(category(event.track).into())),
-    ];
-    match event.kind {
-        EventKind::Span { start_ns, end_ns } => {
-            pairs.push(("ph".into(), Json::Str("X".into())));
-            pairs.push(("ts".into(), Json::F64(ts_us(start_ns))));
-            pairs.push(("dur".into(), Json::F64(ts_us(end_ns.saturating_sub(start_ns)))));
-        }
-        EventKind::Instant { at_ns } => {
-            pairs.push(("ph".into(), Json::Str("i".into())));
-            pairs.push(("ts".into(), Json::F64(ts_us(at_ns))));
-            pairs.push(("s".into(), Json::Str("t".into())));
-        }
+/// Append `,"args":{…}` for a non-empty payload.
+fn write_args(args: &[Arg], out: &mut String) {
+    if args.is_empty() {
+        return;
     }
-    pairs.push(("pid".into(), Json::U64(pid)));
-    pairs.push(("tid".into(), Json::U64(tid)));
-    if !event.args.is_empty() {
-        pairs.push(("args".into(), args_obj(&event.args)));
+    out.push_str(",\"args\":{");
+    for (i, &(key, value)) in args.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_str(key, out);
+        out.push(':');
+        write_u64(value, out);
     }
-    Json::Obj(pairs)
+    out.push('}');
 }
 
-/// Build the Chrome trace-event document for a recording.
+fn write_chrome_event(event: &Event, args: &[Arg], channels: u32, out: &mut String) {
+    let (pid, tid) = pid_tid(event.track, channels);
+    out.push_str("{\"name\":");
+    write_str(event.name, out);
+    out.push_str(",\"cat\":");
+    write_str(category(event.track), out);
+    match event.kind {
+        EventKind::Span { start_ns, end_ns } => {
+            out.push_str(",\"ph\":\"X\",\"ts\":");
+            write_f64(ts_us(start_ns), out);
+            out.push_str(",\"dur\":");
+            write_f64(ts_us(end_ns.saturating_sub(start_ns)), out);
+        }
+        EventKind::Instant { at_ns } => {
+            out.push_str(",\"ph\":\"i\",\"ts\":");
+            write_f64(ts_us(at_ns), out);
+            out.push_str(",\"s\":\"t\"");
+        }
+    }
+    out.push_str(",\"pid\":");
+    write_u64(pid, out);
+    out.push_str(",\"tid\":");
+    write_u64(tid, out);
+    write_args(args, out);
+    out.push('}');
+}
+
+/// The `traceEvents` array under construction.
+struct TraceEvents {
+    out: String,
+    any: bool,
+}
+
+impl TraceEvents {
+    /// Where the next entry goes, its separating comma already written.
+    fn next(&mut self) -> &mut String {
+        if self.any {
+            self.out.push(',');
+        }
+        self.any = true;
+        &mut self.out
+    }
+}
+
+/// Render the Chrome trace-event document for a recording.
 ///
 /// `channels` is the device's channel count: die tracks map to
 /// `pid = channel`, `tid = global die index`, and the FTL's logical
 /// tracks (host/gc/hash/fault) share the synthetic process
 /// `pid = channels`. Gauges become `ph:"C"` counter events on the FTL
 /// process, one per aggregated window, valued at the window mean.
-pub fn chrome_trace(tracer: &Tracer, channels: u32) -> Json {
-    let mut events: Vec<Json> = Vec::new();
+pub fn chrome_trace(tracer: &Tracer, channels: u32) -> String {
+    let mut events = TraceEvents { out: String::from("{\"traceEvents\":["), any: false };
 
     // Process/thread naming metadata, emitted for every (pid, tid) that
     // actually carries events, in sorted order for determinism.
@@ -126,7 +162,7 @@ pub fn chrome_trace(tracer: &Tracer, channels: u32) -> Json {
         } else {
             format!("channel {pid}")
         };
-        events.push(metadata(pid, 0, "process_name", label));
+        metadata(pid, 0, "process_name", label).render_into(events.next());
     }
     for &(pid, tid, track) in &threads {
         let label = match track {
@@ -137,18 +173,18 @@ pub fn chrome_trace(tracer: &Tracer, channels: u32) -> Json {
             Track::Fault => "fault".to_string(),
             Track::Queue { pair } => format!("queue {pair}"),
         };
-        events.push(metadata(pid, tid, "thread_name", label));
+        metadata(pid, tid, "thread_name", label).render_into(events.next());
     }
 
     for e in tracer.events() {
-        events.push(event_json(e, channels));
+        write_chrome_event(e, tracer.args(e), channels, events.next());
     }
 
     // Gauge counters ride on the FTL process track.
     let ftl = u64::from(channels);
     for (name, windows) in tracer.registry().snapshot() {
         for w in windows {
-            events.push(Json::obj([
+            Json::obj([
                 ("ph", Json::Str("C".into())),
                 ("ts", Json::F64(ts_us(w.start_ns))),
                 ("pid", Json::U64(ftl)),
@@ -158,7 +194,8 @@ pub fn chrome_trace(tracer: &Tracer, channels: u32) -> Json {
                     "args",
                     Json::Obj(vec![(name.to_string(), Json::F64(w.mean))]),
                 ),
-            ]));
+            ])
+            .render_into(events.next());
         }
     }
 
@@ -166,7 +203,7 @@ pub fn chrome_trace(tracer: &Tracer, channels: u32) -> Json {
     // downstream analysis, so the drop count rides in the document as a
     // metadata event on the FTL process.
     if tracer.dropped_events() > 0 {
-        events.push(Json::obj([
+        Json::obj([
             ("ph", Json::Str("M".into())),
             ("pid", Json::U64(ftl)),
             ("tid", Json::U64(0)),
@@ -178,31 +215,48 @@ pub fn chrome_trace(tracer: &Tracer, channels: u32) -> Json {
                     Json::U64(tracer.dropped_events()),
                 )]),
             ),
-        ]));
+        ])
+        .render_into(events.next());
     }
 
-    Json::obj([
-        ("traceEvents", Json::Arr(events)),
-        ("displayTimeUnit", Json::Str("ns".into())),
-    ])
+    let mut out = events.out;
+    out.push_str("],\"displayTimeUnit\":\"ns\"}");
+    out
 }
 
-fn jsonl_track(track: Track) -> Vec<(String, Json)> {
-    match track {
-        Track::Die { channel, die } => vec![
-            ("track".into(), Json::Str("die".into())),
-            ("channel".into(), Json::U64(u64::from(channel))),
-            ("die".into(), Json::U64(u64::from(die))),
-        ],
-        Track::Host => vec![("track".into(), Json::Str("host".into()))],
-        Track::Gc => vec![("track".into(), Json::Str("gc".into()))],
-        Track::Hash => vec![("track".into(), Json::Str("hash".into()))],
-        Track::Fault => vec![("track".into(), Json::Str("fault".into()))],
-        Track::Queue { pair } => vec![
-            ("track".into(), Json::Str("queue".into())),
-            ("pair".into(), Json::U64(u64::from(pair))),
-        ],
+fn write_jsonl_event(event: &Event, args: &[Arg], out: &mut String) {
+    match event.track {
+        Track::Die { channel, die } => {
+            out.push_str("{\"track\":\"die\",\"channel\":");
+            write_u64(u64::from(channel), out);
+            out.push_str(",\"die\":");
+            write_u64(u64::from(die), out);
+        }
+        Track::Queue { pair } => {
+            out.push_str("{\"track\":\"queue\",\"pair\":");
+            write_u64(u64::from(pair), out);
+        }
+        Track::Host | Track::Gc | Track::Hash | Track::Fault => {
+            out.push_str("{\"track\":");
+            write_str(category(event.track), out);
+        }
     }
+    out.push_str(",\"name\":");
+    write_str(event.name, out);
+    match event.kind {
+        EventKind::Span { start_ns, end_ns } => {
+            out.push_str(",\"kind\":\"span\",\"start_ns\":");
+            write_u64(start_ns, out);
+            out.push_str(",\"end_ns\":");
+            write_u64(end_ns, out);
+        }
+        EventKind::Instant { at_ns } => {
+            out.push_str(",\"kind\":\"instant\",\"at_ns\":");
+            write_u64(at_ns, out);
+        }
+    }
+    write_args(args, out);
+    out.push_str("}\n");
 }
 
 /// Render the recording as JSONL: one compact JSON object per line —
@@ -211,24 +265,7 @@ fn jsonl_track(track: Track) -> Vec<(String, Json)> {
 pub fn jsonl(tracer: &Tracer) -> String {
     let mut out = String::new();
     for e in tracer.events() {
-        let mut pairs = jsonl_track(e.track);
-        pairs.push(("name".into(), Json::Str(e.name.into())));
-        match e.kind {
-            EventKind::Span { start_ns, end_ns } => {
-                pairs.push(("kind".into(), Json::Str("span".into())));
-                pairs.push(("start_ns".into(), Json::U64(start_ns)));
-                pairs.push(("end_ns".into(), Json::U64(end_ns)));
-            }
-            EventKind::Instant { at_ns } => {
-                pairs.push(("kind".into(), Json::Str("instant".into())));
-                pairs.push(("at_ns".into(), Json::U64(at_ns)));
-            }
-        }
-        if !e.args.is_empty() {
-            pairs.push(("args".into(), args_obj(&e.args)));
-        }
-        out.push_str(&Json::Obj(pairs).render());
-        out.push('\n');
+        write_jsonl_event(e, tracer.args(e), &mut out);
     }
     for (name, windows) in tracer.registry().snapshot() {
         for w in windows {
@@ -240,7 +277,7 @@ pub fn jsonl(tracer: &Tracer) -> String {
                 ("mean", Json::F64(w.mean)),
                 ("max", Json::U64(w.max)),
             ]);
-            out.push_str(&line.render());
+            line.render_into(&mut out);
             out.push('\n');
         }
     }
@@ -253,7 +290,7 @@ pub fn jsonl(tracer: &Tracer) -> String {
             ("name", Json::Str("dropped_events".into())),
             ("dropped_events", Json::U64(tracer.dropped_events())),
         ]);
-        out.push_str(&line.render());
+        line.render_into(&mut out);
         out.push('\n');
     }
     out
@@ -263,6 +300,121 @@ pub fn jsonl(tracer: &Tracer) -> String {
 mod tests {
     use super::*;
     use crate::tracer::TraceConfig;
+
+    fn args_obj(args: &[(&'static str, u64)]) -> Json {
+        Json::Obj(args.iter().map(|&(k, v)| (k.to_string(), Json::U64(v))).collect())
+    }
+
+    fn event_json(event: &Event, args: &[Arg], channels: u32) -> Json {
+        let (pid, tid) = pid_tid(event.track, channels);
+        let mut pairs: Vec<(String, Json)> = vec![
+            ("name".into(), Json::Str(event.name.into())),
+            ("cat".into(), Json::Str(category(event.track).into())),
+        ];
+        match event.kind {
+            EventKind::Span { start_ns, end_ns } => {
+                pairs.push(("ph".into(), Json::Str("X".into())));
+                pairs.push(("ts".into(), Json::F64(ts_us(start_ns))));
+                pairs.push(("dur".into(), Json::F64(ts_us(end_ns.saturating_sub(start_ns)))));
+            }
+            EventKind::Instant { at_ns } => {
+                pairs.push(("ph".into(), Json::Str("i".into())));
+                pairs.push(("ts".into(), Json::F64(ts_us(at_ns))));
+                pairs.push(("s".into(), Json::Str("t".into())));
+            }
+        }
+        pairs.push(("pid".into(), Json::U64(pid)));
+        pairs.push(("tid".into(), Json::U64(tid)));
+        if !args.is_empty() {
+            pairs.push(("args".into(), args_obj(args)));
+        }
+        Json::Obj(pairs)
+    }
+
+    fn jsonl_track(track: Track) -> Vec<(String, Json)> {
+        match track {
+            Track::Die { channel, die } => vec![
+                ("track".into(), Json::Str("die".into())),
+                ("channel".into(), Json::U64(u64::from(channel))),
+                ("die".into(), Json::U64(u64::from(die))),
+            ],
+            Track::Host => vec![("track".into(), Json::Str("host".into()))],
+            Track::Gc => vec![("track".into(), Json::Str("gc".into()))],
+            Track::Hash => vec![("track".into(), Json::Str("hash".into()))],
+            Track::Fault => vec![("track".into(), Json::Str("fault".into()))],
+            Track::Queue { pair } => vec![
+                ("track".into(), Json::Str("queue".into())),
+                ("pair".into(), Json::U64(u64::from(pair))),
+            ],
+        }
+    }
+
+    /// One JSONL line as the tree-built exporter rendered it.
+    fn jsonl_event_json(event: &Event, args: &[Arg]) -> Json {
+        let mut pairs = jsonl_track(event.track);
+        pairs.push(("name".into(), Json::Str(event.name.into())));
+        match event.kind {
+            EventKind::Span { start_ns, end_ns } => {
+                pairs.push(("kind".into(), Json::Str("span".into())));
+                pairs.push(("start_ns".into(), Json::U64(start_ns)));
+                pairs.push(("end_ns".into(), Json::U64(end_ns)));
+            }
+            EventKind::Instant { at_ns } => {
+                pairs.push(("kind".into(), Json::Str("instant".into())));
+                pairs.push(("at_ns".into(), Json::U64(at_ns)));
+            }
+        }
+        if !args.is_empty() {
+            pairs.push(("args".into(), args_obj(args)));
+        }
+        Json::Obj(pairs)
+    }
+
+    #[test]
+    fn streamed_events_equal_the_tree_rendering() {
+        // Every track, both event kinds, with and without a payload, a
+        // name that needs escaping, gauges and the drop trailer.
+        let mut t = Tracer::enabled(TraceConfig {
+            max_events: 12,
+            counter_window_ns: 1_000,
+            ..TraceConfig::default()
+        });
+        let tracks = [
+            Track::Die { channel: 1, die: 3 },
+            Track::Host,
+            Track::Queue { pair: 2 },
+            Track::Gc,
+            Track::Hash,
+            Track::Fault,
+        ];
+        for (i, track) in tracks.into_iter().enumerate() {
+            let at = 1_000 * i as u64 + 1;
+            t.span(track, "op", at, at + 2_500, &[("lpn", u64::MAX), ("queued_ns", 7)]);
+            t.instant(track, "quote\"back\\slash\ttab", at, &[]);
+        }
+        t.instant(Track::Gc, "over_the_cap", 0, &[]);
+        t.gauge("free_pages", 0, 100);
+        t.gauge("free_pages", 2_500, 91);
+        assert_eq!(t.events().len(), 12);
+        assert_eq!(t.dropped_events(), 1);
+        for e in t.events() {
+            let (mut chrome, mut line) = (String::new(), String::new());
+            write_chrome_event(e, t.args(e), 2, &mut chrome);
+            write_jsonl_event(e, t.args(e), &mut line);
+            assert_eq!(chrome, event_json(e, t.args(e), 2).render());
+            assert_eq!(line, jsonl_event_json(e, t.args(e)).render() + "\n");
+        }
+        // The framing around the events (brackets, commas, the tree-built
+        // metadata, gauge and trailer entries) is what a tree renders too:
+        // parsing the document and rendering the tree gives it back. So
+        // does an empty recording's.
+        for doc in [chrome_trace(&t, 2), chrome_trace(&Tracer::enabled(TraceConfig::default()), 2)] {
+            assert_eq!(Json::parse(&doc).expect("valid JSON").render(), doc);
+        }
+        for line in jsonl(&t).lines() {
+            assert_eq!(Json::parse(line).expect("valid JSON").render(), line);
+        }
+    }
 
     fn sample_tracer() -> Tracer {
         let mut t = Tracer::enabled(TraceConfig {
@@ -285,8 +437,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_has_metadata_spans_instants_and_counters() {
-        let json = chrome_trace(&sample_tracer(), 2);
-        let text = json.render();
+        let text = chrome_trace(&sample_tracer(), 2);
         // Structure: loadable trace-event document.
         assert!(text.starts_with(r#"{"traceEvents":["#));
         assert!(text.contains(r#""displayTimeUnit":"ns""#));
@@ -321,7 +472,7 @@ mod tests {
     fn queue_track_maps_onto_the_ftl_process() {
         let mut t = Tracer::enabled(TraceConfig::default());
         t.span(Track::Queue { pair: 1 }, "sq_busy", 1_000, 2_000, &[("depth", 3)]);
-        let text = chrome_trace(&t, 2).render();
+        let text = chrome_trace(&t, 2);
         assert!(text.contains(r#""thread_name","args":{"name":"queue 1"}"#));
         // tid = FTL_TID_QUEUE_BASE + pair on the ftl process (pid = channels).
         assert!(text.contains(r#""cat":"queue","ph":"X","ts":1,"dur":1,"pid":2,"tid":5"#));
@@ -336,7 +487,7 @@ mod tests {
         t.instant(Track::Gc, "tick", 1, &[]);
         t.instant(Track::Gc, "tick", 2, &[]);
         assert_eq!(t.dropped_events(), 2);
-        let chrome = chrome_trace(&t, 2).render();
+        let chrome = chrome_trace(&t, 2);
         assert!(chrome.contains(r#""name":"dropped_events","args":{"dropped_events":2}"#));
         let log = jsonl(&t);
         let trailer = log.lines().last().unwrap();
@@ -346,7 +497,7 @@ mod tests {
         );
         // No truncation ⇒ no marker anywhere.
         let clean = sample_tracer();
-        assert!(!chrome_trace(&clean, 2).render().contains("dropped_events"));
+        assert!(!chrome_trace(&clean, 2).contains("dropped_events"));
         assert!(!jsonl(&clean).contains("dropped_events"));
     }
 
@@ -354,7 +505,7 @@ mod tests {
     fn export_is_byte_identical_across_identical_recordings() {
         let a = sample_tracer();
         let b = sample_tracer();
-        assert_eq!(chrome_trace(&a, 2).render(), chrome_trace(&b, 2).render());
+        assert_eq!(chrome_trace(&a, 2), chrome_trace(&b, 2));
         assert_eq!(jsonl(&a), jsonl(&b));
     }
 }

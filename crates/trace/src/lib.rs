@@ -15,6 +15,10 @@
 //!   harness serializer (insertion-order keys, exact integers).
 //! * **Bounded** — [`TraceConfig::max_events`] caps retained events;
 //!   overflow increments a `dropped_events` counter instead of growing.
+//! * **No heap per event** — recording appends to two flat vectors,
+//!   ingesting a live recording borrows from them, and the analyzers
+//!   address names and buckets by small integers; a `String` exists once
+//!   per output row, not once per event.
 //!
 //! Exports: [`chrome_trace`] (Perfetto / `chrome://tracing` loadable)
 //! and [`jsonl`] (one event per line for scripted analysis).
@@ -33,9 +37,9 @@ pub mod report;
 pub mod tracer;
 
 pub use anatomy::{GcAnatomy, PhaseStat, GC_PHASES};
-pub use event::{Event, EventKind, Track};
+pub use event::{Arg, Event, EventKind, Track};
 pub use export::{chrome_trace, jsonl};
-pub use parse::{from_tracer, parse_jsonl, ParsedTrace, SpanRec};
+pub use parse::{from_tracer, parse_jsonl, Args, ParsedTrace, SpanRec};
 pub use profile::{ProfileRow, SpanProfile};
 pub use registry::GaugeRegistry;
 pub use report::TelemetryReport;

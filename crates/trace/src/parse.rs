@@ -2,30 +2,63 @@
 //! dump back into a uniform record stream the analyzers (profiler,
 //! GC anatomy) consume.
 //!
-//! Records use owned `String` names because a JSONL round-trip cannot
-//! reconstruct the simulator's `&'static str` identities; everything
-//! else mirrors [`crate::event::Event`] exactly, so analyzing a live
-//! recording and analyzing its JSONL export give byte-identical results.
+//! One record type serves both sources. On the live path a record
+//! borrows everything — its name and argument keys are the simulator's
+//! `&'static str` identities and its payload is a slice of the tracer's
+//! argument arena — so [`from_tracer`] allocates the record vector and
+//! nothing else. Only a JSONL round-trip, which cannot reconstruct those
+//! identities, owns its strings. Both compare and analyze identically,
+//! so analyzing a live recording and analyzing its JSONL export give
+//! byte-identical results.
+
+use std::borrow::Cow;
 
 use cagc_harness::Json;
 
-use crate::event::{EventKind, Track};
+use crate::event::{Arg, EventKind, Track};
 use crate::tracer::Tracer;
 
-/// One parsed trace record (span or instant) with owned identity.
+/// A record's key/value payload.
+#[derive(Debug, Clone)]
+pub enum Args<'a> {
+    /// Borrowed from the recording tracer's argument arena.
+    Live(&'a [Arg]),
+    /// Parsed out of a JSONL line.
+    Parsed(Vec<(String, u64)>),
+}
+
+impl Args<'_> {
+    /// The pairs in recording order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
+        let (live, parsed): (&[Arg], &[(String, u64)]) = match self {
+            Args::Live(a) => (a, &[]),
+            Args::Parsed(a) => (&[], a),
+        };
+        let parsed = parsed.iter().map(|(k, v)| (k.as_str(), *v));
+        live.iter().copied().chain(parsed)
+    }
+}
+
+impl PartialEq for Args<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+/// One trace record (span or instant), live or parsed.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpanRec {
+pub struct SpanRec<'a> {
     /// Track the record was drawn on.
     pub track: Track,
     /// Event name (`"migrate_read"`, `"gc_round"`, …).
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Span or instant, with timestamps.
     pub kind: EventKind,
     /// Key/value payload.
-    pub args: Vec<(String, u64)>,
+    pub args: Args<'a>,
 }
 
-impl SpanRec {
+impl SpanRec<'_> {
     /// The timestamp the record sorts by: span start, or the instant.
     pub fn ts_ns(&self) -> u64 {
         match self.kind {
@@ -49,33 +82,33 @@ impl SpanRec {
 
     /// Look up an argument by key.
     pub fn arg(&self, key: &str) -> Option<u64> {
-        self.args.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+        self.args.iter().find(|&(k, _)| k == key).map(|(_, v)| v)
     }
 }
 
 /// A re-ingested trace: the record stream plus the truncation marker.
 #[derive(Debug, Clone, Default)]
-pub struct ParsedTrace {
+pub struct ParsedTrace<'a> {
     /// Every span/instant in recording order.
-    pub spans: Vec<SpanRec>,
+    pub spans: Vec<SpanRec<'a>>,
     /// Events the recording dropped at its cap (from the JSONL trailer
     /// line, or [`Tracer::dropped_events`] directly). Nonzero means every
     /// derived profile/anatomy is a lower bound, not a census.
     pub dropped_events: u64,
 }
 
-/// Snapshot a live tracer's events as parsed records — the zero-copy
-/// sibling of [`parse_jsonl`] for in-process analysis.
-pub fn from_tracer(tracer: &Tracer) -> ParsedTrace {
+/// View a live tracer's events as records — the zero-copy sibling of
+/// [`parse_jsonl`] for in-process analysis.
+pub fn from_tracer(tracer: &Tracer) -> ParsedTrace<'_> {
     ParsedTrace {
         spans: tracer
             .events()
             .iter()
             .map(|e| SpanRec {
                 track: e.track,
-                name: e.name.to_string(),
+                name: Cow::Borrowed(e.name),
                 kind: e.kind,
-                args: e.args.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+                args: Args::Live(tracer.args(e)),
             })
             .collect(),
         dropped_events: tracer.dropped_events(),
@@ -101,7 +134,7 @@ fn field<'a>(pairs: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
     pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-fn parse_line(pairs: &[(String, Json)]) -> Result<Option<SpanRec>, String> {
+fn parse_line(pairs: &[(String, Json)]) -> Result<Option<SpanRec<'static>>, String> {
     let track_tag = field(pairs, "track")
         .and_then(str_of)
         .ok_or("missing track field")?;
@@ -125,8 +158,7 @@ fn parse_line(pairs: &[(String, Json)]) -> Result<Option<SpanRec>, String> {
     };
     let name = field(pairs, "name")
         .and_then(str_of)
-        .ok_or("missing name field")?
-        .to_string();
+        .ok_or("missing name field")?;
     let kind = match field(pairs, "kind").and_then(str_of).ok_or("missing kind field")? {
         "span" => EventKind::Span {
             start_ns: field(pairs, "start_ns").and_then(num).ok_or("span missing start_ns")?,
@@ -144,7 +176,12 @@ fn parse_line(pairs: &[(String, Json)]) -> Result<Option<SpanRec>, String> {
             .collect::<Result<Vec<_>, _>>()?,
         _ => Vec::new(),
     };
-    Ok(Some(SpanRec { track, name, kind, args }))
+    Ok(Some(SpanRec {
+        track,
+        name: Cow::Owned(name.to_string()),
+        kind,
+        args: Args::Parsed(args),
+    }))
 }
 
 /// Parse a [`crate::export::jsonl`] dump back into records. Gauge lines
@@ -153,7 +190,7 @@ fn parse_line(pairs: &[(String, Json)]) -> Result<Option<SpanRec>, String> {
 ///
 /// # Errors
 /// Returns a message naming the first malformed line (1-based).
-pub fn parse_jsonl(text: &str) -> Result<ParsedTrace, String> {
+pub fn parse_jsonl(text: &str) -> Result<ParsedTrace<'static>, String> {
     let mut out = ParsedTrace::default();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {

@@ -20,8 +20,20 @@
 //! Every rule is a pure function of the recorded intervals, so two
 //! identical recordings — or the same recording analyzed live vs. after
 //! a JSONL round-trip — profile to identical bytes.
+//!
+//! ## Cost model
+//!
+//! Inside the fold identities are small integers: a name becomes an id
+//! through a table built as names appear, and a bucket is addressed by
+//! `(parent, name id)`. Strings exist once per bucket — the slash path
+//! is formatted after the last record, for tens of buckets — and the
+//! duration samples are sorted once, there and after a [`merge`]
+//! (`SpanProfile::merge`), never per export. Scratch is sized by
+//! containers or by child intervals, never one heap object per record.
+//!
+//! [`merge`]: SpanProfile::merge
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use cagc_harness::{Json, ToJson};
 
@@ -41,6 +53,17 @@ pub(crate) fn union(mut v: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
         }
     }
     out
+}
+
+/// Length of the union of `ivs` (sorted in place).
+fn union_len(ivs: &mut [(u64, u64)]) -> u64 {
+    ivs.sort_unstable();
+    let (mut len, mut reach) = (0, 0);
+    for &(s, e) in ivs.iter() {
+        len += e.saturating_sub(s.max(reach));
+        reach = reach.max(e);
+    }
+    len
 }
 
 /// Total length of a disjoint interval list.
@@ -91,30 +114,247 @@ pub(crate) fn subtract(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u64)> {
     out
 }
 
-fn category(track: Track) -> &'static str {
+/// First path component of every bucket, indexed by [`category`].
+const CATEGORIES: [&str; 6] = ["flash", "host", "gc", "hash", "fault", "queue"];
+
+fn category(track: Track) -> usize {
     match track {
-        Track::Die { .. } => "flash",
-        Track::Host => "host",
-        Track::Gc => "gc",
-        Track::Hash => "hash",
-        Track::Fault => "fault",
-        Track::Queue { .. } => "queue",
+        Track::Die { .. } => 0,
+        Track::Host => 1,
+        Track::Gc => 2,
+        Track::Hash => 3,
+        Track::Fault => 4,
+        Track::Queue { .. } => 5,
     }
 }
 
 /// Names the GC context stamps on die/hash spans: these leaves attach to
 /// GC containers even when an overlapping host span also contains them.
-fn prefers_gc(rec: &SpanRec) -> bool {
-    rec.track == Track::Gc
-        || matches!(rec.name.as_str(), "migrate_read" | "migrate_write" | "erase" | "fingerprint")
+fn gc_pipeline_name(name: &str) -> bool {
+    matches!(name, "migrate_read" | "migrate_write" | "erase" | "fingerprint")
 }
 
+fn is_container(rec: &SpanRec) -> bool {
+    rec.is_span() && matches!(rec.track, Track::Gc | Track::Host)
+}
+
+/// `durs` is kept sorted outside the fold (see [`SpanProfile::merge`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Bucket {
     calls: u64,
     total_ns: u64,
     self_ns: u64,
     durs: Vec<u64>,
+}
+
+impl Bucket {
+    fn record(&mut self, dur_ns: u64) {
+        self.calls += 1;
+        self.total_ns += dur_ns;
+        self.self_ns += dur_ns;
+        self.durs.push(dur_ns);
+    }
+
+    /// Counts and times add; samples concatenate, unsorted.
+    fn absorb(&mut self, other: &Bucket) {
+        self.calls += other.calls;
+        self.total_ns += other.total_ns;
+        self.self_ns += other.self_ns;
+        self.durs.extend_from_slice(&other.durs);
+    }
+}
+
+/// A direct-mapped memo in front of a hash map: slot `hash % SLOTS`
+/// remembers the last key that landed there and the id it resolved to.
+/// A recording spells a few dozen names and buckets a million times over,
+/// so nearly every lookup ends here in one compare instead of in SipHash;
+/// a key that was never seen, or was evicted, costs the map lookup anyway.
+struct Recent<K> {
+    slots: Vec<Option<(K, usize)>>,
+}
+
+impl<K: Copy + PartialEq> Recent<K> {
+    const SLOTS: usize = 256;
+
+    fn get(&self, hash: usize, key: K) -> Option<usize> {
+        self.slots[hash % Self::SLOTS].and_then(|(k, id)| (k == key).then_some(id))
+    }
+
+    fn put(&mut self, hash: usize, key: K, id: usize) {
+        self.slots[hash % Self::SLOTS] = Some((key, id));
+    }
+}
+
+impl<K: Copy + PartialEq> Default for Recent<K> {
+    fn default() -> Self {
+        Self { slots: vec![None; Self::SLOTS] }
+    }
+}
+
+/// What a bucket hangs under: a track category (containers and
+/// unattributed leaves) or a container bucket (attributed leaves).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Parent {
+    Category(usize),
+    Bucket(usize),
+}
+
+/// The fold's integer-keyed state: name ids, and buckets addressed by
+/// `(parent, name id)` in creation order.
+#[derive(Default)]
+struct Fold<'a> {
+    names: Vec<&'a str>,
+    /// Per name id: [`gc_pipeline_name`], classified once.
+    gc_pipeline: Vec<bool>,
+    name_ids: HashMap<&'a str, usize>,
+    /// Keyed by where the name sits: `(address, length)`.
+    recent_names: Recent<(usize, usize)>,
+    keys: Vec<(Parent, usize)>,
+    buckets: Vec<Bucket>,
+    bucket_ids: HashMap<(Parent, usize), usize>,
+    recent_buckets: Recent<(Parent, usize)>,
+}
+
+impl<'a> Fold<'a> {
+    fn name_id(&mut self, name: &'a str) -> usize {
+        // Where a string sits identifies it for as long as it is borrowed,
+        // and a live recording's names are a few dozen literals.
+        let at = (name.as_ptr() as usize, name.len());
+        if let Some(id) = self.recent_names.get(at.0, at) {
+            return id;
+        }
+        let id = *self.name_ids.entry(name).or_insert_with(|| {
+            self.names.push(name);
+            self.gc_pipeline.push(gc_pipeline_name(name));
+            self.names.len() - 1
+        });
+        self.recent_names.put(at.0, at, id);
+        id
+    }
+
+    fn bucket_id(&mut self, parent: Parent, name: usize) -> usize {
+        let key = (parent, name);
+        let hash = match parent {
+            Parent::Category(c) => c,
+            Parent::Bucket(b) => CATEGORIES.len() + b,
+        } * 64
+            + name;
+        if let Some(id) = self.recent_buckets.get(hash, key) {
+            return id;
+        }
+        let id = *self.bucket_ids.entry(key).or_insert_with(|| {
+            self.keys.push(key);
+            self.buckets.push(Bucket::default());
+            self.buckets.len() - 1
+        });
+        self.recent_buckets.put(hash, key, id);
+        id
+    }
+
+    /// Give every bucket its slash path. A parent is created before its
+    /// children, so its path is already there to extend; two keys that
+    /// spell the same path (a JSONL name with a `/` in it) share a bucket.
+    fn finish(self) -> SpanProfile {
+        let mut paths: Vec<String> = Vec::with_capacity(self.keys.len());
+        for &(parent, name) in &self.keys {
+            let prefix = match parent {
+                Parent::Category(c) => CATEGORIES[c],
+                Parent::Bucket(b) => &paths[b],
+            };
+            paths.push(format!("{prefix}/{}", self.names[name]));
+        }
+        let mut profile = SpanProfile::default();
+        for (path, bucket) in paths.into_iter().zip(&self.buckets) {
+            profile.buckets.entry(path).or_default().absorb(bucket);
+        }
+        profile.sort_samples();
+        profile
+    }
+}
+
+/// A container span, resolved while its record was at hand.
+struct Container {
+    start: u64,
+    end: u64,
+    /// Position in the record stream (the order among equal intervals).
+    rec: usize,
+    /// On the GC track (else on the host track).
+    gc: bool,
+    bucket: usize,
+}
+
+/// One track's containers in `(start asc, end desc, record)` order, with
+/// the prefix maxima of their ends bounding the backward search.
+#[derive(Default)]
+struct Lane {
+    start: Vec<u64>,
+    end: Vec<u64>,
+    max_end: Vec<u64>,
+    /// Position of each entry in the all-tracks container order.
+    at: Vec<usize>,
+    /// The last [`Lane::started_by`] answer.
+    hint: usize,
+}
+
+impl Lane {
+    fn push(&mut self, at: usize, start: u64, end: u64) {
+        let run = self.max_end.last().copied().unwrap_or(0).max(end);
+        self.start.push(start);
+        self.end.push(end);
+        self.max_end.push(run);
+        self.at.push(at);
+    }
+
+    /// How many containers start at or before `ts`. Records arrive in
+    /// roughly increasing time, so the search gallops outward from the
+    /// previous answer before it bisects.
+    fn started_by(&mut self, ts: u64) -> usize {
+        let starts = &self.start[..];
+        let (mut lo, mut hi, mut step) = (self.hint, self.hint, 1);
+        if lo > 0 && starts[lo - 1] > ts {
+            // The answer lies left of the hint: in [lo, hi] once lo stops.
+            hi -= 1;
+            lo = loop {
+                let probe = hi.saturating_sub(step);
+                if starts[probe] <= ts {
+                    break probe + 1;
+                }
+                hi = probe;
+                if probe == 0 {
+                    break 0;
+                }
+                step *= 2;
+            };
+        } else {
+            hi = loop {
+                let probe = lo + step - 1;
+                if probe >= starts.len() {
+                    break starts.len();
+                }
+                if starts[probe] > ts {
+                    break probe;
+                }
+                lo = probe + 1;
+                step *= 2;
+            };
+        }
+        self.hint = lo + starts[lo..hi].partition_point(|&s| s <= ts);
+        self.hint
+    }
+
+    /// The latest-starting container whose interval contains `ts`.
+    fn find(&mut self, ts: u64) -> Option<usize> {
+        let hi = self.started_by(ts);
+        for k in (0..hi).rev() {
+            if self.max_end[k] < ts {
+                return None; // nothing earlier can reach ts
+            }
+            if self.end[k] >= ts {
+                return Some(self.at[k]);
+            }
+        }
+        None
+    }
 }
 
 /// One exported profile row (a bucket with its duration statistics).
@@ -161,165 +401,103 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
 impl SpanProfile {
     /// Fold a record stream into a profile.
     pub fn from_spans(spans: &[SpanRec]) -> Self {
-        // Containers, as (start, end, rec index), in (start, idx) order.
-        let mut containers: Vec<(u64, u64, usize)> = spans
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_span() && matches!(r.track, Track::Gc | Track::Host))
-            .map(|(i, r)| (r.ts_ns(), r.ts_ns() + r.dur_ns(), i))
-            .collect();
-        containers.sort_unstable_by_key(|&(s, e, i)| (s, std::cmp::Reverse(e), i));
-        // Prefix maxima of ends bound the backward containment search.
-        let mut prefix_max_end: Vec<u64> = Vec::with_capacity(containers.len());
-        let mut run = 0u64;
-        for &(_, e, _) in &containers {
-            run = run.max(e);
-            prefix_max_end.push(run);
+        let mut fold = Fold::default();
+        // Containers, bucketed while their record is at hand. Self time
+        // starts at the duration; the children come off below.
+        let mut containers: Vec<Container> = Vec::new();
+        for (rec, r) in spans.iter().enumerate().filter(|(_, r)| is_container(r)) {
+            let (start, end) = (r.ts_ns(), r.ts_ns() + r.dur_ns());
+            let name = fold.name_id(&r.name);
+            let bucket = fold.bucket_id(Parent::Category(category(r.track)), name);
+            fold.buckets[bucket].record(end - start);
+            containers.push(Container { start, end, rec, gc: r.track == Track::Gc, bucket });
         }
-        // Positions (into `containers`) of each track's containers, for
-        // the preferred-track search.
-        let gc_pos: Vec<usize> = (0..containers.len())
-            .filter(|&p| spans[containers[p].2].track == Track::Gc)
-            .collect();
-        let host_pos: Vec<usize> = (0..containers.len())
-            .filter(|&p| spans[containers[p].2].track == Track::Host)
-            .collect();
-        let mut gc_max_end = Vec::with_capacity(gc_pos.len());
-        run = 0;
-        for &p in &gc_pos {
-            run = run.max(containers[p].1);
-            gc_max_end.push(run);
-        }
-        let mut host_max_end = Vec::with_capacity(host_pos.len());
-        run = 0;
-        for &p in &host_pos {
-            run = run.max(containers[p].1);
-            host_max_end.push(run);
-        }
+        containers.sort_unstable_by_key(|c| (c.start, std::cmp::Reverse(c.end), c.rec));
 
-        // Latest-starting container containing `ts` within a sorted
-        // position subset (`None` = all containers).
-        let find = |subset: Option<(&[usize], &[u64])>, ts: u64| -> Option<usize> {
-            match subset {
-                None => {
-                    let hi = containers.partition_point(|&(s, _, _)| s <= ts);
-                    (0..hi).rev().find_map(|k| {
-                        if prefix_max_end[k] < ts {
-                            return Some(None); // nothing earlier can reach ts
-                        }
-                        (containers[k].1 >= ts).then_some(Some(containers[k].2))
-                    })?
-                }
-                Some((pos, max_end)) => {
-                    let hi = pos.partition_point(|&p| containers[p].0 <= ts);
-                    (0..hi).rev().find_map(|k| {
-                        if max_end[k] < ts {
-                            return Some(None);
-                        }
-                        (containers[pos[k]].1 >= ts).then_some(Some(containers[pos[k]].2))
-                    })?
-                }
-            }
-        };
-
-        // Per container instance: the child intervals its self time
-        // excludes (attributed leaves + directly nested containers).
-        let mut children: BTreeMap<usize, Vec<(u64, u64)>> = BTreeMap::new();
-        let mut profile = SpanProfile::default();
+        let (mut all, mut gc, mut host) = (Lane::default(), Lane::default(), Lane::default());
+        // Every interval some container's self time excludes (attributed
+        // leaves + directly nested containers), as (owner, start, end).
+        let mut children: Vec<(usize, u64, u64)> = Vec::new();
 
         // Nested containers: stack sweep over (start asc, end desc) order
         // finds each container's immediate enclosing container.
         let mut stack: Vec<usize> = Vec::new();
-        for k in 0..containers.len() {
-            let (s, e, idx) = containers[k];
-            while let Some(&top) = stack.last() {
-                let (_, te, _) = containers[top];
-                if te < e {
-                    stack.pop();
-                } else {
-                    break;
-                }
+        for (k, c) in containers.iter().enumerate() {
+            while stack.last().is_some_and(|&top| containers[top].end < c.end) {
+                stack.pop();
             }
             if let Some(&top) = stack.last() {
-                let (ps, pe, pidx) = containers[top];
-                children.entry(pidx).or_default().push((s.max(ps), e.min(pe)));
+                children.push((top, c.start, c.end));
             }
             stack.push(k);
-            let rec = &spans[idx];
-            profile.add(
-                format!("{}/{}", category(rec.track), rec.name),
-                rec.dur_ns(),
-                0, // self filled in below
-            );
+            all.push(k, c.start, c.end);
+            if c.gc { &mut gc } else { &mut host }.push(k, c.start, c.end);
         }
 
-        // Leaves: attribute, bucket, and feed the parent's child list.
-        for rec in spans {
-            let is_container =
-                rec.is_span() && matches!(rec.track, Track::Gc | Track::Host);
-            if is_container {
-                continue;
-            }
-            let ts = rec.ts_ns();
-            let preferred = if prefers_gc(rec) {
-                find(Some((&gc_pos, &gc_max_end)), ts)
+        // Leaves: attribute, bucket, and feed the owner's child list.
+        for rec in spans.iter().filter(|r| !is_container(r)) {
+            let (ts, dur) = (rec.ts_ns(), rec.dur_ns());
+            let name = fold.name_id(&rec.name);
+            let preferred = if rec.track == Track::Gc || fold.gc_pipeline[name] {
+                gc.find(ts)
             } else {
-                find(Some((&host_pos, &host_max_end)), ts)
+                host.find(ts)
             };
-            let owner = preferred.or_else(|| find(None, ts));
-            let path = match owner {
-                Some(idx) => {
-                    let c = &spans[idx];
-                    let (cs, ce) = (c.ts_ns(), c.ts_ns() + c.dur_ns());
-                    let (ls, le) = (ts, ts + rec.dur_ns());
-                    if le > ls {
-                        children
-                            .entry(idx)
-                            .or_default()
-                            .push((ls.max(cs), le.min(ce)));
+            let parent = match preferred.or_else(|| all.find(ts)) {
+                Some(owner) => {
+                    let owner_end = containers[owner].end;
+                    if dur > 0 {
+                        children.push((owner, ts, (ts + dur).min(owner_end)));
                     }
-                    format!("{}/{}/{}", category(c.track), c.name, rec.name)
+                    Parent::Bucket(containers[owner].bucket)
                 }
-                None => format!("{}/{}", category(rec.track), rec.name),
+                None => Parent::Category(category(rec.track)),
             };
-            let dur = rec.dur_ns();
-            profile.add(path, dur, dur);
+            let bucket = fold.bucket_id(parent, name);
+            fold.buckets[bucket].record(dur);
         }
 
-        // Container self times: duration minus covered-by-children.
-        for &(s, e, idx) in &containers {
-            let covered = children
-                .remove(&idx)
-                .map(|ivs| total_len(&union(ivs)))
-                .unwrap_or(0);
-            let rec = &spans[idx];
-            let path = format!("{}/{}", category(rec.track), rec.name);
-            let slf = (e - s).saturating_sub(covered);
-            if let Some(b) = profile.buckets.get_mut(&path) {
-                b.self_ns += slf;
-            }
+        // Container self times: duration minus the union of the children.
+        // A counting sort groups the intervals by owner (the cursors end
+        // up at the group ends), then each small group is swept.
+        let mut cursor = vec![0usize; containers.len()];
+        for &(owner, ..) in &children {
+            cursor[owner] += 1;
         }
-        profile
+        let mut start = 0;
+        for c in &mut cursor {
+            start += std::mem::replace(c, start);
+        }
+        let mut grouped = vec![(0u64, 0u64); children.len()];
+        for &(owner, s, e) in &children {
+            grouped[cursor[owner]] = (s, e);
+            cursor[owner] += 1;
+        }
+        let mut start = 0;
+        for (&end, c) in cursor.iter().zip(&containers) {
+            fold.buckets[c.bucket].self_ns -= union_len(&mut grouped[start..end]);
+            start = end;
+        }
+        fold.finish()
     }
 
-    fn add(&mut self, path: String, dur_ns: u64, self_ns: u64) {
-        let b = self.buckets.entry(path).or_default();
-        b.calls += 1;
-        b.total_ns += dur_ns;
-        b.self_ns += self_ns;
-        b.durs.push(dur_ns);
+    /// Restore the invariant that every bucket's samples are sorted.
+    fn sort_samples(&mut self) {
+        for b in self.buckets.values_mut() {
+            b.durs.sort_unstable();
+        }
     }
 
-    /// Fold `other` into this profile. Exact: counts and times add,
-    /// duration samples concatenate (and are re-sorted at export), so the
-    /// result is independent of merge order.
+    /// Fold `other` into this profile. Exact: counts and times add and
+    /// the duration samples form one sorted multiset, so the result is
+    /// independent of merge order.
     pub fn merge(&mut self, other: &SpanProfile) {
         for (path, src) in &other.buckets {
             let dst = self.buckets.entry(path.clone()).or_default();
-            dst.calls += src.calls;
-            dst.total_ns += src.total_ns;
-            dst.self_ns += src.self_ns;
-            dst.durs.extend_from_slice(&src.durs);
+            dst.absorb(src);
+            // Two sorted runs back to back: the stable sort merges them
+            // in one linear pass.
+            dst.durs.sort();
         }
     }
 
@@ -332,19 +510,15 @@ impl SpanProfile {
     pub fn rows(&self) -> Vec<ProfileRow> {
         self.buckets
             .iter()
-            .map(|(path, b)| {
-                let mut durs = b.durs.clone();
-                durs.sort_unstable();
-                ProfileRow {
-                    path: path.clone(),
-                    calls: b.calls,
-                    total_ns: b.total_ns,
-                    self_ns: b.self_ns,
-                    min_ns: durs.first().copied().unwrap_or(0),
-                    p50_ns: percentile(&durs, 50),
-                    p99_ns: percentile(&durs, 99),
-                    max_ns: durs.last().copied().unwrap_or(0),
-                }
+            .map(|(path, b)| ProfileRow {
+                path: path.clone(),
+                calls: b.calls,
+                total_ns: b.total_ns,
+                self_ns: b.self_ns,
+                min_ns: b.durs.first().copied().unwrap_or(0),
+                p50_ns: percentile(&b.durs, 50),
+                p99_ns: percentile(&b.durs, 99),
+                max_ns: b.durs.last().copied().unwrap_or(0),
             })
             .collect()
     }
@@ -418,29 +592,33 @@ impl ToJson for SpanProfile {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::EventKind;
+    use crate::parse::Args;
 
-    fn span(track: Track, name: &str, start: u64, end: u64) -> SpanRec {
+    pub(super) fn span(track: Track, name: &'static str, start: u64, end: u64) -> SpanRec<'static> {
         SpanRec {
             track,
-            name: name.to_string(),
+            name: name.into(),
             kind: EventKind::Span { start_ns: start, end_ns: end },
-            args: Vec::new(),
+            args: Args::Live(&[]),
         }
     }
 
-    fn instant(track: Track, name: &str, at: u64) -> SpanRec {
+    pub(super) fn instant(track: Track, name: &'static str, at: u64) -> SpanRec<'static> {
         SpanRec {
             track,
-            name: name.to_string(),
+            name: name.into(),
             kind: EventKind::Instant { at_ns: at },
-            args: Vec::new(),
+            args: Args::Live(&[]),
         }
     }
 
-    fn die(name: &str, start: u64, end: u64) -> SpanRec {
+    pub(super) fn die(name: &'static str, start: u64, end: u64) -> SpanRec<'static> {
         span(Track::Die { channel: 0, die: 0 }, name, start, end)
     }
 
@@ -538,11 +716,8 @@ mod tests {
 
     #[test]
     fn quantiles_are_nearest_rank() {
-        let mut p = SpanProfile::default();
-        for d in [10u64, 20, 30, 40] {
-            p.add("x/y".to_string(), d, d);
-        }
-        let r = &p.rows()[0];
+        let spans: Vec<SpanRec> = [40u64, 10, 30, 20].iter().map(|&d| die("y", 0, d)).collect();
+        let r = &SpanProfile::from_spans(&spans).rows()[0];
         assert_eq!((r.min_ns, r.p50_ns, r.p99_ns, r.max_ns), (10, 30, 40, 40));
         assert_eq!(percentile(&[], 50), 0);
         assert_eq!(percentile(&[7], 99), 7);

@@ -5,8 +5,13 @@
 //! allocates nothing beyond the struct itself, and every recording entry
 //! point returns after one branch — so simulation results with tracing
 //! off are byte-identical to a build that never heard of tracing.
+//!
+//! A live tracer appends to two flat vectors — the events and one
+//! argument arena the events address by `(offset, len)` — so recording
+//! costs no heap allocation per event, only the vectors' amortized
+//! growth.
 
-use crate::event::{Event, EventKind, Track};
+use crate::event::{Arg, Event, EventKind, Track};
 use crate::registry::GaugeRegistry;
 use crate::report::TelemetryReport;
 
@@ -24,9 +29,9 @@ pub struct TraceConfig {
     pub counter_window_ns: u64,
     /// Record span/instant events. `false` turns the tracer into a
     /// gauges-only sink (the fleet observability plane's mode): the
-    /// windowed registry keeps aggregating while the event buffer — and
-    /// its per-event allocation — stays empty, without counting the
-    /// skipped events as drops.
+    /// windowed registry keeps aggregating while the event buffer and
+    /// the argument arena stay empty, without counting the skipped
+    /// events as drops.
     pub record_spans: bool,
 }
 
@@ -34,8 +39,11 @@ impl Default for TraceConfig {
     fn default() -> Self {
         Self {
             sample: 1,
-            // ~64 bytes/event ⇒ the default cap bounds a full-scale run
-            // to tens of MB instead of letting --trace OOM the host.
+            // 64 bytes/event plus 24 per argument (1.7 on average, four
+            // at most anywhere in the simulator: ~104 bytes/event) ⇒ the
+            // default cap bounds a full-scale run to ~105 MiB instead of
+            // letting --trace OOM the host. The two sizes are pinned by
+            // `bytes_per_event_are_as_quoted`.
             max_events: 1 << 20,
             counter_window_ns: 1_000_000, // 1 ms
             record_spans: true,
@@ -63,6 +71,8 @@ pub struct Tracer {
     enabled: bool,
     cfg: TraceConfig,
     events: Vec<Event>,
+    /// Every retained event's payload, back to back in recording order.
+    args: Vec<Arg>,
     dropped: u64,
     host_ops_seen: u64,
     registry: GaugeRegistry,
@@ -81,6 +91,7 @@ impl Tracer {
             enabled: false,
             cfg: TraceConfig::default(),
             events: Vec::new(),
+            args: Vec::new(),
             dropped: 0,
             host_ops_seen: 0,
             registry: GaugeRegistry::new(1_000_000),
@@ -94,6 +105,7 @@ impl Tracer {
             enabled: true,
             cfg,
             events: Vec::new(),
+            args: Vec::new(),
             dropped: 0,
             host_ops_seen: 0,
             registry,
@@ -128,32 +140,21 @@ impl Tracer {
         name: &'static str,
         start_ns: u64,
         end_ns: u64,
-        args: &[(&'static str, u64)],
+        args: &[Arg],
     ) {
         if !self.enabled || !self.cfg.record_spans {
             return;
         }
-        self.push(Event {
-            track,
-            name,
-            kind: EventKind::Span { start_ns, end_ns },
-            args: args.to_vec(),
-        });
+        self.push(track, name, EventKind::Span { start_ns, end_ns }, args);
     }
 
     /// Record a point event at `at_ns`.
     #[inline]
-    pub fn instant(
-        &mut self,
-        track: Track,
-        name: &'static str,
-        at_ns: u64,
-        args: &[(&'static str, u64)],
-    ) {
+    pub fn instant(&mut self, track: Track, name: &'static str, at_ns: u64, args: &[Arg]) {
         if !self.enabled || !self.cfg.record_spans {
             return;
         }
-        self.push(Event { track, name, kind: EventKind::Instant { at_ns }, args: args.to_vec() });
+        self.push(track, name, EventKind::Instant { at_ns }, args);
     }
 
     /// Sample gauge `name` at `at_ns`. Gauges live outside the event cap:
@@ -166,17 +167,25 @@ impl Tracer {
         self.registry.record(name, at_ns, value);
     }
 
-    fn push(&mut self, event: Event) {
+    fn push(&mut self, track: Track, name: &'static str, kind: EventKind, args: &[Arg]) {
         if self.events.len() >= self.cfg.max_events {
             self.dropped += 1;
-        } else {
-            self.events.push(event);
+            return;
         }
+        let args_len = u32::try_from(args.len()).expect("an event's payload is a handful of pairs");
+        self.events.push(Event { track, name, kind, args_at: self.args.len(), args_len });
+        self.args.extend_from_slice(args);
     }
 
     /// Events retained so far, in recording order.
     pub fn events(&self) -> &[Event] {
         &self.events
+    }
+
+    /// The key/value payload of `event`, which must be one of this
+    /// tracer's [`events`](Self::events).
+    pub fn args(&self, event: &Event) -> &[Arg] {
+        &self.args[event.args_at..][..event.args_len as usize]
     }
 
     /// Events discarded by the bounded-memory guard.
@@ -231,6 +240,30 @@ mod tests {
         assert!(t.registry().is_empty());
         assert_eq!(t.dropped_events(), 0);
         assert!(t.report().is_none());
+    }
+
+    /// `Event: Copy` is the compile-time proof that an event owns no
+    /// heap; the sizes are the ones `TraceConfig::default` quotes.
+    #[test]
+    fn bytes_per_event_are_as_quoted() {
+        fn assert_copy<T: Copy>() {}
+        assert_copy::<Event>();
+        assert_eq!(std::mem::size_of::<Event>(), 64);
+        assert_eq!(std::mem::size_of::<Arg>(), 24);
+    }
+
+    #[test]
+    fn payloads_are_read_back_per_event() {
+        let mut t = Tracer::enabled(TraceConfig { max_events: 3, ..TraceConfig::default() });
+        t.span(Track::Host, "write", 0, 10, &[("lpn", 1), ("pages", 2)]);
+        t.instant(Track::Gc, "victim_select", 5, &[]);
+        t.instant(Track::Fault, "program_retry", 6, &[("block", 7)]);
+        t.instant(Track::Fault, "program_retry", 7, &[("block", 8)]);
+        let payloads: Vec<&[Arg]> = t.events().iter().map(|e| t.args(e)).collect();
+        assert_eq!(payloads, [&[("lpn", 1), ("pages", 2)][..], &[], &[("block", 7)]]);
+        // A dropped event leaves nothing behind in the arena either.
+        assert_eq!(t.dropped_events(), 1);
+        assert_eq!(t.args.len(), 3);
     }
 
     #[test]

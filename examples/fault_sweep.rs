@@ -146,7 +146,7 @@ fn main() {
     println!("\nrun completed after recovery; final report:\n{}", report.render());
 
     if let Some(path) = &trace_out {
-        std::fs::write(path, ssd.chrome_trace().render()).expect("write Chrome trace");
+        std::fs::write(path, ssd.chrome_trace()).expect("write Chrome trace");
         let names: Vec<&str> = ssd.tracer().events().iter().map(|e| e.name).collect();
         println!(
             "\ntrace: {} events ({} dropped), retries {}, recovery spans {} -> {}",

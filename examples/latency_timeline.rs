@@ -119,7 +119,7 @@ fn main() {
             println!("{lines}");
         }
         if let (Some(path), Scheme::Cagc) = (&trace_out, scheme) {
-            std::fs::write(path, ssd.chrome_trace().render()).expect("write Chrome trace");
+            std::fs::write(path, ssd.chrome_trace()).expect("write Chrome trace");
             println!(
                 "trace: {} events ({} dropped) -> {}\n",
                 ssd.tracer().events().len(),

@@ -126,15 +126,19 @@ cargo run --release --offline -p cagc-bench --bin repro -- \
 cmp "$TRACE_TMP/chaos1/sweep_chaos.csv" "$TRACE_TMP/chaos2/sweep_chaos.csv" \
   || { echo "FAIL: sweep_chaos.csv must be byte-identical across worker counts"; exit 1; }
 
-echo "== benchmark package: unit tests + a short GC-heavy run (BENCHMARK.json) =="
+echo "== benchmark package: unit tests + short GC-heavy and traced-chaos runs (BENCHMARK.json) =="
 # benchmark/ is a workspace of its own, so `cargo test --workspace` above
 # never reaches it: its tests hold the catalog <-> BENCHMARK.json drift
-# check. The 3 s run is judged on exit status only — the output checks
-# (every iteration reproduces the warm-up's bytes, Ssd::audit clean);
+# check. The 3 s runs are judged on exit status only — the output checks
+# (every iteration reproduces the warm-up's bytes, Ssd::audit clean; for
+# host_chaos_traced: no event dropped at the tracer cap, profile and
+# anatomy digests stable across iterations, device not read-only);
 # timing is the benchmark driver's business, not this gate's.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-  --workload gc_write_heavy --seed 7 --seconds 3 --trace 0 > /dev/null
+for workload in gc_write_heavy host_chaos_traced; do
+  cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "$workload" --seed 7 --seconds 3 --trace 0 > /dev/null
+done
 
 echo "== perf: fleet fan-out bench vs committed baseline (docs/FLEET.md) =="
 # Same retry discipline as the hotpath gate below. The w1-vs-w8 speedup
