@@ -26,7 +26,7 @@
 
 use cagc_dedup::Fingerprint;
 use cagc_flash::{BlockId, FlashError, JournalOp, PageOob, PageState, Ppn};
-use cagc_ftl::{Region, VictimCandidate};
+use cagc_ftl::{Region, VictimCandidate, VictimKind};
 use cagc_sim::time::Nanos;
 use cagc_trace::Track;
 
@@ -344,22 +344,65 @@ impl Ssd {
     /// invisible to GC and its free pages are lost until an overwrite
     /// happens to land there, which under sustained fault injection starves
     /// foreground allocation outright.
+    ///
+    /// Which path answers is a property of the policy alone. Greedy's key
+    /// is a function of block state, so the device's victim index answers
+    /// it — and the two aggregates a traced selection reports — in time
+    /// independent of the device size, faults armed or not, traced or not.
+    /// The other policies key on `now`, an RNG draw or the candidate
+    /// list's order, and walk the closed blocks.
     fn select_victim(&mut self, now: Nanos) -> Option<BlockId> {
-        let traced = self.tracer.is_enabled();
-        // Hottest path: Greedy over a fault-free device is answered from
-        // the device's dense valid-count index — no per-block walk at all.
-        // Fault-free, every closed block is full, so the index's candidate
-        // set (and tie-break) is bit-identical to the scan below; with
-        // faults armed, stranded non-full blocks exist and the scan stays
-        // authoritative. Traced runs scan for the gauge's sake.
-        if !traced
-            && self.selector.kind() == cagc_ftl::VictimKind::Greedy
-            && !self.dev.faults_active()
-        {
-            return self.dev.greedy_full_victim();
+        let (chosen, stranded, candidates) = if self.selector.kind() == VictimKind::Greedy {
+            let indexed = (
+                self.dev.greedy_full_victim(),
+                self.dev.stranded_pages(),
+                self.dev.victim_candidates(),
+            );
+            // Debug builds re-derive every selection by the walk, so each
+            // test replay cross-checks the index (and the invariant that a
+            // full or sealed block is never an open frontier). Release
+            // builds do not: there, a frontier close that forgets to seal
+            // (the sites are `program_region` and `seal_if_closed_short`)
+            // changes victims silently, and only the faulted × preempting ×
+            // traced test below would notice.
+            debug_assert_eq!(indexed, self.select_by_walk(now, &mut Vec::new()));
+            indexed
+        } else {
+            let mut scratch = std::mem::take(&mut self.candidates_scratch);
+            let walked = self.select_by_walk(now, &mut scratch);
+            self.candidates_scratch = scratch;
+            walked
+        };
+        if self.tracer.is_enabled() {
+            self.tracer.gauge("stranded_pages", now, stranded);
+            if let Some(block) = chosen {
+                let blk = self.dev.block(block);
+                self.tracer.instant(
+                    Track::Gc,
+                    "victim_select",
+                    now,
+                    &[
+                        ("block", u64::from(block)),
+                        ("valid", u64::from(blk.valid_count())),
+                        ("invalid", u64::from(blk.invalid_count())),
+                        ("candidates", u64::from(candidates)),
+                    ],
+                );
+            }
         }
-        let mut candidates = std::mem::take(&mut self.candidates_scratch);
+        chosen
+    }
+
+    /// Selection by walking every block: collect the closed blocks whose
+    /// erase would gain a page into `candidates` and let the policy choose.
+    /// Returns (victim, Σ stranded free pages, candidate count).
+    fn select_by_walk(
+        &mut self,
+        now: Nanos,
+        candidates: &mut Vec<VictimCandidate>,
+    ) -> (Option<BlockId>, u64, u32) {
         candidates.clear();
+        let mut stranded = 0;
         for b in 0..self.dev.block_count() {
             if self.alloc.is_open(b) || self.dev.is_retired(b) {
                 continue;
@@ -368,6 +411,7 @@ impl Ssd {
             if blk.is_free() || blk.invalid_count() + blk.free_count() == 0 {
                 continue;
             }
+            stranded += u64::from(blk.free_count());
             candidates.push(VictimCandidate {
                 block: b,
                 valid: blk.valid_count(),
@@ -379,32 +423,7 @@ impl Ssd {
                 last_modified: blk.last_modified(),
             });
         }
-        let chosen = self.selector.select(&candidates, now);
-        if traced {
-            // The candidate walk just paid for the O(blocks) scan, so the
-            // stranded-pages gauge comes for free here.
-            let stranded: u64 = candidates.iter().map(|c| u64::from(c.stranded)).sum();
-            self.tracer.gauge("stranded_pages", now, stranded);
-            if let Some(block) = chosen {
-                let c = candidates
-                    .iter()
-                    .find(|c| c.block == block)
-                    .expect("selected victim must be a candidate");
-                self.tracer.instant(
-                    Track::Gc,
-                    "victim_select",
-                    now,
-                    &[
-                        ("block", u64::from(block)),
-                        ("valid", u64::from(c.valid)),
-                        ("invalid", u64::from(c.invalid)),
-                        ("candidates", candidates.len() as u64),
-                    ],
-                );
-            }
-        }
-        self.candidates_scratch = candidates;
-        chosen
+        (self.selector.select(candidates, now), stranded, candidates.len() as u32)
     }
 
     /// Erase a fully-drained victim at `done`: snapshot trim attribution,
@@ -775,5 +794,100 @@ impl Ssd {
         }
         self.rmap.relocate(old, new);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{SsdConfig, TraceConfig};
+    use cagc_flash::FaultConfig;
+    use cagc_trace::EventKind;
+    use cagc_workloads::FiuWorkload;
+
+    /// Samples and sum of the `stranded_pages` gauge so far.
+    fn stranded_gauge(ssd: &Ssd) -> (u64, u128) {
+        ssd.tracer
+            .registry()
+            .series()
+            .find(|(name, _)| *name == "stranded_pages")
+            .map_or((0, 0), |(_, ts)| (ts.sample_count(), ts.sample_sum()))
+    }
+
+    /// What a traced Greedy selection records — the `stranded_pages` gauge
+    /// sample and the `victim_select` instant — must be what the
+    /// closed-block walk derives from the device and allocator state, in
+    /// the configurations that used to force the walk: faults armed
+    /// (program failures sealing frontiers, refused forced programs
+    /// closing them short, erase failures retiring blocks, a power loss
+    /// re-closing everything) × preemptible GC (selections between
+    /// suspended jobs) × tracing on. A selection is probed after every
+    /// request, so the comparison also runs in release-mode test builds,
+    /// where the `debug_assert` oracle in `select_victim` is compiled out.
+    #[test]
+    fn traced_selections_report_what_the_walk_finds_under_faults_and_preemption() {
+        for preempt in [false, true] {
+            let mut cfg = SsdConfig::tiny(Scheme::Cagc);
+            cfg.gc_preempt = preempt;
+            cfg.gc_slice_pages = 2;
+            cfg.max_program_retries = 1;
+            cfg.faults = FaultConfig {
+                program_fail_prob: 2e-2,
+                erase_fail_prob: 2e-3,
+                unrecoverable_prob: 0.3,
+                crash_at_op: Some(30_000),
+                seed: 5,
+                ..FaultConfig::none()
+            };
+            let trace = FiuWorkload::Mail
+                .synth_config((cfg.flash.logical_pages() as f64 * 0.95) as u64, 8_000, 5)
+                .generate();
+            let mut ssd = Ssd::new(cfg);
+            ssd.enable_tracing(TraceConfig::default());
+            let (mut recovered, mut stranded_max, mut selected) = (false, 0, 0);
+            for req in &trace.requests {
+                if ssd.process_status(req).is_err() {
+                    ssd.recover().expect("durable state is consistent");
+                    recovered = true;
+                }
+                let events = ssd.tracer.events().len();
+                let (samples, sum) = stranded_gauge(&ssd);
+                let chosen = ssd.select_victim(req.at_ns);
+                let (walked, stranded, candidates) = ssd.select_by_walk(req.at_ns, &mut Vec::new());
+                assert_eq!(chosen, walked, "victim (preempt {preempt})");
+                assert_eq!(
+                    stranded_gauge(&ssd),
+                    (samples + 1, sum + u128::from(stranded)),
+                    "stranded_pages gauge sample (preempt {preempt})"
+                );
+                let recorded = &ssd.tracer.events()[events..];
+                let Some(block) = chosen else {
+                    assert!(recorded.is_empty(), "no victim, no instant");
+                    continue;
+                };
+                let blk = ssd.dev.block(block);
+                assert!(!ssd.alloc.is_open(block), "an open frontier was selected");
+                assert_eq!(recorded.len(), 1);
+                assert_eq!(recorded[0].name, "victim_select");
+                assert_eq!(recorded[0].kind, EventKind::Instant { at_ns: req.at_ns });
+                assert_eq!(
+                    ssd.tracer.args(&recorded[0]),
+                    [
+                        ("block", u64::from(block)),
+                        ("valid", u64::from(blk.valid_count())),
+                        ("invalid", u64::from(blk.invalid_count())),
+                        ("candidates", u64::from(candidates)),
+                    ]
+                );
+                stranded_max = stranded_max.max(stranded);
+                selected += 1;
+            }
+            // The run reached the states the index has to get right.
+            assert!(recovered, "the crash point was never reached");
+            assert!(stranded_max > 0 && selected > 1_000, "{stranded_max} {selected}");
+            assert!(ssd.fh.program_retries > 0 && ssd.fh.write_faults > 0);
+            assert!(ssd.dev.stats().blocks_retired > 0);
+            assert_eq!(ssd.tracer.dropped_events(), 0);
+        }
     }
 }

@@ -220,7 +220,9 @@ pub struct Ssd {
     /// Scratch for a victim's valid-page snapshot (lent to the running
     /// [`crate::gc::GcJob`], back when its victim is erased).
     pub(crate) valids_scratch: Vec<Ppn>,
-    /// Scratch for the victim-selection candidate scan.
+    /// Scratch for the closed-block candidate scan of the victim policies
+    /// whose key needs it (Random, Cost-Benefit, FIFO, D-Choices); Greedy
+    /// is answered by the device's victim index and never touches it.
     pub(crate) candidates_scratch: Vec<VictimCandidate>,
     /// Scratch for the fingerprints gathered ahead of a batch of pages
     /// (GC migration run, multi-page inline-dedup write).
@@ -975,6 +977,7 @@ impl Ssd {
                     ready,
                     &[("retries", retries as u64)],
                 );
+                self.seal_if_closed_short(block);
                 return Err(FlashError::Unrecoverable { at: ready });
             }
             let res = if forced {
@@ -994,6 +997,9 @@ impl Ssd {
                         );
                     }
                     self.trace_die_span(ppn, "program", "migrate_write", r.start, r.end, r.queued);
+                    if !for_gc {
+                        self.seal_if_closed_short(block);
+                    }
                     return Ok((r.end, ppn));
                 }
                 Err(FlashError::ProgramFailed { at, ppn }) => {
@@ -1013,13 +1019,28 @@ impl Ssd {
                     // — the failed page is already consumed as invalid, so
                     // failures cost pages, never reserve blocks.
                     if !for_gc {
-                        self.alloc.close_frontier(region);
+                        if let Some(closed) = self.alloc.close_frontier(region) {
+                            self.dev.seal(closed);
+                        }
                     }
                     ready = at + self.cfg.program_retry_backoff_ns;
                 }
                 Err(FlashError::PowerLoss) => return Err(FlashError::PowerLoss),
                 Err(e) => panic!("flash program failed: {e}"),
             }
+        }
+    }
+
+    /// Keep the device's set of closed blocks equal to the allocator's on
+    /// the host path. A refused forced program (above) takes a frontier
+    /// slot without programming a page; from then on the allocator runs
+    /// ahead of that block's write pointer and closes the frontier — by its
+    /// own count — short of full. The unwritten tail is stranded exactly as
+    /// after [`Allocator::close_frontier`], so the block is sealed the
+    /// moment the allocator stops calling it open.
+    fn seal_if_closed_short(&mut self, block: BlockId) {
+        if !self.dev.block(block).is_full() && !self.alloc.is_open(block) {
+            self.dev.seal(block);
         }
     }
 

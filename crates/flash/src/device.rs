@@ -6,6 +6,7 @@ use crate::fault::{FaultConfig, FaultPlan, FlashError, JournalEntry, JournalOp, 
 use crate::geometry::Geometry;
 use crate::stats::DeviceStats;
 use crate::timing::Timing;
+use crate::victim_index::VictimIndex;
 use cagc_sim::time::Nanos;
 use cagc_sim::timeline::{Reservation, TimelineGroup};
 
@@ -60,24 +61,19 @@ pub struct FlashDevice {
     retired_count: u32,
     /// Shared durable sequence counter for OOB stamps and journal records.
     seq: u64,
-    /// Greedy-victim acceleration: per-block valid-page count, live only
-    /// while the block is **full** (write pointer at the end — exactly the
-    /// closed, collectible state in fault-free operation) and not retired;
-    /// [`VICTIM_UNTRACKED`] otherwise. One dense `u16` per block keeps the
-    /// whole array in a handful of cache lines, so
-    /// [`FlashDevice::greedy_full_victim`] scans it instead of walking
-    /// every [`Block`] — and maintenance is a single store on the
-    /// fill/invalidate/erase transitions.
-    victim_valid: Vec<u16>,
+    /// The Greedy victim index: every *collectible* block — written, not
+    /// retired, and either full or sealed ([`FlashDevice::seal`]) — that an
+    /// erase would gain from, filed under its valid-page count. A block
+    /// still being programmed is neither full nor sealed, so an open write
+    /// frontier is never in the index. Kept exact by
+    /// `sync_victim_index` on every fill / invalidate / seal / erase /
+    /// retire / recovery transition.
+    victims: VictimIndex,
     /// `wear_hist[c]` = blocks erased exactly `c` times, maintained by
     /// [`FlashDevice::erase`] so wear percentiles need no per-call sort.
     /// Erase counts only grow, so the last bucket is never empty.
     wear_hist: Vec<u32>,
 }
-
-/// Sentinel in [`FlashDevice::victim_valid`]: block not full (free, open
-/// frontier, or abandoned mid-write) or retired — never a dense-path victim.
-const VICTIM_UNTRACKED: u16 = u16::MAX;
 
 impl FlashDevice {
     /// A fresh device with no fault injection: all blocks erased, all dies
@@ -88,10 +84,6 @@ impl FlashDevice {
 
     /// A fresh device with the given fault-injection configuration.
     pub fn with_faults(geometry: Geometry, timing: Timing, faults: FaultConfig) -> Self {
-        assert!(
-            geometry.pages_per_block < VICTIM_UNTRACKED as u32,
-            "pages_per_block must fit below the victim-index sentinel"
-        );
         let blocks: Vec<Block> =
             (0..geometry.total_blocks()).map(|_| Block::new(geometry.pages_per_block)).collect();
         Self {
@@ -107,57 +99,65 @@ impl FlashDevice {
             retired: vec![false; geometry.total_blocks() as usize],
             retired_count: 0,
             seq: 0,
-            victim_valid: vec![VICTIM_UNTRACKED; geometry.total_blocks() as usize],
+            victims: VictimIndex::new(geometry.total_blocks(), geometry.pages_per_block),
             wear_hist: vec![geometry.total_blocks()],
         }
     }
 
-    /// Refresh block `b`'s entry in the dense victim index from its
-    /// authoritative state (see the `victim_valid` field docs).
+    /// Re-file block `b` in the victim index from its authoritative state
+    /// (see the `victims` field docs): O(1), whatever changed.
     #[inline]
-    fn sync_victim_valid(&mut self, b: BlockId) {
+    fn sync_victim_index(&mut self, b: BlockId) {
         let blk = &self.blocks[b as usize];
-        self.victim_valid[b as usize] = if blk.is_full() && !self.retired[b as usize] {
-            blk.valid_count() as u16
-        } else {
-            VICTIM_UNTRACKED
-        };
+        let valid = blk.valid_count();
+        let collectible = (blk.is_full() || self.victims.is_sealed(b))
+            && !self.retired[b as usize]
+            && valid < blk.pages();
+        self.victims.file(b, collectible.then_some(valid));
     }
 
-    /// The Greedy GC victim, answered from the dense per-block index: the
-    /// full, non-retired block with the fewest valid pages (= the largest
-    /// reclaim gain), ties broken exactly like the `Greedy` policy key —
-    /// most trimmed pages, then fewest erases, then lowest block id.
-    /// Returns `None` when no full block would reclaim anything.
-    ///
-    /// Only **full** blocks are visible here. In fault-free operation that
-    /// is precisely the closed-block candidate set, so the answer is
-    /// bit-identical to a full scan; after program failures or power-loss
-    /// recovery, closed-but-not-full blocks (stranded free pages) exist and
-    /// are invisible to this index — callers must gate on
-    /// [`FlashDevice::faults_active`] and fall back to scanning.
-    pub fn greedy_full_victim(&self) -> Option<BlockId> {
-        let pages = self.geometry.pages_per_block as u16;
-        // Single pass: track the running minimum valid count and the best
-        // tie-break key at that minimum. Fully-valid blocks (v == pages)
-        // reclaim nothing and are never candidates, which the sentinel
-        // `min_v = pages` with a strict first acceptance encodes.
-        let mut min_v = pages;
-        let mut best: Option<(u32, u32, BlockId)> = None;
-        for (b, &v) in self.victim_valid.iter().enumerate() {
-            if v > min_v || (v == min_v && best.is_none()) {
-                continue;
-            }
-            let blk = &self.blocks[b];
-            let key = (u32::MAX - blk.trimmed_count(), blk.erase_count(), b as BlockId);
-            if v < min_v {
-                min_v = v;
-                best = Some(key);
-            } else if best.is_none_or(|k| key < k) {
-                best = Some(key);
-            }
+    /// Declare that no more pages will be programmed into `b` before its
+    /// next erase: the FTL closed this write frontier early (program-failure
+    /// retry) or lost it (power loss). The never-written tail is *stranded*
+    /// — only an erase brings it back — so the block becomes collectible
+    /// with those pages counted in its reclaim gain (pages − valid, exactly
+    /// as for a full block). A block with nothing written has nothing to
+    /// collect and a retired one is gone; both are left alone.
+    pub fn seal(&mut self, b: BlockId) {
+        let blk = &self.blocks[b as usize];
+        if !blk.is_free() && !self.retired[b as usize] {
+            self.victims.set_stranded(b, blk.free_count());
         }
-        best.map(|(_, _, b)| b)
+        self.sync_victim_index(b);
+    }
+
+    /// The Greedy GC victim, answered from the victim index without looking
+    /// at any block outside the lowest occupied valid-count bucket: the
+    /// collectible block with the fewest valid pages (= the largest reclaim
+    /// gain, invalid + stranded), ties broken exactly like the `Greedy`
+    /// policy key — most trimmed pages, then fewest erases, then lowest
+    /// block id. `None` when no collectible block would reclaim anything.
+    /// Exact in every configuration: sealed blocks are index members, so
+    /// armed faults and power-loss recovery need no fallback.
+    pub fn greedy_full_victim(&self) -> Option<BlockId> {
+        self.victims.lowest_bucket().min_by_key(|&b| {
+            let blk = &self.blocks[b as usize];
+            (u32::MAX - blk.trimmed_count(), blk.erase_count(), b)
+        })
+    }
+
+    /// Number of blocks a victim policy may choose from right now (the
+    /// collectible blocks whose erase would reclaim at least one page).
+    #[inline]
+    pub fn victim_candidates(&self) -> u32 {
+        self.victims.filed()
+    }
+
+    /// Free pages stranded behind sealed write pointers, over all victim
+    /// candidates — capacity only GC can return.
+    #[inline]
+    pub fn stranded_pages(&self) -> u64 {
+        self.victims.stranded_total()
     }
 
     /// The device geometry.
@@ -365,6 +365,7 @@ impl FlashDevice {
         if self.blocks[block as usize].is_full() {
             return Err(FlashError::BlockFull { block });
         }
+        debug_assert!(!self.victims.is_sealed(block), "program into sealed block {block}");
         self.plan.note_durable_op()?;
         let svc = self.timing.program_service();
         let r = self.reserve_block_op(block, ready_at, svc);
@@ -380,12 +381,12 @@ impl FlashDevice {
             self.blocks[block as usize].invalidate(page, r.end);
             self.oob[ppn as usize] = PageOob { lpn: None, fp: None, seq };
             self.stats.program_failures += 1;
-            self.sync_victim_valid(block);
+            self.sync_victim_index(block);
             return Err(FlashError::ProgramFailed { ppn, at: r.end });
         }
         self.oob[ppn as usize] = PageOob { seq, ..oob };
         if self.blocks[block as usize].is_full() {
-            self.sync_victim_valid(block);
+            self.sync_victim_index(block);
         }
         Ok((r, ppn))
     }
@@ -394,7 +395,7 @@ impl FlashDevice {
     pub fn invalidate(&mut self, ppn: Ppn, now: Nanos) {
         let b = self.geometry.block_of(ppn);
         self.blocks[b as usize].invalidate(self.geometry.page_of(ppn), now);
-        self.sync_victim_valid(b);
+        self.sync_victim_index(b);
     }
 
     /// Mark `ppn` invalid because the host trimmed its last logical
@@ -407,7 +408,7 @@ impl FlashDevice {
         let b = self.geometry.block_of(ppn);
         self.blocks[b as usize].deallocate(self.geometry.page_of(ppn), now);
         self.stats.trimmed_pages += 1;
-        self.sync_victim_valid(b);
+        self.sync_victim_index(b);
     }
 
     /// Erase block `block`, ready no earlier than `ready_at`.
@@ -443,7 +444,8 @@ impl FlashDevice {
             self.stats.erase_failures += 1;
             self.stats.blocks_retired += 1;
             self.stats.erase_busy_ns += self.timing.erase_ns;
-            self.sync_victim_valid(block);
+            self.victims.set_stranded(block, 0);
+            self.sync_victim_index(block);
             return Err(FlashError::EraseFailed { block, at: r.end });
         }
         self.blocks[block as usize].erase(r.end);
@@ -452,7 +454,8 @@ impl FlashDevice {
             self.wear_hist.push(0);
         }
         self.wear_hist[wear as usize + 1] += 1;
-        self.sync_victim_valid(block);
+        self.victims.set_stranded(block, 0);
+        self.sync_victim_index(block);
         for ppn in self.geometry.pages_of_block(block) {
             self.oob[ppn as usize] = PageOob::default();
         }
@@ -465,12 +468,14 @@ impl FlashDevice {
     /// durable truth `f(ppn)` (the page is referenced by at least one
     /// recovered logical mapping). Wear, write pointers and cell contents
     /// are physical facts and stay; per-block trim attribution is volatile
-    /// and resets (see `Block::recover_validity`).
+    /// and resets (see `Block::recover_validity`). The FTL's write
+    /// frontiers were volatile too, so every written block comes back
+    /// sealed ([`FlashDevice::seal`]).
     pub fn recover_validity(&mut self, mut f: impl FnMut(Ppn) -> bool) {
         for b in 0..self.blocks.len() {
             let base = self.geometry.ppn(b as BlockId, 0);
             self.blocks[b].recover_validity(|page| f(base + page as u64));
-            self.sync_victim_valid(b as BlockId);
+            self.seal(b as BlockId);
         }
     }
 
@@ -852,39 +857,66 @@ mod tests {
         d.program_next(0, 0, host(2)).unwrap();
     }
 
-    /// Reference implementation of [`FlashDevice::greedy_full_victim`]:
-    /// the documented rule, computed by walking every block.
-    fn naive_greedy_full_victim(d: &FlashDevice) -> Option<BlockId> {
-        (0..d.block_count())
+    /// The closed-block walk the victim index replaces, kept as its
+    /// oracle: every written, unretired block that is full or that the
+    /// caller closed early (`closed`) and whose erase would gain a page is
+    /// a candidate. Returns (Greedy victim, Σ stranded free pages,
+    /// candidate count) — the three answers the index must reproduce.
+    fn walk_victims(d: &FlashDevice, closed: &[bool]) -> (Option<BlockId>, u64, u32) {
+        let candidates: Vec<BlockId> = (0..d.block_count())
             .filter(|&b| {
                 let blk = d.block(b);
-                blk.is_full() && !d.is_retired(b) && blk.valid_count() < blk.pages()
+                !blk.is_free()
+                    && !d.is_retired(b)
+                    && (blk.is_full() || closed[b as usize])
+                    && blk.valid_count() < blk.pages()
             })
-            .min_by_key(|&b| {
-                let blk = d.block(b);
-                (blk.valid_count(), u32::MAX - blk.trimmed_count(), blk.erase_count(), b)
-            })
+            .collect();
+        let victim = candidates.iter().copied().min_by_key(|&b| {
+            let blk = d.block(b);
+            (blk.valid_count(), u32::MAX - blk.trimmed_count(), blk.erase_count(), b)
+        });
+        let stranded = candidates.iter().map(|&b| u64::from(d.block(b).free_count())).sum();
+        (victim, stranded, candidates.len() as u32)
     }
 
     #[test]
     fn greedy_victim_index_matches_full_scan_under_random_churn() {
         use cagc_sim::SimRng;
-        let mut d = dev(); // 8 blocks × 8 pages
+        // 32 blocks × 8 pages, with program and erase failures armed.
+        let mut d = FlashDevice::with_faults(
+            Geometry::new(1, 2, 1, 16, 8, 4096),
+            Timing::ull(),
+            FaultConfig {
+                program_fail_prob: 0.05,
+                erase_fail_prob: 0.02,
+                seed: 3,
+                ..FaultConfig::none()
+            },
+        );
+        let blocks = d.block_count();
         let mut rng = SimRng::seed_from_u64(0xB10C5);
         let mut live: Vec<Ppn> = Vec::new();
+        // The test's own record of partially written blocks it closed.
+        let mut closed = vec![false; blocks as usize];
+        let (mut sealed, mut failed_programs, mut recoveries) = (0, 0, 0);
         assert_eq!(d.greedy_full_victim(), None, "fresh device has no victim");
-        for step in 0..4_000 {
-            match rng.gen_range_u64(0..10) {
-                // Program the next page of a random non-full block.
-                0..=4 => {
-                    let b = rng.gen_range_u64(0..8) as BlockId;
-                    if !d.block(b).is_full() {
-                        let (_, ppn) = d.program_next(b, 0, host(step)).unwrap();
-                        live.push(ppn);
+        for step in 0..12_000 {
+            let b = rng.gen_range_u64(0..u64::from(blocks)) as BlockId;
+            match rng.gen_range_u64(0..20) {
+                // Program the next page of a random open block; a failed
+                // program leaves a consumed, invalid page behind.
+                0..=9 => {
+                    if !d.block(b).is_full() && !closed[b as usize] && !d.is_retired(b) {
+                        match d.program_next(b, 0, host(step)) {
+                            Ok((_, ppn)) => live.push(ppn),
+                            Err(FlashError::ProgramFailed { .. }) => failed_programs += 1,
+                            Err(e) => panic!("unexpected {e}"),
+                        }
                     }
                 }
                 // Invalidate or trim a random live page.
-                5..=8 if !live.is_empty() => {
+                10..=16 if !live.is_empty() => {
                     let i = rng.gen_range_usize(0..live.len());
                     let ppn = live.swap_remove(i);
                     if rng.gen_range_u64(0..4) == 0 {
@@ -893,20 +925,53 @@ mod tests {
                         d.invalidate(ppn, 0);
                     }
                 }
-                // Erase a random fully-drained block.
+                // Erase a random fully-drained block; a failed erase
+                // retires it, stranded pages and all.
+                17..=18 => {
+                    if d.block(b).valid_count() == 0 && !d.block(b).is_free() && !d.is_retired(b) {
+                        match d.erase(b, 0) {
+                            Ok(_) => closed[b as usize] = false,
+                            Err(FlashError::EraseFailed { .. }) => assert!(d.is_retired(b)),
+                            Err(e) => panic!("unexpected {e}"),
+                        }
+                    }
+                }
+                // Close a partially written block early, or (rarely) lose
+                // power: validity is rewritten wholesale, every written
+                // block comes back closed, trim attribution resets.
                 _ => {
-                    let b = rng.gen_range_u64(0..8) as BlockId;
-                    if d.block(b).valid_count() == 0 && !d.block(b).is_free() {
-                        d.erase(b, 0).unwrap();
+                    if rng.gen_range_u64(0..16) > 0 {
+                        if !d.block(b).is_free() && !d.is_retired(b) {
+                            d.seal(b);
+                            closed[b as usize] = true;
+                            sealed += u32::from(!d.block(b).is_full());
+                        }
+                    } else {
+                        d.recover_validity(|_| rng.gen_range_u64(0..2) == 0);
+                        live = (0..d.geometry().total_pages())
+                            .filter(|&p| d.page_state(p) == PageState::Valid)
+                            .collect();
+                        for c in 0..blocks {
+                            closed[c as usize] = !d.block(c).is_free();
+                            assert_eq!(d.block(c).trimmed_count(), 0);
+                        }
+                        recoveries += 1;
                     }
                 }
             }
             assert_eq!(
-                d.greedy_full_victim(),
-                naive_greedy_full_victim(&d),
-                "index diverged from full scan at step {step}"
+                (d.greedy_full_victim(), d.stranded_pages(), d.victim_candidates()),
+                walk_victims(&d, &closed),
+                "index diverged from the walk at step {step}"
             );
         }
+        // The churn reached every transition the index has to follow.
+        assert!(
+            sealed > 50 && failed_programs > 50 && recoveries > 5,
+            "{sealed} sealed, {failed_programs} failed programs, {recoveries} recoveries"
+        );
+        assert!(d.stats().blocks_retired > 0 && d.stats().blocks_retired < u64::from(blocks));
+        assert!(d.stats().erases > 100 && d.stats().trimmed_pages > 100);
     }
 
     #[test]

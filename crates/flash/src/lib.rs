@@ -55,6 +55,7 @@ pub mod fault;
 pub mod geometry;
 pub mod stats;
 pub mod timing;
+mod victim_index;
 
 pub use addr::{BlockId, PageOffset, Ppn, NO_PPN};
 pub use block::{Block, PageState};

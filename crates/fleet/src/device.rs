@@ -401,14 +401,23 @@ fn replay_direct(
         }
     }
     let mut degraded_at: Option<Nanos> = None;
+    // One request buffer for the whole replay: rebasing the LPN must not
+    // cost a clone of every request's contents.
+    let mut req = Request::read(0, 0, 0);
     while let Some(Reverse((_, i))) = heap.pop() {
         let trace = &spec.tenants[i].trace;
-        let r = &trace.requests[pos[i]];
+        // Destructured so that a field added to `Request` fails to compile
+        // here instead of keeping the previous request's value.
+        let Request { at_ns, kind, lpn, pages, contents } = &trace.requests[pos[i]];
         pos[i] += 1;
         if let Some(next) = trace.requests.get(pos[i]) {
             heap.push(Reverse((next.at_ns, i)));
         }
-        let req = Request { lpn: r.lpn + offsets[i], ..r.clone() };
+        req.at_ns = *at_ns;
+        req.kind = *kind;
+        req.lpn = lpn + offsets[i];
+        req.pages = *pages;
+        req.contents.clone_from(contents);
         match ssd.process_status(&req) {
             Ok(c) => {
                 let lat = c.end_ns.saturating_sub(req.at_ns);

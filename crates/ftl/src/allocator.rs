@@ -302,11 +302,14 @@ impl Allocator {
     /// the next allocation in that region rotates to a fresh block. The
     /// program-failure retry policy calls this so the retry lands on a
     /// different block — re-programming the next page of a block that
-    /// just failed a program is exactly what real FTLs avoid.
-    pub fn close_frontier(&mut self, region: Region) {
-        if let Some(o) = self.open[region.idx()].as_mut() {
-            o.used = self.pages_per_block;
-        }
+    /// just failed a program is exactly what real FTLs avoid. Returns the
+    /// block that was closed: whatever it had left unwritten is stranded
+    /// until GC erases it, which the caller tells the device
+    /// (`FlashDevice::seal`).
+    pub fn close_frontier(&mut self, region: Region) -> Option<BlockId> {
+        let o = self.open[region.idx()].as_mut()?;
+        o.used = self.pages_per_block;
+        Some(o.block)
     }
 }
 
@@ -393,6 +396,11 @@ mod tests {
         a.release(b);
     }
 
+    /// The double-release check is a `debug_assert!` (see
+    /// [`Allocator::release`]: the containment scan is too slow for the GC
+    /// hot path), so under `cargo test --release` nothing panics and this
+    /// test only exists in debug builds.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "double release")]
     fn double_release_panics() {
@@ -454,12 +462,12 @@ mod tests {
         let mut a = alloc();
         let b0 = a.alloc_page(Region::Host, false).unwrap();
         assert!(a.is_open(b0));
-        a.close_frontier(Region::Host);
+        assert_eq!(a.close_frontier(Region::Host), Some(b0), "reports the block it closed");
         assert!(!a.is_open(b0), "closed frontier is no longer open");
         let b1 = a.alloc_page(Region::Host, false).unwrap();
         assert_ne!(b0, b1, "retry must land on a fresh block");
         // Closing a region with no frontier is a no-op.
-        a.close_frontier(Region::Cold);
+        assert_eq!(a.close_frontier(Region::Cold), None);
     }
 
     #[test]
