@@ -4,10 +4,8 @@
 //!
 //! Two GC-heavy CAGC replays, both fully deterministic:
 //!
-//! * `gc_heavy_replay` — the tiny-device workload, **identical** to the
-//!   `gc_cycle_replay_tracing/disabled` case of `benches/trace.rs`, so its
-//!   median is directly comparable to `results/BENCH_trace.json`'s
-//!   pre-overhaul 8.3 ms figure;
+//! * `gc_heavy_replay` — the tiny-device workload (6 000 Mail requests,
+//!   tracing off; 8.3 ms before the hot-path overhaul, docs/PERFORMANCE.md);
 //! * `gc_heavy_replay_1gb` — the same Mail workload scaled to a 1 GB
 //!   device (8 ch × 4 dies, 4096 blocks, ≈8300 GC rounds), where the
 //!   overhaul's asymptotic wins (O(1) victim selection vs O(blocks),

@@ -5,20 +5,18 @@
 //!       [--trace PATH] [--trace-sample N] [--resilient] [--preempt]
 //!       [--diff A B] [--smoke] CMD...
 //!
-//! CMD: table1 table2 fig2 fig6 fig9 fig10 fig11 fig12 fig13
-//!      ablate-placement ablate-overlap ablate-threshold ablate-watermark
-//!      compare-inline sweep-utilization sweep-trim sweep-faults sweep-qd
-//!      sweep-fleet sweep-chaos wear
+//! CMD: an experiment from `cagc_bench::experiments::COMMANDS`, or
+//!      all        (tables + every figure)
+//!      ablations  (every ablation and extension study)
 //!      smoke      (one seeded GC-heavy CAGC replay; with --trace, emits
 //!                  a Chrome trace + JSONL event log — see docs/OBSERVABILITY.md)
 //!      inspect    (trace analytics: span profile, GC-cycle anatomy, and
 //!                  flamegraph from --trace PATH.jsonl or a fresh seeded
 //!                  replay; --diff A B reports per-GC-phase time deltas
 //!                  between two JSONL traces)
-//!      all        (tables + every figure)
-//!      ablations  (every ablation and extension study)
 //! ```
 //!
+//! `repro --help` lists the experiments (generated from the registry).
 //! Text results go to stdout; CSV series are written under `--out`
 //! (default `results/`). `--smoke` is shorthand for the `smoke` command;
 //! `--trace-sample N` records every Nth host request's spans (GC, fault
@@ -29,21 +27,23 @@
 //! runs).
 
 use cagc_bench::experiments as exp;
-use cagc_bench::{Artifacts, Scale};
+use cagc_bench::Scale;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::time::Instant;
+
+// The two commands implemented here rather than in the registry: they
+// take the trace flags and print instead of returning `Artifacts`.
+const SMOKE: &str = "smoke";
+const INSPECT: &str = "inspect";
 
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--scale quick|default|full] [--seed N] [--out DIR] [--workers N]\n\
          \x20            [--trace PATH] [--trace-sample N] [--resilient] [--preempt]\n\
          \x20            [--diff A B] [--smoke] CMD...\n\
-         CMD: table1 table2 fig2 fig6 fig9 fig10 fig11 fig12 fig13\n\
-         \x20    ablate-placement ablate-overlap ablate-threshold ablate-watermark ablate-idle-gc\n\
-         \x20    compare-inline sweep-utilization sweep-trim sweep-faults sweep-qd sweep-fleet\n\
-         \x20    sweep-chaos wear\n\
-         \x20    smoke | inspect | all | ablations"
+         CMD:\n{}  {SMOKE} | {INSPECT}",
+        exp::command_usage()
     );
     std::process::exit(2);
 }
@@ -54,7 +54,7 @@ fn usage() -> ! {
 /// Chrome document round-trips through the harness JSON parser before
 /// anything touches disk.
 fn smoke(scale: &Scale, trace_out: Option<&std::path::Path>, sample: u64, preempt: bool) {
-    let mut ssd = smoke_device(scale, trace_out.is_some(), sample, preempt);
+    let mut ssd = smoke_device(trace_out.is_some(), sample, preempt);
     let trace = smoke_trace(scale);
     let report = ssd.replay(&trace);
     println!("{}", report.render());
@@ -85,9 +85,8 @@ fn smoke_trace(scale: &Scale) -> cagc_workloads::Trace {
 }
 
 /// The shared seeded device behind `smoke` and `inspect`.
-fn smoke_device(scale: &Scale, traced: bool, sample: u64, preempt: bool) -> cagc_core::Ssd {
+fn smoke_device(traced: bool, sample: u64, preempt: bool) -> cagc_core::Ssd {
     use cagc_core::{Scheme, Ssd, SsdConfig, TraceConfig};
-    let _ = scale;
     let mut cfg = SsdConfig::tiny(Scheme::Cagc);
     cfg.gc_preempt = preempt;
     let mut ssd = Ssd::new(cfg);
@@ -136,7 +135,7 @@ fn inspect(
     let parsed = match trace_in {
         Some(p) => load(p),
         None => {
-            let mut device = smoke_device(scale, true, sample, preempt);
+            let mut device = smoke_device(true, sample, preempt);
             let _ = device.replay(&smoke_trace(scale));
             ssd = device;
             from_tracer(ssd.tracer())
@@ -164,6 +163,16 @@ fn inspect(
     }
 }
 
+/// The next argument — a flag's value — or usage.
+fn value(args: &mut VecDeque<String>) -> String {
+    args.pop_front().unwrap_or_else(|| usage())
+}
+
+/// The next argument parsed as a number, or usage.
+fn number<T: std::str::FromStr>(args: &mut VecDeque<String>) -> T {
+    value(args).parse().unwrap_or_else(|_| usage())
+}
+
 fn main() {
     let mut args: VecDeque<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::default_scale();
@@ -179,43 +188,22 @@ fn main() {
         match a.as_str() {
             "--resilient" => resilient = true,
             "--preempt" => preempt = true,
-            "--diff" => {
-                let a = PathBuf::from(args.pop_front().unwrap_or_else(|| usage()));
-                let b = PathBuf::from(args.pop_front().unwrap_or_else(|| usage()));
-                diff = Some((a, b));
-            }
-            "--trace" => {
-                trace_out = Some(PathBuf::from(args.pop_front().unwrap_or_else(|| usage())))
-            }
-            "--trace-sample" => {
-                trace_sample = args
-                    .pop_front()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--smoke" => cmds.push("smoke".to_string()),
-            "--scale" => match args.pop_front().as_deref() {
-                Some("quick") => scale = Scale::quick(),
-                Some("default") => scale = Scale::default_scale(),
-                Some("full") => scale = Scale::full(),
+            "--diff" => diff = Some((value(&mut args).into(), value(&mut args).into())),
+            "--trace" => trace_out = Some(value(&mut args).into()),
+            "--trace-sample" => trace_sample = number(&mut args),
+            "--smoke" => cmds.push(SMOKE.to_string()),
+            "--scale" => match value(&mut args).as_str() {
+                "quick" => scale = Scale::quick(),
+                "default" => scale = Scale::default_scale(),
+                "full" => scale = Scale::full(),
                 other => {
-                    eprintln!("unknown scale {other:?}");
+                    eprintln!("unknown scale `{other}`");
                     usage()
                 }
             },
-            "--seed" => {
-                scale.seed = args
-                    .pop_front()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--workers" => {
-                scale.workers = args
-                    .pop_front()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--out" => out_dir = PathBuf::from(args.pop_front().unwrap_or_else(|| usage())),
+            "--seed" => scale.seed = number(&mut args),
+            "--workers" => scale.workers = number(&mut args),
+            "--out" => out_dir = value(&mut args).into(),
             "-h" | "--help" => usage(),
             cmd if !cmd.starts_with('-') => cmds.push(cmd.to_string()),
             _ => usage(),
@@ -228,16 +216,9 @@ fn main() {
     // Expand meta-commands.
     let mut expanded = Vec::new();
     for c in cmds {
-        match c.as_str() {
-            "all" => expanded.extend(
-                ["table1", "table2", "fig2", "fig6", "fig9", "fig10", "fig11", "fig12", "fig13"]
-                    .map(String::from),
-            ),
-            "ablations" => expanded.extend(
-                ["ablate-placement", "ablate-overlap", "ablate-threshold", "ablate-watermark", "ablate-idle-gc", "compare-inline", "sweep-utilization", "sweep-trim", "sweep-faults", "sweep-qd", "sweep-fleet", "sweep-chaos", "wear"]
-                    .map(String::from),
-            ),
-            _ => expanded.push(c),
+        match exp::COMMANDS.iter().find(|(meta, _)| *meta == c) {
+            Some((_, group)) => expanded.extend(group.iter().map(|c| c.name.to_string())),
+            None => expanded.push(c),
         }
     }
 
@@ -247,29 +228,12 @@ fn main() {
         scale.device_gb, scale.requests, scale.mail_requests, scale.seed
     );
 
-    // The aged grid is shared by fig6/9/10/11/12: run it lazily, once.
-    let mut aged: Option<exp::AgedResults> = None;
-    fn ensure_aged<'a>(
-        aged: &'a mut Option<exp::AgedResults>,
-        scale: &Scale,
-    ) -> &'a exp::AgedResults {
-        if aged.is_none() {
-            let t = Instant::now();
-            eprintln!("[aged grid: 3 workloads x 3 schemes ...]");
-            *aged = Some(exp::run_aged(scale));
-            eprintln!("[aged grid done in {:.1?}]", t.elapsed());
-        }
-        aged.as_ref().expect("just set")
-    }
-
+    let mut ctx = exp::Ctx::new(scale, resilient);
     for cmd in &expanded {
         let t = Instant::now();
-        if cmd == "smoke" {
+        if cmd == SMOKE {
             smoke(&scale, trace_out.as_deref(), trace_sample, preempt);
-            println!("  [smoke in {:.1?}]\n", t.elapsed());
-            continue;
-        }
-        if cmd == "inspect" {
+        } else if cmd == INSPECT {
             inspect(
                 &scale,
                 &out_dir,
@@ -278,42 +242,22 @@ fn main() {
                 preempt,
                 trace_sample,
             );
-            println!("  [inspect in {:.1?}]\n", t.elapsed());
-            continue;
-        }
-        let art: Artifacts = match cmd.as_str() {
-            "table1" => exp::table1(&scale),
-            "table2" => exp::table2(&scale),
-            "fig2" => exp::fig2(&scale),
-            "fig6" => exp::fig6(ensure_aged(&mut aged, &scale)),
-            "fig9" => exp::fig9(ensure_aged(&mut aged, &scale)),
-            "fig10" => exp::fig10(ensure_aged(&mut aged, &scale)),
-            "fig11" => exp::fig11(ensure_aged(&mut aged, &scale)),
-            "fig12" => exp::fig12(ensure_aged(&mut aged, &scale)),
-            "fig13" => exp::fig13(&scale),
-            "ablate-placement" => exp::ablate_placement(&scale),
-            "ablate-overlap" => exp::ablate_overlap(&scale),
-            "ablate-threshold" => exp::ablate_threshold(&scale),
-            "ablate-watermark" => exp::ablate_watermark(&scale),
-            "ablate-idle-gc" => exp::ablate_idle_gc(&scale),
-            "compare-inline" => exp::compare_inline(&scale),
-            "sweep-utilization" => exp::sweep_utilization(&scale),
-            "sweep-trim" => exp::sweep_trim(&scale),
-            "sweep-faults" => exp::sweep_faults(&scale),
-            "sweep-qd" => exp::sweep_qd(&scale, resilient),
-            "sweep-fleet" => exp::sweep_fleet(&scale),
-            "sweep-chaos" => exp::sweep_chaos(&scale),
-            "wear" => exp::wear_study(&scale),
-            other => {
-                eprintln!("unknown command `{other}`");
+        } else {
+            let Some(command) = exp::commands().find(|c| c.name == cmd) else {
+                eprintln!("unknown command `{cmd}`");
                 usage()
+            };
+            let art = (command.run)(&mut ctx);
+            assert!(
+                art.csv.iter().map(|(name, _)| name.as_str()).eq(command.csv.iter().copied()),
+                "`{cmd}` must write exactly the CSVs its registry row declares"
+            );
+            println!("{}", art.text);
+            for (name, csv) in &art.csv {
+                let path = out_dir.join(name);
+                std::fs::write(&path, csv).expect("write CSV artifact");
+                println!("  -> {}", path.display());
             }
-        };
-        println!("{}", art.text);
-        for (name, csv) in &art.csv {
-            let path = out_dir.join(name);
-            std::fs::write(&path, csv).expect("write CSV artifact");
-            println!("  -> {}", path.display());
         }
         println!("  [{cmd} in {:.1?}]\n", t.elapsed());
     }

@@ -1,18 +1,24 @@
 //! Regeneration of every table and figure in the paper's evaluation,
 //! plus the ablations DESIGN.md calls out.
 //!
-//! Each function renders a human-readable text block (what `repro` prints)
-//! and, where applicable, returns CSV series via [`Artifacts`] so results
-//! can be checked into `results/`.
+//! Every fact is stated once. An experiment is one function that pushes
+//! each result row once into a [`Table`], in the CSV's columns and
+//! precision: [`Table::to_csv`] is the artifact checked into `results/`,
+//! [`Table::render`] the same cells aligned for `repro`'s stdout. Replay
+//! grids go through `grid`, which hands every report back with the trace
+//! key and cell label it belongs to. [`COMMANDS`] names each experiment
+//! once; `repro` derives its usage, `all` / `ablations` and dispatch from it.
 
-use cagc_core::{run_cells, Scheme, SsdConfig};
-use cagc_metrics::{bar_chart, reduction_pct, Table};
-use cagc_workloads::{FiuWorkload, TraceProfile};
+use std::time::Instant;
+
+use cagc_core::{run_cells, RunReport, Scheme, SsdConfig};
+use cagc_flash::FaultConfig;
 use cagc_ftl::VictimKind;
+use cagc_metrics::{bar_chart, reduction_pct, Table};
+use cagc_workloads::{FiuWorkload, Trace, TraceProfile};
 
 use crate::paper;
 use crate::scale::Scale;
-use cagc_core::RunReport;
 
 /// A rendered experiment: the text block plus named CSV artifacts.
 pub struct Artifacts {
@@ -23,12 +29,71 @@ pub struct Artifacts {
 }
 
 impl Artifacts {
-    fn text_only(text: String) -> Self {
-        Self { text, csv: Vec::new() }
+    /// `title`, the aligned table, then a closing `note`; `file` gets the
+    /// same rows as CSV.
+    fn tabled(title: &str, t: &Table, note: &str, file: &str) -> Self {
+        Self {
+            text: format!("{title}\n\n{}{note}", t.render()),
+            csv: vec![(file.into(), t.to_csv())],
+        }
     }
 }
 
-/// The aged-device replay grid behind Figs. 9, 10, 11 and 12: every
+/// Baseline and CAGC: the scheme pair most studies compare.
+const PAIR: [Scheme; 2] = [Scheme::Baseline, Scheme::Cagc];
+
+/// The aged-device trace for `w`: a footprint that nearly fills the
+/// logical space (see `Scale::footprint_frac`), so GC runs throughout.
+fn aged_trace(scale: &Scale, w: FiuWorkload) -> Trace {
+    w.synth_config(scale.footprint_pages(w), scale.requests_for(w), scale.seed).generate()
+}
+
+/// [`aged_trace`] with the request count capped at `cap` (Mail included):
+/// the single-workload sweeps replay many cells and their ratios settle
+/// well before the figures' full length.
+fn short_trace(scale: &Scale, w: FiuWorkload, cap: usize) -> Trace {
+    w.synth_config(scale.footprint_pages(w), scale.requests.min(cap), scale.seed).generate()
+}
+
+/// A trace for a **fresh** (GC-free) device, the regime of Fig. 2.
+fn fresh_trace(scale: &Scale, w: FiuWorkload) -> Trace {
+    let flash = scale.flash();
+    // Size each trace so total writes stay far below device capacity:
+    // footprint 15% of logical space, volume ≈ 25% of physical pages.
+    let budget_pages = flash.geometry().total_pages() / 4;
+    let requests = (budget_pages as f64 / (w.write_ratio() * w.mean_req_pages())) as usize;
+    let fp = (flash.logical_pages() as f64 * 0.15) as u64;
+    let mut cfg = w.synth_config(fp, requests, scale.seed);
+    cfg.prefill_fraction = 0.5;
+    cfg.generate()
+}
+
+/// Replay every keyed trace under every `(scheme, label)` cell in one
+/// `run_cells` call. `tweak` applies a label's delta to the scheme's paper
+/// configuration. Reports come back trace-major, cells in the order given,
+/// each with its trace key and label — callers never index.
+fn grid<K: Copy, L: Copy>(
+    scale: &Scale,
+    traces: &[(K, Trace)],
+    cells: &[(Scheme, L)],
+    tweak: impl Fn(&mut SsdConfig, L),
+) -> Vec<(K, L, RunReport)> {
+    let flash = scale.flash();
+    let mut keys = Vec::new();
+    let mut jobs = Vec::new();
+    for (key, trace) in traces {
+        for &(scheme, label) in cells {
+            let mut cfg = SsdConfig::paper(flash, scheme);
+            tweak(&mut cfg, label);
+            jobs.push((cfg, trace));
+            keys.push((*key, label));
+        }
+    }
+    let reports = run_cells(&jobs, scale.workers);
+    keys.into_iter().zip(reports).map(|((key, label), r)| (key, label, r)).collect()
+}
+
+/// The aged-device replay grid behind Figs. 6, 9, 10, 11 and 12: every
 /// workload × every scheme, on a device whose logical space is nearly full
 /// (see `Scale::footprint_frac`).
 pub struct AgedResults {
@@ -47,25 +112,12 @@ impl AgedResults {
 
 /// Run the aged grid once (shared by several figures).
 pub fn run_aged(scale: &Scale) -> AgedResults {
-    let flash = scale.flash();
-    let mut cells = Vec::new();
-    let mut traces = Vec::new();
-    for w in FiuWorkload::ALL {
-        traces.push(
-            w.synth_config(scale.footprint_pages(w), scale.requests_for(w), scale.seed)
-                .generate(),
-        );
-    }
-    for trace in &traces {
-        for scheme in Scheme::ALL {
-            cells.push((SsdConfig::paper(flash, scheme), trace));
-        }
-    }
-    let reports = run_cells(&cells, scale.workers);
-    let mut runs = Vec::new();
-    for (i, w) in FiuWorkload::ALL.into_iter().enumerate() {
-        runs.push((w, reports[i * 3..i * 3 + 3].to_vec()));
-    }
+    let traces = FiuWorkload::ALL.map(|w| (w, aged_trace(scale, w)));
+    let reports = grid(scale, &traces, &Scheme::ALL.map(|s| (s, ())), |_, ()| {});
+    let runs = reports
+        .chunks(Scheme::ALL.len())
+        .map(|per_w| (per_w[0].0, per_w.iter().map(|(_, _, r)| r.clone()).collect()))
+        .collect();
     AgedResults { runs }
 }
 
@@ -75,51 +127,37 @@ pub fn run_aged(scale: &Scale) -> AgedResults {
 pub fn table1(scale: &Scale) -> Artifacts {
     let flash = scale.flash();
     let geom = flash.geometry();
-    let mut t = Table::new(vec!["Type", "Value", "Type ", "Value "]);
-    t.row(vec![
-        "Page Size".into(),
-        format!("{}B", flash.page_size),
-        "Read".into(),
-        format!("{}us", flash.timing.read_ns / 1000),
-    ]);
-    t.row(vec![
-        "Block Size".into(),
-        format!("{}KB", flash.pages_per_block * flash.page_size / 1024),
-        "Write".into(),
-        format!("{}us", flash.timing.program_ns / 1000),
-    ]);
-    t.row(vec![
-        "OP Space".into(),
-        format!("{:.0}%", flash.op_ratio * 100.0),
-        "Erase Delay".into(),
-        format!("{:.1}ms", flash.timing.erase_ns as f64 / 1e6),
-    ]);
-    t.row(vec![
-        "Capacity".into(),
-        format!("{:.0}GB (paper: 80GB)", flash.physical_bytes() as f64 / (1u64 << 30) as f64),
-        "Hash".into(),
-        format!("{}us", flash.hash_ns / 1000),
-    ]);
-    t.row(vec![
-        "Workloads".into(),
-        "FIU-like synthetic [9]".into(),
-        "GC Watermark".into(),
-        format!("{:.0}% (of OP pool)", flash.gc_watermark * 100.0),
-    ]);
-    t.row(vec![
-        "Geometry".into(),
-        format!(
-            "{}ch x {}die x {}pl x {}blk x {}pg",
-            geom.channels,
-            geom.dies_per_channel,
-            geom.planes_per_die,
-            geom.blocks_per_plane,
-            geom.pages_per_block
+    let gb = |bytes: u64| bytes as f64 / (1u64 << 30) as f64;
+    // Laid out like the paper's Table I: two (type, value) facts per row.
+    let facts = [
+        ("Page Size", format!("{}B", flash.page_size)),
+        ("Read", format!("{}us", flash.timing.read_ns / 1000)),
+        ("Block Size", format!("{}KB", flash.pages_per_block * flash.page_size / 1024)),
+        ("Write", format!("{}us", flash.timing.program_ns / 1000)),
+        ("OP Space", format!("{:.0}%", flash.op_ratio * 100.0)),
+        ("Erase Delay", format!("{:.1}ms", flash.timing.erase_ns as f64 / 1e6)),
+        ("Capacity", format!("{:.0}GB (paper: 80GB)", gb(flash.physical_bytes()))),
+        ("Hash", format!("{}us", flash.hash_ns / 1000)),
+        ("Workloads", "FIU-like synthetic [9]".to_string()),
+        ("GC Watermark", format!("{:.0}% (of OP pool)", flash.gc_watermark * 100.0)),
+        (
+            "Geometry",
+            format!(
+                "{}ch x {}die x {}pl x {}blk x {}pg",
+                geom.channels,
+                geom.dies_per_channel,
+                geom.planes_per_die,
+                geom.blocks_per_plane,
+                geom.pages_per_block
+            ),
         ),
-        "Logical".into(),
-        format!("{:.2}GB", flash.logical_bytes() as f64 / (1u64 << 30) as f64),
-    ]);
-    Artifacts::text_only(format!("Table I — SSD configuration\n\n{}", t.render()))
+        ("Logical", format!("{:.2}GB", gb(flash.logical_bytes()))),
+    ];
+    let mut t = Table::new(vec!["Type", "Value", "Type ", "Value "]);
+    for pair in facts.chunks(2) {
+        t.row(pair.iter().flat_map(|(k, v)| [k.to_string(), v.clone()]).collect());
+    }
+    Artifacts { text: format!("Table I — SSD configuration\n\n{}", t.render()), csv: Vec::new() }
 }
 
 // ------------------------------------------------------------ Table II
@@ -128,46 +166,33 @@ pub fn table1(scale: &Scale) -> Artifacts {
 /// characteristics against the published ones.
 pub fn table2(scale: &Scale) -> Artifacts {
     let mut t = Table::new(vec![
-        "Trace", "Write Ratio", "(paper)", "Dedup Ratio", "(paper) ", "Aver. Req. Size",
-        "(paper)  ",
+        "workload", "write_ratio", "paper_write_ratio", "dedup_ratio", "paper_dedup_ratio",
+        "mean_req_kb", "paper_mean_req_kb",
     ]);
-    let mut csv = String::from("workload,write_ratio,paper_write_ratio,dedup_ratio,paper_dedup_ratio,mean_req_kb,paper_mean_req_kb\n");
-    for (i, w) in FiuWorkload::ALL.into_iter().enumerate() {
+    for (w, (_, pw, pd, pk)) in FiuWorkload::ALL.into_iter().zip(paper::TABLE2) {
         // Characterize the steady-state request mix (the paper's Table II
         // describes the traces themselves); the prefill phase used to age
         // the device is excluded here.
-        let mut cfg = w.synth_config(scale.footprint_pages(w), scale.requests.min(50_000), scale.seed);
+        let mut cfg =
+            w.synth_config(scale.footprint_pages(w), scale.requests.min(50_000), scale.seed);
         cfg.prefill_fraction = 0.0;
-        let trace = cfg.generate();
-        let p = TraceProfile::of(&trace);
-        let (_, pw, pd, pk) = (paper::TABLE2[i].0, paper::TABLE2[i].1, paper::TABLE2[i].2, paper::TABLE2[i].3);
+        let p = TraceProfile::of(&cfg.generate());
         t.row(vec![
             w.name().to_string(),
-            format!("{:.1}%", p.write_ratio * 100.0),
-            format!("{:.1}%", pw * 100.0),
-            format!("{:.1}%", p.dedup_ratio * 100.0),
-            format!("{:.1}%", pd * 100.0),
-            format!("{:.1}KB", p.mean_req_kb),
-            format!("{:.1}KB", pk),
+            format!("{:.4}", p.write_ratio),
+            format!("{pw:.4}"),
+            format!("{:.4}", p.dedup_ratio),
+            format!("{pd:.4}"),
+            format!("{:.2}", p.mean_req_kb),
+            format!("{pk:.2}"),
         ]);
-        csv.push_str(&format!(
-            "{},{:.4},{:.4},{:.4},{:.4},{:.2},{:.2}\n",
-            w.name(),
-            p.write_ratio,
-            pw,
-            p.dedup_ratio,
-            pd,
-            p.mean_req_kb,
-            pk
-        ));
     }
-    Artifacts {
-        text: format!(
-            "Table II — workload characteristics (measured on generated traces vs paper)\n\n{}",
-            t.render()
-        ),
-        csv: vec![("table2.csv".into(), csv)],
-    }
+    Artifacts::tabled(
+        "Table II — workload characteristics (measured on generated traces vs paper)",
+        &t,
+        "",
+        "table2.csv",
+    )
 }
 
 // -------------------------------------------------------------- Fig 2
@@ -176,59 +201,38 @@ pub fn table2(scale: &Scale) -> Artifacts {
 /// Baseline on a **fresh** (GC-free) device — the regime of the paper's
 /// preliminary Z-NAND experiment.
 pub fn fig2(scale: &Scale) -> Artifacts {
-    let flash = scale.flash();
-    // Size each trace so total writes stay far below device capacity:
-    // footprint 15% of logical space, volume ≈ 25% of physical pages.
-    let budget_pages = flash.geometry().total_pages() / 4;
-    let mut traces = Vec::new();
-    for w in FiuWorkload::ALL {
-        let requests =
-            (budget_pages as f64 / (w.write_ratio() * w.mean_req_pages())) as usize;
-        let fp = (flash.logical_pages() as f64 * 0.15) as u64;
-        let mut cfg = w.synth_config(fp, requests, scale.seed);
-        cfg.prefill_fraction = 0.5;
-        traces.push(cfg.generate());
-    }
-    let mut cells = Vec::new();
-    for trace in &traces {
-        for scheme in [Scheme::Baseline, Scheme::InlineDedup] {
-            cells.push((SsdConfig::paper(flash, scheme), trace));
-        }
-    }
-    let reports = run_cells(&cells, scale.workers);
+    let traces = FiuWorkload::ALL.map(|w| (w, fresh_trace(scale, w)));
+    let cells = [Scheme::Baseline, Scheme::InlineDedup].map(|s| (s, ()));
+    let reports = grid(scale, &traces, &cells, |_, ()| {});
 
-    let mut text = String::from(
-        "Fig. 2 — normalized response time, fresh ULL SSD (Baseline vs Inline-Dedupe)\n\
-         paper: inline dedup raised response time up to 71.9% (avg 43.1%)\n\n",
-    );
+    let mut t = Table::new(vec!["workload", "baseline_mean_us", "inline_mean_us", "normalized"]);
     let mut bars = Vec::new();
-    let mut csv = String::from("workload,baseline_mean_us,inline_mean_us,normalized\n");
     let mut increases = Vec::new();
-    for (i, w) in FiuWorkload::ALL.into_iter().enumerate() {
-        let base = &reports[i * 2];
-        let inline = &reports[i * 2 + 1];
+    for pair in reports.chunks(cells.len()) {
+        let ((w, _, base), inline) = (&pair[0], &pair[1].2);
         assert_eq!(base.gc.invocations, 0, "fig2 must be GC-free");
         let norm = inline.all.mean_ns / base.all.mean_ns;
         increases.push((norm - 1.0) * 100.0);
         bars.push((format!("{} Baseline", w.name()), 1.0));
         bars.push((format!("{} Inline-Dedupe", w.name()), norm));
-        csv.push_str(&format!(
-            "{},{:.2},{:.2},{:.4}\n",
-            w.name(),
-            base.all.mean_ns / 1000.0,
-            inline.all.mean_ns / 1000.0,
-            norm
-        ));
+        t.row(vec![
+            w.name().to_string(),
+            format!("{:.2}", base.all.mean_ns / 1000.0),
+            format!("{:.2}", inline.all.mean_ns / 1000.0),
+            format!("{norm:.4}"),
+        ]);
     }
-    text.push_str(&bar_chart(&bars, 40));
-    text.push_str(&format!(
-        "\nmeasured increase: avg {:.1}%, max {:.1}%  (paper: avg {:.1}%, max {:.1}%)\n",
+    let text = format!(
+        "Fig. 2 — normalized response time, fresh ULL SSD (Baseline vs Inline-Dedupe)\n\
+         paper: inline dedup raised response time up to 71.9% (avg 43.1%)\n\n{}\n\
+         measured increase: avg {:.1}%, max {:.1}%  (paper: avg {:.1}%, max {:.1}%)\n",
+        bar_chart(&bars, 40),
         increases.iter().sum::<f64>() / increases.len() as f64,
         increases.iter().cloned().fold(f64::MIN, f64::max),
         paper::FIG2_INLINE_AVG_INCREASE_PCT,
         paper::FIG2_INLINE_MAX_INCREASE_PCT
-    ));
-    Artifacts { text, csv: vec![("fig2.csv".into(), csv)] }
+    );
+    Artifacts { text, csv: vec![("fig2.csv".into(), t.to_csv())] }
 }
 
 // -------------------------------------------------------------- Fig 6
@@ -236,12 +240,7 @@ pub fn fig2(scale: &Scale) -> Artifacts {
 /// Fig. 6 (motivation): distribution of invalidated pages by the peak
 /// reference count of their content, per workload.
 pub fn fig6(aged: &AgedResults) -> Artifacts {
-    let mut t = Table::new(vec!["Workload", "ref==1", "ref==2", "ref==3", "ref>3"]);
-    let mut csv = String::from("workload,ref1,ref2,ref3,ref_gt3\n");
-    let mut text = String::from(
-        "Fig. 6 — invalidated pages by reference count (Inline-Dedupe run: every page tracked)\n\
-         paper: >80% of invalidations from refcount-1 pages; <1% from refcount>3\n\n",
-    );
+    let mut t = Table::new(vec!["workload", "ref1", "ref2", "ref3", "ref_gt3"]);
     let mut avg = [0.0f64; 4];
     for w in FiuWorkload::ALL {
         let (inline, _, _) = aged.of(w);
@@ -251,31 +250,20 @@ pub fn fig6(aged: &AgedResults) -> Artifacts {
         for (a, v) in avg.iter_mut().zip(f) {
             *a += v / 3.0;
         }
-        t.row(vec![
-            w.name().to_string(),
-            format!("{:.1}%", f[0] * 100.0),
-            format!("{:.1}%", f[1] * 100.0),
-            format!("{:.1}%", f[2] * 100.0),
-            format!("{:.2}%", f[3] * 100.0),
-        ]);
-        csv.push_str(&format!(
-            "{},{:.4},{:.4},{:.4},{:.4}\n",
-            w.name(),
-            f[0],
-            f[1],
-            f[2],
-            f[3]
-        ));
+        let mut row = vec![w.name().to_string()];
+        row.extend(f.map(|v| format!("{v:.4}")));
+        t.row(row);
     }
-    t.row(vec![
-        "Average".to_string(),
-        format!("{:.1}%", avg[0] * 100.0),
-        format!("{:.1}%", avg[1] * 100.0),
-        format!("{:.1}%", avg[2] * 100.0),
-        format!("{:.2}%", avg[3] * 100.0),
-    ]);
-    text.push_str(&t.render());
-    Artifacts { text, csv: vec![("fig6.csv".into(), csv)] }
+    let [a1, a2, a3, gt3] = avg.map(|a| a * 100.0);
+    let note =
+        format!("\naverage: ref1 {a1:.1}%  ref2 {a2:.1}%  ref3 {a3:.1}%  ref_gt3 {gt3:.2}%\n");
+    Artifacts::tabled(
+        "Fig. 6 — invalidated pages by reference count (Inline-Dedupe run: every page tracked)\n\
+         paper: >80% of invalidations from refcount-1 pages; <1% from refcount>3",
+        &t,
+        &note,
+        "fig6.csv",
+    )
 }
 
 // ---------------------------------------------------- Figs 9 / 10 / 11
@@ -283,35 +271,25 @@ pub fn fig6(aged: &AgedResults) -> Artifacts {
 fn reduction_figure(
     aged: &AgedResults,
     title: &str,
-    paper_pct: &[f64; 3],
+    paper_pct: [f64; 3],
     metric: impl Fn(&RunReport) -> f64,
     file: &str,
 ) -> Artifacts {
-    let mut text = format!("{title}\n\n");
-    let mut t = Table::new(vec!["Workload", "Baseline", "CAGC", "Reduction", "(paper)"]);
-    let mut csv = String::from("workload,baseline,cagc,reduction_pct,paper_reduction_pct\n");
-    for (i, w) in FiuWorkload::ALL.into_iter().enumerate() {
+    let mut t = Table::new(vec![
+        "workload", "baseline", "cagc", "reduction_pct", "paper_reduction_pct",
+    ]);
+    for (w, paper) in FiuWorkload::ALL.into_iter().zip(paper_pct) {
         let (_, base, cagc) = aged.of(w);
         let (b, c) = (metric(base), metric(cagc));
-        let red = reduction_pct(b, c);
         t.row(vec![
             w.name().to_string(),
-            format!("{b:.0}"),
-            format!("{c:.0}"),
-            format!("{red:.1}%"),
-            format!("{:.1}%", paper_pct[i]),
+            format!("{b:.1}"),
+            format!("{c:.1}"),
+            format!("{:.2}", reduction_pct(b, c)),
+            format!("{paper:.2}"),
         ]);
-        csv.push_str(&format!(
-            "{},{:.1},{:.1},{:.2},{:.2}\n",
-            w.name(),
-            b,
-            c,
-            red,
-            paper_pct[i]
-        ));
     }
-    text.push_str(&t.render());
-    Artifacts { text, csv: vec![(file.into(), csv)] }
+    Artifacts::tabled(title, &t, "", file)
 }
 
 /// Fig. 9: number of flash blocks erased, Baseline vs CAGC.
@@ -319,7 +297,7 @@ pub fn fig9(aged: &AgedResults) -> Artifacts {
     reduction_figure(
         aged,
         "Fig. 9 — flash blocks erased (Baseline vs CAGC)",
-        &paper::FIG9_ERASE_REDUCTION_PCT,
+        paper::FIG9_ERASE_REDUCTION_PCT,
         |r| r.gc.blocks_erased as f64,
         "fig9.csv",
     )
@@ -330,7 +308,7 @@ pub fn fig10(aged: &AgedResults) -> Artifacts {
     reduction_figure(
         aged,
         "Fig. 10 — data pages migrated during GC (Baseline vs CAGC)",
-        &paper::FIG10_MIGRATION_REDUCTION_PCT,
+        paper::FIG10_MIGRATION_REDUCTION_PCT,
         |r| r.gc.pages_migrated as f64,
         "fig10.csv",
     )
@@ -339,40 +317,37 @@ pub fn fig10(aged: &AgedResults) -> Artifacts {
 /// Fig. 11: normalized mean response time during GC periods, all three
 /// schemes.
 pub fn fig11(aged: &AgedResults) -> Artifacts {
-    let mut text = String::from(
-        "Fig. 11 — normalized mean response time during GC periods\n\
-         (normalized to Baseline; paper reductions for CAGC: 33.6% / 29.6% / 70.1%)\n\n",
-    );
+    let mut t = Table::new(vec![
+        "workload", "scheme", "mean_during_gc_us", "normalized", "paper_cagc_reduction_pct",
+    ]);
     let mut bars = Vec::new();
-    let mut csv =
-        String::from("workload,scheme,mean_during_gc_us,normalized,paper_cagc_reduction_pct\n");
-    for (i, w) in FiuWorkload::ALL.into_iter().enumerate() {
+    let mut summary = String::new();
+    for (w, paper) in FiuWorkload::ALL.into_iter().zip(paper::FIG11_RESPONSE_REDUCTION_PCT) {
         let (inline, base, cagc) = aged.of(w);
         let bmean = base.gc_period_mean_ns();
         for r in [inline, base, cagc] {
             let norm = r.gc_period_mean_ns() / bmean;
             bars.push((format!("{} {}", w.name(), r.scheme), norm));
-            csv.push_str(&format!(
-                "{},{},{:.2},{:.4},{:.1}\n",
-                w.name(),
-                r.scheme,
-                r.gc_period_mean_ns() / 1000.0,
-                norm,
-                paper::FIG11_RESPONSE_REDUCTION_PCT[i]
-            ));
+            t.row(vec![
+                w.name().to_string(),
+                r.scheme.clone(),
+                format!("{:.2}", r.gc_period_mean_ns() / 1000.0),
+                format!("{norm:.4}"),
+                format!("{paper:.1}"),
+            ]);
         }
-    }
-    text.push_str(&bar_chart(&bars, 40));
-    for (i, w) in FiuWorkload::ALL.into_iter().enumerate() {
-        let (_, base, cagc) = aged.of(w);
-        text.push_str(&format!(
-            "{}: CAGC reduces GC-period response time by {:.1}% (paper: {:.1}%)\n",
+        summary.push_str(&format!(
+            "{}: CAGC reduces GC-period response time by {:.1}% (paper: {paper:.1}%)\n",
             w.name(),
-            reduction_pct(base.gc_period_mean_ns(), cagc.gc_period_mean_ns()),
-            paper::FIG11_RESPONSE_REDUCTION_PCT[i]
+            reduction_pct(bmean, cagc.gc_period_mean_ns()),
         ));
     }
-    Artifacts { text, csv: vec![("fig11.csv".into(), csv)] }
+    let text = format!(
+        "Fig. 11 — normalized mean response time during GC periods\n\
+         (normalized to Baseline; paper reductions for CAGC: 33.6% / 29.6% / 70.1%)\n\n{}{summary}",
+        bar_chart(&bars, 40)
+    );
+    Artifacts { text, csv: vec![("fig11.csv".into(), t.to_csv())] }
 }
 
 // ------------------------------------------------------------- Fig 12
@@ -393,19 +368,16 @@ pub fn fig12(aged: &AgedResults) -> Artifacts {
                 ));
             }
         }
-        let b80 = base.cdf.value_at(0.80) as f64 / 1000.0;
-        let c80 = cagc.cdf.value_at(0.80) as f64 / 1000.0;
-        let b99 = base.cdf.value_at(0.99) as f64 / 1000.0;
-        let c99 = cagc.cdf.value_at(0.99) as f64 / 1000.0;
+        let at = |r: &RunReport, q: f64| r.cdf.value_at(q) as f64 / 1000.0;
         text.push_str(&format!(
             "{:>7}: 80% of requests within  CAGC {:>8.1}us | Baseline {:>8.1}us\n\
              {:>7}  99% of requests within  CAGC {:>8.1}us | Baseline {:>8.1}us\n",
             w.name(),
-            c80,
-            b80,
+            at(cagc, 0.80),
+            at(base, 0.80),
             "",
-            c99,
-            b99
+            at(cagc, 0.99),
+            at(base, 0.99)
         ));
         csvs.push((format!("fig12_{}.csv", w.name().to_lowercase().replace('-', "_")), csv));
     }
@@ -418,204 +390,110 @@ pub fn fig12(aged: &AgedResults) -> Artifacts {
 /// Fig. 13: CAGC's reductions under Random / Greedy / Cost-Benefit victim
 /// selection — (a) blocks erased, (b) pages migrated, (c) response time.
 pub fn fig13(scale: &Scale) -> Artifacts {
-    let flash = scale.flash();
-    let mut traces = Vec::new();
-    for w in FiuWorkload::ALL {
-        traces.push(
-            w.synth_config(scale.footprint_pages(w), scale.requests_for(w), scale.seed)
-                .generate(),
-        );
-    }
-    let mut cells = Vec::new();
-    for trace in &traces {
-        for policy in VictimKind::ALL {
-            for scheme in [Scheme::Baseline, Scheme::Cagc] {
-                let mut cfg = SsdConfig::paper(flash, scheme);
-                cfg.victim = policy;
-                cells.push((cfg, trace));
-            }
-        }
-    }
-    let reports = run_cells(&cells, scale.workers);
+    let traces = FiuWorkload::ALL.map(|w| (w, aged_trace(scale, w)));
+    let cells: Vec<_> =
+        VictimKind::ALL.into_iter().flat_map(|p| PAIR.map(|s| (s, p))).collect();
+    let reports = grid(scale, &traces, &cells, |c, policy| c.victim = policy);
 
-    let mut text = String::from(
-        "Fig. 13 — CAGC's reduction vs Baseline under different victim-selection policies\n\n",
-    );
-    let mut csv = String::from(
-        "workload,policy,erase_reduction_pct,migration_reduction_pct,response_reduction_pct\n",
-    );
     let mut t = Table::new(vec![
-        "Workload", "Policy", "Blocks erased", "Pages migrated", "Response time",
+        "workload", "policy", "erase_reduction_pct", "migration_reduction_pct",
+        "response_reduction_pct",
     ]);
-    let mut idx = 0;
-    for w in FiuWorkload::ALL {
-        for policy in VictimKind::ALL {
-            let base = &reports[idx];
-            let cagc = &reports[idx + 1];
-            idx += 2;
-            let er = reduction_pct(base.gc.blocks_erased as f64, cagc.gc.blocks_erased as f64);
-            let mr = reduction_pct(base.gc.pages_migrated as f64, cagc.gc.pages_migrated as f64);
-            let rr = reduction_pct(base.gc_period_mean_ns(), cagc.gc_period_mean_ns());
-            t.row(vec![
-                w.name().to_string(),
-                policy.name().to_string(),
-                format!("{er:.1}%"),
-                format!("{mr:.1}%"),
-                format!("{rr:.1}%"),
-            ]);
-            csv.push_str(&format!(
-                "{},{},{er:.2},{mr:.2},{rr:.2}\n",
-                w.name(),
-                policy.name()
-            ));
-        }
+    for pair in reports.chunks(PAIR.len()) {
+        let ((w, policy, base), cagc) = (&pair[0], &pair[1].2);
+        let er = reduction_pct(base.gc.blocks_erased as f64, cagc.gc.blocks_erased as f64);
+        let mr = reduction_pct(base.gc.pages_migrated as f64, cagc.gc.pages_migrated as f64);
+        let rr = reduction_pct(base.gc_period_mean_ns(), cagc.gc_period_mean_ns());
+        t.row(vec![
+            w.name().to_string(),
+            policy.name().to_string(),
+            format!("{er:.2}"),
+            format!("{mr:.2}"),
+            format!("{rr:.2}"),
+        ]);
     }
-    text.push_str(&t.render());
-    text.push_str(
+    Artifacts::tabled(
+        "Fig. 13 — CAGC's reduction vs Baseline under different victim-selection policies",
+        &t,
         "\n(values are % reductions, CAGC vs Baseline; paper: CAGC improves all three \
          metrics under all three policies, bars 10-90%)\n",
-    );
-    Artifacts { text, csv: vec![("fig13.csv".into(), csv)] }
+        "fig13.csv",
+    )
 }
 
 // ----------------------------------------------------------- Ablations
 
 /// Ablation: CAGC without refcount-based placement (everything hot).
 pub fn ablate_placement(scale: &Scale) -> Artifacts {
-    let flash = scale.flash();
-    let mut text = String::from(
-        "Ablation — contribution of refcount-based hot/cold placement (Sec. III-C)\n\n",
-    );
+    let traces = FiuWorkload::ALL.map(|w| (w, aged_trace(scale, w)));
+    let cells = [
+        (Scheme::Baseline, ("baseline", true)),
+        (Scheme::Cagc, ("dedup_only", false)),
+        (Scheme::Cagc, ("full", true)),
+    ];
     let mut t = Table::new(vec![
-        "Workload", "Metric", "Baseline", "CAGC (dedup only)", "CAGC (full)",
+        "workload", "variant", "blocks_erased", "pages_migrated", "gc_mean_us",
     ]);
-    let mut csv = String::from("workload,variant,blocks_erased,pages_migrated,gc_mean_us\n");
-    for w in FiuWorkload::ALL {
-        let trace = w
-            .synth_config(scale.footprint_pages(w), scale.requests_for(w), scale.seed)
-            .generate();
-        let mut noplace = SsdConfig::paper(flash, Scheme::Cagc);
-        noplace.placement = false;
-        let cells = vec![
-            (SsdConfig::paper(flash, Scheme::Baseline), &trace),
-            (noplace, &trace),
-            (SsdConfig::paper(flash, Scheme::Cagc), &trace),
-        ];
-        let reps = run_cells(&cells, scale.workers);
+    for (w, (variant, _), r) in grid(scale, &traces, &cells, |c, (_, on)| c.placement = on) {
         t.row(vec![
             w.name().to_string(),
-            "blocks erased".into(),
-            reps[0].gc.blocks_erased.to_string(),
-            reps[1].gc.blocks_erased.to_string(),
-            reps[2].gc.blocks_erased.to_string(),
+            variant.to_string(),
+            r.gc.blocks_erased.to_string(),
+            r.gc.pages_migrated.to_string(),
+            format!("{:.2}", r.gc_period_mean_ns() / 1000.0),
         ]);
-        t.row(vec![
-            String::new(),
-            "pages migrated".into(),
-            reps[0].gc.pages_migrated.to_string(),
-            reps[1].gc.pages_migrated.to_string(),
-            reps[2].gc.pages_migrated.to_string(),
-        ]);
-        for (variant, r) in
-            [("baseline", &reps[0]), ("dedup_only", &reps[1]), ("full", &reps[2])]
-        {
-            csv.push_str(&format!(
-                "{},{variant},{},{},{:.2}\n",
-                w.name(),
-                r.gc.blocks_erased,
-                r.gc.pages_migrated,
-                r.gc_period_mean_ns() / 1000.0
-            ));
-        }
     }
-    text.push_str(&t.render());
-    Artifacts { text, csv: vec![("ablate_placement.csv".into(), csv)] }
+    Artifacts::tabled(
+        "Ablation — contribution of refcount-based hot/cold placement (Sec. III-C)",
+        &t,
+        "",
+        "ablate_placement.csv",
+    )
 }
 
 /// Ablation: hash/erase overlap (Sec. III-B) vs serialized GC hashing.
 pub fn ablate_overlap(scale: &Scale) -> Artifacts {
-    let flash = scale.flash();
-    let mut text = String::from(
-        "Ablation — hash pipelining in GC (Sec. III-B): overlapped vs serialized\n\n",
-    );
-    let mut t = Table::new(vec![
-        "Workload", "GC busy (overlap)", "GC busy (serial)", "GC-period mean (overlap)",
-        "GC-period mean (serial)",
-    ]);
-    let mut csv = String::from("workload,variant,gc_busy_ms,gc_mean_us\n");
-    for w in FiuWorkload::ALL {
-        let trace = w
-            .synth_config(scale.footprint_pages(w), scale.requests_for(w), scale.seed)
-            .generate();
-        let mut serial = SsdConfig::paper(flash, Scheme::Cagc);
-        serial.overlap_hash = false;
-        let cells = vec![
-            (SsdConfig::paper(flash, Scheme::Cagc), &trace),
-            (serial, &trace),
-        ];
-        let reps = run_cells(&cells, scale.workers);
+    let traces = FiuWorkload::ALL.map(|w| (w, aged_trace(scale, w)));
+    let cells = [(Scheme::Cagc, ("overlap", true)), (Scheme::Cagc, ("serial", false))];
+    let mut t = Table::new(vec!["workload", "variant", "gc_busy_ms", "gc_mean_us"]);
+    for (w, (variant, _), r) in grid(scale, &traces, &cells, |c, (_, on)| c.overlap_hash = on) {
         t.row(vec![
             w.name().to_string(),
-            format!("{:.1}ms", reps[0].gc.busy_ns as f64 / 1e6),
-            format!("{:.1}ms", reps[1].gc.busy_ns as f64 / 1e6),
-            format!("{:.1}us", reps[0].gc_period_mean_ns() / 1000.0),
-            format!("{:.1}us", reps[1].gc_period_mean_ns() / 1000.0),
+            variant.to_string(),
+            format!("{:.3}", r.gc.busy_ns as f64 / 1e6),
+            format!("{:.2}", r.gc_period_mean_ns() / 1000.0),
         ]);
-        for (variant, r) in [("overlap", &reps[0]), ("serial", &reps[1])] {
-            csv.push_str(&format!(
-                "{},{variant},{:.3},{:.2}\n",
-                w.name(),
-                r.gc.busy_ns as f64 / 1e6,
-                r.gc_period_mean_ns() / 1000.0
-            ));
-        }
     }
-    text.push_str(&t.render());
-    Artifacts { text, csv: vec![("ablate_overlap.csv".into(), csv)] }
+    Artifacts::tabled(
+        "Ablation — hash pipelining in GC (Sec. III-B): overlapped vs serialized",
+        &t,
+        "",
+        "ablate_overlap.csv",
+    )
 }
 
 /// Ablation: cold-region refcount threshold sweep.
 pub fn ablate_threshold(scale: &Scale) -> Artifacts {
-    let flash = scale.flash();
-    let thresholds = [1u32, 2, 4, 8];
-    let mut text =
-        String::from("Ablation — cold-region refcount threshold (Sec. III-C, default 1)\n\n");
+    let traces = FiuWorkload::ALL.map(|w| (w, aged_trace(scale, w)));
+    let cells = [1u32, 2, 4, 8].map(|th| (Scheme::Cagc, th));
     let mut t = Table::new(vec![
-        "Workload", "Threshold", "Blocks erased", "Pages migrated", "Promotions",
+        "workload", "threshold", "blocks_erased", "pages_migrated", "promotions",
     ]);
-    let mut csv = String::from("workload,threshold,blocks_erased,pages_migrated,promotions\n");
-    for w in FiuWorkload::ALL {
-        let trace = w
-            .synth_config(scale.footprint_pages(w), scale.requests_for(w), scale.seed)
-            .generate();
-        let cells: Vec<_> = thresholds
-            .iter()
-            .map(|&th| {
-                let mut cfg = SsdConfig::paper(flash, Scheme::Cagc);
-                cfg.cold_threshold = th;
-                (cfg, &trace)
-            })
-            .collect();
-        let reps = run_cells(&cells, scale.workers);
-        for (th, r) in thresholds.iter().zip(&reps) {
-            t.row(vec![
-                w.name().to_string(),
-                th.to_string(),
-                r.gc.blocks_erased.to_string(),
-                r.gc.pages_migrated.to_string(),
-                r.gc.promotions.to_string(),
-            ]);
-            csv.push_str(&format!(
-                "{},{th},{},{},{}\n",
-                w.name(),
-                r.gc.blocks_erased,
-                r.gc.pages_migrated,
-                r.gc.promotions
-            ));
-        }
+    for (w, th, r) in grid(scale, &traces, &cells, |c, th| c.cold_threshold = th) {
+        t.row(vec![
+            w.name().to_string(),
+            th.to_string(),
+            r.gc.blocks_erased.to_string(),
+            r.gc.pages_migrated.to_string(),
+            r.gc.promotions.to_string(),
+        ]);
     }
-    text.push_str(&t.render());
-    Artifacts { text, csv: vec![("ablate_threshold.csv".into(), csv)] }
+    Artifacts::tabled(
+        "Ablation — cold-region refcount threshold (Sec. III-C, default 1)",
+        &t,
+        "",
+        "ablate_threshold.csv",
+    )
 }
 
 /// Extension study: GC cost vs space utilization. Dedup's GC benefit is
@@ -623,47 +501,29 @@ pub fn ablate_threshold(scale: &Scale) -> Artifacts {
 /// spread of Fig. 9's bars); this sweep measures erases and WAF for
 /// Baseline and CAGC across footprints.
 pub fn sweep_utilization(scale: &Scale) -> Artifacts {
-    let flash = scale.flash();
-    let fracs = [0.70, 0.80, 0.90, 0.95, 0.97];
-    let mut text = String::from(
-        "Extension — GC cost vs space utilization (Web-vm characteristics)\n\n",
-    );
-    let mut t = Table::new(vec![
-        "Footprint", "Scheme", "Blocks erased", "WAF", "GC-period mean",
-    ]);
-    let mut csv = String::from("footprint,scheme,blocks_erased,waf,gc_mean_us\n");
+    let logical = scale.flash().logical_pages() as f64;
     let requests = scale.requests.min(100_000);
-    for &frac in &fracs {
-        let fp = (flash.logical_pages() as f64 * frac) as u64;
-        let trace = FiuWorkload::WebVm.synth_config(fp, requests, scale.seed).generate();
-        let cells = vec![
-            (SsdConfig::paper(flash, Scheme::Baseline), &trace),
-            (SsdConfig::paper(flash, Scheme::Cagc), &trace),
-        ];
-        let reps = run_cells(&cells, scale.workers);
-        for r in &reps {
-            t.row(vec![
-                format!("{:.0}%", frac * 100.0),
-                r.scheme.clone(),
-                r.gc.blocks_erased.to_string(),
-                format!("{:.3}", r.waf()),
-                format!("{:.1}us", r.gc_period_mean_ns() / 1000.0),
-            ]);
-            csv.push_str(&format!(
-                "{frac},{},{},{:.4},{:.2}\n",
-                r.scheme,
-                r.gc.blocks_erased,
-                r.waf(),
-                r.gc_period_mean_ns() / 1000.0
-            ));
-        }
+    let traces = [0.70, 0.80, 0.90, 0.95, 0.97].map(|frac| {
+        let fp = (logical * frac) as u64;
+        (frac, FiuWorkload::WebVm.synth_config(fp, requests, scale.seed).generate())
+    });
+    let mut t = Table::new(vec!["footprint", "scheme", "blocks_erased", "waf", "gc_mean_us"]);
+    for (frac, (), r) in grid(scale, &traces, &PAIR.map(|s| (s, ())), |_, ()| {}) {
+        t.row(vec![
+            frac.to_string(),
+            r.scheme.clone(),
+            r.gc.blocks_erased.to_string(),
+            format!("{:.4}", r.waf()),
+            format!("{:.2}", r.gc_period_mean_ns() / 1000.0),
+        ]);
     }
-    text.push_str(&t.render());
-    text.push_str(
+    Artifacts::tabled(
+        "Extension — GC cost vs space utilization (Web-vm characteristics)",
+        &t,
         "\nBaseline GC cost grows sharply toward full devices; CAGC flattens the\n\
          curve because deduplication shrinks the live data the collector must carry.\n",
-    );
-    Artifacts { text, csv: vec![("sweep_utilization.csv".into(), csv)] }
+        "sweep_utilization.csv",
+    )
 }
 
 /// Extension study: wear totals and wear evenness. Sec. II-C notes that
@@ -672,56 +532,34 @@ pub fn sweep_utilization(scale: &Scale) -> Artifacts {
 /// This measures both total wear (mean erase count, endurance) and its
 /// spread (stddev, evenness) per scheme and policy.
 pub fn wear_study(scale: &Scale) -> Artifacts {
-    let flash = scale.flash();
-    let mut text = String::from(
-        "Extension — wear totals and evenness (Sec. II-C's wear-leveling concern)\n\n",
-    );
+    let traces =
+        [FiuWorkload::Mail, FiuWorkload::WebVm].map(|w| (w, short_trace(scale, w, 100_000)));
+    let cells: Vec<_> = [VictimKind::Greedy, VictimKind::CostBenefit]
+        .into_iter()
+        .flat_map(|p| PAIR.map(|s| (s, p)))
+        .collect();
     let mut t = Table::new(vec![
-        "Workload", "Policy", "Scheme", "Erase mean", "Erase max", "Erase stddev",
+        "workload", "policy", "scheme", "erase_mean", "erase_max", "erase_stddev",
     ]);
-    let mut csv =
-        String::from("workload,policy,scheme,erase_mean,erase_max,erase_stddev\n");
-    let requests = scale.requests.min(100_000);
-    for w in [FiuWorkload::Mail, FiuWorkload::WebVm] {
-        let trace =
-            w.synth_config(scale.footprint_pages(w), requests, scale.seed).generate();
-        for policy in [VictimKind::Greedy, VictimKind::CostBenefit] {
-            let mut cells = Vec::new();
-            for scheme in [Scheme::Baseline, Scheme::Cagc] {
-                let mut cfg = SsdConfig::paper(flash, scheme);
-                cfg.victim = policy;
-                cells.push((cfg, &trace));
-            }
-            let reps = run_cells(&cells, scale.workers);
-            for r in &reps {
-                t.row(vec![
-                    w.name().to_string(),
-                    policy.name().to_string(),
-                    r.scheme.clone(),
-                    format!("{:.2}", r.wear.2),
-                    r.wear.1.to_string(),
-                    format!("{:.2}", r.wear_stddev),
-                ]);
-                csv.push_str(&format!(
-                    "{},{},{},{:.3},{},{:.3}\n",
-                    w.name(),
-                    policy.name(),
-                    r.scheme,
-                    r.wear.2,
-                    r.wear.1,
-                    r.wear_stddev
-                ));
-            }
-        }
+    for (w, policy, r) in grid(scale, &traces, &cells, |c, policy| c.victim = policy) {
+        t.row(vec![
+            w.name().to_string(),
+            policy.name().to_string(),
+            r.scheme.clone(),
+            format!("{:.3}", r.wear.2),
+            r.wear.1.to_string(),
+            format!("{:.3}", r.wear_stddev),
+        ]);
     }
-    text.push_str(&t.render());
-    text.push_str(
+    Artifacts::tabled(
+        "Extension — wear totals and evenness (Sec. II-C's wear-leveling concern)",
+        &t,
         "\nCAGC cuts total wear (mean erase count) roughly in half — the endurance\n\
          win implied by Fig. 9 — and, in these runs, also narrows the per-block\n\
          spread. The skew Sec. II-C worries about (a never-erased cold region) did\n\
          not dominate here; cost-benefit selection keeps the spread tightest.\n",
-    );
-    Artifacts { text, csv: vec![("wear_study.csv".into(), csv)] }
+        "wear_study.csv",
+    )
 }
 
 /// Extension comparison: the inline-dedup design space (the paper's
@@ -729,56 +567,35 @@ pub fn wear_study(scale: &Scale) -> Artifacts {
 /// latency (the Fig. 2 axis) and dedup coverage for Inline-Dedupe vs the
 /// CAFTL-style Inline-Sampled variant vs CAGC.
 pub fn compare_inline(scale: &Scale) -> Artifacts {
-    let flash = scale.flash();
-    let budget_pages = flash.geometry().total_pages() / 4;
-    let mut text = String::from(
-        "Extension — inline dedup variants on a fresh ULL device\n\
-         (Inline-Sampled = CAFTL-style pre-hash screening, ~CAFTL [2] in the paper)\n\n",
-    );
+    let traces = FiuWorkload::ALL.map(|w| (w, fresh_trace(scale, w)));
+    let cells = [Scheme::Baseline, Scheme::InlineDedup, Scheme::InlineSampled, Scheme::Cagc]
+        .map(|s| (s, ()));
+    let reports = grid(scale, &traces, &cells, |_, ()| {});
     let mut t = Table::new(vec![
-        "Workload", "Scheme", "Mean resp (norm)", "Flash programs", "Dedup hits",
+        "workload", "scheme", "mean_us", "normalized", "programs", "dedup_hits",
     ]);
-    let mut csv = String::from("workload,scheme,mean_us,normalized,programs,dedup_hits\n");
-    for w in FiuWorkload::ALL {
-        let requests =
-            (budget_pages as f64 / (w.write_ratio() * w.mean_req_pages())) as usize;
-        let fp = (flash.logical_pages() as f64 * 0.15) as u64;
-        let mut cfg = w.synth_config(fp, requests, scale.seed);
-        cfg.prefill_fraction = 0.5;
-        let trace = cfg.generate();
-        let schemes =
-            [Scheme::Baseline, Scheme::InlineDedup, Scheme::InlineSampled, Scheme::Cagc];
-        let cells: Vec<_> =
-            schemes.iter().map(|&s| (SsdConfig::paper(flash, s), &trace)).collect();
-        let reports = run_cells(&cells, scale.workers);
-        let base_mean = reports[0].all.mean_ns;
-        for r in &reports {
-            let norm = r.all.mean_ns / base_mean;
+    for per_w in reports.chunks(cells.len()) {
+        let base_mean = per_w[0].2.all.mean_ns;
+        for (w, (), r) in per_w {
             t.row(vec![
                 w.name().to_string(),
                 r.scheme.clone(),
-                format!("{:.1}us ({norm:.2}x)", r.all.mean_ns / 1000.0),
+                format!("{:.2}", r.all.mean_ns / 1000.0),
+                format!("{:.4}", r.all.mean_ns / base_mean),
                 r.total_programs.to_string(),
                 r.index.hits.to_string(),
             ]);
-            csv.push_str(&format!(
-                "{},{},{:.2},{:.4},{},{}\n",
-                w.name(),
-                r.scheme,
-                r.all.mean_ns / 1000.0,
-                norm,
-                r.total_programs,
-                r.index.hits
-            ));
         }
     }
-    text.push_str(&t.render());
-    text.push_str(
+    Artifacts::tabled(
+        "Extension — inline dedup variants on a fresh ULL device\n\
+         (Inline-Sampled = CAFTL-style pre-hash screening, ~CAFTL [2] in the paper)",
+        &t,
         "\nInline-Sampled recovers most of Inline-Dedupe's latency loss by skipping\n\
          fingerprints for first sightings, at the cost of storing one extra copy per\n\
          duplicated content; CAGC pays nothing on the write path at all.\n",
-    );
-    Artifacts { text, csv: vec![("compare_inline.csv".into(), csv)] }
+        "compare_inline.csv",
+    )
 }
 
 /// Extension ablation: idle-period background GC (Sec. III-B notes SSDs
@@ -786,93 +603,60 @@ pub fn compare_inline(scale: &Scale) -> Artifacts {
 /// watermark only). Measures how much foreground interference background
 /// collection removes for Baseline and CAGC.
 pub fn ablate_idle_gc(scale: &Scale) -> Artifacts {
-    let flash = scale.flash();
-    let mut text = String::from(
-        "Extension — idle-period background GC (off = paper's watermark-only trigger)\n\n",
-    );
+    let traces = FiuWorkload::ALL.map(|w| (w, aged_trace(scale, w)));
+    let cells: Vec<_> =
+        PAIR.into_iter().flat_map(|s| [false, true].map(|idle| (s, idle))).collect();
     let mut t = Table::new(vec![
-        "Workload", "Scheme", "Idle GC", "GC-period mean", "p99", "Blocks erased",
+        "workload", "scheme", "idle_gc", "gc_mean_us", "p99_us", "blocks_erased",
     ]);
-    let mut csv =
-        String::from("workload,scheme,idle_gc,gc_mean_us,p99_us,blocks_erased\n");
-    for w in FiuWorkload::ALL {
-        let trace = w
-            .synth_config(scale.footprint_pages(w), scale.requests_for(w), scale.seed)
-            .generate();
-        let mut cells = Vec::new();
-        for scheme in [Scheme::Baseline, Scheme::Cagc] {
-            for idle in [false, true] {
-                let mut cfg = SsdConfig::paper(flash, scheme);
-                cfg.idle_gc = idle;
-                cells.push((cfg, &trace));
-            }
-        }
-        let reps = run_cells(&cells, scale.workers);
-        for (i, r) in reps.iter().enumerate() {
-            let idle = i % 2 == 1;
-            t.row(vec![
-                w.name().to_string(),
-                r.scheme.clone(),
-                if idle { "on" } else { "off" }.to_string(),
-                format!("{:.1}us", r.gc_period_mean_ns() / 1000.0),
-                format!("{:.1}us", r.all.p99_ns as f64 / 1000.0),
-                r.gc.blocks_erased.to_string(),
-            ]);
-            csv.push_str(&format!(
-                "{},{},{},{:.2},{:.2},{}\n",
-                w.name(),
-                r.scheme,
-                idle,
-                r.gc_period_mean_ns() / 1000.0,
-                r.all.p99_ns as f64 / 1000.0,
-                r.gc.blocks_erased
-            ));
-        }
+    for (w, idle, r) in grid(scale, &traces, &cells, |c, idle| c.idle_gc = idle) {
+        t.row(vec![
+            w.name().to_string(),
+            r.scheme.clone(),
+            idle.to_string(),
+            format!("{:.2}", r.gc_period_mean_ns() / 1000.0),
+            format!("{:.2}", r.all.p99_ns as f64 / 1000.0),
+            r.gc.blocks_erased.to_string(),
+        ]);
     }
-    text.push_str(&t.render());
-    Artifacts { text, csv: vec![("ablate_idle_gc.csv".into(), csv)] }
+    Artifacts::tabled(
+        "Extension — idle-period background GC (off = paper's watermark-only trigger)",
+        &t,
+        "",
+        "ablate_idle_gc.csv",
+    )
 }
 
 /// Ablation: GC watermark sweep (Table I default: 20 % of the OP pool).
 pub fn ablate_watermark(scale: &Scale) -> Artifacts {
-    let watermarks = [0.10, 0.20, 0.30];
-    let mut text = String::from("Ablation — GC trigger watermark (fraction of OP pool)\n\n");
+    let traces = FiuWorkload::ALL.map(|w| (w, aged_trace(scale, w)));
+    let cells: Vec<_> =
+        [0.10, 0.20, 0.30].into_iter().flat_map(|wm| PAIR.map(|s| (s, wm))).collect();
+    // `SsdConfig::paper` derives the GC trigger thresholds from the
+    // watermark, so the delta rebuilds the configuration around it.
+    let reports = grid(scale, &traces, &cells, |c, wm| {
+        let mut flash = c.flash;
+        flash.gc_watermark = wm;
+        *c = SsdConfig::paper(flash, c.scheme);
+    });
     let mut t = Table::new(vec![
-        "Workload", "Watermark", "Scheme", "Blocks erased", "GC-period mean",
+        "workload", "watermark", "scheme", "blocks_erased", "gc_mean_us",
     ]);
-    let mut csv = String::from("workload,watermark,scheme,blocks_erased,gc_mean_us\n");
-    for w in FiuWorkload::ALL {
-        let trace = w
-            .synth_config(scale.footprint_pages(w), scale.requests_for(w), scale.seed)
-            .generate();
-        for &wm in &watermarks {
-            let mut flash = scale.flash();
-            flash.gc_watermark = wm;
-            let cells = vec![
-                (SsdConfig::paper(flash, Scheme::Baseline), &trace),
-                (SsdConfig::paper(flash, Scheme::Cagc), &trace),
-            ];
-            let reps = run_cells(&cells, scale.workers);
-            for r in &reps {
-                t.row(vec![
-                    w.name().to_string(),
-                    format!("{:.0}%", wm * 100.0),
-                    r.scheme.clone(),
-                    r.gc.blocks_erased.to_string(),
-                    format!("{:.1}us", r.gc_period_mean_ns() / 1000.0),
-                ]);
-                csv.push_str(&format!(
-                    "{},{wm},{},{},{:.2}\n",
-                    w.name(),
-                    r.scheme,
-                    r.gc.blocks_erased,
-                    r.gc_period_mean_ns() / 1000.0
-                ));
-            }
-        }
+    for (w, wm, r) in reports {
+        t.row(vec![
+            w.name().to_string(),
+            wm.to_string(),
+            r.scheme.clone(),
+            r.gc.blocks_erased.to_string(),
+            format!("{:.2}", r.gc_period_mean_ns() / 1000.0),
+        ]);
     }
-    text.push_str(&t.render());
-    Artifacts { text, csv: vec![("ablate_watermark.csv".into(), csv)] }
+    Artifacts::tabled(
+        "Ablation — GC trigger watermark (fraction of OP pool)",
+        &t,
+        "",
+        "ablate_watermark.csv",
+    )
 }
 
 /// Extension study — trim sensitivity (Frankie et al.: trim acts as
@@ -882,64 +666,53 @@ pub fn ablate_watermark(scale: &Scale) -> Artifacts {
 /// default) and ignoring them (`honor_trim = false`, a trim-blind device).
 /// The gap between the two arms is the write-amplification and erase
 /// headroom the hints buy; it widens with trim intensity.
+///
+/// One asserted gate: at the top trim fraction, Baseline honoring the
+/// hints migrates and erases strictly less than Baseline ignoring them.
 pub fn sweep_trim(scale: &Scale) -> Artifacts {
-    let flash = scale.flash();
-    let fractions = [0.0, 0.05, 0.10, 0.20, 0.35];
-    let mut text = String::from(
-        "Extension — trim sensitivity (trim as dynamic overprovisioning)\n\
-         (each workload point replayed honoring vs ignoring the same trim stream)\n\n",
-    );
+    let base = short_trace(scale, FiuWorkload::WebVm, 60_000);
+    let traces = [0.0, 0.05, 0.10, 0.20, 0.35]
+        .map(|frac| (frac, cagc_workloads::inject_trims(&base, frac, 6, scale.seed)));
+    let cells: Vec<_> =
+        PAIR.into_iter().flat_map(|s| [true, false].map(|honor| (s, honor))).collect();
+    let reports = grid(scale, &traces, &cells, |c, honor| c.honor_trim = honor);
+
     let mut t = Table::new(vec![
-        "Trim frac", "Scheme", "Honored", "Blocks erased", "Pages migrated",
-        "Trim-reclaimed", "WAF",
+        "trim_fraction", "scheme", "honor_trim", "blocks_erased", "pages_migrated",
+        "trim_reclaimed_pages", "waf",
     ]);
-    let mut csv = String::from(
-        "trim_fraction,scheme,honor_trim,blocks_erased,pages_migrated,trim_reclaimed_pages,waf\n",
-    );
-    let requests = scale.requests.min(60_000);
-    let base = FiuWorkload::WebVm
-        .synth_config(scale.footprint_pages(FiuWorkload::WebVm), requests, scale.seed)
-        .generate();
-    for &frac in &fractions {
-        let trace = cagc_workloads::inject_trims(&base, frac, 6, scale.seed);
-        let mut cells = Vec::new();
-        for scheme in [Scheme::Baseline, Scheme::Cagc] {
-            for honor in [true, false] {
-                let mut cfg = SsdConfig::paper(flash, scheme);
-                cfg.honor_trim = honor;
-                cells.push((cfg, &trace));
-            }
-        }
-        let reps = run_cells(&cells, scale.workers);
-        for (i, r) in reps.iter().enumerate() {
-            let honor = i % 2 == 0;
-            t.row(vec![
-                format!("{:.0}%", frac * 100.0),
-                r.scheme.clone(),
-                if honor { "yes" } else { "no" }.to_string(),
-                r.gc.blocks_erased.to_string(),
-                r.gc.pages_migrated.to_string(),
-                r.gc.trim_reclaimed_pages.to_string(),
-                format!("{:.3}", r.waf()),
-            ]);
-            csv.push_str(&format!(
-                "{frac},{},{honor},{},{},{},{:.4}\n",
-                r.scheme,
-                r.gc.blocks_erased,
-                r.gc.pages_migrated,
-                r.gc.trim_reclaimed_pages,
-                r.waf()
-            ));
-        }
+    for (frac, honor, r) in &reports {
+        t.row(vec![
+            frac.to_string(),
+            r.scheme.clone(),
+            honor.to_string(),
+            r.gc.blocks_erased.to_string(),
+            r.gc.pages_migrated.to_string(),
+            r.gc.trim_reclaimed_pages.to_string(),
+            format!("{:.4}", r.waf()),
+        ]);
     }
-    text.push_str(&t.render());
-    text.push_str(
+    // Fractions ascend, so the last Baseline cell of each arm is the top one.
+    let top = |arm: bool| {
+        let cell = reports.iter().rfind(|(_, h, r)| *h == arm && r.scheme == "Baseline");
+        &cell.expect("Baseline ran in both arms").2.gc
+    };
+    let (honoring, blind) = (top(true), top(false));
+    assert!(
+        honoring.pages_migrated < blind.pages_migrated
+            && honoring.blocks_erased < blind.blocks_erased,
+        "honoring trims must reduce migrations and erases"
+    );
+    Artifacts::tabled(
+        "Extension — trim sensitivity (trim as dynamic overprovisioning)\n\
+         (each workload point replayed honoring vs ignoring the same trim stream)",
+        &t,
         "\nHonoring trims strictly dominates ignoring them, and the gap widens with\n\
          trim intensity: every trimmed page is garbage the collector reclaims for\n\
          free instead of migrating — exactly the dynamic-overprovisioning effect\n\
          Frankie et al. analyze. See docs/TRIM.md for the data path.\n",
-    );
-    Artifacts { text, csv: vec![("sweep_trim.csv".into(), csv)] }
+        "sweep_trim.csv",
+    )
 }
 
 /// Extension study — fault sensitivity. A Web-vm-like stream is replayed
@@ -951,83 +724,56 @@ pub fn sweep_trim(scale: &Scale) -> Artifacts {
 /// retries, capacity lost to retirement, and latency from backoffs and
 /// re-reads.
 pub fn sweep_faults(scale: &Scale) -> Artifacts {
-    let flash = scale.flash();
+    let traces = [((), short_trace(scale, FiuWorkload::WebVm, 60_000))];
     // (program, erase, read-ECC) failure probabilities per attempt. The
     // top point is far beyond healthy NAND; it bounds the envelope.
     let rates = [0.0, 1e-4, 1e-3, 5e-3, 2e-2];
-    let mut text = String::from(
-        "Extension — fault sensitivity (injected program/erase/read-ECC failures)\n\
-         (all faults absorbed by FTL policy; columns show what absorption costs)\n\n",
-    );
+    let cells: Vec<_> = rates.into_iter().flat_map(|rate| PAIR.map(|s| (s, rate))).collect();
+    let reports = grid(scale, &traces, &cells, |c, rate| {
+        c.faults = FaultConfig {
+            program_fail_prob: rate,
+            erase_fail_prob: rate / 10.0,
+            read_ecc_prob: rate,
+            seed: scale.seed,
+            ..FaultConfig::none()
+        }
+    });
     let mut t = Table::new(vec![
-        "Fault rate", "Scheme", "Prog fails", "Erase fails", "ECC errs",
-        "Retired", "Forced", "WAF", "Mean us", "P99 us",
+        "fault_rate", "scheme", "program_failures", "erase_failures", "read_ecc_errors",
+        "blocks_retired", "program_retries", "forced_programs", "read_retries", "ecc_decodes",
+        "writes_rejected", "waf", "mean_us", "p99_us",
     ]);
-    let mut csv = String::from(
-        "fault_rate,scheme,program_failures,erase_failures,read_ecc_errors,\
-         blocks_retired,program_retries,forced_programs,read_retries,ecc_decodes,\
-         writes_rejected,waf,mean_us,p99_us\n",
-    );
-    let requests = scale.requests.min(60_000);
-    let trace = FiuWorkload::WebVm
-        .synth_config(scale.footprint_pages(FiuWorkload::WebVm), requests, scale.seed)
-        .generate();
-    for &rate in &rates {
-        let mut cells = Vec::new();
-        for scheme in [Scheme::Baseline, Scheme::Cagc] {
-            let mut cfg = SsdConfig::paper(flash, scheme);
-            cfg.faults = cagc_flash::FaultConfig {
-                program_fail_prob: rate,
-                erase_fail_prob: rate / 10.0,
-                read_ecc_prob: rate,
-                seed: scale.seed,
-                ..cagc_flash::FaultConfig::none()
-            };
-            cells.push((cfg, &trace));
-        }
-        let reps = run_cells(&cells, scale.workers);
-        for r in &reps {
-            let f = &r.faults;
-            t.row(vec![
-                format!("{rate}"),
-                r.scheme.clone(),
-                f.program_failures.to_string(),
-                f.erase_failures.to_string(),
-                f.read_ecc_errors.to_string(),
-                f.blocks_retired.to_string(),
-                f.forced_programs.to_string(),
-                format!("{:.3}", r.waf()),
-                format!("{:.1}", r.all.mean_ns / 1_000.0),
-                format!("{:.1}", r.all.p99_ns as f64 / 1_000.0),
-            ]);
-            csv.push_str(&format!(
-                "{rate},{},{},{},{},{},{},{},{},{},{},{:.4},{:.2},{:.2}\n",
-                r.scheme,
-                f.program_failures,
-                f.erase_failures,
-                f.read_ecc_errors,
-                f.blocks_retired,
-                f.program_retries,
-                f.forced_programs,
-                f.read_retries,
-                f.ecc_decodes,
-                f.writes_rejected,
-                r.waf(),
-                r.all.mean_ns / 1_000.0,
-                r.all.p99_ns as f64 / 1_000.0,
-            ));
-        }
+    for ((), rate, r) in reports {
+        let f = &r.faults;
+        t.row(vec![
+            rate.to_string(),
+            r.scheme.clone(),
+            f.program_failures.to_string(),
+            f.erase_failures.to_string(),
+            f.read_ecc_errors.to_string(),
+            f.blocks_retired.to_string(),
+            f.program_retries.to_string(),
+            f.forced_programs.to_string(),
+            f.read_retries.to_string(),
+            f.ecc_decodes.to_string(),
+            f.writes_rejected.to_string(),
+            format!("{:.4}", r.waf()),
+            format!("{:.2}", r.all.mean_ns / 1_000.0),
+            format!("{:.2}", r.all.p99_ns as f64 / 1_000.0),
+        ]);
     }
-    text.push_str(&t.render());
-    text.push_str(
+    Artifacts::tabled(
+        "Extension — fault sensitivity (injected program/erase/read-ECC failures)\n\
+         (all faults absorbed by FTL policy; columns show what absorption costs)",
+        &t,
         "\nFault handling is pay-as-you-go: the zero-rate row is bit-identical to a\n\
          fault-free build, and rising rates surface as retry programs (WAF) and\n\
          retry/backoff latency rather than as lost writes — no row ever loses\n\
          acknowledged data. Erase failures permanently retire blocks; at these\n\
          rates the capacity loss stays far from the read-only floor. See\n\
          docs/FAULTS.md for the fault model and recovery policies.\n",
-    );
-    Artifacts { text, csv: vec![("sweep_faults.csv".into(), csv)] }
+        "sweep_faults.csv",
+    )
 }
 
 // ------------------------------------------- Extension: queue-depth sweep
@@ -1054,10 +800,7 @@ pub fn sweep_qd(scale: &Scale, resilient: bool) -> Artifacts {
     use cagc_workloads::Request;
 
     let flash = scale.flash();
-    let requests = scale.requests.min(60_000);
-    let trace = FiuWorkload::Mail
-        .synth_config(scale.footprint_pages(FiuWorkload::Mail), requests, scale.seed)
-        .generate();
+    let trace = short_trace(scale, FiuWorkload::Mail, 60_000);
 
     let depths: [u32; 6] = [1, 2, 4, 8, 16, 32];
     let cells: Vec<(u32, bool)> = depths
@@ -1096,89 +839,68 @@ pub fn sweep_qd(scale: &Scale, resilient: bool) -> Artifacts {
         t = reference.process(&Request { at_ns: t, ..r.clone() });
     }
     let want = reference.report(&trace.name).to_json().render();
-    let qd1 = &reports[cells.iter().position(|&c| c == (1, false)).expect("cell present")];
+    let (_, qd1) =
+        cells.iter().zip(&reports).find(|(&c, _)| c == (1, false)).expect("cell present");
     assert_eq!(
         qd1.device.to_json().render(),
         want,
         "QD=1 preempt-off must be byte-identical to the synchronous chain"
     );
 
-    let mut text = String::from(
-        "Extension — queue-depth sensitivity (closed-loop, multi-queue host interface)\n\
-         (host-observed read latency: submission to completion interrupt)\n\n\
-         QD=1 equivalence OK (device report byte-identical to synchronous chain)\n\n",
-    );
-    let us = |ns: u64| ns as f64 / 1_000.0;
+    let us = |ns: u64| format!("{:.3}", ns as f64 / 1_000.0);
     let mut tab = Table::new(vec![
-        "QD", "Preempt", "Read p50 us", "p95 us", "p99 us", "p99.9 us", "max us",
-        "Write p99 us", "Mean us",
+        "workload", "queue_pairs", "queue_depth", "preempt", "reads_p50_us", "reads_p95_us",
+        "reads_p99_us", "reads_p999_us", "reads_max_us", "writes_p99_us", "all_mean_us",
+        "backlogged", "irqs", "pump_slices", "blocks_erased", "waf",
     ]);
-    let mut csv = String::from(
-        "workload,queue_pairs,queue_depth,preempt,reads_p50_us,reads_p95_us,reads_p99_us,\
-         reads_p999_us,reads_max_us,writes_p99_us,all_mean_us,backlogged,irqs,pump_slices,\
-         blocks_erased,waf\n",
-    );
     for (&(qd, preempt), r) in cells.iter().zip(&reports) {
         tab.row(vec![
+            trace.name.clone(),
+            "1".to_string(),
             qd.to_string(),
-            if preempt { "on" } else { "off" }.to_string(),
-            format!("{:.1}", us(r.reads.p50_ns)),
-            format!("{:.1}", us(r.reads.p95_ns)),
-            format!("{:.1}", us(r.reads.p99_ns)),
-            format!("{:.1}", us(r.reads.p999_ns)),
-            format!("{:.1}", us(r.reads.max_ns)),
-            format!("{:.1}", us(r.writes.p99_ns)),
-            format!("{:.1}", r.all.mean_ns / 1_000.0),
-        ]);
-        csv.push_str(&format!(
-            "{},1,{qd},{preempt},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{},{},{},{},{:.4}\n",
-            trace.name,
+            preempt.to_string(),
             us(r.reads.p50_ns),
             us(r.reads.p95_ns),
             us(r.reads.p99_ns),
             us(r.reads.p999_ns),
             us(r.reads.max_ns),
             us(r.writes.p99_ns),
-            r.all.mean_ns / 1_000.0,
-            r.backlogged,
-            r.irqs,
-            r.pump_slices,
-            r.device.gc.blocks_erased,
-            r.device.waf(),
-        ));
+            format!("{:.3}", r.all.mean_ns / 1_000.0),
+            r.backlogged.to_string(),
+            r.irqs.to_string(),
+            r.pump_slices.to_string(),
+            r.device.gc.blocks_erased.to_string(),
+            format!("{:.4}", r.device.waf()),
+        ]);
     }
-    text.push_str(&tab.render());
 
     // Fig. 12-style tail curves where the preemption gap lives: QD=8.
     let mut cdf_csv = String::from("source,queue_depth,preempt,latency_us,cum_frac\n");
-    for (&(qd, preempt), r) in cells.iter().zip(&reports) {
-        if qd != 8 {
-            continue;
-        }
+    for (&(qd, preempt), r) in cells.iter().zip(&reports).filter(|((qd, _), _)| *qd == 8) {
         for p in r.read_cdf.downsample(96) {
             cdf_csv.push_str(&format!(
-                "closed-loop,{qd},{preempt},{:.3},{:.6}\n",
+                "closed-loop,{qd},{preempt},{},{:.6}\n",
                 us(p.value_ns),
                 p.fraction
             ));
         }
     }
 
-    text.push_str(
+    let mut art = Artifacts::tabled(
+        "Extension — queue-depth sensitivity (closed-loop, multi-queue host interface)\n\
+         (host-observed latency: submission to completion interrupt)\n\n\
+         QD=1 equivalence OK (device report byte-identical to synchronous chain)",
+        &tab,
         "\nRead p99 climbs with queue depth — deeper queues stack more commands\n\
          behind every GC round — and preemptible GC claws the extreme tail back:\n\
          at QD >= 8 the p99.9 read latency drops versus whole-victim GC because a\n\
          queued read waits for at most one migration quantum (gc_slice_pages)\n\
          instead of a full victim migration + erase. Medians are untouched; the\n\
          knob is tail-only, exactly as intended. See docs/HOST_INTERFACE.md.\n",
+        "sweep_qd.csv",
     );
-    Artifacts {
-        text,
-        csv: vec![
-            ("sweep_qd.csv".into(), csv),
-            ("gc_preempt_cdf.csv".into(), cdf_csv),
-        ],
-    }
+    art.csv.push(("gc_preempt_cdf.csv".into(), cdf_csv));
+    art
 }
 
 /// Extension — fleet-scale multi-tenant simulation: N devices, each
@@ -1217,37 +939,27 @@ pub fn sweep_fleet(scale: &Scale) -> Artifacts {
     let (fleet_sizes, requests_per_tenant): (&[usize], usize) =
         if quick { (&[4, 8], 300) } else { (&[8, 16, 32], 1_500) };
 
+    // The test fleet's shape (direct replay on the tiny device at 90%
+    // footprint, nothing armed); devices and scheme are set per cell.
     let base = FleetConfig {
-        devices: 0, // per cell
         mixes: TenantMix::all(),
-        scheme: Scheme::Cagc, // per cell
         flash,
         requests_per_tenant,
-        footprint_frac: 0.90,
         seed: scale.seed,
         // 3 groups against 4 mixes: coprime cycles, so same-mix devices
         // differ (group = d % 3 is not a function of mix = d % 4).
         seed_groups: 3,
         workers: scale.workers,
-        chunk: 1,
-        host_queues: None,
-        faults: cagc_flash::FaultConfig::none(),
-        gc_preempt: false,
-        read_only_floor_blocks: None,
-        telemetry: None, // armed only in the observability cell
-        slo: None,
+        ..FleetConfig::small_test()
     };
 
     let mut text = String::from(
         "Extension — fleet-scale multi-tenant simulation\n\
          (N devices x per-tenant namespace blends, deterministic dynamic fan-out)\n\n",
     );
-    let mut csv = String::from(
-        "fleet_devices,scheme,mix,devices,waf,dedup_hit_rate,erases,host_pages,\
-         gc_migrations,distinct_traces\n",
-    );
     let mut tab = Table::new(vec![
-        "Fleet", "Scheme", "Mix", "Devs", "WAF", "Dedup hit", "Erases",
+        "fleet_devices", "scheme", "mix", "devices", "waf", "dedup_hit_rate", "erases",
+        "host_pages", "gc_migrations", "distinct_traces",
     ]);
     let mut qos_csv = None;
     for &devices in fleet_sizes {
@@ -1263,20 +975,10 @@ pub fn sweep_fleet(scale: &Scale) -> Artifacts {
                     format!("{:.4}", m.totals.waf()),
                     format!("{:.4}", m.totals.dedup_hit_rate()),
                     m.totals.total_erases.to_string(),
+                    m.totals.host_pages_written.to_string(),
+                    m.totals.pages_migrated.to_string(),
+                    rep.distinct_traces.to_string(),
                 ]);
-                csv.push_str(&format!(
-                    "{},{},{},{},{:.4},{:.4},{},{},{},{}\n",
-                    devices,
-                    scheme.name(),
-                    m.mix,
-                    m.devices,
-                    m.totals.waf(),
-                    m.totals.dedup_hit_rate(),
-                    m.totals.total_erases,
-                    m.totals.host_pages_written,
-                    m.totals.pages_migrated,
-                    rep.distinct_traces,
-                ));
             }
             // QoS artifact: the largest CAGC fleet, replayed end-to-end
             // through the NVMe-style multi-queue host interface so tenant
@@ -1355,7 +1057,7 @@ pub fn sweep_fleet(scale: &Scale) -> Artifacts {
     Artifacts {
         text,
         csv: vec![
-            ("sweep_fleet.csv".into(), csv),
+            ("sweep_fleet.csv".into(), tab.to_csv()),
             ("fleet_qos.csv".into(), qos_csv.expect("CAGC cell ran at the largest fleet size")),
             (
                 "fleet_timeline.csv".into(),
@@ -1373,7 +1075,7 @@ pub fn sweep_fleet(scale: &Scale) -> Artifacts {
 /// Two asserted gates, printed for the CI log:
 ///
 /// * **pay-as-you-go** — the zero-intensity column is byte-identical to
-///   the same fleet with [`cagc_flash::FaultConfig::none`]: an armed but
+///   the same fleet with [`FaultConfig::none`]: an armed but
 ///   silent fault plan must not perturb a single byte;
 /// * **degradation** — every harsh-intensity cell degrades at least one
 ///   device and attributes its tenants' failed ops.
@@ -1381,7 +1083,7 @@ pub fn sweep_fleet(scale: &Scale) -> Artifacts {
 /// `sweep_chaos.csv` is byte-identical across worker counts (gated by
 /// `scripts/verify.sh` like the fleet sweep).
 pub fn sweep_chaos(scale: &Scale) -> Artifacts {
-    use cagc_fleet::{run_fleet, FleetConfig, TenantMix};
+    use cagc_fleet::{run_fleet, FleetConfig};
     use cagc_harness::ToJson;
 
     let quick = scale.requests <= 60_000;
@@ -1391,35 +1093,23 @@ pub fn sweep_chaos(scale: &Scale) -> Artifacts {
     // failures land while the replay is still short (docs/FAULTS.md).
     let flash = cagc_flash::UllConfig {
         channels: 1,
-        dies_per_channel: 2,
-        planes_per_die: 1,
         blocks_per_plane: 16,
         pages_per_block: 8,
-        page_size: 4096,
         op_ratio: 0.12,
-        gc_watermark: 0.20,
-        hash_ns: 14_000,
-        timing: cagc_flash::Timing::ull(),
+        ..cagc_flash::UllConfig::tiny_for_tests()
     };
+    // The test fleet's shape (balanced + noisy-neighbor mixes, direct
+    // replay, nothing armed); scheme, faults and preemption are per cell.
     let base = FleetConfig {
         devices,
-        mixes: vec![TenantMix::balanced(), TenantMix::noisy_neighbor()],
-        scheme: Scheme::Cagc, // per cell
         flash,
         requests_per_tenant,
-        footprint_frac: 0.90,
         seed: scale.seed,
-        seed_groups: 2,
         workers: scale.workers,
-        chunk: 1,
-        host_queues: None,
-        faults: cagc_flash::FaultConfig::none(), // per cell
-        gc_preempt: false,                       // per cell
         // The whole device: the first retirement trips read-only, long
         // before repeated erase failures can bleed the GC reserve dry.
         read_only_floor_blocks: Some(flash.geometry().total_blocks()),
-        telemetry: None,
-        slo: None,
+        ..FleetConfig::small_test()
     };
 
     // Erase-failure probability is the intensity axis; correctable ECC
@@ -1428,28 +1118,20 @@ pub fn sweep_chaos(scale: &Scale) -> Artifacts {
     let cell = |intensity: f64, scheme: Scheme, gc_preempt: bool| FleetConfig {
         scheme,
         gc_preempt,
-        faults: cagc_flash::FaultConfig {
+        faults: FaultConfig {
             erase_fail_prob: intensity,
             read_ecc_prob: if intensity > 0.0 { 0.02 } else { 0.0 },
             unrecoverable_prob: if intensity > 0.0 { 0.3 } else { 0.0 },
             seed: scale.seed.wrapping_add(0xC4A0),
-            ..cagc_flash::FaultConfig::none()
+            ..FaultConfig::none()
         },
         ..base.clone()
     };
 
-    let mut text = String::from(
-        "Extension — chaos campaign (fault intensity x scheme x GC preemption)\n\
-         (micro-device fleets; read-only floor = whole device, so the first\n\
-         \x20retired block degrades the cell and drains its tenants)\n\n",
-    );
-    let mut csv = String::from(
-        "intensity,erase_fail_prob,scheme,preempt,devices,degraded_devices,\
-         surviving_devices,failed_ops,first_degradation_ns,fleet_waf,survivor_waf,\
-         total_erases\n",
-    );
     let mut tab = Table::new(vec![
-        "Intensity", "Scheme", "Preempt", "Degraded", "Failed ops", "WAF", "Survivor WAF",
+        "intensity", "erase_fail_prob", "scheme", "preempt", "devices", "degraded_devices",
+        "surviving_devices", "failed_ops", "first_degradation_ns", "fleet_waf", "survivor_waf",
+        "total_erases",
     ]);
     let mut harsh_all_degrade = true;
     for &(label, p) in &intensities {
@@ -1481,23 +1163,18 @@ pub fn sweep_chaos(scale: &Scale) -> Artifacts {
                     if survivors > 0 { rep.survivor_totals.waf() } else { f64::NAN };
                 tab.row(vec![
                     label.to_string(),
+                    p.to_string(),
                     scheme.name().to_string(),
-                    if preempt { "on" } else { "off" }.to_string(),
-                    format!("{}/{}", rep.degraded_devices, rep.fleet.runs),
+                    preempt.to_string(),
+                    rep.fleet.runs.to_string(),
+                    rep.degraded_devices.to_string(),
+                    survivors.to_string(),
                     rep.failed_ops.to_string(),
+                    rep.first_degradation_ns.unwrap_or(0).to_string(),
                     format!("{:.4}", rep.waf()),
                     format!("{survivor_waf:.4}"),
+                    rep.fleet.total_erases.to_string(),
                 ]);
-                csv.push_str(&format!(
-                    "{label},{p},{},{preempt},{},{},{survivors},{},{},{:.4},{survivor_waf:.4},{}\n",
-                    scheme.name(),
-                    rep.fleet.runs,
-                    rep.degraded_devices,
-                    rep.failed_ops,
-                    rep.first_degradation_ns.unwrap_or(0),
-                    rep.waf(),
-                    rep.fleet.total_erases,
-                ));
             }
         }
     }
@@ -1505,12 +1182,134 @@ pub fn sweep_chaos(scale: &Scale) -> Artifacts {
         harsh_all_degrade,
         "every harsh-intensity cell must degrade at least one device"
     );
-    text.push_str(&tab.render());
-    text.push_str(
+    Artifacts::tabled(
+        "Extension — chaos campaign (fault intensity x scheme x GC preemption)\n\
+         (micro-device fleets; read-only floor = whole device, so the first\n\
+         \x20retired block degrades the cell and drains its tenants)",
+        &tab,
         "\nchaos gate OK: zero-fault cells byte-identical to the fault-free fleet,\n\
          every harsh cell degrades at least one device with tenant attribution.\n\
          Degraded cells reject writes as write-protected (NVMe 0x120) while\n\
          surviving devices keep serving; see docs/FAULTS.md.\n",
-    );
-    Artifacts { text, csv: vec![("sweep_chaos.csv".into(), csv)] }
+        "sweep_chaos.csv",
+    )
+}
+
+// ------------------------------------------------------------ Registry
+
+/// What a command may read: the scale, `--resilient`, and the aged grid.
+pub struct Ctx {
+    /// Experiment scale (`--scale`, `--seed`, `--workers`).
+    pub scale: Scale,
+    /// `--resilient`: arm the host retry/deadline policy in `sweep-qd`.
+    pub resilient: bool,
+    aged: Option<AgedResults>,
+}
+
+impl Ctx {
+    /// A context whose aged grid has not run yet.
+    pub fn new(scale: Scale, resilient: bool) -> Self {
+        Self { scale, resilient, aged: None }
+    }
+
+    /// The aged grid, run on first use and shared by Figs. 6 and 9–12.
+    fn aged(&mut self) -> &AgedResults {
+        let scale = self.scale;
+        self.aged.get_or_insert_with(|| {
+            let t = Instant::now();
+            eprintln!("[aged grid: 3 workloads x 3 schemes ...]");
+            let aged = run_aged(&scale);
+            eprintln!("[aged grid done in {:.1?}]", t.elapsed());
+            aged
+        })
+    }
+}
+
+/// One `repro` experiment command.
+pub struct Command {
+    /// The name typed on the command line.
+    pub name: &'static str,
+    /// Runs the experiment.
+    pub run: fn(&mut Ctx) -> Artifacts,
+    /// The CSV files it writes, in [`Artifacts::csv`] order.
+    pub csv: &'static [&'static str],
+}
+
+const fn cmd(
+    name: &'static str,
+    run: fn(&mut Ctx) -> Artifacts,
+    csv: &'static [&'static str],
+) -> Command {
+    Command { name, run, csv }
+}
+
+/// Every experiment `repro` can run, under the meta-command that expands
+/// to its group: `all` is the paper's tables and figures, `ablations` the
+/// ablations and extension studies. Adding an experiment is a function
+/// above plus a row here; usage text, expansion and dispatch follow.
+pub const COMMANDS: [(&str, &[Command]); 2] = [
+    (
+        "all",
+        &[
+            cmd("table1", |c| table1(&c.scale), &[]),
+            cmd("table2", |c| table2(&c.scale), &["table2.csv"]),
+            cmd("fig2", |c| fig2(&c.scale), &["fig2.csv"]),
+            cmd("fig6", |c| fig6(c.aged()), &["fig6.csv"]),
+            cmd("fig9", |c| fig9(c.aged()), &["fig9.csv"]),
+            cmd("fig10", |c| fig10(c.aged()), &["fig10.csv"]),
+            cmd("fig11", |c| fig11(c.aged()), &["fig11.csv"]),
+            cmd(
+                "fig12",
+                |c| fig12(c.aged()),
+                &["fig12_homes.csv", "fig12_web_vm.csv", "fig12_mail.csv"],
+            ),
+            cmd("fig13", |c| fig13(&c.scale), &["fig13.csv"]),
+        ],
+    ),
+    (
+        "ablations",
+        &[
+            cmd("ablate-placement", |c| ablate_placement(&c.scale), &["ablate_placement.csv"]),
+            cmd("ablate-overlap", |c| ablate_overlap(&c.scale), &["ablate_overlap.csv"]),
+            cmd("ablate-threshold", |c| ablate_threshold(&c.scale), &["ablate_threshold.csv"]),
+            cmd("ablate-watermark", |c| ablate_watermark(&c.scale), &["ablate_watermark.csv"]),
+            cmd("ablate-idle-gc", |c| ablate_idle_gc(&c.scale), &["ablate_idle_gc.csv"]),
+            cmd("compare-inline", |c| compare_inline(&c.scale), &["compare_inline.csv"]),
+            cmd("sweep-utilization", |c| sweep_utilization(&c.scale), &["sweep_utilization.csv"]),
+            cmd("sweep-trim", |c| sweep_trim(&c.scale), &["sweep_trim.csv"]),
+            cmd("sweep-faults", |c| sweep_faults(&c.scale), &["sweep_faults.csv"]),
+            cmd(
+                "sweep-qd",
+                |c| sweep_qd(&c.scale, c.resilient),
+                &["sweep_qd.csv", "gc_preempt_cdf.csv"],
+            ),
+            cmd(
+                "sweep-fleet",
+                |c| sweep_fleet(&c.scale),
+                &["sweep_fleet.csv", "fleet_qos.csv", "fleet_timeline.csv"],
+            ),
+            cmd("sweep-chaos", |c| sweep_chaos(&c.scale), &["sweep_chaos.csv"]),
+            cmd("wear", |c| wear_study(&c.scale), &["wear_study.csv"]),
+        ],
+    ),
+];
+
+/// Every command of both groups, in registry order.
+pub fn commands() -> impl Iterator<Item = &'static Command> {
+    COMMANDS.iter().flat_map(|(_, group)| *group)
+}
+
+/// The command half of `repro`'s usage text: each meta-command and the
+/// commands it expands to.
+pub fn command_usage() -> String {
+    let mut out = String::new();
+    for (meta, commands) in COMMANDS {
+        out.push_str(&format!("  {meta} ="));
+        for line in commands.chunks(5) {
+            let names: Vec<&str> = line.iter().map(|c| c.name).collect();
+            out.push_str(&format!("\n      {}", names.join(" ")));
+        }
+        out.push('\n');
+    }
+    out
 }

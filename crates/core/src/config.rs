@@ -77,7 +77,7 @@ pub struct SsdConfig {
     /// garbage for victim scoring (dynamic overprovisioning, Frankie
     /// et al.). When false the trim is acknowledged (counted, charged
     /// `trim_ns`) but ignored: data stays live and GC keeps migrating it —
-    /// the trim-blind device the `trim_sensitivity` study compares against.
+    /// the trim-blind device the `repro sweep-trim` study compares against.
     pub honor_trim: bool,
     /// Controller metadata cost to service one trim request (no die work:
     /// a trim touches mapping tables only, never NAND).

@@ -67,6 +67,17 @@ impl Table {
         }
         out
     }
+
+    /// The same cells as CSV: the header line, then one comma-joined line
+    /// per row (cells are written as-is, so they must not contain commas).
+    pub fn to_csv(&self) -> String {
+        let mut out = String::new();
+        for line in std::iter::once(&self.header).chain(&self.rows) {
+            out.push_str(&line.join(","));
+            out.push('\n');
+        }
+        out
+    }
 }
 
 /// Render a labelled horizontal bar chart (used for figure output).
@@ -110,6 +121,15 @@ mod tests {
         t.row(vec!["x"]);
         assert_eq!(t.len(), 1);
         assert!(t.render().contains('x'));
+    }
+
+    #[test]
+    fn csv_is_header_then_one_line_per_row_padded_like_render() {
+        let mut t = Table::new(vec!["a", "b", "c"]);
+        t.row(vec!["1", "2", "3"]);
+        t.row(vec!["x"]);
+        assert_eq!(t.to_csv(), "a,b,c\n1,2,3\nx,,\n");
+        assert_eq!(Table::new(vec!["only", "header"]).to_csv(), "only,header\n");
     }
 
     #[test]
