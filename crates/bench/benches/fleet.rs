@@ -7,12 +7,13 @@
 //! "cold" blend on the other 56) — replayed three ways:
 //!
 //! * `replay_w1` — serial reference (one worker);
-//! * `replay_w8_static` — 8 workers over the *static* contiguous-chunk
-//!   pool (`pool::map_ordered`): every hot device lands in the first
-//!   chunk, so one worker drags the makespan;
-//! * `replay_w8_dynamic` — 8 workers over the deterministic dynamic
-//!   scheduler (`pool::map_ordered_dynamic`): workers claim small chunks
-//!   from a shared cursor, so the hot devices spread across the pool.
+//! * `replay_w8_static` — 8 workers, `chunk = 64 / 8`: one contiguous
+//!   eight-device chunk per worker, which is what a static split would
+//!   hand out (the pool itself no longer has one). Every hot device lands
+//!   in the first chunk, so one worker drags the makespan;
+//! * `replay_w8_dynamic` — 8 workers, `chunk = 1`: workers claim single
+//!   devices from the shared cursor, so the hot devices spread across the
+//!   pool.
 //!
 //! On a machine with >= 8 cores, dynamic beats static on this shape and
 //! `replay_w1 / replay_w8_dynamic` shows the fan-out speedup
@@ -81,8 +82,8 @@ fn bench_fleet(c: &mut Bench) {
     }
 
     g.bench_function("replay_w1", |b| b.iter(|| run_fleet(&at(1, 1))));
-    // Static pool shape: one contiguous chunk per worker (chunk = n/w),
-    // the same split `pool::map_ordered` would make.
+    // Static shape: one contiguous chunk per worker (chunk = n/w), so
+    // claiming has nothing left to balance.
     g.bench_function("replay_w8_static", |b| b.iter(|| run_fleet(&at(8, 64 / 8))));
     g.bench_function("replay_w8_dynamic", |b| b.iter(|| run_fleet(&at(8, 1))));
 

@@ -1,10 +1,10 @@
 //! Fingerprint hashing microbenchmarks.
 //!
 //! Table I models the per-page fingerprint at 14 µs — these benches measure
-//! what our software SHA implementations actually cost on the host CPU for
+//! what our software SHA-1 actually costs on the host CPU for
 //! a 4 KiB page, serial and parallel, which grounds that parameter.
 
-use cagc_dedup::{ContentId, Fingerprint, ParallelHasher, Sha1, Sha256};
+use cagc_dedup::{ContentId, Fingerprint, ParallelHasher, Sha1};
 use cagc_harness::bench::{Bench, BenchmarkId, Throughput};
 
 fn bench_hash_page(c: &mut Bench) {
@@ -12,7 +12,6 @@ fn bench_hash_page(c: &mut Bench) {
     let mut g = c.benchmark_group("hash_4k_page");
     g.throughput(Throughput::Bytes(4096));
     g.bench_function("sha1", |b| b.iter(|| Sha1::digest(std::hint::black_box(&page))));
-    g.bench_function("sha256", |b| b.iter(|| Sha256::digest(std::hint::black_box(&page))));
     g.bench_function("fingerprint_of_content", |b| {
         b.iter(|| Fingerprint::of_content(std::hint::black_box(ContentId(42))))
     });

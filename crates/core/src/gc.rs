@@ -580,13 +580,13 @@ impl Ssd {
         fps.clear();
         // A tracked page's fingerprint sits in the index slab, one dense-map
         // load away (`Ssd::audit` checks it is the content's fingerprint);
-        // only untracked pages go to the memo.
+        // only untracked pages are computed.
         fps.extend(pages.iter().map(|&ppn| match self.index.fp_of_ppn(ppn) {
             Some(fp) => {
                 debug_assert_eq!(fp, Fingerprint::of_content(self.content_at(ppn)));
                 fp
             }
-            None => self.fingerprint_of(self.content_at(ppn)),
+            None => Fingerprint::of_content(self.content_at(ppn)),
         }));
         // Only untracked pages probe by fingerprint; a tracked page is its
         // own stored copy and is looked up by address.

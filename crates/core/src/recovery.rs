@@ -28,7 +28,7 @@
 
 use std::collections::HashSet;
 
-use cagc_dedup::{ContentId, FingerprintIndex};
+use cagc_dedup::{ContentId, Fingerprint, FingerprintIndex};
 use cagc_flash::{JournalOp, PageState, Ppn};
 use cagc_ftl::{Allocator, MappingTable, ReverseMap};
 use cagc_harness::{Json, ToJson};
@@ -220,7 +220,7 @@ impl Ssd {
                 continue;
             }
             if let Some(stamp) = self.dev.oob(ppn).fp {
-                let fp = self.fingerprint_of(ContentId(self.content_of[ppn as usize]));
+                let fp = Fingerprint::of_content(ContentId(self.content_of[ppn as usize]));
                 if fp_stamp(&fp) != stamp {
                     return Err(format!("ppn {ppn}: OOB stamp disagrees with cell content"));
                 }

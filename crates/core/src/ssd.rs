@@ -19,7 +19,7 @@
 //! semantics, the invalidation/reference-count bookkeeping shared by both,
 //! and the trace replay loop.
 
-use cagc_dedup::{ContentId, Fingerprint, FingerprintCache, FingerprintIndex, HashEngine};
+use cagc_dedup::{ContentId, Fingerprint, FingerprintIndex, HashEngine};
 use cagc_flash::{BlockId, FlashDevice, FlashError, JournalOp, PageOob, Ppn};
 use cagc_ftl::{
     Allocator, GcStats, Lpn, MappingTable, Region, ReverseMap, VictimCandidate, VictimSelector,
@@ -858,7 +858,7 @@ impl Ssd {
             self.tracer.span(Track::Hash, "hash", h.start, h.end, &[("lpn", lpn)]);
         }
         let decided = h.end + self.cfg.lookup_ns;
-        let fp = self.fingerprint_of(content);
+        let fp = Fingerprint::of_content(content);
         match self.index.lookup(&fp) {
             Some(entry) => {
                 if self.map.get(lpn) == Some(entry.ppn) {
@@ -1143,24 +1143,15 @@ impl Ssd {
     /// Gather and warm passes for a multi-page host write: every page
     /// releases the copy its LPN pointed at (reverse-map slot, index entry,
     /// block bitmap of the old PPN), and Inline-Dedupe also probes the
-    /// index with each page's fingerprint — fetched here through the memo,
-    /// which leaves the memo cells warm for [`Ssd::write_page_inline`].
+    /// index with each page's fingerprint.
     fn warm_write(&mut self, req: &Request) {
         let mut fps = std::mem::take(&mut self.fps_scratch);
         fps.clear();
         if self.cfg.scheme == Scheme::InlineDedup {
-            fps.extend(req.contents.iter().map(|&c| self.fingerprint_of(c)));
+            fps.extend(req.contents.iter().map(|&c| Fingerprint::of_content(c)));
         }
         self.warm(req.lpns().filter_map(|l| self.map.get(l)), fps.iter());
         self.fps_scratch = fps;
-    }
-
-    /// The SHA-1 fingerprint of `content`, memoized: bit-identical to
-    /// [`Fingerprint::of_content`] but each distinct content is hashed at
-    /// most once per thread (wall-clock only — the simulated hash-engine
-    /// charge is separate). See [`FingerprintCache::of_content_cached`].
-    pub(crate) fn fingerprint_of(&self, content: ContentId) -> Fingerprint {
-        FingerprintCache::of_content_cached(content)
     }
 
     /// The stored content of a physical page.

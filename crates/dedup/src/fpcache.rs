@@ -1,19 +1,13 @@
-//! Content-id → fingerprint memoization.
+//! A content-id → fingerprint memo table, **retained only for the
+//! benchmark's `dedup.fp_cached_ns` probe**.
 //!
-//! Simulated workloads address page contents by [`ContentId`]; the dedup
-//! machinery operates on the SHA-1 [`Fingerprint`] derived from that id.
-//! The derivation is a pure function, and GC-heavy replays fingerprint the
-//! same contents over and over (a page is re-hashed on every migration,
-//! and popular contents recur across the trace), so the digest is worth
-//! memoizing: [`FingerprintCache::get_or_insert`] computes each distinct
-//! content's SHA-1 exactly once and serves every later request from an
-//! open-addressed table.
-//!
-//! This affects **wall-clock time only**. The *simulated* cost of hashing
-//! stays where it was — the timing model charges
-//! [`crate::HashEngine::hash_page`] per page regardless — and the returned
-//! fingerprints are bit-identical to calling
-//! [`Fingerprint::of_content`] directly, so replay results do not change.
+//! Nothing in the workspace calls this any more:
+//! [`Fingerprint::of_content`] is a few-nanosecond mix, cheaper than a
+//! probe of this table, so the simulator computes fingerprints where it
+//! needs them and no per-thread memo exists. `benchmark/` (which the PR
+//! that retired the memo could not edit) still compiles against
+//! [`FingerprintCache::new`] and [`FingerprintCache::get_or_insert`];
+//! this module goes in the next `benchmark` PR, with that probe.
 
 use crate::fingerprint::{ContentId, Fingerprint};
 
@@ -34,7 +28,7 @@ const VACANT: Cell = Cell {
     occupied: false,
 };
 
-/// Memo table from content id to its SHA-1 fingerprint (see module docs).
+/// Memo table from content id to its fingerprint (see module docs).
 #[derive(Debug, Clone, Default)]
 pub struct FingerprintCache {
     /// Open-addressed, linear-probe cells.
@@ -58,19 +52,6 @@ impl FingerprintCache {
         Self::default()
     }
 
-    /// Memoized [`Fingerprint::of_content`] backed by a process-wide
-    /// (per-thread) cache. The memoized function is pure, so sharing the
-    /// table across simulator instances is safe and makes repeated runs in
-    /// one process (parameter sweeps, benches, test suites) skip the SHA-1
-    /// entirely for contents any earlier run already fingerprinted.
-    pub fn of_content_cached(id: ContentId) -> Fingerprint {
-        thread_local! {
-            static CACHE: std::cell::RefCell<FingerprintCache> =
-                std::cell::RefCell::new(FingerprintCache::new());
-        }
-        CACHE.with(|c| c.borrow_mut().get_or_insert(id))
-    }
-
     /// Number of distinct contents memoized.
     pub fn len(&self) -> usize {
         self.len
@@ -81,8 +62,8 @@ impl FingerprintCache {
         self.len == 0
     }
 
-    /// The fingerprint of `id`, computing (and memoizing) the SHA-1 on
-    /// first sight. Exactly equal to `Fingerprint::of_content(id)`.
+    /// The fingerprint of `id`, computed (and memoized) on first sight.
+    /// Exactly equal to `Fingerprint::of_content(id)`.
     pub fn get_or_insert(&mut self, id: ContentId) -> Fingerprint {
         if self.cells.is_empty() {
             self.cells = vec![VACANT; 64];

@@ -24,10 +24,10 @@
 //! * entries live in a slab (`Vec<Option<Slot>>` plus a free list), so an
 //!   entry has one stable integer id for its whole life;
 //! * a Robin-Hood linear-probe table maps `fingerprint → slot id`. The
-//!   64-bit probe key is the fingerprint's first eight bytes — SHA-1 output
-//!   is already uniform, so no secondary hasher (and no per-process hash
-//!   seed) is needed. Deletion is backward-shift, keeping probe chains
-//!   gap-free;
+//!   64-bit probe key is the fingerprint's first eight bytes — uniform
+//!   already, whether a SHA-1 digest or a content-id embedding, so no
+//!   secondary hasher (and no per-process hash seed) is needed. Deletion
+//!   is backward-shift, keeping probe chains gap-free;
 //! * the `ppn → slot` direction is a dense `Vec<u32>` indexed by PPN
 //!   (physical page numbers are bounded by device geometry), making
 //!   release/relocate/refs-of-ppn a single array load.
@@ -84,8 +84,8 @@ struct Slot {
     entry: FpEntry,
 }
 
-/// The 64-bit probe key: the fingerprint's leading eight bytes. SHA-1
-/// digests are uniformly distributed, so this is already a good hash.
+/// The 64-bit probe key: the fingerprint's leading eight bytes, which
+/// both fingerprint constructors leave uniformly distributed.
 #[inline]
 fn fp_hash(fp: &Fingerprint) -> u64 {
     u64::from_le_bytes(fp.0[..8].try_into().expect("fingerprint has 20 bytes"))

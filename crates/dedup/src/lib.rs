@@ -2,23 +2,22 @@
 //!
 //! Everything content-addressed that the CAGC reproduction needs:
 //!
-//! * [`sha1`] / [`sha256`] — the fingerprint hash functions, implemented
-//!   from scratch (FIPS 180-4) and verified against published test vectors;
-//!   no crypto crate exists in the offline dependency budget.
+//! * [`sha1`] — the fingerprint hash function for page *bytes*,
+//!   implemented from scratch (FIPS 180-4) and verified against published
+//!   test vectors; no crypto crate exists in the offline dependency budget.
 //! * [`fingerprint`] — [`ContentId`] (a page's logical content identity, as
-//!   carried by the FIU-style traces) and [`Fingerprint`] (its SHA-1
-//!   digest).
+//!   carried by the FIU-style traces) and [`Fingerprint`] (160 bits: the
+//!   SHA-1 of page bytes where bytes exist, an injective few-nanosecond
+//!   embedding of the `ContentId` in simulated replays — the *simulated*
+//!   cost of hashing lives in [`engine`]).
 //! * [`index`] — [`FingerprintIndex`], the fingerprint → (PPN, refcount)
 //!   store with a PPN-keyed reverse map, the metadata heart of CAFTL-style
 //!   dedup FTLs. Reference counts follow the paper's Sec. III-A semantics:
 //!   a physical page becomes invalid only when its count reaches zero.
 //! * [`refstats`] — [`RefCountStats`], the Fig. 6 measurement (invalidations
 //!   bucketed by peak refcount).
-//! * [`fpcache`] — [`FingerprintCache`], a process-wide memo of
-//!   [`ContentId`] → [`Fingerprint`]: SHA-1 of a synthetic content id is a
-//!   pure function, so replays hash each distinct content once (a hot-path
-//!   optimisation — see `docs/PERFORMANCE.md`; simulated hash *timing* is
-//!   unaffected, that lives in [`engine`]).
+//! * [`fpcache`] — [`FingerprintCache`], unused: kept compiling for one
+//!   `benchmark/` probe until that package can drop it.
 //! * [`engine`] — [`HashEngine`], the 14 µs/page hash-unit *timing* model
 //!   (Table I), and [`ParallelHasher`], a real multi-threaded page hasher
 //!   for benches and real-content runs.
@@ -58,7 +57,6 @@ pub mod fpcache;
 pub mod index;
 pub mod refstats;
 pub mod sha1;
-pub mod sha256;
 
 pub use engine::{HashEngine, ParallelHasher};
 pub use fingerprint::{ContentId, Fingerprint};
@@ -66,4 +64,3 @@ pub use fpcache::FingerprintCache;
 pub use index::{FingerprintIndex, FpEntry, IndexStats};
 pub use refstats::RefCountStats;
 pub use sha1::Sha1;
-pub use sha256::Sha256;

@@ -1,6 +1,6 @@
 //! Property-based tests for the dedup substrate.
 
-use cagc_dedup::{ContentId, Fingerprint, FingerprintIndex, ParallelHasher, Sha1, Sha256};
+use cagc_dedup::{ContentId, Fingerprint, FingerprintIndex, ParallelHasher, Sha1};
 use cagc_harness::prop::*;
 use std::collections::HashMap;
 
@@ -11,23 +11,6 @@ harness_proptest! {
                                 cuts in vec(1usize..64, 0..40)) {
         let expect = Sha1::digest(&data);
         let mut s = Sha1::new();
-        let mut rest: &[u8] = &data;
-        for &c in &cuts {
-            if rest.is_empty() { break; }
-            let take = c.min(rest.len());
-            s.update(&rest[..take]);
-            rest = &rest[take..];
-        }
-        s.update(rest);
-        prop_assert_eq!(s.finalize(), expect);
-    }
-
-    /// SHA-256 streaming with arbitrary chunking equals one-shot hashing.
-    #[test]
-    fn sha256_chunking_invariance(data in vec(any::<u8>(), 0..2000),
-                                  cuts in vec(1usize..64, 0..40)) {
-        let expect = Sha256::digest(&data);
-        let mut s = Sha256::new();
         let mut rest: &[u8] = &data;
         for &c in &cuts {
             if rest.is_empty() { break; }

@@ -383,7 +383,7 @@ pub struct PageOob {
     /// `None` for GC relocation programs (their sharers are journalled as
     /// [`JournalOp::Remap`] records instead) and for torn/failed programs.
     pub lpn: Option<u64>,
-    /// Fingerprint stamp (low 64 bits of the SHA-1) when this page is a
+    /// Fingerprint stamp (the fingerprint's first 8 bytes) when this page is a
     /// tracked stored copy in the dedup index; `None` for untracked pages.
     pub fp: Option<u64>,
     /// Durable sequence number assigned by the device at program time;

@@ -6,11 +6,10 @@
 //! that fan-out a fixed contract:
 //!
 //! * **Deterministic partitioning** — work is split into chunks whose
-//!   boundaries are computed purely from the input, never from scheduler
-//!   state. The *static* path ([`map_ordered`]) hands one contiguous
-//!   chunk to each worker; the *dynamic* path ([`map_ordered_dynamic`])
-//!   splits the input into many small fixed-boundary chunks that workers
-//!   claim from a shared atomic cursor as they finish previous ones.
+//!   boundaries are computed purely from the input and the chunk size
+//!   ([`dynamic_chunk_bounds`]), never from scheduler state or the worker
+//!   count. Workers claim the next unclaimed chunk from a shared atomic
+//!   cursor as they finish the previous one.
 //! * **Ordered collection** — results come back in input order no matter
 //!   how the OS schedules the threads.
 //!
@@ -20,21 +19,25 @@
 //! reproducibility tests assert (see `tests/hermetic_determinism.rs` at
 //! the workspace root and `tests/dynamic_pool.rs` in this crate).
 //!
-//! ## Static vs dynamic
+//! ## One scheduler
 //!
-//! The static path has zero coordination but poor load balance: with
-//! contiguous per-worker chunks, the slowest *chunk* bounds the wall
-//! clock, so one expensive region of the input strands every other core.
-//! The dynamic path trades one relaxed atomic `fetch_add` per chunk for
-//! greedy load balancing — a worker that drew a cheap chunk immediately
-//! claims the next unclaimed one — which is the classic list-scheduling
-//! bound: makespan ≤ (total work)/workers + max single item. *Which*
-//! worker computes an item becomes scheduler-dependent; *what* is
-//! computed and *where the result lands* do not, so byte-identity across
-//! worker counts is preserved for pure cell functions. Use the dynamic
-//! path whenever per-item runtimes are skewed (multi-tenant fleet
-//! devices, mixed-size experiment grids) and the static path when items
-//! are uniform and coordination must be zero.
+//! There is one claiming loop ([`map_ordered_dynamic_chunked`]);
+//! [`map_ordered`] is it with single-item chunks. A static split — one
+//! contiguous share per worker, decided up front — has zero coordination
+//! but lets the slowest *share* bound the wall clock: one expensive region
+//! of the input strands every other core (the paper grid's nine cells ran
+//! at 0.69 pool efficiency that way). Claiming trades one relaxed atomic
+//! `fetch_add` per chunk for greedy load balancing — a worker that drew a
+//! cheap chunk immediately claims the next unclaimed one — which is the
+//! classic list-scheduling bound: makespan ≤ (total work)/workers + max
+//! single chunk. *Which* worker computes an item is scheduler-dependent;
+//! *what* is computed and *where the result lands* are not, so
+//! byte-identity across worker counts holds for pure cell functions. That
+//! needs cells whose cost and footprint do not depend on the thread that
+//! runs them, which is why the workspace keeps no thread-local state
+//! (`scripts/verify.sh` checks). When items are cheap (tens of
+//! microseconds) pick a chunk size that amortises the claim and the
+//! per-chunk `Vec`; when each is a whole replay, single items are right.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -49,59 +52,6 @@ pub fn effective_workers(requested: usize, items: usize) -> usize {
     };
     let w = if requested == 0 { hw() } else { requested };
     w.max(1).min(items.max(1))
-}
-
-/// The contiguous chunk bounds `[start, end)` owned by `worker` when
-/// `items` items are split over `workers` workers: the first
-/// `items % workers` chunks get one extra item. Purely arithmetic —
-/// this is the partitioning contract the determinism tests rely on.
-pub fn chunk_bounds(items: usize, workers: usize, worker: usize) -> (usize, usize) {
-    debug_assert!(worker < workers);
-    let base = items / workers;
-    let extra = items % workers;
-    let start = worker * base + worker.min(extra);
-    let len = base + usize::from(worker < extra);
-    (start, start + len)
-}
-
-/// Apply `f` to every item on up to `workers` scoped OS threads
-/// (`0` ⇒ machine parallelism) and return results in input order.
-///
-/// Each worker owns one contiguous chunk of the input (see
-/// [`chunk_bounds`]); a panic in any worker propagates to the caller.
-pub fn map_ordered<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = effective_workers(workers, items.len());
-    if items.is_empty() {
-        return Vec::new();
-    }
-    if workers == 1 {
-        return items.iter().map(f).collect();
-    }
-    let mut chunks: Vec<Option<Vec<R>>> = (0..workers).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (start, end) = chunk_bounds(items.len(), workers, w);
-            let slice = &items[start..end];
-            let f = &f;
-            handles.push(s.spawn(move || slice.iter().map(f).collect::<Vec<R>>()));
-        }
-        for (slot, h) in chunks.iter_mut().zip(handles) {
-            match h.join() {
-                Ok(v) => *slot = Some(v),
-                Err(p) => std::panic::resume_unwind(p),
-            }
-        }
-    });
-    chunks
-        .into_iter()
-        .flat_map(|c| c.expect("every worker reports its chunk"))
-        .collect()
 }
 
 /// The fixed chunk bounds `[start, end)` of chunk `index` when `items`
@@ -121,14 +71,12 @@ pub fn dynamic_chunk_bounds(items: usize, chunk: usize, index: usize) -> (usize,
 /// next unclaimed chunk from a shared atomic cursor, and results are
 /// collected in input order.
 ///
-/// Identical output contract to [`map_ordered`] — for a pure `f`, any
-/// worker count produces the same vector, byte for byte — but with
-/// greedy load balancing: a worker finishing a cheap chunk immediately
-/// takes the next one, so skewed per-item runtimes no longer strand
-/// cores the way static contiguous partitioning does.
+/// For a pure `f`, any worker count produces the same vector, byte for
+/// byte, and a worker finishing a cheap chunk immediately takes the next
+/// one, so skewed per-item runtimes do not strand cores.
 ///
 /// A panic in `f` propagates to the caller (other workers drain the
-/// remaining chunks first, exactly like the static path's join).
+/// remaining chunks first).
 pub fn map_ordered_dynamic_chunked<T, R, F>(
     items: &[T],
     workers: usize,
@@ -187,16 +135,29 @@ where
         .collect()
 }
 
+/// Apply `f` to every item on up to `workers` scoped OS threads
+/// (`0` ⇒ machine parallelism) and return results in input order:
 /// [`map_ordered_dynamic_chunked`] with single-item chunks — the right
 /// default when each item is expensive (a whole device replay, a whole
 /// experiment cell) and the atomic claim is noise by comparison.
-pub fn map_ordered_dynamic<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
+pub fn map_ordered<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
     map_ordered_dynamic_chunked(items, workers, 1, f)
+}
+
+/// [`map_ordered`] under the name it had while a static split existed
+/// beside it; `benchmark/` still calls it.
+pub fn map_ordered_dynamic<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    map_ordered(items, workers, f)
 }
 
 /// Run `f(worker_index)` once on each of `workers` scoped threads and
@@ -230,25 +191,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn chunk_bounds_cover_exactly_once() {
-        for items in [0usize, 1, 2, 7, 64, 101] {
-            for workers in 1usize..9 {
-                let mut covered = 0usize;
-                let mut expect_start = 0usize;
-                for w in 0..workers {
-                    let (s, e) = chunk_bounds(items, workers, w);
-                    assert_eq!(s, expect_start, "gap at worker {w}");
-                    assert!(e >= s);
-                    covered += e - s;
-                    expect_start = e;
-                }
-                assert_eq!(covered, items, "items={items} workers={workers}");
-                assert_eq!(expect_start, items);
-            }
-        }
-    }
-
-    #[test]
     fn map_ordered_preserves_input_order() {
         let items: Vec<u64> = (0..257).collect();
         for workers in [1, 2, 3, 8, 300] {
@@ -271,6 +213,7 @@ mod tests {
     fn empty_input_is_fine() {
         let out: Vec<u32> = map_ordered(&[] as &[u32], 4, |&x| x);
         assert!(out.is_empty());
+        assert!(map_ordered_dynamic(&[] as &[u32], 4, |&x| x).is_empty());
     }
 
     #[test]
@@ -313,25 +256,6 @@ mod tests {
                 assert_eq!(out, serial, "workers={workers} chunk={chunk}");
             }
         }
-    }
-
-    #[test]
-    fn dynamic_empty_and_zero_workers() {
-        let out: Vec<u32> = map_ordered_dynamic(&[] as &[u32], 4, |&x| x);
-        assert!(out.is_empty());
-        let items = [1u32, 2, 3];
-        assert_eq!(map_ordered_dynamic(&items, 0, |&x| x + 1), vec![2, 3, 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "boom-dynamic")]
-    fn dynamic_worker_panic_propagates() {
-        map_ordered_dynamic(&[1u32, 2, 3, 4], 2, |&x| {
-            if x == 3 {
-                panic!("boom-dynamic");
-            }
-            x
-        });
     }
 
     #[test]

@@ -1,18 +1,20 @@
-//! Determinism contract of the dynamic pool scheduler.
+//! Determinism contract of the pool scheduler.
 //!
-//! `map_ordered_dynamic` trades the static path's fixed item→worker
-//! assignment for atomic chunk claiming, so *which thread computes an
-//! item* is scheduler-dependent — these tests pin down everything that
+//! Workers claim chunks from an atomic cursor, so *which thread computes
+//! an item* is scheduler-dependent — these tests pin down everything that
 //! must **not** be: for a pure cell function the output vector is
-//! byte-identical to serial `map_ordered` at every worker count, even
-//! under adversarially skewed per-item runtimes, and a panicking cell
-//! propagates exactly like the static path.
+//! byte-identical to `items.iter().map(f)` at every worker count and chunk
+//! size, even under adversarially skewed per-item runtimes, and a
+//! panicking cell's payload reaches the caller. One test proves the
+//! claiming itself, through `map_ordered`.
 
 use cagc_harness::pool::{
-    dynamic_chunk_bounds, map_ordered, map_ordered_dynamic, map_ordered_dynamic_chunked,
+    dynamic_chunk_bounds, map_ordered, map_ordered_dynamic_chunked,
 };
 use cagc_harness::prop::*;
 use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 /// A pure cell function whose result depends on every bit of the item.
 fn cell(x: &u64) -> String {
@@ -33,17 +35,18 @@ fn spin(units: u64) -> u64 {
 harness_proptest! {
     #![config(cases = 24)]
 
-    /// Dynamic output equals serial `map_ordered` for every worker count,
+    /// Pool output equals a plain serial map for every worker count,
     /// chunk size, and input shape.
     #[test]
     fn dynamic_is_byte_identical_to_serial(
         items in vec(0u64..u64::MAX, 0..120),
         chunk in 1usize..9,
     ) {
-        let serial = map_ordered(&items, 1, cell);
+        let serial: Vec<String> = items.iter().map(cell).collect();
         for workers in [1usize, 2, 3, 8] {
             let dynamic = map_ordered_dynamic_chunked(&items, workers, chunk, cell);
             prop_assert_eq!(&dynamic, &serial, "workers={} chunk={}", workers, chunk);
+            prop_assert_eq!(&map_ordered(&items, workers, cell), &serial, "workers={}", workers);
         }
     }
 
@@ -79,15 +82,45 @@ fn skewed_runtimes_never_change_output() {
             let out = map_ordered_dynamic_chunked(&items, workers, chunk, skewed_cell);
             assert_eq!(out, serial, "workers={workers} chunk={chunk}");
         }
-        let out = map_ordered_dynamic(&items, workers, skewed_cell);
+        let out = map_ordered(&items, workers, skewed_cell);
         assert_eq!(out, serial, "workers={workers} chunk=1 (default)");
     }
 }
 
-/// A panic in a dynamic cell reaches the caller, matching the static
-/// path's behavior (`pool::tests::worker_panic_propagates`).
+/// Proof that `map_ordered` claims as it goes: item 0 does not return
+/// until every other item has, so on two workers the run only completes
+/// if the free worker takes all seven others — a contiguous share per
+/// worker would leave items 1–3 queued behind item 0 for ever. The wait
+/// is bounded, so a regression fails here instead of hanging the suite.
 #[test]
-fn dynamic_panic_propagation_matches_static() {
+fn a_free_worker_claims_past_any_static_share() {
+    let items: Vec<usize> = (0..8).collect();
+    let finished = AtomicUsize::new(0);
+    let others = items.len() - 1;
+    let out = map_ordered(&items, 2, |&i| {
+        if i == 0 {
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while finished.load(Ordering::SeqCst) < others {
+                assert!(
+                    Instant::now() < deadline,
+                    "item 0 still waiting on {} of {others} items: its worker's \
+                     neighbours were never claimed by the free worker",
+                    others - finished.load(Ordering::SeqCst)
+                );
+                std::thread::yield_now();
+            }
+        } else {
+            finished.fetch_add(1, Ordering::SeqCst);
+        }
+        i * 10
+    });
+    assert_eq!(out, (0..8).map(|i| i * 10).collect::<Vec<_>>());
+}
+
+/// A panic in a cell reaches the caller with its payload, through either
+/// entry point.
+#[test]
+fn panic_payload_reaches_the_caller() {
     let items: Vec<u64> = (0..32).collect();
     let poison = |&x: &u64| {
         if x == 17 {
@@ -95,26 +128,25 @@ fn dynamic_panic_propagation_matches_static() {
         }
         x * 2
     };
-    let static_panic =
-        std::panic::catch_unwind(|| map_ordered(&items, 4, poison)).unwrap_err();
-    let dynamic_panic =
-        std::panic::catch_unwind(|| map_ordered_dynamic(&items, 4, poison)).unwrap_err();
-    let msg = |p: &Box<dyn std::any::Any + Send>| {
+    let msg = |p: Box<dyn std::any::Any + Send>| {
         p.downcast_ref::<&str>().map(|s| s.to_string())
             .or_else(|| p.downcast_ref::<String>().cloned())
             .expect("panic payload is a string")
     };
-    assert_eq!(msg(&static_panic), "poisoned item");
-    assert_eq!(msg(&dynamic_panic), "poisoned item");
+    let single = std::panic::catch_unwind(|| map_ordered(&items, 4, poison)).unwrap_err();
+    let chunked =
+        std::panic::catch_unwind(|| map_ordered_dynamic_chunked(&items, 4, 5, poison)).unwrap_err();
+    assert_eq!(msg(single), "poisoned item");
+    assert_eq!(msg(chunked), "poisoned item");
 }
 
 /// Machine-independent statement of the scheduling win the fleet bench
-/// measures in wall-clock time on multicore hosts: replaying the
-/// scheduler policies over a *modelled* cost vector (list scheduling for
-/// the dynamic claim order, contiguous split for the static one) shows
-/// the dynamic makespan beating static partitioning ≥ 5× on the skewed
-/// 64-device / 8-worker fleet shape, and within the classic
-/// `total/workers + max_item` list-scheduling bound.
+/// measures in wall-clock time on multicore hosts: replaying the two
+/// policies over a *modelled* cost vector (list scheduling for the claim
+/// order, the contiguous per-worker split the pool used to make for the
+/// static one) shows the dynamic makespan beating static partitioning
+/// ≥ 5× on the skewed 64-device / 8-worker fleet shape, and within the
+/// classic `total/workers + max_item` list-scheduling bound.
 #[test]
 fn modelled_makespan_dynamic_beats_static_5x_on_skewed_fleet() {
     // 64 devices; the 8 "noisy neighbor" tenants land contiguously at the
@@ -123,14 +155,9 @@ fn modelled_makespan_dynamic_beats_static_5x_on_skewed_fleet() {
     let costs: Vec<u64> = (0..64u64).map(|i| if i < 8 { 100 } else { 1 }).collect();
     let workers = 8usize;
 
-    // Static contiguous split: worker w owns chunk_bounds(items, workers, w).
-    let static_makespan: u64 = (0..workers)
-        .map(|w| {
-            let (s, e) = cagc_harness::pool::chunk_bounds(costs.len(), workers, w);
-            costs[s..e].iter().sum::<u64>()
-        })
-        .max()
-        .unwrap();
+    // Static contiguous split: each worker owns one eighth of the input.
+    let static_makespan: u64 =
+        costs.chunks(costs.len() / workers).map(|share| share.iter().sum()).max().unwrap();
 
     // Dynamic claiming: greedy list scheduling — each item goes to the
     // worker that frees up first (what the atomic cursor implements).

@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 echo "== build (release, offline) =="
 cargo build --release --offline
 
+echo "== cells are placement-free: no thread-local state in library code =="
+if grep -rn 'thread_local!' crates/*/src src; then echo "FAIL: a cell's cost and footprint must not depend on the thread that runs it (crates/harness/src/pool.rs)"; exit 1; fi
+
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
 

@@ -4,7 +4,7 @@
 //! Collection Scheme for Ultra-Low Latency Flash-based SSDs"* (Wu, Du, Li,
 //! Jiang, Shen, Mao — IPDPS 2021): a full event-driven SSD simulator
 //! (FlashSim-class), a page-mapping FTL with three victim-selection
-//! policies, a deduplication substrate (from-scratch SHA-1/256,
+//! policies, a deduplication substrate (from-scratch SHA-1,
 //! reference-counted fingerprint index), FIU-like content-carrying
 //! workloads, and the three schemes the paper compares — **Baseline**,
 //! **Inline-Dedupe**, and **CAGC** itself.
@@ -16,7 +16,7 @@
 //! |-------|------------|
 //! | [`sim`] | discrete-event substrate: clock, event queue, resource timelines |
 //! | [`flash`] | NAND device model: geometry, page/block state machine, Table I timing |
-//! | [`dedup`] | SHA-1/SHA-256, fingerprint index with refcounts, hash engine |
+//! | [`dedup`] | SHA-1, fingerprints, fingerprint index with refcounts, hash engine |
 //! | [`ftl`] | mapping table, reverse map, region allocator, victim policies |
 //! | [`core`] | the schemes: `Ssd`, content-aware GC (preemptible slices), reports |
 //! | [`host`] | NVMe-style multi-queue host interface: SQ/CQ pairs, doorbells, interrupt coalescing, GC pump |

@@ -1,9 +1,10 @@
 //! Validates the ContentId abstraction against real bytes.
 //!
 //! The simulator represents page contents as opaque 64-bit identities and
-//! fingerprints them by hashing the id. These tests confirm that nothing
-//! is lost by the abstraction: expanding ids to real 4 KiB payloads and
-//! running the actual SHA-1 data path produces exactly the same duplicate
+//! fingerprints them by an injective mix of the id
+//! (`Fingerprint::of_content`). These tests confirm that nothing is lost
+//! by the abstraction: expanding ids to real payloads and running the
+//! actual SHA-1 data path produces exactly the same duplicate
 //! structure, so every dedup decision the simulator makes is the decision
 //! a real-content FTL would make.
 
@@ -14,15 +15,24 @@ use std::collections::HashMap;
 #[test]
 fn byte_level_fingerprints_induce_the_same_duplicate_structure() {
     // A duplicate-heavy trace: many requests share ContentIds.
-    let trace = FiuWorkload::Mail.synth_config(2_000, 1_500, 13).generate();
+    let trace = FiuWorkload::Mail.synth_config(40_000, 30_000, 13).generate();
     let contents: Vec<ContentId> =
         trace.requests.iter().flat_map(|r| r.contents.iter().copied()).collect();
-    assert!(contents.len() > 1_000);
+    assert!(contents.len() >= 100_000, "only {} contents", contents.len());
 
-    // Real data path: expand every page to 4 KiB and hash the bytes with
-    // the parallel hasher (the production-style path).
-    let payloads: Vec<Vec<u8>> = contents.iter().map(|c| c.synth_bytes(4096)).collect();
-    let byte_fps = ParallelHasher::auto().hash_pages(&payloads);
+    // Real data path: expand every content to bytes and hash them with
+    // the parallel hasher (the production-style path), a batch at a time.
+    // 512-byte sectors here: which contents are equal does not depend on
+    // the payload length, and 100 k 4 KiB SHA-1s take 20 s unoptimised
+    // (the test below hashes whole pages).
+    let hasher = ParallelHasher::auto();
+    let byte_fps: Vec<Fingerprint> = contents
+        .chunks(4096)
+        .flat_map(|batch| {
+            let payloads: Vec<Vec<u8>> = batch.iter().map(|c| c.synth_bytes(512)).collect();
+            hasher.hash_pages(&payloads)
+        })
+        .collect();
 
     // Simulator path: fingerprint of the content id.
     let id_fps: Vec<Fingerprint> =
