@@ -37,6 +37,13 @@ use std::time::Instant;
 const SMOKE: &str = "smoke";
 const INSPECT: &str = "inspect";
 
+/// What a command-line name resolves to.
+enum Step {
+    Smoke,
+    Inspect,
+    Experiment(&'static exp::Command),
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--scale quick|default|full] [--seed N] [--out DIR] [--workers N]\n\
@@ -213,12 +220,21 @@ fn main() {
         usage();
     }
 
-    // Expand meta-commands.
-    let mut expanded = Vec::new();
-    for c in cmds {
-        match exp::COMMANDS.iter().find(|(meta, _)| *meta == c) {
-            Some((_, group)) => expanded.extend(group.iter().map(|c| c.name.to_string())),
-            None => expanded.push(c),
+    // Expand meta-commands and resolve every name before the first command
+    // runs: a typo at the end of the line must cost nothing but the usage text.
+    let mut steps: Vec<(&str, Step)> = Vec::new();
+    for c in &cmds {
+        if let Some((_, group)) = exp::COMMANDS.iter().find(|(meta, _)| meta == c) {
+            steps.extend(group.iter().map(|k| (k.name, Step::Experiment(k))));
+        } else if c == SMOKE {
+            steps.push((SMOKE, Step::Smoke));
+        } else if c == INSPECT {
+            steps.push((INSPECT, Step::Inspect));
+        } else if let Some(k) = exp::commands().find(|k| k.name == c) {
+            steps.push((k.name, Step::Experiment(k)));
+        } else {
+            eprintln!("unknown command `{c}`");
+            usage()
         }
     }
 
@@ -229,34 +245,30 @@ fn main() {
     );
 
     let mut ctx = exp::Ctx::new(scale, resilient);
-    for cmd in &expanded {
+    for (cmd, step) in steps {
         let t = Instant::now();
-        if cmd == SMOKE {
-            smoke(&scale, trace_out.as_deref(), trace_sample, preempt);
-        } else if cmd == INSPECT {
-            inspect(
+        match step {
+            Step::Smoke => smoke(&scale, trace_out.as_deref(), trace_sample, preempt),
+            Step::Inspect => inspect(
                 &scale,
                 &out_dir,
                 trace_out.as_deref(),
                 diff.as_ref().map(|(a, b)| (a.as_path(), b.as_path())),
                 preempt,
                 trace_sample,
-            );
-        } else {
-            let Some(command) = exp::commands().find(|c| c.name == cmd) else {
-                eprintln!("unknown command `{cmd}`");
-                usage()
-            };
-            let art = (command.run)(&mut ctx);
-            assert!(
-                art.csv.iter().map(|(name, _)| name.as_str()).eq(command.csv.iter().copied()),
-                "`{cmd}` must write exactly the CSVs its registry row declares"
-            );
-            println!("{}", art.text);
-            for (name, csv) in &art.csv {
-                let path = out_dir.join(name);
-                std::fs::write(&path, csv).expect("write CSV artifact");
-                println!("  -> {}", path.display());
+            ),
+            Step::Experiment(command) => {
+                let art = (command.run)(&mut ctx);
+                assert!(
+                    art.csv.iter().map(|(name, _)| name.as_str()).eq(command.csv.iter().copied()),
+                    "`{cmd}` must write exactly the CSVs its registry row declares"
+                );
+                println!("{}", art.text);
+                for (name, csv) in &art.csv {
+                    let path = out_dir.join(name);
+                    std::fs::write(&path, csv).expect("write CSV artifact");
+                    println!("  -> {}", path.display());
+                }
             }
         }
         println!("  [{cmd} in {:.1?}]\n", t.elapsed());

@@ -2,8 +2,7 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation (Tables
 //! I–II, Figs. 2, 6, 9, 10, 11, 12, 13) plus the ablations DESIGN.md calls
-//! out. [`experiments::COMMANDS`] is the registry the `repro` binary runs;
-//! `benches/` holds the `cagc_harness::bench` suites.
+//! out. [`experiments::COMMANDS`] is the registry the `repro` binary runs.
 //!
 //! ```bash
 //! cargo run --release -p cagc-bench --bin repro -- all

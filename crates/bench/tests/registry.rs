@@ -38,3 +38,21 @@ fn usage_lists_every_command() {
         assert!(words.contains(name), "`{name}` missing from usage:\n{usage}");
     }
 }
+
+#[test]
+fn an_unknown_command_stops_repro_before_anything_runs() {
+    let out = std::env::temp_dir().join(format!("cagc_repro_unknown_{}", std::process::id()));
+    std::fs::create_dir_all(&out).expect("create temp out dir");
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--out")
+        .arg(&out)
+        .args(["table1", "nosuch"])
+        .output()
+        .expect("run repro");
+    let written = std::fs::read_dir(&out).expect("read temp out dir").count();
+    std::fs::remove_dir_all(&out).expect("remove temp out dir");
+    assert!(!run.status.success(), "an unknown command must fail the run");
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(!stdout.contains("Table I"), "table1 ran before `nosuch` was rejected:\n{stdout}");
+    assert_eq!(written, 0, "nothing may be written when a command name is unknown");
+}

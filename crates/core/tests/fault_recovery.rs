@@ -527,7 +527,9 @@ fn fault_free_runs_stay_quiet_and_journal_free() {
 /// Sweep crash points across a run whose fault-free twin provably runs GC,
 /// so several of the crashes land *inside* GC rounds (mid-migration,
 /// between a dedup absorb and the victim erase) — the window CAGC's
-/// dedup-during-GC design is most exposed in.
+/// dedup-during-GC design is most exposed in. After each recovery the
+/// rest of the workload is replayed, torn request first, and the device
+/// must end up holding what the twin holds.
 #[test]
 fn crash_points_inside_gc_recover_for_every_scheme() {
     for scheme in [Scheme::Baseline, Scheme::InlineDedup, Scheme::Cagc] {
@@ -567,8 +569,8 @@ fn crash_points_inside_gc_recover_for_every_scheme() {
                 FaultConfig { crash_at_op: Some(crash_op), ..FaultConfig::none() };
             let mut ssd = Ssd::new(cfg);
             let mut oracle = Oracle::new(ssd.logical_pages());
-            let mut crashed = false;
-            for req in &reqs {
+            let mut torn_at = None;
+            for (i, req) in reqs.iter().enumerate() {
                 let cand: Vec<(u64, Option<ContentId>)> = match req.kind {
                     cagc_workloads::OpKind::Write => req
                         .lpns()
@@ -588,13 +590,21 @@ fn crash_points_inside_gc_recover_for_every_scheme() {
                         for (lpn, v) in cand {
                             oracle.pending[lpn as usize].push(v);
                         }
-                        crashed = true;
+                        torn_at = Some(i);
                         break;
                     }
                     Err(e) => panic!("{scheme:?} crash_op {crash_op}: {e}"),
                 }
             }
-            assert!(crashed, "{scheme:?}: crash point {crash_op} inside span {span} never fired");
+            let torn_at = torn_at.unwrap_or_else(|| {
+                panic!("{scheme:?}: crash point {crash_op} inside span {span} never fired")
+            });
+            if scheme == Scheme::Cagc && k == 8 {
+                assert!(
+                    ssd.gc_stats().dedup_hits > 0,
+                    "the last crash point must land after GC has absorbed duplicates"
+                );
+            }
             let rep = ssd.recover().unwrap_or_else(|e| {
                 panic!("{scheme:?} crash_op {crash_op}: recovery failed: {e}")
             });
@@ -604,6 +614,19 @@ fn crash_points_inside_gc_recover_for_every_scheme() {
                 .unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(ssd.ref_histogram(), recount_histogram(&ssd));
             ssd.audit().unwrap();
+
+            // The crash point is consumed: the run finishes and converges.
+            for req in &reqs[torn_at..] {
+                ssd.process(req);
+            }
+            ssd.audit().unwrap();
+            for lpn in 0..ssd.logical_pages() {
+                assert_eq!(
+                    ssd.stored_content(lpn),
+                    twin.stored_content(lpn),
+                    "{scheme:?} crash_op {crash_op}: lpn {lpn} diverged from the fault-free twin"
+                );
+            }
         }
     }
 }

@@ -182,11 +182,14 @@ mod tests {
         use cagc_harness::ToJson;
         let mut cfg = FleetConfig::small_test();
         let baseline = run_fleet(&cfg).to_json().render();
-        for workers in [2usize, 3, 8] {
+        // Single-device claims, then the static split: one contiguous
+        // chunk per worker, so claiming has nothing left to balance.
+        let per_worker = |workers: usize| (workers, cfg.devices.div_ceil(workers));
+        for (workers, chunk) in [(2, 1), (8, 1), per_worker(2), per_worker(3)] {
             cfg.workers = workers;
-            cfg.chunk = if workers == 3 { 2 } else { 1 };
+            cfg.chunk = chunk;
             let got = run_fleet(&cfg).to_json().render();
-            assert_eq!(got, baseline, "workers={workers} changed the fleet report");
+            assert_eq!(got, baseline, "workers={workers} chunk={chunk} changed the fleet report");
         }
     }
 

@@ -1,7 +1,7 @@
 //! A tiny JSON serializer.
 //!
 //! The workspace needs exactly one serialization direction — Rust report
-//! structs out to JSON artifacts (`BENCH_*.json`, experiment exports) —
+//! structs out to JSON artifacts (run and fleet reports, trace exports) —
 //! and nothing else a full serde stack provides. This module is that one
 //! direction: an explicit [`Json`] tree, deterministic rendering (object
 //! keys keep insertion order, numbers render via Rust's shortest

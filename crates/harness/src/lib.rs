@@ -1,4 +1,4 @@
-//! # cagc-harness — zero-dependency test/bench/concurrency substrate
+//! # cagc-harness — zero-dependency test/concurrency substrate
 //!
 //! The enabling layer that keeps this workspace hermetically buildable:
 //! `cargo build --release --offline && cargo test -q --offline` must
@@ -10,7 +10,6 @@
 //! |--------|----------|------------|
 //! | [`pool`] | `crossbeam` scoped threads, `parking_lot` | scoped worker pool with deterministic partitioning and ordered results |
 //! | [`prop`] | `proptest` | seeded property-test runner: strategies, bounded shrinking, `harness_proptest!` |
-//! | [`bench`](mod@bench) | `criterion` | micro-benchmark runner: warmup, median/p95/min report, `BENCH_*.json` |
 //! | [`json`] | `serde` derive | explicit [`json::Json`] tree + [`json::ToJson`] trait, deterministic rendering |
 //!
 //! Randomness comes from [`cagc_sim::SimRng`] — the same deterministic
@@ -25,7 +24,6 @@
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod bench;
 pub mod json;
 pub mod pool;
 pub mod prop;

@@ -140,8 +140,9 @@ fn panic_payload_reaches_the_caller() {
     assert_eq!(msg(chunked), "poisoned item");
 }
 
-/// Machine-independent statement of the scheduling win the fleet bench
-/// measures in wall-clock time on multicore hosts: replaying the two
+/// The workspace's only statement of the scheduling win, and a
+/// machine-independent one (measured wall-clock scaling is `benchmark/`'s
+/// `fleet.pool_eff` / `harness.pool_eff`): replaying the two
 /// policies over a *modelled* cost vector (list scheduling for the claim
 /// order, the contiguous per-worker split the pool used to make for the
 /// static one) shows the dynamic makespan beating static partitioning
@@ -174,6 +175,6 @@ fn modelled_makespan_dynamic_beats_static_5x_on_skewed_fleet() {
     assert!(
         static_makespan >= 5 * dynamic_makespan,
         "static {static_makespan} vs dynamic {dynamic_makespan}: skew no longer pins \
-         the static path — update the fleet bench shape too"
+         the static path"
     );
 }

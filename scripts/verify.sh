@@ -10,6 +10,10 @@ cargo build --release --offline
 echo "== cells are placement-free: no thread-local state in library code =="
 if grep -rn 'thread_local!' crates/*/src src; then echo "FAIL: a cell's cost and footprint must not depend on the thread that runs it (crates/harness/src/pool.rs)"; exit 1; fi
 
+echo "== one perf ledger: no committed host-time baseline, no second bench runner =="
+if [ -n "$(git ls-files 'results/BENCH_*.json' 'crates/*/BENCH_*.json')" ] || grep -rn 'harness::bench\|bench_check' crates src Cargo.toml; then
+  echo "FAIL: speed claims are parent-vs-change on benchmark/; the workspace gates host time only as ratios inside one run (ROADMAP Decisions)"; exit 1; fi
+
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
 
@@ -68,43 +72,34 @@ cargo run --release --offline -p cagc-bench --bin repro -- \
 diff -r results/quick "$TRACE_TMP/quick" \
   || { echo "FAIL: repro --scale quick all ablations must regenerate results/quick/ byte-identical"; exit 1; }
 
-echo "== smoke: fault sweep + power-loss recovery =="
-cargo run --release --offline --example fault_sweep -- --smoke
+# The stage above ran sweep-qd, sweep-fleet and sweep-chaos at --workers 0 and
+# compared every byte, so a run below that matches results/quick/ matches that
+# run too: same-seed, armed-resilience and worker-count identity by transitivity.
+matches_quick() { # <fresh out dir> <what a difference means>
+  for f in "$1"/*.csv; do
+    cmp "results/quick/$(basename "$f")" "$f" || { echo "FAIL: $2"; exit 1; }
+  done
+}
 
 echo "== smoke: queue-depth sweep (QD=1 equivalence + byte-determinism) =="
 cargo run --release --offline -p cagc-bench --bin repro -- \
-  --scale quick --out "$TRACE_TMP/qd1" sweep-qd | grep "QD=1 equivalence OK"
-cargo run --release --offline -p cagc-bench --bin repro -- \
-  --scale quick --out "$TRACE_TMP/qd2" sweep-qd > /dev/null
-cmp "$TRACE_TMP/qd1/sweep_qd.csv" "$TRACE_TMP/qd2/sweep_qd.csv" \
-  || { echo "FAIL: same-seed sweep_qd.csv must be byte-identical"; exit 1; }
-cmp "$TRACE_TMP/qd1/gc_preempt_cdf.csv" "$TRACE_TMP/qd2/gc_preempt_cdf.csv" \
-  || { echo "FAIL: same-seed gc_preempt_cdf.csv must be byte-identical"; exit 1; }
+  --scale quick --out "$TRACE_TMP/qd" sweep-qd | grep "QD=1 equivalence OK"
+matches_quick "$TRACE_TMP/qd" "same-seed sweep-qd CSVs must be byte-identical"
 
 echo "== smoke: armed resilience is invisible on fault-free devices =="
 # --resilient arms the host retry/backoff/deadline policy; with no
 # injected faults it must not change a single byte (docs/FAULTS.md).
 cargo run --release --offline -p cagc-bench --bin repro -- \
-  --scale quick --out "$TRACE_TMP/qd3" --resilient sweep-qd > /dev/null
-cmp "$TRACE_TMP/qd1/sweep_qd.csv" "$TRACE_TMP/qd3/sweep_qd.csv" \
-  || { echo "FAIL: --resilient must not change fault-free sweep_qd.csv"; exit 1; }
-cmp "$TRACE_TMP/qd1/gc_preempt_cdf.csv" "$TRACE_TMP/qd3/gc_preempt_cdf.csv" \
-  || { echo "FAIL: --resilient must not change fault-free gc_preempt_cdf.csv"; exit 1; }
+  --scale quick --out "$TRACE_TMP/qd_resilient" --resilient sweep-qd > /dev/null
+matches_quick "$TRACE_TMP/qd_resilient" "--resilient must not change fault-free sweep-qd CSVs"
 
 echo "== smoke: fleet sweep (analytic WAF gate + worker-count byte-determinism) =="
 # The dynamic scheduler must be invisible in the output: one worker vs
 # machine parallelism, byte-identical CSVs (docs/FLEET.md).
 cargo run --release --offline -p cagc-bench --bin repro -- \
-  --scale quick --out "$TRACE_TMP/fleet1" --workers 1 sweep-fleet \
+  --scale quick --out "$TRACE_TMP/fleet_w1" --workers 1 sweep-fleet \
   | grep "fleet WAF tracks analytic greedy curve"
-cargo run --release --offline -p cagc-bench --bin repro -- \
-  --scale quick --out "$TRACE_TMP/fleet2" --workers 0 sweep-fleet > /dev/null
-cmp "$TRACE_TMP/fleet1/sweep_fleet.csv" "$TRACE_TMP/fleet2/sweep_fleet.csv" \
-  || { echo "FAIL: sweep_fleet.csv must be byte-identical across worker counts"; exit 1; }
-cmp "$TRACE_TMP/fleet1/fleet_qos.csv" "$TRACE_TMP/fleet2/fleet_qos.csv" \
-  || { echo "FAIL: fleet_qos.csv must be byte-identical across worker counts"; exit 1; }
-cmp "$TRACE_TMP/fleet1/fleet_timeline.csv" "$TRACE_TMP/fleet2/fleet_timeline.csv" \
-  || { echo "FAIL: fleet_timeline.csv must be byte-identical across worker counts"; exit 1; }
+matches_quick "$TRACE_TMP/fleet_w1" "sweep-fleet CSVs must be byte-identical across worker counts"
 
 echo "== smoke: observability is pay-as-you-go (default sweep-fleet vs goldens) =="
 # The observability cell arms gauges + SLO tracking for one fleet; every
@@ -121,12 +116,9 @@ echo "== smoke: chaos campaign (graceful degradation + worker-count byte-determi
 # and prints the token grepped here. Worker counts must be invisible in
 # the bytes even when devices degrade mid-replay (docs/FAULTS.md).
 cargo run --release --offline -p cagc-bench --bin repro -- \
-  --scale quick --out "$TRACE_TMP/chaos1" --workers 1 sweep-chaos \
+  --scale quick --out "$TRACE_TMP/chaos_w1" --workers 1 sweep-chaos \
   | grep "chaos gate OK"
-cargo run --release --offline -p cagc-bench --bin repro -- \
-  --scale quick --out "$TRACE_TMP/chaos2" --workers 0 sweep-chaos > /dev/null
-cmp "$TRACE_TMP/chaos1/sweep_chaos.csv" "$TRACE_TMP/chaos2/sweep_chaos.csv" \
-  || { echo "FAIL: sweep_chaos.csv must be byte-identical across worker counts"; exit 1; }
+matches_quick "$TRACE_TMP/chaos_w1" "sweep_chaos.csv must be byte-identical across worker counts"
 
 echo "== benchmark package: unit tests + short GC-heavy and traced-chaos runs (BENCHMARK.json) =="
 # benchmark/ is a workspace of its own, so `cargo test --workspace` above
@@ -142,68 +134,11 @@ for workload in gc_write_heavy host_chaos_traced; do
     --workload "$workload" --seed 7 --seconds 3 --trace 0 > /dev/null
 done
 
-echo "== perf: fleet fan-out bench vs committed baseline (docs/FLEET.md) =="
-# Same retry discipline as the hotpath gate below. The w1-vs-w8 speedup
-# floor is only meaningful with real cores behind the workers, so the
-# scaling clause is enforced on >= 8-core machines; smaller boxes still
-# gate the per-shape medians against the committed baseline.
-fleet_speedup_args=()
-if [ "$(nproc)" -ge 8 ]; then
-  fleet_speedup_args=(--speedup-ref "$TRACE_TMP/bench/BENCH_fleet.json"
-    --speedup-ref-name fleet/replay_w1
-    --speedup-bench fleet/replay_w8_dynamic --speedup-min 5.0)
-fi
-mkdir -p "$TRACE_TMP/bench"
-fleet_ok=0
-for attempt in 1 2 3; do
-  [ "$attempt" -gt 1 ] && echo "-- fleet perf gate attempt $attempt (previous attempt hit noise or a regression)"
-  rm -f crates/bench/BENCH_fleet.json
-  HARNESS_BENCH_FAST=1 cargo bench --offline -p cagc-bench --bench fleet
-  mv crates/bench/BENCH_fleet.json "$TRACE_TMP/bench/"
-  if cargo run --release --offline -p cagc-bench --bin bench_check -- \
-       results/BENCH_fleet.json "$TRACE_TMP/bench/BENCH_fleet.json" \
-       ${fleet_speedup_args[@]+"${fleet_speedup_args[@]}"}; then
-    fleet_ok=1
-    break
-  fi
-done
-if [ "$fleet_ok" -ne 1 ]; then
-  echo "FAIL: fleet bench regressed beyond tolerance in all 3 attempts (docs/FLEET.md)"
-  exit 1
-fi
-
-echo "== perf: hotpath bench vs committed baseline (docs/PERFORMANCE.md) =="
-# Smoke-budget run of the hot-path suite (HARNESS_BENCH_FAST trims the
-# sample count; medians stay comparable because per-iteration time is
-# unchanged). Regressions beyond the tolerance fail like correctness
-# bugs; raise CAGC_BENCH_TOLERANCE_PCT on noisy machines.
-# cargo runs bench binaries with the package directory as cwd, so the
-# fresh artifact lands in crates/bench/; stash it in the temp dir.
-# Wall time only ever inflates under competing load, so a strict check is
-# retried: one quiet window in three attempts is enough to prove no
-# regression, while a real regression fails all three.
-# The speedup clause is the device-size gate, a ratio inside the fresh run
-# (so machine speed cancels): the same 256 GC rounds on 8x the blocks may
-# cost at most 3.3x (1.7-2.4x measured; 4.5-6.5x with a per-round block scan).
-mkdir -p "$TRACE_TMP/bench"
-perf_ok=0
-for attempt in 1 2 3; do
-  [ "$attempt" -gt 1 ] && echo "-- perf gate attempt $attempt (previous attempt hit noise or a regression)"
-  rm -f crates/bench/BENCH_hotpath.json
-  HARNESS_BENCH_FAST=1 cargo bench --offline -p cagc-bench --bench hotpath
-  mv crates/bench/BENCH_hotpath.json "$TRACE_TMP/bench/"
-  if cargo run --release --offline -p cagc-bench --bin bench_check -- \
-       results/BENCH_hotpath.json "$TRACE_TMP/bench/BENCH_hotpath.json" \
-       --speedup-ref "$TRACE_TMP/bench/BENCH_hotpath.json" \
-       --speedup-ref-name hotpath/device_churn_1gb \
-       --speedup-bench hotpath/device_churn_8gb --speedup-min 0.3; then
-    perf_ok=1
-    break
-  fi
-done
-if [ "$perf_ok" -ne 1 ]; then
-  echo "FAIL: hotpath bench regressed beyond tolerance in all 3 attempts (docs/PERFORMANCE.md)"
-  exit 1
-fi
+echo "== perf: GC round cost does not grow with the device (docs/PERFORMANCE.md, Gates) =="
+# The workspace's one host-time gate, a ratio inside one run so machine
+# speed cancels and no baseline is kept: the same 256 GC rounds on 8x the
+# blocks may cost at most 3.3x (it retries in-process, since load only
+# inflates wall time). Whether a change is faster is benchmark/'s question.
+cargo bench --offline -p cagc-flash --bench device_size
 
 echo "verify: OK"
