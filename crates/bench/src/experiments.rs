@@ -797,7 +797,7 @@ pub fn sweep_qd(scale: &Scale, resilient: bool) -> Artifacts {
     use cagc_harness::pool::map_ordered;
     use cagc_harness::ToJson;
     use cagc_host::{HostConfig, HostInterface, HostReport};
-    use cagc_workloads::Request;
+    use cagc_workloads::RequestView;
 
     let flash = scale.flash();
     let trace = short_trace(scale, FiuWorkload::Mail, 60_000);
@@ -836,7 +836,7 @@ pub fn sweep_qd(scale: &Scale, resilient: bool) -> Artifacts {
     let mut reference = Ssd::new(device(false));
     let mut t = 0;
     for r in &trace.requests {
-        t = reference.process(&Request { at_ns: t, ..r.clone() });
+        t = reference.submit(RequestView { at_ns: t, ..r.view() }).expect("no crash plan").end_ns;
     }
     let want = reference.report(&trace.name).to_json().render();
     let (_, qd1) =

@@ -155,7 +155,7 @@ impl Ssd {
     /// the erase completion time (or `now` if no block is reclaimable).
     ///
     /// Foreground-triggered GC goes through the watermark path
-    /// automatically during [`Ssd::process`]; this entry point exists for
+    /// automatically during [`Ssd::submit`]; this entry point exists for
     /// scripted scenarios, tests and idle-time collection policies built
     /// on top of the simulator.
     pub fn force_gc(&mut self, now: Nanos) -> Nanos {
@@ -846,7 +846,7 @@ mod tests {
             ssd.enable_tracing(TraceConfig::default());
             let (mut recovered, mut stranded_max, mut selected) = (false, 0, 0);
             for req in &trace.requests {
-                if ssd.process_status(req).is_err() {
+                if ssd.submit(req.view()).is_err() {
                     ssd.recover().expect("durable state is consistent");
                     recovered = true;
                 }

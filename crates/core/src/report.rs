@@ -89,8 +89,8 @@ impl ToJson for FaultReport {
 
 /// SMART-style device health snapshot ([`crate::Ssd::health`]): the
 /// rollup a monitoring plane would poll. Cheap enough to sample into the
-/// gauge registry on fault-armed traced runs (it sorts per-block erase
-/// counts for the wear percentiles, O(blocks log blocks)).
+/// gauge registry on fault-armed traced runs (the wear percentiles are read
+/// off the device's erase-count histogram, not sorted per sample).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthLog {
     /// Injected media errors the device reported (program + erase + read

@@ -27,7 +27,7 @@ use cagc_ftl::{
 use cagc_metrics::{Cdf, Histogram};
 use cagc_sim::time::Nanos;
 use cagc_trace::{TraceConfig, Tracer, Track};
-use cagc_workloads::{OpKind, Request, Trace};
+use cagc_workloads::{OpKind, Request, RequestView, Trace};
 
 use crate::config::{Scheme, SsdConfig};
 use crate::recovery::RecoveryReport;
@@ -37,8 +37,8 @@ use crate::report::{FaultReport, HealthLog, LatencySummary, RunReport};
 ///
 /// Fault-free runs only ever see [`CmdStatus::Success`]; the error
 /// variants require injected faults (and, for the unrecoverable pair,
-/// [`cagc_flash::FaultConfig::unrecoverable_prob`] > 0) or read-only
-/// degradation.
+/// [`cagc_flash::FaultConfig::unrecoverable_prob`] > 0), read-only
+/// degradation or a crash plan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum CmdStatus {
     /// The command completed successfully.
@@ -54,6 +54,13 @@ pub enum CmdStatus {
     /// the namespace to read-only (NVMe "Namespace is Write Protected",
     /// command-specific 0x20).
     WriteProtected,
+    /// The device lost power before servicing the command (NVMe "Command
+    /// Aborted due to Power Loss Notification", generic 0x05). The device
+    /// itself never completes a command this way — [`Ssd::submit`] returns
+    /// `Err(PowerLoss)` — so this is the status a layer that must still
+    /// hand *something* back per command (the host interface's completion
+    /// queues) stamps on the ones the device never serviced.
+    PowerLoss,
 }
 
 impl CmdStatus {
@@ -64,8 +71,9 @@ impl CmdStatus {
     }
 
     /// Whether a host retry could plausibly succeed. Write-protection is
-    /// persistent (the spare pool is gone), so retrying it is futile;
-    /// media errors are worth another attempt.
+    /// persistent (the spare pool is gone) and a dead device stays dead
+    /// until it is recovered, so retrying either is futile; media errors
+    /// are worth another attempt.
     #[inline]
     pub fn is_retryable(self) -> bool {
         matches!(self, CmdStatus::MediaReadError | CmdStatus::WriteFault)
@@ -78,6 +86,7 @@ impl CmdStatus {
             CmdStatus::MediaReadError => 0x281,
             CmdStatus::WriteFault => 0x280,
             CmdStatus::WriteProtected => 0x120,
+            CmdStatus::PowerLoss => 0x005,
         }
     }
 
@@ -88,6 +97,7 @@ impl CmdStatus {
             CmdStatus::MediaReadError => "media_read_error",
             CmdStatus::WriteFault => "write_fault",
             CmdStatus::WriteProtected => "write_protected",
+            CmdStatus::PowerLoss => "power_loss",
         }
     }
 }
@@ -189,7 +199,9 @@ pub struct Ssd {
     /// full hash, never a missed duplicate among fingerprinted pages.
     pub(crate) prehash_filter: std::collections::HashSet<u32>,
 
-    lat_all: Histogram,
+    /// Completion latencies, each command under exactly one kind (the
+    /// all-commands distribution is their exact merge, built at report
+    /// time).
     lat_read: Histogram,
     lat_write: Histogram,
     lat_trim: Histogram,
@@ -262,7 +274,6 @@ impl Ssd {
             gc_stats: GcStats::default(),
             content_of: vec![NO_CONTENT; geom.total_pages() as usize],
             prehash_filter: std::collections::HashSet::new(),
-            lat_all: Histogram::new(),
             lat_read: Histogram::new(),
             lat_write: Histogram::new(),
             lat_trim: Histogram::new(),
@@ -348,51 +359,41 @@ impl Ssd {
         cagc_trace::jsonl(&self.tracer)
     }
 
-    /// Process one request arriving at its timestamp; returns its
-    /// completion time. Requests must be fed in nondecreasing time order
-    /// (as [`Trace`] guarantees).
+    /// The one way a host command reaches the FTL: service `cmd` arriving
+    /// at its timestamp and return its completion. Commands must be fed in
+    /// nondecreasing time order (as [`Trace`] guarantees).
     ///
-    /// If simulated power is lost mid-request the request is *not*
-    /// acknowledged: this wrapper absorbs the error and returns the
-    /// arrival time. Callers that must tell acknowledged requests from
-    /// torn ones (crash tests) use [`Ssd::process_checked`].
-    pub fn process(&mut self, req: &Request) -> Nanos {
-        self.process_checked(req).unwrap_or(req.at_ns)
-    }
-
-    /// [`Ssd::process`] that reports power loss instead of absorbing it.
-    ///
-    /// `Err(FlashError::PowerLoss)` means the request was torn: it was
-    /// never acknowledged, volatile FTL state is now stale, and the only
-    /// useful next step is [`Ssd::recover`] (every further request fails
-    /// the same way until then). All other flash errors are handled
-    /// internally — program retries on fresh blocks, bad-block retirement,
-    /// ECC re-reads — or are simulator bugs that panic at the failing
-    /// call site.
+    /// Error completions (media read error, write fault, write protected)
+    /// are *completions*: they are timed, recorded in the latency
+    /// histograms and counted like any other finished command — the status
+    /// is how layers above (host interface, fleet) learn the data never
+    /// moved. Fault-free runs always complete [`CmdStatus::Success`].
     ///
     /// # Errors
-    /// Only [`FlashError::PowerLoss`] is ever returned.
-    pub fn process_checked(&mut self, req: &Request) -> Result<Nanos, FlashError> {
-        self.process_status(req).map(|c| c.end_ns)
-    }
-
-    /// [`Ssd::process_checked`] that also reports the command's NVMe-style
-    /// completion status. Error completions (media read error, write
-    /// fault, write protected) are *completions*: they are timed, recorded
-    /// in the latency histograms and counted like any other finished
-    /// command — the status is how layers above (host interface, fleet)
-    /// learn the data never moved. Fault-free runs always complete
-    /// [`CmdStatus::Success`], and this path is byte-identical to
-    /// [`Ssd::process`] there.
+    /// Only [`FlashError::PowerLoss`] is ever returned: the command was
+    /// torn, not completed. It was never acknowledged, volatile FTL state
+    /// is now stale, and the only useful next step is [`Ssd::recover`]
+    /// (every further command fails the same way until then). All other
+    /// flash errors are handled internally — program retries on fresh
+    /// blocks, bad-block retirement, ECC re-reads — or are simulator bugs
+    /// that panic at the failing call site.
     ///
-    /// # Errors
-    /// Only [`FlashError::PowerLoss`] is ever returned (the request was
-    /// torn, not completed).
-    pub fn process_status(&mut self, req: &Request) -> Result<Completion, FlashError> {
+    /// # Panics
+    /// Panics if the command addresses logical pages the device does not
+    /// export — the one place a workload is checked against the device,
+    /// whichever driver (replay, host interface, fleet) issued it.
+    pub fn submit(&mut self, cmd: RequestView<'_>) -> Result<Completion, FlashError> {
+        assert!(
+            cmd.lpn + u64::from(cmd.pages) <= self.logical_pages(),
+            "command covers logical pages [{}, {}), device exports {}",
+            cmd.lpn,
+            cmd.lpn + u64::from(cmd.pages),
+            self.logical_pages()
+        );
         if self.dev.is_crashed() {
             return Err(FlashError::PowerLoss);
         }
-        let at = req.at_ns;
+        let at = cmd.at_ns;
         // One branch when tracing is disabled (always false); when enabled,
         // a deterministic every-nth pick of host requests to trace.
         let sampled = self.tracer.sample_host_op();
@@ -400,13 +401,13 @@ impl Ssd {
             self.tctx = TraceCtx::Host;
         }
         self.maybe_idle_gc(at)?;
-        let (completion, status) = match self.execute_request(req, at) {
+        let (completion, status) = match self.execute_request(cmd, at) {
             Ok(done) => done,
             Err(FlashError::Unrecoverable { at: failed_at }) => {
                 // A last-resort recovery failed on the host path: the
                 // command completes with an error status at the point the
                 // final attempt gave up.
-                let status = match req.kind {
+                let status = match cmd.kind {
                     OpKind::Read => CmdStatus::MediaReadError,
                     OpKind::Write | OpKind::Trim => CmdStatus::WriteFault,
                 };
@@ -416,7 +417,7 @@ impl Ssd {
         };
         if sampled {
             self.tctx = TraceCtx::Off;
-            let name = match req.kind {
+            let name = match cmd.kind {
                 OpKind::Read => "read",
                 OpKind::Write => "write",
                 OpKind::Trim => "trim",
@@ -426,18 +427,17 @@ impl Ssd {
                 name,
                 at,
                 completion,
-                &[("lpn", req.lpn), ("pages", u64::from(req.pages))],
+                &[("lpn", cmd.lpn), ("pages", u64::from(cmd.pages))],
             );
             self.sample_gauges(completion);
         }
         let latency = completion - at;
-        self.lat_all.record(latency);
         if at <= self.gc_active_until {
             // Arrived while a GC round was in flight: part of the "GC
             // period" population Fig. 11 averages over.
             self.lat_during_gc.record(latency);
         }
-        match req.kind {
+        match cmd.kind {
             OpKind::Read => self.lat_read.record(latency),
             OpKind::Write => self.lat_write.record(latency),
             OpKind::Trim => self.lat_trim.record(latency),
@@ -447,19 +447,27 @@ impl Ssd {
         Ok(Completion { end_ns: completion, status })
     }
 
+    /// [`Ssd::submit`] for callers that need only the completion time. A
+    /// request torn by power loss (never acknowledged) is absorbed and
+    /// answered with its arrival time; callers that must tell the two
+    /// apart call `submit`.
+    pub fn process(&mut self, req: &Request) -> Nanos {
+        self.submit(req.view()).map_or(req.at_ns, |c| c.end_ns)
+    }
+
     /// The per-kind request body: returns the completion time and status,
     /// or propagates [`FlashError::Unrecoverable`] / power loss for
-    /// [`Ssd::process_status`] to translate.
+    /// [`Ssd::submit`] to translate.
     fn execute_request(
         &mut self,
-        req: &Request,
+        cmd: RequestView<'_>,
         at: Nanos,
     ) -> Result<(Nanos, CmdStatus), FlashError> {
         let mut status = CmdStatus::Success;
-        let completion = match req.kind {
+        let completion = match cmd.kind {
             OpKind::Read => {
                 let mut done = at;
-                for lpn in req.lpns() {
+                for lpn in cmd.lpns() {
                     done = done.max(self.read_page(lpn, at)?);
                 }
                 done
@@ -477,18 +485,19 @@ impl Ssd {
                 // (it does not wait for the whole round — space exists as
                 // soon as maybe_gc returns).
                 self.maybe_gc(at)?;
-                self.host_pages_written += req.pages as u64;
+                self.host_pages_written += u64::from(cmd.pages);
                 // Pages of one request are processed in order by the FTL
                 // datapath: page i+1 starts when page i completes. (For
                 // Baseline/CAGC this matches the per-die serialization of
                 // the shared frontier; for Inline-Dedupe it puts every
                 // page's hash+lookup on the request's critical path.)
-                if req.pages > 1 {
-                    self.warm_write(req);
+                debug_assert_eq!(cmd.contents.len(), cmd.pages as usize, "write without content");
+                if cmd.pages > 1 {
+                    self.warm_write(cmd);
                 }
                 let mut ready = at;
-                for (i, lpn) in req.lpns().enumerate() {
-                    ready = self.write_page(lpn, req.contents[i], ready)?;
+                for (lpn, &content) in cmd.lpns().zip(cmd.contents) {
+                    ready = self.write_page(lpn, content, ready)?;
                 }
                 ready
             }
@@ -500,7 +509,7 @@ impl Ssd {
             OpKind::Trim => {
                 self.trims += 1;
                 if self.cfg.honor_trim {
-                    for lpn in req.lpns() {
+                    for lpn in cmd.lpns() {
                         self.release_lpn_as(lpn, at, ReleaseCause::Trim)?;
                     }
                 }
@@ -594,17 +603,7 @@ impl Ssd {
     }
 
     /// Replay a whole trace and produce the run report.
-    ///
-    /// # Panics
-    /// Panics if the trace addresses more logical pages than the device
-    /// exports.
     pub fn replay(&mut self, trace: &Trace) -> RunReport {
-        assert!(
-            trace.logical_pages <= self.logical_pages(),
-            "trace needs {} logical pages, device exports {}",
-            trace.logical_pages,
-            self.logical_pages()
-        );
         for req in &trace.requests {
             self.process(req);
         }
@@ -613,15 +612,21 @@ impl Ssd {
 
     /// Snapshot the report under the given workload name.
     pub fn report(&self, workload: &str) -> RunReport {
+        // Every completion was recorded under exactly one kind, and
+        // `Histogram::merge` is exact, so this is the all-commands
+        // distribution.
+        let mut lat_all = self.lat_read.clone();
+        lat_all.merge(&self.lat_write);
+        lat_all.merge(&self.lat_trim);
         RunReport {
             scheme: self.cfg.scheme.name().to_string(),
             victim: self.cfg.victim.name().to_string(),
             workload: workload.to_string(),
-            all: LatencySummary::of(&self.lat_all),
+            all: LatencySummary::of(&lat_all),
             reads: LatencySummary::of(&self.lat_read),
             writes: LatencySummary::of(&self.lat_write),
             during_gc: LatencySummary::of(&self.lat_during_gc),
-            cdf: Cdf::from_histogram(&self.lat_all),
+            cdf: Cdf::from_histogram(&lat_all),
             gc: self.gc_stats,
             index: self.index.stats(),
             invalidation_by_refcount: self.index.ref_stats().buckets(),
@@ -663,8 +668,9 @@ impl Ssd {
 
     /// Sample the telemetry gauges at `now`. Called once per *sampled*
     /// host request (so `--trace-sample` thins gauge traffic along with
-    /// host spans); GC adds the O(blocks) `stranded_pages` gauge from its
-    /// own victim scan, where the walk is already paid for.
+    /// host spans); GC adds the `stranded_pages` gauge at each victim
+    /// selection (Greedy reads the device's running total, the scanning
+    /// policies sum it over the candidate walk they already make).
     fn sample_gauges(&mut self, now: Nanos) {
         self.tracer.gauge("free_pages", now, self.alloc.free_pages());
         if let Some(waf) = (self.dev.stats().programs * 1000).checked_div(self.host_pages_written) {
@@ -1144,13 +1150,13 @@ impl Ssd {
     /// releases the copy its LPN pointed at (reverse-map slot, index entry,
     /// block bitmap of the old PPN), and Inline-Dedupe also probes the
     /// index with each page's fingerprint.
-    fn warm_write(&mut self, req: &Request) {
+    fn warm_write(&mut self, cmd: RequestView<'_>) {
         let mut fps = std::mem::take(&mut self.fps_scratch);
         fps.clear();
         if self.cfg.scheme == Scheme::InlineDedup {
-            fps.extend(req.contents.iter().map(|&c| Fingerprint::of_content(c)));
+            fps.extend(cmd.contents.iter().map(|&c| Fingerprint::of_content(c)));
         }
-        self.warm(req.lpns().filter_map(|l| self.map.get(l)), fps.iter());
+        self.warm(cmd.lpns().filter_map(|l| self.map.get(l)), fps.iter());
         self.fps_scratch = fps;
     }
 

@@ -125,7 +125,7 @@ fn next_request(rng: &mut SimRng, at: u64) -> (Request, Vec<(u64, Option<Content
     }
 }
 
-/// Feed `n_req` seeded requests through `process_checked`, maintaining the
+/// Feed `n_req` seeded requests through `Ssd::submit`, maintaining the
 /// oracle. Returns `(ssd, oracle, next arrival time, crashed?)`.
 fn drive(
     ssd: &mut Ssd,
@@ -138,7 +138,7 @@ fn drive(
         at += 4_000;
         let (req, cand) = next_request(rng, at);
         let before = ssd.fault_report();
-        match ssd.process_checked(&req) {
+        match ssd.submit(req.view()) {
             Ok(_) => {
                 let after = ssd.fault_report();
                 let rejected = after.writes_rejected > before.writes_rejected
@@ -308,7 +308,7 @@ fn program_failure_retries_on_a_fresh_block() {
         FaultConfig { fail_program_ops: vec![0], ..FaultConfig::none() },
     );
     let mut ssd = Ssd::new(cfg);
-    let done = ssd.process_checked(&Request::write(1_000, 0, vec![ContentId(7)])).unwrap();
+    let done = ssd.submit(Request::write(1_000, 0, vec![ContentId(7)]).view()).unwrap().end_ns;
     assert!(done > 1_000);
     let fr = ssd.fault_report();
     assert_eq!(fr.program_failures, 1);
@@ -329,7 +329,7 @@ fn exhausted_retries_force_the_program_through() {
     let backoff = cfg.program_retry_backoff_ns;
     let retries = cfg.max_program_retries as u64;
     let mut ssd = Ssd::new(cfg);
-    let done = ssd.process_checked(&Request::write(1_000, 0, vec![ContentId(9)])).unwrap();
+    let done = ssd.submit(Request::write(1_000, 0, vec![ContentId(9)]).view()).unwrap().end_ns;
     let fr = ssd.fault_report();
     assert_eq!(fr.program_failures, 4);
     assert_eq!(fr.program_retries, 4);
@@ -350,8 +350,8 @@ fn ecc_errors_reread_then_heroically_decode() {
         FaultConfig { fail_read_ops: vec![0, 1, 2], ..FaultConfig::none() },
     );
     let mut ssd = Ssd::new(cfg);
-    ssd.process_checked(&Request::write(1_000, 5, vec![ContentId(3)])).unwrap();
-    let done = ssd.process_checked(&Request::read(100_000, 5, 1)).unwrap();
+    ssd.submit(Request::write(1_000, 5, vec![ContentId(3)]).view()).unwrap();
+    let done = ssd.submit(Request::read(100_000, 5, 1).view()).unwrap().end_ns;
     let fr = ssd.fault_report();
     assert_eq!(fr.read_ecc_errors, 3);
     assert_eq!(fr.read_retries, 2);
@@ -359,7 +359,7 @@ fn ecc_errors_reread_then_heroically_decode() {
     assert!(done > 100_000);
 
     // Ordinal 3 is clean: no further retries or decodes.
-    ssd.process_checked(&Request::read(200_000, 5, 1)).unwrap();
+    ssd.submit(Request::read(200_000, 5, 1).view()).unwrap();
     let fr2 = ssd.fault_report();
     assert_eq!(fr2.read_retries, 2);
     assert_eq!(fr2.ecc_decodes, 1);
@@ -385,7 +385,7 @@ fn erase_failures_retire_blocks_and_degrade_to_read_only() {
     for i in 0..4_000u64 {
         at += 4_000;
         let lpn = i % 120;
-        ssd.process_checked(&Request::write(at, lpn, vec![ContentId(1 + i)])).unwrap();
+        ssd.submit(Request::write(at, lpn, vec![ContentId(1 + i)]).view()).unwrap();
         if ssd.fault_report().blocks_retired > 0 {
             break;
         }
@@ -400,19 +400,19 @@ fn erase_failures_retire_blocks_and_degrade_to_read_only() {
     // reads are still served.
     let before = ssd.stored_content(0);
     at += 4_000;
-    let done = ssd.process_checked(&Request::write(at, 0, vec![ContentId(0xDEAD)])).unwrap();
+    let done = ssd.submit(Request::write(at, 0, vec![ContentId(0xDEAD)]).view()).unwrap().end_ns;
     assert_eq!(done, at + read_miss);
     assert_eq!(ssd.fault_report().writes_rejected, 1);
     assert_eq!(ssd.stored_content(0), before, "rejected write must not change state");
 
     at += 4_000;
-    let done = ssd.process_checked(&Request::trim(at, 0, 1)).unwrap();
+    let done = ssd.submit(Request::trim(at, 0, 1).view()).unwrap().end_ns;
     assert_eq!(done, at + trim_ns);
     assert_eq!(ssd.fault_report().trims_rejected, 1);
     assert_eq!(ssd.stored_content(0), before);
 
     at += 4_000;
-    assert!(ssd.process_checked(&Request::read(at, 0, 1)).unwrap() > at);
+    assert!(ssd.submit(Request::read(at, 0, 1).view()).unwrap().end_ns > at);
     ssd.audit().unwrap();
 }
 
@@ -431,8 +431,8 @@ fn unrecoverable_read_completes_with_media_error_status() {
         },
     );
     let mut ssd = Ssd::new(cfg);
-    ssd.process_checked(&Request::write(1_000, 5, vec![ContentId(3)])).unwrap();
-    let comp = ssd.process_status(&Request::read(100_000, 5, 1)).unwrap();
+    ssd.submit(Request::write(1_000, 5, vec![ContentId(3)]).view()).unwrap();
+    let comp = ssd.submit(Request::read(100_000, 5, 1).view()).unwrap();
     assert_eq!(comp.status, CmdStatus::MediaReadError);
     assert!(!comp.status.is_ok() && comp.status.is_retryable());
     assert_eq!(comp.status.nvme_code(), 0x281, "NVMe 'unrecovered read error'");
@@ -441,7 +441,7 @@ fn unrecoverable_read_completes_with_media_error_status() {
     assert_eq!(fr.ecc_decodes, 1);
 
     // Ordinal 3 is clean: a host-level retry of the same LPN succeeds.
-    let retry = ssd.process_status(&Request::read(200_000, 5, 1)).unwrap();
+    let retry = ssd.submit(Request::read(200_000, 5, 1).view()).unwrap();
     assert_eq!(retry.status, CmdStatus::Success);
     assert_eq!(ssd.stored_content(5), Some(ContentId(3)));
     ssd.audit().unwrap();
@@ -462,7 +462,7 @@ fn unrecoverable_forced_program_completes_with_write_fault() {
         },
     );
     let mut ssd = Ssd::new(cfg);
-    let comp = ssd.process_status(&Request::write(1_000, 0, vec![ContentId(9)])).unwrap();
+    let comp = ssd.submit(Request::write(1_000, 0, vec![ContentId(9)]).view()).unwrap();
     assert_eq!(comp.status, CmdStatus::WriteFault);
     assert_eq!(comp.status.nvme_code(), 0x280, "NVMe 'write fault'");
     let fr = ssd.fault_report();
@@ -472,7 +472,7 @@ fn unrecoverable_forced_program_completes_with_write_fault() {
     assert_eq!(ssd.stored_content(0), None, "failed write must not bind a mapping");
 
     // Program ordinal 4 is clean: a host-level rewrite succeeds.
-    let retry = ssd.process_status(&Request::write(2_000_000, 0, vec![ContentId(9)])).unwrap();
+    let retry = ssd.submit(Request::write(2_000_000, 0, vec![ContentId(9)]).view()).unwrap();
     assert_eq!(retry.status, CmdStatus::Success);
     assert_eq!(ssd.stored_content(0), Some(ContentId(9)));
     ssd.audit().unwrap();
@@ -494,7 +494,7 @@ fn health_log_tracks_degradation() {
     let mut at = 0;
     for i in 0..4_000u64 {
         at += 4_000;
-        ssd.process_checked(&Request::write(at, i % 120, vec![ContentId(1 + i)])).unwrap();
+        ssd.submit(Request::write(at, i % 120, vec![ContentId(1 + i)]).view()).unwrap();
         if ssd.fault_report().blocks_retired > 0 {
             break;
         }
@@ -580,7 +580,7 @@ fn crash_points_inside_gc_recover_for_every_scheme() {
                     cagc_workloads::OpKind::Trim => req.lpns().map(|l| (l, None)).collect(),
                     cagc_workloads::OpKind::Read => Vec::new(),
                 };
-                match ssd.process_checked(req) {
+                match ssd.submit(req.view()) {
                     Ok(_) => {
                         for (lpn, v) in cand {
                             oracle.acked[lpn as usize] = v;

@@ -319,9 +319,17 @@ fn cagc_populates_cold_region_with_shared_pages() {
 
 #[test]
 fn replay_rejects_oversized_traces() {
-    let trace = Trace::new("big", 1 << 40, vec![]);
-    let result = std::panic::catch_unwind(move || ssd(Scheme::Baseline).replay(&trace));
-    assert!(result.is_err());
+    // The check is per command (`Ssd::submit`): refused is the first one
+    // that reaches past the device, here by its second page.
+    let last = ssd(Scheme::Baseline).logical_pages() - 1;
+    let straddling = Request::write(0, last, vec![ContentId(1), ContentId(2)]);
+    let trace = Trace::new("big", 1 << 40, vec![Request::read(0, last, 1), straddling]);
+    let result = std::panic::catch_unwind(move || {
+        let mut s = ssd(Scheme::Baseline);
+        s.replay(&trace);
+    });
+    let msg = *result.expect_err("oversized trace accepted").downcast::<String>().unwrap();
+    assert!(msg.contains("device exports"), "{msg}");
 }
 
 #[test]

@@ -196,17 +196,6 @@ impl FlashDevice {
         self.blocks[self.geometry.block_of(ppn) as usize].page_state(self.geometry.page_of(ppn))
     }
 
-    /// Earliest instant die `die` could accept new work.
-    #[inline]
-    pub fn die_free_at(&self, die: u32) -> Nanos {
-        self.dies.get(die as usize).next_free()
-    }
-
-    /// When every die has drained (end of simulation bookkeeping).
-    pub fn all_dies_drained_at(&self) -> Nanos {
-        self.dies.all_drained_at()
-    }
-
     /// Cumulative busy time per die, in die order (parallelism report).
     pub fn die_busy_totals(&self) -> Vec<Nanos> {
         (0..self.dies.len()).map(|d| self.dies.get(d).busy_total()).collect()

@@ -4,19 +4,17 @@
 //! [`DeviceReport`], bit for bit — the property that lets the fleet
 //! layer schedule cells dynamically without changing results.
 //!
-//! Tenant streams are merged on the fly: a k-way heap walk in exactly
-//! the order `mixer::interleave_n_tagged` would produce (arrival time,
-//! ties by tenant index, FIFO within a tenant), with each tenant's LPNs
-//! offset into its own namespace. In direct mode nothing is
-//! materialized — merged requests feed `Ssd::process` one at a time —
-//! so per-device transient memory is O(1) beyond the shared traces.
+//! Tenant streams are merged by `mixer::merge` (arrival time, ties by
+//! tenant index, FIFO within a tenant, each tenant's LPNs rebased into its
+//! own namespace). In direct mode nothing is materialized — the merge
+//! streams borrowed requests into `Ssd::submit` one at a time — so
+//! per-device transient memory is O(tenants) beyond the shared traces.
 //! With host queues configured, the merged trace is materialized
-//! transiently and replayed through the NVMe-style multi-queue
-//! interface instead, giving host-observed (queueing-inclusive) tenant
-//! latencies.
+//! transiently and replayed through the NVMe-style multi-queue interface
+//! instead, giving host-observed (queueing-inclusive) tenant latencies.
+//! Either way every request ends in the one `TenantLedger`, as a latency
+//! sample or as a failed op.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use cagc_core::{CmdStatus, RunReport, Scheme, Ssd, SsdConfig, TrafficTotals};
@@ -27,7 +25,7 @@ use cagc_metrics::Histogram;
 use cagc_core::LatencySummary;
 use cagc_sim::time::Nanos;
 use cagc_trace::SpanProfile;
-use cagc_workloads::{mixer, OpKind, Request, Trace};
+use cagc_workloads::{mixer, OpKind, Trace};
 
 use crate::observe::{DeviceObservability, FleetTelemetryConfig};
 use crate::slo::{SloConfig, TenantSloTrack};
@@ -182,11 +180,10 @@ impl DeviceReport {
     fn from_run(
         spec: &DeviceSpec,
         run: &RunReport,
-        tenants: Vec<TenantReport>,
-        degraded_at_ns: Option<Nanos>,
+        ledger: TenantLedger,
         obs: Option<DeviceObservability>,
-        slo: Option<Vec<TenantSloTrack>>,
     ) -> Self {
+        let TenantLedger { tenants, slo, degraded_at: degraded_at_ns } = ledger;
         let mut totals = TrafficTotals::default();
         totals.add(run);
         let failed_ops = tenants.iter().map(|t| t.failed_ops).sum();
@@ -281,14 +278,55 @@ fn tenant_traffic(label: &str, trace: &Trace) -> TenantReport {
     t
 }
 
+/// Where every request of a cell is accounted, whichever way it was
+/// driven: exactly one of [`Self::complete`] (a latency sample, plus a
+/// failed op if the status says the data never moved) or [`Self::lost`]
+/// (a failed op the device never serviced).
+struct TenantLedger {
+    tenants: Vec<TenantReport>,
+    slo: Option<Vec<TenantSloTrack>>,
+    /// First write-protected completion: the moment read-only degradation
+    /// became tenant-visible.
+    degraded_at: Option<Nanos>,
+}
+
+impl TenantLedger {
+    /// `tenant`'s request completed at `at_ns` after `latency`.
+    fn complete(&mut self, tenant: usize, at_ns: Nanos, latency: Nanos, status: CmdStatus) {
+        if status == CmdStatus::PowerLoss {
+            return self.lost(tenant);
+        }
+        self.tenants[tenant].hist.record(latency);
+        if let Some(tracks) = &mut self.slo {
+            tracks[tenant].record(at_ns, latency);
+        }
+        if !status.is_ok() {
+            self.tenants[tenant].failed_ops += 1;
+            if status == CmdStatus::WriteProtected {
+                // Completions need not arrive in time order (the host
+                // path reports in trace order): keep the earliest.
+                self.degraded_at = Some(self.degraded_at.map_or(at_ns, |d| d.min(at_ns)));
+            }
+        }
+    }
+
+    /// The device died before servicing `tenant`'s request.
+    fn lost(&mut self, tenant: usize) {
+        self.tenants[tenant].failed_ops += 1;
+    }
+}
+
 /// Simulate one device: build the SSD, merge-replay the tenant streams,
 /// account latency per tenant, and distill the report.
 ///
+/// A power loss mid-replay does not panic: the torn request and every
+/// request the dead device can no longer serve are attributed to their
+/// tenants as failed ops, and the device reports what it completed.
+///
 /// # Panics
-/// Panics if the tenants' combined namespace exceeds the device's
-/// logical space.
+/// Panics if a tenant's request falls outside the device's logical space
+/// ([`Ssd::submit`]).
 pub fn simulate_device(spec: &DeviceSpec) -> DeviceReport {
-    let total_pages: u64 = spec.tenants.iter().map(|t| t.trace.logical_pages).sum();
     let mut cfg = SsdConfig::paper(spec.flash, spec.scheme);
     cfg.faults = spec.faults.clone();
     cfg.gc_preempt = spec.gc_preempt;
@@ -296,60 +334,48 @@ pub fn simulate_device(spec: &DeviceSpec) -> DeviceReport {
         cfg.read_only_floor_blocks = floor;
     }
     let mut ssd = Ssd::new(cfg);
-    assert!(
-        total_pages <= ssd.logical_pages(),
-        "device {}: tenants need {total_pages} logical pages, device exports {}",
-        spec.id,
-        ssd.logical_pages()
-    );
     if let Some(tcfg) = &spec.telemetry {
         ssd.enable_tracing(tcfg.trace_config());
     }
-    let mut tenants: Vec<TenantReport> =
-        spec.tenants.iter().map(|t| tenant_traffic(&t.label, &t.trace)).collect();
-    let mut slo_tracks: Option<Vec<TenantSloTrack>> = spec
-        .slo
-        .as_ref()
-        .map(|c| spec.tenants.iter().map(|t| TenantSloTrack::new(&t.label, c)).collect());
+    let mut ledger = TenantLedger {
+        tenants: spec.tenants.iter().map(|t| tenant_traffic(&t.label, &t.trace)).collect(),
+        slo: spec
+            .slo
+            .as_ref()
+            .map(|c| spec.tenants.iter().map(|t| TenantSloTrack::new(&t.label, c)).collect()),
+        degraded_at: None,
+    };
+    let refs: Vec<&Trace> = spec.tenants.iter().map(|t| t.trace.as_ref()).collect();
 
-    match spec.host_queues {
+    let (mut ssd, run) = match spec.host_queues {
         None => {
-            let (run, degraded_at) =
-                replay_direct(&mut ssd, spec, &mut tenants, slo_tracks.as_deref_mut());
-            ssd.sample_telemetry(run.end_ns);
-            let obs = spec.telemetry.as_ref().map(|t| collect_obs(&ssd, t));
-            DeviceReport::from_run(spec, &run, tenants, degraded_at, obs, slo_tracks)
+            // Device service time, straight off the merge.
+            for (tenant, cmd) in mixer::merge(&refs) {
+                match ssd.submit(cmd) {
+                    Ok(c) => ledger.complete(tenant, c.end_ns, c.end_ns - cmd.at_ns, c.status),
+                    Err(_) => ledger.lost(tenant),
+                }
+            }
+            let run = ssd.report(&spec.mix_name);
+            (ssd, run)
         }
         Some((pairs, depth)) => {
             // Materialize the merged trace transiently (only while this
             // cell is in flight) and replay it through the multi-queue
             // host path; tags attribute each command's host-observed
             // latency back to its tenant.
-            let refs: Vec<&Trace> = spec.tenants.iter().map(|t| t.trace.as_ref()).collect();
             let (merged, tags) = mixer::interleave_n_tagged(&refs);
             let mut host = HostInterface::new(ssd, HostConfig::nvme(pairs, depth));
             let (hreport, lats) = host.replay_open_loop_detailed(&merged);
-            let mut degraded_at = None;
             for (cmd, &tag) in lats.iter().zip(&tags) {
-                tenants[tag as usize].hist.record(cmd.latency_ns());
-                if let Some(tracks) = slo_tracks.as_deref_mut() {
-                    tracks[tag as usize].record(cmd.reaped_ns, cmd.latency_ns());
-                }
-                if !cmd.status.is_ok() {
-                    tenants[tag as usize].failed_ops += 1;
-                    if cmd.status == CmdStatus::WriteProtected {
-                        // lats is in trace order, not completion order:
-                        // take the earliest write-protected completion.
-                        degraded_at =
-                            Some(degraded_at.map_or(cmd.reaped_ns, |d: Nanos| d.min(cmd.reaped_ns)));
-                    }
-                }
+                ledger.complete(tag as usize, cmd.reaped_ns, cmd.latency_ns(), cmd.status);
             }
-            host.ssd_mut().sample_telemetry(hreport.device.end_ns);
-            let obs = spec.telemetry.as_ref().map(|t| collect_obs(host.ssd(), t));
-            DeviceReport::from_run(spec, &hreport.device, tenants, degraded_at, obs, slo_tracks)
+            (host.into_ssd(), hreport.device)
         }
-    }
+    };
+    ssd.sample_telemetry(run.end_ns);
+    let obs = spec.telemetry.as_ref().map(|t| collect_obs(&ssd, t));
+    DeviceReport::from_run(spec, &run, ledger, obs)
 }
 
 /// Distill the device's tracer state into its observability capture.
@@ -367,85 +393,6 @@ fn collect_obs(ssd: &Ssd, tcfg: &FleetTelemetryConfig) -> DeviceObservability {
             .record_spans
             .then(|| SpanProfile::from_spans(&cagc_trace::from_tracer(tracer).spans)),
     }
-}
-
-/// Direct-mode replay: stream the k-way merge straight into the FTL on
-/// the checked status path, recording per-tenant device service latency
-/// and attributing error completions to the issuing tenant. Returns the
-/// run report plus the first write-protected completion time (the moment
-/// read-only degradation became tenant-visible).
-///
-/// A power loss mid-replay does not panic: the torn request and every
-/// request the dead device can no longer serve are attributed to their
-/// tenants as failed ops, and the device reports what it completed.
-fn replay_direct(
-    ssd: &mut Ssd,
-    spec: &DeviceSpec,
-    tenants: &mut [TenantReport],
-    mut slo: Option<&mut [TenantSloTrack]>,
-) -> (RunReport, Option<Nanos>) {
-    // Namespace layout identical to interleave_n: tenant i owns
-    // [offsets[i], offsets[i] + pages_i).
-    let mut offsets = Vec::with_capacity(spec.tenants.len());
-    let mut total = 0u64;
-    for t in &spec.tenants {
-        offsets.push(total);
-        total += t.trace.logical_pages;
-    }
-
-    let mut pos = vec![0usize; spec.tenants.len()];
-    let mut heap: BinaryHeap<Reverse<(Nanos, usize)>> = BinaryHeap::new();
-    for (i, t) in spec.tenants.iter().enumerate() {
-        if let Some(r) = t.trace.requests.first() {
-            heap.push(Reverse((r.at_ns, i)));
-        }
-    }
-    let mut degraded_at: Option<Nanos> = None;
-    // One request buffer for the whole replay: rebasing the LPN must not
-    // cost a clone of every request's contents.
-    let mut req = Request::read(0, 0, 0);
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let trace = &spec.tenants[i].trace;
-        // Destructured so that a field added to `Request` fails to compile
-        // here instead of keeping the previous request's value.
-        let Request { at_ns, kind, lpn, pages, contents } = &trace.requests[pos[i]];
-        pos[i] += 1;
-        if let Some(next) = trace.requests.get(pos[i]) {
-            heap.push(Reverse((next.at_ns, i)));
-        }
-        req.at_ns = *at_ns;
-        req.kind = *kind;
-        req.lpn = lpn + offsets[i];
-        req.pages = *pages;
-        req.contents.clone_from(contents);
-        match ssd.process_status(&req) {
-            Ok(c) => {
-                let lat = c.end_ns.saturating_sub(req.at_ns);
-                tenants[i].hist.record(lat);
-                if let Some(tracks) = slo.as_deref_mut() {
-                    tracks[i].record(c.end_ns, lat);
-                }
-                if !c.status.is_ok() {
-                    tenants[i].failed_ops += 1;
-                    if c.status == CmdStatus::WriteProtected {
-                        degraded_at = Some(degraded_at.map_or(c.end_ns, |d| d.min(c.end_ns)));
-                    }
-                }
-            }
-            Err(_) => {
-                // Power lost mid-request: the device is dead for the rest
-                // of this replay. Fail the torn request and everything
-                // still queued, attributed tenant by tenant, instead of
-                // panicking the whole fleet.
-                tenants[i].failed_ops += 1;
-                for (j, t) in spec.tenants.iter().enumerate() {
-                    tenants[j].failed_ops += (t.trace.requests.len() - pos[j]) as u64;
-                }
-                break;
-            }
-        }
-    }
-    (ssd.report(&spec.mix_name), degraded_at)
 }
 
 #[cfg(test)]
@@ -566,6 +513,25 @@ mod tests {
             rep.tenants.iter().map(|t| t.failed_ops).sum::<u64>()
         );
         assert!(rep.to_json().render().contains("failed_ops"));
+    }
+
+    /// A crash plan kills the device mid-replay. However the cell is
+    /// driven, every request is accounted exactly once: a latency sample
+    /// if the device serviced it, a failed op if it never did.
+    #[test]
+    fn power_loss_counts_every_request_once_in_both_modes() {
+        for hq in [None, Some((2, 8))] {
+            let mut s = spec(hq);
+            s.faults = FaultConfig { crash_at_op: Some(300), ..FaultConfig::none() };
+            let rep = simulate_device(&s);
+            let issued: u64 = rep.tenants.iter().map(|t| t.requests).sum();
+            let sampled: u64 = rep.tenants.iter().map(|t| t.hist.count()).sum();
+            assert!(rep.failed_ops > 0, "{hq:?}: the dead device's requests are failed ops");
+            assert!(sampled > 0, "{hq:?}: the crash point lies inside the replay");
+            assert_eq!(rep.failed_ops + sampled, issued, "{hq:?}");
+            assert_eq!(sampled, rep.lat.count, "{hq:?}: a tenant sample is a device completion");
+            assert!(rep.degraded_at_ns.is_none(), "{hq:?}: lost is not write-protected");
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   mixes*, not devices × trace size.
 //! - [`device`] — one device cell: a streaming k-way merge of the
 //!   tenant traces (same order as `mixer::interleave_n`, nothing
-//!   materialized) into `Ssd::process`, or a multi-queue NVMe-style
+//!   materialized) into `Ssd::submit`, or a multi-queue NVMe-style
 //!   replay via `cagc_host` when queue pairs are configured.
 //! - [`fleet`] — the fan-out: device cells are pure functions of their
 //!   spec, scheduled with `map_ordered_dynamic_chunked`, so the

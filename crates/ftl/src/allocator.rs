@@ -252,14 +252,6 @@ impl Allocator {
         self.free.push_back(block);
     }
 
-    /// Whether foreground allocation is currently possible without GC.
-    pub fn can_alloc_foreground(&self) -> bool {
-        let frontier_has_room = self.open[Region::Host.idx()]
-            .map(|o| o.used < self.pages_per_block)
-            .unwrap_or(false);
-        frontier_has_room || self.free.len() > self.gc_reserve as usize
-    }
-
     /// Total blocks the allocator manages.
     pub fn total_blocks(&self) -> u32 {
         self.total_blocks

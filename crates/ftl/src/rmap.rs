@@ -247,27 +247,6 @@ impl ReverseMap {
         // occupied/total are unchanged: one slot emptied, one filled.
     }
 
-    /// Move every LPN of `from` under `to` (dedup hit during migration:
-    /// the migrated page's references are absorbed by the existing copy).
-    /// Returns how many LPNs moved.
-    pub fn merge_into(&mut self, from: Ppn, to: Ppn) -> usize {
-        let moved = self.take_slot(from);
-        match moved {
-            RSlot::Empty => 0,
-            RSlot::One(l) => {
-                self.add(to, l);
-                1
-            }
-            RSlot::Many(v) => {
-                let n = v.len();
-                for l in v {
-                    self.add(to, l);
-                }
-                n
-            }
-        }
-    }
-
     /// Total LPN references across all PPNs (= mapped LPN count; used by
     /// consistency audits).
     pub fn total_refs(&self) -> u64 {
@@ -343,26 +322,6 @@ mod tests {
         r.take_into(9, &mut scratch); // empty ppn leaves it empty
         assert!(scratch.is_empty());
         assert_eq!(r.total_refs(), 0);
-    }
-
-    #[test]
-    fn merge_into_moves_all_references() {
-        let mut r = ReverseMap::new();
-        r.add(1, 10);
-        r.add(1, 11);
-        r.add(2, 20);
-        assert_eq!(r.merge_into(1, 2), 2);
-        assert_eq!(r.count(1), 0);
-        assert_eq!(r.count(2), 3);
-        assert_eq!(r.total_refs(), 3);
-    }
-
-    #[test]
-    fn merge_from_empty_is_noop() {
-        let mut r = ReverseMap::new();
-        r.add(2, 20);
-        assert_eq!(r.merge_into(1, 2), 0);
-        assert_eq!(r.count(2), 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use cagc_sim::event::EventQueue;
 use cagc_sim::time::Nanos;
 use cagc_sim::SimRng;
 use cagc_trace::Track;
-use cagc_workloads::{OpKind, Request, Trace};
+use cagc_workloads::{OpKind, RequestView, Trace};
 
 use crate::config::{ConfigError, HostConfig};
 use crate::report::{HostReport, ResilienceStats};
@@ -64,7 +64,10 @@ pub struct CmdLatency {
     /// When the completion interrupt delivered it back to the host.
     pub reaped_ns: Nanos,
     /// The NVMe-style status its final completion carried
-    /// ([`CmdStatus::Success`] on every fault-free run).
+    /// ([`CmdStatus::Success`] on every fault-free run;
+    /// [`CmdStatus::PowerLoss`] if the device died before servicing it, in
+    /// which case the timestamps say when the host learned so and the
+    /// command is in no latency histogram).
     pub status: CmdStatus,
     /// Device re-issues the resilience policy spent on this command.
     pub retries: u32,
@@ -196,12 +199,6 @@ impl HostInterface {
     }
 
     fn run(&mut self, trace: &Trace, closed: bool) -> (HostReport, Vec<CmdLatency>) {
-        assert!(
-            trace.logical_pages <= self.ssd.logical_pages(),
-            "trace extent ({} pages) exceeds device logical space ({})",
-            trace.logical_pages,
-            self.ssd.logical_pages()
-        );
         let pairs = self.cfg.queue_pairs as usize;
         let n = trace.requests.len();
         let mut r = Runner {
@@ -221,8 +218,11 @@ impl HostInterface {
         let end_ns = r.drain();
         let stats = r.stats;
         let cmds = r.cmds;
-        let reaped: u64 = stats.all.count();
-        debug_assert_eq!(reaped, n as u64, "every command must be reaped");
+        debug_assert_eq!(
+            stats.all.count() + stats.resilience.power_lost,
+            n as u64,
+            "every command is reaped as a latency sample or counted lost"
+        );
         let report = HostReport {
             mode: if closed { "closed-loop" } else { "open-loop" },
             queue_pairs: self.cfg.queue_pairs,
@@ -376,22 +376,23 @@ impl Runner<'_> {
         }
     }
 
-    /// Issue (or re-issue) one command to the device at `exec_at` on the
-    /// checked status path. Success — and error completions the policy
-    /// cannot or will not retry — post a CQ entry carrying the status; a
-    /// retryable error completion (media read error, write fault) within
-    /// the retry budget and deadline schedules an [`Ev::Retry`] after
-    /// exponential backoff + seeded jitter instead. Write-protection is
-    /// never retried (the spare pool is gone for good).
+    /// Issue (or re-issue) one command to the device at `exec_at`.
+    /// Success — and error completions the policy cannot or will not
+    /// retry — post a CQ entry carrying the status; a retryable error
+    /// completion (media read error, write fault) within the retry budget
+    /// and deadline schedules an [`Ev::Retry`] after exponential backoff +
+    /// seeded jitter instead. Write-protection is never retried (the spare
+    /// pool is gone for good), and neither is a command a dead device
+    /// never serviced.
     fn issue(&mut self, q: usize, cmd: usize, exec_at: Nanos) {
-        let req = &self.trace.requests[cmd];
-        // Power loss keeps the absorb semantics the panicking path had via
-        // `Ssd::process` (the command completes un-serviced at issue time);
-        // crash workloads drive the device directly and recover there.
+        let req = RequestView { at_ns: exec_at, ..self.trace.requests[cmd].view() };
+        // A command torn by (or issued after) power loss is lost, not
+        // completed. It still travels the CQ/IRQ path with that status at
+        // issue time, so its slot frees and a closed loop keeps draining.
         let comp = self
             .ssd
-            .process_status(&Request { at_ns: exec_at, ..req.clone() })
-            .unwrap_or(Completion { end_ns: exec_at, status: CmdStatus::Success });
+            .submit(req)
+            .unwrap_or(Completion { end_ns: exec_at, status: CmdStatus::PowerLoss });
         if !comp.status.is_ok() {
             let wanted = self.cmds[cmd].wanted_ns;
             let tries = self.cmds[cmd].retries;
@@ -431,6 +432,7 @@ impl Runner<'_> {
                 CmdStatus::MediaReadError => self.stats.resilience.media_read_errors += 1,
                 CmdStatus::WriteFault => self.stats.resilience.write_faults += 1,
                 CmdStatus::WriteProtected => self.stats.resilience.write_protected += 1,
+                CmdStatus::PowerLoss => self.stats.resilience.power_lost += 1,
                 CmdStatus::Success => {}
             }
         }
@@ -468,14 +470,18 @@ impl Runner<'_> {
         for &cmd in &reaped {
             let rec = &mut self.cmds[cmd];
             rec.reaped_ns = now;
-            let lat = now - rec.wanted_ns;
-            self.stats.all.record(lat);
-            match self.trace.requests[cmd].kind {
-                OpKind::Read => self.stats.reads.record(lat),
-                OpKind::Write => self.stats.writes.record(lat),
-                OpKind::Trim => {}
+            // A lost command was never serviced: it is a failed op
+            // (`ResilienceStats::power_lost`), not a latency sample.
+            if rec.status != CmdStatus::PowerLoss {
+                let lat = now - rec.wanted_ns;
+                self.stats.all.record(lat);
+                match self.trace.requests[cmd].kind {
+                    OpKind::Read => self.stats.reads.record(lat),
+                    OpKind::Write => self.stats.writes.record(lat),
+                    OpKind::Trim => {}
+                }
+                self.stats.queue_wait.record(rec.dispatched_ns - rec.wanted_ns);
             }
-            self.stats.queue_wait.record(rec.dispatched_ns - rec.wanted_ns);
             if traced {
                 let (submitted, queue) = (rec.submitted_ns, rec.queue as u32);
                 self.ssd.tracer_mut().span(

@@ -28,6 +28,10 @@ pub struct ResilienceStats {
     pub write_faults: u64,
     /// Write-protected rejections (device read-only; never retried).
     pub write_protected: u64,
+    /// Commands the device never serviced because it lost power: failed
+    /// ops, reaped so their slots free but in none of the latency
+    /// histograms. Zero without a crash plan, and then absent from output.
+    pub power_lost: u64,
 }
 
 impl ResilienceStats {
@@ -39,7 +43,7 @@ impl ResilienceStats {
 
     /// One-line human-readable summary.
     pub fn render(&self) -> String {
-        format!(
+        let mut out = format!(
             "retries={} timeouts={} aborts={} errors: media_read={} write_fault={} write_protected={}",
             self.retries,
             self.timeouts,
@@ -47,20 +51,30 @@ impl ResilienceStats {
             self.media_read_errors,
             self.write_faults,
             self.write_protected,
-        )
+        );
+        if self.power_lost > 0 {
+            out.push_str(&format!(" power_lost={}", self.power_lost));
+        }
+        out
     }
 }
 
 impl ToJson for ResilienceStats {
     fn to_json(&self) -> Json {
-        Json::obj([
+        let mut fields = vec![
             ("retries", Json::U64(self.retries)),
             ("timeouts", Json::U64(self.timeouts)),
             ("aborts", Json::U64(self.aborts)),
             ("media_read_errors", Json::U64(self.media_read_errors)),
             ("write_faults", Json::U64(self.write_faults)),
             ("write_protected", Json::U64(self.write_protected)),
-        ])
+        ];
+        // Pay-as-you-go like the section itself: crash-free faulty runs
+        // keep their bytes.
+        if self.power_lost > 0 {
+            fields.push(("power_lost", Json::U64(self.power_lost)));
+        }
+        Json::obj(fields)
     }
 }
 

@@ -6,7 +6,7 @@ use cagc_core::{CmdStatus, Scheme, Ssd, SsdConfig};
 use cagc_flash::FaultConfig;
 use cagc_harness::ToJson;
 use cagc_host::{ConfigError, HostConfig, HostInterface, HostReport};
-use cagc_workloads::{Request, SynthConfig, Trace};
+use cagc_workloads::{RequestView, SynthConfig, Trace};
 
 fn churn_trace(seed: u64, requests: usize, mean_interarrival_ns: u64) -> Trace {
     let flash = cagc_flash::UllConfig::tiny_for_tests();
@@ -50,7 +50,7 @@ fn passthrough_open_loop_matches_synchronous_replay() {
 }
 
 /// Closed-loop QD=1 with zero interface costs is the synchronous chain
-/// `t = process(at = t)`: each command issued the instant its predecessor
+/// `t = submit(at = t)`: each command issued the instant its predecessor
 /// completes.
 #[test]
 fn closed_loop_qd1_matches_sequential_reference() {
@@ -58,7 +58,7 @@ fn closed_loop_qd1_matches_sequential_reference() {
     let mut reference = Ssd::new(SsdConfig::tiny(Scheme::Cagc));
     let mut t = 0;
     for r in &trace.requests {
-        t = reference.process(&Request { at_ns: t, ..r.clone() });
+        t = reference.submit(RequestView { at_ns: t, ..r.view() }).expect("no crash plan").end_ns;
     }
     let want = reference.report(&trace.name).to_json().render();
 
@@ -161,7 +161,7 @@ fn faulty_config(seed: u64) -> SsdConfig {
 /// The QD=1 byte-identity gate extended to the faulty regime: with
 /// unrecoverable faults armed and the resilience policy disabled,
 /// closed-loop QD=1 through the passthrough shape must match the direct
-/// sequential `process_status` chain — byte-identical device report and
+/// sequential `Ssd::submit` chain — byte-identical device report and
 /// identical surfaced-error counters, status by status.
 #[test]
 fn closed_loop_qd1_matches_sequential_reference_under_faults() {
@@ -171,14 +171,14 @@ fn closed_loop_qd1_matches_sequential_reference_under_faults() {
     let (mut media, mut wfault, mut wprot) = (0u64, 0u64, 0u64);
     for r in &trace.requests {
         let c = reference
-            .process_status(&Request { at_ns: t, ..r.clone() })
+            .submit(RequestView { at_ns: t, ..r.view() })
             .expect("no crash configured");
         t = c.end_ns;
         match c.status {
             CmdStatus::MediaReadError => media += 1,
             CmdStatus::WriteFault => wfault += 1,
             CmdStatus::WriteProtected => wprot += 1,
-            CmdStatus::Success => {}
+            CmdStatus::Success | CmdStatus::PowerLoss => {}
         }
     }
     let want = reference.report(&trace.name).to_json().render();
@@ -272,6 +272,32 @@ fn armed_resilience_is_invisible_on_fault_free_runs() {
     let base = HostConfig::nvme(2, 8);
     let armed = base.clone().with_resilience(1_000_000_000, 3, 50_000, 10_000, 7);
     assert_eq!(run(base), run(armed), "armed policy must be invisible without faults");
+}
+
+/// A crash plan kills the device mid-replay. The closed loop still drains
+/// (lost commands free their slots through the CQ/IRQ path), and every
+/// command is either a latency sample or a lost one — never a success the
+/// device did not perform.
+#[test]
+fn power_loss_mid_replay_is_lost_commands_not_completions() {
+    let trace = churn_trace(53, 3_000, 200_000);
+    let mut dev = SsdConfig::tiny(Scheme::Cagc);
+    dev.faults = FaultConfig { crash_at_op: Some(2_000), ..FaultConfig::none() };
+    let mut host = HostInterface::new(Ssd::new(dev), HostConfig::nvme(2, 8));
+    let (report, cmds) = host.replay_closed_loop_detailed(&trace);
+    let lost = report.resilience.power_lost;
+    assert!(lost > 0 && report.all.count > 0, "the crash point lies inside the replay");
+    assert_eq!(report.all.count + lost, trace.len() as u64);
+    assert_eq!(report.all.count, report.device.all.count, "a sample is a device completion");
+    assert_eq!(report.queue_wait.count, report.all.count);
+    assert_eq!(
+        cmds.iter().filter(|c| c.status == CmdStatus::PowerLoss).count() as u64,
+        lost,
+        "each lost command carries the status"
+    );
+    assert!(cmds.iter().all(|c| c.reaped_ns >= c.submitted_ns), "every slot was reaped");
+    assert!(report.to_json().render().contains(&format!("\"power_lost\":{lost}")));
+    assert!(report.render().contains(&format!("power_lost={lost}")));
 }
 
 /// Malformed host configs come back as reportable errors from `try_new`;

@@ -1,86 +1,4 @@
-//! Scalar summary statistics and normalization helpers.
-
-use cagc_harness::{Json, ToJson};
-
-/// Streaming mean/variance/min/max over `f64` samples (Welford).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Summary {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Empty summary.
-    pub fn new() -> Self {
-        Self { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Absorb one sample.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Sample count.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population standard deviation (0 for < 2 samples).
-    pub fn std_dev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / self.n as f64).sqrt()
-        }
-    }
-
-    /// Minimum (0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Maximum (0 when empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
-
-impl ToJson for Summary {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("n", Json::U64(self.n)),
-            ("mean", Json::F64(self.mean())),
-            ("std_dev", Json::F64(self.std_dev())),
-            ("min", Json::F64(self.min())),
-            ("max", Json::F64(self.max())),
-        ])
-    }
-}
+//! Normalization helpers.
 
 /// `value / baseline`, the normalization used by Figs. 2 and 11.
 /// Returns 0 when the baseline is 0 (empty run).
@@ -107,54 +25,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_matches_closed_form() {
-        let mut s = Summary::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn empty_summary_is_zeroes() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.std_dev(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-    }
-
-    #[test]
-    fn single_sample_has_zero_variance() {
-        let mut s = Summary::new();
-        s.record(42.0);
-        assert_eq!(s.std_dev(), 0.0);
-        assert_eq!(s.mean(), 42.0);
-    }
-
-    #[test]
     fn normalize_and_reduction_are_consistent() {
         // CAGC erases 0.134x of baseline <=> 86.6% reduction (Fig. 9 Mail).
         let norm = normalize(13_400.0, 100_000.0);
         let red = reduction_pct(100_000.0, 13_400.0);
         assert!((norm - 0.134).abs() < 1e-12);
         assert!((red - 86.6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_renders_stable_json() {
-        let mut s = Summary::new();
-        for x in [2.0, 4.0, 6.0] {
-            s.record(x);
-        }
-        assert_eq!(
-            s.to_json().render(),
-            r#"{"n":3,"mean":4,"std_dev":1.632993161855452,"min":2,"max":6}"#
-        );
     }
 
     #[test]

@@ -33,11 +33,11 @@ pub mod zipf;
 pub use analyze::TraceProfile;
 pub use files::{FileId, FileWorkloadBuilder};
 pub use mixer::{
-    concat, inject_trims, interleave, interleave_n, interleave_n_tagged, retime_poisson,
+    concat, inject_trims, interleave, interleave_n, interleave_n_tagged, merge, retime_poisson,
     scale_rate, truncate,
 };
 pub use fiu::FiuWorkload;
 pub use parser::{parse_fiu, parse_native, write_native, ParseError};
 pub use synth::SynthConfig;
-pub use trace::{OpKind, Request, Trace};
+pub use trace::{OpKind, Request, RequestView, Trace};
 pub use zipf::Zipf;

@@ -6,7 +6,10 @@
 //! such variants from existing traces while preserving validity
 //! (time-ordering, extent bounds).
 
-use crate::trace::{Request, Trace};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use crate::trace::{Request, RequestView, Trace};
 
 /// Append `b` after `a`, shifting `b`'s timestamps to start `gap_ns` after
 /// `a`'s last arrival. LPN spaces are unioned (max).
@@ -28,13 +31,61 @@ pub fn interleave(a: &Trace, b: &Trace) -> Trace {
     interleave_n(&[a, b])
 }
 
-/// Merge `k` tenant traces onto a shared timeline in **one stable pass**:
-/// tenant `i`'s LPNs are offset past the combined space of tenants
-/// `0..i`, so no two tenants ever collide, and requests are merged by
-/// arrival time with ties broken by tenant order then FIFO within a
-/// tenant — exactly the order a pairwise [`interleave`] fold produces,
-/// without the fold's O(k²) re-clone-and-re-sort of ever-growing
-/// intermediates. Verified equivalent to the fold in this module's tests.
+/// The one k-way tenant merge: yields `(tenant index, request)` over every
+/// request of `tenants`, ordered by arrival time with ties broken by tenant
+/// index then FIFO within a tenant — exactly the order a pairwise
+/// [`interleave`] fold produces (verified in this module's tests). Tenant
+/// `i`'s LPNs are rebased past the combined space of tenants `0..i`, so no
+/// two tenants ever collide. Nothing is copied: the views borrow the
+/// tenants' contents, and the state is one cursor per tenant plus a heap of
+/// the tenants with requests left.
+pub fn merge<'a>(tenants: &[&'a Trace]) -> Merge<'a> {
+    let mut rest = Vec::with_capacity(tenants.len());
+    let mut offset = 0u64;
+    for t in tenants {
+        rest.push((offset, t.requests.as_slice()));
+        offset += t.logical_pages;
+    }
+    // Each tenant trace is already time-ordered, so a heap keyed
+    // (arrival, tenant index) yields the globally stable order.
+    let heap = tenants
+        .iter()
+        .enumerate()
+        .filter_map(|(i, t)| Some(Reverse((t.requests.first()?.at_ns, i))))
+        .collect();
+    Merge { rest, heap }
+}
+
+/// The iterator [`merge`] returns.
+#[derive(Debug, Clone)]
+pub struct Merge<'a> {
+    /// Per tenant: its namespace offset and the requests not yet yielded.
+    rest: Vec<(u64, &'a [Request])>,
+    /// `(next arrival, tenant)` for every tenant with requests left.
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+}
+
+impl<'a> Iterator for Merge<'a> {
+    type Item = (usize, RequestView<'a>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let Reverse((_, i)) = self.heap.pop()?;
+        let (offset, rest) = &mut self.rest[i];
+        let (r, tail) = rest.split_first().expect("the heap names only tenants with requests left");
+        *rest = tail;
+        if let Some(next) = tail.first() {
+            self.heap.push(Reverse((next.at_ns, i)));
+        }
+        Some((i, RequestView { lpn: r.lpn + *offset, ..r.view() }))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.rest.iter().map(|(_, rest)| rest.len()).sum();
+        (left, Some(left))
+    }
+}
+
+/// Materialise [`merge`] as one trace over the tenants' combined namespace.
 ///
 /// # Panics
 /// Panics on an empty tenant list.
@@ -44,42 +95,16 @@ pub fn interleave_n(tenants: &[&Trace]) -> Trace {
 
 /// [`interleave_n`] plus per-request tenant attribution: the second
 /// element tags each merged request with the index (into `tenants`) of
-/// the trace it came from. The fleet simulator uses the tags to account
-/// latency and traffic per tenant after the streams are merged.
+/// the trace it came from. The fleet's host mode uses the tags to account
+/// per-command latency per tenant after replaying the merged trace.
 ///
 /// # Panics
 /// Panics on an empty tenant list.
 pub fn interleave_n_tagged(tenants: &[&Trace]) -> (Trace, Vec<u32>) {
     assert!(!tenants.is_empty(), "interleave_n needs at least one tenant");
-    // Namespace layout: tenant i owns [offsets[i], offsets[i] + pages_i).
-    let mut offsets = Vec::with_capacity(tenants.len());
-    let mut total_pages = 0u64;
-    for t in tenants {
-        offsets.push(total_pages);
-        total_pages += t.logical_pages;
-    }
-    let total_requests: usize = tenants.iter().map(|t| t.len()).sum();
-    let mut requests = Vec::with_capacity(total_requests);
-    let mut tags = Vec::with_capacity(total_requests);
-    // K-way merge: each tenant trace is already time-ordered, so a heap
-    // keyed (arrival, tenant index) yields the globally stable order.
-    let mut pos = vec![0usize; tenants.len()];
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>> = tenants
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !t.requests.is_empty())
-        .map(|(i, t)| std::cmp::Reverse((t.requests[0].at_ns, i)))
-        .collect();
-    while let Some(std::cmp::Reverse((_, i))) = heap.pop() {
-        let r = &tenants[i].requests[pos[i]];
-        requests.push(Request { lpn: r.lpn + offsets[i], ..r.clone() });
-        tags.push(i as u32);
-        pos[i] += 1;
-        if let Some(next) = tenants[i].requests.get(pos[i]) {
-            heap.push(std::cmp::Reverse((next.at_ns, i)));
-        }
-    }
+    let (tags, requests) = merge(tenants).map(|(i, r)| (i as u32, r.to_request())).unzip();
     let name = tenants.iter().map(|t| t.name.as_str()).collect::<Vec<_>>().join("||");
+    let total_pages = tenants.iter().map(|t| t.logical_pages).sum();
     (Trace::new(name, total_pages, requests), tags)
 }
 
@@ -255,6 +280,11 @@ mod tests {
             assert_eq!(merged.logical_pages, folded.logical_pages, "k={k}");
             assert_eq!(merged.requests, folded.requests, "k={k}");
             merged.validate().unwrap();
+            // The stream itself, not only its materialisation: same
+            // requests in the same order, and it knows its own length.
+            let stream = merge(&refs[..k]);
+            assert_eq!(stream.size_hint(), (folded.len(), Some(folded.len())), "k={k}");
+            assert!(stream.map(|(_, r)| r).eq(folded.requests.iter().map(Request::view)), "k={k}");
         }
     }
 
@@ -281,6 +311,17 @@ mod tests {
         assert_eq!(merged.requests[0].lpn, 0);
         assert_eq!(merged.requests[1].lpn, 1);
         assert_eq!(merged.requests[2].lpn, 16);
+        // The stream attributes them so: per instant, tenants in index
+        // order, each tenant's own requests FIFO, LPNs rebased by 16 each.
+        let streamed: Vec<(usize, u64, u64)> =
+            merge(&[&a, &b, &c]).map(|(i, r)| (i, r.at_ns, r.lpn)).collect();
+        assert_eq!(
+            streamed,
+            [
+                (0, 100, 0), (0, 100, 1), (1, 100, 16), (1, 100, 17), (2, 100, 32), (2, 100, 33),
+                (0, 200, 0), (1, 200, 16), (2, 200, 32),
+            ]
+        );
     }
 
     #[test]

@@ -57,7 +57,19 @@ impl Request {
 
     /// Iterate the logical pages this request covers.
     pub fn lpns(&self) -> impl Iterator<Item = u64> + '_ {
-        self.lpn..self.lpn + self.pages as u64
+        self.view().lpns()
+    }
+
+    /// The borrowed form a device is driven with.
+    #[inline]
+    pub fn view(&self) -> RequestView<'_> {
+        RequestView {
+            at_ns: self.at_ns,
+            kind: self.kind,
+            lpn: self.lpn,
+            pages: self.pages,
+            contents: &self.contents,
+        }
     }
 
     /// Internal consistency: write ⇔ contents present and sized.
@@ -75,6 +87,42 @@ impl Request {
                 Err("non-write carries contents".into())
             }
             _ => Ok(()),
+        }
+    }
+}
+
+/// A [`Request`] with its contents borrowed: what a device is driven with
+/// ([`Request::view`]). `Copy`, so a driver that issues a traced request at
+/// another time or in another namespace restamps the field with a struct
+/// update (`RequestView { at_ns, ..req.view() }`) and copies no content.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestView<'a> {
+    /// Arrival time.
+    pub at_ns: Nanos,
+    /// Operation.
+    pub kind: OpKind,
+    /// First logical page.
+    pub lpn: u64,
+    /// Extent length in pages.
+    pub pages: u32,
+    /// Per-page content identities (see [`Request::contents`]).
+    pub contents: &'a [ContentId],
+}
+
+impl RequestView<'_> {
+    /// Iterate the logical pages this request covers.
+    pub fn lpns(self) -> std::ops::Range<u64> {
+        self.lpn..self.lpn + u64::from(self.pages)
+    }
+
+    /// An owned copy.
+    pub fn to_request(self) -> Request {
+        Request {
+            at_ns: self.at_ns,
+            kind: self.kind,
+            lpn: self.lpn,
+            pages: self.pages,
+            contents: self.contents.to_vec(),
         }
     }
 }
