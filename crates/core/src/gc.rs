@@ -860,7 +860,7 @@ mod tests {
                     (samples + 1, sum + u128::from(stranded)),
                     "stranded_pages gauge sample (preempt {preempt})"
                 );
-                let recorded = &ssd.tracer.events()[events..];
+                let recorded: Vec<_> = ssd.tracer.events().iter().skip(events).collect();
                 let Some(block) = chosen else {
                     assert!(recorded.is_empty(), "no victim, no instant");
                     continue;
@@ -868,10 +868,10 @@ mod tests {
                 let blk = ssd.dev.block(block);
                 assert!(!ssd.alloc.is_open(block), "an open frontier was selected");
                 assert_eq!(recorded.len(), 1);
-                assert_eq!(recorded[0].name, "victim_select");
-                assert_eq!(recorded[0].kind, EventKind::Instant { at_ns: req.at_ns });
+                assert_eq!(recorded[0].name(), "victim_select");
+                assert_eq!(recorded[0].kind(), EventKind::Instant { at_ns: req.at_ns });
                 assert_eq!(
-                    ssd.tracer.args(&recorded[0]),
+                    recorded[0].args().collect::<Vec<_>>(),
                     [
                         ("block", u64::from(block)),
                         ("valid", u64::from(blk.valid_count())),

@@ -29,8 +29,8 @@ fn traced_ssd(cfg: SsdConfig, trace_cfg: TraceConfig) -> Ssd {
     ssd
 }
 
-fn names_of(ssd: &Ssd) -> Vec<&'static str> {
-    ssd.tracer().events().iter().map(|e| e.name).collect()
+fn names_of(ssd: &Ssd) -> Vec<&str> {
+    ssd.tracer().events().iter().map(|e| e.name()).collect()
 }
 
 #[test]
@@ -54,22 +54,22 @@ fn traced_cagc_run_covers_every_gc_phase() {
         assert!(names.contains(&phase), "expected at least one {phase:?} event");
     }
     // Spans are well-formed intervals on the tracks the taxonomy assigns.
-    for e in ssd.tracer().events() {
-        if let EventKind::Span { start_ns, end_ns } = e.kind {
-            assert!(start_ns <= end_ns, "span {} runs backwards", e.name);
+    for e in ssd.tracer().events().iter() {
+        if let EventKind::Span { start_ns, end_ns } = e.kind() {
+            assert!(start_ns <= end_ns, "span {} runs backwards", e.name());
         }
-        match e.name {
+        match e.name() {
             "migrate_read" | "migrate_write" | "erase" | "program" => {
-                assert!(matches!(e.track, Track::Die { .. }), "{} off the die track", e.name);
+                assert!(matches!(e.track(), Track::Die { .. }), "{} off the die track", e.name());
             }
             // "read" names both the host-level span and the die-level
             // flash read it triggers — two tracks, same operation.
-            "read" => assert!(matches!(e.track, Track::Die { .. } | Track::Host)),
-            "write" | "trim" => assert_eq!(e.track, Track::Host, "{} off the host track", e.name),
+            "read" => assert!(matches!(e.track(), Track::Die { .. } | Track::Host)),
+            "write" | "trim" => assert_eq!(e.track(), Track::Host, "{} off the host track", e.name()),
             "gc_round" | "victim_select" | "dedup_drop" => {
-                assert_eq!(e.track, Track::Gc, "{} off the gc track", e.name);
+                assert_eq!(e.track(), Track::Gc, "{} off the gc track", e.name());
             }
-            "fingerprint" | "hash" => assert_eq!(e.track, Track::Hash),
+            "fingerprint" | "hash" => assert_eq!(e.track(), Track::Hash),
             _ => {}
         }
     }
@@ -148,7 +148,7 @@ fn host_sampling_thins_host_spans_but_never_gc() {
     thinned.replay(&trace);
 
     let count = |ssd: &Ssd, name: &str| {
-        ssd.tracer().events().iter().filter(|e| e.name == name).count()
+        ssd.tracer().events().iter().filter(|e| e.name() == name).count()
     };
     assert!(
         count(&thinned, "write") * 8 < count(&full, "write"),
@@ -207,8 +207,8 @@ fn faulted_run_traces_retries_and_recovery() {
         .tracer()
         .events()
         .iter()
-        .find(|e| e.name == "recover")
+        .find(|e| e.name() == "recover")
         .expect("recover span recorded");
-    assert_eq!(recover.track, Track::Fault);
-    assert!(matches!(recover.kind, EventKind::Span { .. }));
+    assert_eq!(recover.track(), Track::Fault);
+    assert!(matches!(recover.kind(), EventKind::Span { .. }));
 }

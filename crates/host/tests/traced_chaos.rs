@@ -7,7 +7,7 @@
 use cagc_core::{Scheme, Ssd, SsdConfig, TraceConfig};
 use cagc_flash::{FaultConfig, UllConfig};
 use cagc_host::{HostConfig, HostInterface};
-use cagc_trace::{from_tracer, parse_jsonl, GcAnatomy, SpanProfile, Track};
+use cagc_trace::{from_tracer, parse_jsonl, GcAnatomy, Recording, SpanProfile, Track};
 use cagc_workloads::FiuWorkload;
 
 fn traced_chaos_replay() -> HostInterface {
@@ -46,20 +46,25 @@ fn live_and_jsonl_analyses_agree_on_a_faulted_preempting_host_replay() {
     let host = traced_chaos_replay();
     let tracer = host.ssd().tracer();
     assert_eq!(tracer.dropped_events(), 0);
+    // Segments, payload and name table all told (`from_tracer` adds none).
+    let per_event = tracer.heap_bytes() as f64 / tracer.events().len() as f64;
+    assert!(per_event <= 64.0, "{per_event:.1} heap bytes per retained event");
 
     // The recording really is the slow cell's.
-    let has = |name: &str| tracer.events().iter().any(|e| e.name == name);
+    let has = |name: &str| tracer.events().iter().any(|e| e.name() == name);
     for name in [
         "gc_slice", "gc_yield", "gc_urgent", "read_ecc_retry", "program_retry", "write_fault",
     ] {
         assert!(has(name), "expected at least one {name:?} event");
     }
-    assert!(tracer.events().iter().any(|e| matches!(e.track, Track::Queue { .. })));
+    assert!(tracer.events().iter().any(|e| matches!(e.track(), Track::Queue { .. })));
 
     let text = host.ssd().trace_jsonl();
     let live = from_tracer(tracer);
     let parsed = parse_jsonl(&text).expect("the tracer's own export parses");
-    assert_eq!(live.spans, parsed.spans);
+    // Every record spelled out (each recording numbers its own names).
+    let plain = |r: &Recording| -> Vec<String> { r.iter().map(|e| format!("{e:?}")).collect() };
+    assert_eq!(plain(&live.spans), plain(&parsed.spans));
     assert_eq!(live.dropped_events, parsed.dropped_events);
     let (p_live, p_parsed) =
         (SpanProfile::from_spans(&live.spans), SpanProfile::from_spans(&parsed.spans));

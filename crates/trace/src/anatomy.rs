@@ -21,7 +21,7 @@
 use cagc_harness::{Json, ToJson};
 
 use crate::event::Track;
-use crate::parse::SpanRec;
+use crate::recording::Recording;
 use crate::profile::{intersect, subtract, total_len, union};
 
 /// The Fig. 8 phase order. `victim_select` is an instant (a pure
@@ -30,22 +30,22 @@ use crate::profile::{intersect, subtract, total_len, union};
 pub const GC_PHASES: [&str; 5] =
     ["victim_select", "migrate_read", "fingerprint", "migrate_write", "erase"];
 
-/// What a record is to the anatomy, decided once per record.
+/// What a name is to the anatomy, decided once per name.
+#[derive(Clone, Copy)]
 enum Role {
-    /// A `gc_round` container span.
+    /// A `gc_round` container, when a span on the GC track.
     Round,
-    /// A `gc_slice` container span.
+    /// A `gc_slice` container, when a span on the GC track.
     Slice,
     /// A phase record, by position in [`GC_PHASES`].
     Phase(usize),
 }
 
 impl Role {
-    fn of(rec: &SpanRec) -> Option<Role> {
-        let gc_span = rec.track == Track::Gc && rec.is_span();
-        Some(match &*rec.name {
-            "gc_round" if gc_span => Role::Round,
-            "gc_slice" if gc_span => Role::Slice,
+    fn of(name: &str) -> Option<Role> {
+        Some(match name {
+            "gc_round" => Role::Round,
+            "gc_slice" => Role::Slice,
             "victim_select" => Role::Phase(0),
             "migrate_read" => Role::Phase(1),
             "fingerprint" => Role::Phase(2),
@@ -89,34 +89,39 @@ pub struct GcAnatomy {
 }
 
 impl GcAnatomy {
-    /// Derive the anatomy from a record stream.
-    pub fn from_spans(spans: &[SpanRec]) -> Self {
+    /// Derive the anatomy from a record stream, reading it where it lies.
+    pub fn from_spans(spans: &Recording) -> Self {
         let mut wall_ivs = Vec::new();
         let (mut rounds, mut slices) = (0u64, 0u64);
         // Phase intervals, queue-extended; clipped to the wall below.
         let mut phase_ivs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); GC_PHASES.len()];
         let mut calls = [0u64; GC_PHASES.len()];
-        for r in spans {
+        let names = spans.names();
+        let roles: Vec<Option<Role>> = names.spellings().iter().map(|n| Role::of(n)).collect();
+        let queued_key = names.id_of("queued_ns");
+        spans.iter().for_each(|r| {
+            let Some(role) = roles[usize::from(r.name_id())] else { return };
             let (start, end) = (r.ts_ns(), r.ts_ns() + r.dur_ns());
-            match Role::of(r) {
-                None => {}
-                Some(Role::Round) => {
+            let gc_span = r.is_span() && r.track() == Track::Gc;
+            match role {
+                Role::Round if gc_span => {
                     rounds += 1;
                     wall_ivs.push((start, end));
                 }
-                Some(Role::Slice) => {
+                Role::Slice if gc_span => {
                     slices += 1;
                     wall_ivs.push((start, end));
                 }
-                Some(Role::Phase(p)) => {
+                Role::Round | Role::Slice => {}
+                Role::Phase(p) => {
                     calls[p] += 1;
                     if r.is_span() {
-                        let queued = r.arg("queued_ns").unwrap_or(0);
+                        let queued = r.arg_ids().find(|&(k, _)| Some(k) == queued_key).map_or(0, |a| a.1);
                         phase_ivs[p].push((start.saturating_sub(queued), end));
                     }
                 }
             }
-        }
+        });
         let wall = union(wall_ivs);
         let gc_wall_ns = total_len(&wall);
         let clipped: Vec<Vec<(u64, u64)>> = phase_ivs
@@ -278,38 +283,24 @@ impl ToJson for GcAnatomy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
-    use crate::parse::Args;
+    use crate::recording::testing::{instant, recording, span, Spec};
 
-    fn span(track: Track, name: &'static str, start: u64, end: u64) -> SpanRec<'static> {
-        SpanRec {
-            track,
-            name: name.into(),
-            kind: EventKind::Span { start_ns: start, end_ns: end },
-            args: Args::Live(&[]),
-        }
+    fn with_queue(mut rec: Spec, queued: u64) -> Spec {
+        rec.3 = vec![("queued_ns", queued)];
+        rec
     }
 
-    fn with_queue(rec: SpanRec<'static>, queued: u64) -> SpanRec<'static> {
-        SpanRec { args: Args::Parsed(vec![("queued_ns".to_string(), queued)]), ..rec }
-    }
-
-    fn die(name: &'static str, start: u64, end: u64, queued: u64) -> SpanRec<'static> {
+    fn die(name: &'static str, start: u64, end: u64, queued: u64) -> Spec {
         with_queue(span(Track::Die { channel: 0, die: 0 }, name, start, end), queued)
     }
 
     /// One synthetic GC round with full pipelining:
     /// wall [0,100]; read [0,20], hash [20,40] (queue-extended from 30),
     /// write [40,70], erase [60,100] overlapping the write by 10.
-    fn round() -> Vec<SpanRec<'static>> {
+    fn round() -> Vec<Spec> {
         vec![
             span(Track::Gc, "gc_round", 0, 100),
-            SpanRec {
-                track: Track::Gc,
-                name: "victim_select".into(),
-                kind: EventKind::Instant { at_ns: 0 },
-                args: Args::Live(&[]),
-            },
+            instant(Track::Gc, "victim_select", 0),
             die("migrate_read", 0, 20, 0),
             with_queue(span(Track::Hash, "fingerprint", 30, 40), 10),
             die("migrate_write", 40, 70, 0),
@@ -317,21 +308,30 @@ mod tests {
         ]
     }
 
+    fn anatomy(specs: &[Spec]) -> GcAnatomy {
+        GcAnatomy::from_spans(&recording(specs))
+    }
+
     #[test]
     fn roles_follow_the_phase_order() {
         for (p, name) in GC_PHASES.into_iter().enumerate() {
-            assert!(matches!(Role::of(&span(Track::Hash, name, 0, 1)), Some(Role::Phase(q)) if q == p));
+            assert!(matches!(Role::of(name), Some(Role::Phase(q)) if q == p));
         }
+        assert!(Role::of("dedup_drop").is_none());
         // Container names count only as spans on the GC track.
-        assert!(matches!(Role::of(&span(Track::Gc, "gc_round", 0, 1)), Some(Role::Round)));
-        assert!(matches!(Role::of(&span(Track::Gc, "gc_slice", 0, 1)), Some(Role::Slice)));
-        assert!(Role::of(&span(Track::Host, "gc_round", 0, 1)).is_none());
-        assert!(Role::of(&span(Track::Gc, "dedup_drop", 0, 1)).is_none());
+        let a = anatomy(&[
+            span(Track::Gc, "gc_round", 0, 1),
+            span(Track::Gc, "gc_slice", 0, 1),
+            span(Track::Gc, "gc_slice", 1, 2),
+            span(Track::Host, "gc_round", 0, 1),
+            instant(Track::Gc, "gc_slice", 0),
+        ]);
+        assert_eq!((a.rounds, a.slices, a.gc_wall_ns), (1, 2, 2));
     }
 
     #[test]
     fn decomposition_is_exact_with_overlap_attribution() {
-        let a = GcAnatomy::from_spans(&round());
+        let a = anatomy(&round());
         assert_eq!(a.gc_wall_ns, 100);
         assert_eq!(a.rounds, 1);
         assert_eq!(a.slices, 0);
@@ -361,7 +361,7 @@ mod tests {
             span(Track::Gc, "gc_slice", 0, 50),
             die("erase", 40, 90, 0),
         ];
-        let a = GcAnatomy::from_spans(&spans);
+        let a = anatomy(&spans);
         assert_eq!(a.gc_wall_ns, 50);
         assert_eq!(a.slices, 1);
         let erase = a.phases.iter().find(|p| p.name == "erase").unwrap();
@@ -371,7 +371,7 @@ mod tests {
 
     #[test]
     fn empty_stream_yields_zero_anatomy() {
-        let a = GcAnatomy::from_spans(&[]);
+        let a = anatomy(&[]);
         assert_eq!(a.gc_wall_ns, 0);
         assert_eq!(a.accounted_permille, 0);
         assert_eq!(a.phases.len(), 5);
@@ -380,8 +380,8 @@ mod tests {
 
     #[test]
     fn csv_and_diff_are_deterministic() {
-        let a = GcAnatomy::from_spans(&round());
-        let b = GcAnatomy::from_spans(&round());
+        let a = anatomy(&round());
+        let b = anatomy(&round());
         assert_eq!(a.to_csv(), b.to_csv());
         assert!(a.to_csv().starts_with("phase,calls,busy_ns"));
         assert!(a.to_csv().contains("\ntotal,1,100,"));
@@ -394,7 +394,7 @@ mod tests {
         let mut slow = round();
         slow[0] = span(Track::Gc, "gc_round", 0, 130);
         slow[5] = die("erase", 60, 130, 0);
-        let d = a.diff_csv(&GcAnatomy::from_spans(&slow));
+        let d = a.diff_csv(&anatomy(&slow));
         let erase_row: Vec<&str> =
             d.lines().find(|l| l.starts_with("erase")).unwrap().split(',').collect();
         assert_eq!(erase_row[5], "30");
@@ -405,7 +405,7 @@ mod tests {
 
     #[test]
     fn json_mirrors_the_struct() {
-        let a = GcAnatomy::from_spans(&round());
+        let a = anatomy(&round());
         let text = a.to_json().render();
         assert!(text.starts_with(r#"{"gc_wall_ns":100,"rounds":1,"slices":0,"accounted_permille":1000"#));
         assert!(text.contains(r#"{"phase":"victim_select","calls":1"#));

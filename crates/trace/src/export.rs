@@ -14,7 +14,8 @@
 use cagc_harness::json::{write_f64, write_str, write_u64};
 use cagc_harness::Json;
 
-use crate::event::{Arg, Event, EventKind, Track};
+use crate::event::{EventKind, Track, CATEGORIES};
+use crate::recording::{Record, Recording};
 use crate::tracer::Tracer;
 
 /// Chrome thread ids for the synthetic FTL process (`pid = channels`).
@@ -36,17 +37,6 @@ fn pid_tid(track: Track, channels: u32) -> (u64, u64) {
     }
 }
 
-fn category(track: Track) -> &'static str {
-    match track {
-        Track::Die { .. } => "flash",
-        Track::Host => "host",
-        Track::Gc => "gc",
-        Track::Hash => "hash",
-        Track::Fault => "fault",
-        Track::Queue { .. } => "queue",
-    }
-}
-
 /// Simulated ns → Chrome `ts` microseconds. Chrome's unit is µs; the
 /// division is deterministic (same u64 in, same f64 out) even when the
 /// quotient is not exact.
@@ -64,30 +54,43 @@ fn metadata(pid: u64, tid: u64, which: &'static str, label: String) -> Json {
     ])
 }
 
+/// Every name and argument key of `recording` as the JSON string it
+/// renders to, by id: escaped once per spelling, not once per event.
+fn quoted(recording: &Recording) -> Vec<String> {
+    let quote = |spelling: &str| {
+        let mut json = String::new();
+        write_str(spelling, &mut json);
+        json
+    };
+    recording.names().spellings().iter().map(|s| quote(s)).collect()
+}
+
 /// Append `,"args":{…}` for a non-empty payload.
-fn write_args(args: &[Arg], out: &mut String) {
-    if args.is_empty() {
+fn write_args(event: Record, quoted: &[String], out: &mut String) {
+    let args = event.arg_ids();
+    if args.len() == 0 {
         return;
     }
     out.push_str(",\"args\":{");
-    for (i, &(key, value)) in args.iter().enumerate() {
+    for (i, (key, value)) in args.enumerate() {
         if i > 0 {
             out.push(',');
         }
-        write_str(key, out);
+        out.push_str(&quoted[usize::from(key)]);
         out.push(':');
         write_u64(value, out);
     }
     out.push('}');
 }
 
-fn write_chrome_event(event: &Event, args: &[Arg], channels: u32, out: &mut String) {
-    let (pid, tid) = pid_tid(event.track, channels);
+fn write_chrome_event(event: Record, quoted: &[String], channels: u32, out: &mut String) {
+    let track = event.track();
+    let (pid, tid) = pid_tid(track, channels);
     out.push_str("{\"name\":");
-    write_str(event.name, out);
+    out.push_str(&quoted[usize::from(event.name_id())]);
     out.push_str(",\"cat\":");
-    write_str(category(event.track), out);
-    match event.kind {
+    write_str(CATEGORIES[track.category()], out);
+    match event.kind() {
         EventKind::Span { start_ns, end_ns } => {
             out.push_str(",\"ph\":\"X\",\"ts\":");
             write_f64(ts_us(start_ns), out);
@@ -104,7 +107,7 @@ fn write_chrome_event(event: &Event, args: &[Arg], channels: u32, out: &mut Stri
     write_u64(pid, out);
     out.push_str(",\"tid\":");
     write_u64(tid, out);
-    write_args(args, out);
+    write_args(event, quoted, out);
     out.push('}');
 }
 
@@ -139,13 +142,13 @@ pub fn chrome_trace(tracer: &Tracer, channels: u32) -> String {
     // actually carries events, in sorted order for determinism.
     let mut pids: Vec<u64> = Vec::new();
     let mut threads: Vec<(u64, u64, Track)> = Vec::new();
-    for e in tracer.events() {
-        let (pid, tid) = pid_tid(e.track, channels);
+    for e in tracer.events().iter() {
+        let (pid, tid) = pid_tid(e.track(), channels);
         if !pids.contains(&pid) {
             pids.push(pid);
         }
         if !threads.iter().any(|&(p, t, _)| p == pid && t == tid) {
-            threads.push((pid, tid, e.track));
+            threads.push((pid, tid, e.track()));
         }
     }
     if !tracer.registry().is_empty() {
@@ -176,8 +179,9 @@ pub fn chrome_trace(tracer: &Tracer, channels: u32) -> String {
         metadata(pid, tid, "thread_name", label).render_into(events.next());
     }
 
-    for e in tracer.events() {
-        write_chrome_event(e, tracer.args(e), channels, events.next());
+    let quoted = quoted(tracer.events());
+    for e in tracer.events().iter() {
+        write_chrome_event(e, &quoted, channels, events.next());
     }
 
     // Gauge counters ride on the FTL process track.
@@ -224,8 +228,9 @@ pub fn chrome_trace(tracer: &Tracer, channels: u32) -> String {
     out
 }
 
-fn write_jsonl_event(event: &Event, args: &[Arg], out: &mut String) {
-    match event.track {
+fn write_jsonl_event(event: Record, quoted: &[String], out: &mut String) {
+    let track = event.track();
+    match track {
         Track::Die { channel, die } => {
             out.push_str("{\"track\":\"die\",\"channel\":");
             write_u64(u64::from(channel), out);
@@ -238,12 +243,12 @@ fn write_jsonl_event(event: &Event, args: &[Arg], out: &mut String) {
         }
         Track::Host | Track::Gc | Track::Hash | Track::Fault => {
             out.push_str("{\"track\":");
-            write_str(category(event.track), out);
+            write_str(CATEGORIES[track.category()], out);
         }
     }
     out.push_str(",\"name\":");
-    write_str(event.name, out);
-    match event.kind {
+    out.push_str(&quoted[usize::from(event.name_id())]);
+    match event.kind() {
         EventKind::Span { start_ns, end_ns } => {
             out.push_str(",\"kind\":\"span\",\"start_ns\":");
             write_u64(start_ns, out);
@@ -255,18 +260,24 @@ fn write_jsonl_event(event: &Event, args: &[Arg], out: &mut String) {
             write_u64(at_ns, out);
         }
     }
-    write_args(args, out);
+    write_args(event, quoted, out);
     out.push_str("}\n");
+}
+
+/// Append one JSONL line per event of `recording`, in recording order.
+pub(crate) fn write_jsonl_events(recording: &Recording, out: &mut String) {
+    let quoted = quoted(recording);
+    recording.iter().for_each(|e| write_jsonl_event(e, &quoted, out));
 }
 
 /// Render the recording as JSONL: one compact JSON object per line —
 /// every event in recording order, then one `"gauge"` line per
 /// aggregated window. Each line parses with `cagc_harness::Json::parse`.
 pub fn jsonl(tracer: &Tracer) -> String {
-    let mut out = String::new();
-    for e in tracer.events() {
-        write_jsonl_event(e, tracer.args(e), &mut out);
-    }
+    // A line is 110–125 bytes on the simulator's recordings: sized once,
+    // the log is written where it stays instead of doubling its way up.
+    let mut out = String::with_capacity(128 * tracer.events().len());
+    write_jsonl_events(tracer.events(), &mut out);
     for (name, windows) in tracer.registry().snapshot() {
         for w in windows {
             let line = Json::obj([
@@ -301,17 +312,18 @@ mod tests {
     use super::*;
     use crate::tracer::TraceConfig;
 
-    fn args_obj(args: &[(&'static str, u64)]) -> Json {
-        Json::Obj(args.iter().map(|&(k, v)| (k.to_string(), Json::U64(v))).collect())
+    fn args_obj(event: Record) -> Option<Json> {
+        let pairs: Vec<_> = event.args().map(|(k, v)| (k.to_string(), Json::U64(v))).collect();
+        (!pairs.is_empty()).then_some(Json::Obj(pairs))
     }
 
-    fn event_json(event: &Event, args: &[Arg], channels: u32) -> Json {
-        let (pid, tid) = pid_tid(event.track, channels);
+    fn event_json(event: Record, channels: u32) -> Json {
+        let (pid, tid) = pid_tid(event.track(), channels);
         let mut pairs: Vec<(String, Json)> = vec![
-            ("name".into(), Json::Str(event.name.into())),
-            ("cat".into(), Json::Str(category(event.track).into())),
+            ("name".into(), Json::Str(event.name().into())),
+            ("cat".into(), Json::Str(CATEGORIES[event.track().category()].into())),
         ];
-        match event.kind {
+        match event.kind() {
             EventKind::Span { start_ns, end_ns } => {
                 pairs.push(("ph".into(), Json::Str("X".into())));
                 pairs.push(("ts".into(), Json::F64(ts_us(start_ns))));
@@ -325,9 +337,7 @@ mod tests {
         }
         pairs.push(("pid".into(), Json::U64(pid)));
         pairs.push(("tid".into(), Json::U64(tid)));
-        if !args.is_empty() {
-            pairs.push(("args".into(), args_obj(args)));
-        }
+        pairs.extend(args_obj(event).map(|args| ("args".into(), args)));
         Json::Obj(pairs)
     }
 
@@ -350,10 +360,10 @@ mod tests {
     }
 
     /// One JSONL line as the tree-built exporter rendered it.
-    fn jsonl_event_json(event: &Event, args: &[Arg]) -> Json {
-        let mut pairs = jsonl_track(event.track);
-        pairs.push(("name".into(), Json::Str(event.name.into())));
-        match event.kind {
+    fn jsonl_event_json(event: Record) -> Json {
+        let mut pairs = jsonl_track(event.track());
+        pairs.push(("name".into(), Json::Str(event.name().into())));
+        match event.kind() {
             EventKind::Span { start_ns, end_ns } => {
                 pairs.push(("kind".into(), Json::Str("span".into())));
                 pairs.push(("start_ns".into(), Json::U64(start_ns)));
@@ -364,9 +374,7 @@ mod tests {
                 pairs.push(("at_ns".into(), Json::U64(at_ns)));
             }
         }
-        if !args.is_empty() {
-            pairs.push(("args".into(), args_obj(args)));
-        }
+        pairs.extend(args_obj(event).map(|args| ("args".into(), args)));
         Json::Obj(pairs)
     }
 
@@ -397,12 +405,12 @@ mod tests {
         t.gauge("free_pages", 2_500, 91);
         assert_eq!(t.events().len(), 12);
         assert_eq!(t.dropped_events(), 1);
-        for e in t.events() {
+        for e in t.events().iter() {
             let (mut chrome, mut line) = (String::new(), String::new());
-            write_chrome_event(e, t.args(e), 2, &mut chrome);
-            write_jsonl_event(e, t.args(e), &mut line);
-            assert_eq!(chrome, event_json(e, t.args(e), 2).render());
-            assert_eq!(line, jsonl_event_json(e, t.args(e)).render() + "\n");
+            write_chrome_event(e, &quoted(t.events()), 2, &mut chrome);
+            write_jsonl_event(e, &quoted(t.events()), &mut line);
+            assert_eq!(chrome, event_json(e, 2).render());
+            assert_eq!(line, jsonl_event_json(e).render() + "\n");
         }
         // The framing around the events (brackets, commas, the tree-built
         // metadata, gauge and trailer entries) is what a tree renders too:

@@ -15,10 +15,13 @@
 //!   harness serializer (insertion-order keys, exact integers).
 //! * **Bounded** — [`TraceConfig::max_events`] caps retained events;
 //!   overflow increments a `dropped_events` counter instead of growing.
-//! * **No heap per event** — recording appends to two flat vectors,
-//!   ingesting a live recording borrows from them, and the analyzers
-//!   address names and buckets by small integers; a `String` exists once
-//!   per output row, not once per event.
+//! * **No heap per event, written once** — recording appends 32-byte
+//!   events and 16-byte payload pairs to fixed-size segments that are
+//!   never reallocated; that [`Recording`] is the record stream the
+//!   analyzers and exporters read where it lies (a JSONL dump parses back
+//!   into the same type), names and buckets are small integers
+//!   throughout, and a `String` exists once per output row, not once per
+//!   event.
 //!
 //! Exports: [`chrome_trace`] (Perfetto / `chrome://tracing` loadable)
 //! and [`jsonl`] (one event per line for scripted analysis).
@@ -30,17 +33,21 @@
 pub mod anatomy;
 pub mod event;
 pub mod export;
+pub mod names;
 pub mod parse;
 pub mod profile;
+pub mod recording;
 pub mod registry;
 pub mod report;
 pub mod tracer;
 
 pub use anatomy::{GcAnatomy, PhaseStat, GC_PHASES};
-pub use event::{Arg, Event, EventKind, Track};
+pub use event::{Arg, EventKind, Track};
 pub use export::{chrome_trace, jsonl};
-pub use parse::{from_tracer, parse_jsonl, Args, ParsedTrace, SpanRec};
+pub use names::Names;
+pub use parse::{from_tracer, parse_jsonl, ParsedTrace};
 pub use profile::{ProfileRow, SpanProfile};
+pub use recording::{Record, Recording};
 pub use registry::GaugeRegistry;
 pub use report::TelemetryReport;
 pub use tracer::{TraceConfig, Tracer};

@@ -1,116 +1,39 @@
-//! Re-ingestion of recorded traces: turn a live [`Tracer`] or a JSONL
-//! dump back into a uniform record stream the analyzers (profiler,
-//! GC anatomy) consume.
+//! Re-ingestion of recorded traces: a live [`Tracer`]'s recording or a
+//! JSONL dump, as the one record stream the analyzers (profiler, GC
+//! anatomy) consume.
 //!
-//! One record type serves both sources. On the live path a record
-//! borrows everything — its name and argument keys are the simulator's
-//! `&'static str` identities and its payload is a slice of the tracer's
-//! argument arena — so [`from_tracer`] allocates the record vector and
-//! nothing else. Only a JSONL round-trip, which cannot reconstruct those
-//! identities, owns its strings. Both compare and analyze identically,
-//! so analyzing a live recording and analyzing its JSONL export give
-//! byte-identical results.
+//! Both sources are a [`Recording`]. The live one is the tracer's own —
+//! [`from_tracer`] borrows it, copying nothing — and [`parse_jsonl`]
+//! builds another whose name table owns the strings it read. The
+//! analyzers cannot tell them apart, so analyzing a live recording and
+//! analyzing its JSONL export give byte-identical results.
 
 use std::borrow::Cow;
 
 use cagc_harness::Json;
 
-use crate::event::{Arg, EventKind, Track};
+use crate::event::Track;
+use crate::names::Names;
+use crate::recording::Recording;
 use crate::tracer::Tracer;
-
-/// A record's key/value payload.
-#[derive(Debug, Clone)]
-pub enum Args<'a> {
-    /// Borrowed from the recording tracer's argument arena.
-    Live(&'a [Arg]),
-    /// Parsed out of a JSONL line.
-    Parsed(Vec<(String, u64)>),
-}
-
-impl Args<'_> {
-    /// The pairs in recording order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        let (live, parsed): (&[Arg], &[(String, u64)]) = match self {
-            Args::Live(a) => (a, &[]),
-            Args::Parsed(a) => (&[], a),
-        };
-        let parsed = parsed.iter().map(|(k, v)| (k.as_str(), *v));
-        live.iter().copied().chain(parsed)
-    }
-}
-
-impl PartialEq for Args<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.iter().eq(other.iter())
-    }
-}
-
-/// One trace record (span or instant), live or parsed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanRec<'a> {
-    /// Track the record was drawn on.
-    pub track: Track,
-    /// Event name (`"migrate_read"`, `"gc_round"`, …).
-    pub name: Cow<'static, str>,
-    /// Span or instant, with timestamps.
-    pub kind: EventKind,
-    /// Key/value payload.
-    pub args: Args<'a>,
-}
-
-impl SpanRec<'_> {
-    /// The timestamp the record sorts by: span start, or the instant.
-    pub fn ts_ns(&self) -> u64 {
-        match self.kind {
-            EventKind::Span { start_ns, .. } => start_ns,
-            EventKind::Instant { at_ns } => at_ns,
-        }
-    }
-
-    /// Span duration; instants are zero-width.
-    pub fn dur_ns(&self) -> u64 {
-        match self.kind {
-            EventKind::Span { start_ns, end_ns } => end_ns.saturating_sub(start_ns),
-            EventKind::Instant { .. } => 0,
-        }
-    }
-
-    /// True for interval records.
-    pub fn is_span(&self) -> bool {
-        matches!(self.kind, EventKind::Span { .. })
-    }
-
-    /// Look up an argument by key.
-    pub fn arg(&self, key: &str) -> Option<u64> {
-        self.args.iter().find(|&(k, _)| k == key).map(|(_, v)| v)
-    }
-}
 
 /// A re-ingested trace: the record stream plus the truncation marker.
 #[derive(Debug, Clone, Default)]
 pub struct ParsedTrace<'a> {
-    /// Every span/instant in recording order.
-    pub spans: Vec<SpanRec<'a>>,
+    /// Every span/instant in recording order: a live tracer's recording,
+    /// borrowed, or one built from JSONL, owned.
+    pub spans: Cow<'a, Recording>,
     /// Events the recording dropped at its cap (from the JSONL trailer
     /// line, or [`Tracer::dropped_events`] directly). Nonzero means every
     /// derived profile/anatomy is a lower bound, not a census.
     pub dropped_events: u64,
 }
 
-/// View a live tracer's events as records — the zero-copy sibling of
-/// [`parse_jsonl`] for in-process analysis.
+/// A live tracer's recording as a re-ingested trace, in O(1) — the
+/// sibling of [`parse_jsonl`] for in-process analysis.
 pub fn from_tracer(tracer: &Tracer) -> ParsedTrace<'_> {
     ParsedTrace {
-        spans: tracer
-            .events()
-            .iter()
-            .map(|e| SpanRec {
-                track: e.track,
-                name: Cow::Borrowed(e.name),
-                kind: e.kind,
-                args: Args::Live(tracer.args(e)),
-            })
-            .collect(),
+        spans: Cow::Borrowed(tracer.events()),
         dropped_events: tracer.dropped_events(),
     }
 }
@@ -134,22 +57,22 @@ fn field<'a>(pairs: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
     pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-fn parse_line(pairs: &[(String, Json)]) -> Result<Option<SpanRec<'static>>, String> {
+/// A track coordinate: an integer that fits the field it names.
+fn coordinate(pairs: &[(String, Json)], key: &str) -> Result<u32, String> {
+    let v = field(pairs, key).and_then(num).ok_or_else(|| format!("missing {key} field"))?;
+    u32::try_from(v).map_err(|_| format!("{key} {v} out of range"))
+}
+
+/// Append the event on one line to `out`; gauge and meta lines add nothing.
+fn parse_line(pairs: &[(String, Json)], out: &mut Recording) -> Result<(), String> {
     let track_tag = field(pairs, "track")
         .and_then(str_of)
         .ok_or("missing track field")?;
     let track = match track_tag {
         // Gauge windows and the dropped-events trailer are not records.
-        "gauge" | "meta" => return Ok(None),
-        "die" => Track::Die {
-            channel: field(pairs, "channel")
-                .and_then(num)
-                .ok_or("die line missing channel")? as u32,
-            die: field(pairs, "die").and_then(num).ok_or("die line missing die")? as u32,
-        },
-        "queue" => Track::Queue {
-            pair: field(pairs, "pair").and_then(num).ok_or("queue line missing pair")? as u32,
-        },
+        "gauge" | "meta" => return Ok(()),
+        "die" => Track::Die { channel: coordinate(pairs, "channel")?, die: coordinate(pairs, "die")? },
+        "queue" => Track::Queue { pair: coordinate(pairs, "pair")? },
         "host" => Track::Host,
         "gc" => Track::Gc,
         "hash" => Track::Hash,
@@ -159,29 +82,31 @@ fn parse_line(pairs: &[(String, Json)]) -> Result<Option<SpanRec<'static>>, Stri
     let name = field(pairs, "name")
         .and_then(str_of)
         .ok_or("missing name field")?;
-    let kind = match field(pairs, "kind").and_then(str_of).ok_or("missing kind field")? {
-        "span" => EventKind::Span {
-            start_ns: field(pairs, "start_ns").and_then(num).ok_or("span missing start_ns")?,
-            end_ns: field(pairs, "end_ns").and_then(num).ok_or("span missing end_ns")?,
-        },
-        "instant" => EventKind::Instant {
-            at_ns: field(pairs, "at_ns").and_then(num).ok_or("instant missing at_ns")?,
-        },
-        other => return Err(format!("unknown kind {other:?}")),
-    };
+    let (start_ns, end_ns, instant) =
+        match field(pairs, "kind").and_then(str_of).ok_or("missing kind field")? {
+            "span" => (
+                field(pairs, "start_ns").and_then(num).ok_or("span missing start_ns")?,
+                field(pairs, "end_ns").and_then(num).ok_or("span missing end_ns")?,
+                false,
+            ),
+            "instant" => {
+                let at_ns = field(pairs, "at_ns").and_then(num).ok_or("instant missing at_ns")?;
+                (at_ns, at_ns, true)
+            }
+            other => return Err(format!("unknown kind {other:?}")),
+        };
     let args = match field(pairs, "args") {
         Some(Json::Obj(kv)) => kv
             .iter()
-            .map(|(k, v)| num(v).map(|v| (k.clone(), v)).ok_or("non-integer arg"))
+            .map(|(k, v)| num(v).map(|v| (k.as_str(), v)).ok_or("non-integer arg"))
             .collect::<Result<Vec<_>, _>>()?,
         _ => Vec::new(),
     };
-    Ok(Some(SpanRec {
-        track,
-        name: Cow::Owned(name.to_string()),
-        kind,
-        args: Args::Parsed(args),
-    }))
+    // Out-of-range coordinates, an over-long payload and a name table
+    // past its id space are refused here, never wrapped.
+    let word = track.pack().ok_or_else(|| format!("{track:?} is past what a recording holds"))?;
+    out.push(word, name, start_ns, end_ns, instant, &args, |names: &mut Names, s| names.intern(s))
+        .map_err(|limit| format!("{track:?} {name:?}: {limit}"))
 }
 
 /// Parse a [`crate::export::jsonl`] dump back into records. Gauge lines
@@ -191,7 +116,7 @@ fn parse_line(pairs: &[(String, Json)]) -> Result<Option<SpanRec<'static>>, Stri
 /// # Errors
 /// Returns a message naming the first malformed line (1-based).
 pub fn parse_jsonl(text: &str) -> Result<ParsedTrace<'static>, String> {
-    let mut out = ParsedTrace::default();
+    let (mut spans, mut dropped_events) = (Recording::default(), 0);
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -202,22 +127,20 @@ pub fn parse_jsonl(text: &str) -> Result<ParsedTrace<'static>, String> {
         };
         if field(pairs, "track").and_then(str_of) == Some("meta") {
             if let Some(d) = field(pairs, "dropped_events").and_then(num) {
-                out.dropped_events = d;
+                dropped_events = d;
             }
             continue;
         }
-        match parse_line(pairs).map_err(|e| format!("line {}: {e}", i + 1))? {
-            Some(rec) => out.spans.push(rec),
-            None => continue,
-        }
+        parse_line(pairs, &mut spans).map_err(|e| format!("line {}: {e}", i + 1))?;
     }
-    Ok(out)
+    Ok(ParsedTrace { spans: Cow::Owned(spans), dropped_events })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::export::jsonl;
+    use crate::recording::testing::plain;
     use crate::tracer::TraceConfig;
 
     fn sample_tracer() -> Tracer {
@@ -241,13 +164,14 @@ mod tests {
         let t = sample_tracer();
         let live = from_tracer(&t);
         let parsed = parse_jsonl(&jsonl(&t)).unwrap();
-        assert_eq!(live.spans, parsed.spans);
+        assert_eq!(plain(&live.spans), plain(&parsed.spans));
         assert_eq!(parsed.dropped_events, 0);
         assert_eq!(parsed.spans.len(), 4, "gauge lines are not records");
-        assert_eq!(parsed.spans[0].arg("queued_ns"), Some(500));
-        assert_eq!(parsed.spans[0].dur_ns(), 3_000);
-        assert_eq!(parsed.spans[2].dur_ns(), 0);
-        assert!(!parsed.spans[2].is_span());
+        let spans: Vec<_> = parsed.spans.iter().collect();
+        assert_eq!(spans[0].arg("queued_ns"), Some(500));
+        assert_eq!(spans[0].dur_ns(), 3_000);
+        assert_eq!(spans[2].dur_ns(), 0);
+        assert!(!spans[2].is_span());
     }
 
     #[test]
@@ -268,6 +192,46 @@ mod tests {
         let err = parse_jsonl("{\"track\":\"warp\",\"name\":\"x\",\"kind\":\"instant\",\"at_ns\":0}\n")
             .unwrap_err();
         assert!(err.contains("unknown track"), "{err}");
+    }
+
+    /// A coordinate the packed track word cannot hold, a payload longer
+    /// than the length field counts and a 65 537th name are errors with a
+    /// position — not a wrap (channel 4294967297 used to read back as 1)
+    /// and not a panic.
+    #[test]
+    fn values_past_the_packed_form_are_refused_not_wrapped() {
+        let die = |channel: u64, die: u64| {
+            format!("{{\"track\":\"die\",\"channel\":{channel},\"die\":{die},\"name\":\"read\",\"kind\":\"instant\",\"at_ns\":0}}\n")
+        };
+        let queue = |pair: u64| {
+            format!("{{\"track\":\"queue\",\"pair\":{pair},\"name\":\"sq_busy\",\"kind\":\"instant\",\"at_ns\":0}}\n")
+        };
+        let (c, d, p) = (Track::MAX_CHANNEL.into(), Track::MAX_DIE.into(), Track::MAX_PAIR.into());
+        let held = parse_jsonl(&(die(c, d) + &queue(p))).expect("the extremes are held");
+        let tracks: Vec<Track> = held.spans.iter().map(|e| e.track()).collect();
+        assert_eq!(
+            tracks,
+            [Track::Die { channel: Track::MAX_CHANNEL, die: Track::MAX_DIE }, Track::Queue { pair: Track::MAX_PAIR }]
+        );
+        for past in [die(4_294_967_297, 0), die(c + 1, 0), die(0, d + 1), die(0, 1 << 40), queue(p + 1), queue(1 << 32)] {
+            let err = parse_jsonl(&(die(0, 0) + &past)).expect_err(&past);
+            assert!(err.starts_with("line 2:"), "{err}");
+        }
+
+        let args = |n: usize| {
+            let pairs: Vec<String> = (0..n).map(|i| format!("\"k{i}\":{i}")).collect();
+            format!("{{\"track\":\"gc\",\"name\":\"x\",\"kind\":\"instant\",\"at_ns\":0,\"args\":{{{}}}}}\n", pairs.join(","))
+        };
+        let held = parse_jsonl(&args(255)).expect("255 arguments are held");
+        assert_eq!(held.spans.iter().next().unwrap().args().count(), 255);
+        let err = parse_jsonl(&args(256)).unwrap_err();
+        assert!(err.starts_with("line 1:") && err.contains("255 arguments"), "{err}");
+
+        let names: String = (0..=u32::from(u16::MAX) + 1)
+            .map(|i| format!("{{\"track\":\"gc\",\"name\":\"n{i}\",\"kind\":\"instant\",\"at_ns\":0}}\n"))
+            .collect();
+        let err = parse_jsonl(&names).unwrap_err();
+        assert!(err.starts_with("line 65537:") && err.contains("distinct names"), "{err}");
     }
 
     #[test]

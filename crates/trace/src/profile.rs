@@ -23,8 +23,8 @@
 //!
 //! ## Cost model
 //!
-//! Inside the fold identities are small integers: a name becomes an id
-//! through a table built as names appear, and a bucket is addressed by
+//! Inside the fold identities are small integers: a name is the id the
+//! recording interned it under, and a bucket is addressed by
 //! `(parent, name id)`. Strings exist once per bucket — the slash path
 //! is formatted after the last record, for tens of buckets — and the
 //! duration samples are sorted once, there and after a [`merge`]
@@ -37,8 +37,9 @@ use std::collections::{BTreeMap, HashMap};
 
 use cagc_harness::{Json, ToJson};
 
-use crate::event::Track;
-use crate::parse::SpanRec;
+use crate::event::{Track, CATEGORIES};
+use crate::names::Memo;
+use crate::recording::{Record, Recording};
 
 /// Merge-union a set of closed intervals; returns the merged list,
 /// sorted and disjoint.
@@ -114,28 +115,14 @@ pub(crate) fn subtract(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u64)> {
     out
 }
 
-/// First path component of every bucket, indexed by [`category`].
-const CATEGORIES: [&str; 6] = ["flash", "host", "gc", "hash", "fault", "queue"];
-
-fn category(track: Track) -> usize {
-    match track {
-        Track::Die { .. } => 0,
-        Track::Host => 1,
-        Track::Gc => 2,
-        Track::Hash => 3,
-        Track::Fault => 4,
-        Track::Queue { .. } => 5,
-    }
-}
-
 /// Names the GC context stamps on die/hash spans: these leaves attach to
 /// GC containers even when an overlapping host span also contains them.
 fn gc_pipeline_name(name: &str) -> bool {
     matches!(name, "migrate_read" | "migrate_write" | "erase" | "fingerprint")
 }
 
-fn is_container(rec: &SpanRec) -> bool {
-    rec.is_span() && matches!(rec.track, Track::Gc | Track::Host)
+fn is_container(rec: &Record) -> bool {
+    rec.is_span() && matches!(rec.track(), Track::Gc | Track::Host)
 }
 
 /// `durs` is kept sorted outside the fold (see [`SpanProfile::merge`]).
@@ -164,33 +151,6 @@ impl Bucket {
     }
 }
 
-/// A direct-mapped memo in front of a hash map: slot `hash % SLOTS`
-/// remembers the last key that landed there and the id it resolved to.
-/// A recording spells a few dozen names and buckets a million times over,
-/// so nearly every lookup ends here in one compare instead of in SipHash;
-/// a key that was never seen, or was evicted, costs the map lookup anyway.
-struct Recent<K> {
-    slots: Vec<Option<(K, usize)>>,
-}
-
-impl<K: Copy + PartialEq> Recent<K> {
-    const SLOTS: usize = 256;
-
-    fn get(&self, hash: usize, key: K) -> Option<usize> {
-        self.slots[hash % Self::SLOTS].and_then(|(k, id)| (k == key).then_some(id))
-    }
-
-    fn put(&mut self, hash: usize, key: K, id: usize) {
-        self.slots[hash % Self::SLOTS] = Some((key, id));
-    }
-}
-
-impl<K: Copy + PartialEq> Default for Recent<K> {
-    fn default() -> Self {
-        Self { slots: vec![None; Self::SLOTS] }
-    }
-}
-
 /// What a bucket hangs under: a track category (containers and
 /// unattributed leaves) or a container bucket (attributed leaves).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -199,39 +159,23 @@ enum Parent {
     Bucket(usize),
 }
 
-/// The fold's integer-keyed state: name ids, and buckets addressed by
+/// The fold's integer-keyed state: buckets addressed by
 /// `(parent, name id)` in creation order.
 #[derive(Default)]
 struct Fold<'a> {
-    names: Vec<&'a str>,
+    /// The recording's spellings, by name id.
+    names: &'a [Box<str>],
     /// Per name id: [`gc_pipeline_name`], classified once.
     gc_pipeline: Vec<bool>,
-    name_ids: HashMap<&'a str, usize>,
-    /// Keyed by where the name sits: `(address, length)`.
-    recent_names: Recent<(usize, usize)>,
     keys: Vec<(Parent, usize)>,
     buckets: Vec<Bucket>,
     bucket_ids: HashMap<(Parent, usize), usize>,
-    recent_buckets: Recent<(Parent, usize)>,
+    /// In front of `bucket_ids`: a recording fills a few dozen buckets a
+    /// million times over, so nearly every lookup ends here.
+    recent_buckets: Memo<(Parent, usize)>,
 }
 
-impl<'a> Fold<'a> {
-    fn name_id(&mut self, name: &'a str) -> usize {
-        // Where a string sits identifies it for as long as it is borrowed,
-        // and a live recording's names are a few dozen literals.
-        let at = (name.as_ptr() as usize, name.len());
-        if let Some(id) = self.recent_names.get(at.0, at) {
-            return id;
-        }
-        let id = *self.name_ids.entry(name).or_insert_with(|| {
-            self.names.push(name);
-            self.gc_pipeline.push(gc_pipeline_name(name));
-            self.names.len() - 1
-        });
-        self.recent_names.put(at.0, at, id);
-        id
-    }
-
+impl Fold<'_> {
     fn bucket_id(&mut self, parent: Parent, name: usize) -> usize {
         let key = (parent, name);
         let hash = match parent {
@@ -399,19 +343,22 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
 }
 
 impl SpanProfile {
-    /// Fold a record stream into a profile.
-    pub fn from_spans(spans: &[SpanRec]) -> Self {
-        let mut fold = Fold::default();
+    /// Fold a record stream into a profile, reading it where it lies.
+    pub fn from_spans(spans: &Recording) -> Self {
+        let names = spans.names().spellings();
+        let gc_pipeline = names.iter().map(|n| gc_pipeline_name(n)).collect();
+        let mut fold = Fold { names, gc_pipeline, ..Fold::default() };
         // Containers, bucketed while their record is at hand. Self time
         // starts at the duration; the children come off below.
         let mut containers: Vec<Container> = Vec::new();
-        for (rec, r) in spans.iter().enumerate().filter(|(_, r)| is_container(r)) {
+        spans.iter().enumerate().filter(|(_, r)| is_container(r)).for_each(|(rec, r)| {
             let (start, end) = (r.ts_ns(), r.ts_ns() + r.dur_ns());
-            let name = fold.name_id(&r.name);
-            let bucket = fold.bucket_id(Parent::Category(category(r.track)), name);
+            let track = r.track();
+            let bucket =
+                fold.bucket_id(Parent::Category(track.category()), usize::from(r.name_id()));
             fold.buckets[bucket].record(end - start);
-            containers.push(Container { start, end, rec, gc: r.track == Track::Gc, bucket });
-        }
+            containers.push(Container { start, end, rec, gc: track == Track::Gc, bucket });
+        });
         containers.sort_unstable_by_key(|c| (c.start, std::cmp::Reverse(c.end), c.rec));
 
         let (mut all, mut gc, mut host) = (Lane::default(), Lane::default(), Lane::default());
@@ -435,10 +382,10 @@ impl SpanProfile {
         }
 
         // Leaves: attribute, bucket, and feed the owner's child list.
-        for rec in spans.iter().filter(|r| !is_container(r)) {
+        spans.iter().filter(|r| !is_container(r)).for_each(|rec| {
             let (ts, dur) = (rec.ts_ns(), rec.dur_ns());
-            let name = fold.name_id(&rec.name);
-            let preferred = if rec.track == Track::Gc || fold.gc_pipeline[name] {
+            let (track, name) = (rec.track(), usize::from(rec.name_id()));
+            let preferred = if track == Track::Gc || fold.gc_pipeline[name] {
                 gc.find(ts)
             } else {
                 host.find(ts)
@@ -451,11 +398,11 @@ impl SpanProfile {
                     }
                     Parent::Bucket(containers[owner].bucket)
                 }
-                None => Parent::Category(category(rec.track)),
+                None => Parent::Category(track.category()),
             };
             let bucket = fold.bucket_id(parent, name);
             fold.buckets[bucket].record(dur);
-        }
+        });
 
         // Container self times: duration minus the union of the children.
         // A counting sort groups the intervals by owner (the cursors end
@@ -597,29 +544,14 @@ mod oracle;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
-    use crate::parse::Args;
+    use crate::recording::testing::{instant, recording, span, Spec};
 
-    pub(super) fn span(track: Track, name: &'static str, start: u64, end: u64) -> SpanRec<'static> {
-        SpanRec {
-            track,
-            name: name.into(),
-            kind: EventKind::Span { start_ns: start, end_ns: end },
-            args: Args::Live(&[]),
-        }
-    }
-
-    pub(super) fn instant(track: Track, name: &'static str, at: u64) -> SpanRec<'static> {
-        SpanRec {
-            track,
-            name: name.into(),
-            kind: EventKind::Instant { at_ns: at },
-            args: Args::Live(&[]),
-        }
-    }
-
-    pub(super) fn die(name: &'static str, start: u64, end: u64) -> SpanRec<'static> {
+    fn die(name: &'static str, start: u64, end: u64) -> Spec {
         span(Track::Die { channel: 0, die: 0 }, name, start, end)
+    }
+
+    fn profile(specs: &[Spec]) -> SpanProfile {
+        SpanProfile::from_spans(&recording(specs))
     }
 
     #[test]
@@ -641,7 +573,7 @@ mod tests {
             die("migrate_read", 10, 30),
             die("erase", 20, 60),
         ];
-        let p = SpanProfile::from_spans(&spans);
+        let p = profile(&spans);
         let rows = p.rows();
         let by_path = |q: &str| rows.iter().find(|r| r.path == q).unwrap().clone();
         let round = by_path("gc/gc_round");
@@ -665,7 +597,7 @@ mod tests {
             die("read", 50, 55),
             die("migrate_read", 60, 70),
         ];
-        let p = SpanProfile::from_spans(&spans);
+        let p = profile(&spans);
         let paths: Vec<String> = p.rows().iter().map(|r| r.path.clone()).collect();
         assert!(paths.contains(&"host/write/read".to_string()), "{paths:?}");
         assert!(paths.contains(&"gc/gc_round/migrate_read".to_string()), "{paths:?}");
@@ -674,7 +606,7 @@ mod tests {
     #[test]
     fn unattributed_leaves_land_in_root_buckets() {
         let spans = vec![die("read", 0, 10), instant(Track::Fault, "write_fault", 3)];
-        let p = SpanProfile::from_spans(&spans);
+        let p = profile(&spans);
         let rows = p.rows();
         assert_eq!(rows[0].path, "fault/write_fault");
         assert_eq!((rows[0].calls, rows[0].total_ns), (1, 0));
@@ -691,7 +623,7 @@ mod tests {
             span(Track::Gc, "gc_slice", 40, 100),
             die("erase", 50, 90),
         ];
-        let p = SpanProfile::from_spans(&spans);
+        let p = profile(&spans);
         let rows = p.rows();
         let slice = rows.iter().find(|r| r.path == "gc/gc_slice/erase").unwrap();
         assert_eq!(slice.total_ns, 40);
@@ -706,7 +638,7 @@ mod tests {
             span(Track::Host, "write", 0, 100),
             span(Track::Gc, "gc_round", 20, 80),
         ];
-        let p = SpanProfile::from_spans(&spans);
+        let p = profile(&spans);
         let rows = p.rows();
         let write = rows.iter().find(|r| r.path == "host/write").unwrap();
         assert_eq!(write.self_ns, 40);
@@ -716,8 +648,8 @@ mod tests {
 
     #[test]
     fn quantiles_are_nearest_rank() {
-        let spans: Vec<SpanRec> = [40u64, 10, 30, 20].iter().map(|&d| die("y", 0, d)).collect();
-        let r = &SpanProfile::from_spans(&spans).rows()[0];
+        let spans: Vec<Spec> = [40u64, 10, 30, 20].iter().map(|&d| die("y", 0, d)).collect();
+        let r = &profile(&spans).rows()[0];
         assert_eq!((r.min_ns, r.p50_ns, r.p99_ns, r.max_ns), (10, 30, 40, 40));
         assert_eq!(percentile(&[], 50), 0);
         assert_eq!(percentile(&[7], 99), 7);
@@ -725,8 +657,8 @@ mod tests {
 
     #[test]
     fn merge_is_exact_and_order_independent() {
-        let a = SpanProfile::from_spans(&[span(Track::Gc, "gc_round", 0, 10), die("erase", 2, 6)]);
-        let b = SpanProfile::from_spans(&[span(Track::Gc, "gc_round", 0, 30), die("erase", 5, 25)]);
+        let a = profile(&[span(Track::Gc, "gc_round", 0, 10), die("erase", 2, 6)]);
+        let b = profile(&[span(Track::Gc, "gc_round", 0, 30), die("erase", 5, 25)]);
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
@@ -740,8 +672,8 @@ mod tests {
     #[test]
     fn exports_are_deterministic_and_flamegraph_skips_zero_self() {
         let spans = vec![span(Track::Gc, "gc_round", 0, 10), die("erase", 0, 10)];
-        let p = SpanProfile::from_spans(&spans);
-        assert_eq!(p.to_csv(), SpanProfile::from_spans(&spans).to_csv());
+        let p = profile(&spans);
+        assert_eq!(p.to_csv(), profile(&spans).to_csv());
         // gc_round self is 0 (fully covered) ⇒ absent from the flamegraph.
         let fg = p.flamegraph();
         assert_eq!(fg, "gc;gc_round;erase 10\n");

@@ -2,16 +2,15 @@
 //! string-keyed fold the integer-keyed one replaced — and the property
 //! test that the two agree on every export.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use cagc_harness::prop::*;
 use cagc_harness::ToJson;
 
-use super::tests::{instant, span};
-use super::{category, gc_pipeline_name, total_len, union, SpanProfile, CATEGORIES};
+use super::{gc_pipeline_name, total_len, union, SpanProfile, CATEGORIES};
 use crate::event::{EventKind, Track};
-use crate::parse::{Args, SpanRec};
+use crate::recording::testing::{instant, recording, span, Spec};
+use crate::recording::{Record, Recording};
 
 fn add(profile: &mut SpanProfile, path: String, dur_ns: u64, self_ns: u64) {
     let b = profile.buckets.entry(path).or_default();
@@ -24,12 +23,14 @@ fn add(profile: &mut SpanProfile, path: String, dur_ns: u64, self_ns: u64) {
 /// The fold as it was before buckets were addressed by integers: every
 /// record formats its bucket path and probes the path-keyed map, and every
 /// container owns a vector of child intervals.
-fn from_spans_by_path(spans: &[SpanRec]) -> SpanProfile {
+fn from_spans_by_path(recording: &Recording) -> SpanProfile {
+    let spans: Vec<Record> = recording.iter().collect();
+    let category = |track: Track| track.category();
     // Containers, as (start, end, rec index), in (start, idx) order.
     let mut containers: Vec<(u64, u64, usize)> = spans
         .iter()
         .enumerate()
-        .filter(|(_, r)| r.is_span() && matches!(r.track, Track::Gc | Track::Host))
+        .filter(|(_, r)| r.is_span() && matches!(r.track(), Track::Gc | Track::Host))
         .map(|(i, r)| (r.ts_ns(), r.ts_ns() + r.dur_ns(), i))
         .collect();
     containers.sort_unstable_by_key(|&(s, e, i)| (s, std::cmp::Reverse(e), i));
@@ -43,10 +44,10 @@ fn from_spans_by_path(spans: &[SpanRec]) -> SpanProfile {
     // Positions (into `containers`) of each track's containers, for
     // the preferred-track search.
     let gc_pos: Vec<usize> = (0..containers.len())
-        .filter(|&p| spans[containers[p].2].track == Track::Gc)
+        .filter(|&p| spans[containers[p].2].track() == Track::Gc)
         .collect();
     let host_pos: Vec<usize> = (0..containers.len())
-        .filter(|&p| spans[containers[p].2].track == Track::Host)
+        .filter(|&p| spans[containers[p].2].track() == Track::Host)
         .collect();
     let mut gc_max_end = Vec::with_capacity(gc_pos.len());
     run = 0;
@@ -112,21 +113,21 @@ fn from_spans_by_path(spans: &[SpanRec]) -> SpanProfile {
         let rec = &spans[idx];
         add(
             &mut profile,
-            format!("{}/{}", CATEGORIES[category(rec.track)], rec.name),
+            format!("{}/{}", CATEGORIES[category(rec.track())], rec.name()),
             rec.dur_ns(),
             0, // self filled in below
         );
     }
 
     // Leaves: attribute, bucket, and feed the parent's child list.
-    for rec in spans {
+    for rec in &spans {
         let is_container =
-            rec.is_span() && matches!(rec.track, Track::Gc | Track::Host);
+            rec.is_span() && matches!(rec.track(), Track::Gc | Track::Host);
         if is_container {
             continue;
         }
         let ts = rec.ts_ns();
-        let preferred = if rec.track == Track::Gc || gc_pipeline_name(&rec.name) {
+        let preferred = if rec.track() == Track::Gc || gc_pipeline_name(rec.name()) {
             find(Some((&gc_pos, &gc_max_end)), ts)
         } else {
             find(Some((&host_pos, &host_max_end)), ts)
@@ -143,9 +144,9 @@ fn from_spans_by_path(spans: &[SpanRec]) -> SpanProfile {
                         .or_default()
                         .push((ls.max(cs), le.min(ce)));
                 }
-                format!("{}/{}/{}", CATEGORIES[category(c.track)], c.name, rec.name)
+                format!("{}/{}/{}", CATEGORIES[category(c.track())], c.name(), rec.name())
             }
-            None => format!("{}/{}", CATEGORIES[category(rec.track)], rec.name),
+            None => format!("{}/{}", CATEGORIES[category(rec.track())], rec.name()),
         };
         let dur = rec.dur_ns();
         add(&mut profile, path, dur, dur);
@@ -158,7 +159,7 @@ fn from_spans_by_path(spans: &[SpanRec]) -> SpanProfile {
             .map(|ivs| total_len(&union(ivs)))
             .unwrap_or(0);
         let rec = &spans[idx];
-        let path = format!("{}/{}", CATEGORIES[category(rec.track)], rec.name);
+        let path = format!("{}/{}", CATEGORIES[category(rec.track())], rec.name());
         let slf = (e - s).saturating_sub(covered);
         if let Some(b) = profile.buckets.get_mut(&path) {
             b.self_ns += slf;
@@ -169,8 +170,9 @@ fn from_spans_by_path(spans: &[SpanRec]) -> SpanProfile {
     profile
 }
 
-fn assert_matches_oracle(spans: &[SpanRec]) -> Result<(), TestCaseError> {
-    let (new, old) = (SpanProfile::from_spans(spans), from_spans_by_path(spans));
+fn assert_matches_oracle(spans: &[Spec]) -> Result<(), TestCaseError> {
+    let spans = recording(spans);
+    let (new, old) = (SpanProfile::from_spans(&spans), from_spans_by_path(&spans));
     prop_assert_eq!(new.to_csv(), old.to_csv());
     prop_assert_eq!(new.flamegraph(), old.flamegraph());
     prop_assert_eq!(new.to_json().render(), old.to_json().render());
@@ -199,22 +201,18 @@ const TRACKS: [Track; 8] = [
 ];
 
 /// `(track, name, kind, start, length)` selectors → one record. Half the
-/// names come from [`NAMES`] (borrowed, as on the live path), the rest
-/// are 90 more distinct owned ones (as out of JSONL).
-fn record((track, name, kind, start, len): (usize, usize, u8, u64, u64)) -> SpanRec<'static> {
-    SpanRec {
-        track: TRACKS[track],
-        name: match name.checked_sub(90) {
-            Some(i) => Cow::Borrowed(NAMES[i % NAMES.len()]),
-            None => Cow::Owned(format!("n{name}")),
-        },
-        kind: match kind {
-            0 => EventKind::Instant { at_ns: start },
-            1 => EventKind::Span { start_ns: start, end_ns: start },
-            _ => EventKind::Span { start_ns: start, end_ns: start + len },
-        },
-        args: Args::Live(&[]),
-    }
+/// names come from [`NAMES`], the rest are 90 more distinct ones.
+fn record((track, name, kind, start, len): (usize, usize, u8, u64, u64)) -> Spec {
+    let name = match name.checked_sub(90) {
+        Some(i) => NAMES[i % NAMES.len()].to_string(),
+        None => format!("n{name}"),
+    };
+    let kind = match kind {
+        0 => EventKind::Instant { at_ns: start },
+        1 => EventKind::Span { start_ns: start, end_ns: start },
+        _ => EventKind::Span { start_ns: start, end_ns: start + len },
+    };
+    (TRACKS[track], name, kind, Vec::new())
 }
 
 harness_proptest! {
@@ -225,7 +223,7 @@ harness_proptest! {
     fn integer_keyed_fold_equals_the_path_keyed_one(
         recs in vec((0usize..8, 0usize..180, 0u8..6, 0u64..300, 0u64..150), 0..160)
     ) {
-        let spans: Vec<SpanRec> = recs.into_iter().map(record).collect();
+        let spans: Vec<Spec> = recs.into_iter().map(record).collect();
         assert_matches_oracle(&spans)?;
     }
 
@@ -233,7 +231,7 @@ harness_proptest! {
     /// of 150, so the name table grows past any small fixed size.
     #[test]
     fn more_than_64_distinct_names(start in 0u64..50, len in 1u64..40) {
-        let spans: Vec<SpanRec> = (0..150)
+        let spans: Vec<Spec> = (0..150)
             .map(|i| record((i % 8, i, 2, start + i as u64 % 7, len)))
             .collect();
         assert_matches_oracle(&spans)?;
@@ -245,7 +243,7 @@ harness_proptest! {
 #[test]
 fn named_corner_cases_match_the_oracle() {
     let die = Track::Die { channel: 0, die: 0 };
-    let cases: Vec<Vec<SpanRec>> = vec![
+    let cases: Vec<Vec<Spec>> = vec![
         vec![],
         // A GC-pipeline leaf that only a host container contains.
         vec![span(Track::Host, "write", 0, 100), span(die, "migrate_read", 10, 20)],

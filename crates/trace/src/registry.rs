@@ -10,6 +10,8 @@
 use cagc_harness::{Json, ToJson};
 use cagc_metrics::{TimeSeries, Window};
 
+use crate::names::Names;
+
 /// A set of named gauges, each a windowed [`TimeSeries`].
 ///
 /// Registration is implicit: the first `record` for a name creates the
@@ -17,25 +19,26 @@ use cagc_metrics::{TimeSeries, Window};
 #[derive(Debug, Clone)]
 pub struct GaugeRegistry {
     window_ns: u64,
+    /// A gauge's id is its position in `gauges`: both count first
+    /// appearances.
+    ids: Names,
     gauges: Vec<(&'static str, TimeSeries)>,
 }
 
 impl GaugeRegistry {
     /// A registry whose gauges aggregate into windows of `window_ns`.
     pub fn new(window_ns: u64) -> Self {
-        Self { window_ns, gauges: Vec::new() }
+        Self { window_ns, ids: Names::default(), gauges: Vec::new() }
     }
 
     /// Record `value` for gauge `name` at simulated time `at_ns`.
     pub fn record(&mut self, name: &'static str, at_ns: u64, value: u64) {
-        match self.gauges.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, series)) => series.record(at_ns, value),
-            None => {
-                let mut series = TimeSeries::new(self.window_ns);
-                series.record(at_ns, value);
-                self.gauges.push((name, series));
-            }
+        let id = self.ids.intern_static(name).expect("the simulator samples a handful of gauges");
+        let id = usize::from(id);
+        if id == self.gauges.len() {
+            self.gauges.push((name, TimeSeries::new(self.window_ns)));
         }
+        self.gauges[id].1.record(at_ns, value);
     }
 
     /// Gauge window width.
@@ -93,6 +96,21 @@ mod tests {
         assert_eq!(snap[0].1.len(), 2);
         assert_eq!(snap[1].0, "waf_milli");
         assert_eq!(snap[1].1[0].max, 1000);
+    }
+
+    /// A sample resolves its series by where the literal sits; the same
+    /// spelling at another address is still the same gauge.
+    #[test]
+    fn a_gauge_is_its_spelling_wherever_the_literal_sits() {
+        let mut reg = GaugeRegistry::new(1_000);
+        reg.record("free_pages", 10, 500);
+        reg.record("waf_milli", 10, 1000);
+        let elsewhere: &'static str = String::from("free_pages").leak();
+        reg.record(elsewhere, 20, 300);
+        let snap = reg.snapshot();
+        assert_eq!(snap.len(), 2);
+        assert_eq!((snap[0].0, snap[0].1[0].count, snap[0].1[0].max), ("free_pages", 2, 500));
+        assert_eq!(reg.series().map(|(n, _)| n).collect::<Vec<_>>(), ["free_pages", "waf_milli"]);
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! point returns after one branch — so simulation results with tracing
 //! off are byte-identical to a build that never heard of tracing.
 //!
-//! A live tracer appends to two flat vectors — the events and one
-//! argument arena the events address by `(offset, len)` — so recording
-//! costs no heap allocation per event, only the vectors' amortized
-//! growth.
+//! A live tracer appends to a [`Recording`] — 32-byte events and
+//! 16-byte payload pairs in fixed-size segments — so recording costs no
+//! heap allocation per event and no copy as the recording grows, and
+//! what it wrote is what the analyzers and exporters read.
 
-use crate::event::{Arg, Event, EventKind, Track};
+use crate::event::{Arg, Track};
+use crate::names::Names;
+use crate::recording::Recording;
 use crate::registry::GaugeRegistry;
 use crate::report::TelemetryReport;
 
@@ -39,11 +41,11 @@ impl Default for TraceConfig {
     fn default() -> Self {
         Self {
             sample: 1,
-            // 64 bytes/event plus 24 per argument (1.7 on average, four
-            // at most anywhere in the simulator: ~104 bytes/event) ⇒ the
-            // default cap bounds a full-scale run to ~105 MiB instead of
+            // 32 bytes/event plus 16 per argument (1.7 on average, four
+            // at most anywhere in the simulator: ~59 bytes/event) ⇒ the
+            // default cap bounds a full-scale run to ~60 MiB instead of
             // letting --trace OOM the host. The two sizes are pinned by
-            // `bytes_per_event_are_as_quoted`.
+            // `an_event_is_32_bytes_and_an_argument_16`.
             max_events: 1 << 20,
             counter_window_ns: 1_000_000, // 1 ms
             record_spans: true,
@@ -70,9 +72,7 @@ impl TraceConfig {
 pub struct Tracer {
     enabled: bool,
     cfg: TraceConfig,
-    events: Vec<Event>,
-    /// Every retained event's payload, back to back in recording order.
-    args: Vec<Arg>,
+    recording: Recording,
     dropped: u64,
     host_ops_seen: u64,
     registry: GaugeRegistry,
@@ -90,8 +90,7 @@ impl Tracer {
         Self {
             enabled: false,
             cfg: TraceConfig::default(),
-            events: Vec::new(),
-            args: Vec::new(),
+            recording: Recording::default(),
             dropped: 0,
             host_ops_seen: 0,
             registry: GaugeRegistry::new(1_000_000),
@@ -104,8 +103,7 @@ impl Tracer {
         Self {
             enabled: true,
             cfg,
-            events: Vec::new(),
-            args: Vec::new(),
+            recording: Recording::default(),
             dropped: 0,
             host_ops_seen: 0,
             registry,
@@ -145,7 +143,7 @@ impl Tracer {
         if !self.enabled || !self.cfg.record_spans {
             return;
         }
-        self.push(track, name, EventKind::Span { start_ns, end_ns }, args);
+        self.push(track, name, start_ns, end_ns, false, args);
     }
 
     /// Record a point event at `at_ns`.
@@ -154,7 +152,7 @@ impl Tracer {
         if !self.enabled || !self.cfg.record_spans {
             return;
         }
-        self.push(track, name, EventKind::Instant { at_ns }, args);
+        self.push(track, name, at_ns, at_ns, true, args);
     }
 
     /// Sample gauge `name` at `at_ns`. Gauges live outside the event cap:
@@ -167,25 +165,70 @@ impl Tracer {
         self.registry.record(name, at_ns, value);
     }
 
-    fn push(&mut self, track: Track, name: &'static str, kind: EventKind, args: &[Arg]) {
-        if self.events.len() >= self.cfg.max_events {
+    /// Inlined into every recording site with `span` / `instant`, where the
+    /// track's kind and the payload's length are constants: the track is
+    /// packed here (no branch on a constant), and the site's own argument
+    /// array is only ever read element by element, so it never has to
+    /// exist in memory — an untraced run pays the one branch and no
+    /// stores (`trace.span_disabled_ns`) — and the copy a recorded event
+    /// hands to [`Tracer::record`] is made on the taken side of that
+    /// branch. The recording itself stays out of line: a site carries a
+    /// call, not the interning and the segment bookkeeping.
+    #[inline(always)]
+    fn push(
+        &mut self,
+        track: Track,
+        name: &'static str,
+        start_ns: u64,
+        end_ns: u64,
+        instant: bool,
+        args: &[Arg],
+    ) {
+        // The simulator's dies and queue pairs are far inside what the
+        // packed word holds; an emit site past it is a bug.
+        let track = track.pack().unwrap_or_else(|| panic!("event {name:?}: {track:?} does not pack"));
+        match *args {
+            [] => self.record(track, name, start_ns, end_ns, instant, &[]),
+            [a] => self.record(track, name, start_ns, end_ns, instant, &[a]),
+            [a, b] => self.record(track, name, start_ns, end_ns, instant, &[a, b]),
+            [a, b, c] => self.record(track, name, start_ns, end_ns, instant, &[a, b, c]),
+            [a, b, c, d] => self.record(track, name, start_ns, end_ns, instant, &[a, b, c, d]),
+            _ => self.record(track, name, start_ns, end_ns, instant, args),
+        }
+    }
+
+    #[inline(never)]
+    fn record(
+        &mut self,
+        track: u32,
+        name: &'static str,
+        start_ns: u64,
+        end_ns: u64,
+        instant: bool,
+        args: &[Arg],
+    ) {
+        if self.recording.len() >= self.cfg.max_events {
             self.dropped += 1;
             return;
         }
-        let args_len = u32::try_from(args.len()).expect("an event's payload is a handful of pairs");
-        self.events.push(Event { track, name, kind, args_at: self.args.len(), args_len });
-        self.args.extend_from_slice(args);
+        // A closure, not the bare `Names::intern_static`: that one is called
+        // through its `Fn::call` shim, which is not inlined with it.
+        let by_address = |names: &mut Names, literal| names.intern_static(literal);
+        self.recording
+            .push(track, name, start_ns, end_ns, instant, args, by_address)
+            .unwrap_or_else(|limit| panic!("event {name:?}: {limit}"));
     }
 
     /// Events retained so far, in recording order.
-    pub fn events(&self) -> &[Event] {
-        &self.events
+    pub fn events(&self) -> &Recording {
+        &self.recording
     }
 
-    /// The key/value payload of `event`, which must be one of this
-    /// tracer's [`events`](Self::events).
-    pub fn args(&self, event: &Event) -> &[Arg] {
-        &self.args[event.args_at..][..event.args_len as usize]
+    /// Bytes the recording holds on the heap (event segments, payload
+    /// segments, name table); the gauge windows, O(windows) and outside
+    /// the event cap, are not counted. Zero for a disabled tracer.
+    pub fn heap_bytes(&self) -> usize {
+        self.recording.heap_bytes()
     }
 
     /// Events discarded by the bounded-memory guard.
@@ -210,7 +253,7 @@ impl Tracer {
             return None;
         }
         Some(TelemetryReport {
-            events_recorded: self.events.len() as u64,
+            events_recorded: self.recording.len() as u64,
             dropped_events: self.dropped,
             sample: self.cfg.sample.max(1),
             gauge_window_ns: self.registry.window_ns(),
@@ -240,16 +283,7 @@ mod tests {
         assert!(t.registry().is_empty());
         assert_eq!(t.dropped_events(), 0);
         assert!(t.report().is_none());
-    }
-
-    /// `Event: Copy` is the compile-time proof that an event owns no
-    /// heap; the sizes are the ones `TraceConfig::default` quotes.
-    #[test]
-    fn bytes_per_event_are_as_quoted() {
-        fn assert_copy<T: Copy>() {}
-        assert_copy::<Event>();
-        assert_eq!(std::mem::size_of::<Event>(), 64);
-        assert_eq!(std::mem::size_of::<Arg>(), 24);
+        assert_eq!(t.heap_bytes(), 0, "a disabled tracer allocates nothing");
     }
 
     #[test]
@@ -259,11 +293,30 @@ mod tests {
         t.instant(Track::Gc, "victim_select", 5, &[]);
         t.instant(Track::Fault, "program_retry", 6, &[("block", 7)]);
         t.instant(Track::Fault, "program_retry", 7, &[("block", 8)]);
-        let payloads: Vec<&[Arg]> = t.events().iter().map(|e| t.args(e)).collect();
-        assert_eq!(payloads, [&[("lpn", 1), ("pages", 2)][..], &[], &[("block", 7)]]);
-        // A dropped event leaves nothing behind in the arena either.
-        assert_eq!(t.dropped_events(), 1);
-        assert_eq!(t.args.len(), 3);
+        // A dropped event leaves nothing behind: not a payload pair, not
+        // a name (ids are handed out in first-appearance order).
+        t.instant(Track::Fault, "never_kept", 8, &[("never_kept_key", 9)]);
+        let payloads: Vec<Vec<(&str, u64)>> =
+            t.events().iter().map(|e| e.args().collect()).collect();
+        assert_eq!(payloads, [vec![("lpn", 1), ("pages", 2)], vec![], vec![("block", 7)]]);
+        assert_eq!(t.events().iter().nth(2).unwrap().arg("block"), Some(7));
+        assert_eq!(t.dropped_events(), 2);
+        let spellings: Vec<&str> = t.events().names().spellings().iter().map(|s| &**s).collect();
+        assert_eq!(spellings, ["write", "lpn", "pages", "victim_select", "program_retry", "block"]);
+    }
+
+    /// Payloads of every length a site can spell reach the recording
+    /// whole, the ones past the four the inlined hand-off unpacks too.
+    #[test]
+    fn payloads_of_zero_to_six_pairs_are_recorded_whole() {
+        const PAIRS: [Arg; 6] = [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5), ("f", 6)];
+        let mut t = Tracer::enabled(TraceConfig::default());
+        for n in 0..=PAIRS.len() {
+            t.span(Track::Hash, "hash", 0, 1, &PAIRS[..n]);
+        }
+        for (n, e) in t.events().iter().enumerate() {
+            assert!(e.args().eq(PAIRS[..n].iter().copied()), "{n} pairs");
+        }
     }
 
     #[test]
@@ -275,7 +328,7 @@ mod tests {
         assert_eq!(t.events().len(), 3);
         assert_eq!(t.dropped_events(), 7);
         // The survivors are the earliest events (count limit, not a ring).
-        assert_eq!(t.events()[2].ts_ns(), 2);
+        assert_eq!(t.events().iter().last().unwrap().ts_ns(), 2);
         let report = t.report().unwrap();
         assert_eq!(report.events_recorded, 3);
         assert_eq!(report.dropped_events, 7);

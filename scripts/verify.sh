@@ -10,6 +10,9 @@ cargo build --release --offline
 echo "== cells are placement-free: no thread-local state in library code =="
 if grep -rn 'thread_local!' crates/*/src src; then echo "FAIL: a cell's cost and footprint must not depend on the thread that runs it (crates/harness/src/pool.rs)"; exit 1; fi
 
+echo "== one record stream: a recording is written once and read where it lies =="
+if grep -rn 'SpanRec\|Args::Live\|Args::Parsed\|Vec<Event>' crates/trace/src; then echo "FAIL: the Tracer's segmented Recording is the record stream — no per-event copy at ingest, no flat event vector that reallocates as it grows (docs/PERFORMANCE.md, Trace pipeline)"; exit 1; fi
+
 echo "== one perf ledger: no committed host-time baseline, no second bench runner =="
 if [ -n "$(git ls-files 'results/BENCH_*.json' 'crates/*/BENCH_*.json')" ] || grep -rn 'harness::bench\|bench_check' crates src Cargo.toml; then
   echo "FAIL: speed claims are parent-vs-change on benchmark/; the workspace gates host time only as ratios inside one run (ROADMAP Decisions)"; exit 1; fi
