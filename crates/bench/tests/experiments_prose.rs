@@ -1,0 +1,114 @@
+//! EXPERIMENTS.md's Fig. 9, 10 and 11 tables mirror the byte-gated
+//! `results/fig{9,10,11}.csv`: every cell must agree with its CSV value at
+//! the precision the prose prints, so a golden cannot be re-pinned without
+//! its prose.
+
+use std::collections::HashMap;
+
+fn read(rel: &str) -> String {
+    let path = format!("{}/../../{rel}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+}
+
+/// The CSV as `(key columns joined by '/', column name) -> cell`.
+fn csv(rel: &str, keys: usize) -> HashMap<(String, String), String> {
+    let text = read(rel);
+    let mut lines = text.lines();
+    let header: Vec<&str> = lines.next().expect("csv header").split(',').collect();
+    let mut cells = HashMap::new();
+    for line in lines {
+        let row: Vec<&str> = line.split(',').collect();
+        let key = row[..keys].join("/");
+        for (name, cell) in header.iter().zip(&row).skip(keys) {
+            cells.insert((key.clone(), name.to_string()), cell.to_string());
+        }
+    }
+    cells
+}
+
+/// The first Markdown table at or after `marker` (a heading, or the
+/// table's own first characters): its header row, then its body rows.
+fn table(md: &str, marker: &str) -> (Vec<String>, Vec<Vec<String>>) {
+    let from = md.find(marker).unwrap_or_else(|| panic!("`{marker}` not in EXPERIMENTS.md"));
+    let mut rows = md[from..]
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .filter(|l| !l.starts_with("|---"))
+        .map(|l| l.trim_matches('|').split('|').map(|c| c.trim().to_string()).collect());
+    let header = rows.next().expect("table header");
+    (header, rows.collect())
+}
+
+/// Check one prose cell against a CSV value: same magnitude at the number
+/// of decimals the prose prints, and `−` exactly where the prose reports a
+/// reduction (`negated`).
+fn check(what: &str, prose: &str, value: &str, negated: bool) {
+    let cleaned: String = prose
+        .chars()
+        .filter(|c| !matches!(c, '*' | '¹' | '%' | ' ' | '\u{a0}'))
+        .collect();
+    let magnitude = cleaned.trim_start_matches('−');
+    assert_eq!(cleaned.starts_with('−'), negated, "{what}: sign of `{prose}`");
+    let decimals = magnitude.split_once('.').map_or(0, |(_, frac)| frac.len());
+    let value: f64 = value.parse().unwrap_or_else(|e| panic!("{what}: csv `{value}`: {e}"));
+    assert_eq!(
+        magnitude,
+        format!("{:.*}", decimals, value),
+        "{what}: EXPERIMENTS.md says `{prose}`, the CSV says {value}"
+    );
+}
+
+/// Figs. 9 and 10 share a layout: workload, Baseline, CAGC, reduction,
+/// paper — and a "Scale stability" table whose default column repeats the
+/// reduction.
+fn check_counts_figure(fig: u32) {
+    let md = read("EXPERIMENTS.md");
+    let data = csv(&format!("results/fig{fig}.csv"), 1);
+    let get = |w: &str, col: &str| data[&(w.to_string(), col.to_string())].clone();
+    let (_, rows) = table(&md, &format!("## Fig. {fig} "));
+    assert_eq!(rows.len(), 3, "Fig. {fig}: one row per workload");
+    for row in &rows {
+        let w = row[0].as_str();
+        check(&format!("Fig. {fig} {w} baseline"), &row[1], &get(w, "baseline"), false);
+        check(&format!("Fig. {fig} {w} cagc"), &row[2], &get(w, "cagc"), false);
+        check(&format!("Fig. {fig} {w} reduction"), &row[3], &get(w, "reduction_pct"), true);
+        check(&format!("Fig. {fig} {w} paper"), &row[4], &get(w, "paper_reduction_pct"), true);
+    }
+    let (header, scale) = table(&md, &format!("| Fig. {fig} reduction |"));
+    assert_eq!(scale.len(), 3, "Fig. {fig} scale stability: one row per workload");
+    let default = header.iter().position(|c| c.starts_with("default")).expect("default column");
+    for row in &scale {
+        let w = row[0].as_str();
+        check(&format!("Fig. {fig} {w} default scale"), &row[default], &get(w, "reduction_pct"), true);
+        let paper = row.last().expect("paper column");
+        check(&format!("Fig. {fig} {w} scale paper"), paper, &get(w, "paper_reduction_pct"), true);
+    }
+}
+
+#[test]
+fn fig9_prose_matches_its_golden() {
+    check_counts_figure(9);
+}
+
+#[test]
+fn fig10_prose_matches_its_golden() {
+    check_counts_figure(10);
+}
+
+#[test]
+fn fig11_prose_matches_its_golden() {
+    let md = read("EXPERIMENTS.md");
+    let data = csv("results/fig11.csv", 2);
+    let (_, rows) = table(&md, "## Fig. 11 ");
+    assert_eq!(rows.len(), 3, "Fig. 11: one row per workload");
+    for row in &rows {
+        let w = row[0].as_str();
+        for (cell, scheme) in row[1..4].iter().zip(["Inline-Dedupe", "Baseline", "CAGC"]) {
+            let key = (format!("{w}/{scheme}"), "normalized".to_string());
+            check(&format!("Fig. 11 {w} {scheme}"), cell, &data[&key], false);
+        }
+        let key = (format!("{w}/CAGC"), "paper_cagc_reduction_pct".to_string());
+        check(&format!("Fig. 11 {w} paper"), &row[4], &data[&key], true);
+    }
+}

@@ -77,7 +77,7 @@ impl Ssd {
     ///   foreground with the remainder suspended in [`GcJob`];
     /// * otherwise: no work.
     pub(crate) fn maybe_gc(&mut self, now: Nanos) -> Result<Nanos, FlashError> {
-        let free = self.alloc.free_fraction();
+        let free = self.free_fraction();
         let end = if self.cfg.gc_preempt && free < self.cfg.gc_urgent_fraction {
             self.as_gc(now, Self::catch_up)?
         } else if self.gc_job.is_none() && free >= self.cfg.gc_low {
@@ -141,7 +141,7 @@ impl Ssd {
         if arrival <= t {
             return Ok(()); // not idle long enough
         }
-        while t < arrival && self.alloc.free_fraction() < self.cfg.gc_high {
+        while t < arrival && self.free_fraction() < self.cfg.gc_high {
             let before = self.alloc.free_blocks();
             t = self.force_gc_inner(t)?;
             if self.alloc.free_blocks() <= before {
@@ -177,7 +177,7 @@ impl Ssd {
     /// observes the crash exactly as with [`Ssd::force_gc`].
     pub fn gc_pump(&mut self, now: Nanos) -> Option<Nanos> {
         if !self.cfg.gc_preempt
-            || (self.gc_job.is_none() && self.alloc.free_fraction() >= self.cfg.gc_high)
+            || (self.gc_job.is_none() && self.free_fraction() >= self.cfg.gc_high)
         {
             return None;
         }
@@ -220,7 +220,7 @@ impl Ssd {
             let free_before = self.alloc.free_blocks();
             let job = match self.gc_job.take() {
                 Some(job) => job,
-                None if self.alloc.free_fraction() >= self.cfg.gc_low => break,
+                None if self.free_fraction() >= self.cfg.gc_low => break,
                 None => match self.begin_job(cursor) {
                     Some(job) => job,
                     None => break,
@@ -460,11 +460,11 @@ impl Ssd {
                     at,
                     &[("block", u64::from(victim))],
                 );
-                // The device already moved the block to its bad-block
-                // table; mirror the retirement in the allocator so the
-                // block leaves the frontier/victim pool for good. Every
-                // valid page was migrated before the erase was issued, so
-                // no data is stranded — only capacity is lost.
+                // The device moved the block to its bad-block table, the
+                // one record of it; the allocator only lets go of the
+                // block, which never returns to the free pool. Every valid
+                // page was migrated before the erase was issued, so no
+                // data is stranded — only capacity is lost.
                 self.alloc.retire(victim);
                 self.first_retirement_ns.get_or_insert(at);
                 at

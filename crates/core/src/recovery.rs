@@ -244,7 +244,6 @@ impl Ssd {
         // --- 8. Allocator: the free pool is every erased, unretired block;
         // all write frontiers start closed (partially written blocks simply
         // wait for GC). ---
-        let retired = self.dev.retired_blocks();
         let free_order: Vec<_> =
             Allocator::die_interleaved_order(geom.total_blocks(), geom.blocks_per_die())
                 .into_iter()
@@ -255,7 +254,6 @@ impl Ssd {
             geom.pages_per_block,
             self.cfg.gc_reserve_blocks,
             free_order,
-            &retired,
         );
 
         // --- 9. Install, charge the simulated cost, and prove consistency
@@ -303,7 +301,7 @@ impl Ssd {
             mappings_recovered,
             fingerprints_rebuilt,
             duplicate_copies_merged,
-            blocks_retired: retired.len() as u64,
+            blocks_retired: self.dev.stats().blocks_retired,
             recovery_ns,
         };
         self.last_recovery = Some(report.clone());

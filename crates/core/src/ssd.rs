@@ -383,11 +383,12 @@ impl Ssd {
     /// export — the one place a workload is checked against the device,
     /// whichever driver (replay, host interface, fleet) issued it.
     pub fn submit(&mut self, cmd: RequestView<'_>) -> Result<Completion, FlashError> {
+        let end = cmd.lpn.checked_add(u64::from(cmd.pages));
         assert!(
-            cmd.lpn + u64::from(cmd.pages) <= self.logical_pages(),
-            "command covers logical pages [{}, {}), device exports {}",
+            end.is_some_and(|end| end <= self.logical_pages()),
+            "command covers {} logical pages from {}, device exports {}",
+            cmd.pages,
             cmd.lpn,
-            cmd.lpn + u64::from(cmd.pages),
             self.logical_pages()
         );
         if self.dev.is_crashed() {
@@ -526,9 +527,17 @@ impl Ssd {
     /// floor, so accepting more writes would risk GC deadlock. Reads (and
     /// GC itself) continue.
     pub fn is_read_only(&self) -> bool {
-        self.alloc.retired_count() > 0
-            && self.alloc.usable_blocks()
-                <= self.alloc.gc_reserve() + self.cfg.read_only_floor_blocks
+        self.dev.stats().blocks_retired > 0
+            && self.dev.usable_blocks() <= self.alloc.gc_reserve() + self.cfg.read_only_floor_blocks
+    }
+
+    /// Free fraction of the device: free pool / usable blocks. This is the
+    /// quantity compared against the GC watermarks (Table I: 20 %).
+    /// Retired blocks leave the denominator — capacity the device lost is
+    /// not capacity GC can reclaim — so with no retirements this is
+    /// exactly free pool / total blocks.
+    pub(crate) fn free_fraction(&self) -> f64 {
+        self.alloc.free_blocks() as f64 / self.dev.usable_blocks() as f64
     }
 
     /// Requests fully completed and acknowledged to the host.
@@ -577,13 +586,13 @@ impl Ssd {
         // pristine device's headroom.
         let floor = self.alloc.gc_reserve() + self.cfg.read_only_floor_blocks;
         let total = self.dev.block_count() as u64;
-        let usable = u64::from(self.alloc.usable_blocks());
+        let usable = u64::from(self.dev.usable_blocks());
         let spare_now = usable.saturating_sub(u64::from(floor));
         let spare_pristine = total.saturating_sub(u64::from(floor)).max(1);
         HealthLog {
             media_errors: d.program_failures + d.erase_failures + d.read_ecc_errors,
             unrecoverable_errors: self.fh.media_read_errors + self.fh.write_faults,
-            retired_blocks: self.alloc.retired_count(),
+            retired_blocks: d.blocks_retired as u32,
             spare_pool_permille: spare_now * 1000 / spare_pristine,
             wear_p50: pick(0.50),
             wear_p90: pick(0.90),
@@ -680,7 +689,7 @@ impl Ssd {
         if let Some(rate) = (idx.hits * 1000).checked_div(idx.lookups) {
             self.tracer.gauge("dedup_hit_rate_milli", now, rate);
         }
-        self.tracer.gauge("retired_blocks", now, u64::from(self.alloc.retired_count()));
+        self.tracer.gauge("retired_blocks", now, self.dev.stats().blocks_retired);
         // SMART-style health gauges: only on fault-armed runs, so
         // fault-free traced output stays byte-identical to pre-health
         // recordings (pay-as-you-go, like the journal).
@@ -1118,9 +1127,9 @@ impl Ssd {
 
     /// The warm pass of gather → warm → apply (docs/PERFORMANCE.md): load,
     /// and do nothing else with, the table lines a batch is about to
-    /// touch — for each physical page in `ppns` its block's validity
-    /// bitmap, its index entry and its first sharer's forward-map entry
-    /// (only the first: a popular content has thousands of sharers, and an
+    /// touch — for each physical page in `ppns` its block's record, its
+    /// index entry and its first sharer's forward-map entry (only the
+    /// first: a popular content has thousands of sharers, and an
     /// overwrite of one must not walk the rest), and for each fingerprint
     /// in `fps` its probe chain. Issued back to back the loads are
     /// independent, so their cache misses overlap; in the apply pass each
@@ -1148,7 +1157,7 @@ impl Ssd {
 
     /// Gather and warm passes for a multi-page host write: every page
     /// releases the copy its LPN pointed at (reverse-map slot, index entry,
-    /// block bitmap of the old PPN), and Inline-Dedupe also probes the
+    /// block record of the old PPN), and Inline-Dedupe also probes the
     /// index with each page's fingerprint.
     fn warm_write(&mut self, cmd: RequestView<'_>) {
         let mut fps = std::mem::take(&mut self.fps_scratch);

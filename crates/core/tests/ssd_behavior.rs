@@ -333,6 +333,16 @@ fn replay_rejects_oversized_traces() {
 }
 
 #[test]
+fn submit_rejects_an_extent_that_wraps_u64() {
+    let wrapping = Request::read(0, u64::MAX, 1);
+    let result = std::panic::catch_unwind(move || {
+        let _ = ssd(Scheme::Baseline).submit(wrapping.view());
+    });
+    let msg = *result.expect_err("wrapping extent accepted").downcast::<String>().unwrap();
+    assert!(msg.contains("device exports"), "{msg}");
+}
+
+#[test]
 fn reports_are_internally_consistent() {
     let trace = churn_trace(0.5, 8_000, 17);
     for scheme in Scheme::ALL {

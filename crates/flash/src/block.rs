@@ -1,16 +1,16 @@
 //! Per-block state machine.
 //!
-//! A [`Block`] tracks which of its pages have been written and which of the
-//! written pages are still valid, plus its erase count, write pointer and
-//! the timestamp of its last modification (used by the cost-benefit victim
-//! policy). The state machine enforces the two hard NAND rules:
+//! A [`Block`] is one `Copy` record: a one-word validity mask (hence at
+//! most [`Block::MAX_PAGES`] pages), write pointer — a page is written iff
+//! it lies below it — erase count, trim attribution, last-modified time
+//! (for the cost-benefit victim policy) and the sealed / retired flags.
+//! The state machine enforces the two hard NAND rules:
 //!
 //! 1. pages are programmed in strictly increasing page order within a block
 //!    (the *write pointer*), and only onto never-written-since-erase pages;
 //! 2. the only way to make a written page writable again is to erase the
 //!    whole block.
 
-use crate::bitmap::Bitmap;
 use cagc_sim::time::Nanos;
 
 /// Logical state of one page.
@@ -25,43 +25,57 @@ pub enum PageState {
 }
 
 /// State of one flash block.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Block {
-    written: Bitmap,
-    valid: Bitmap,
-    write_ptr: u32,
-    erase_count: u32,
+    /// Bit `p` set ⇔ page `p` is valid. Bits at or above `write_ptr` are
+    /// always clear.
+    valid: u64,
     last_modified_ns: Nanos,
+    erase_count: u32,
+    pages: u8,
+    write_ptr: u8,
     /// Invalid pages whose invalidation came from a host trim (deallocate)
     /// rather than an overwrite. Reset on erase.
-    trimmed: u32,
+    trimmed: u8,
+    sealed: bool,
+    retired: bool,
 }
 
 impl Block {
+    /// Most pages a block can hold: one validity bit per page in a `u64`.
+    pub const MAX_PAGES: u32 = u64::BITS;
+
     /// A fresh (erased, never used) block with `pages` pages.
+    ///
+    /// # Panics
+    /// Panics if `pages` exceeds [`Block::MAX_PAGES`].
     pub fn new(pages: u32) -> Self {
+        assert!(pages <= Self::MAX_PAGES, "block of {pages} pages exceeds {}", Self::MAX_PAGES);
         Self {
-            written: Bitmap::new(pages as usize),
-            valid: Bitmap::new(pages as usize),
-            write_ptr: 0,
-            erase_count: 0,
+            valid: 0,
             last_modified_ns: 0,
+            erase_count: 0,
+            pages: pages as u8,
+            write_ptr: 0,
             trimmed: 0,
+            sealed: false,
+            retired: false,
         }
     }
 
     /// Number of pages in the block.
     #[inline]
     pub fn pages(&self) -> u32 {
-        self.written.len() as u32
+        u32::from(self.pages)
     }
 
     /// State of page `page`.
     #[inline]
     pub fn page_state(&self, page: u32) -> PageState {
-        if !self.written.get(page as usize) {
+        debug_assert!(page < self.pages(), "page {page} out of range {}", self.pages);
+        if page >= u32::from(self.write_ptr) {
             PageState::Free
-        } else if self.valid.get(page as usize) {
+        } else if self.valid >> page & 1 == 1 {
             PageState::Valid
         } else {
             PageState::Invalid
@@ -71,37 +85,52 @@ impl Block {
     /// Number of valid pages.
     #[inline]
     pub fn valid_count(&self) -> u32 {
-        self.valid.count_ones() as u32
+        self.valid.count_ones()
     }
 
     /// Number of invalid pages (written but no longer valid).
     #[inline]
     pub fn invalid_count(&self) -> u32 {
-        (self.written.count_ones() - self.valid.count_ones()) as u32
+        u32::from(self.write_ptr) - self.valid_count()
     }
 
     /// Number of still-free pages.
     #[inline]
     pub fn free_count(&self) -> u32 {
-        self.pages() - self.written.count_ones() as u32
+        u32::from(self.pages - self.write_ptr)
     }
 
-    /// The next page that a program must target, or `None` if full.
+    /// The next page that a program must target, or `None` if the block is
+    /// full or sealed.
     #[inline]
     pub fn next_program_page(&self) -> Option<u32> {
-        (self.write_ptr < self.pages()).then_some(self.write_ptr)
+        (!self.is_full() && !self.sealed).then_some(u32::from(self.write_ptr))
     }
 
     /// Whether every page has been written.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.write_ptr == self.pages()
+        self.write_ptr == self.pages
     }
 
     /// Whether the block is entirely free (fresh or just erased).
     #[inline]
     pub fn is_free(&self) -> bool {
         self.write_ptr == 0
+    }
+
+    /// Whether the block was closed short of full
+    /// ([`crate::FlashDevice::seal`]): its free pages are stranded, and no
+    /// program is accepted, until the next erase.
+    #[inline]
+    pub fn is_sealed(&self) -> bool {
+        self.sealed
+    }
+
+    /// Whether an erase failure retired the block to the bad-block table.
+    #[inline]
+    pub fn is_retired(&self) -> bool {
+        self.retired
     }
 
     /// Times this block has been erased (wear).
@@ -117,7 +146,7 @@ impl Block {
     /// overwrite-hot block keeps accumulating invalid pages if left alone.
     #[inline]
     pub fn trimmed_count(&self) -> u32 {
-        self.trimmed
+        u32::from(self.trimmed)
     }
 
     /// Timestamp of the last program/invalidate/erase that touched the block.
@@ -127,14 +156,14 @@ impl Block {
     }
 
     /// Program the next page (must equal the write pointer). Returns the
-    /// page offset that was programmed, or `None` if the block is full —
-    /// the allocator must rotate to a new block first, and the device turns
-    /// `None` into a structured [`crate::FlashError::BlockFull`] so the bug
-    /// is distinguishable from an injected fault. The page becomes `Valid`.
+    /// page offset that was programmed, or `None` if the block is full or
+    /// sealed — the allocator must rotate to a new block first, and the
+    /// device turns `None` into a structured [`crate::FlashError::BlockFull`]
+    /// so the bug is distinguishable from an injected fault. The page
+    /// becomes `Valid`.
     pub fn program_next(&mut self, now: Nanos) -> Option<u32> {
         let page = self.next_program_page()?;
-        self.written.set(page as usize, true);
-        self.valid.set(page as usize, true);
+        self.valid |= 1 << page;
         self.write_ptr += 1;
         self.last_modified_ns = now;
         Some(page)
@@ -149,7 +178,7 @@ impl Block {
     pub fn invalidate(&mut self, page: u32, now: Nanos) {
         match self.page_state(page) {
             PageState::Valid => {
-                self.valid.set(page as usize, false);
+                self.valid &= !(1 << page);
                 self.last_modified_ns = now;
             }
             s => panic!("invalidate page {page} in state {s:?}"),
@@ -169,38 +198,41 @@ impl Block {
         self.trimmed += 1;
     }
 
-    /// Erase the block: all pages become `Free`, wear increments.
+    /// Erase the block: all pages become `Free`, the seal lifts, wear
+    /// increments.
     ///
     /// # Panics
     /// Panics if any page is still `Valid` — erasing live data is the worst
     /// FTL bug there is, so the model refuses.
     pub fn erase(&mut self, now: Nanos) {
-        assert_eq!(
-            self.valid.count_ones(),
-            0,
-            "erase of block with {} valid pages",
-            self.valid.count_ones()
-        );
-        self.written.clear();
-        self.valid.clear();
+        assert_eq!(self.valid, 0, "erase of block with {} valid pages", self.valid_count());
         self.write_ptr = 0;
         self.erase_count += 1;
         self.trimmed = 0;
+        self.sealed = false;
         self.last_modified_ns = now;
     }
 
-    /// Iterate offsets of currently valid pages, ascending.
-    pub fn valid_pages(&self) -> impl Iterator<Item = u32> + '_ {
-        self.valid.iter_ones().map(|i| i as u32)
-    }
-
-    /// Visit offsets of currently valid pages, ascending — the word-level
-    /// bulk form of [`Block::valid_pages`]: GC snapshots a victim's valid
-    /// set on every collection, and the underlying bitmap scan skips a
-    /// whole 64-page word per branch instead of testing page by page.
+    /// Visit offsets of currently valid pages, ascending: one word, one
+    /// branch per valid page.
     #[inline]
     pub fn for_each_valid(&self, mut f: impl FnMut(u32)) {
-        self.valid.for_each_one(|i| f(i as u32));
+        let mut w = self.valid;
+        while w != 0 {
+            f(w.trailing_zeros());
+            w &= w - 1;
+        }
+    }
+
+    /// Mark the block closed short (see [`Block::is_sealed`]).
+    pub(crate) fn seal(&mut self) {
+        self.sealed = true;
+    }
+
+    /// Move the block to the bad-block table; the seal lifts with it.
+    pub(crate) fn retire(&mut self) {
+        self.sealed = false;
+        self.retired = true;
     }
 
     /// Recovery-only: overwrite the validity of every *written* page from
@@ -209,9 +241,9 @@ impl Block {
     /// facts and stay; trim attribution is volatile bookkeeping lost with
     /// the crash, so it resets.
     pub(crate) fn recover_validity(&mut self, mut f: impl FnMut(u32) -> bool) {
-        for page in 0..self.write_ptr {
-            self.valid.set(page as usize, f(page));
-        }
+        self.valid = (0..u32::from(self.write_ptr))
+            .filter(|&page| f(page))
+            .fold(0, |mask, page| mask | 1 << page);
         self.trimmed = 0;
     }
 }
@@ -219,6 +251,26 @@ impl Block {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_block_is_a_small_plain_record() {
+        assert!(std::mem::size_of::<Block>() <= 32);
+        let mut b = Block::new(Block::MAX_PAGES);
+        for _ in 0..Block::MAX_PAGES {
+            b.program_next(0);
+        }
+        assert!(b.is_full());
+        assert_eq!(b.valid_count(), 64);
+        b.invalidate(63, 1);
+        assert_eq!(b.page_state(63), PageState::Invalid);
+        assert_eq!(b.valid_count(), 63);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 64")]
+    fn oversized_block_rejected() {
+        Block::new(65);
+    }
 
     #[test]
     fn fresh_block_is_all_free() {
@@ -252,6 +304,20 @@ mod tests {
         // The rejected program changed nothing.
         assert_eq!(b.valid_count(), 1);
         assert_eq!(b.last_modified(), 0);
+    }
+
+    #[test]
+    fn a_sealed_block_takes_no_program_until_erased() {
+        let mut b = Block::new(4);
+        b.program_next(0);
+        b.seal();
+        assert!(b.is_sealed());
+        assert_eq!(b.program_next(1), None);
+        assert_eq!(b.free_count(), 3, "the unwritten tail is stranded, not consumed");
+        b.invalidate(0, 2);
+        b.erase(3);
+        assert!(!b.is_sealed());
+        assert_eq!(b.program_next(4), Some(0));
     }
 
     #[test]
@@ -310,14 +376,15 @@ mod tests {
     }
 
     #[test]
-    fn valid_pages_iterates_only_valid() {
+    fn for_each_valid_visits_only_valid_pages_ascending() {
         let mut b = Block::new(5);
         for _ in 0..4 {
             b.program_next(0);
         }
         b.invalidate(1, 0);
         b.invalidate(3, 0);
-        let v: Vec<u32> = b.valid_pages().collect();
+        let mut v = Vec::new();
+        b.for_each_valid(|p| v.push(p));
         assert_eq!(v, vec![0, 2]);
     }
 

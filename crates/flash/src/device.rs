@@ -8,7 +8,7 @@ use crate::stats::DeviceStats;
 use crate::timing::Timing;
 use crate::victim_index::VictimIndex;
 use cagc_sim::time::Nanos;
-use cagc_sim::timeline::{Reservation, TimelineGroup};
+use cagc_sim::timeline::{Reservation, Timeline, TimelineGroup};
 
 /// The class of a flash operation (used in timing breakdowns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,9 +56,6 @@ pub struct FlashDevice {
     oob: Vec<PageOob>,
     /// Append-only mapping-delta journal (see [`FlashDevice::journal_append`]).
     journal: Vec<JournalEntry>,
-    /// Bad-block table: blocks retired after an erase failure.
-    retired: Vec<bool>,
-    retired_count: u32,
     /// Shared durable sequence counter for OOB stamps and journal records.
     seq: u64,
     /// The Greedy victim index: every *collectible* block — written, not
@@ -96,8 +93,6 @@ impl FlashDevice {
             plan: FaultPlan::new(faults),
             oob: vec![PageOob::default(); geometry.total_pages() as usize],
             journal: Vec::new(),
-            retired: vec![false; geometry.total_blocks() as usize],
-            retired_count: 0,
             seq: 0,
             victims: VictimIndex::new(geometry.total_blocks(), geometry.pages_per_block),
             wear_hist: vec![geometry.total_blocks()],
@@ -110,9 +105,8 @@ impl FlashDevice {
     fn sync_victim_index(&mut self, b: BlockId) {
         let blk = &self.blocks[b as usize];
         let valid = blk.valid_count();
-        let collectible = (blk.is_full() || self.victims.is_sealed(b))
-            && !self.retired[b as usize]
-            && valid < blk.pages();
+        let collectible =
+            (blk.is_full() || blk.is_sealed()) && !blk.is_retired() && valid < blk.pages();
         self.victims.file(b, collectible.then_some(valid));
     }
 
@@ -122,11 +116,13 @@ impl FlashDevice {
     /// — only an erase brings it back — so the block becomes collectible
     /// with those pages counted in its reclaim gain (pages − valid, exactly
     /// as for a full block). A block with nothing written has nothing to
-    /// collect and a retired one is gone; both are left alone.
+    /// collect, a full one strands nothing, and a retired one is gone; all
+    /// three are left unsealed. Sealing twice is sealing once.
     pub fn seal(&mut self, b: BlockId) {
-        let blk = &self.blocks[b as usize];
-        if !blk.is_free() && !self.retired[b as usize] {
-            self.victims.set_stranded(b, blk.free_count());
+        let blk = &mut self.blocks[b as usize];
+        if !blk.is_free() && !blk.is_full() && !blk.is_retired() && !blk.is_sealed() {
+            blk.seal();
+            self.victims.strand(blk.free_count());
         }
         self.sync_victim_index(b);
     }
@@ -235,12 +231,13 @@ impl FlashDevice {
     /// Whether block `b` has been retired to the bad-block table.
     #[inline]
     pub fn is_retired(&self, b: BlockId) -> bool {
-        self.retired[b as usize]
+        self.blocks[b as usize].is_retired()
     }
 
-    /// Blocks currently in the bad-block table, ascending.
-    pub fn retired_blocks(&self) -> Vec<BlockId> {
-        (0..self.block_count()).filter(|&b| self.retired[b as usize]).collect()
+    /// Blocks not in the bad-block table.
+    #[inline]
+    pub fn usable_blocks(&self) -> u32 {
+        self.block_count() - self.stats.blocks_retired as u32
     }
 
     /// OOB metadata of the page at `ppn` (zeroed if never programmed since
@@ -311,8 +308,8 @@ impl FlashDevice {
     /// An injected program failure consumes the page (it is left `Invalid`
     /// with a torn OOB), occupies the die for the full program, and
     /// returns [`FlashError::ProgramFailed`]; the FTL retries on another
-    /// block. Caller bugs return [`FlashError::BlockFull`] /
-    /// [`FlashError::BadBlock`] / [`FlashError::Retired`].
+    /// block. Caller bugs return [`FlashError::BlockFull`] (also for a
+    /// sealed block) / [`FlashError::BadBlock`] / [`FlashError::Retired`].
     pub fn program_next(
         &mut self,
         block: BlockId,
@@ -348,19 +345,19 @@ impl FlashDevice {
         if block >= self.block_count() {
             return Err(FlashError::BadBlock { block });
         }
-        if self.retired[block as usize] {
+        let blk = &self.blocks[block as usize];
+        if blk.is_retired() {
             return Err(FlashError::Retired { block });
         }
-        if self.blocks[block as usize].is_full() {
+        if blk.next_program_page().is_none() {
             return Err(FlashError::BlockFull { block });
         }
-        debug_assert!(!self.victims.is_sealed(block), "program into sealed block {block}");
         self.plan.note_durable_op()?;
         let svc = self.timing.program_service();
         let r = self.reserve_block_op(block, ready_at, svc);
         let page = self.blocks[block as usize]
             .program_next(r.end)
-            .expect("checked not full above");
+            .expect("checked programmable above");
         let ppn = self.geometry.ppn(block, page);
         let seq = self.bump_seq();
         self.stats.programs += 1;
@@ -416,7 +413,7 @@ impl FlashDevice {
         if block >= self.block_count() {
             return Err(FlashError::BadBlock { block });
         }
-        if self.retired[block as usize] {
+        if self.is_retired(block) {
             return Err(FlashError::Retired { block });
         }
         let valid = self.blocks[block as usize].valid_count();
@@ -426,14 +423,17 @@ impl FlashDevice {
         self.plan.note_durable_op()?;
         let die = self.geometry.die_of_block(block) as usize;
         let r = self.dies.reserve(die, ready_at, self.timing.erase_ns);
-        let wear = self.blocks[block as usize].erase_count();
+        let blk = &self.blocks[block as usize];
+        let wear = blk.erase_count();
+        // Erased or retired, a sealed block's stranded pages leave the total.
+        if blk.is_sealed() {
+            self.victims.unstrand(blk.free_count());
+        }
         if self.plan.roll_erase(wear) {
-            self.retired[block as usize] = true;
-            self.retired_count += 1;
+            self.blocks[block as usize].retire();
             self.stats.erase_failures += 1;
             self.stats.blocks_retired += 1;
             self.stats.erase_busy_ns += self.timing.erase_ns;
-            self.victims.set_stranded(block, 0);
             self.sync_victim_index(block);
             return Err(FlashError::EraseFailed { block, at: r.end });
         }
@@ -443,7 +443,6 @@ impl FlashDevice {
             self.wear_hist.push(0);
         }
         self.wear_hist[wear as usize + 1] += 1;
-        self.victims.set_stranded(block, 0);
         self.sync_victim_index(block);
         for ppn in self.geometry.pages_of_block(block) {
             self.oob[ppn as usize] = PageOob::default();
@@ -506,6 +505,20 @@ impl FlashDevice {
             .sum::<f64>()
             / self.blocks.len() as f64;
         var.sqrt()
+    }
+
+    /// Bytes the device holds on the heap: block records, per-page OOB,
+    /// journal, victim-index links, wear histogram and die/channel
+    /// timelines. Over `geometry().total_pages()` this is what one physical
+    /// page costs the host.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.blocks.capacity() * size_of::<Block>()
+            + self.oob.capacity() * size_of::<PageOob>()
+            + self.journal.capacity() * size_of::<JournalEntry>()
+            + self.victims.heap_bytes()
+            + self.wear_hist.capacity() * size_of::<u32>()
+            + (self.dies.len() + self.channels.len()) * size_of::<Timeline>()
     }
 
     #[inline]
@@ -790,8 +803,7 @@ mod tests {
         d.invalidate(ppn, w.end);
         let err = d.erase(3, w.end).unwrap_err();
         assert_eq!(err, FlashError::EraseFailed { block: 3, at: w.end + us(1500) });
-        assert!(d.is_retired(3));
-        assert_eq!(d.retired_blocks(), vec![3]);
+        assert_eq!((0..d.block_count()).filter(|&b| d.is_retired(b)).collect::<Vec<_>>(), [3]);
         assert_eq!(d.stats().erase_failures, 1);
         assert_eq!(d.stats().blocks_retired, 1);
         assert_eq!(d.stats().erases, 0, "a failed erase is not an erase");
@@ -961,6 +973,17 @@ mod tests {
         );
         assert!(d.stats().blocks_retired > 0 && d.stats().blocks_retired < u64::from(blocks));
         assert!(d.stats().erases > 100 && d.stats().trimmed_pages > 100);
+    }
+
+    #[test]
+    fn a_fresh_1gb_device_costs_at_most_41_bytes_per_physical_page() {
+        // OOB is 40 B per page; everything kept per block (record, index
+        // links, wear) must fit in the last byte.
+        let cfg = crate::UllConfig::scaled_gb(1);
+        let d = FlashDevice::new(cfg.geometry(), cfg.timing());
+        let per_page = d.heap_bytes() as f64 / d.geometry().total_pages() as f64;
+        assert_eq!(std::mem::size_of::<PageOob>(), 40);
+        assert!(per_page <= 41.0, "{per_page:.3} B per physical page");
     }
 
     #[test]

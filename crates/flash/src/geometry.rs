@@ -1,6 +1,7 @@
 //! Device geometry and address arithmetic.
 
 use crate::addr::{BlockId, PageOffset, PhysAddr, Ppn};
+use crate::block::Block;
 
 /// NAND geometry: channels × dies/channel × planes/die × blocks/plane ×
 /// pages/block, with `page_size` bytes per page.
@@ -31,7 +32,9 @@ impl Geometry {
     ///
     /// # Panics
     /// Panics if any dimension is zero — a zero-sized device is always a
-    /// configuration bug, and the panic message names the offending field.
+    /// configuration bug — or if `pages_per_block` exceeds
+    /// [`Block::MAX_PAGES`] (64; Table I's block is 64 pages). The panic
+    /// message names the offending field.
     pub fn new(
         channels: u32,
         dies_per_channel: u32,
@@ -45,6 +48,11 @@ impl Geometry {
         assert!(planes_per_die > 0, "geometry: planes_per_die must be > 0");
         assert!(blocks_per_plane > 0, "geometry: blocks_per_plane must be > 0");
         assert!(pages_per_block > 0, "geometry: pages_per_block must be > 0");
+        assert!(
+            pages_per_block <= Block::MAX_PAGES,
+            "geometry: pages_per_block must be <= {}, got {pages_per_block}",
+            Block::MAX_PAGES
+        );
         assert!(page_size > 0, "geometry: page_size must be > 0");
         Self {
             channels,
@@ -222,6 +230,12 @@ mod tests {
     #[should_panic(expected = "pages_per_block")]
     fn zero_dimension_rejected() {
         Geometry::new(1, 1, 1, 1, 0, 4096);
+    }
+
+    #[test]
+    #[should_panic(expected = "pages_per_block must be <= 64")]
+    fn blocks_beyond_one_validity_word_rejected() {
+        Geometry::new(1, 1, 1, 8, 65, 4096);
     }
 
     #[test]

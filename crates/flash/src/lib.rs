@@ -13,7 +13,12 @@
 //! * **State machine** ([`Block`], [`PageState`]): every page is `Free`,
 //!   `Valid` or `Invalid`; programs must land on free pages **in sequential
 //!   page order within a block** (the NAND program constraint), and only a
-//!   whole block can be erased.
+//!   whole block can be erased. A block is one `Copy` record whose page
+//!   validity is a single `u64`, so a block holds at most
+//!   [`Block::MAX_PAGES`] = 64 pages ([`Geometry::new`] enforces it;
+//!   Table I's block is 64 pages). Every per-block fact — validity, write
+//!   pointer, wear, trim attribution, sealed, retired — lives in that
+//!   record and nowhere else.
 //! * **Timing** ([`Timing`], [`UllConfig`]): Table I of the paper — 12 µs
 //!   read, 16 µs program, 1.5 ms erase, 4 KiB pages, 64-page (256 KiB)
 //!   blocks, 7 % over-provisioning, 20 % GC watermark — plus a conventional
@@ -47,7 +52,6 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod addr;
-pub mod bitmap;
 pub mod block;
 pub mod config;
 pub mod device;

@@ -27,10 +27,8 @@ pub(crate) struct VictimIndex {
     blocks: u32,
     /// Blocks filed, over all buckets.
     filed: u32,
-    /// Per block: free pages stranded behind its sealed write pointer
-    /// (0 = not sealed, or sealed when already full).
-    stranded: Vec<u16>,
-    /// Σ `stranded`.
+    /// Σ free pages over sealed blocks (each sealed block's own count is
+    /// its `Block::free_count`, frozen until the erase lifts the seal).
     stranded_total: u64,
 }
 
@@ -38,21 +36,11 @@ impl VictimIndex {
     /// An empty index over `blocks` blocks with buckets `0..pages_per_block`
     /// (a fully valid block reclaims nothing and is never filed).
     pub fn new(blocks: u32, pages_per_block: u32) -> Self {
-        assert!(
-            pages_per_block <= u32::from(u16::MAX),
-            "pages_per_block must fit the victim index's 16-bit page counts"
-        );
         let mut links = vec![UNFILED; (blocks + pages_per_block) as usize];
         for s in blocks..blocks + pages_per_block {
             links[s as usize] = [s, s];
         }
-        Self {
-            links,
-            blocks,
-            filed: 0,
-            stranded: vec![0; blocks as usize],
-            stranded_total: 0,
-        }
+        Self { links, blocks, filed: 0, stranded_total: 0 }
     }
 
     /// File `b` under `valid` pages, or take it out of the index (`None`).
@@ -109,24 +97,29 @@ impl VictimIndex {
         .take_while(move |&b| b != sentinel)
     }
 
-    /// Record that `b` is sealed with `free` never-written pages behind its
-    /// write pointer (`0` clears the mark).
+    /// A block was sealed with `free` never-written pages behind its write
+    /// pointer.
     #[inline]
-    pub fn set_stranded(&mut self, b: BlockId, free: u32) {
-        let old = std::mem::replace(&mut self.stranded[b as usize], free as u16);
-        self.stranded_total = self.stranded_total - u64::from(old) + u64::from(free);
+    pub fn strand(&mut self, free: u32) {
+        self.stranded_total += u64::from(free);
     }
 
-    /// Whether `b` carries a stranded-pages mark.
+    /// The erase or retirement of a sealed block took its `free` stranded
+    /// pages out of the total.
     #[inline]
-    pub fn is_sealed(&self, b: BlockId) -> bool {
-        self.stranded[b as usize] != 0
+    pub fn unstrand(&mut self, free: u32) {
+        self.stranded_total -= u64::from(free);
     }
 
     /// Σ stranded free pages over sealed blocks.
     #[inline]
     pub fn stranded_total(&self) -> u64 {
         self.stranded_total
+    }
+
+    /// Bytes the index holds on the heap: its links.
+    pub fn heap_bytes(&self) -> usize {
+        self.links.capacity() * std::mem::size_of::<[u32; 2]>()
     }
 }
 
@@ -165,18 +158,5 @@ mod tests {
         assert_eq!(ix.filed(), 0);
         ix.file(5, Some(0));
         assert_eq!(lowest(&ix), [5]);
-    }
-
-    #[test]
-    fn stranded_marks_keep_a_running_total() {
-        let mut ix = VictimIndex::new(4, 8);
-        ix.set_stranded(1, 5);
-        ix.set_stranded(2, 3);
-        ix.set_stranded(1, 5); // idempotent
-        assert_eq!(ix.stranded_total(), 8);
-        assert!(ix.is_sealed(1) && !ix.is_sealed(0));
-        ix.set_stranded(1, 0);
-        assert_eq!(ix.stranded_total(), 3);
-        assert!(!ix.is_sealed(1));
     }
 }

@@ -189,7 +189,7 @@ harness_proptest! {
                 );
             }
         }
-        let retired = d.retired_blocks().len() as u64;
+        let retired = (0..nblocks).filter(|&b| d.is_retired(b)).count() as u64;
         prop_assert_eq!(d.stats().blocks_retired, retired);
         prop_assert_eq!(d.stats().erase_failures, retired);
     }

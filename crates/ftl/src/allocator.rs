@@ -55,12 +55,7 @@ pub struct Allocator {
     open: [Option<OpenBlock>; Region::COUNT],
     region_of: Vec<Option<Region>>,
     pages_per_block: u32,
-    total_blocks: u32,
     gc_reserve: u32,
-    /// Blocks retired to the device's bad-block table (erase failures).
-    /// They never re-enter the free pool and shrink the usable device.
-    retired: Vec<bool>,
-    retired_count: u32,
 }
 
 impl Allocator {
@@ -99,52 +94,34 @@ impl Allocator {
             open: [None; Region::COUNT],
             region_of: vec![None; total_blocks as usize],
             pages_per_block,
-            total_blocks,
             gc_reserve,
-            retired: vec![false; total_blocks as usize],
-            retired_count: 0,
         }
     }
 
     /// Rebuild an allocator from post-crash durable facts: the free pool
     /// is exactly `free_order` (already die-interleaved and filtered to
-    /// erased, non-retired blocks by the recovery pass), `retired` lists
-    /// the device's bad-block table, and every write frontier starts
-    /// closed — partially written blocks simply wait for GC.
+    /// erased, non-retired blocks by the recovery pass — the device owns
+    /// the bad-block table), and every write frontier starts closed —
+    /// partially written blocks simply wait for GC.
     ///
     /// # Panics
-    /// Panics if a free block is also retired, or a block id is out of
-    /// range.
+    /// Panics if a free block id is out of range.
     pub fn recovered(
         total_blocks: u32,
         pages_per_block: u32,
         gc_reserve: u32,
         free_order: Vec<BlockId>,
-        retired: &[BlockId],
     ) -> Self {
-        let mut a = Self {
-            free: VecDeque::new(),
+        for &b in &free_order {
+            assert!(b < total_blocks, "free block {b} out of range");
+        }
+        Self {
+            free: free_order.into(),
             open: [None; Region::COUNT],
             region_of: vec![None; total_blocks as usize],
             pages_per_block,
-            total_blocks,
             gc_reserve,
-            retired: vec![false; total_blocks as usize],
-            retired_count: 0,
-        };
-        for &b in retired {
-            assert!(b < total_blocks, "retired block {b} out of range");
-            a.retired[b as usize] = true;
         }
-        a.retired_count = retired.len() as u32;
-        for &b in &free_order {
-            assert!(
-                b < total_blocks && !a.retired[b as usize],
-                "free block {b} invalid or retired"
-            );
-        }
-        a.free = free_order.into();
-        a
     }
 
     /// The canonical die-interleaved order: block `i` of die 0, block `i`
@@ -169,9 +146,9 @@ impl Allocator {
 
     /// Programmable pages still available right now: every page of the
     /// free pool plus the unwritten tail of each open frontier. This is
-    /// the "free pages" gauge the telemetry layer samples — unlike
-    /// [`Allocator::free_fraction`] it moves on every single program, so
-    /// a trace shows GC rounds as sawtooth refills.
+    /// the "free pages" gauge the telemetry layer samples — unlike the
+    /// free-block count it moves on every single program, so a trace shows
+    /// GC rounds as sawtooth refills.
     pub fn free_pages(&self) -> u64 {
         let frontier_tail: u64 = self
             .open
@@ -180,15 +157,6 @@ impl Allocator {
             .map(|o| u64::from(self.pages_per_block - o.used))
             .sum();
         self.free.len() as u64 * u64::from(self.pages_per_block) + frontier_tail
-    }
-
-    /// Free fraction of the device: free pool / usable blocks. This is
-    /// the quantity compared against the GC watermark (Table I: 20 %).
-    /// Retired blocks leave the denominator — capacity the device lost is
-    /// not capacity GC can reclaim — so with no retirements this is
-    /// exactly free pool / total blocks.
-    pub fn free_fraction(&self) -> f64 {
-        self.free.len() as f64 / self.usable_blocks() as f64
     }
 
     /// The region a block was opened under, if any. Blocks keep their tag
@@ -252,42 +220,24 @@ impl Allocator {
         self.free.push_back(block);
     }
 
-    /// Total blocks the allocator manages.
-    pub fn total_blocks(&self) -> u32 {
-        self.total_blocks
-    }
-
     /// The configured GC reserve.
     pub fn gc_reserve(&self) -> u32 {
         self.gc_reserve
     }
 
-    /// Account a block retired to the device's bad-block table after an
-    /// erase failure: it never returns to the free pool and the usable
-    /// device shrinks by one block.
+    /// Let go of a block the device retired to its bad-block table after
+    /// an erase failure: its region tag clears and, unlike
+    /// [`Allocator::release`], it never returns to the free pool. The
+    /// device refuses every operation on a retired block, so a second
+    /// retirement cannot reach here.
     ///
     /// # Panics
-    /// Panics if the block is an open frontier, still in the free pool
-    /// (retirement only happens to erase victims), or already retired.
+    /// Panics if the block is an open frontier or still in the free pool
+    /// (retirement only happens to erase victims).
     pub fn retire(&mut self, block: BlockId) {
         assert!(!self.is_open(block), "retiring open frontier block {block}");
         assert!(!self.free.contains(&block), "retiring free block {block}");
-        assert!(
-            !std::mem::replace(&mut self.retired[block as usize], true),
-            "double retirement of block {block}"
-        );
         self.region_of[block as usize] = None;
-        self.retired_count += 1;
-    }
-
-    /// Blocks retired so far.
-    pub fn retired_count(&self) -> u32 {
-        self.retired_count
-    }
-
-    /// Blocks still usable: total minus retired.
-    pub fn usable_blocks(&self) -> u32 {
-        self.total_blocks - self.retired_count
     }
 
     /// Close the open frontier of `region` (if any) without filling it:
@@ -407,46 +357,30 @@ mod tests {
     }
 
     #[test]
-    fn free_fraction_tracks_pool() {
-        let mut a = alloc();
-        assert!((a.free_fraction() - 1.0).abs() < 1e-12);
-        a.alloc_page(Region::Hot, false);
-        assert!((a.free_fraction() - 15.0 / 16.0).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "no usable blocks")]
     fn absurd_reserve_rejected() {
         Allocator::new(4, 4, 3);
     }
 
     #[test]
-    fn retirement_shrinks_the_usable_device() {
+    fn a_retired_block_never_returns_to_the_pool() {
         let mut a = alloc(); // 16 blocks, reserve 2
         let b0 = a.alloc_page(Region::Hot, false).unwrap();
         for _ in 0..3 {
             a.alloc_page(Region::Hot, false);
         }
         a.alloc_page(Region::Hot, false); // rotate so b0 is closed
-        assert_eq!(a.usable_blocks(), 16);
+        let free = a.free_blocks();
         a.retire(b0);
-        assert_eq!(a.retired_count(), 1);
-        assert_eq!(a.usable_blocks(), 15);
         assert_eq!(a.region_of(b0), None);
-        // free_fraction now divides by the shrunken device.
-        assert!((a.free_fraction() - a.free_blocks() as f64 / 15.0).abs() < 1e-12);
+        assert_eq!(a.free_blocks(), free);
     }
 
     #[test]
-    #[should_panic(expected = "double retirement")]
-    fn double_retirement_panics() {
+    #[should_panic(expected = "retiring free block")]
+    fn retiring_a_free_block_panics() {
         let mut a = alloc();
-        let b0 = a.alloc_page(Region::Hot, false).unwrap();
-        for _ in 0..4 {
-            a.alloc_page(Region::Hot, false);
-        }
-        a.retire(b0);
-        a.retire(b0);
+        a.retire(15);
     }
 
     #[test]
@@ -464,21 +398,17 @@ mod tests {
 
     #[test]
     fn recovered_allocator_starts_from_durable_facts() {
-        let a = Allocator::recovered(16, 4, 2, vec![5, 9, 1], &[3, 7]);
+        let mut a = Allocator::recovered(16, 4, 2, vec![5, 9, 1]);
         assert_eq!(a.free_blocks(), 3);
-        assert_eq!(a.retired_count(), 2);
-        assert_eq!(a.usable_blocks(), 14);
         assert_eq!(a.region_of(5), None);
         assert!(!a.is_open(5));
-        assert!((a.free_fraction() - 3.0 / 14.0).abs() < 1e-12);
-        let mut a = a;
         // First allocation pops the recovered order.
         assert_eq!(a.alloc_page(Region::Host, true), Some(5));
     }
 
     #[test]
-    #[should_panic(expected = "invalid or retired")]
-    fn recovered_rejects_retired_free_blocks() {
-        Allocator::recovered(16, 4, 2, vec![3], &[3]);
+    #[should_panic(expected = "out of range")]
+    fn recovered_rejects_out_of_range_free_blocks() {
+        Allocator::recovered(16, 4, 2, vec![16]);
     }
 }

@@ -1,6 +1,6 @@
-//! Host-interface configuration: queue shape, doorbell and interrupt
-//! behavior, per-command controller costs, and the resilience policy
-//! (deadlines, retries, backoff).
+//! Host-interface configuration: queue shape, interrupt behavior,
+//! per-command controller costs, and the resilience policy (deadlines,
+//! retries, backoff).
 
 use cagc_sim::time::Nanos;
 
@@ -15,11 +15,6 @@ pub enum ConfigError {
     ZeroQueuePairs,
     /// `queue_depth == 0` — no command could ever occupy a slot.
     ZeroQueueDepth,
-    /// `doorbell_batch == 0` — the doorbell would never ring.
-    ZeroDoorbellBatch,
-    /// `doorbell_batch > 1` without a flush timeout — a partial batch
-    /// would hang forever.
-    BatchWithoutFlush,
     /// `coalesce_depth == 0` — the interrupt would never fire.
     ZeroCoalesceDepth,
     /// `coalesce_depth > 1` without a coalescing timeout — pending
@@ -35,10 +30,6 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroQueuePairs => write!(f, "queue_pairs must be >= 1"),
             ConfigError::ZeroQueueDepth => write!(f, "queue_depth must be >= 1"),
-            ConfigError::ZeroDoorbellBatch => write!(f, "doorbell_batch must be >= 1"),
-            ConfigError::BatchWithoutFlush => {
-                write!(f, "doorbell_batch > 1 needs a nonzero flush timeout")
-            }
             ConfigError::ZeroCoalesceDepth => write!(f, "coalesce_depth must be >= 1"),
             ConfigError::CoalesceWithoutTimeout => {
                 write!(f, "coalesce_depth > 1 needs a nonzero coalesce timeout")
@@ -57,7 +48,8 @@ impl std::error::Error for ConfigError {}
 /// Two presets cover the common cases: [`HostConfig::passthrough`] is the
 /// zero-overhead single-queue shape whose open-loop replay is byte-identical
 /// to [`cagc_core::Ssd::replay`], and [`HostConfig::nvme`] is a realistic
-/// multi-queue controller with doorbell batching and interrupt coalescing.
+/// multi-queue controller with interrupt coalescing. Every submission rings
+/// the doorbell (classic NVMe).
 /// Both ship with the resilience policy disabled; arm it with
 /// [`HostConfig::with_resilience`]. An armed policy on a fault-free device
 /// never fires (no retries, no PRNG draws, no extra events), so reports
@@ -73,13 +65,6 @@ pub struct HostConfig {
     /// host-side; closed-loop replay keeps exactly this many commands
     /// outstanding per pair (fio `iodepth` semantics).
     pub queue_depth: u32,
-    /// Doorbell batching: the doorbell rings once this many submissions
-    /// accumulate. `1` rings on every submission (classic NVMe).
-    pub doorbell_batch: u32,
-    /// Backstop for batching: an un-rung submission queue flushes this
-    /// long after its first pending entry. Ignored when
-    /// `doorbell_batch == 1`.
-    pub doorbell_flush_ns: Nanos,
     /// Interrupt coalescing: the completion interrupt fires once this many
     /// completions are pending. `1` interrupts on every completion.
     pub coalesce_depth: u32,
@@ -126,8 +111,6 @@ impl HostConfig {
         Self {
             queue_pairs: 1,
             queue_depth: u32::MAX,
-            doorbell_batch: 1,
-            doorbell_flush_ns: 0,
             coalesce_depth: 1,
             coalesce_ns: 0,
             fetch_ns: 0,
@@ -147,8 +130,6 @@ impl HostConfig {
         Self {
             queue_pairs,
             queue_depth,
-            doorbell_batch: 1,
-            doorbell_flush_ns: 2_000,
             coalesce_depth: 4,
             coalesce_ns: 8_000,
             fetch_ns: 200,
@@ -195,12 +176,6 @@ impl HostConfig {
         if self.queue_depth == 0 {
             return Err(ConfigError::ZeroQueueDepth);
         }
-        if self.doorbell_batch == 0 {
-            return Err(ConfigError::ZeroDoorbellBatch);
-        }
-        if self.doorbell_batch > 1 && self.doorbell_flush_ns == 0 {
-            return Err(ConfigError::BatchWithoutFlush);
-        }
         if self.coalesce_depth == 0 {
             return Err(ConfigError::ZeroCoalesceDepth);
         }
@@ -237,10 +212,6 @@ mod tests {
         let mut c = HostConfig::passthrough();
         c.queue_depth = 0;
         assert_eq!(c.validate(), Err(ConfigError::ZeroQueueDepth));
-
-        let mut c = HostConfig::passthrough();
-        c.doorbell_batch = 4; // batching with no flush backstop would hang
-        assert_eq!(c.validate(), Err(ConfigError::BatchWithoutFlush));
 
         let mut c = HostConfig::passthrough();
         c.coalesce_depth = 4;

@@ -6,12 +6,12 @@
 //! same config, same seed ⇒ byte-identical reports. Commands flow
 //!
 //! ```text
-//! arrive → [backlog] → submit (SQ slot) → doorbell → fetch → device
+//! arrive → [backlog] → submit (slot + doorbell) → fetch → device
 //!        → complete (CQ entry) → interrupt → reap (latency stamped)
 //! ```
 //!
-//! with the doorbell batched by count-or-timeout and the completion
-//! interrupt coalesced the same way. Per-request latency is simulated ns
+//! with every submission ringing the doorbell and the completion interrupt
+//! coalesced by count-or-timeout. Per-request latency is simulated ns
 //! from *wanted* (open-loop: the arrival; closed-loop: the submission) to
 //! the interrupt that delivered its completion — host-observed latency,
 //! including every queueing effect the synchronous replay cannot see.
@@ -34,8 +34,6 @@ use crate::report::{HostReport, ResilienceStats};
 enum Ev {
     /// Open-loop arrival of command `cmd` (index into the trace).
     Arrive { cmd: usize },
-    /// Doorbell flush backstop for pair `q`, valid only at `gen`.
-    DoorbellTimer { q: usize, gen: u64 },
     /// Device finished command `cmd`; its completion entry lands on `q`.
     Complete { q: usize, cmd: usize },
     /// Re-issue command `cmd` to the device after a retryable error
@@ -57,10 +55,8 @@ pub struct CmdLatency {
     /// When the host wanted the I/O: open-loop arrival, closed-loop
     /// submission. End-to-end latency is `reaped - wanted`.
     pub wanted_ns: Nanos,
-    /// When it got a submission-queue slot.
+    /// When it got a submission-queue slot and rang the doorbell.
     pub submitted_ns: Nanos,
-    /// When the doorbell handed it to the controller.
-    pub dispatched_ns: Nanos,
     /// When the completion interrupt delivered it back to the host.
     pub reaped_ns: Nanos,
     /// The NVMe-style status its final completion carried
@@ -83,25 +79,21 @@ impl CmdLatency {
 /// One submission/completion queue pair.
 #[derive(Debug, Default)]
 struct QueuePair {
-    /// Submitted commands whose doorbell has not rung yet.
-    sq: VecDeque<usize>,
     /// Commands dispatched to the device, completion pending.
     inflight: usize,
     /// Completed commands awaiting the interrupt.
     cq: Vec<usize>,
     /// Open-loop arrivals waiting for a free slot.
     backlog: VecDeque<usize>,
-    /// Doorbell generation: a flush timer is valid only if no ring
-    /// happened since it was scheduled.
-    db_gen: u64,
-    /// Interrupt generation, same role for the coalescing timer.
+    /// Interrupt generation: a coalescing timer is valid only if no
+    /// interrupt fired since it was scheduled.
     irq_gen: u64,
 }
 
 impl QueuePair {
     /// Slots in use: submission until completion consumed.
     fn occupancy(&self) -> usize {
-        self.sq.len() + self.inflight + self.cq.len()
+        self.inflight + self.cq.len()
     }
 }
 
@@ -295,11 +287,6 @@ impl Runner<'_> {
             now = ev.at;
             match ev.payload {
                 Ev::Arrive { cmd } => self.arrive(cmd, now),
-                Ev::DoorbellTimer { q, gen } => {
-                    if gen == self.queues[q].db_gen && !self.queues[q].sq.is_empty() {
-                        self.ring(q, now);
-                    }
-                }
                 Ev::Complete { q, cmd } => self.complete(q, cmd, now),
                 Ev::Retry { q, cmd } => self.issue(q, cmd, now),
                 Ev::IrqTimer { q, gen } => {
@@ -328,50 +315,30 @@ impl Runner<'_> {
         self.submit(cmd, q, now);
     }
 
-    /// Take a submission-queue slot and ring (or arm the flush timer).
+    /// Take a slot on pair `q`, ring its doorbell and issue the command
+    /// to the device. The device call is synchronous state-wise but the
+    /// *time* of the completion comes back as an event, so commands from
+    /// other pairs interleave with this one on the simulated clock.
     fn submit(&mut self, cmd: usize, q: usize, now: Nanos) {
         self.cmds[cmd].queue = q;
         self.cmds[cmd].submitted_ns = now;
-        self.queues[q].sq.push_back(cmd);
+        self.queues[q].inflight += 1;
         let occ: u64 = self.queues.iter().map(|p| p.occupancy() as u64).sum();
         if occ > self.stats.peak_occupancy {
             self.stats.peak_occupancy = occ;
         }
-        if self.ssd.tracer().is_enabled() {
+        let traced = self.ssd.tracer().is_enabled();
+        if traced {
             self.ssd.tracer_mut().gauge("queue_occupancy", now, occ);
         }
-        if self.queues[q].sq.len() >= self.cfg.doorbell_batch as usize {
-            self.ring(q, now);
-        } else if self.queues[q].sq.len() == 1 {
-            let gen = self.queues[q].db_gen;
-            self.events
-                .push(now + self.cfg.doorbell_flush_ns, Ev::DoorbellTimer { q, gen });
-        }
-    }
-
-    /// Doorbell: fetch every pending submission in FIFO order and issue it
-    /// to the device. The device call is synchronous state-wise but the
-    /// *time* of the completion comes back as an event, so commands from
-    /// other pairs interleave with this batch on the simulated clock.
-    fn ring(&mut self, q: usize, now: Nanos) {
-        self.queues[q].db_gen += 1;
-        if self.queues[q].sq.is_empty() {
-            return;
-        }
         self.stats.doorbells += 1;
-        let mut fetched = 0u64;
-        while let Some(cmd) = self.queues[q].sq.pop_front() {
-            fetched += 1;
-            self.cmds[cmd].dispatched_ns = now;
-            self.queues[q].inflight += 1;
-            self.issue(q, cmd, now + self.cfg.fetch_ns);
-        }
-        if self.ssd.tracer().is_enabled() {
+        self.issue(q, cmd, now + self.cfg.fetch_ns);
+        if traced {
             self.ssd.tracer_mut().instant(
                 Track::Queue { pair: q as u32 },
                 "doorbell",
                 now,
-                &[("cmds", fetched)],
+                &[("cmds", 1)],
             );
         }
     }
@@ -480,7 +447,7 @@ impl Runner<'_> {
                     OpKind::Write => self.stats.writes.record(lat),
                     OpKind::Trim => {}
                 }
-                self.stats.queue_wait.record(rec.dispatched_ns - rec.wanted_ns);
+                self.stats.queue_wait.record(rec.submitted_ns - rec.wanted_ns);
             }
             if traced {
                 let (submitted, queue) = (rec.submitted_ns, rec.queue as u32);

@@ -69,7 +69,15 @@ pub fn parse_native(name: &str, logical_pages: u64, text: &str) -> Result<Trace,
             .ok_or_else(|| err(lineno, "missing pages"))?
             .parse()
             .map_err(|e| err(lineno, format!("bad pages: {e}")))?;
-        let at_ns = time_us * 1_000;
+        let at_ns = time_us
+            .checked_mul(1_000)
+            .ok_or_else(|| err(lineno, format!("time {time_us} us overflows u64 ns")))?;
+        if lpn.checked_add(u64::from(pages)).is_none_or(|end| end > logical_pages) {
+            return Err(err(
+                lineno,
+                format!("{pages} pages at lpn {lpn} reach beyond logical space {logical_pages}"),
+            ));
+        }
         let req = match op {
             "R" => Request::read(at_ns, lpn, pages),
             "T" => Request::trim(at_ns, lpn, pages),
@@ -149,11 +157,17 @@ pub fn parse_fiu(name: &str, logical_pages: u64, text: &str) -> Result<Trace, Pa
         if sectors == 0 {
             return Err(err(lineno, "zero-sector request"));
         }
+        let last_sector = lba
+            .checked_add(sectors - 1)
+            .ok_or_else(|| err(lineno, format!("{sectors} sectors at lba {lba} overflow u64")))?;
         let first_page = lba / SECTORS_PER_PAGE;
-        let last_page = (lba + sectors - 1) / SECTORS_PER_PAGE;
-        let pages = (last_page - first_page + 1) as u32;
         let lpn = first_page % logical_pages.max(1);
-        let pages = pages.min((logical_pages - lpn) as u32).max(1);
+        // Clamp the extent to the logical space in u64, then narrow.
+        let pages = (last_sector / SECTORS_PER_PAGE - first_page + 1)
+            .min(logical_pages.saturating_sub(lpn))
+            .max(1);
+        let pages = u32::try_from(pages)
+            .map_err(|_| err(lineno, format!("extent of {pages} pages exceeds u32")))?;
         let t0v = *t0.get_or_insert(ts);
         let at_ns = ts.saturating_sub(t0v);
         let req = match f[5] {
@@ -223,6 +237,16 @@ mod tests {
     }
 
     #[test]
+    fn native_rejects_overflowing_values_naming_the_line() {
+        let e = parse_native("x", 10, "0 R 0 1\n0 R 18446744073709551615 1").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("beyond logical space"), "{}", e.message);
+        let e = parse_native("x", 10, "18446744073709552 R 0 1").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("overflows"), "{}", e.message);
+    }
+
+    #[test]
     fn native_rejects_time_regression_via_validate() {
         let e = parse_native("x", 10, "5 R 0 1\n1 R 0 1").unwrap_err();
         assert!(e.message.contains("backwards"));
@@ -253,6 +277,55 @@ mod tests {
         assert!(parse_fiu("x", 100, "1 2 3").is_err());
         assert!(parse_fiu("x", 100, "1 p m 0 0 W 8 1 h").unwrap_err().message.contains("zero"));
         assert!(parse_fiu("x", 100, "1 p m 0 8 X 8 1 h").unwrap_err().message.contains("unknown op"));
+        let e = parse_fiu("x", 1 << 40, "1 p m 0 8 W 8 1 h\n1 p m 18446744073709551615 16 W 8 1 h")
+            .unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("overflow"), "{}", e.message);
+    }
+
+    #[test]
+    fn fiu_extents_clamp_in_u64_before_narrowing() {
+        // A 2^32-page read clamps to the logical space rather than wrapping
+        // to 0 pages and then to 1.
+        let t = parse_fiu("x", 100, "1 p m 0 34359738368 R 8 1 h").unwrap();
+        assert_eq!(t.requests[0].pages, 100);
+        // Where the logical space is wider than a u32 extent, it is an error.
+        let e = parse_fiu("x", 1 << 40, "1 p m 0 34359738368 R 8 1 h").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("exceeds u32"), "{}", e.message);
+    }
+
+    /// Hostile tokens: zero, `u32::MAX ± 1`, `u64::MAX`, `u64::MAX / 1000
+    /// ± 1` (the ns conversion's edge), every op letter and a bad one.
+    const TOKENS: [&str; 17] = [
+        "0", "1", "8", "4294967294", "4294967295", "4294967296", "18446744073709551615",
+        "18446744073709550", "18446744073709551", "18446744073709552", "R", "W", "T", "r",
+        "w", "X", "h",
+    ];
+
+    cagc_harness::prop::harness_proptest! {
+        #![config(cases = 512)]
+        /// Lines of 0–10 random tokens: both parsers answer `Ok` or `Err`,
+        /// never a panic, and every `Ok` trace fits its logical space.
+        #[test]
+        fn both_parsers_answer_hostile_lines_with_ok_or_err(
+            lines in cagc_harness::prop::vec(cagc_harness::prop::vec(0..TOKENS.len(), 0..11), 1..4),
+        ) {
+            let text: String = lines
+                .iter()
+                .map(|l| l.iter().map(|&t| TOKENS[t]).collect::<Vec<_>>().join(" ") + "\n")
+                .collect();
+            // A logical space of 2^20 pages bounds what one FIU write line
+            // can make the parser allocate.
+            for logical in [0, 10, 1 << 20] {
+                let parsed = [parse_native("p", logical, &text), parse_fiu("p", logical, &text)];
+                for t in parsed.iter().flatten() {
+                    cagc_harness::prop_assert!(t.requests.iter().all(|r| {
+                        r.lpn.checked_add(u64::from(r.pages)).is_some_and(|end| end <= logical)
+                    }));
+                }
+            }
+        }
     }
 
     #[test]

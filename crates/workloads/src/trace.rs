@@ -156,12 +156,10 @@ impl Trace {
             if r.at_ns < prev {
                 return Err(format!("request {i}: time goes backwards"));
             }
-            if r.lpn + r.pages as u64 > self.logical_pages {
+            if r.lpn.checked_add(u64::from(r.pages)).is_none_or(|end| end > self.logical_pages) {
                 return Err(format!(
-                    "request {i}: extent [{}, {}) beyond logical space {}",
-                    r.lpn,
-                    r.lpn + r.pages as u64,
-                    self.logical_pages
+                    "request {i}: {} pages at lpn {} reach beyond logical space {}",
+                    r.pages, r.lpn, self.logical_pages
                 ));
             }
             prev = r.at_ns;
@@ -227,6 +225,12 @@ mod tests {
             requests: vec![Request::read(0, 8, 3)],
         };
         assert!(t.validate().unwrap_err().contains("beyond logical space"));
+        let wrapping = Trace {
+            name: "x".into(),
+            logical_pages: 10,
+            requests: vec![Request::read(0, u64::MAX, 1)],
+        };
+        assert!(wrapping.validate().unwrap_err().contains("beyond logical space"));
     }
 
     #[test]

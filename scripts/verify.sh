@@ -10,6 +10,10 @@ cargo build --release --offline
 echo "== cells are placement-free: no thread-local state in library code =="
 if grep -rn 'thread_local!' crates/*/src src; then echo "FAIL: a cell's cost and footprint must not depend on the thread that runs it (crates/harness/src/pool.rs)"; exit 1; fi
 
+echo "== one owner per block fact: a block is one record, the device owns the bad-block table =="
+if grep -rn 'struct Bitmap\|mod bitmap' crates/flash/src || grep -rn 'retired_count\|retired: Vec' crates/ftl/src; then
+  echo "FAIL: a block's validity is one u64 in its Copy record and retirement is a flag on it; nothing keeps a second copy (crates/flash/src/block.rs)"; exit 1; fi
+
 echo "== one record stream: a recording is written once and read where it lies =="
 if grep -rn 'SpanRec\|Args::Live\|Args::Parsed\|Vec<Event>' crates/trace/src; then echo "FAIL: the Tracer's segmented Recording is the record stream — no per-event copy at ingest, no flat event vector that reallocates as it grows (docs/PERFORMANCE.md, Trace pipeline)"; exit 1; fi
 
