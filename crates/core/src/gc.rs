@@ -721,7 +721,7 @@ impl Ssd {
             // eventually erased) — this is the dedup-during-GC crash
             // window recovery has to close: a crash between here and the
             // victim erase must find every sharer already remapped.
-            if let Err(e) = self.journal(JournalOp::Remap { lpn: l, ppn: to }) {
+            if let Err(e) = self.dev.journal_append(JournalOp::Remap { lpn: l, ppn: to }) {
                 self.sharers_scratch = sharers;
                 return Err(e);
             }
@@ -779,18 +779,15 @@ impl Ssd {
 
     /// Point every sharer of `old` at `new` (a freshly-programmed copy with
     /// no sharers of its own): retarget the forward entries in place —
-    /// each remap journaled when fault injection is armed (fault-free runs
-    /// never crash, so recovery never reads a journal; see
-    /// [`Ssd::journal`]) — then move the reverse-map slot wholesale
-    /// ([`cagc_ftl::ReverseMap::relocate`], O(1) and allocation-free).
+    /// each remap journaled, which the device does only when a fault plan
+    /// is armed ([`cagc_flash::FlashDevice::journal_append`]) — then move
+    /// the reverse-map slot wholesale ([`cagc_ftl::ReverseMap::relocate`],
+    /// O(1) and allocation-free).
     fn remap_sharers(&mut self, old: Ppn, new: Ppn) -> Result<(), FlashError> {
         debug_assert!(self.rmap.count(old) > 0, "relocating an unreferenced page");
-        let journaled = self.dev.faults_active();
         for &l in self.rmap.lpns(old) {
             self.map.set(l, new);
-            if journaled {
-                self.dev.journal_append(JournalOp::Remap { lpn: l, ppn: new })?;
-            }
+            self.dev.journal_append(JournalOp::Remap { lpn: l, ppn: new })?;
         }
         self.rmap.relocate(old, new);
         Ok(())

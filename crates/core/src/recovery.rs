@@ -87,17 +87,29 @@ impl Ssd {
     /// Rebuild the volatile FTL state after a power loss and bring the
     /// device back online.
     ///
+    /// Precondition: the device keeps durable metadata, i.e. it was built
+    /// with an active [`cagc_flash::FaultConfig`]. Only such a device can
+    /// lose power, and only it keeps the per-page OOB and the mapping
+    /// journal this pass reads; on any other device the pass would rebuild
+    /// the mappings from nothing, so it refuses instead.
+    ///
     /// Returns what the pass found; fails (with the device still offline
     /// for writes in any meaningful sense) if the durable records are
     /// inconsistent — every failure mode here is a simulator invariant
     /// violation, not an expected runtime condition.
     ///
     /// # Errors
-    /// Returns a description of the first inconsistency found: a record
-    /// naming an out-of-range LPN, a mapping pointing at an erased page, a
-    /// stamped page whose cells disagree with its stamp, or a final audit
-    /// failure.
+    /// Returns a description of why the pass could not run or of the first
+    /// inconsistency found: a device with no fault plan (and so no durable
+    /// metadata), a record naming an out-of-range LPN, a mapping pointing
+    /// at an erased page, a stamped page whose cells disagree with its
+    /// stamp, or a final audit failure.
     pub fn recover(&mut self) -> Result<RecoveryReport, String> {
+        if !self.dev.faults_active() {
+            return Err("recover: the device keeps no durable metadata (no per-page OOB, \
+                        no mapping journal) because no fault plan is armed"
+                .into());
+        }
         let geom = *self.dev.geometry();
         let logical = self.logical_pages();
         let total_pages = geom.total_pages();
@@ -306,5 +318,29 @@ impl Ssd {
         };
         self.last_recovery = Some(report.clone());
         Ok(report)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Scheme, Ssd, SsdConfig};
+    use cagc_workloads::FiuWorkload;
+
+    #[test]
+    fn recover_refuses_a_device_without_durable_metadata() {
+        for scheme in Scheme::EXTENDED {
+            let mut ssd = Ssd::new(SsdConfig::tiny(scheme));
+            let logical = ssd.logical_pages();
+            let trace =
+                FiuWorkload::Homes.synth_config((logical as f64 * 0.9) as u64, 4_000, 3).generate();
+            ssd.replay(&trace);
+            assert!(ssd.gc_stats().pages_migrated > 0, "{}: GC relocated nothing", scheme.name());
+            let before: Vec<_> = (0..logical).map(|l| ssd.stored_content(l)).collect();
+            let err = ssd.recover().expect_err("nothing durable to recover from");
+            assert!(err.contains("no fault plan is armed"), "{}: {err}", scheme.name());
+            let after: Vec<_> = (0..logical).map(|l| ssd.stored_content(l)).collect();
+            assert!(before == after, "{}: a refused recovery changed the data", scheme.name());
+            ssd.audit().unwrap_or_else(|e| panic!("{}: {e}", scheme.name()));
+        }
     }
 }

@@ -321,6 +321,36 @@ impl Ssd {
         &self.dev
     }
 
+    /// Bytes this SSD holds on the heap, every per-device table summed:
+    /// the flash device (block records, victim index, timelines, and the
+    /// OOB and journal when a fault plan is armed), forward and reverse
+    /// maps, allocator, fingerprint index, the per-PPN content table, the
+    /// latency histograms, the tracer's recording, the scratch buffers and
+    /// the pre-hash filter (counted at 4 B per slot of capacity, without
+    /// the hash table's control bytes). Divided by the device's physical
+    /// page count this is what one physical page costs the host — the
+    /// number that decides how many devices a fleet run can hold.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let lent = self.gc_job.as_ref().map_or(0, |job| job.pages.capacity());
+        let scratch = self.sharers_scratch.capacity() * size_of::<Lpn>()
+            + (self.valids_scratch.capacity() + lent) * size_of::<Ppn>()
+            + self.candidates_scratch.capacity() * size_of::<VictimCandidate>()
+            + self.fps_scratch.capacity() * size_of::<Fingerprint>()
+            + self.gc_batch.capacity() * size_of::<(Ppn, Ppn, Nanos)>();
+        let hists = [&self.lat_read, &self.lat_write, &self.lat_trim, &self.lat_during_gc];
+        self.dev.heap_bytes()
+            + self.map.heap_bytes()
+            + self.rmap.heap_bytes()
+            + self.alloc.heap_bytes()
+            + self.index.heap_bytes()
+            + self.content_of.capacity() * size_of::<u64>()
+            + hists.iter().map(|h| h.heap_bytes()).sum::<usize>()
+            + self.tracer.heap_bytes()
+            + scratch
+            + self.prehash_filter.capacity() * size_of::<u32>()
+    }
+
     /// When the most recent request completed (0 before any request).
     pub fn last_completion(&self) -> Nanos {
         self.end_ns
@@ -601,16 +631,6 @@ impl Ssd {
         }
     }
 
-    /// Append a mapping delta to the device journal. Journaling is only
-    /// needed (and only paid for) when fault injection is active —
-    /// fault-free runs never crash, so recovery never reads it.
-    pub(crate) fn journal(&mut self, op: JournalOp) -> Result<(), FlashError> {
-        if self.dev.faults_active() {
-            self.dev.journal_append(op)?;
-        }
-        Ok(())
-    }
-
     /// Replay a whole trace and produce the run report.
     pub fn replay(&mut self, trace: &Trace) -> RunReport {
         for req in &trace.requests {
@@ -886,7 +906,7 @@ impl Ssd {
                 self.rmap.add(entry.ppn, lpn);
                 // The hit is a pure metadata update — the journaled remap
                 // is the only durable trace of this write.
-                self.journal(JournalOp::Remap { lpn, ppn: entry.ppn })?;
+                self.dev.journal_append(JournalOp::Remap { lpn, ppn: entry.ppn })?;
                 Ok(decided)
             }
             None => {
@@ -902,9 +922,9 @@ impl Ssd {
     /// Program the next host-frontier page for the foreground path,
     /// stamping the logical page (and, for inline schemes, the fingerprint)
     /// into the page's OOB — the durable record recovery rebuilds the
-    /// mapping from. The host frontier is distinct from the GC frontiers,
-    /// so user programs never queue behind a burst of migration writes on
-    /// the same block.
+    /// mapping from, kept by the device when a fault plan is armed. The
+    /// host frontier is distinct from the GC frontiers, so user programs
+    /// never queue behind a burst of migration writes on the same block.
     fn program_foreground(
         &mut self,
         lpn: Lpn,
@@ -1120,7 +1140,7 @@ impl Ssd {
         // needs none: the new page's OOB bind supersedes the old one at a
         // higher sequence number).
         if cause == ReleaseCause::Trim {
-            self.journal(JournalOp::Unmap { lpn })?;
+            self.dev.journal_append(JournalOp::Unmap { lpn })?;
         }
         Ok(())
     }
@@ -1272,6 +1292,7 @@ impl Ssd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cagc_flash::{FaultConfig, UllConfig};
 
     #[test]
     fn audit_rejects_an_indexed_fingerprint_that_is_not_the_contents() {
@@ -1282,5 +1303,28 @@ mod tests {
         ssd.content_of[ppn as usize] = 8;
         let err = ssd.audit().expect_err("index still holds the fingerprint of content 7");
         assert!(err.contains("indexed fingerprint"), "{err}");
+    }
+
+    /// Heap bytes per physical page of a fresh 1 GB CAGC device.
+    fn fresh_1gb_bytes_per_page(faults: FaultConfig) -> f64 {
+        let mut cfg = SsdConfig::paper(UllConfig::scaled_gb(1), Scheme::Cagc);
+        cfg.faults = faults;
+        let ssd = Ssd::new(cfg);
+        ssd.heap_bytes() as f64 / ssd.dev.geometry().total_pages() as f64
+    }
+
+    #[test]
+    fn a_fresh_1gb_ssd_costs_what_its_tables_cost_per_physical_page() {
+        // Measured 16.60 B fault-free: 8 `content_of` + 7.44 forward map
+        // + 0.63 device + 0.45 histograms + 0.08 allocator. Arming a plan
+        // adds the 40 B OOB and nothing else.
+        let fault_free = fresh_1gb_bytes_per_page(FaultConfig::none());
+        let armed = fresh_1gb_bytes_per_page(FaultConfig {
+            crash_at_op: Some(u64::MAX),
+            ..FaultConfig::none()
+        });
+        assert!(fault_free <= 16.7, "fault-free: {fault_free:.3} B per physical page");
+        assert!(armed <= 56.7, "armed: {armed:.3} B per physical page");
+        assert_eq!(armed - fault_free, 40.0, "the OOB is the only pay-as-you-go table");
     }
 }

@@ -199,6 +199,16 @@ impl FingerprintIndex {
         &self.ref_stats
     }
 
+    /// Bytes the index holds on the heap: probe table, entry slab, free
+    /// list and PPN map.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.cells.capacity() * size_of::<Cell>()
+            + self.slots.capacity() * size_of::<Option<Slot>>()
+            + self.free.capacity() * size_of::<u32>()
+            + self.by_ppn.capacity() * size_of::<u32>()
+    }
+
     /// Find the slab slot of `fp`, if tracked.
     fn find_slot(&self, fp: &Fingerprint) -> Option<u32> {
         if self.len == 0 {

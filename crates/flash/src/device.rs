@@ -41,7 +41,10 @@ pub enum OpKind {
 /// time), an append-only mapping-delta journal ([`JournalEntry`]) and a
 /// bad-block table. After a simulated power loss, everything volatile in
 /// the FTL is rebuilt from exactly these three (see `cagc-core`'s
-/// recovery pass).
+/// recovery pass). The OOB and the journal are kept only while a fault
+/// plan is armed ([`FlashDevice::faults_active`], the one predicate that
+/// decides it): a device that cannot crash is never recovered, so it
+/// allocates, stamps and clears no OOB and appends no journal record.
 #[derive(Debug, Clone)]
 pub struct FlashDevice {
     geometry: Geometry,
@@ -51,8 +54,8 @@ pub struct FlashDevice {
     channels: TimelineGroup,
     stats: DeviceStats,
     plan: FaultPlan,
-    /// Per-page OOB, indexed by PPN. Reset lazily: an erase clears its
-    /// block's entries.
+    /// Per-page OOB, indexed by PPN; empty unless the fault plan is
+    /// active. An erase clears its block's entries.
     oob: Vec<PageOob>,
     /// Append-only mapping-delta journal (see [`FlashDevice::journal_append`]).
     journal: Vec<JournalEntry>,
@@ -83,6 +86,12 @@ impl FlashDevice {
     pub fn with_faults(geometry: Geometry, timing: Timing, faults: FaultConfig) -> Self {
         let blocks: Vec<Block> =
             (0..geometry.total_blocks()).map(|_| Block::new(geometry.pages_per_block)).collect();
+        let plan = FaultPlan::new(faults);
+        let oob = if plan.is_active() {
+            vec![PageOob::default(); geometry.total_pages() as usize]
+        } else {
+            Vec::new()
+        };
         Self {
             geometry,
             timing,
@@ -90,8 +99,8 @@ impl FlashDevice {
             dies: TimelineGroup::new(geometry.total_dies() as usize),
             channels: TimelineGroup::new(geometry.channels as usize),
             stats: DeviceStats::default(),
-            plan: FaultPlan::new(faults),
-            oob: vec![PageOob::default(); geometry.total_pages() as usize],
+            plan,
+            oob,
             journal: Vec::new(),
             seq: 0,
             victims: VictimIndex::new(geometry.total_blocks(), geometry.pages_per_block),
@@ -205,7 +214,10 @@ impl FlashDevice {
         self.plan.crashed()
     }
 
-    /// Whether any fault source is configured.
+    /// Whether any fault source is configured — and so whether the device
+    /// keeps durable recovery metadata: per-page OOB and the mapping-delta
+    /// journal exist only while this holds. A device with no fault plan
+    /// never crashes, so nothing would ever read them.
     #[inline]
     pub fn faults_active(&self) -> bool {
         self.plan.is_active()
@@ -242,8 +254,16 @@ impl FlashDevice {
 
     /// OOB metadata of the page at `ppn` (zeroed if never programmed since
     /// the last erase).
+    ///
+    /// # Panics
+    /// Panics if no fault plan is armed: such a device keeps no OOB, and
+    /// reading it is a caller bug, not a page that was never programmed.
     #[inline]
     pub fn oob(&self, ppn: Ppn) -> PageOob {
+        assert!(
+            self.faults_active(),
+            "FlashDevice::oob: no fault plan is armed, so the device keeps no per-page OOB"
+        );
         self.oob[ppn as usize]
     }
 
@@ -264,12 +284,20 @@ impl FlashDevice {
     /// durable operation: it advances the shared sequence counter and
     /// counts toward the crash point. Metadata writes ride the controller's
     /// capacitor-backed buffer, so no die time is charged.
-    pub fn journal_append(&mut self, op: JournalOp) -> Result<u64, FlashError> {
+    ///
+    /// With no fault plan armed this is a no-op — no record, no durable
+    /// operation, no `journal_appends` count — so callers append
+    /// unconditionally and the device decides.
+    #[inline]
+    pub fn journal_append(&mut self, op: JournalOp) -> Result<(), FlashError> {
+        if !self.plan.is_active() {
+            return Ok(());
+        }
         self.plan.note_durable_op()?;
         let seq = self.bump_seq();
         self.journal.push(JournalEntry { seq, op });
         self.stats.journal_appends += 1;
-        Ok(seq)
+        Ok(())
     }
 
     /// Issue a page read at `ppn`, ready no earlier than `ready_at`.
@@ -301,8 +329,9 @@ impl FlashDevice {
     }
 
     /// Program the **next free page** of block `block` (NAND requires
-    /// sequential program order), stamping `oob` (the device fills in
-    /// [`PageOob::seq`]). Returns the reservation and the programmed PPN.
+    /// sequential program order), stamping `oob` when a fault plan is armed
+    /// (the device fills in [`PageOob::seq`]). Returns the reservation and
+    /// the programmed PPN.
     ///
     /// Programs are durable operations: they count toward the crash point.
     /// An injected program failure consumes the page (it is left `Invalid`
@@ -363,14 +392,17 @@ impl FlashDevice {
         self.stats.programs += 1;
         self.stats.program_busy_ns += svc;
         if faultable && self.plan.roll_program() {
-            // The attempt spoiled the page: consumed, unreadable, torn OOB.
+            // The attempt spoiled the page: consumed, unreadable, torn OOB
+            // (a roll only fires on an armed plan, so the OOB exists).
             self.blocks[block as usize].invalidate(page, r.end);
             self.oob[ppn as usize] = PageOob { lpn: None, fp: None, seq };
             self.stats.program_failures += 1;
             self.sync_victim_index(block);
             return Err(FlashError::ProgramFailed { ppn, at: r.end });
         }
-        self.oob[ppn as usize] = PageOob { seq, ..oob };
+        if self.plan.is_active() {
+            self.oob[ppn as usize] = PageOob { seq, ..oob };
+        }
         if self.blocks[block as usize].is_full() {
             self.sync_victim_index(block);
         }
@@ -444,8 +476,10 @@ impl FlashDevice {
         }
         self.wear_hist[wear as usize + 1] += 1;
         self.sync_victim_index(block);
-        for ppn in self.geometry.pages_of_block(block) {
-            self.oob[ppn as usize] = PageOob::default();
+        if self.plan.is_active() {
+            for ppn in self.geometry.pages_of_block(block) {
+                self.oob[ppn as usize] = PageOob::default();
+            }
         }
         self.stats.erases += 1;
         self.stats.erase_busy_ns += self.timing.erase_ns;
@@ -507,10 +541,11 @@ impl FlashDevice {
         var.sqrt()
     }
 
-    /// Bytes the device holds on the heap: block records, per-page OOB,
-    /// journal, victim-index links, wear histogram and die/channel
-    /// timelines. Over `geometry().total_pages()` this is what one physical
-    /// page costs the host.
+    /// Bytes the device holds on the heap: block records, per-page OOB and
+    /// journal (both empty unless a fault plan is armed), victim-index
+    /// links, wear histogram and die/channel timelines. Over
+    /// `geometry().total_pages()` this is what one physical page costs the
+    /// host.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.blocks.capacity() * size_of::<Block>()
@@ -562,6 +597,12 @@ mod tests {
 
     fn faulty(faults: FaultConfig) -> FlashDevice {
         FlashDevice::with_faults(Geometry::new(1, 2, 1, 4, 8, 4096), Timing::ull(), faults)
+    }
+
+    /// A plan that is armed but never fires: a power-loss point no run
+    /// reaches. Armed is what makes the device keep OOB and journal.
+    fn never_fires() -> FaultConfig {
+        FaultConfig { crash_at_op: Some(u64::MAX), ..FaultConfig::none() }
     }
 
     fn host(lpn: u64) -> PageOob {
@@ -737,7 +778,7 @@ mod tests {
 
     #[test]
     fn oob_is_stamped_at_program_time_and_cleared_by_erase() {
-        let mut d = dev();
+        let mut d = faulty(never_fires());
         let (_, p0) = d.program_next(0, 0, PageOob::host(42, Some(0xfeed))).unwrap();
         let (_, p1) = d.program_next(0, 0, PageOob::gc(Some(0xbeef))).unwrap();
         assert_eq!(d.oob(p0), PageOob { lpn: Some(42), fp: Some(0xfeed), seq: 0 });
@@ -751,19 +792,38 @@ mod tests {
 
     #[test]
     fn journal_shares_the_sequence_counter_with_oob() {
-        let mut d = dev();
+        let mut d = faulty(never_fires());
         let (_, p0) = d.program_next(0, 0, host(1)).unwrap();
-        let s = d.journal_append(JournalOp::Remap { lpn: 2, ppn: p0 }).unwrap();
+        d.journal_append(JournalOp::Remap { lpn: 2, ppn: p0 }).unwrap();
         let (_, p1) = d.program_next(0, 0, host(3)).unwrap();
         d.journal_append(JournalOp::Unmap { lpn: 2 }).unwrap();
         assert_eq!(d.oob(p0).seq, 0);
-        assert_eq!(s, 1);
+        assert_eq!(d.journal()[0].seq, 1);
         assert_eq!(d.oob(p1).seq, 2);
         assert_eq!(d.journal().len(), 2);
         assert_eq!(d.journal()[1].seq, 3);
         assert_eq!(d.journal()[1].op, JournalOp::Unmap { lpn: 2 });
         assert_eq!(d.stats().journal_appends, 2);
         assert_eq!(d.durable_ops(), 4);
+    }
+
+    #[test]
+    fn a_fault_free_device_keeps_no_journal() {
+        let mut d = dev();
+        let (_, p0) = d.program_next(0, 0, host(1)).unwrap();
+        d.journal_append(JournalOp::Remap { lpn: 2, ppn: p0 }).unwrap();
+        d.journal_append(JournalOp::Unmap { lpn: 2 }).unwrap();
+        assert!(d.journal().is_empty());
+        assert_eq!(d.stats().journal_appends, 0);
+        assert_eq!(d.durable_ops(), 1, "only the program was a durable op");
+    }
+
+    #[test]
+    #[should_panic(expected = "no fault plan is armed")]
+    fn reading_oob_of_a_fault_free_device_is_a_caller_bug() {
+        let mut d = dev();
+        let (_, ppn) = d.program_next(0, 0, host(1)).unwrap();
+        d.oob(ppn);
     }
 
     #[test]
@@ -975,15 +1035,46 @@ mod tests {
         assert!(d.stats().erases > 100 && d.stats().trimmed_pages > 100);
     }
 
+    fn bytes_per_page(d: &FlashDevice) -> f64 {
+        d.heap_bytes() as f64 / d.geometry().total_pages() as f64
+    }
+
     #[test]
-    fn a_fresh_1gb_device_costs_at_most_41_bytes_per_physical_page() {
-        // OOB is 40 B per page; everything kept per block (record, index
-        // links, wear) must fit in the last byte.
+    fn a_fault_free_1gb_device_costs_at_most_1_byte_per_physical_page() {
+        // No OOB: everything kept per block (record, index links, wear)
+        // must fit in one byte per page, fresh and after churn.
         let cfg = crate::UllConfig::scaled_gb(1);
-        let d = FlashDevice::new(cfg.geometry(), cfg.timing());
-        let per_page = d.heap_bytes() as f64 / d.geometry().total_pages() as f64;
+        let mut d = FlashDevice::new(cfg.geometry(), cfg.timing());
+        let per_page = bytes_per_page(&d);
+        assert!(per_page <= 1.0, "{per_page:.3} B per physical page");
+        // Programs and erases allocate nothing. The wear histogram gains a
+        // slot per new maximum erase count — the one table that grows with
+        // wear, not with the page count — so it is left out of the sum.
+        let rest = |d: &FlashDevice| d.heap_bytes() - d.wear_hist.capacity() * std::mem::size_of::<u32>();
+        let fresh = rest(&d);
+        let pages = d.geometry().pages_per_block;
+        for _round in 0..2 {
+            for b in 0..256 {
+                for lpn in 0..u64::from(pages) {
+                    let (w, ppn) = d.program_next(b, 0, host(lpn)).unwrap();
+                    d.invalidate(ppn, w.end);
+                }
+                d.erase(b, 0).unwrap();
+            }
+        }
+        assert_eq!(d.stats().erases, 512);
+        assert_eq!(rest(&d), fresh, "a program or an erase allocated");
+    }
+
+    #[test]
+    fn a_fresh_armed_1gb_device_costs_at_most_41_bytes_per_physical_page() {
+        // OOB is 40 B per page, kept because a fault plan is armed; the
+        // per-block state keeps the last byte.
+        let cfg = crate::UllConfig::scaled_gb(1);
+        let d = FlashDevice::with_faults(cfg.geometry(), cfg.timing(), never_fires());
+        let per_page = bytes_per_page(&d);
         assert_eq!(std::mem::size_of::<PageOob>(), 40);
-        assert!(per_page <= 41.0, "{per_page:.3} B per physical page");
+        assert!((40.0..=41.0).contains(&per_page), "{per_page:.3} B per physical page");
     }
 
     #[test]

@@ -26,6 +26,12 @@
 //!   [`PageOob::seq`], giving recovery one total order over all durable
 //!   mapping mutations.
 //!
+//! OOB and journal are recovery metadata, and recovery only follows a
+//! crash, which only an armed plan can cause: the device keeps both
+//! exactly when [`FaultConfig::is_active`] holds
+//! ([`crate::FlashDevice::faults_active`]) and pays nothing for them
+//! otherwise.
+//!
 //! Everything here is deterministic: the same [`FaultConfig`] (seed,
 //! probabilities, schedules, crash point) against the same workload yields
 //! a byte-identical run.
@@ -209,7 +215,7 @@ impl FaultConfig {
 
     /// Whether any fault source is configured. When `false`, the device
     /// takes the exact pre-fault-subsystem fast paths: no PRNG draws, no
-    /// schedule probes.
+    /// schedule probes, and no OOB or journal kept.
     pub fn is_active(&self) -> bool {
         self.program_fail_prob > 0.0
             || self.erase_fail_prob > 0.0
@@ -376,7 +382,9 @@ impl FaultPlan {
 }
 
 /// Out-of-band metadata stamped on a page when it is programmed — the
-/// durable breadcrumbs recovery rebuilds the mapping from.
+/// durable breadcrumbs recovery rebuilds the mapping from. The FTL passes
+/// one with every program; the device keeps it only while a fault plan is
+/// armed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PageOob {
     /// The logical page bound to this physical page at program time.

@@ -30,20 +30,28 @@
 //!
 //! * **Faults** ([`FaultConfig`], [`FlashError`]): a seeded, deterministic
 //!   fault plan injects program/erase failures, read ECC errors, per-block
-//!   wear-out and a power-loss point; the device keeps the durable
-//!   metadata (per-page OOB, mapping-delta journal, bad-block table) a
-//!   recovery pass rebuilds the FTL from. With the default (empty) config
-//!   the device is bit-identical to the fault-free model.
+//!   wear-out and a power-loss point. While a plan is armed the device
+//!   keeps the durable metadata (per-page OOB, mapping-delta journal) a
+//!   recovery pass rebuilds the FTL from; with the default (empty) config
+//!   it keeps neither — it can never crash, so nothing would read them —
+//!   and is bit-identical to the fault-free model. The bad-block table is
+//!   the retired flag on each block record, kept either way.
 //!
 //! ```
-//! use cagc_flash::{FlashDevice, PageOob, UllConfig};
+//! use cagc_flash::{FaultConfig, FlashDevice, PageOob, UllConfig};
 //!
 //! let cfg = UllConfig::tiny_for_tests();
 //! let mut dev = FlashDevice::new(cfg.geometry(), cfg.timing());
-//! // Program block 0's next page, binding logical page 9 in its OOB.
+//! // Program block 0's next page on behalf of logical page 9.
 //! let (reservation, ppn) = dev.program_next(0, 0, PageOob::host(9, None)).unwrap();
 //! assert_eq!(reservation.end, 16_000); // 16us program, idle die
 //! assert_eq!(ppn, dev.geometry().ppn(0, 0));
+//!
+//! // Armed with a power-loss point, the device stamps the binding into
+//! // the page's OOB, where recovery finds it.
+//! let armed = FaultConfig { crash_at_op: Some(1_000), ..FaultConfig::none() };
+//! let mut dev = FlashDevice::with_faults(cfg.geometry(), cfg.timing(), armed);
+//! let (_, ppn) = dev.program_next(0, 0, PageOob::host(9, None)).unwrap();
 //! assert_eq!(dev.oob(ppn).lpn, Some(9));
 //! ```
 

@@ -124,6 +124,14 @@ impl Allocator {
         }
     }
 
+    /// Bytes the allocator holds on the heap: the free pool and the
+    /// per-block region tags.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.free.capacity() * size_of::<BlockId>()
+            + self.region_of.capacity() * size_of::<Option<Region>>()
+    }
+
     /// The canonical die-interleaved order: block `i` of die 0, block `i`
     /// of die 1, …, for `i = 0, 1, …`.
     pub fn die_interleaved_order(total_blocks: u32, blocks_per_die: u32) -> Vec<BlockId> {

@@ -73,6 +73,11 @@ impl MappingTable {
         }
     }
 
+    /// Bytes the table holds on the heap: one PPN per logical page.
+    pub fn heap_bytes(&self) -> usize {
+        self.map.capacity() * std::mem::size_of::<Ppn>()
+    }
+
     /// Iterate `(lpn, ppn)` over mapped entries (diagnostics; O(logical)).
     pub fn iter_mapped(&self) -> impl Iterator<Item = (Lpn, Ppn)> + '_ {
         self.map

@@ -68,6 +68,22 @@ impl ReverseMap {
         self.occupied == 0
     }
 
+    /// Bytes the map holds on the heap: the dense slot vector, every
+    /// spilled sharer vector and the positional index. O(slots): a
+    /// diagnostic, not a hot-path query.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let spilled: usize = self
+            .slots
+            .iter()
+            .map(|s| match s {
+                RSlot::Many(v) => v.capacity() * size_of::<Lpn>(),
+                RSlot::Empty | RSlot::One(_) => 0,
+            })
+            .sum();
+        self.slots.capacity() * size_of::<RSlot>() + spilled + self.pos.capacity() * size_of::<u32>()
+    }
+
     fn slot_mut(&mut self, ppn: Ppn) -> &mut RSlot {
         let i = ppn as usize;
         if i >= self.slots.len() {
@@ -278,6 +294,19 @@ mod tests {
         assert_eq!(r.lpns(10), &[2]);
         assert_eq!(r.remove(10, 2), 0);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn heap_bytes_counts_spilled_sharer_sets() {
+        let mut r = ReverseMap::new();
+        assert_eq!(r.heap_bytes(), 0, "an empty map allocates nothing");
+        r.add(3, 1);
+        let inline = r.heap_bytes();
+        assert_eq!(inline, r.slots.capacity() * std::mem::size_of::<RSlot>());
+        r.add(3, 2);
+        let RSlot::Many(v) = &r.slots[3] else { panic!("second sharer spills") };
+        let spilled = v.capacity() * std::mem::size_of::<Lpn>();
+        assert_eq!(r.heap_bytes(), inline + spilled + r.pos.capacity() * 4);
     }
 
     #[test]

@@ -56,6 +56,12 @@ impl Histogram {
         }
     }
 
+    /// Bytes the histogram holds on the heap: its fixed bucket array and
+    /// the exact-tail buffer.
+    pub fn heap_bytes(&self) -> usize {
+        (self.buckets.capacity() + self.tail.capacity()) * std::mem::size_of::<u64>()
+    }
+
     /// Offer `v` to the exact-tail buffer. Values below the established
     /// floor are dropped (they cannot rank in the top `TAIL_KEEP`); the
     /// retained *multiset* of the buffer's largest `TAIL_KEEP` entries is

@@ -14,6 +14,10 @@ echo "== one owner per block fact: a block is one record, the device owns the ba
 if grep -rn 'struct Bitmap\|mod bitmap' crates/flash/src || grep -rn 'retired_count\|retired: Vec' crates/ftl/src; then
   echo "FAIL: a block's validity is one u64 in its Copy record and retirement is a flag on it; nothing keeps a second copy (crates/flash/src/block.rs)"; exit 1; fi
 
+echo "== one owner for durable metadata: the device decides whether OOB and journal are kept =="
+if grep -rn 'fn journal(' crates/core/src; then
+  echo "FAIL: FlashDevice::journal_append is a no-op without a fault plan, exactly as OOB stamping is; a second gate in core lets the two drift apart (docs/FAULTS.md, Durable state)"; exit 1; fi
+
 echo "== one record stream: a recording is written once and read where it lies =="
 if grep -rn 'SpanRec\|Args::Live\|Args::Parsed\|Vec<Event>' crates/trace/src; then echo "FAIL: the Tracer's segmented Recording is the record stream — no per-event copy at ingest, no flat event vector that reallocates as it grows (docs/PERFORMANCE.md, Trace pipeline)"; exit 1; fi
 
