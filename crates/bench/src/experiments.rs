@@ -632,13 +632,7 @@ pub fn ablate_watermark(scale: &Scale) -> Artifacts {
     let traces = FiuWorkload::ALL.map(|w| (w, aged_trace(scale, w)));
     let cells: Vec<_> =
         [0.10, 0.20, 0.30].into_iter().flat_map(|wm| PAIR.map(|s| (s, wm))).collect();
-    // `SsdConfig::paper` derives the GC trigger thresholds from the
-    // watermark, so the delta rebuilds the configuration around it.
-    let reports = grid(scale, &traces, &cells, |c, wm| {
-        let mut flash = c.flash;
-        flash.gc_watermark = wm;
-        *c = SsdConfig::paper(flash, c.scheme);
-    });
+    let reports = grid(scale, &traces, &cells, |c, wm| c.flash.gc_watermark = wm);
     let mut t = Table::new(vec![
         "workload", "watermark", "scheme", "blocks_erased", "gc_mean_us",
     ]);
@@ -930,7 +924,8 @@ pub fn sweep_qd(scale: &Scale, resilient: bool) -> Artifacts {
 /// parallelism); `--workers` sets the fan-out width.
 pub fn sweep_fleet(scale: &Scale) -> Artifacts {
     use cagc_fleet::analytic::{uniform_validation, waf_fifo, waf_greedy, UniformValidation};
-    use cagc_fleet::{run_fleet, FleetConfig, FleetTelemetryConfig, SloConfig, TenantMix};
+    use cagc_core::TraceConfig;
+    use cagc_fleet::{run_fleet, FleetConfig, SloConfig, TenantMix};
 
     // The fleet grid runs tiny devices: fleet effects are cross-device,
     // and per-mix ratios are stable in device size (EXPERIMENTS.md).
@@ -1004,7 +999,7 @@ pub fn sweep_fleet(scale: &Scale) -> Artifacts {
         devices: fleet_sizes[0],
         scheme: Scheme::Cagc,
         host_queues: Some((2, 8)),
-        telemetry: Some(FleetTelemetryConfig::gauges_only(100_000_000, 1)),
+        telemetry: Some(TraceConfig::gauges_only(100_000_000, 1)),
         slo: Some(SloConfig::uniform(100_000_000, 900, 100_000_000)),
         ..base.clone()
     };

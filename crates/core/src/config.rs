@@ -59,29 +59,16 @@ pub struct SsdConfig {
     /// Reference-count threshold for cold placement (Sec. III-C, "e.g. 1"):
     /// pages with refcount strictly greater go to the cold region.
     pub cold_threshold: u32,
-    /// GC trigger: collect when the free-block fraction drops below this
-    /// (Table I: 0.20).
-    pub gc_low: f64,
-    /// GC hysteresis: keep collecting until free fraction reaches this.
-    pub gc_high: f64,
-    /// Free blocks withheld for GC migration (deadlock guard).
-    pub gc_reserve_blocks: u32,
-    /// Controller-only service for a read of an unmapped LPN.
-    pub read_miss_ns: Nanos,
-    /// Fingerprint index probe/update cost on the critical path.
-    pub lookup_ns: Nanos,
     /// Honor host trim (deallocate) hints. When true (default), a trim
     /// releases each logical page immediately: the mapping clears, the
     /// backing page's reference count drops, and a page whose last
     /// reference disappears is invalidated in place — attributed as trim
     /// garbage for victim scoring (dynamic overprovisioning, Frankie
     /// et al.). When false the trim is acknowledged (counted, charged
-    /// `trim_ns`) but ignored: data stays live and GC keeps migrating it —
-    /// the trim-blind device the `repro sweep-trim` study compares against.
+    /// [`Self::TRIM_NS`]) but ignored: data stays live and GC keeps
+    /// migrating it — the trim-blind device the `repro sweep-trim` study
+    /// compares against.
     pub honor_trim: bool,
-    /// Controller metadata cost to service one trim request (no die work:
-    /// a trim touches mapping tables only, never NAND).
-    pub trim_ns: Nanos,
     /// CAGC ablation: when false, GC hashing is serialized into the
     /// migration pipeline instead of overlapping on the hash engine
     /// (isolates the parallelization claim of Sec. III-B).
@@ -91,15 +78,10 @@ pub struct SsdConfig {
     pub placement: bool,
     /// Background GC in idle periods (Sec. III-B: "flash-based SSDs
     /// utilize the system idle periods to conduct GC"). When the gap since
-    /// the last request exceeds `idle_threshold_ns` and free space is
-    /// below the high watermark, victims are collected inside the idle
+    /// the last request exceeds [`Self::IDLE_THRESHOLD_NS`] and free space
+    /// is below the high watermark, victims are collected inside the idle
     /// window instead of on the foreground's clock.
     pub idle_gc: bool,
-    /// Idle gap that counts as "the system is idle".
-    pub idle_threshold_ns: Nanos,
-    /// Per-page pre-hash cost for [`Scheme::InlineSampled`] (a cheap CRC
-    /// computed by the controller; CAFTL-style).
-    pub prehash_ns: Nanos,
     /// Fault-injection plan for the flash device. The default
     /// ([`FaultConfig::none`]) injects nothing and draws nothing from the
     /// RNG, so fault-free runs stay bit-identical to builds without the
@@ -108,18 +90,10 @@ pub struct SsdConfig {
     /// Program-failure handling: how many fresh frontier blocks to try
     /// before falling back to a forced program on the last one.
     pub max_program_retries: u32,
-    /// Simulated controller time charged per program retry (frontier
-    /// close + re-allocate + re-issue).
-    pub program_retry_backoff_ns: Nanos,
-    /// Read ECC handling: how many device re-reads to attempt before
-    /// invoking the heroic soft-decode path.
-    pub max_read_retries: u32,
-    /// Simulated cost of the heroic ECC soft-decode invoked when re-reads
-    /// keep failing (the data is always recovered; only time is lost).
-    pub ecc_decode_ns: Nanos,
     /// Read-only degradation floor: when bad-block retirement shrinks the
-    /// usable pool to `gc_reserve_blocks + read_only_floor_blocks` or
-    /// fewer, the device stops accepting writes and trims.
+    /// usable pool to the GC reserve ([`GcThresholds::reserve_blocks`])
+    /// plus this many blocks or fewer, the device stops accepting writes
+    /// and trims.
     pub read_only_floor_blocks: u32,
     /// Preemptible GC scheduling (time-efficient GC, Nagel et al.). When
     /// true, victim collection is sliced into [`Self::gc_slice_pages`]-page
@@ -137,23 +111,42 @@ pub struct SsdConfig {
     pub gc_slice_pages: u32,
     /// Urgency escalation floor for preemptible GC: when the free-block
     /// fraction falls below this, preemption is suspended and GC runs
-    /// whole victims to completion until the low watermark clears (the
-    /// high/low watermark pair of the ISSUE's state machine; guards
-    /// against the foreground outrunning sliced reclamation).
+    /// whole victims to completion until the low watermark clears (guards
+    /// against the foreground outrunning sliced reclamation). Defaults to
+    /// [`GcThresholds::urgent_fraction`]; must not exceed the low
+    /// watermark.
     pub gc_urgent_fraction: f64,
 }
 
-impl SsdConfig {
-    /// The paper's configuration for a given scheme at the given device
-    /// scale.
-    ///
-    /// The Table I "GC Watermark 20 %" is applied to the **over-
-    /// provisioning pool**: GC starts when the free-block count falls to
-    /// the reserve plus 20 % of the OP blocks. (Applied to the whole
-    /// device, a 20 % free-space trigger would be unreachable on a drive
-    /// whose logical space — 93 % of physical — is nearly full, which is
-    /// exactly the regime the paper's evaluation exercises.)
-    pub fn paper(flash: UllConfig, scheme: Scheme) -> Self {
+/// The GC trigger thresholds a flash configuration implies — a function of
+/// [`UllConfig`], never a setting: [`crate::Ssd::new`] derives them once
+/// from [`SsdConfig::flash`], so changing `flash.gc_watermark` moves the
+/// trigger.
+///
+/// The Table I "GC Watermark 20 %" is applied to the **over-provisioning
+/// pool**: GC starts when the free-block count falls to the reserve plus
+/// 20 % of the OP blocks. (Applied to the whole device, a 20 % free-space
+/// trigger would be unreachable on a drive whose logical space — 93 % of
+/// physical — is nearly full, which is exactly the regime the paper's
+/// evaluation exercises.)
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GcThresholds {
+    /// GC trigger: collect when the free-block fraction drops below this.
+    pub low: f64,
+    /// GC hysteresis: keep collecting until the free fraction reaches this.
+    pub high: f64,
+    /// Free blocks withheld from foreground allocation for GC migration
+    /// (deadlock guard).
+    pub reserve_blocks: u32,
+    /// Default [`SsdConfig::gc_urgent_fraction`]: halfway between the hard
+    /// reserve and the low watermark — enough headroom that whole-victim
+    /// catch-up can still clear the trigger before the allocator stalls.
+    pub urgent_fraction: f64,
+}
+
+impl GcThresholds {
+    /// The thresholds of `flash`.
+    pub fn of(flash: &UllConfig) -> Self {
         let geom = flash.geometry();
         let total_blocks = geom.total_blocks();
         // Blocks needed to hold the full logical space, and what remains.
@@ -162,41 +155,63 @@ impl SsdConfig {
         let op_blocks = total_blocks.saturating_sub(logical_blocks).max(4);
         // 1% of blocks, at least 4: enough to absorb one worst-case
         // victim's valid pages plus rotation of both GC frontiers.
-        let gc_reserve_blocks = (total_blocks / 100).max(4);
-        let low_blocks = gc_reserve_blocks as f64 + flash.gc_watermark * op_blocks as f64;
+        let reserve_blocks = (total_blocks / 100).max(4);
+        let low_blocks = reserve_blocks as f64 + flash.gc_watermark * op_blocks as f64;
         let high_blocks = low_blocks + (0.1 * op_blocks as f64).max(3.0);
+        Self {
+            low: (low_blocks / total_blocks as f64).min(0.90),
+            high: (high_blocks / total_blocks as f64).min(0.95),
+            reserve_blocks,
+            urgent_fraction: ((reserve_blocks as f64 + 0.05 * op_blocks as f64)
+                / total_blocks as f64)
+                .min(0.85),
+        }
+    }
+}
+
+impl SsdConfig {
+    /// Controller-only service for a read of an unmapped LPN.
+    pub const READ_MISS_NS: Nanos = us(1);
+    /// Fingerprint index probe/update cost on the critical path.
+    pub const LOOKUP_NS: Nanos = us(1);
+    /// Controller metadata cost to service one trim request (no die work:
+    /// a trim touches mapping tables only, never NAND).
+    pub const TRIM_NS: Nanos = us(1);
+    /// Gap since the last completion that counts as "the system is idle"
+    /// ([`Self::idle_gc`]).
+    pub const IDLE_THRESHOLD_NS: Nanos = us(500);
+    /// Per-page pre-hash cost for [`Scheme::InlineSampled`] (a cheap CRC
+    /// computed by the controller; CAFTL-style).
+    pub const PREHASH_NS: Nanos = us(2);
+    /// Simulated controller time charged per program retry (frontier
+    /// close + re-allocate + re-issue).
+    pub const PROGRAM_RETRY_BACKOFF_NS: Nanos = us(20);
+    /// Read ECC handling: device re-reads attempted before the heroic
+    /// soft-decode path.
+    pub const MAX_READ_RETRIES: u32 = 2;
+    /// Simulated cost of the heroic ECC soft-decode invoked when re-reads
+    /// keep failing (the data is always recovered; only time is lost).
+    pub const ECC_DECODE_NS: Nanos = us(5);
+
+    /// The paper's configuration for a given scheme at the given device
+    /// scale. Its GC trigger is [`GcThresholds::of`] the flash config.
+    pub fn paper(flash: UllConfig, scheme: Scheme) -> Self {
         Self {
             flash,
             scheme,
             victim: VictimKind::Greedy,
             victim_seed: 0xCA6C,
             cold_threshold: 1,
-            gc_low: (low_blocks / total_blocks as f64).min(0.90),
-            gc_high: (high_blocks / total_blocks as f64).min(0.95),
-            gc_reserve_blocks,
-            read_miss_ns: us(1),
-            lookup_ns: us(1),
             honor_trim: true,
-            trim_ns: us(1),
             overlap_hash: true,
             placement: true,
             idle_gc: false,
-            idle_threshold_ns: us(500),
-            prehash_ns: us(2),
             faults: FaultConfig::none(),
             max_program_retries: 4,
-            program_retry_backoff_ns: us(20),
-            max_read_retries: 2,
-            ecc_decode_ns: us(5),
             read_only_floor_blocks: 4,
             gc_preempt: false,
             gc_slice_pages: 8,
-            // Halfway between the hard reserve and the low watermark:
-            // enough headroom that whole-victim catch-up can still clear
-            // the trigger before the allocator stalls.
-            gc_urgent_fraction: ((gc_reserve_blocks as f64 + 0.05 * op_blocks as f64)
-                / total_blocks as f64)
-                .min(0.85),
+            gc_urgent_fraction: GcThresholds::of(&flash).urgent_fraction,
         }
     }
 
@@ -207,14 +222,15 @@ impl SsdConfig {
 
     /// Sanity-check the configuration; called by the simulator constructor.
     pub fn validate(&self) -> Result<(), String> {
-        if !(0.0 < self.gc_low && self.gc_low <= self.gc_high && self.gc_high < 1.0) {
-            return Err(format!("bad GC watermarks [{}, {}]", self.gc_low, self.gc_high));
+        if !(0.0..).contains(&self.flash.gc_watermark) {
+            return Err(format!("gc_watermark {} must be >= 0", self.flash.gc_watermark));
         }
+        let gc = GcThresholds::of(&self.flash);
         let blocks = self.flash.geometry().total_blocks();
-        if self.gc_reserve_blocks + 2 >= blocks {
+        if gc.reserve_blocks + 2 >= blocks {
             return Err(format!(
-                "gc_reserve_blocks {} too large for {blocks} blocks",
-                self.gc_reserve_blocks
+                "{blocks} blocks are too few for a GC reserve of {} plus two write frontiers",
+                gc.reserve_blocks
             ));
         }
         if self.scheme == Scheme::Cagc && self.cold_threshold == 0 {
@@ -224,10 +240,10 @@ impl SsdConfig {
             if self.gc_slice_pages == 0 {
                 return Err("gc_slice_pages must be >= 1".into());
             }
-            if !(0.0 < self.gc_urgent_fraction && self.gc_urgent_fraction <= self.gc_low) {
+            if !(0.0 < self.gc_urgent_fraction && self.gc_urgent_fraction <= gc.low) {
                 return Err(format!(
-                    "gc_urgent_fraction {} must sit in (0, gc_low {}]",
-                    self.gc_urgent_fraction, self.gc_low
+                    "gc_urgent_fraction {} must sit in (0, low watermark {}]",
+                    self.gc_urgent_fraction, gc.low
                 ));
             }
         }
@@ -248,11 +264,13 @@ mod tests {
         assert!(c.overlap_hash && c.placement);
         // The 20% watermark applies to the OP pool: the low trigger sits
         // between the GC reserve and the reserve plus all OP blocks.
+        let gc = GcThresholds::of(&c.flash);
         let total = c.flash.geometry().total_blocks() as f64;
-        let low_blocks = c.gc_low * total;
-        assert!(low_blocks > c.gc_reserve_blocks as f64);
-        assert!(low_blocks < total * c.flash.op_ratio + c.gc_reserve_blocks as f64 + 2.0);
-        assert!(c.gc_high > c.gc_low);
+        let low_blocks = gc.low * total;
+        assert!(low_blocks > gc.reserve_blocks as f64);
+        assert!(low_blocks < total * c.flash.op_ratio + gc.reserve_blocks as f64 + 2.0);
+        assert!(gc.high > gc.low);
+        assert_eq!(c.gc_urgent_fraction, gc.urgent_fraction);
         c.validate().unwrap();
     }
 
@@ -260,7 +278,7 @@ mod tests {
     fn trims_are_honored_by_default() {
         let c = SsdConfig::tiny(Scheme::Baseline);
         assert!(c.honor_trim, "paper config honors trim hints");
-        assert!(c.trim_ns > 0, "trim service has an explicit metadata cost");
+        const { assert!(SsdConfig::TRIM_NS > 0, "trim service has an explicit metadata cost") };
     }
 
     #[test]
@@ -271,18 +289,21 @@ mod tests {
     }
 
     #[test]
-    fn validation_catches_bad_watermarks() {
+    fn validation_catches_a_negative_watermark() {
         let mut c = SsdConfig::tiny(Scheme::Baseline);
-        c.gc_low = 0.5;
-        c.gc_high = 0.3;
+        c.flash.gc_watermark = -0.5;
         assert!(c.validate().is_err());
     }
 
     #[test]
-    fn validation_catches_oversized_reserve() {
+    fn validation_rejects_a_geometry_too_small_for_its_reserve() {
+        // Six blocks: the 4-block reserve plus two frontiers leave nothing.
         let mut c = SsdConfig::tiny(Scheme::Baseline);
-        c.gc_reserve_blocks = c.flash.geometry().total_blocks();
-        assert!(c.validate().is_err());
+        (c.flash.channels, c.flash.dies_per_channel, c.flash.blocks_per_plane) = (1, 1, 6);
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("too few"), "{err}");
+        c.flash.blocks_per_plane = 7;
+        c.validate().unwrap();
     }
 
     #[test]
@@ -300,11 +321,12 @@ mod tests {
         assert!(!c.gc_preempt, "preemption must default off (byte-identical baseline)");
         c.gc_preempt = true;
         c.validate().unwrap();
-        assert!(0.0 < c.gc_urgent_fraction && c.gc_urgent_fraction <= c.gc_low);
+        let low = GcThresholds::of(&c.flash).low;
+        assert!(0.0 < c.gc_urgent_fraction && c.gc_urgent_fraction <= low);
         c.gc_slice_pages = 0;
         assert!(c.validate().is_err());
         c.gc_slice_pages = 8;
-        c.gc_urgent_fraction = c.gc_low + 0.1;
+        c.gc_urgent_fraction = low + 0.1;
         assert!(c.validate().is_err());
     }
 

@@ -30,7 +30,7 @@ use cagc_ftl::{Region, VictimCandidate, VictimKind};
 use cagc_sim::time::Nanos;
 use cagc_trace::Track;
 
-use crate::config::Scheme;
+use crate::config::{Scheme, SsdConfig};
 use crate::ssd::{fp_stamp, Ssd, TraceCtx};
 
 /// One victim being drained: the block, a snapshot of its valid pages
@@ -80,7 +80,7 @@ impl Ssd {
         let free = self.free_fraction();
         let end = if self.cfg.gc_preempt && free < self.cfg.gc_urgent_fraction {
             self.as_gc(now, Self::catch_up)?
-        } else if self.gc_job.is_none() && free >= self.cfg.gc_low {
+        } else if self.gc_job.is_none() && free >= self.thresholds.low {
             return Ok(now);
         } else if self.cfg.gc_preempt {
             self.as_gc(now, Self::slice)?
@@ -137,11 +137,11 @@ impl Ssd {
             return Ok(());
         }
         let idle_start = self.last_completion();
-        let mut t = idle_start.saturating_add(self.cfg.idle_threshold_ns);
+        let mut t = idle_start.saturating_add(SsdConfig::IDLE_THRESHOLD_NS);
         if arrival <= t {
             return Ok(()); // not idle long enough
         }
-        while t < arrival && self.free_fraction() < self.cfg.gc_high {
+        while t < arrival && self.free_fraction() < self.thresholds.high {
             let before = self.alloc.free_blocks();
             t = self.force_gc_inner(t)?;
             if self.alloc.free_blocks() <= before {
@@ -177,7 +177,7 @@ impl Ssd {
     /// observes the crash exactly as with [`Ssd::force_gc`].
     pub fn gc_pump(&mut self, now: Nanos) -> Option<Nanos> {
         if !self.cfg.gc_preempt
-            || (self.gc_job.is_none() && self.free_fraction() >= self.cfg.gc_high)
+            || (self.gc_job.is_none() && self.free_fraction() >= self.thresholds.high)
         {
             return None;
         }
@@ -220,7 +220,7 @@ impl Ssd {
             let free_before = self.alloc.free_blocks();
             let job = match self.gc_job.take() {
                 Some(job) => job,
-                None if self.free_fraction() >= self.cfg.gc_low => break,
+                None if self.free_fraction() >= self.thresholds.low => break,
                 None => match self.begin_job(cursor) {
                     Some(job) => job,
                     None => break,
@@ -641,7 +641,7 @@ impl Ssd {
         self.tracer
             .span(Track::Hash, "fingerprint", h.start, h.end, &[("ppn", ppn)]);
         let next_ready = if self.cfg.overlap_hash { read_ready } else { h.end };
-        let decided = h.end + self.cfg.lookup_ns;
+        let decided = h.end + SsdConfig::LOOKUP_NS;
 
         // A tracked page is the stored copy of its own content, so its
         // probe is answered by address; anything the fingerprint probe

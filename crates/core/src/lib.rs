@@ -35,7 +35,7 @@ pub mod recovery;
 pub mod report;
 pub mod ssd;
 
-pub use config::{Scheme, SsdConfig};
+pub use config::{GcThresholds, Scheme, SsdConfig};
 pub use parallel::{run_cell, run_cells};
 pub use recovery::RecoveryReport;
 pub use report::{FaultReport, HealthLog, LatencySummary, RunReport, TrafficTotals};

@@ -264,7 +264,7 @@ impl Ssd {
         let alloc = Allocator::recovered(
             geom.total_blocks(),
             geom.pages_per_block,
-            self.cfg.gc_reserve_blocks,
+            self.thresholds.reserve_blocks,
             free_order,
         );
 

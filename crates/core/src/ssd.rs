@@ -29,7 +29,7 @@ use cagc_sim::time::Nanos;
 use cagc_trace::{TraceConfig, Tracer, Track};
 use cagc_workloads::{OpKind, Request, RequestView, Trace};
 
-use crate::config::{Scheme, SsdConfig};
+use crate::config::{GcThresholds, Scheme, SsdConfig};
 use crate::recovery::RecoveryReport;
 use crate::report::{FaultReport, HealthLog, LatencySummary, RunReport};
 
@@ -182,6 +182,9 @@ pub(crate) struct FaultHandling {
 #[derive(Clone)]
 pub struct Ssd {
     pub(crate) cfg: SsdConfig,
+    /// GC trigger thresholds, derived from `cfg.flash` once at
+    /// construction.
+    pub(crate) thresholds: GcThresholds,
     pub(crate) dev: FlashDevice,
     pub(crate) map: MappingTable,
     pub(crate) rmap: ReverseMap,
@@ -258,6 +261,7 @@ impl Ssd {
             panic!("invalid SsdConfig: {e}");
         }
         let geom = cfg.flash.geometry();
+        let thresholds = GcThresholds::of(&cfg.flash);
         let dev = FlashDevice::with_faults(geom, cfg.flash.timing(), cfg.faults.clone());
         let logical = cfg.flash.logical_pages();
         // Interleave the free pool across dies so consecutive frontier
@@ -267,7 +271,11 @@ impl Ssd {
         Self {
             map: MappingTable::new(logical),
             rmap: ReverseMap::new(),
-            alloc: Allocator::with_block_order(order, geom.pages_per_block, cfg.gc_reserve_blocks),
+            alloc: Allocator::with_block_order(
+                order,
+                geom.pages_per_block,
+                thresholds.reserve_blocks,
+            ),
             index: FingerprintIndex::new(),
             hash: HashEngine::new(cfg.flash.hash_ns),
             selector: VictimSelector::new(cfg.victim, cfg.victim_seed),
@@ -297,6 +305,7 @@ impl Ssd {
             first_retirement_ns: None,
             end_ns: 0,
             dev,
+            thresholds,
             cfg,
         }
     }
@@ -508,7 +517,7 @@ impl Ssd {
                 // read-only and the controller fails the write fast.
                 self.fh.writes_rejected += 1;
                 status = CmdStatus::WriteProtected;
-                at + self.cfg.read_miss_ns
+                at + SsdConfig::READ_MISS_NS
             }
             OpKind::Write => {
                 // Check the watermark once per request. GC reserves die
@@ -535,7 +544,7 @@ impl Ssd {
             OpKind::Trim if self.is_read_only() => {
                 self.fh.trims_rejected += 1;
                 status = CmdStatus::WriteProtected;
-                at + self.cfg.trim_ns
+                at + SsdConfig::TRIM_NS
             }
             OpKind::Trim => {
                 self.trims += 1;
@@ -546,7 +555,7 @@ impl Ssd {
                 }
                 // Metadata-only: the mapping tables are updated but no die
                 // is touched, so the cost is a flat controller charge.
-                at + self.cfg.trim_ns
+                at + SsdConfig::TRIM_NS
             }
         };
         Ok((completion, status))
@@ -781,14 +790,15 @@ impl Ssd {
             }
             None => {
                 self.read_misses += 1;
-                Ok(ready + self.cfg.read_miss_ns)
+                Ok(ready + SsdConfig::READ_MISS_NS)
             }
         }
     }
 
     /// Read one flash page, absorbing injected ECC errors: up to
-    /// `max_read_retries` re-reads, then the heroic soft-decode path —
-    /// slower, but the data is always recovered (no silent loss).
+    /// [`SsdConfig::MAX_READ_RETRIES`] re-reads, then the heroic
+    /// soft-decode path — slower, but the data is always recovered (no
+    /// silent loss).
     pub(crate) fn read_flash(&mut self, ppn: Ppn, ready: Nanos) -> Result<Nanos, FlashError> {
         let mut at = ready;
         let mut attempts = 0;
@@ -800,7 +810,7 @@ impl Ssd {
                 }
                 Err(FlashError::ReadEcc { at: failed_at, .. }) => {
                     at = failed_at;
-                    if attempts < self.cfg.max_read_retries {
+                    if attempts < SsdConfig::MAX_READ_RETRIES {
                         attempts += 1;
                         self.fh.read_retries += 1;
                         self.tracer.instant(
@@ -815,10 +825,10 @@ impl Ssd {
                             Track::Fault,
                             "ecc_decode",
                             at,
-                            at + self.cfg.ecc_decode_ns,
+                            at + SsdConfig::ECC_DECODE_NS,
                             &[("ppn", ppn)],
                         );
-                        return Ok(at + self.cfg.ecc_decode_ns);
+                        return Ok(at + SsdConfig::ECC_DECODE_NS);
                     }
                 }
                 Err(FlashError::PowerLoss) => return Err(FlashError::PowerLoss),
@@ -854,7 +864,7 @@ impl Ssd {
         content: ContentId,
         ready: Nanos,
     ) -> Result<Nanos, FlashError> {
-        let screened = ready + self.cfg.prehash_ns;
+        let screened = ready + SsdConfig::PREHASH_NS;
         let pre = Self::prehash(content);
         if self.prehash_filter.contains(&pre) {
             // Possible duplicate: full inline-dedup path (hash + probe).
@@ -892,7 +902,7 @@ impl Ssd {
         if self.tctx == TraceCtx::Host {
             self.tracer.span(Track::Hash, "hash", h.start, h.end, &[("lpn", lpn)]);
         }
-        let decided = h.end + self.cfg.lookup_ns;
+        let decided = h.end + SsdConfig::LOOKUP_NS;
         let fp = Fingerprint::of_content(content);
         match self.index.lookup(&fp) {
             Some(entry) => {
@@ -1058,7 +1068,7 @@ impl Ssd {
                             self.dev.seal(closed);
                         }
                     }
-                    ready = at + self.cfg.program_retry_backoff_ns;
+                    ready = at + SsdConfig::PROGRAM_RETRY_BACKOFF_NS;
                 }
                 Err(FlashError::PowerLoss) => return Err(FlashError::PowerLoss),
                 Err(e) => panic!("flash program failed: {e}"),

@@ -326,7 +326,6 @@ fn exhausted_retries_force_the_program_through() {
         Scheme::Baseline,
         FaultConfig { fail_program_ops: vec![0, 1, 2, 3], ..FaultConfig::none() },
     );
-    let backoff = cfg.program_retry_backoff_ns;
     let retries = cfg.max_program_retries as u64;
     let mut ssd = Ssd::new(cfg);
     let done = ssd.submit(Request::write(1_000, 0, vec![ContentId(9)]).view()).unwrap().end_ns;
@@ -335,14 +334,17 @@ fn exhausted_retries_force_the_program_through() {
     assert_eq!(fr.program_retries, 4);
     assert_eq!(fr.forced_programs, 1);
     // Every retry charged its backoff to simulated time.
-    assert!(done >= 1_000 + retries * backoff, "done {done} missing retry backoffs");
+    assert!(
+        done >= 1_000 + retries * SsdConfig::PROGRAM_RETRY_BACKOFF_NS,
+        "done {done} missing retry backoffs"
+    );
     assert_eq!(ssd.stored_content(0), Some(ContentId(9)));
     ssd.audit().unwrap();
 }
 
 #[test]
 fn ecc_errors_reread_then_heroically_decode() {
-    // Default max_read_retries = 2: three scheduled ECC failures exhaust
+    // MAX_READ_RETRIES = 2: three scheduled ECC failures exhaust
     // the re-reads and take the slow soft-decode path; the data still
     // arrives (no silent loss) and a later read is clean.
     let cfg = schedule_config(
@@ -375,8 +377,6 @@ fn erase_failures_retire_blocks_and_degrade_to_read_only() {
     // With the floor raised to the whole device, the first retirement
     // flips the device read-only — no need to burn through the spare pool.
     cfg.read_only_floor_blocks = cfg.flash.geometry().total_blocks();
-    let read_miss = cfg.read_miss_ns;
-    let trim_ns = cfg.trim_ns;
     let mut ssd = Ssd::new(cfg);
 
     // Overwrite a hot set until GC fires; its first erase fails and
@@ -401,13 +401,13 @@ fn erase_failures_retire_blocks_and_degrade_to_read_only() {
     let before = ssd.stored_content(0);
     at += 4_000;
     let done = ssd.submit(Request::write(at, 0, vec![ContentId(0xDEAD)]).view()).unwrap().end_ns;
-    assert_eq!(done, at + read_miss);
+    assert_eq!(done, at + SsdConfig::READ_MISS_NS);
     assert_eq!(ssd.fault_report().writes_rejected, 1);
     assert_eq!(ssd.stored_content(0), before, "rejected write must not change state");
 
     at += 4_000;
     let done = ssd.submit(Request::trim(at, 0, 1).view()).unwrap().end_ns;
-    assert_eq!(done, at + trim_ns);
+    assert_eq!(done, at + SsdConfig::TRIM_NS);
     assert_eq!(ssd.fault_report().trims_rejected, 1);
     assert_eq!(ssd.stored_content(0), before);
 

@@ -2,6 +2,7 @@
 
 use cagc_core::{Scheme, Ssd, SsdConfig};
 use cagc_dedup::ContentId;
+use cagc_flash::UllConfig;
 use cagc_sim::time::us;
 use cagc_workloads::{FileWorkloadBuilder, FiuWorkload, OpKind, Request, SynthConfig, Trace};
 
@@ -30,7 +31,7 @@ fn baseline_read_after_write_takes_one_read() {
 fn read_of_unwritten_lpn_is_a_controller_miss() {
     let mut s = ssd(Scheme::Baseline);
     let done = s.process(&Request::read(0, 42, 1));
-    assert_eq!(done, us(1)); // read_miss_ns, no flash op
+    assert_eq!(done, SsdConfig::READ_MISS_NS); // no flash op
     assert_eq!(s.device().stats().reads, 0);
 }
 
@@ -121,10 +122,10 @@ fn trim_latency_is_an_explicit_metadata_cost() {
     s.process(&Request::write(0, 0, vec![ContentId(1)]));
     let t = us(100);
     let done = s.process(&Request::trim(t, 0, 1));
-    assert_eq!(done - t, s.config().trim_ns);
+    assert_eq!(done - t, SsdConfig::TRIM_NS);
     let r = s.report("t");
     assert_eq!(r.trim_lat.count, 1, "trim latency must land in its histogram");
-    assert_eq!(r.trim_lat.max_ns, s.config().trim_ns);
+    assert_eq!(r.trim_lat.max_ns, SsdConfig::TRIM_NS);
     assert_eq!(r.trim_invalidated_pages, 1);
     assert!(r.honor_trim);
     // Metadata-only: the flash op counters saw nothing new.
@@ -141,7 +142,7 @@ fn ignored_trims_are_charged_but_keep_data_live() {
     s.process(&Request::write(0, 0, vec![ContentId(5)]));
     let t = us(100);
     let done = s.process(&Request::trim(t, 0, 1));
-    assert_eq!(done - t, s.config().trim_ns, "trim still pays its service cost");
+    assert_eq!(done - t, SsdConfig::TRIM_NS, "trim still pays its service cost");
     assert_eq!(s.stored_content(0), Some(ContentId(5)), "data stays live");
     let r = s.report("t");
     assert_eq!(r.trims, 1);
@@ -222,6 +223,23 @@ fn gc_triggers_and_reclaims_space_for_every_scheme() {
         s.audit()
             .unwrap_or_else(|e| panic!("{}: audit failed: {e}", report.scheme));
     }
+}
+
+/// The GC trigger is a function of the flash config, not a copy taken by
+/// `SsdConfig::paper`: a watermark set afterwards moves it exactly as one
+/// passed to `paper` does.
+#[test]
+fn a_watermark_set_after_paper_moves_the_gc_trigger() {
+    use cagc_harness::ToJson;
+    let trace = churn_trace(0.5, 4_000, 11);
+    let replay = |cfg: SsdConfig| Ssd::new(cfg).replay(&trace).to_json().render();
+    let mut flash = UllConfig::tiny_for_tests();
+    flash.gc_watermark = 0.4;
+    let at_0_4 = replay(SsdConfig::paper(flash, Scheme::Baseline));
+    let mut late = SsdConfig::tiny(Scheme::Baseline);
+    late.flash.gc_watermark = 0.4;
+    assert_eq!(replay(late), at_0_4);
+    assert_ne!(replay(SsdConfig::tiny(Scheme::Baseline)), at_0_4, "the watermark must matter");
 }
 
 #[test]

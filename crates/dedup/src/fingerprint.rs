@@ -93,19 +93,6 @@ impl Fingerprint {
     pub fn to_hex(self) -> String {
         self.0.iter().map(|b| format!("{b:02x}")).collect()
     }
-
-    /// Parse from hex (40 chars). Returns `None` on malformed input.
-    pub fn from_hex(s: &str) -> Option<Self> {
-        let s = s.trim();
-        if s.len() != 40 {
-            return None;
-        }
-        let mut out = [0u8; 20];
-        for (i, byte) in out.iter_mut().enumerate() {
-            *byte = u8::from_str_radix(&s[i * 2..i * 2 + 2], 16).ok()?;
-        }
-        Some(Self(out))
-    }
 }
 
 impl std::fmt::Debug for Fingerprint {
@@ -174,18 +161,10 @@ mod tests {
     }
 
     #[test]
-    fn hex_round_trip() {
-        let fp = Fingerprint::of_content(ContentId(7));
-        let hex = fp.to_hex();
+    fn hex_is_forty_lowercase_digits() {
+        let hex = Fingerprint::of_content(ContentId(7)).to_hex();
         assert_eq!(hex.len(), 40);
-        assert_eq!(Fingerprint::from_hex(&hex), Some(fp));
-    }
-
-    #[test]
-    fn from_hex_rejects_malformed() {
-        assert_eq!(Fingerprint::from_hex("zz"), None);
-        assert_eq!(Fingerprint::from_hex(&"a".repeat(39)), None);
-        assert_eq!(Fingerprint::from_hex(&"g".repeat(40)), None);
+        assert!(hex.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b)));
     }
 
     #[test]

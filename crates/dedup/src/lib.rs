@@ -19,8 +19,7 @@
 //! * [`fpcache`] — [`FingerprintCache`], unused: kept compiling for one
 //!   `benchmark/` probe until that package can drop it.
 //! * [`engine`] — [`HashEngine`], the 14 µs/page hash-unit *timing* model
-//!   (Table I), and [`ParallelHasher`], a real multi-threaded page hasher
-//!   for benches and real-content runs.
+//!   (Table I).
 //!
 //! ## Reference-count lifecycle
 //!
@@ -58,7 +57,7 @@ pub mod index;
 pub mod refstats;
 pub mod sha1;
 
-pub use engine::{HashEngine, ParallelHasher};
+pub use engine::HashEngine;
 pub use fingerprint::{ContentId, Fingerprint};
 pub use fpcache::FingerprintCache;
 pub use index::{FingerprintIndex, FpEntry, IndexStats};

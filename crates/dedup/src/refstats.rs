@@ -60,15 +60,6 @@ impl RefCountStats {
         self.buckets.iter().sum()
     }
 
-    /// Bucket fractions (each in `[0,1]`, summing to 1 when non-empty).
-    pub fn fractions(&self) -> [f64; 4] {
-        let total = self.total();
-        if total == 0 {
-            return [0.0; 4];
-        }
-        self.buckets.map(|b| b as f64 / total as f64)
-    }
-
     /// Merge another statistics object into this one.
     pub fn merge(&mut self, other: &Self) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets) {
@@ -101,22 +92,6 @@ mod tests {
         let mut s = RefCountStats::new();
         s.record_invalidation(0);
         assert_eq!(s.buckets(), [1, 0, 0, 0]);
-    }
-
-    #[test]
-    fn fractions_sum_to_one() {
-        let mut s = RefCountStats::new();
-        for r in [1, 1, 1, 1, 2, 2, 3, 7] {
-            s.record_invalidation(r);
-        }
-        let f = s.fractions();
-        assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((f[0] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_fractions_are_zero() {
-        assert_eq!(RefCountStats::new().fractions(), [0.0; 4]);
     }
 
     #[test]

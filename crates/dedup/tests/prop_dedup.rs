@@ -1,6 +1,6 @@
 //! Property-based tests for the dedup substrate.
 
-use cagc_dedup::{ContentId, Fingerprint, FingerprintIndex, ParallelHasher, Sha1};
+use cagc_dedup::{ContentId, Fingerprint, FingerprintIndex, Sha1};
 use cagc_harness::prop::*;
 use std::collections::HashMap;
 
@@ -153,17 +153,5 @@ harness_proptest! {
             sum += r as u64;
         }
         prop_assert_eq!(ix.total_refs(), sum);
-    }
-
-    /// Parallel hashing equals serial hashing for any worker count.
-    #[test]
-    fn parallel_hashing_is_order_preserving(
-        n_pages in 0usize..40, workers in 1usize..9, seed in any::<u64>()
-    ) {
-        let pages: Vec<Vec<u8>> = (0..n_pages)
-            .map(|i| ContentId(seed ^ i as u64).synth_bytes(256))
-            .collect();
-        let serial: Vec<Fingerprint> = pages.iter().map(|p| Fingerprint::of_bytes(p)).collect();
-        prop_assert_eq!(ParallelHasher::new(workers).hash_pages(&pages), serial);
     }
 }

@@ -5,7 +5,7 @@
 //! space. Both are plain integers rather than rich newtypes because they are
 //! used as direct indices into dense per-page/per-block tables on the
 //! simulator's hot path; [`crate::Geometry`] owns all conversions between
-//! them and the (channel, die, plane, block, page) tuple form.
+//! them.
 
 /// Flat physical page number: `block_id * pages_per_block + page_offset`.
 pub type Ppn = u64;
@@ -19,31 +19,6 @@ pub type PageOffset = u32;
 /// Sentinel for "no physical page" (unmapped LPN, empty slot).
 pub const NO_PPN: Ppn = Ppn::MAX;
 
-/// A fully decomposed physical address, mostly for debugging and display.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PhysAddr {
-    /// Channel index.
-    pub channel: u32,
-    /// Die index within the channel.
-    pub die: u32,
-    /// Plane index within the die.
-    pub plane: u32,
-    /// Block index within the plane.
-    pub block: u32,
-    /// Page index within the block.
-    pub page: u32,
-}
-
-impl std::fmt::Display for PhysAddr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ch{}/die{}/pl{}/blk{}/pg{}",
-            self.channel, self.die, self.plane, self.block, self.page
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,11 +27,5 @@ mod tests {
     fn no_ppn_is_distinct_from_any_real_ppn() {
         // Real devices in this workspace are far below 2^63 pages.
         assert_eq!(NO_PPN, u64::MAX);
-    }
-
-    #[test]
-    fn phys_addr_displays_readably() {
-        let a = PhysAddr { channel: 1, die: 2, plane: 0, block: 37, page: 5 };
-        assert_eq!(a.to_string(), "ch1/die2/pl0/blk37/pg5");
     }
 }

@@ -27,8 +27,9 @@ pub struct UllConfig {
     pub page_size: u32,
     /// Over-provisioning ratio (Table I: 0.07).
     pub op_ratio: f64,
-    /// GC trigger watermark: GC starts when the fraction of free blocks
-    /// drops below this (Table I: 0.20).
+    /// GC trigger watermark (Table I: 0.20), as a fraction of the
+    /// over-provisioning pool: `cagc_core::GcThresholds` derives the GC
+    /// trigger from it.
     pub gc_watermark: f64,
     /// Per-page hash (fingerprint) latency (Table I: 14 µs).
     pub hash_ns: u64,

@@ -34,7 +34,7 @@ pub enum OpKind {
 /// variants of [`FlashError`] — FTL bugs should explode at the point of
 /// damage, not corrupt statistics silently — while a configured
 /// [`FaultPlan`] injects the *device's own* misbehaviour: program/erase
-/// failures, read ECC errors, wear-out, power loss.
+/// failures, read ECC errors, power loss.
 ///
 /// Alongside the cells, the device persists what a real controller keeps
 /// for recovery: per-page OOB metadata ([`PageOob`], stamped at program
@@ -432,8 +432,7 @@ impl FlashDevice {
     /// Erase block `block`, ready no earlier than `ready_at`.
     ///
     /// Erases are durable operations: they count toward the crash point.
-    /// An injected erase failure (probability rises with wear past the
-    /// endurance limit) retires the block to the bad-block table — its
+    /// An injected erase failure retires the block to the bad-block table — its
     /// pages leave the usable pool forever — and returns
     /// [`FlashError::EraseFailed`]; the FTL accounts the capacity loss.
     /// Erasing a block that still holds valid pages is a caller bug
@@ -461,7 +460,7 @@ impl FlashDevice {
         if blk.is_sealed() {
             self.victims.unstrand(blk.free_count());
         }
-        if self.plan.roll_erase(wear) {
+        if self.plan.roll_erase() {
             self.blocks[block as usize].retire();
             self.stats.erase_failures += 1;
             self.stats.blocks_retired += 1;
@@ -870,29 +869,6 @@ mod tests {
         // The retired block accepts no further work.
         assert_eq!(d.program_next(3, 0, host(1)), Err(FlashError::Retired { block: 3 }));
         assert_eq!(d.erase(3, 0), Err(FlashError::Retired { block: 3 }));
-    }
-
-    #[test]
-    fn wearout_retires_old_blocks_eventually() {
-        let mut d = faulty(FaultConfig {
-            endurance_limit: 3,
-            wearout_slope: 0.5,
-            seed: 11,
-            ..FaultConfig::none()
-        });
-        let mut cycles = 0u32;
-        while !d.is_retired(0) {
-            match d.program_next(0, 0, host(0)) {
-                Ok((w, ppn)) => {
-                    d.invalidate(ppn, w.end);
-                    let _ = d.erase(0, w.end);
-                }
-                Err(e) => panic!("unexpected {e}"),
-            }
-            cycles += 1;
-            assert!(cycles < 100, "wear-out never fired");
-        }
-        assert!(d.block(0).erase_count() >= 3, "retirement before the endurance limit");
     }
 
     #[test]

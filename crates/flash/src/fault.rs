@@ -12,9 +12,8 @@
 //!   block) that used to be panics.
 //! * [`FaultConfig`] / [`FaultPlan`] — a seeded, deterministic fault
 //!   schedule driven by [`cagc_sim::SimRng`]: per-operation failure
-//!   probabilities, explicit per-ordinal schedules, per-block wear-out
-//!   (erase-failure probability rising past an endurance limit) and a
-//!   `crash_at_op` power-loss point counted in *durable operations*.
+//!   probabilities, explicit per-ordinal schedules and a `crash_at_op`
+//!   power-loss point counted in *durable operations*.
 //! * [`PageOob`] — the out-of-band metadata stamped on every page at
 //!   program time (logical page, fingerprint stamp, durable sequence
 //!   number). Real controllers keep exactly this in the page spare area;
@@ -44,10 +43,11 @@ use crate::addr::{BlockId, Ppn};
 
 /// Structured error for every fallible flash-device operation.
 ///
-/// Injected faults ([`FlashError::is_injected`] is `true`) model the
-/// device misbehaving and have recovery policies in the FTL; the remaining
-/// variants are caller bugs — an FTL that triggers one is broken, and
-/// callers are expected to `panic!` on them at the call site.
+/// Injected faults (program, erase and read failures, unrecoverable
+/// recovery, power loss) model the device misbehaving and have recovery
+/// policies in the FTL; the remaining variants are caller bugs — an FTL
+/// that triggers one is broken, and callers are expected to `panic!` on
+/// them at the call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlashError {
     /// The physical page number is outside the device.
@@ -122,21 +122,6 @@ pub enum FlashError {
     PowerLoss,
 }
 
-impl FlashError {
-    /// Whether this error is an injected fault (device misbehaviour with a
-    /// recovery policy) rather than a caller bug.
-    pub fn is_injected(&self) -> bool {
-        matches!(
-            self,
-            FlashError::ProgramFailed { .. }
-                | FlashError::EraseFailed { .. }
-                | FlashError::ReadEcc { .. }
-                | FlashError::Unrecoverable { .. }
-                | FlashError::PowerLoss
-        )
-    }
-}
-
 impl std::fmt::Display for FlashError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -173,7 +158,7 @@ impl std::error::Error for FlashError {}
 pub struct FaultConfig {
     /// Probability that any single program attempt fails.
     pub program_fail_prob: f64,
-    /// Baseline probability that any single erase attempt fails.
+    /// Probability that any single erase attempt fails.
     pub erase_fail_prob: f64,
     /// Probability that any single read attempt returns an ECC error.
     pub read_ecc_prob: f64,
@@ -186,11 +171,6 @@ pub struct FaultConfig {
     /// (`"unrecoverable"`), so enabling it never perturbs the
     /// program/erase/read fault sequence of an existing seed.
     pub unrecoverable_prob: f64,
-    /// Erase count past which wear-out sets in (0 disables wear-out).
-    pub endurance_limit: u32,
-    /// Additional erase-failure probability per erase beyond
-    /// [`FaultConfig::endurance_limit`] (the wear-out ramp).
-    pub wearout_slope: f64,
     /// Seed for the fault plan's own PRNG stream (independent of every
     /// other stream in the simulation).
     pub seed: u64,
@@ -221,21 +201,19 @@ impl FaultConfig {
             || self.erase_fail_prob > 0.0
             || self.read_ecc_prob > 0.0
             || self.unrecoverable_prob > 0.0
-            || (self.endurance_limit > 0 && self.wearout_slope > 0.0)
             || self.crash_at_op.is_some()
             || !self.fail_program_ops.is_empty()
             || !self.fail_erase_ops.is_empty()
             || !self.fail_read_ops.is_empty()
     }
 
-    /// Sanity-check probabilities and the wear-out ramp.
+    /// Sanity-check the probabilities.
     pub fn validate(&self) -> Result<(), String> {
         for (name, p) in [
             ("program_fail_prob", self.program_fail_prob),
             ("erase_fail_prob", self.erase_fail_prob),
             ("read_ecc_prob", self.read_ecc_prob),
             ("unrecoverable_prob", self.unrecoverable_prob),
-            ("wearout_slope", self.wearout_slope),
         ] {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("{name} {p} outside [0, 1]"));
@@ -339,20 +317,14 @@ impl FaultPlan {
         self.fail_program_ops.contains(&ordinal) || drawn
     }
 
-    /// Should the next erase attempt fail, given the block's current wear?
-    /// Advances the erase ordinal. Past the endurance limit the failure
-    /// probability ramps by `wearout_slope` per additional erase.
-    pub fn roll_erase(&mut self, erase_count: u32) -> bool {
+    /// Should the next erase attempt fail? Advances the erase ordinal.
+    pub fn roll_erase(&mut self) -> bool {
         if !self.active {
             return false;
         }
         let ordinal = self.erases_seen;
         self.erases_seen += 1;
-        let mut p = self.cfg.erase_fail_prob;
-        if self.cfg.endurance_limit > 0 && erase_count >= self.cfg.endurance_limit {
-            p += self.cfg.wearout_slope * (erase_count - self.cfg.endurance_limit + 1) as f64;
-        }
-        let drawn = self.rng.gen_bool(p.min(1.0));
+        let drawn = self.rng.gen_bool(self.cfg.erase_fail_prob);
         self.fail_erase_ops.contains(&ordinal) || drawn
     }
 
@@ -452,7 +424,7 @@ mod tests {
         cfg.validate().unwrap();
         let mut plan = FaultPlan::new(cfg);
         assert!(!plan.roll_program());
-        assert!(!plan.roll_erase(1_000_000));
+        assert!(!plan.roll_erase());
         assert!(!plan.roll_read());
         assert!(!plan.crashed());
     }
@@ -461,7 +433,7 @@ mod tests {
     fn validate_rejects_bad_probabilities() {
         let cfg = FaultConfig { program_fail_prob: 1.5, ..FaultConfig::none() };
         assert!(cfg.validate().is_err());
-        let cfg = FaultConfig { wearout_slope: -0.1, ..FaultConfig::none() };
+        let cfg = FaultConfig { erase_fail_prob: -0.1, ..FaultConfig::none() };
         assert!(cfg.validate().is_err());
     }
 
@@ -485,21 +457,6 @@ mod tests {
         let ys: Vec<bool> = (0..256).map(|_| b.roll_program()).collect();
         assert_eq!(xs, ys);
         assert!(xs.iter().any(|&x| x) && xs.iter().any(|&x| !x));
-    }
-
-    #[test]
-    fn wearout_ramps_erase_failures_past_the_limit() {
-        let cfg = FaultConfig {
-            endurance_limit: 10,
-            wearout_slope: 0.2,
-            seed: 7,
-            ..FaultConfig::none()
-        };
-        let mut plan = FaultPlan::new(cfg);
-        let fresh = (0..500).filter(|_| plan.roll_erase(0)).count();
-        let worn = (0..500).filter(|_| plan.roll_erase(30)).count();
-        assert_eq!(fresh, 0, "below the limit the base probability is zero");
-        assert!(worn > 400, "21 erases past the limit ⇒ certain failure, got {worn}/500");
     }
 
     #[test]
@@ -556,12 +513,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_faults_are_distinguishable_from_caller_bugs() {
-        assert!(FlashError::ProgramFailed { ppn: 1, at: 0 }.is_injected());
-        assert!(FlashError::PowerLoss.is_injected());
-        assert!(!FlashError::BlockFull { block: 3 }.is_injected());
-        assert!(!FlashError::BadPpn { ppn: 9 }.is_injected());
-        // Errors render something human-readable.
+    fn errors_render_something_human_readable() {
         assert!(format!("{}", FlashError::EraseFailed { block: 2, at: 5 }).contains("block 2"));
     }
 }

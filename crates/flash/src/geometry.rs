@@ -1,6 +1,6 @@
 //! Device geometry and address arithmetic.
 
-use crate::addr::{BlockId, PageOffset, PhysAddr, Ppn};
+use crate::addr::{BlockId, PageOffset, Ppn};
 use crate::block::Block;
 
 /// NAND geometry: channels × dies/channel × planes/die × blocks/plane ×
@@ -137,21 +137,6 @@ impl Geometry {
         self.die_of(ppn) / self.dies_per_channel
     }
 
-    /// Fully decompose a PPN (diagnostics).
-    pub fn decompose(&self, ppn: Ppn) -> PhysAddr {
-        let block = self.block_of(ppn);
-        let page = self.page_of(ppn);
-        let die_global = self.die_of_block(block);
-        let within_die = block % self.blocks_per_die();
-        PhysAddr {
-            channel: die_global / self.dies_per_channel,
-            die: die_global % self.dies_per_channel,
-            plane: within_die / self.blocks_per_plane,
-            block: within_die % self.blocks_per_plane,
-            page,
-        }
-    }
-
     /// Iterate every PPN of a block, in program order.
     pub fn pages_of_block(&self, block: BlockId) -> impl Iterator<Item = Ppn> {
         let base = block as u64 * self.pages_per_block as u64;
@@ -198,22 +183,6 @@ mod tests {
             counts[g.die_of_block(b) as usize] += 1;
         }
         assert!(counts.iter().all(|&c| c == g.blocks_per_die()));
-    }
-
-    #[test]
-    fn decompose_is_consistent_with_accessors() {
-        let g = g();
-        let ppn = g.ppn(37, 11);
-        let a = g.decompose(ppn);
-        assert_eq!(a.page, 11);
-        assert_eq!(a.channel, g.channel_of(ppn));
-        let die_global = a.channel * g.dies_per_channel + a.die;
-        assert_eq!(die_global, g.die_of(ppn));
-        // Recompose the block id and check it matches.
-        let block = ((a.channel * g.dies_per_channel + a.die) * g.planes_per_die + a.plane)
-            * g.blocks_per_plane
-            + a.block;
-        assert_eq!(block, g.block_of(ppn));
     }
 
     #[test]

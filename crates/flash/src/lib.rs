@@ -29,8 +29,8 @@
 //!   with foreground traffic in the paper.
 //!
 //! * **Faults** ([`FaultConfig`], [`FlashError`]): a seeded, deterministic
-//!   fault plan injects program/erase failures, read ECC errors, per-block
-//!   wear-out and a power-loss point. While a plan is armed the device
+//!   fault plan injects program/erase failures, read ECC errors and a
+//!   power-loss point. While a plan is armed the device
 //!   keeps the durable metadata (per-page OOB, mapping-delta journal) a
 //!   recovery pass rebuilds the FTL from; with the default (empty) config
 //!   it keeps neither — it can never crash, so nothing would read them —

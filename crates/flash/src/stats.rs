@@ -35,11 +35,6 @@ pub struct DeviceStats {
 }
 
 impl DeviceStats {
-    /// Total busy time across all operation classes.
-    pub fn total_busy_ns(&self) -> Nanos {
-        self.read_busy_ns + self.program_busy_ns + self.erase_busy_ns
-    }
-
     /// Total operations across all classes.
     pub fn total_ops(&self) -> u64 {
         self.reads + self.programs + self.erases
@@ -57,13 +52,9 @@ mod tests {
             programs: 3,
             erases: 1,
             trimmed_pages: 4,
-            read_busy_ns: 24_000,
-            program_busy_ns: 48_000,
-            erase_busy_ns: 1_500_000,
             ..DeviceStats::default()
         };
-        // Trims are metadata-only: they count as neither ops nor busy time.
+        // Trims are metadata-only: they do not count as ops.
         assert_eq!(s.total_ops(), 6);
-        assert_eq!(s.total_busy_ns(), 1_572_000);
     }
 }

@@ -19,7 +19,7 @@
 //! simulated device and returns measured-vs-analytic WAF so the repro
 //! harness can gate the simulator against the model.
 
-use cagc_core::{Scheme, Ssd, SsdConfig};
+use cagc_core::{GcThresholds, Scheme, Ssd, SsdConfig};
 use cagc_flash::UllConfig;
 use cagc_workloads::SynthConfig;
 
@@ -132,16 +132,17 @@ fn invalidate(x: &mut [f64], writes: f64) {
 /// over the pages actually in circulation.
 ///
 /// The mean-field model keeps every block in the write/clean loop, but
-/// the FTL's hysteresis loop does not: GC triggers at `gc_low` and
-/// collects up to `gc_high`, so on average a `(gc_low + gc_high) / 2`
-/// fraction of the blocks sits in the free pool and never holds data.
+/// the FTL's hysteresis loop does not: GC triggers at the low threshold
+/// and collects up to the high one ([`GcThresholds`]), so on average a
+/// `(low + high) / 2` fraction of the blocks sits in the free pool and
+/// never holds data.
 /// Those blocks are dead capacity from the model's point of view;
 /// ignoring them understates ρ and the predicted WAF by 20–30 % on
 /// small devices.
 pub fn device_rho(flash: &UllConfig, footprint_frac: f64) -> f64 {
-    let cfg = SsdConfig::paper(*flash, Scheme::Baseline);
+    let gc = GcThresholds::of(flash);
     let total_blocks = flash.geometry().total_blocks() as f64;
-    let avg_free_blocks = 0.5 * (cfg.gc_low + cfg.gc_high) * total_blocks;
+    let avg_free_blocks = 0.5 * (gc.low + gc.high) * total_blocks;
     let circulating_pages = (total_blocks - avg_free_blocks) * flash.pages_per_block as f64;
     flash.logical_pages() as f64 * footprint_frac / circulating_pages
 }

@@ -24,10 +24,10 @@ use cagc_host::{HostConfig, HostInterface};
 use cagc_metrics::Histogram;
 use cagc_core::LatencySummary;
 use cagc_sim::time::Nanos;
-use cagc_trace::SpanProfile;
+use cagc_trace::{SpanProfile, TraceConfig};
 use cagc_workloads::{mixer, OpKind, Trace};
 
-use crate::observe::{DeviceObservability, FleetTelemetryConfig};
+use crate::observe::DeviceObservability;
 use crate::slo::{SloConfig, TenantSloTrack};
 
 /// One tenant's stream on a device: a display label and a shared handle
@@ -69,10 +69,11 @@ pub struct DeviceSpec {
     /// read-only trip wire sensitive to the first few retirements —
     /// chaos campaigns use it to reach degradation in bounded work.
     pub read_only_floor_blocks: Option<u32>,
-    /// Arm this device's tracer and capture its gauge registry (and
-    /// optionally a span profile) with the report. `None` keeps the cell
-    /// byte-identical to an unobserved run.
-    pub telemetry: Option<FleetTelemetryConfig>,
+    /// Arm this device's tracer with this configuration and capture its
+    /// gauge registry (and, when it records spans, a span profile) with
+    /// the report: [`TraceConfig::gauges_only`] for gauges alone. `None`
+    /// keeps the cell byte-identical to an unobserved run.
+    pub telemetry: Option<TraceConfig>,
     /// Track per-tenant latency objectives. `None` records nothing.
     pub slo: Option<SloConfig>,
 }
@@ -335,7 +336,7 @@ pub fn simulate_device(spec: &DeviceSpec) -> DeviceReport {
     }
     let mut ssd = Ssd::new(cfg);
     if let Some(tcfg) = &spec.telemetry {
-        ssd.enable_tracing(tcfg.trace_config());
+        ssd.enable_tracing(tcfg.clone());
     }
     let mut ledger = TenantLedger {
         tenants: spec.tenants.iter().map(|t| tenant_traffic(&t.label, &t.trace)).collect(),
@@ -379,10 +380,10 @@ pub fn simulate_device(spec: &DeviceSpec) -> DeviceReport {
 }
 
 /// Distill the device's tracer state into its observability capture.
-fn collect_obs(ssd: &Ssd, tcfg: &FleetTelemetryConfig) -> DeviceObservability {
+fn collect_obs(ssd: &Ssd, tcfg: &TraceConfig) -> DeviceObservability {
     let tracer = ssd.tracer();
     DeviceObservability {
-        window_ns: tcfg.window_ns,
+        window_ns: tcfg.counter_window_ns,
         gauges: tracer
             .registry()
             .series()
@@ -587,7 +588,7 @@ mod tests {
         for hq in [None, Some((2, 8))] {
             let plain = simulate_device(&spec(hq));
             let mut s = spec(hq);
-            s.telemetry = Some(FleetTelemetryConfig::gauges_only(1_000_000, 1));
+            s.telemetry = Some(TraceConfig::gauges_only(1_000_000, 1));
             let observed = simulate_device(&s);
             assert_eq!(plain.end_ns, observed.end_ns);
             assert_eq!(plain.erases, observed.erases);
@@ -606,7 +607,11 @@ mod tests {
     #[test]
     fn traced_telemetry_yields_a_profile() {
         let mut s = spec(None);
-        s.telemetry = Some(FleetTelemetryConfig::traced(1_000_000, 1));
+        s.telemetry = Some(TraceConfig {
+            counter_window_ns: 1_000_000,
+            sample: 1,
+            ..TraceConfig::default()
+        });
         let rep = simulate_device(&s);
         let obs = rep.obs.as_ref().unwrap();
         let profile = obs.profile.as_ref().expect("record_spans must produce a profile");

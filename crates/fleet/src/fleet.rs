@@ -4,11 +4,11 @@
 use cagc_core::Scheme;
 use cagc_flash::{FaultConfig, UllConfig};
 use cagc_harness::pool::map_ordered_dynamic_chunked;
+use cagc_trace::TraceConfig;
 
 use crate::device::{simulate_device, DeviceSpec, TenantTrace};
 use crate::library::TraceLibrary;
 use crate::mix::TenantMix;
-use crate::observe::FleetTelemetryConfig;
 use crate::report::FleetReport;
 use crate::slo::SloConfig;
 
@@ -56,11 +56,11 @@ pub struct FleetConfig {
     /// Per-device read-only floor override (`None` keeps the device
     /// default); see [`DeviceSpec::read_only_floor_blocks`].
     pub read_only_floor_blocks: Option<u32>,
-    /// Arm every device's telemetry (gauge registries, optionally span
-    /// profiles) and roll them up into the fleet timeline and merged
-    /// profile. `None` keeps the report byte-identical to an unobserved
-    /// fleet.
-    pub telemetry: Option<FleetTelemetryConfig>,
+    /// Arm every device's tracer with this configuration (gauge
+    /// registries, plus span profiles when it records spans) and roll them
+    /// up into the fleet timeline and merged profile. `None` keeps the
+    /// report byte-identical to an unobserved fleet.
+    pub telemetry: Option<TraceConfig>,
     /// Track per-tenant latency SLOs on every device and roll the
     /// ledgers up per (mix, tenant). `None` records nothing.
     pub slo: Option<SloConfig>,
@@ -296,7 +296,8 @@ mod tests {
     fn observed_fleet_is_byte_identical_across_worker_counts() {
         use cagc_harness::ToJson;
         let mut cfg = FleetConfig::small_test();
-        cfg.telemetry = Some(FleetTelemetryConfig::traced(1_000_000, 1));
+        cfg.telemetry =
+            Some(TraceConfig { counter_window_ns: 1_000_000, sample: 1, ..TraceConfig::default() });
         cfg.slo = Some(SloConfig::uniform(200_000, 900, 1_000_000));
         let base = run_fleet(&cfg);
         let base_json = base.to_json().render();
@@ -327,7 +328,7 @@ mod tests {
         let cfg = FleetConfig::small_test();
         let plain = run_fleet(&cfg);
         let mut ocfg = cfg.clone();
-        ocfg.telemetry = Some(FleetTelemetryConfig::gauges_only(1_000_000, 1));
+        ocfg.telemetry = Some(TraceConfig::gauges_only(1_000_000, 1));
         ocfg.slo = Some(SloConfig::uniform(200_000, 900, 1_000_000));
         let observed = run_fleet(&ocfg);
         assert_eq!(plain.fleet.total_programs, observed.fleet.total_programs);

@@ -49,6 +49,6 @@ pub use device::{simulate_device, DeviceReport, DeviceSpec, TenantReport, Tenant
 pub use fleet::{run_fleet, FleetConfig};
 pub use library::TraceLibrary;
 pub use mix::{TenantMix, TenantSpec};
-pub use observe::{DeviceObservability, FleetTelemetryConfig, FleetTimeline};
+pub use observe::{DeviceObservability, FleetTimeline};
 pub use report::FleetReport;
 pub use slo::{SloConfig, TenantSloTrack};

@@ -13,44 +13,7 @@
 
 use cagc_harness::{Json, ToJson};
 use cagc_metrics::TimeSeries;
-use cagc_trace::{SpanProfile, TraceConfig};
-
-/// Per-device telemetry knobs for a fleet run.
-#[derive(Debug, Clone)]
-pub struct FleetTelemetryConfig {
-    /// Gauge aggregation window width (simulated ns).
-    pub window_ns: u64,
-    /// Sample every `sample`-th host request's gauges (1 = all).
-    pub sample: u64,
-    /// Also record span/instant events and derive a per-device
-    /// [`SpanProfile`] (merged fleet-wide). Costs event memory per
-    /// device; gauges-only mode allocates no events at all.
-    pub record_spans: bool,
-    /// Event cap per device when `record_spans` is on.
-    pub max_events: usize,
-}
-
-impl FleetTelemetryConfig {
-    /// Gauges-only telemetry: windowed registries, no events.
-    pub fn gauges_only(window_ns: u64, sample: u64) -> Self {
-        Self { window_ns, sample, record_spans: false, max_events: 0 }
-    }
-
-    /// Full tracing per device (events + gauges), default cap.
-    pub fn traced(window_ns: u64, sample: u64) -> Self {
-        Self { window_ns, sample, record_spans: true, max_events: 1 << 20 }
-    }
-
-    /// The per-device tracer configuration.
-    pub fn trace_config(&self) -> TraceConfig {
-        TraceConfig {
-            sample: self.sample,
-            max_events: if self.record_spans { self.max_events } else { 0 },
-            counter_window_ns: self.window_ns,
-            record_spans: self.record_spans,
-        }
-    }
-}
+use cagc_trace::SpanProfile;
 
 /// What one armed device hands back with its report.
 #[derive(Debug, Clone)]
@@ -61,8 +24,8 @@ pub struct DeviceObservability {
     pub gauges: Vec<(String, TimeSeries)>,
     /// Events the device's tracer dropped at its cap.
     pub dropped_events: u64,
-    /// Span profile of the device's recording (only with
-    /// [`FleetTelemetryConfig::record_spans`]).
+    /// Span profile of the device's recording (only when its
+    /// [`cagc_trace::TraceConfig::record_spans`] is set).
     pub profile: Option<SpanProfile>,
 }
 

@@ -36,27 +36,3 @@ pub struct GcStats {
     /// Total simulated time spent inside GC rounds.
     pub busy_ns: Nanos,
 }
-
-impl GcStats {
-    /// Pages freed net of migration (how much space each erase yielded).
-    pub fn pages_reclaimed_per_erase(&self, pages_per_block: u32) -> f64 {
-        if self.blocks_erased == 0 {
-            return 0.0;
-        }
-        let total = self.blocks_erased * pages_per_block as u64;
-        (total - self.pages_migrated) as f64 / self.blocks_erased as f64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn reclaim_efficiency_math() {
-        let s = GcStats { blocks_erased: 10, pages_migrated: 140, ..Default::default() };
-        // 10 blocks × 64 pages = 640 raw; 140 rewritten elsewhere.
-        assert!((s.pages_reclaimed_per_erase(64) - 50.0).abs() < 1e-12);
-        assert_eq!(GcStats::default().pages_reclaimed_per_erase(64), 0.0);
-    }
-}

@@ -13,7 +13,8 @@
 //! * [`victim`] — the victim-selection policies, deterministic under a
 //!   seed.
 //! * [`gc`] — the [`gc::GcStats`] counters behind Figs. 9, 10 and 13 (the
-//!   watermark trigger itself is two `SsdConfig` fractions in `cagc-core`).
+//!   watermark trigger itself is `GcThresholds`, derived from the flash
+//!   config in `cagc-core`).
 //!
 //! ## Victim-policy semantics
 //!

@@ -4,45 +4,6 @@
 
 use cagc_sim::time::Nanos;
 
-/// A structured, reportable reason a [`HostConfig`] is malformed.
-///
-/// Carried by [`HostConfig::validate`] and
-/// [`crate::HostInterface::try_new`] so callers (config loaders, sweep
-/// drivers) can surface the problem instead of aborting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConfigError {
-    /// `queue_pairs == 0` — there is no queue to submit on.
-    ZeroQueuePairs,
-    /// `queue_depth == 0` — no command could ever occupy a slot.
-    ZeroQueueDepth,
-    /// `coalesce_depth == 0` — the interrupt would never fire.
-    ZeroCoalesceDepth,
-    /// `coalesce_depth > 1` without a coalescing timeout — pending
-    /// completions would never be delivered.
-    CoalesceWithoutTimeout,
-    /// `max_retries > 0` without a retry backoff — the retry loop would
-    /// re-issue at the failure instant, busy-spinning simulated time.
-    RetryWithoutBackoff,
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfigError::ZeroQueuePairs => write!(f, "queue_pairs must be >= 1"),
-            ConfigError::ZeroQueueDepth => write!(f, "queue_depth must be >= 1"),
-            ConfigError::ZeroCoalesceDepth => write!(f, "coalesce_depth must be >= 1"),
-            ConfigError::CoalesceWithoutTimeout => {
-                write!(f, "coalesce_depth > 1 needs a nonzero coalesce timeout")
-            }
-            ConfigError::RetryWithoutBackoff => {
-                write!(f, "max_retries > 0 needs a nonzero retry_backoff_ns")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
 /// Configuration of the NVMe-style host interface.
 ///
 /// Two presets cover the common cases: [`HostConfig::passthrough`] is the
@@ -167,23 +128,28 @@ impl HostConfig {
     /// Sanity-check the configuration.
     ///
     /// # Errors
-    /// Returns the first [`ConfigError`] found; `Ok(())` means the shape
-    /// is runnable.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    /// Describes the first problem found, like
+    /// [`cagc_core::SsdConfig::validate`]; `Ok(())` means the shape is
+    /// runnable.
+    pub fn validate(&self) -> Result<(), String> {
         if self.queue_pairs == 0 {
-            return Err(ConfigError::ZeroQueuePairs);
+            return Err("queue_pairs must be >= 1".into());
         }
         if self.queue_depth == 0 {
-            return Err(ConfigError::ZeroQueueDepth);
+            return Err("queue_depth must be >= 1".into());
         }
         if self.coalesce_depth == 0 {
-            return Err(ConfigError::ZeroCoalesceDepth);
+            // The interrupt would never fire.
+            return Err("coalesce_depth must be >= 1".into());
         }
         if self.coalesce_depth > 1 && self.coalesce_ns == 0 {
-            return Err(ConfigError::CoalesceWithoutTimeout);
+            // Pending completions would never be delivered.
+            return Err("coalesce_depth > 1 needs a nonzero coalesce timeout".into());
         }
         if self.max_retries > 0 && self.retry_backoff_ns == 0 {
-            return Err(ConfigError::RetryWithoutBackoff);
+            // The retry loop would re-issue at the failure instant,
+            // busy-spinning simulated time.
+            return Err("max_retries > 0 needs a nonzero retry_backoff_ns".into());
         }
         Ok(())
     }
@@ -204,28 +170,18 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_shapes_are_rejected() {
-        let mut c = HostConfig::passthrough();
-        c.queue_pairs = 0;
-        assert_eq!(c.validate(), Err(ConfigError::ZeroQueuePairs));
-
-        let mut c = HostConfig::passthrough();
-        c.queue_depth = 0;
-        assert_eq!(c.validate(), Err(ConfigError::ZeroQueueDepth));
-
-        let mut c = HostConfig::passthrough();
-        c.coalesce_depth = 4;
-        assert_eq!(c.validate(), Err(ConfigError::CoalesceWithoutTimeout));
-
-        let mut c = HostConfig::passthrough();
-        c.max_retries = 2; // retries with no backoff would spin in place
-        assert_eq!(c.validate(), Err(ConfigError::RetryWithoutBackoff));
-    }
-
-    #[test]
-    fn config_errors_render_and_are_std_errors() {
-        let e: Box<dyn std::error::Error> = Box::new(ConfigError::RetryWithoutBackoff);
-        assert!(e.to_string().contains("retry_backoff_ns"));
-        assert!(format!("{}", ConfigError::ZeroQueuePairs).contains("queue_pairs"));
+    fn degenerate_shapes_are_rejected_with_the_knob_named() {
+        let rejects = |edit: fn(&mut HostConfig), knob: &str| {
+            let mut c = HostConfig::passthrough();
+            edit(&mut c);
+            let err = c.validate().unwrap_err();
+            assert!(err.contains(knob), "{err:?} does not name {knob}");
+        };
+        rejects(|c| c.queue_pairs = 0, "queue_pairs");
+        rejects(|c| c.queue_depth = 0, "queue_depth");
+        rejects(|c| c.coalesce_depth = 0, "coalesce_depth");
+        rejects(|c| c.coalesce_depth = 4, "coalesce timeout");
+        // Retries with no backoff would spin in place.
+        rejects(|c| c.max_retries = 2, "retry_backoff_ns");
     }
 }

@@ -26,7 +26,7 @@ use cagc_sim::SimRng;
 use cagc_trace::Track;
 use cagc_workloads::{OpKind, RequestView, Trace};
 
-use crate::config::{ConfigError, HostConfig};
+use crate::config::HostConfig;
 use crate::report::{HostReport, ResilienceStats};
 
 /// Engine event payloads.
@@ -131,11 +131,11 @@ impl HostInterface {
     }
 
     /// Fallible constructor: a malformed configuration comes back as a
-    /// reportable [`ConfigError`] instead of aborting the process.
+    /// message ([`HostConfig::validate`]) instead of aborting the process.
     ///
     /// # Errors
     /// Returns the first validation failure of `cfg`.
-    pub fn try_new(ssd: Ssd, cfg: HostConfig) -> Result<Self, ConfigError> {
+    pub fn try_new(ssd: Ssd, cfg: HostConfig) -> Result<Self, String> {
         cfg.validate()?;
         Ok(Self { cfg, ssd })
     }
@@ -148,11 +148,6 @@ impl HostInterface {
     /// The wrapped SSD (for audits and device-level queries).
     pub fn ssd(&self) -> &Ssd {
         &self.ssd
-    }
-
-    /// Mutable access to the wrapped SSD (e.g. to attach a tracer).
-    pub fn ssd_mut(&mut self) -> &mut Ssd {
-        &mut self.ssd
     }
 
     /// Unwrap the SSD, consuming the interface.

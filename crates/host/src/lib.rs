@@ -36,6 +36,6 @@ pub mod config;
 pub mod engine;
 pub mod report;
 
-pub use config::{ConfigError, HostConfig};
+pub use config::HostConfig;
 pub use engine::{CmdLatency, HostInterface};
 pub use report::{HostReport, ResilienceStats};

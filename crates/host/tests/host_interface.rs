@@ -5,7 +5,7 @@
 use cagc_core::{CmdStatus, Scheme, Ssd, SsdConfig};
 use cagc_flash::FaultConfig;
 use cagc_harness::ToJson;
-use cagc_host::{ConfigError, HostConfig, HostInterface, HostReport};
+use cagc_host::{HostConfig, HostInterface, HostReport};
 use cagc_workloads::{RequestView, SynthConfig, Trace};
 
 fn churn_trace(seed: u64, requests: usize, mean_interarrival_ns: u64) -> Trace {
@@ -309,7 +309,7 @@ fn malformed_config_is_reported_not_panicked() {
     let err = HostInterface::try_new(Ssd::new(SsdConfig::tiny(Scheme::Cagc)), cfg)
         .err()
         .expect("validation must fail");
-    assert_eq!(err, ConfigError::RetryWithoutBackoff);
+    assert_eq!(err, "max_retries > 0 needs a nonzero retry_backoff_ns");
 }
 
 /// With preemptible GC on the device and the pump enabled, an open-loop

@@ -54,14 +54,6 @@ impl Cdf {
         &self.points
     }
 
-    /// Fraction of samples ≤ `value_ns` (step interpolation).
-    pub fn fraction_at(&self, value_ns: u64) -> f64 {
-        match self.points.partition_point(|p| p.value_ns <= value_ns) {
-            0 => 0.0,
-            i => self.points[i - 1].fraction,
-        }
-    }
-
     /// Smallest recorded value whose cumulative fraction reaches `q`.
     pub fn value_at(&self, q: f64) -> u64 {
         self.points
@@ -100,7 +92,6 @@ mod tests {
     fn empty_histogram_gives_empty_cdf() {
         let c = Cdf::from_histogram(&Histogram::new());
         assert!(c.points().is_empty());
-        assert_eq!(c.fraction_at(100), 0.0);
         assert_eq!(c.value_at(0.5), 0);
     }
 
@@ -114,16 +105,7 @@ mod tests {
     }
 
     #[test]
-    fn fraction_at_steps_correctly() {
-        let c = Cdf::from_histogram(&hist_of(&[10, 20, 30, 40]));
-        assert_eq!(c.fraction_at(0), 0.0);
-        assert!((c.fraction_at(10) - 0.25).abs() < 1e-12);
-        assert!((c.fraction_at(25) - 0.5).abs() < 1e-12);
-        assert!((c.fraction_at(1_000_000) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn value_at_inverts_fraction_at() {
+    fn value_at_finds_the_first_value_reaching_q() {
         let c = Cdf::from_histogram(&hist_of(&[10, 20, 30, 40]));
         assert_eq!(c.value_at(0.25), 10);
         assert_eq!(c.value_at(0.5), 20);

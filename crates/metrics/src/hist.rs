@@ -127,23 +127,6 @@ impl Histogram {
         self.tail_push(v);
     }
 
-    /// Record `n` occurrences of `v`.
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[Self::bucket_of(v)] += n;
-        self.count += n;
-        self.sum += v as u128 * n as u128;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        // More than TAIL_KEEP copies are indistinguishable in a top-K
-        // multiset, so capping the pushes preserves tail exactness.
-        for _ in 0..n.min(TAIL_KEEP as u64) {
-            self.tail_push(v);
-        }
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count
@@ -313,19 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn record_n_equals_repeated_record() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for _ in 0..37 {
-            a.record(12_345);
-        }
-        b.record_n(12_345, 37);
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.quantile(0.5), b.quantile(0.5));
-        assert!((a.mean() - b.mean()).abs() < 1e-12);
-    }
-
-    #[test]
     fn merge_combines_distributions() {
         let mut a = Histogram::new();
         let mut b = Histogram::new();
@@ -389,21 +359,6 @@ mod tests {
         let target = (0.999 * all.len() as f64).ceil() as usize;
         assert_eq!(a.quantile(0.999), all[target - 1]);
         assert_eq!(a.max(), *all.last().unwrap());
-    }
-
-    #[test]
-    fn record_n_matches_repeated_record_in_the_tail() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for _ in 0..2_000 {
-            a.record(7_777);
-        }
-        a.record(9_999);
-        b.record_n(7_777, 2_000);
-        b.record(9_999);
-        for q in [0.5, 0.999, 0.9999, 1.0] {
-            assert_eq!(a.quantile(q), b.quantile(q), "q={q}");
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! It provides four small, heavily-tested building blocks:
 //!
 //! * [`time`] — a `u64`-nanosecond simulated time base with readable
-//!   constructors (`us(12)`, `ms(2)`) and a monotonic [`time::Clock`].
+//!   constructors (`us(12)`, `ms(2)`).
 //! * [`event`] — a generic, deterministic [`event::EventQueue`]: events that
 //!   carry any payload, ordered by timestamp with FIFO tie-breaking, so two
 //!   runs with the same inputs always pop events in the same order.
@@ -59,5 +59,5 @@ pub mod timeline;
 
 pub use event::{Event, EventQueue};
 pub use rng::{derive_seed, SimRng};
-pub use time::{ms, ns, sec, us, Clock, Nanos};
+pub use time::{ms, ns, us, Nanos};
 pub use timeline::{Reservation, Timeline, TimelineGroup};

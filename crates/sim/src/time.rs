@@ -3,8 +3,7 @@
 //! All simulated time in this workspace is expressed in **nanoseconds** as a
 //! plain `u64` ([`Nanos`]). A `u64` nanosecond clock wraps after ~584 years
 //! of simulated time, far beyond any trace replay, and keeps arithmetic in
-//! the hot path branch-free and cheap (no checked newtype in release builds;
-//! the constructors and `Clock` assert monotonicity in debug builds).
+//! the hot path branch-free and cheap (no checked newtype).
 
 /// Simulated time or duration, in nanoseconds.
 pub type Nanos = u64;
@@ -27,12 +26,6 @@ pub const fn ms(n: u64) -> Nanos {
     n * 1_000_000
 }
 
-/// `n` seconds as [`Nanos`].
-#[inline]
-pub const fn sec(n: u64) -> Nanos {
-    n * 1_000_000_000
-}
-
 /// Render a duration with an adaptive unit (`ns`, `us`, `ms`, `s`).
 ///
 /// Used by report printers; favours two decimal places which is plenty for
@@ -49,44 +42,6 @@ pub fn fmt_duration(t: Nanos) -> String {
     }
 }
 
-/// A monotonic simulated clock.
-///
-/// The clock never goes backwards: [`Clock::advance_to`] with a timestamp in
-/// the past is a no-op, which lets callers blindly fast-forward to event
-/// timestamps that may already have been overtaken by resource contention.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Clock {
-    now: Nanos,
-}
-
-impl Clock {
-    /// A clock at time zero.
-    #[inline]
-    pub const fn new() -> Self {
-        Self { now: 0 }
-    }
-
-    /// Current simulated time.
-    #[inline]
-    pub const fn now(&self) -> Nanos {
-        self.now
-    }
-
-    /// Move the clock forward to `t` (no-op if `t` is in the past).
-    #[inline]
-    pub fn advance_to(&mut self, t: Nanos) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
-
-    /// Move the clock forward by `d`.
-    #[inline]
-    pub fn advance_by(&mut self, d: Nanos) {
-        self.now += d;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,7 +52,6 @@ mod tests {
         assert_eq!(us(1), 1_000);
         assert_eq!(us(12), 12_000);
         assert_eq!(ms(1), 1_000_000);
-        assert_eq!(sec(2), 2_000_000_000);
     }
 
     #[test]
@@ -110,22 +64,10 @@ mod tests {
     }
 
     #[test]
-    fn clock_is_monotonic() {
-        let mut c = Clock::new();
-        assert_eq!(c.now(), 0);
-        c.advance_to(us(5));
-        assert_eq!(c.now(), us(5));
-        c.advance_to(us(3)); // past: ignored
-        assert_eq!(c.now(), us(5));
-        c.advance_by(us(2));
-        assert_eq!(c.now(), us(7));
-    }
-
-    #[test]
     fn duration_formatting_picks_sane_units() {
         assert_eq!(fmt_duration(999), "999ns");
         assert_eq!(fmt_duration(us(12)), "12.00us");
         assert_eq!(fmt_duration(ms(1) + us(500)), "1.50ms");
-        assert_eq!(fmt_duration(sec(3)), "3.00s");
+        assert_eq!(fmt_duration(ms(3_000)), "3.00s");
     }
 }

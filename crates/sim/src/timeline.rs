@@ -56,12 +56,6 @@ impl Timeline {
         self.busy_until
     }
 
-    /// Whether the timeline is idle at time `t`.
-    #[inline]
-    pub fn is_idle_at(&self, t: Nanos) -> bool {
-        self.busy_until <= t
-    }
-
     /// Total busy time accumulated across all reservations.
     #[inline]
     pub fn busy_total(&self) -> Nanos {
@@ -119,16 +113,6 @@ impl TimelineGroup {
     /// Immutable access to timeline `idx`.
     pub fn get(&self, idx: usize) -> &Timeline {
         &self.lines[idx]
-    }
-
-    /// Earliest `next_free` across the group (useful for idle detection).
-    pub fn earliest_free(&self) -> Nanos {
-        self.lines.iter().map(Timeline::next_free).min().unwrap_or(0)
-    }
-
-    /// Latest `next_free` across the group (when *everything* drains).
-    pub fn all_drained_at(&self) -> Nanos {
-        self.lines.iter().map(Timeline::next_free).max().unwrap_or(0)
     }
 
     /// Sum of busy time across all timelines.
@@ -200,17 +184,7 @@ mod tests {
         g.reserve(0, 0, us(100));
         let r = g.reserve(1, 0, us(5)); // different die: no interference
         assert_eq!(r.start, 0);
-        assert_eq!(g.earliest_free(), 0); // dies 2,3 still idle
-        assert_eq!(g.all_drained_at(), us(100));
         assert_eq!(g.busy_total(), us(105));
         assert_eq!(g.ops(), 2);
-    }
-
-    #[test]
-    fn is_idle_at_boundary() {
-        let mut t = Timeline::new();
-        t.reserve(0, us(10));
-        assert!(!t.is_idle_at(us(9)));
-        assert!(t.is_idle_at(us(10))); // end is exclusive-busy
     }
 }

@@ -67,17 +67,6 @@ impl FileWorkloadBuilder {
         id
     }
 
-    /// Overwrite one page of an existing file with new content.
-    ///
-    /// # Panics
-    /// Panics if the file is unknown or the offset out of range.
-    pub fn update_page(&mut self, file: FileId, page: u32, content: ContentId) {
-        let &(start, pages) = self.files.get(&file).expect("unknown file");
-        assert!(page < pages, "page {page} beyond file of {pages} pages");
-        self.requests.push(Request::write(self.now, start + page as u64, vec![content]));
-        self.now += self.gap_ns;
-    }
-
     /// Delete a file: trims its extent.
     ///
     /// # Panics
@@ -86,18 +75,6 @@ impl FileWorkloadBuilder {
         let (start, pages) = self.files.remove(&file).expect("unknown or deleted file");
         self.requests.push(Request::trim(self.now, start, pages));
         self.now += self.gap_ns;
-    }
-
-    /// Read a whole file back.
-    pub fn read_file(&mut self, file: FileId) {
-        let &(start, pages) = self.files.get(&file).expect("unknown file");
-        self.requests.push(Request::read(self.now, start, pages));
-        self.now += self.gap_ns;
-    }
-
-    /// Idle gap (lets background work drain in scripted scenarios).
-    pub fn pause(&mut self, ns: Nanos) {
-        self.now += ns;
     }
 
     /// Finish the script.
@@ -129,10 +106,8 @@ mod tests {
     #[test]
     fn files_occupy_sequential_extents() {
         let mut w = FileWorkloadBuilder::new("t", 100, 10);
-        let f1 = w.write_file(&[ContentId(1), ContentId(2)]);
-        let f2 = w.write_file(&[ContentId(3)]);
-        w.read_file(f1);
-        w.read_file(f2);
+        w.write_file(&[ContentId(1), ContentId(2)]);
+        w.write_file(&[ContentId(3)]);
         let t = w.build();
         assert_eq!(t.requests[0].lpn, 0);
         assert_eq!(t.requests[1].lpn, 2);
@@ -157,16 +132,6 @@ mod tests {
         let f = w.write_file(&[ContentId(1)]);
         w.delete_file(f);
         w.delete_file(f);
-    }
-
-    #[test]
-    fn update_page_targets_the_right_lpn() {
-        let mut w = FileWorkloadBuilder::new("t", 100, 10);
-        let f = w.write_file(&[ContentId(1), ContentId(2)]);
-        w.update_page(f, 1, ContentId(9));
-        let t = w.build();
-        assert_eq!(t.requests[1].lpn, 1);
-        assert_eq!(t.requests[1].contents, vec![ContentId(9)]);
     }
 
     #[test]

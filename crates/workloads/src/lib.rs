@@ -32,10 +32,7 @@ pub mod zipf;
 
 pub use analyze::TraceProfile;
 pub use files::{FileId, FileWorkloadBuilder};
-pub use mixer::{
-    concat, inject_trims, interleave, interleave_n, interleave_n_tagged, merge, retime_poisson,
-    scale_rate, truncate,
-};
+pub use mixer::{inject_trims, interleave_n, interleave_n_tagged, merge, scale_rate};
 pub use fiu::FiuWorkload;
 pub use parser::{parse_fiu, parse_native, write_native, ParseError};
 pub use synth::SynthConfig;

@@ -1,8 +1,8 @@
-//! Trace composition: concatenate, interleave, rescale and truncate traces.
+//! Trace composition: merge tenants, rescale arrivals, inject trims.
 //!
-//! Evaluation studies routinely need composed workloads — a mail server
-//! phase followed by a backup sweep, two tenants interleaved on one
-//! device, the same trace at twice the arrival rate. These operators build
+//! Evaluation studies routinely need composed workloads — tenants
+//! interleaved on one device, the same trace at twice the arrival rate, a
+//! trim-intensified variant of a trim-free trace. These operators build
 //! such variants from existing traces while preserving validity
 //! (time-ordering, extent bounds).
 
@@ -11,34 +11,13 @@ use std::collections::BinaryHeap;
 
 use crate::trace::{Request, RequestView, Trace};
 
-/// Append `b` after `a`, shifting `b`'s timestamps to start `gap_ns` after
-/// `a`'s last arrival. LPN spaces are unioned (max).
-pub fn concat(a: &Trace, b: &Trace, gap_ns: u64) -> Trace {
-    let offset = a.requests.last().map(|r| r.at_ns + gap_ns).unwrap_or(0);
-    let mut requests = a.requests.clone();
-    requests.extend(b.requests.iter().map(|r| Request { at_ns: r.at_ns + offset, ..r.clone() }));
-    Trace::new(
-        format!("{}+{}", a.name, b.name),
-        a.logical_pages.max(b.logical_pages),
-        requests,
-    )
-}
-
-/// Merge two traces on a shared timeline (multi-tenant): `b`'s LPNs are
-/// offset past `a`'s space so the tenants never collide. Wrapper over
-/// [`interleave_n`].
-pub fn interleave(a: &Trace, b: &Trace) -> Trace {
-    interleave_n(&[a, b])
-}
-
 /// The one k-way tenant merge: yields `(tenant index, request)` over every
 /// request of `tenants`, ordered by arrival time with ties broken by tenant
-/// index then FIFO within a tenant — exactly the order a pairwise
-/// [`interleave`] fold produces (verified in this module's tests). Tenant
-/// `i`'s LPNs are rebased past the combined space of tenants `0..i`, so no
-/// two tenants ever collide. Nothing is copied: the views borrow the
-/// tenants' contents, and the state is one cursor per tenant plus a heap of
-/// the tenants with requests left.
+/// index then FIFO within a tenant. Tenant `i`'s LPNs are rebased past the
+/// combined space of tenants `0..i`, so no two tenants ever collide.
+/// Nothing is copied: the views borrow the tenants' contents, and the
+/// state is one cursor per tenant plus a heap of the tenants with requests
+/// left.
 pub fn merge<'a>(tenants: &[&'a Trace]) -> Merge<'a> {
     let mut rest = Vec::with_capacity(tenants.len());
     let mut offset = 0u64;
@@ -168,50 +147,6 @@ pub fn inject_trims(
     )
 }
 
-/// Re-time a trace as an open-loop Poisson arrival process: request order
-/// is preserved, but the gaps between consecutive arrivals are redrawn as
-/// i.i.d. exponentials with the given mean. This turns any access pattern
-/// into a memoryless arrival stream — the canonical open-loop driver for
-/// queue-depth studies, where bursts must come from the *process*, not
-/// from whatever clock the original generator used.
-///
-/// Seeded and deterministic: same inputs, same byte-identical trace.
-///
-/// # Panics
-/// Panics if `mean_interarrival_ns` is zero.
-pub fn retime_poisson(t: &Trace, mean_interarrival_ns: u64, seed: u64) -> Trace {
-    assert!(mean_interarrival_ns > 0, "mean interarrival must be positive");
-    let mut rng = cagc_sim::SimRng::seed_from_u64(seed ^ 0x9035_7A11);
-    let mut at = 0u64;
-    let requests = t
-        .requests
-        .iter()
-        .map(|r| {
-            // Inverse-CDF exponential; clamp the uniform away from 0 so the
-            // log is finite. Gaps round to >= 1 ns, keeping arrivals
-            // strictly increasing (FIFO ties never depend on the sort).
-            let u = rng.next_f64().max(f64::MIN_POSITIVE);
-            let gap = (-u.ln() * mean_interarrival_ns as f64).round().max(1.0) as u64;
-            at += gap;
-            Request { at_ns: at, ..r.clone() }
-        })
-        .collect();
-    Trace::new(
-        format!("{}@poisson{mean_interarrival_ns}", t.name),
-        t.logical_pages,
-        requests,
-    )
-}
-
-/// Keep only the first `n` requests.
-pub fn truncate(t: &Trace, n: usize) -> Trace {
-    Trace::new(
-        format!("{}[..{n}]", t.name),
-        t.logical_pages,
-        t.requests.iter().take(n).cloned().collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,34 +166,18 @@ mod tests {
     }
 
     #[test]
-    fn concat_preserves_order_and_counts() {
-        let a = small(1);
-        let b = small(2);
-        let c = concat(&a, &b, 1_000_000);
-        assert_eq!(c.len(), a.len() + b.len());
-        c.validate().unwrap();
-        // b's first request starts after a's last.
-        let a_last = a.requests.last().unwrap().at_ns;
-        assert!(c.requests[a.len()].at_ns >= a_last + 1_000_000);
-    }
-
-    #[test]
-    fn concat_with_empty_prefix() {
-        let empty = Trace::new("e", 10, vec![]);
-        let b = small(3);
-        let c = concat(&empty, &b, 500);
-        assert_eq!(c.len(), b.len());
-        c.validate().unwrap();
-    }
-
-    #[test]
     fn interleave_separates_tenants() {
         let a = small(1);
         let b = small(2);
-        let c = interleave(&a, &b);
+        let c = interleave_n(&[&a, &b]);
         assert_eq!(c.len(), a.len() + b.len());
         assert_eq!(c.logical_pages, 2_000);
         c.validate().unwrap();
+        // The stream, not only its materialisation: same requests in the
+        // same order, and it knows its own length.
+        let stream = merge(&[&a, &b]);
+        assert_eq!(stream.size_hint(), (c.len(), Some(c.len())));
+        assert!(stream.map(|(_, r)| r).eq(c.requests.iter().map(Request::view)));
         // Tenant B's extents all land in the upper half.
         let b_writes: Vec<&Request> =
             c.requests.iter().filter(|r| r.lpn >= 1_000).collect();
@@ -266,32 +185,9 @@ mod tests {
     }
 
     #[test]
-    fn interleave_n_equals_pairwise_fold() {
-        // The contract the fleet relies on: one stable k-way pass is
-        // byte-identical to folding the pairwise operator.
-        let traces: Vec<Trace> = (1..=4).map(small).collect();
-        let refs: Vec<&Trace> = traces.iter().collect();
-        for k in 1..=traces.len() {
-            let folded = refs[1..k]
-                .iter()
-                .fold(traces[0].clone(), |acc, t| interleave(&acc, t));
-            let merged = interleave_n(&refs[..k]);
-            assert_eq!(merged.name, folded.name, "k={k}");
-            assert_eq!(merged.logical_pages, folded.logical_pages, "k={k}");
-            assert_eq!(merged.requests, folded.requests, "k={k}");
-            merged.validate().unwrap();
-            // The stream itself, not only its materialisation: same
-            // requests in the same order, and it knows its own length.
-            let stream = merge(&refs[..k]);
-            assert_eq!(stream.size_hint(), (folded.len(), Some(folded.len())), "k={k}");
-            assert!(stream.map(|(_, r)| r).eq(folded.requests.iter().map(Request::view)), "k={k}");
-        }
-    }
-
-    #[test]
     fn interleave_n_handles_simultaneous_arrivals_stably() {
         // All tenants fire at the same instants: ties must resolve in
-        // tenant order then FIFO, matching a stable pairwise sort.
+        // tenant order then FIFO.
         let mk = |name: &str| {
             Trace::new(
                 name,
@@ -304,9 +200,7 @@ mod tests {
             )
         };
         let (a, b, c) = (mk("a"), mk("b"), mk("c"));
-        let folded = interleave(&interleave(&a, &b), &c);
         let merged = interleave_n(&[&a, &b, &c]);
-        assert_eq!(merged.requests, folded.requests);
         // First three requests: the t=100 writes of a, a, then b.
         assert_eq!(merged.requests[0].lpn, 0);
         assert_eq!(merged.requests[1].lpn, 1);
@@ -384,15 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn truncate_takes_a_prefix() {
-        let a = small(1);
-        let t = truncate(&a, 50);
-        assert_eq!(t.len(), 50);
-        assert_eq!(t.requests[..], a.requests[..50]);
-        assert_eq!(truncate(&a, 10_000).len(), a.len());
-    }
-
-    #[test]
     fn inject_trims_adds_deterministic_trims() {
         // Start from a trim-free trace so every trim in the result is ours.
         let a = SynthConfig {
@@ -436,45 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn retime_poisson_preserves_order_and_is_deterministic() {
-        let a = small(8);
-        let p1 = retime_poisson(&a, 50_000, 9);
-        let p2 = retime_poisson(&a, 50_000, 9);
-        assert_eq!(p1.requests, p2.requests, "same seed, same arrivals");
-        p1.validate().unwrap();
-        assert_eq!(p1.len(), a.len());
-        // Only the clock changed: op sequence, extents and contents are
-        // untouched, and arrivals are strictly increasing.
-        for (orig, re) in a.requests.iter().zip(&p1.requests) {
-            assert_eq!(orig.kind, re.kind);
-            assert_eq!(orig.lpn, re.lpn);
-            assert_eq!(orig.pages, re.pages);
-            assert_eq!(orig.contents, re.contents);
-        }
-        for w in p1.requests.windows(2) {
-            assert!(w[0].at_ns < w[1].at_ns);
-        }
-        // The realized mean gap lands near the requested mean.
-        let span = p1.requests.last().unwrap().at_ns - p1.requests[0].at_ns;
-        let mean = span as f64 / (p1.len() - 1) as f64;
-        assert!((mean / 50_000.0 - 1.0).abs() < 0.25, "mean gap {mean} vs 50000");
-    }
-
-    #[test]
-    fn retime_poisson_rate_scales_with_mean() {
-        let a = small(9);
-        let fast = retime_poisson(&a, 10_000, 3);
-        let slow = retime_poisson(&a, 200_000, 3);
-        assert!(fast.requests.last().unwrap().at_ns < slow.requests.last().unwrap().at_ns);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn retime_poisson_rejects_zero_mean() {
-        retime_poisson(&small(1), 0, 1);
-    }
-
-    #[test]
     fn composition_preserves_content_semantics() {
         // Two tenants writing the same ContentId still deduplicate when
         // interleaved — content identity is global, as on a real device.
@@ -488,7 +334,7 @@ mod tests {
             10,
             vec![Request::write(5, 0, vec![ContentId(7)])],
         );
-        let c = interleave(&a, &b);
+        let c = interleave_n(&[&a, &b]);
         let writes: Vec<_> =
             c.requests.iter().filter(|r| r.kind == OpKind::Write).collect();
         assert_eq!(writes[0].contents, writes[1].contents);

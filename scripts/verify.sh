@@ -31,6 +31,11 @@ if grep -rn 'process_status\|process_checked' crates src examples tests \
   || grep -rn 'clone_from(contents)\|\.\.req\.clone()\|\.\.r\.clone()' crates/host/src crates/fleet/src crates/bench/src; then
   echo "FAIL: a command reaches the FTL through Ssd::submit, tenant streams merge in workloads::mixer::merge, and a driver restamps a RequestView instead of cloning a Request (DESIGN.md, request path)"; exit 1; fi
 
+echo "== one value, no knob: derived thresholds and fixed costs are not settable =="
+if grep -rnE 'pub (gc_low|gc_high|gc_reserve_blocks|read_miss_ns|lookup_ns|trim_ns|idle_threshold_ns|prehash_ns|program_retry_backoff_ns|max_read_retries|ecc_decode_ns):' crates \
+  || grep -rnE 'endurance_limit|wearout_slope|FleetTelemetryConfig|enum ConfigError' crates; then
+  echo "FAIL: GC thresholds are GcThresholds::of(flash) and controller costs are SsdConfig consts; fleet telemetry takes a TraceConfig, config errors are Strings (DESIGN.md, what stays settable)"; exit 1; fi
+
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
 

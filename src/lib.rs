@@ -14,7 +14,7 @@
 //!
 //! | crate | what it is |
 //! |-------|------------|
-//! | [`sim`] | discrete-event substrate: clock, event queue, resource timelines |
+//! | [`sim`] | discrete-event substrate: time base, event queue, resource timelines |
 //! | [`flash`] | NAND device model: geometry, page/block state machine, Table I timing |
 //! | [`dedup`] | SHA-1, fingerprints, fingerprint index with refcounts, hash engine |
 //! | [`ftl`] | mapping table, reverse map, region allocator, victim policies |

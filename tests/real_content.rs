@@ -8,8 +8,9 @@
 //! structure, so every dedup decision the simulator makes is the decision
 //! a real-content FTL would make.
 
-use cagc::dedup::{ContentId, Fingerprint, ParallelHasher};
+use cagc::dedup::{ContentId, Fingerprint};
 use cagc::prelude::*;
+use cagc_harness::pool::map_ordered_dynamic_chunked;
 use std::collections::HashMap;
 
 #[test]
@@ -20,17 +21,18 @@ fn byte_level_fingerprints_induce_the_same_duplicate_structure() {
         trace.requests.iter().flat_map(|r| r.contents.iter().copied()).collect();
     assert!(contents.len() >= 100_000, "only {} contents", contents.len());
 
-    // Real data path: expand every content to bytes and hash them with
-    // the parallel hasher (the production-style path), a batch at a time.
+    // Real data path: expand every content to bytes and SHA-1 them on the
+    // worker pool, a batch at a time, each worker claiming runs of pages.
     // 512-byte sectors here: which contents are equal does not depend on
     // the payload length, and 100 k 4 KiB SHA-1s take 20 s unoptimised
     // (the test below hashes whole pages).
-    let hasher = ParallelHasher::auto();
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let byte_fps: Vec<Fingerprint> = contents
         .chunks(4096)
         .flat_map(|batch| {
             let payloads: Vec<Vec<u8>> = batch.iter().map(|c| c.synth_bytes(512)).collect();
-            hasher.hash_pages(&payloads)
+            let run = payloads.len().div_ceil(4 * workers);
+            map_ordered_dynamic_chunked(&payloads, workers, run, |p| Fingerprint::of_bytes(p))
         })
         .collect();
 
