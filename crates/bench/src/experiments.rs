@@ -830,7 +830,7 @@ pub fn sweep_qd(scale: &Scale, resilient: bool) -> Artifacts {
     let mut reference = Ssd::new(device(false));
     let mut t = 0;
     for r in &trace.requests {
-        t = reference.submit(RequestView { at_ns: t, ..r.view() }).expect("no crash plan").end_ns;
+        t = reference.submit(RequestView { at_ns: t, ..r }).expect("no crash plan").end_ns;
     }
     let want = reference.report(&trace.name).to_json().render();
     let (_, qd1) =

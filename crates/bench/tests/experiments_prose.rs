@@ -1,7 +1,8 @@
-//! EXPERIMENTS.md's Fig. 9, 10 and 11 tables mirror the byte-gated
-//! `results/fig{9,10,11}.csv`: every cell must agree with its CSV value at
-//! the precision the prose prints, so a golden cannot be re-pinned without
-//! its prose.
+//! EXPERIMENTS.md's Fig. 9, 10, 11 and 13 tables mirror
+//! `results/fig{9,10,11,13}.csv`: every cell must agree with its CSV value
+//! at the precision the prose prints, so a golden cannot be re-pinned
+//! without its prose. Fig. 13's Greedy rows are Figs. 9 and 10's cells, so
+//! the CSVs must also agree with each other.
 
 use std::collections::HashMap;
 
@@ -40,21 +41,20 @@ fn table(md: &str, marker: &str) -> (Vec<String>, Vec<Vec<String>>) {
     (header, rows.collect())
 }
 
-/// Check one prose cell against a CSV value: same magnitude at the number
-/// of decimals the prose prints, and `−` exactly where the prose reports a
-/// reduction (`negated`).
+/// Check one prose cell against a CSV value at the number of decimals the
+/// prose prints. A `negated` column prints a reduction as `−x` and an
+/// increase (a negative reduction) as `+x`.
 fn check(what: &str, prose: &str, value: &str, negated: bool) {
     let cleaned: String = prose
         .chars()
-        .filter(|c| !matches!(c, '*' | '¹' | '%' | ' ' | '\u{a0}'))
+        .filter(|c| !matches!(c, '*' | '¹' | '%' | ' ' | '\u{a0}' | '+'))
+        .map(|c| if c == '−' { '-' } else { c })
         .collect();
-    let magnitude = cleaned.trim_start_matches('−');
-    assert_eq!(cleaned.starts_with('−'), negated, "{what}: sign of `{prose}`");
-    let decimals = magnitude.split_once('.').map_or(0, |(_, frac)| frac.len());
+    let decimals = cleaned.split_once('.').map_or(0, |(_, frac)| frac.len());
     let value: f64 = value.parse().unwrap_or_else(|e| panic!("{what}: csv `{value}`: {e}"));
     assert_eq!(
-        magnitude,
-        format!("{:.*}", decimals, value),
+        cleaned,
+        format!("{:.*}", decimals, if negated { -value } else { value }),
         "{what}: EXPERIMENTS.md says `{prose}`, the CSV says {value}"
     );
 }
@@ -110,5 +110,34 @@ fn fig11_prose_matches_its_golden() {
         }
         let key = (format!("{w}/CAGC"), "paper_cagc_reduction_pct".to_string());
         check(&format!("Fig. 11 {w} paper"), &row[4], &data[&key], true);
+    }
+}
+
+#[test]
+fn fig13_prose_matches_its_csv() {
+    let md = read("EXPERIMENTS.md");
+    let data = csv("results/fig13.csv", 2);
+    let (_, rows) = table(&md, "## Fig. 13 ");
+    assert_eq!(rows.len(), 9, "Fig. 13: one row per workload and policy");
+    let columns = ["erase_reduction_pct", "migration_reduction_pct", "response_reduction_pct"];
+    for row in &rows {
+        let key = format!("{}/{}", row[0], row[1]);
+        for (cell, col) in row[2..5].iter().zip(columns) {
+            check(&format!("Fig. 13 {key} {col}"), cell, &data[&(key.clone(), col.to_string())], true);
+        }
+    }
+}
+
+/// Fig. 13 under the default Greedy policy replays the same aged cells as
+/// Figs. 9 and 10, so its reductions are theirs, digit for digit.
+#[test]
+fn fig13_greedy_rows_equal_figs_9_and_10() {
+    let fig13 = csv("results/fig13.csv", 2);
+    let (fig9, fig10) = (csv("results/fig9.csv", 1), csv("results/fig10.csv", 1));
+    for w in ["Homes", "Web-vm", "Mail"] {
+        let greedy = |col: &str| &fig13[&(format!("{w}/Greedy"), col.to_string())];
+        let reduction = |fig: &HashMap<(String, String), String>| fig[&(w.to_string(), "reduction_pct".to_string())].clone();
+        assert_eq!(greedy("erase_reduction_pct"), &reduction(&fig9), "{w}: Fig. 13 vs Fig. 9");
+        assert_eq!(greedy("migration_reduction_pct"), &reduction(&fig10), "{w}: Fig. 13 vs Fig. 10");
     }
 }

@@ -843,7 +843,7 @@ mod tests {
             ssd.enable_tracing(TraceConfig::default());
             let (mut recovered, mut stranded_max, mut selected) = (false, 0, 0);
             for req in &trace.requests {
-                if ssd.submit(req.view()).is_err() {
+                if ssd.submit(req).is_err() {
                     ssd.recover().expect("durable state is consistent");
                     recovered = true;
                 }

@@ -27,7 +27,7 @@ use cagc_ftl::{
 use cagc_metrics::{Cdf, Histogram};
 use cagc_sim::time::Nanos;
 use cagc_trace::{TraceConfig, Tracer, Track};
-use cagc_workloads::{OpKind, Request, RequestView, Trace};
+use cagc_workloads::{OpKind, RequestView, Trace};
 
 use crate::config::{GcThresholds, Scheme, SsdConfig};
 use crate::recovery::RecoveryReport;
@@ -491,8 +491,9 @@ impl Ssd {
     /// request torn by power loss (never acknowledged) is absorbed and
     /// answered with its arrival time; callers that must tell the two
     /// apart call `submit`.
-    pub fn process(&mut self, req: &Request) -> Nanos {
-        self.submit(req.view()).map_or(req.at_ns, |c| c.end_ns)
+    pub fn process<'a>(&mut self, req: impl Into<RequestView<'a>>) -> Nanos {
+        let req = req.into();
+        self.submit(req).map_or(req.at_ns, |c| c.end_ns)
     }
 
     /// The per-kind request body: returns the completion time and status,
@@ -1303,6 +1304,7 @@ impl Ssd {
 mod tests {
     use super::*;
     use cagc_flash::{FaultConfig, UllConfig};
+    use cagc_workloads::Request;
 
     #[test]
     fn audit_rejects_an_indexed_fingerprint_that_is_not_the_contents() {

@@ -572,12 +572,10 @@ fn crash_points_inside_gc_recover_for_every_scheme() {
             let mut torn_at = None;
             for (i, req) in reqs.iter().enumerate() {
                 let cand: Vec<(u64, Option<ContentId>)> = match req.kind {
-                    cagc_workloads::OpKind::Write => req
-                        .lpns()
-                        .enumerate()
-                        .map(|(i, l)| (l, Some(req.contents[i])))
-                        .collect(),
-                    cagc_workloads::OpKind::Trim => req.lpns().map(|l| (l, None)).collect(),
+                    cagc_workloads::OpKind::Write => {
+                        req.view().lpns().zip(&req.contents).map(|(l, &c)| (l, Some(c))).collect()
+                    }
+                    cagc_workloads::OpKind::Trim => req.view().lpns().map(|l| (l, None)).collect(),
                     cagc_workloads::OpKind::Read => Vec::new(),
                 };
                 match ssd.submit(req.view()) {

@@ -190,7 +190,7 @@ fn faulted_run_traces_retries_and_recovery() {
     };
     let mut ssd = traced_ssd(cfg, TraceConfig::default());
     for req in &trace.requests {
-        if ssd.submit(req.view()).is_err() {
+        if ssd.submit(req).is_err() {
             break;
         }
     }

@@ -209,11 +209,11 @@ pub fn uniform_validation(
     // block-occupancy distribution reaches its greedy steady state
     // before the measured window opens.
     let warm = trace.requests.len() - writes / 2;
-    for r in &trace.requests[..warm] {
+    for r in trace.requests.iter().take(warm) {
         ssd.process(r);
     }
     let before = ssd.report("uniform");
-    for r in &trace.requests[warm..] {
+    for r in trace.requests.iter().skip(warm) {
         ssd.process(r);
     }
     let after = ssd.report("uniform");

@@ -47,8 +47,7 @@ impl TraceLibrary {
             return Arc::clone(t);
         }
         let base = workload.synth_config(logical_pages, requests, seed).generate();
-        let trace =
-            if rate_factor == 1.0 { base } else { mixer::scale_rate(&base, rate_factor) };
+        let trace = if rate_factor == 1.0 { base } else { mixer::scale_rate(base, rate_factor) };
         let trace = Arc::new(trace);
         self.entries.push((key, Arc::clone(&trace)));
         trace

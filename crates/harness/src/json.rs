@@ -75,8 +75,12 @@ impl Json {
     /// kept as written, so `parse(render(x)) == x` for trees the
     /// serializer can emit (non-finite floats excluded — they render as
     /// `null`).
+    ///
+    /// Arrays and objects nest at most [`MAX_DEPTH`] levels deep; a
+    /// deeper document is a [`ParseError`] naming the limit, never a stack
+    /// overflow.
     pub fn parse(input: &str) -> Result<Json, ParseError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -162,11 +166,18 @@ pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts: far
+/// past anything the serializers emit, far short of the stack the
+/// recursive descent would need to overflow.
+pub const MAX_DEPTH: u32 = 128;
+
 /// Recursive-descent parser over the raw input bytes. JSON's grammar is
 /// LL(1), so one byte of lookahead (`peek`) is all the machinery needed.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: u32,
 }
 
 impl<'a> Parser<'a> {
@@ -208,12 +219,24 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, ParseError>) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -594,6 +617,68 @@ mod tests {
         let err = Json::parse("[1, @]").unwrap_err();
         assert_eq!(err.offset, 4);
         assert!(err.to_string().contains("byte 4"));
+    }
+
+    /// `depth` nested arrays, or objects, around a leaf.
+    fn nested(depth: usize, objects: bool) -> String {
+        if objects {
+            format!("{}0{}", "{\"a\":".repeat(depth), "}".repeat(depth))
+        } else {
+            format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let limit = MAX_DEPTH as usize;
+        for objects in [false, true] {
+            assert!(Json::parse(&nested(limit, objects)).is_ok());
+            for depth in [limit + 1, 100_000] {
+                let err = Json::parse(&nested(depth, objects)).unwrap_err();
+                assert!(err.message.contains("deeper than 128 levels"), "{err}");
+                assert_eq!(err.offset, limit * if objects { 5 } else { 1 });
+            }
+        }
+        // Unclosed, as a truncated or hostile document would be.
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.message.contains("128 levels"), "{err}");
+    }
+
+    /// Fragments a hostile document is made of: structure, lone and
+    /// mismatched surrogates, numbers past every integer type and past
+    /// `f64`, broken literals and escapes.
+    const HOSTILE: [&str; 30] = [
+        "[", "]", "{", "}", ":", ",", " ", "\"", "\"a\"", "\\", "\"\\ud800\"", "\"\\udc00\"",
+        "\"\\ud800\\u0041\"", "\"\\ud800x\"", "\"\\u12\"", "\"\\uzzzz\"", "\"\\q\"", "\"é\"",
+        "18446744073709551616", "-9223372036854775809", "1e999", "-1e-999", "-", "1.", ".5",
+        "01", "true", "nul", "null", "\u{1}",
+    ];
+
+    crate::harness_proptest! {
+        #![config(cases = 512)]
+        /// Token soup, truncated documents and nesting at the limit ± 1:
+        /// `Json::parse` answers `Ok` or `Err`, never a panic.
+        #[test]
+        fn parse_answers_hostile_input_with_ok_or_err(
+            soup in crate::prop::vec(0..HOSTILE.len(), 0..40),
+            cut in 0usize..64,
+            depth in (MAX_DEPTH as usize - 1)..(MAX_DEPTH as usize + 2),
+            objects in crate::prop::any::<bool>(),
+        ) {
+            let text: String = soup.iter().map(|&t| HOSTILE[t]).collect();
+            let _ = Json::parse(&text);
+
+            // Every proper prefix of an object is incomplete.
+            let doc = Json::obj([
+                ("s", Json::Str("µ\"\n".into())),
+                ("n", Json::Arr(vec![Json::U64(u64::MAX), Json::I64(-1), Json::F64(0.5)])),
+            ])
+            .render();
+            let cut = (0..=cut.min(doc.len())).rev().find(|&i| doc.is_char_boundary(i)).unwrap_or(0);
+            crate::prop_assert_eq!(Json::parse(&doc[..cut]).is_ok(), cut == doc.len());
+
+            crate::prop_assert_eq!(Json::parse(&nested(depth, objects)).is_ok(), depth <= MAX_DEPTH as usize);
+        }
     }
 
     #[test]

@@ -188,11 +188,15 @@ impl HostInterface {
     fn run(&mut self, trace: &Trace, closed: bool) -> (HostReport, Vec<CmdLatency>) {
         let pairs = self.cfg.queue_pairs as usize;
         let n = trace.requests.len();
+        // Open loop schedules every arrival up front. A closed loop holds
+        // one pending completion or retry per queue slot plus a few timers
+        // (the queue grows past this reservation if it must).
+        let events = if closed { pairs * (self.cfg.queue_depth as usize + 1) } else { n };
         let mut r = Runner {
             cfg: self.cfg.clone(),
             ssd: &mut self.ssd,
             trace,
-            events: EventQueue::with_capacity(n + 64),
+            events: EventQueue::with_capacity(events + 64),
             cmds: vec![CmdLatency::default(); n],
             queues: (0..pairs).map(|_| QueuePair::default()).collect(),
             cursor: 0,
@@ -251,7 +255,12 @@ struct Runner<'a> {
     retry_rng: SimRng,
 }
 
-impl Runner<'_> {
+impl<'a> Runner<'a> {
+    /// Trace command `cmd`.
+    fn request(&self, cmd: usize) -> RequestView<'a> {
+        self.trace.requests.get(cmd).expect("commands index the trace")
+    }
+
     /// Seed the event queue: open-loop schedules every arrival up front;
     /// closed-loop fills each pair to its depth at t = 0.
     fn prime(&mut self) {
@@ -347,7 +356,7 @@ impl Runner<'_> {
     /// pool is gone for good), and neither is a command a dead device
     /// never serviced.
     fn issue(&mut self, q: usize, cmd: usize, exec_at: Nanos) {
-        let req = RequestView { at_ns: exec_at, ..self.trace.requests[cmd].view() };
+        let req = RequestView { at_ns: exec_at, ..self.request(cmd) };
         // A command torn by (or issued after) power loss is lost, not
         // completed. It still travels the CQ/IRQ path with that status at
         // issue time, so its slot frees and a closed loop keeps draining.
@@ -430,6 +439,7 @@ impl Runner<'_> {
         let reaped = std::mem::take(&mut self.queues[q].cq);
         let traced = self.ssd.tracer().is_enabled();
         for &cmd in &reaped {
+            let kind = self.request(cmd).kind;
             let rec = &mut self.cmds[cmd];
             rec.reaped_ns = now;
             // A lost command was never serviced: it is a failed op
@@ -437,7 +447,7 @@ impl Runner<'_> {
             if rec.status != CmdStatus::PowerLoss {
                 let lat = now - rec.wanted_ns;
                 self.stats.all.record(lat);
-                match self.trace.requests[cmd].kind {
+                match kind {
                     OpKind::Read => self.stats.reads.record(lat),
                     OpKind::Write => self.stats.writes.record(lat),
                     OpKind::Trim => {}

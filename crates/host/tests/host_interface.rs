@@ -58,7 +58,7 @@ fn closed_loop_qd1_matches_sequential_reference() {
     let mut reference = Ssd::new(SsdConfig::tiny(Scheme::Cagc));
     let mut t = 0;
     for r in &trace.requests {
-        t = reference.submit(RequestView { at_ns: t, ..r.view() }).expect("no crash plan").end_ns;
+        t = reference.submit(RequestView { at_ns: t, ..r }).expect("no crash plan").end_ns;
     }
     let want = reference.report(&trace.name).to_json().render();
 
@@ -171,7 +171,7 @@ fn closed_loop_qd1_matches_sequential_reference_under_faults() {
     let (mut media, mut wfault, mut wprot) = (0u64, 0u64, 0u64);
     for r in &trace.requests {
         let c = reference
-            .submit(RequestView { at_ns: t, ..r.view() })
+            .submit(RequestView { at_ns: t, ..r })
             .expect("no crash configured");
         t = c.end_ns;
         match c.status {

@@ -234,6 +234,18 @@ mod tests {
         assert!(err.starts_with("line 65537:") && err.contains("distinct names"), "{err}");
     }
 
+    /// A line nested past the JSON parser's limit is an error naming the
+    /// line and the limit, not a stack overflow that aborts the process.
+    #[test]
+    fn deeply_nested_lines_are_errors_not_aborts() {
+        let deep_array = format!("{{\"a\":{}\n", "[".repeat(100_000));
+        let deep_object = format!("{}0{}\n", "{\"a\":".repeat(100_000), "}".repeat(100_000));
+        for text in [deep_array, deep_object] {
+            let err = parse_jsonl(&text).unwrap_err();
+            assert!(err.starts_with("line 1:") && err.contains("128 levels"), "{err}");
+        }
+    }
+
     #[test]
     fn blank_lines_are_skipped() {
         let parsed = parse_jsonl("\n\n").unwrap();

@@ -46,7 +46,7 @@ impl TraceProfile {
                 OpKind::Write => {
                     writes += 1;
                     written_pages += r.pages as u64;
-                    for c in &r.contents {
+                    for c in r.contents {
                         if !seen.insert(*c) {
                             dup_pages += 1;
                         }

@@ -7,7 +7,7 @@
 //! scripts exactly such scenarios as traces — the quickstart example uses
 //! it to replay Fig. 8's "write four files, delete two" comparison.
 
-use crate::trace::{Request, Trace};
+use crate::trace::{RequestView, Requests, Trace};
 use cagc_dedup::ContentId;
 use cagc_sim::time::Nanos;
 use std::collections::HashMap;
@@ -26,7 +26,7 @@ pub struct FileWorkloadBuilder {
     next_lpn: u64,
     next_file: u64,
     files: HashMap<FileId, (u64, u32)>, // (start lpn, pages)
-    requests: Vec<Request>,
+    requests: Requests,
 }
 
 impl FileWorkloadBuilder {
@@ -41,7 +41,7 @@ impl FileWorkloadBuilder {
             next_lpn: 0,
             next_file: 0,
             files: HashMap::new(),
-            requests: Vec::new(),
+            requests: Requests::default(),
         }
     }
 
@@ -60,7 +60,9 @@ impl FileWorkloadBuilder {
         );
         let id = FileId(self.next_file);
         self.next_file += 1;
-        self.requests.push(Request::write(self.now, self.next_lpn, chunks.to_vec()));
+        self.requests
+            .push_write(self.now, self.next_lpn, chunks.len() as u32, chunks.iter().copied())
+            .unwrap_or_else(|e| panic!("file workload: {e}"));
         self.files.insert(id, (self.next_lpn, chunks.len() as u32));
         self.next_lpn += chunks.len() as u64;
         self.now += self.gap_ns;
@@ -73,13 +75,16 @@ impl FileWorkloadBuilder {
     /// Panics if the file is unknown (double delete).
     pub fn delete_file(&mut self, file: FileId) {
         let (start, pages) = self.files.remove(&file).expect("unknown or deleted file");
-        self.requests.push(Request::trim(self.now, start, pages));
+        self.requests
+            .push(RequestView::trim(self.now, start, pages))
+            .expect("the extent was accepted when the file was written");
         self.now += self.gap_ns;
     }
 
     /// Finish the script.
     pub fn build(self) -> Trace {
-        Trace::new(self.name, self.logical_pages, self.requests)
+        Trace::from_requests(self.name, self.logical_pages, self.requests)
+            .expect("a file script stays inside its logical space, in time order")
     }
 
     /// The Fig. 8 scenario: four files sharing chunks (File1=ABCD,
@@ -109,8 +114,8 @@ mod tests {
         w.write_file(&[ContentId(1), ContentId(2)]);
         w.write_file(&[ContentId(3)]);
         let t = w.build();
-        assert_eq!(t.requests[0].lpn, 0);
-        assert_eq!(t.requests[1].lpn, 2);
+        let lpns: Vec<u64> = t.requests.iter().map(|r| r.lpn).collect();
+        assert_eq!(lpns, [0, 2]);
         t.validate().unwrap();
     }
 
@@ -120,9 +125,8 @@ mod tests {
         let f = w.write_file(&[ContentId(1), ContentId(2), ContentId(3)]);
         w.delete_file(f);
         let t = w.build();
-        assert_eq!(t.requests[1].kind, OpKind::Trim);
-        assert_eq!(t.requests[1].lpn, 0);
-        assert_eq!(t.requests[1].pages, 3);
+        let trim = t.requests.get(1).unwrap();
+        assert_eq!((trim.kind, trim.lpn, trim.pages), (OpKind::Trim, 0, 3));
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! The traces the CAGC experiments replay, and the machinery to make more:
 //!
 //! * [`trace`] — the request/trace model: timestamped, page-granular,
-//!   content-carrying I/O (what the FIU SyLab traces provide).
+//!   content-carrying I/O (what the FIU SyLab traces provide), stored as an
+//!   arena of 24-byte records plus one content slab and read as
+//!   [`RequestView`]s.
 //! * [`synth`] — the synthetic deduplicating workload generator, with
 //!   controllable write ratio, dedup ratio, request-size distribution, LPN
 //!   locality and content-popularity skew.
@@ -36,5 +38,5 @@ pub use mixer::{inject_trims, interleave_n, interleave_n_tagged, merge, scale_ra
 pub use fiu::FiuWorkload;
 pub use parser::{parse_fiu, parse_native, write_native, ParseError};
 pub use synth::SynthConfig;
-pub use trace::{OpKind, Request, RequestView, Trace};
+pub use trace::{OpKind, Request, RequestView, Requests, Trace};
 pub use zipf::Zipf;

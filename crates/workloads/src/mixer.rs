@@ -9,7 +9,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::trace::{Request, RequestView, Trace};
+use crate::trace::{OpKind, RequestView, Requests, Trace};
 
 /// The one k-way tenant merge: yields `(tenant index, request)` over every
 /// request of `tenants`, ordered by arrival time with ties broken by tenant
@@ -19,10 +19,10 @@ use crate::trace::{Request, RequestView, Trace};
 /// state is one cursor per tenant plus a heap of the tenants with requests
 /// left.
 pub fn merge<'a>(tenants: &[&'a Trace]) -> Merge<'a> {
-    let mut rest = Vec::with_capacity(tenants.len());
+    let mut cursors = Vec::with_capacity(tenants.len());
     let mut offset = 0u64;
     for t in tenants {
-        rest.push((offset, t.requests.as_slice()));
+        cursors.push((offset, &t.requests, 0));
         offset += t.logical_pages;
     }
     // Each tenant trace is already time-ordered, so a heap keyed
@@ -32,14 +32,15 @@ pub fn merge<'a>(tenants: &[&'a Trace]) -> Merge<'a> {
         .enumerate()
         .filter_map(|(i, t)| Some(Reverse((t.requests.first()?.at_ns, i))))
         .collect();
-    Merge { rest, heap }
+    Merge { cursors, heap }
 }
 
 /// The iterator [`merge`] returns.
 #[derive(Debug, Clone)]
 pub struct Merge<'a> {
-    /// Per tenant: its namespace offset and the requests not yet yielded.
-    rest: Vec<(u64, &'a [Request])>,
+    /// Per tenant: its namespace offset, its requests and the index of the
+    /// next one to yield.
+    cursors: Vec<(u64, &'a Requests, usize)>,
     /// `(next arrival, tenant)` for every tenant with requests left.
     heap: BinaryHeap<Reverse<(u64, usize)>>,
 }
@@ -49,20 +50,22 @@ impl<'a> Iterator for Merge<'a> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let Reverse((_, i)) = self.heap.pop()?;
-        let (offset, rest) = &mut self.rest[i];
-        let (r, tail) = rest.split_first().expect("the heap names only tenants with requests left");
-        *rest = tail;
-        if let Some(next) = tail.first() {
-            self.heap.push(Reverse((next.at_ns, i)));
+        let (offset, requests, next) = &mut self.cursors[i];
+        let r = requests.get(*next).expect("the heap names only tenants with requests left");
+        *next += 1;
+        if let Some(following) = requests.get(*next) {
+            self.heap.push(Reverse((following.at_ns, i)));
         }
-        Some((i, RequestView { lpn: r.lpn + *offset, ..r.view() }))
+        Some((i, RequestView { lpn: r.lpn + *offset, ..r }))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.rest.iter().map(|(_, rest)| rest.len()).sum();
+        let left = self.cursors.iter().map(|(_, requests, next)| requests.len() - next).sum();
         (left, Some(left))
     }
 }
+
+impl ExactSizeIterator for Merge<'_> {}
 
 /// Materialise [`merge`] as one trace over the tenants' combined namespace.
 ///
@@ -81,25 +84,33 @@ pub fn interleave_n(tenants: &[&Trace]) -> Trace {
 /// Panics on an empty tenant list.
 pub fn interleave_n_tagged(tenants: &[&Trace]) -> (Trace, Vec<u32>) {
     assert!(!tenants.is_empty(), "interleave_n needs at least one tenant");
-    let (tags, requests) = merge(tenants).map(|(i, r)| (i as u32, r.to_request())).unzip();
+    let merged = merge(tenants);
+    let contents = tenants.iter().map(|t| t.requests.contents_len()).sum();
+    let mut requests = Requests::with_capacity(merged.len(), contents);
+    let mut tags = Vec::with_capacity(merged.len());
+    for (i, r) in merged {
+        tags.push(i as u32);
+        requests.push(r).unwrap_or_else(|e| panic!("interleave_n: {e}"));
+    }
     let name = tenants.iter().map(|t| t.name.as_str()).collect::<Vec<_>>().join("||");
     let total_pages = tenants.iter().map(|t| t.logical_pages).sum();
-    (Trace::new(name, total_pages, requests), tags)
+    let trace = Trace::from_requests(name, total_pages, requests)
+        .unwrap_or_else(|e| panic!("interleave_n: {e}"));
+    (trace, tags)
 }
 
 /// Rescale arrival times by `factor` (2.0 = twice as slow, 0.5 = twice as
-/// fast). Useful for load sweeps on a fixed access pattern.
+/// fast), in place. Useful for load sweeps on a fixed access pattern.
 ///
 /// # Panics
 /// Panics on non-positive factors.
-pub fn scale_rate(t: &Trace, factor: f64) -> Trace {
+pub fn scale_rate(mut t: Trace, factor: f64) -> Trace {
     assert!(factor > 0.0, "rate factor must be positive");
-    let requests = t
-        .requests
-        .iter()
-        .map(|r| Request { at_ns: (r.at_ns as f64 * factor) as u64, ..r.clone() })
-        .collect();
-    Trace::new(format!("{}x{factor}", t.name), t.logical_pages, requests)
+    // Scaling by a positive factor is monotone, so the trace stays
+    // time-ordered and needs no revalidation.
+    t.requests.retime(|at| (at as f64 * factor) as u64);
+    t.name = format!("{}x{factor}", t.name);
+    t
 }
 
 /// Derive a trim-intensified variant of a trace: each write request is,
@@ -126,32 +137,39 @@ pub fn inject_trims(
         "trim_fraction {trim_fraction} outside [0, 1]"
     );
     let mut rng = cagc_sim::SimRng::seed_from_u64(seed ^ 0x7219_6D5F);
-    let mut requests = t.requests.clone();
-    let last_at = t.requests.last().map(|r| r.at_ns).unwrap_or(0);
+    let last_at = t.requests.last().map_or(0, |r| r.at_ns);
+    // Each trim takes a later request's arrival, so the trims come out
+    // time-ordered too.
+    let mut trims = Vec::new();
     for (i, r) in t.requests.iter().enumerate() {
-        if r.kind != crate::trace::OpKind::Write || !rng.gen_bool(trim_fraction) {
+        if r.kind != OpKind::Write || !rng.gen_bool(trim_fraction) {
             continue;
         }
-        let at = t
-            .requests
-            .get(i + delay_requests.max(1))
-            .map(|later| later.at_ns)
-            .unwrap_or(last_at);
-        requests.push(Request::trim(at, r.lpn, r.pages));
+        let later = t.requests.get(i.saturating_add(delay_requests.max(1)));
+        trims.push(RequestView::trim(later.map_or(last_at, |l| l.at_ns), r.lpn, r.pages));
     }
-    requests.sort_by_key(|r| r.at_ns);
-    Trace::new(
-        format!("{}~trim{trim_fraction}", t.name),
-        t.logical_pages,
-        requests,
-    )
+    // Merge the two ordered streams; on equal arrivals the original
+    // request goes first.
+    let mut requests =
+        Requests::with_capacity(t.len() + trims.len(), t.requests.contents_len());
+    let mut trims = trims.into_iter().peekable();
+    let fits = |pushed: Result<(), String>| pushed.expect("a valid trace's requests repack");
+    for r in &t.requests {
+        while let Some(trim) = trims.next_if(|trim| trim.at_ns < r.at_ns) {
+            fits(requests.push(trim));
+        }
+        fits(requests.push(r));
+    }
+    trims.for_each(|trim| fits(requests.push(trim)));
+    Trace::from_requests(format!("{}~trim{trim_fraction}", t.name), t.logical_pages, requests)
+        .expect("injected trims keep the trace valid")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::synth::SynthConfig;
-    use crate::trace::OpKind;
+    use crate::trace::Request;
     use cagc_dedup::ContentId;
 
     fn small(seed: u64) -> Trace {
@@ -177,11 +195,9 @@ mod tests {
         // same order, and it knows its own length.
         let stream = merge(&[&a, &b]);
         assert_eq!(stream.size_hint(), (c.len(), Some(c.len())));
-        assert!(stream.map(|(_, r)| r).eq(c.requests.iter().map(Request::view)));
+        assert!(stream.map(|(_, r)| r).eq(c.requests.iter()));
         // Tenant B's extents all land in the upper half.
-        let b_writes: Vec<&Request> =
-            c.requests.iter().filter(|r| r.lpn >= 1_000).collect();
-        assert_eq!(b_writes.len(), b.len());
+        assert_eq!(c.requests.iter().filter(|r| r.lpn >= 1_000).count(), b.len());
     }
 
     #[test]
@@ -202,9 +218,8 @@ mod tests {
         let (a, b, c) = (mk("a"), mk("b"), mk("c"));
         let merged = interleave_n(&[&a, &b, &c]);
         // First three requests: the t=100 writes of a, a, then b.
-        assert_eq!(merged.requests[0].lpn, 0);
-        assert_eq!(merged.requests[1].lpn, 1);
-        assert_eq!(merged.requests[2].lpn, 16);
+        let lpns: Vec<u64> = merged.requests.iter().take(3).map(|r| r.lpn).collect();
+        assert_eq!(lpns, [0, 1, 16]);
         // The stream attributes them so: per instant, tenants in index
         // order, each tenant's own requests FIFO, LPNs rebased by 16 each.
         let streamed: Vec<(usize, u64, u64)> =
@@ -234,7 +249,7 @@ mod tests {
         let offsets = [0, traces[0].logical_pages, traces[0].logical_pages + traces[1].logical_pages];
         for (r, &tag) in merged.requests.iter().zip(&tags) {
             let i = tag as usize;
-            let orig = &traces[i].requests[pos[i]];
+            let orig = traces[i].requests.get(pos[i]).unwrap();
             assert_eq!(r.lpn, orig.lpn + offsets[i]);
             assert_eq!(r.at_ns, orig.at_ns);
             assert_eq!(r.kind, orig.kind);
@@ -260,21 +275,26 @@ mod tests {
     #[test]
     fn scale_rate_stretches_time() {
         let a = small(1);
-        let slow = scale_rate(&a, 2.0);
+        let slow = scale_rate(a.clone(), 2.0);
         slow.validate().unwrap();
         assert_eq!(
             slow.requests.last().unwrap().at_ns,
             (a.requests.last().unwrap().at_ns as f64 * 2.0) as u64
         );
-        let fast = scale_rate(&a, 0.25);
+        let fast = scale_rate(a.clone(), 0.25);
         fast.validate().unwrap();
         assert!(fast.requests.last().unwrap().at_ns < a.requests.last().unwrap().at_ns);
+        // Only the clock moves: same extents, same contents, in order.
+        assert!(fast.requests.iter().zip(&a.requests).all(|(f, r)| f == RequestView {
+            at_ns: (r.at_ns as f64 * 0.25) as u64,
+            ..r
+        }));
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_rate_rejected() {
-        scale_rate(&small(1), 0.0);
+        scale_rate(small(1), 0.0);
     }
 
     #[test]
@@ -312,6 +332,26 @@ mod tests {
         let a = small(6);
         let t = inject_trims(&a, 0.0, 4, 1);
         assert_eq!(t.requests, a.requests);
+    }
+
+    #[test]
+    fn inject_trims_merges_as_a_stable_sort_of_originals_then_trims() {
+        // The reference: append every injected trim after the originals,
+        // then stable-sort by arrival (so an original precedes a trim
+        // that arrives at the same instant).
+        let a = small(3);
+        let (fraction, delay, seed) = (0.5, 3, 9);
+        let mut rng = cagc_sim::SimRng::seed_from_u64(seed ^ 0x7219_6D5F);
+        let last_at = a.requests.last().unwrap().at_ns;
+        let mut want: Vec<RequestView<'_>> = a.requests.iter().collect();
+        for (i, r) in a.requests.iter().enumerate() {
+            if r.kind == OpKind::Write && rng.gen_bool(fraction) {
+                let at = a.requests.get(i + delay).map_or(last_at, |l| l.at_ns);
+                want.push(RequestView::trim(at, r.lpn, r.pages));
+            }
+        }
+        want.sort_by_key(|r| r.at_ns);
+        assert!(inject_trims(&a, fraction, delay, seed).requests.iter().eq(want));
     }
 
     #[test]

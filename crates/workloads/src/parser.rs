@@ -19,7 +19,7 @@
 //!   hash string is folded to a [`ContentId`]. This lets the real traces
 //!   drop in when available.
 
-use crate::trace::{OpKind, Request, Trace};
+use crate::trace::{OpKind, RequestView, Requests, Trace};
 use cagc_dedup::ContentId;
 
 /// A parse failure with its line number (1-based).
@@ -43,9 +43,21 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     ParseError { line, message: message.into() }
 }
 
+/// Room for every request `text` can hold (one per line) and every
+/// content id (one per comma, plus one per line).
+fn reserve(text: &str) -> Requests {
+    let (mut lines, mut commas) = (1, 0);
+    for b in text.bytes() {
+        lines += usize::from(b == b'\n');
+        commas += usize::from(b == b',');
+    }
+    Requests::with_capacity(lines, lines + commas)
+}
+
 /// Parse the native format. `logical_pages` bounds the trace's space.
 pub fn parse_native(name: &str, logical_pages: u64, text: &str) -> Result<Trace, ParseError> {
-    let mut requests = Vec::new();
+    let mut requests = reserve(text);
+    let mut contents = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let lineno = i + 1;
         let line = raw.trim();
@@ -78,35 +90,33 @@ pub fn parse_native(name: &str, logical_pages: u64, text: &str) -> Result<Trace,
                 format!("{pages} pages at lpn {lpn} reach beyond logical space {logical_pages}"),
             ));
         }
+        contents.clear();
         let req = match op {
-            "R" => Request::read(at_ns, lpn, pages),
-            "T" => Request::trim(at_ns, lpn, pages),
+            "R" => RequestView::read(at_ns, lpn, pages),
+            "T" => RequestView::trim(at_ns, lpn, pages),
             "W" => {
                 let contents_field =
                     fields.next().ok_or_else(|| err(lineno, "write missing contents"))?;
-                let contents: Vec<ContentId> = contents_field
-                    .split(',')
-                    .map(|c| c.parse::<u64>().map(ContentId))
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| err(lineno, format!("bad content id: {e}")))?;
+                for c in contents_field.split(',') {
+                    let id = c.parse().map_err(|e| err(lineno, format!("bad content id: {e}")))?;
+                    contents.push(ContentId(id));
+                }
                 if contents.len() != pages as usize {
                     return Err(err(
                         lineno,
                         format!("{} contents for {} pages", contents.len(), pages),
                     ));
                 }
-                Request::write(at_ns, lpn, contents)
+                RequestView { at_ns, kind: OpKind::Write, lpn, pages, contents: &contents }
             }
             other => return Err(err(lineno, format!("unknown op `{other}`"))),
         };
         if let Some(extra) = fields.next() {
             return Err(err(lineno, format!("trailing field `{extra}`")));
         }
-        requests.push(req);
+        requests.push(req).map_err(|m| err(lineno, m))?;
     }
-    let trace = Trace { name: name.to_string(), logical_pages, requests };
-    trace.validate().map_err(|m| err(0, m))?;
-    Ok(trace)
+    Trace::from_requests(name, logical_pages, requests).map_err(|m| err(0, m))
 }
 
 /// Render a trace in the native format (round-trips through
@@ -137,7 +147,7 @@ pub fn write_native(trace: &Trace) -> String {
 /// extent); each written page receives the line's content hash.
 pub fn parse_fiu(name: &str, logical_pages: u64, text: &str) -> Result<Trace, ParseError> {
     const SECTORS_PER_PAGE: u64 = 8;
-    let mut requests: Vec<Request> = Vec::new();
+    let mut requests = reserve(text);
     let mut t0: Option<u64> = None;
     for (i, raw) in text.lines().enumerate() {
         let lineno = i + 1;
@@ -170,26 +180,23 @@ pub fn parse_fiu(name: &str, logical_pages: u64, text: &str) -> Result<Trace, Pa
             .map_err(|_| err(lineno, format!("extent of {pages} pages exceeds u32")))?;
         let t0v = *t0.get_or_insert(ts);
         let at_ns = ts.saturating_sub(t0v);
-        let req = match f[5] {
-            "R" | "r" => Request::read(at_ns, lpn, pages),
+        let pushed = match f[5] {
+            "R" | "r" => requests.push(RequestView::read(at_ns, lpn, pages)),
             "W" | "w" => {
                 // Hash string -> ContentId: fold the hex (or arbitrary
                 // string) into 64 bits. Per-page uniqueness within a
                 // multi-page request: offset the id by page index, matching
                 // how the FIU collector hashed 4KB units.
                 let base = fold_hash(f[8]);
-                let contents =
-                    (0..pages as u64).map(|p| ContentId(base ^ p)).collect();
-                Request::write(at_ns, lpn, contents)
+                let contents = (0..u64::from(pages)).map(|p| ContentId(base ^ p));
+                requests.push_write(at_ns, lpn, pages, contents)
             }
             other => return Err(err(lineno, format!("unknown op `{other}`"))),
         };
-        requests.push(req);
+        pushed.map_err(|m| err(lineno, m))?;
     }
-    requests.sort_by_key(|r| r.at_ns);
-    let trace = Trace { name: name.to_string(), logical_pages, requests };
-    trace.validate().map_err(|m| err(0, m))?;
-    Ok(trace)
+    requests.sort_by_arrival();
+    Trace::from_requests(name, logical_pages, requests).map_err(|m| err(0, m))
 }
 
 /// Fold an arbitrary hash string to 64 bits (FNV-1a).
@@ -217,8 +224,8 @@ mod tests {
 ";
         let t = parse_native("rt", 100, text).unwrap();
         assert_eq!(t.len(), 3);
-        assert_eq!(t.requests[0].contents, vec![ContentId(5), ContentId(6)]);
-        assert_eq!(t.requests[1].at_ns, 1_500_000);
+        assert_eq!(t.requests.get(0).unwrap().contents, vec![ContentId(5), ContentId(6)]);
+        assert_eq!(t.requests.get(1).unwrap().at_ns, 1_500_000);
         let rendered = write_native(&t);
         let t2 = parse_native("rt", 100, &rendered).unwrap();
         assert_eq!(t.requests, t2.requests);
@@ -262,14 +269,14 @@ mod tests {
         let t = parse_fiu("fiu", 1_000, text).unwrap();
         assert_eq!(t.len(), 3);
         // 80 sectors / 8 = page 10; 16 sectors = 2 pages.
-        assert_eq!(t.requests[0].lpn, 10);
-        assert_eq!(t.requests[0].pages, 2);
+        assert_eq!(t.requests.get(0).unwrap().lpn, 10);
+        assert_eq!(t.requests.get(0).unwrap().pages, 2);
         // Identical hash => first page of request 3 duplicates page 10's
         // content.
-        assert_eq!(t.requests[2].contents[0], t.requests[0].contents[0]);
+        assert_eq!(t.requests.get(2).unwrap().contents[0], t.requests.get(0).unwrap().contents[0]);
         // Timestamps are rebased to the first record.
-        assert_eq!(t.requests[0].at_ns, 0);
-        assert_eq!(t.requests[1].at_ns, 1_000_000);
+        assert_eq!(t.requests.get(0).unwrap().at_ns, 0);
+        assert_eq!(t.requests.get(1).unwrap().at_ns, 1_000_000);
     }
 
     #[test]
@@ -288,11 +295,22 @@ mod tests {
         // A 2^32-page read clamps to the logical space rather than wrapping
         // to 0 pages and then to 1.
         let t = parse_fiu("x", 100, "1 p m 0 34359738368 R 8 1 h").unwrap();
-        assert_eq!(t.requests[0].pages, 100);
+        assert_eq!(t.requests.get(0).unwrap().pages, 100);
         // Where the logical space is wider than a u32 extent, it is an error.
         let e = parse_fiu("x", 1 << 40, "1 p m 0 34359738368 R 8 1 h").unwrap_err();
         assert_eq!(e.line, 1);
         assert!(e.message.contains("exceeds u32"), "{}", e.message);
+    }
+
+    #[test]
+    fn extents_past_the_packed_width_are_errors_naming_the_line() {
+        // 2^30 pages fit a u32 but not a packed record.
+        let e = parse_native("x", 1 << 40, "0 R 0 1\n1 R 0 1073741824").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("limit of 1073741823"), "{}", e.message);
+        let e = parse_fiu("x", 1 << 40, "1 p m 0 8589934592 W 8 1 h").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("limit of 1073741823"), "{}", e.message);
     }
 
     /// Hostile tokens: zero, `u32::MAX ± 1`, `u64::MAX`, `u64::MAX / 1000

@@ -18,7 +18,7 @@
 //! construction, and reference-count skew emerges naturally — exactly the
 //! two properties the CAGC experiments depend on.
 
-use crate::trace::{Request, Trace};
+use crate::trace::{RequestView, Requests, Trace};
 use crate::zipf::Zipf;
 use cagc_dedup::ContentId;
 use cagc_sim::SimRng;
@@ -113,18 +113,21 @@ impl SynthConfig {
         let lpn_zipf = Zipf::new(self.lpn_theta);
         let content_zipf = Zipf::new(self.content_theta);
         let mut gen = ContentGen::new(self.dedup_ratio, content_zipf);
-        let mut requests = Vec::with_capacity(self.requests + 1024);
+        let prefill_pages = (self.logical_pages as f64 * self.prefill_fraction) as u64;
+        let mut requests = self.reserve(prefill_pages);
         let mut now: u64 = 0;
+        let fits = |pushed: Result<(), String>| {
+            pushed.unwrap_or_else(|e| panic!("synthetic trace `{}`: {e}", self.name))
+        };
 
         // ---- Prefill: sequential first write of the working set, using
         // the workload's own request-size distribution so trace-level
         // statistics (Table II) aren't skewed by oversized bulk chunks. ----
-        let prefill_pages = (self.logical_pages as f64 * self.prefill_fraction) as u64;
         let mut lpn = 0u64;
         while lpn < prefill_pages {
             let pages = (self.draw_len(&mut rng) as u64).min(prefill_pages - lpn) as u32;
-            let contents = (0..pages).map(|_| gen.next_content(&mut rng)).collect();
-            requests.push(Request::write(now, lpn, contents));
+            let contents = (0..pages).map(|_| gen.next_content(&mut rng));
+            fits(requests.push_write(now, lpn, pages, contents));
             now += pages as u64 * self.prefill_gap_ns_per_page;
             lpn += pages as u64;
         }
@@ -150,18 +153,42 @@ impl SynthConfig {
             let pages = self.draw_len(&mut rng);
             let start = self.draw_lpn(pages, &lpn_zipf, &mut rng);
             let r = rng.next_f64();
-            if r < self.trim_ratio {
-                requests.push(Request::trim(now, start, pages));
-            } else if r < self.trim_ratio + (1.0 - self.trim_ratio) * self.write_ratio {
-                let contents =
-                    (0..pages).map(|_| gen.next_content(&mut rng)).collect();
-                requests.push(Request::write(now, start, contents));
+            fits(if r < self.trim_ratio {
+                requests.push(RequestView::trim(now, start, pages))
+            } else if r < self.trim_ratio + self.write_share() {
+                let contents = (0..pages).map(|_| gen.next_content(&mut rng));
+                requests.push_write(now, start, pages, contents)
             } else {
-                requests.push(Request::read(now, start, pages));
-            }
+                requests.push(RequestView::read(now, start, pages))
+            });
         }
 
-        Trace::new(self.name.clone(), self.logical_pages, requests)
+        Trace::from_requests(self.name.clone(), self.logical_pages, requests)
+            .unwrap_or_else(|e| panic!("invalid trace `{}`: {e}", self.name))
+    }
+
+    /// Fraction of all timed requests that are writes.
+    fn write_share(&self) -> f64 {
+        (1.0 - self.trim_ratio) * self.write_ratio
+    }
+
+    /// An arena sized from the configuration's expected request and page
+    /// counts plus a little slack, so synthesis fills it without
+    /// reallocating; [`Trace::from_requests`] returns what is left over.
+    fn reserve(&self, prefill_pages: u64) -> Requests {
+        // `draw_len` is a geometric draw with success probability p,
+        // clamped at `cap` (never below its first page): its mean is
+        // (1 - (1 - p)^cap) / p.
+        let p = 1.0 / self.mean_req_pages;
+        let cap = self.max_req_pages.max(1).min(self.logical_pages as u32).max(1);
+        let mean_len = (1.0 - (1.0 - p).powi(cap as i32)) / p;
+        let with_slack = |n: f64| (n * 1.03) as usize + 64;
+        let prefill_requests = prefill_pages as f64 / mean_len;
+        let timed_pages = self.requests as f64 * self.write_share() * mean_len;
+        Requests::with_capacity(
+            with_slack(prefill_requests + self.requests as f64),
+            with_slack(prefill_pages as f64 + timed_pages),
+        )
     }
 
     fn draw_len(&self, rng: &mut SimRng) -> u32 {
@@ -281,7 +308,7 @@ mod tests {
             let mut dup = 0u64;
             let mut total = 0u64;
             for r in &t.requests {
-                for c in &r.contents {
+                for c in r.contents {
                     total += 1;
                     if !seen.insert(*c) {
                         dup += 1;
@@ -344,7 +371,23 @@ mod tests {
     #[test]
     fn timestamps_are_nondecreasing() {
         let t = quick(SynthConfig { requests: 2_000, ..Default::default() });
-        assert!(t.requests.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
+        assert!(t.requests.iter().zip(t.requests.iter().skip(1)).all(|(a, b)| a.at_ns <= b.at_ns));
+    }
+
+    #[test]
+    fn the_reservation_covers_the_trace_it_is_made_for() {
+        // Synthesis must fill its arena without growing it, then give the
+        // slack back: the finished trace holds exactly its bytes.
+        for (requests, write_ratio, prefill_fraction) in
+            [(0, 0.75, 0.95), (3_000, 0.02, 0.6), (20_000, 1.0, 0.0)]
+        {
+            let cfg = SynthConfig { requests, write_ratio, prefill_fraction, ..Default::default() };
+            let t = cfg.generate();
+            let exact = 24 * t.len() + 8 * t.requests.contents_len();
+            let prefill_pages = (cfg.logical_pages as f64 * prefill_fraction) as u64;
+            assert!(cfg.reserve(prefill_pages).heap_bytes() >= exact, "{requests} requests");
+            assert!(t.heap_bytes() <= exact);
+        }
     }
 
     #[test]

@@ -4,6 +4,19 @@
 //! an arrival time, an operation, a logical extent, and — for writes — a
 //! content hash per page, which is what makes dedup studies possible
 //! without the actual data.
+//!
+//! ## Layout
+//!
+//! A [`Trace`] is an arena ([`Requests`]): one packed 24-byte record per
+//! request (arrival, LPN, page count and operation in one word, offset of
+//! its first content id) and one slab holding every written page's
+//! [`ContentId`]. Readers get [`RequestView`]s, which borrow their contents
+//! from the slab; producers append views, so a trace costs two allocations
+//! however many writes it carries. [`Request`] is the owned form hand-built
+//! traces and tests use ([`Trace::new`]).
+
+use std::fmt;
+use std::mem::size_of;
 
 use cagc_dedup::ContentId;
 use cagc_sim::time::Nanos;
@@ -19,7 +32,9 @@ pub enum OpKind {
     Trim,
 }
 
-/// One I/O request covering `pages` logical pages starting at `lpn`.
+/// One I/O request covering `pages` logical pages starting at `lpn`, with
+/// its contents owned: the builder and test convenience behind
+/// [`Trace::new`]. A trace stores requests packed ([`Requests`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Arrival time.
@@ -55,11 +70,6 @@ impl Request {
         Self { at_ns, kind: OpKind::Trim, lpn, pages, contents: Vec::new() }
     }
 
-    /// Iterate the logical pages this request covers.
-    pub fn lpns(&self) -> impl Iterator<Item = u64> + '_ {
-        self.view().lpns()
-    }
-
     /// The borrowed form a device is driven with.
     #[inline]
     pub fn view(&self) -> RequestView<'_> {
@@ -71,30 +81,18 @@ impl Request {
             contents: &self.contents,
         }
     }
+}
 
-    /// Internal consistency: write ⇔ contents present and sized.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.pages == 0 {
-            return Err("zero-length request".into());
-        }
-        match self.kind {
-            OpKind::Write if self.contents.len() != self.pages as usize => Err(format!(
-                "write covers {} pages but carries {} contents",
-                self.pages,
-                self.contents.len()
-            )),
-            OpKind::Read | OpKind::Trim if !self.contents.is_empty() => {
-                Err("non-write carries contents".into())
-            }
-            _ => Ok(()),
-        }
+impl<'a> From<&'a Request> for RequestView<'a> {
+    fn from(r: &'a Request) -> Self {
+        r.view()
     }
 }
 
-/// A [`Request`] with its contents borrowed: what a device is driven with
-/// ([`Request::view`]). `Copy`, so a driver that issues a traced request at
-/// another time or in another namespace restamps the field with a struct
-/// update (`RequestView { at_ns, ..req.view() }`) and copies no content.
+/// One request with its contents borrowed: what a trace yields and what a
+/// device is driven with. `Copy`, so a driver that issues a traced request
+/// at another time or in another namespace restamps the field with a
+/// struct update (`RequestView { at_ns, ..req }`) and copies no content.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestView<'a> {
     /// Arrival time.
@@ -110,20 +108,235 @@ pub struct RequestView<'a> {
 }
 
 impl RequestView<'_> {
+    /// A read of `pages` pages from `lpn`.
+    pub fn read(at_ns: Nanos, lpn: u64, pages: u32) -> Self {
+        Self { at_ns, kind: OpKind::Read, lpn, pages, contents: &[] }
+    }
+
+    /// A trim of `pages` pages from `lpn`.
+    pub fn trim(at_ns: Nanos, lpn: u64, pages: u32) -> Self {
+        Self { at_ns, kind: OpKind::Trim, lpn, pages, contents: &[] }
+    }
+
     /// Iterate the logical pages this request covers.
     pub fn lpns(self) -> std::ops::Range<u64> {
         self.lpn..self.lpn + u64::from(self.pages)
     }
+}
 
-    /// An owned copy.
-    pub fn to_request(self) -> Request {
-        Request {
-            at_ns: self.at_ns,
-            kind: self.kind,
-            lpn: self.lpn,
-            pages: self.pages,
-            contents: self.contents.to_vec(),
+/// Bit position of the operation in [`Record::pages_kind`].
+const KIND_SHIFT: u32 = 30;
+/// Widest extent a record holds: the page count shares its word with the
+/// operation.
+const MAX_PAGES: u32 = (1 << KIND_SHIFT) - 1;
+/// Most content ids one slab holds: a record addresses its first page's id
+/// with a `u32` offset.
+const MAX_SLAB: u64 = 1 << 32;
+
+/// One packed request: 24 bytes, where a [`Request`] is 48 plus its
+/// contents' own allocation.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    at_ns: Nanos,
+    lpn: u64,
+    /// Page count in the low 30 bits, the operation in the top two.
+    pages_kind: u32,
+    /// Slab index of the first page's content id (0 for non-writes).
+    slab: u32,
+}
+
+impl Record {
+    #[inline]
+    fn unpack(self, slab: &[ContentId]) -> RequestView<'_> {
+        let pages = self.pages_kind & MAX_PAGES;
+        let (kind, contents) = match self.pages_kind >> KIND_SHIFT {
+            0 => (OpKind::Read, &[][..]),
+            1 => (OpKind::Write, &slab[self.slab as usize..][..pages as usize]),
+            _ => (OpKind::Trim, &[][..]),
+        };
+        RequestView { at_ns: self.at_ns, kind, lpn: self.lpn, pages, contents }
+    }
+}
+
+/// The slab offset of a write of `pages` pages appended to a slab of
+/// `len` ids, or the limit it would cross.
+fn slab_offset(len: usize, pages: u32) -> Result<u32, String> {
+    if len as u64 + u64::from(pages) > MAX_SLAB {
+        return Err(format!("content slab would pass its limit of {MAX_SLAB} ids"));
+    }
+    Ok(len as u32)
+}
+
+/// A trace's requests, packed: one record per request plus one content
+/// slab. Indexed and iterated as [`RequestView`]s.
+#[derive(Clone, Default)]
+pub struct Requests {
+    records: Vec<Record>,
+    slab: Vec<ContentId>,
+}
+
+impl Requests {
+    /// An empty arena with room for `requests` records and `contents`
+    /// content ids.
+    pub(crate) fn with_capacity(requests: usize, contents: usize) -> Self {
+        Self { records: Vec::with_capacity(requests), slab: Vec::with_capacity(contents) }
+    }
+
+    /// Number of requests.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether there are no requests.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Content ids held, one per page written.
+    pub(crate) fn contents_len(&self) -> usize {
+        self.slab.len()
+    }
+
+    /// The `i`-th request.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<RequestView<'_>> {
+        self.records.get(i).map(|r| r.unpack(&self.slab))
+    }
+
+    /// The first request.
+    pub fn first(&self) -> Option<RequestView<'_>> {
+        self.get(0)
+    }
+
+    /// The last request.
+    pub fn last(&self) -> Option<RequestView<'_>> {
+        self.records.last().map(|r| r.unpack(&self.slab))
+    }
+
+    /// The requests in order.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter { records: self.records.iter(), slab: &self.slab }
+    }
+
+    /// Append a request, copying its contents into the slab.
+    ///
+    /// Errs, appending nothing, if a write's contents do not match its
+    /// page count, a non-write carries contents, or a packing limit would
+    /// be crossed.
+    pub(crate) fn push(&mut self, r: RequestView<'_>) -> Result<(), String> {
+        if r.kind == OpKind::Write {
+            return self.push_write(r.at_ns, r.lpn, r.pages, r.contents.iter().copied());
         }
+        check_pages(r.pages)?;
+        if !r.contents.is_empty() {
+            return Err("non-write carries contents".into());
+        }
+        self.push_record(r.at_ns, r.kind, r.lpn, r.pages, 0);
+        Ok(())
+    }
+
+    /// Append a write of `pages` pages whose contents `contents` yields,
+    /// straight into the slab (no staging copy).
+    ///
+    /// Errs, appending nothing, if `contents` does not yield exactly
+    /// `pages` ids or a packing limit would be crossed.
+    pub(crate) fn push_write(
+        &mut self,
+        at_ns: Nanos,
+        lpn: u64,
+        pages: u32,
+        contents: impl IntoIterator<Item = ContentId>,
+    ) -> Result<(), String> {
+        check_pages(pages)?;
+        let start = slab_offset(self.slab.len(), pages)?;
+        self.slab.extend(contents.into_iter().take(pages as usize + 1));
+        let carried = self.slab.len() - start as usize;
+        if carried != pages as usize {
+            self.slab.truncate(start as usize);
+            return Err(format!("write covers {pages} pages but carries {carried} contents"));
+        }
+        self.push_record(at_ns, OpKind::Write, lpn, pages, start);
+        Ok(())
+    }
+
+    /// Append a record whose page count [`check_pages`] accepted.
+    fn push_record(&mut self, at_ns: Nanos, kind: OpKind, lpn: u64, pages: u32, slab: u32) {
+        let kind_bits = match kind {
+            OpKind::Read => 0,
+            OpKind::Write => 1,
+            OpKind::Trim => 2,
+        };
+        self.records.push(Record { at_ns, lpn, pages_kind: pages | kind_bits << KIND_SHIFT, slab });
+    }
+
+    /// Heap bytes held, by capacity: records plus slab.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.records.capacity() * size_of::<Record>()
+            + self.slab.capacity() * size_of::<ContentId>()
+    }
+
+    /// Stable-sort the requests by arrival. Records keep their slab
+    /// offsets, so no content moves.
+    pub(crate) fn sort_by_arrival(&mut self) {
+        self.records.sort_by_key(|r| r.at_ns);
+    }
+
+    /// Rewrite every arrival time in place.
+    pub(crate) fn retime(&mut self, mut f: impl FnMut(Nanos) -> Nanos) {
+        for r in &mut self.records {
+            r.at_ns = f(r.at_ns);
+        }
+    }
+}
+
+fn check_pages(pages: u32) -> Result<(), String> {
+    if pages > MAX_PAGES {
+        return Err(format!("{pages} pages exceed a packed record's limit of {MAX_PAGES}"));
+    }
+    Ok(())
+}
+
+/// Equal when they yield the same requests, whatever the slab layout.
+impl PartialEq for Requests {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other)
+    }
+}
+
+impl Eq for Requests {}
+
+impl fmt::Debug for Requests {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self).finish()
+    }
+}
+
+/// The iterator [`Requests::iter`] returns.
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    records: std::slice::Iter<'a, Record>,
+    slab: &'a [ContentId],
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = RequestView<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        self.records.next().map(|r| r.unpack(self.slab))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.records.size_hint()
+    }
+}
+
+impl<'a> IntoIterator for &'a Requests {
+    type Item = RequestView<'a>;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
     }
 }
 
@@ -135,24 +348,52 @@ pub struct Trace {
     /// Number of logical pages the trace addresses (LPNs are `< this`).
     pub logical_pages: u64,
     /// Time-ordered requests.
-    pub requests: Vec<Request>,
+    pub requests: Requests,
 }
 
 impl Trace {
-    /// Construct and validate: requests time-ordered, extents in range.
+    /// Pack hand-built requests into a trace and validate it.
+    ///
+    /// # Panics
+    /// Panics naming the broken rule: requests out of time order, an
+    /// extent outside the logical space, contents that do not match a
+    /// request, or a packing limit.
     pub fn new(name: impl Into<String>, logical_pages: u64, requests: Vec<Request>) -> Self {
-        let t = Self { name: name.into(), logical_pages, requests };
-        if let Err(e) = t.validate() {
-            panic!("invalid trace `{}`: {e}", t.name);
+        let name = name.into();
+        let contents = requests.iter().map(|r| r.contents.len()).sum();
+        let mut packed = Requests::with_capacity(requests.len(), contents);
+        for (i, r) in requests.iter().enumerate() {
+            if let Err(e) = packed.push(r.view()) {
+                panic!("invalid trace `{name}`: request {i}: {e}");
+            }
         }
-        t
+        Self::from_requests(name.clone(), logical_pages, packed)
+            .unwrap_or_else(|e| panic!("invalid trace `{name}`: {e}"))
     }
 
-    /// Validation used by `new` and by the parser on untrusted input.
+    /// Wrap the arena a producer filled: validate it and release its
+    /// spare capacity.
+    pub(crate) fn from_requests(
+        name: impl Into<String>,
+        logical_pages: u64,
+        mut requests: Requests,
+    ) -> Result<Self, String> {
+        requests.records.shrink_to_fit();
+        requests.slab.shrink_to_fit();
+        let t = Self { name: name.into(), logical_pages, requests };
+        t.validate()?;
+        Ok(t)
+    }
+
+    /// Validation used by every constructor and by the parsers on
+    /// untrusted input: requests time-ordered, extents nonempty and in
+    /// range.
     pub fn validate(&self) -> Result<(), String> {
         let mut prev = 0;
         for (i, r) in self.requests.iter().enumerate() {
-            r.validate().map_err(|e| format!("request {i}: {e}"))?;
+            if r.pages == 0 {
+                return Err(format!("request {i}: zero-length request"));
+            }
             if r.at_ns < prev {
                 return Err(format!("request {i}: time goes backwards"));
             }
@@ -179,11 +420,13 @@ impl Trace {
 
     /// Total pages written across all write requests.
     pub fn written_pages(&self) -> u64 {
-        self.requests
-            .iter()
-            .filter(|r| r.kind == OpKind::Write)
-            .map(|r| r.pages as u64)
-            .sum()
+        self.requests.contents_len() as u64
+    }
+
+    /// Heap bytes the trace's requests hold (records plus content slab, by
+    /// capacity).
+    pub fn heap_bytes(&self) -> usize {
+        self.requests.heap_bytes()
     }
 }
 
@@ -194,7 +437,7 @@ mod tests {
     #[test]
     fn constructors_fill_fields() {
         let r = Request::read(5, 10, 3);
-        assert_eq!(r.lpns().collect::<Vec<_>>(), vec![10, 11, 12]);
+        assert_eq!(r.view().lpns().collect::<Vec<_>>(), vec![10, 11, 12]);
         let w = Request::write(6, 0, vec![ContentId(1), ContentId(2)]);
         assert_eq!(w.pages, 2);
         let t = Request::trim(7, 1, 1);
@@ -208,43 +451,82 @@ mod tests {
     }
 
     #[test]
+    fn a_record_is_at_most_24_bytes() {
+        assert!(size_of::<Record>() <= 24, "Record is {} bytes", size_of::<Record>());
+    }
+
+    #[test]
+    fn records_round_trip_every_kind_at_the_page_limit() {
+        let mut reqs = Requests::default();
+        let contents: Vec<ContentId> = (0..3).map(ContentId).collect();
+        let views = [
+            RequestView::read(1, u64::MAX - 1, MAX_PAGES),
+            RequestView { at_ns: 2, kind: OpKind::Write, lpn: 7, pages: 3, contents: &contents },
+            RequestView::trim(3, 0, 1),
+        ];
+        for v in views {
+            reqs.push(v).unwrap();
+        }
+        assert!(reqs.iter().eq(views));
+        assert_eq!(reqs.get(1), Some(views[1]));
+        assert_eq!(reqs.last(), Some(views[2]));
+        assert_eq!(reqs.contents_len(), 3);
+    }
+
+    #[test]
+    fn packing_limits_are_errors_not_wraps() {
+        let mut reqs = Requests::default();
+        let e = reqs.push(RequestView::read(0, 0, MAX_PAGES + 1)).unwrap_err();
+        assert!(e.contains("1073741823"), "{e}");
+        assert!(reqs.is_empty());
+        assert_eq!(slab_offset(u32::MAX as usize, 1), Ok(u32::MAX));
+        let e = slab_offset(u32::MAX as usize, 2).unwrap_err();
+        assert!(e.contains("4294967296"), "{e}");
+    }
+
+    #[test]
+    fn content_mismatch_is_rejected_and_rolled_back() {
+        let mut reqs = Requests::default();
+        let one = [ContentId(1)];
+        let short = RequestView { at_ns: 0, kind: OpKind::Write, lpn: 0, pages: 2, contents: &one };
+        assert!(reqs.push(short).unwrap_err().contains("carries 1 contents"));
+        assert!(reqs.push_write(0, 0, 1, [ContentId(1), ContentId(2)]).is_err());
+        assert!(reqs.push(RequestView { contents: &one, ..RequestView::read(0, 0, 1) }).is_err());
+        assert!(reqs.is_empty() && reqs.contents_len() == 0);
+    }
+
+    fn packed(views: &[RequestView<'_>]) -> Requests {
+        let mut reqs = Requests::default();
+        for &r in views {
+            reqs.push(r).unwrap();
+        }
+        reqs
+    }
+
+    #[test]
     fn trace_validation_catches_time_travel() {
-        let t = Trace {
-            name: "x".into(),
-            logical_pages: 100,
-            requests: vec![Request::read(10, 0, 1), Request::read(5, 0, 1)],
-        };
-        assert!(t.validate().unwrap_err().contains("backwards"));
+        let reqs = packed(&[RequestView::read(10, 0, 1), RequestView::read(5, 0, 1)]);
+        assert!(Trace::from_requests("x", 100, reqs).unwrap_err().contains("backwards"));
     }
 
     #[test]
     fn trace_validation_catches_overflow_extent() {
-        let t = Trace {
-            name: "x".into(),
-            logical_pages: 10,
-            requests: vec![Request::read(0, 8, 3)],
-        };
-        assert!(t.validate().unwrap_err().contains("beyond logical space"));
-        let wrapping = Trace {
-            name: "x".into(),
-            logical_pages: 10,
-            requests: vec![Request::read(0, u64::MAX, 1)],
-        };
-        assert!(wrapping.validate().unwrap_err().contains("beyond logical space"));
-    }
-
-    #[test]
-    fn trace_validation_catches_content_mismatch() {
-        let mut r = Request::write(0, 0, vec![ContentId(1)]);
-        r.pages = 2; // corrupt
-        let t = Trace { name: "x".into(), logical_pages: 10, requests: vec![r] };
-        assert!(t.validate().is_err());
+        let t = Trace::from_requests("x", 10, packed(&[RequestView::read(0, 8, 3)]));
+        assert!(t.unwrap_err().contains("beyond logical space"));
+        let wrapping = Trace::from_requests("x", 10, packed(&[RequestView::read(0, u64::MAX, 1)]));
+        assert!(wrapping.unwrap_err().contains("beyond logical space"));
     }
 
     #[test]
     #[should_panic(expected = "invalid trace")]
     fn new_panics_on_invalid() {
         Trace::new("bad", 1, vec![Request::read(0, 0, 5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "limit of 1073741823")]
+    fn new_panics_naming_the_page_limit() {
+        Trace::new("wide", 1 << 40, vec![Request::read(0, 0, MAX_PAGES + 1)]);
     }
 
     #[test]

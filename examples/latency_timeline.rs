@@ -51,10 +51,7 @@ fn main() {
     let footprint = (flash.logical_pages() as f64 * 0.95) as u64;
     // The tiny 4-die device needs a gentler arrival rate than the default
     // preset (sized for 32 dies): stretch time 3x with the trace mixer.
-    let trace = scale_rate(
-        &FiuWorkload::Mail.synth_config(footprint, 30_000, 5).generate(),
-        3.0,
-    );
+    let trace = scale_rate(FiuWorkload::Mail.synth_config(footprint, 30_000, 5).generate(), 3.0);
     let span = trace.requests.last().map(|r| r.at_ns).unwrap_or(0);
     println!(
         "Mail-like trace: {} requests over {:.1}s of simulated time\n",

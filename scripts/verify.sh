@@ -31,6 +31,10 @@ if grep -rn 'process_status\|process_checked' crates src examples tests \
   || grep -rn 'clone_from(contents)\|\.\.req\.clone()\|\.\.r\.clone()' crates/host/src crates/fleet/src crates/bench/src; then
   echo "FAIL: a command reaches the FTL through Ssd::submit, tenant streams merge in workloads::mixer::merge, and a driver restamps a RequestView instead of cloning a Request (DESIGN.md, request path)"; exit 1; fi
 
+echo "== one trace layout: packed records and one content slab, read as views =="
+if grep -n 'pub requests: Vec<' crates/workloads/src/trace.rs || grep -rn 'to_request' crates; then
+  echo "FAIL: a Trace is 24-byte records plus one ContentId slab that every producer fills in place; no Vec<Request> behind it and no view copied back into an owned Request (docs/PERFORMANCE.md, The trace is an arena)"; exit 1; fi
+
 echo "== one value, no knob: derived thresholds and fixed costs are not settable =="
 if grep -rnE 'pub (gc_low|gc_high|gc_reserve_blocks|read_miss_ns|lookup_ns|trim_ns|idle_threshold_ns|prehash_ns|program_retry_backoff_ns|max_read_retries|ecc_decode_ns):' crates \
   || grep -rnE 'endurance_limit|wearout_slope|FleetTelemetryConfig|enum ConfigError' crates; then

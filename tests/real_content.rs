@@ -79,7 +79,7 @@ fn simulator_dedup_hits_match_byte_level_ground_truth() {
     let mut seen = std::collections::HashSet::new();
     let mut unique_pages = 0u64;
     for r in trace.requests.iter().filter(|r| r.kind == OpKind::Write) {
-        for c in &r.contents {
+        for c in r.contents {
             if seen.insert(Fingerprint::of_bytes(&c.synth_bytes(4096))) {
                 unique_pages += 1;
             }
