@@ -330,6 +330,11 @@ impl Ssd {
         &self.dev
     }
 
+    /// The fingerprint index (read-only view, for assertions and reports).
+    pub fn fingerprint_index(&self) -> &FingerprintIndex {
+        &self.index
+    }
+
     /// Bytes this SSD holds on the heap, every per-device table summed:
     /// the flash device (block records, victim index, timelines, and the
     /// OOB and journal when a fault plan is armed), forward and reverse

@@ -21,16 +21,25 @@
 //! host overwrite releases through it), so it is **open-addressed**, not a
 //! pair of `std::collections::HashMap`s:
 //!
-//! * entries live in a slab (`Vec<Option<Slot>>` plus a free list), so an
-//!   entry has one stable integer id for its whole life;
-//! * a Robin-Hood linear-probe table maps `fingerprint → slot id`. The
-//!   64-bit probe key is the fingerprint's first eight bytes — uniform
-//!   already, whether a SHA-1 digest or a content-id embedding, so no
-//!   secondary hasher (and no per-process hash seed) is needed. Deletion
-//!   is backward-shift, keeping probe chains gap-free;
+//! * entries live in a slab of plain 32-byte `Copy` records — fingerprint,
+//!   `u32` PPN, count, peak count — plus a free list, so an entry has one
+//!   stable integer id for its whole life. A count of zero marks a free
+//!   slot; there is no `Option` around a record;
+//! * a Robin-Hood linear-probe table of 8-byte cells maps
+//!   `fingerprint → slot id`. The probe key is the fingerprint's first
+//!   eight bytes — uniform already, whether a SHA-1 digest or a content-id
+//!   embedding, so no secondary hasher (and no per-process hash seed) is
+//!   needed — and a cell keeps only its low 32 bits (the *tag*) next to
+//!   the slot id. A home position and a probe distance are the key masked
+//!   to the table size, so they come from the tag alone and the table is
+//!   laid out exactly as with the whole key; two fingerprints with equal
+//!   tags are told apart at the slab. Deletion is backward-shift, keeping
+//!   probe chains gap-free;
 //! * the `ppn → slot` direction is a dense `Vec<u32>` indexed by PPN
 //!   (physical page numbers are bounded by device geometry), making
-//!   release/relocate/refs-of-ppn a single array load.
+//!   release/relocate/refs-of-ppn a single array load. A PPN at or past
+//!   2³² does not fit a record and panics naming that limit; it never
+//!   wraps.
 //!
 //! Everything is deterministic: layout depends only on the sequence of
 //! operations, never on a process-random hash seed, so same-seed runs stay
@@ -66,48 +75,66 @@ pub struct IndexStats {
 /// Sentinel for "no slot" in both the probe table and the PPN map.
 const NONE_SLOT: u32 = u32::MAX;
 
-/// One probe-table cell: the entry's 64-bit probe key plus its slab slot.
-/// The full key is cached in the cell so probing (and rehashing) never
-/// touches the slab until the key matches.
+/// One probe-table cell: the low 32 bits of the entry's probe key (its
+/// tag) plus its slab slot. The tag places the cell and screens probes,
+/// so a probe reads the slab only where the tags match.
 #[derive(Debug, Clone, Copy)]
 struct Cell {
-    hash: u64,
+    tag: u32,
     slot: u32,
 }
 
-const VACANT: Cell = Cell { hash: 0, slot: NONE_SLOT };
+const VACANT: Cell = Cell { tag: 0, slot: NONE_SLOT };
 
-/// A live slab entry.
+/// One slab record; `refs == 0` marks a free slot.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     fp: Fingerprint,
-    entry: FpEntry,
+    ppn: u32,
+    refs: u32,
+    max_refs: u32,
 }
 
-/// The 64-bit probe key: the fingerprint's leading eight bytes, which
+impl Slot {
+    fn entry(&self) -> FpEntry {
+        FpEntry { ppn: u64::from(self.ppn), refs: self.refs, max_refs: self.max_refs }
+    }
+}
+
+/// The tag: the low 32 bits of the probe key, which is the fingerprint's
+/// leading eight bytes read little-endian — so its first four bytes, which
 /// both fingerprint constructors leave uniformly distributed.
 #[inline]
-fn fp_hash(fp: &Fingerprint) -> u64 {
-    u64::from_le_bytes(fp.0[..8].try_into().expect("fingerprint has 20 bytes"))
+fn fp_tag(fp: &Fingerprint) -> u32 {
+    u32::from_le_bytes(fp.0[..4].try_into().expect("fingerprint has 20 bytes"))
+}
+
+/// `ppn` as a record stores it.
+///
+/// # Panics
+/// Panics if `ppn` is at or past 2³², the most pages a record can name.
+fn ppn32(ppn: u64) -> u32 {
+    u32::try_from(ppn)
+        .unwrap_or_else(|_| panic!("ppn {ppn} is past the fingerprint index's limit of 2^32 pages"))
 }
 
 /// Robin-Hood insertion into `cells` (caller guarantees a vacancy exists).
-fn cell_insert(cells: &mut [Cell], mut hash: u64, mut slot: u32) {
+fn cell_insert(cells: &mut [Cell], mut tag: u32, mut slot: u32) {
     let mask = cells.len() - 1;
-    let mut i = (hash as usize) & mask;
+    let mut i = (tag as usize) & mask;
     let mut dist = 0usize;
     loop {
         let c = cells[i];
         if c.slot == NONE_SLOT {
-            cells[i] = Cell { hash, slot };
+            cells[i] = Cell { tag, slot };
             return;
         }
-        let resident_dist = i.wrapping_sub(c.hash as usize) & mask;
+        let resident_dist = i.wrapping_sub(c.tag as usize) & mask;
         if resident_dist < dist {
             // The resident is closer to home than we are: take its cell and
             // carry it forward (the Robin-Hood displacement rule).
-            cells[i] = Cell { hash, slot };
-            hash = c.hash;
+            cells[i] = Cell { tag, slot };
+            tag = c.tag;
             slot = c.slot;
             dist = resident_dist;
         }
@@ -116,11 +143,11 @@ fn cell_insert(cells: &mut [Cell], mut hash: u64, mut slot: u32) {
     }
 }
 
-/// Remove the cell holding `slot` (whose key is `hash`), backward-shifting
+/// Remove the cell holding `slot` (whose tag is `tag`), backward-shifting
 /// the rest of the probe chain so no tombstones accumulate.
-fn cell_remove(cells: &mut [Cell], hash: u64, slot: u32) {
+fn cell_remove(cells: &mut [Cell], tag: u32, slot: u32) {
     let mask = cells.len() - 1;
-    let mut i = (hash as usize) & mask;
+    let mut i = (tag as usize) & mask;
     loop {
         let c = cells[i];
         assert!(c.slot != NONE_SLOT, "by_ppn/by_fp out of sync");
@@ -132,7 +159,7 @@ fn cell_remove(cells: &mut [Cell], hash: u64, slot: u32) {
     loop {
         let next = (i + 1) & mask;
         let c = cells[next];
-        if c.slot == NONE_SLOT || next.wrapping_sub(c.hash as usize) & mask == 0 {
+        if c.slot == NONE_SLOT || next.wrapping_sub(c.tag as usize) & mask == 0 {
             cells[i] = VACANT;
             return;
         }
@@ -147,8 +174,9 @@ fn cell_remove(cells: &mut [Cell], hash: u64, slot: u32) {
 pub struct FingerprintIndex {
     /// Robin-Hood probe table: fingerprint key → slab slot.
     cells: Vec<Cell>,
-    /// Entry slab; freed slots are `None` and recycled through `free`.
-    slots: Vec<Option<Slot>>,
+    /// Entry slab; freed slots have `refs == 0` and are recycled through
+    /// `free`.
+    slots: Vec<Slot>,
     /// Recycled slab slots.
     free: Vec<u32>,
     /// Dense PPN → slab slot map (`NONE_SLOT` = untracked).
@@ -204,7 +232,7 @@ impl FingerprintIndex {
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.cells.capacity() * size_of::<Cell>()
-            + self.slots.capacity() * size_of::<Option<Slot>>()
+            + self.slots.capacity() * size_of::<Slot>()
             + self.free.capacity() * size_of::<u32>()
             + self.by_ppn.capacity() * size_of::<u32>()
     }
@@ -215,20 +243,18 @@ impl FingerprintIndex {
             return None;
         }
         let mask = self.cells.len() - 1;
-        let h = fp_hash(fp);
-        let mut i = (h as usize) & mask;
+        let tag = fp_tag(fp);
+        let mut i = (tag as usize) & mask;
         let mut dist = 0usize;
         loop {
             let c = self.cells[i];
             if c.slot == NONE_SLOT {
                 return None;
             }
-            if c.hash == h
-                && self.slots[c.slot as usize].as_ref().is_some_and(|s| s.fp == *fp)
-            {
+            if c.tag == tag && self.slots[c.slot as usize].fp == *fp {
                 return Some(c.slot);
             }
-            if i.wrapping_sub(c.hash as usize) & mask < dist {
+            if i.wrapping_sub(c.tag as usize) & mask < dist {
                 // Robin-Hood invariant: a resident closer to home than our
                 // probe distance means the key cannot be further along.
                 return None;
@@ -236,14 +262,6 @@ impl FingerprintIndex {
             i = (i + 1) & mask;
             dist += 1;
         }
-    }
-
-    fn slot_ref(&self, slot: u32) -> &Slot {
-        self.slots[slot as usize].as_ref().expect("by_ppn/by_fp out of sync")
-    }
-
-    fn slot_mut(&mut self, slot: u32) -> &mut Slot {
-        self.slots[slot as usize].as_mut().expect("by_ppn/by_fp out of sync")
     }
 
     /// Slab slot tracked for `ppn` (`NONE_SLOT` if untracked).
@@ -271,43 +289,49 @@ impl FingerprintIndex {
             let mut bigger = vec![VACANT; self.cells.len() * 2];
             for c in &self.cells {
                 if c.slot != NONE_SLOT {
-                    cell_insert(&mut bigger, c.hash, c.slot);
+                    cell_insert(&mut bigger, c.tag, c.slot);
                 }
             }
             self.cells = bigger;
         }
     }
 
-    /// Place a checked-fresh entry into the slab, probe table, and PPN map.
-    fn place(&mut self, fp: Fingerprint, entry: FpEntry) {
+    /// Place a checked-fresh entry (`refs` references, peak `refs`) into
+    /// the slab, probe table, and PPN map.
+    fn place(&mut self, fp: Fingerprint, ppn: u64, refs: u32) {
+        let record = Slot { fp, ppn: ppn32(ppn), refs, max_refs: refs };
         self.reserve_one();
         let slot = match self.free.pop() {
             Some(s) => {
-                self.slots[s as usize] = Some(Slot { fp, entry });
+                self.slots[s as usize] = record;
                 s
             }
             None => {
-                self.slots.push(Some(Slot { fp, entry }));
+                self.slots.push(record);
                 (self.slots.len() - 1) as u32
             }
         };
-        cell_insert(&mut self.cells, fp_hash(&fp), slot);
-        self.set_ppn_slot(entry.ppn, slot);
+        cell_insert(&mut self.cells, fp_tag(&fp), slot);
+        self.set_ppn_slot(ppn, slot);
         self.len += 1;
     }
 
-    /// Drop `slot` (key `fp`) from the probe table and slab.
-    fn unplace(&mut self, slot: u32, fp: &Fingerprint) {
-        cell_remove(&mut self.cells, fp_hash(fp), slot);
-        self.slots[slot as usize] = None;
+    /// Remove `slot`'s entry — its cell, its PPN-map entry and its slab
+    /// record, which is freed — and count the removal.
+    fn unplace(&mut self, slot: u32) {
+        let s = &mut self.slots[slot as usize];
+        s.refs = 0;
+        cell_remove(&mut self.cells, fp_tag(&s.fp), slot);
+        self.by_ppn[s.ppn as usize] = NONE_SLOT;
         self.free.push(slot);
         self.len -= 1;
+        self.stats.removals += 1;
     }
 
     /// Look up a fingerprint, counting the probe.
     pub fn lookup(&mut self, fp: &Fingerprint) -> Option<FpEntry> {
         self.stats.lookups += 1;
-        let hit = self.find_slot(fp).map(|s| self.slot_ref(s).entry);
+        let hit = self.peek(fp);
         if hit.is_some() {
             self.stats.hits += 1;
         }
@@ -327,13 +351,13 @@ impl FingerprintIndex {
         }
         self.stats.lookups += 1;
         self.stats.hits += 1;
-        let s = self.slot_ref(slot);
-        Some((s.fp, s.entry))
+        let s = &self.slots[slot as usize];
+        Some((s.fp, s.entry()))
     }
 
     /// Non-counting read (for assertions/reports).
     pub fn peek(&self, fp: &Fingerprint) -> Option<FpEntry> {
-        self.find_slot(fp).map(|s| self.slot_ref(s).entry)
+        self.find_slot(fp).map(|s| self.slots[s as usize].entry())
     }
 
     /// Insert a brand-new unique page stored at `ppn` with `refs` initial
@@ -343,12 +367,12 @@ impl FingerprintIndex {
     /// # Panics
     /// Panics if the fingerprint or the ppn is already tracked — double
     /// insertion means the caller failed to look up first, which would
-    /// silently fork the refcount.
+    /// silently fork the refcount — or if `ppn` is at or past 2³².
     pub fn insert(&mut self, fp: Fingerprint, ppn: u64, refs: u32) {
         assert!(refs >= 1, "insert with zero refs");
         assert!(self.find_slot(&fp).is_none(), "fingerprint already indexed: {fp:?}");
         assert!(self.ppn_slot(ppn) == NONE_SLOT, "ppn {ppn} already indexed");
-        self.place(fp, FpEntry { ppn, refs, max_refs: refs });
+        self.place(fp, ppn, refs);
         self.stats.inserts += 1;
     }
 
@@ -359,12 +383,12 @@ impl FingerprintIndex {
     /// restarts at the recovered count.
     ///
     /// # Panics
-    /// Same double-insertion contract as [`FingerprintIndex::insert`].
+    /// Same contract as [`FingerprintIndex::insert`].
     pub fn restore(&mut self, fp: Fingerprint, ppn: u64, refs: u32) {
         assert!(refs >= 1, "restore with zero refs");
         assert!(self.find_slot(&fp).is_none(), "fingerprint already indexed: {fp:?}");
         assert!(self.ppn_slot(ppn) == NONE_SLOT, "ppn {ppn} already indexed");
-        self.place(fp, FpEntry { ppn, refs, max_refs: refs });
+        self.place(fp, ppn, refs);
     }
 
     /// Add `n` references to an existing entry; returns the new count.
@@ -373,10 +397,10 @@ impl FingerprintIndex {
     /// Panics if the fingerprint is unknown.
     pub fn add_refs(&mut self, fp: &Fingerprint, n: u32) -> u32 {
         let slot = self.find_slot(fp).unwrap_or_else(|| panic!("add_refs: unknown {fp:?}"));
-        let e = &mut self.slot_mut(slot).entry;
-        e.refs += n;
-        e.max_refs = e.max_refs.max(e.refs);
-        e.refs
+        let s = &mut self.slots[slot as usize];
+        s.refs += n;
+        s.max_refs = s.max_refs.max(s.refs);
+        s.refs
     }
 
     /// Drop one reference from the page stored at `ppn`.
@@ -391,18 +415,16 @@ impl FingerprintIndex {
         if slot == NONE_SLOT {
             return None;
         }
-        let s = self.slot_mut(slot);
-        debug_assert_eq!(s.entry.ppn, ppn);
-        s.entry.refs -= 1;
-        if s.entry.refs == 0 {
-            let (fp, max) = (s.fp, s.entry.max_refs);
-            self.unplace(slot, &fp);
-            self.by_ppn[ppn as usize] = NONE_SLOT;
-            self.stats.removals += 1;
+        let s = &mut self.slots[slot as usize];
+        debug_assert_eq!(u64::from(s.ppn), ppn);
+        s.refs -= 1;
+        if s.refs == 0 {
+            let max = s.max_refs;
+            self.unplace(slot);
             self.ref_stats.record_invalidation(max);
             Some(0)
         } else {
-            Some(s.entry.refs)
+            Some(s.refs)
         }
     }
 
@@ -424,7 +446,7 @@ impl FingerprintIndex {
         if slot == NONE_SLOT {
             return None;
         }
-        Some(self.slot_ref(slot).entry.refs)
+        Some(self.slots[slot as usize].refs)
     }
 
     /// Fingerprint stored at `ppn`, if tracked.
@@ -433,14 +455,15 @@ impl FingerprintIndex {
         if slot == NONE_SLOT {
             return None;
         }
-        Some(self.slot_ref(slot).fp)
+        Some(self.slots[slot as usize].fp)
     }
 
     /// GC moved the unique copy from `old_ppn` to `new_ppn`. O(1): the
     /// slab entry stays put, only the two PPN-map cells change.
     ///
     /// # Panics
-    /// Panics if `old_ppn` is untracked or `new_ppn` already occupied.
+    /// Panics if `old_ppn` is untracked, `new_ppn` already occupied, or
+    /// `new_ppn` at or past 2³².
     pub fn relocate(&mut self, old_ppn: u64, new_ppn: u64) {
         let slot = self.ppn_slot(old_ppn);
         if slot == NONE_SLOT {
@@ -450,9 +473,9 @@ impl FingerprintIndex {
             self.ppn_slot(new_ppn) == NONE_SLOT,
             "relocate: target ppn {new_ppn} occupied"
         );
+        self.slots[slot as usize].ppn = ppn32(new_ppn);
         self.by_ppn[old_ppn as usize] = NONE_SLOT;
         self.set_ppn_slot(new_ppn, slot);
-        self.slot_mut(slot).entry.ppn = new_ppn;
     }
 
     /// Forget the entry at `ppn` without counting an invalidation (used when
@@ -463,11 +486,9 @@ impl FingerprintIndex {
         if slot == NONE_SLOT {
             return None;
         }
-        let s = *self.slot_ref(slot);
-        self.unplace(slot, &s.fp);
-        self.by_ppn[ppn as usize] = NONE_SLOT;
-        self.stats.removals += 1;
-        Some(s.entry)
+        let entry = self.slots[slot as usize].entry();
+        self.unplace(slot);
+        Some(entry)
     }
 
     /// Record an invalidation of an *untracked* page (refcount implicitly 1)
@@ -476,10 +497,16 @@ impl FingerprintIndex {
         self.ref_stats.record_invalidation(1);
     }
 
-    /// Internal-consistency audit: every PPN-map entry points to a live
-    /// slab slot that points back, refs ≥ 1 ≤ max_refs, and every live
-    /// entry is reachable through the probe table. Used by tests and debug
-    /// assertions; O(n).
+    /// The slab records in use.
+    fn live(&self) -> impl Iterator<Item = &Slot> {
+        self.slots.iter().filter(|s| s.refs > 0)
+    }
+
+    /// Internal-consistency audit, both directions of each map: every
+    /// PPN-map entry points to a live slab slot that points back, with
+    /// refs ≥ 1 ≤ max_refs, and the probe table finds it; exactly `len`
+    /// cells are occupied, each by a live slot whose fingerprint carries
+    /// the cell's tag. Used by tests and debug assertions; O(n).
     pub fn audit(&self) -> Result<(), String> {
         let tracked_ppns = self.by_ppn.iter().filter(|&&s| s != NONE_SLOT).count();
         if self.len != tracked_ppns {
@@ -488,26 +515,47 @@ impl FingerprintIndex {
                 self.len, tracked_ppns
             ));
         }
-        let live_slots = self.slots.iter().filter(|s| s.is_some()).count();
+        let live_slots = self.live().count();
         if self.len != live_slots {
             return Err(format!(
                 "size mismatch: {} fingerprints vs {} live slots",
                 self.len, live_slots
             ));
         }
+        let occupied = self.cells.iter().filter(|c| c.slot != NONE_SLOT).count();
+        if self.len != occupied {
+            return Err(format!(
+                "size mismatch: {} fingerprints vs {occupied} occupied cells",
+                self.len
+            ));
+        }
+        for (i, c) in self.cells.iter().enumerate() {
+            if c.slot == NONE_SLOT {
+                continue;
+            }
+            match self.slots.get(c.slot as usize) {
+                Some(s) if s.refs > 0 && fp_tag(&s.fp) == c.tag => {}
+                Some(s) if s.refs > 0 => {
+                    return Err(format!("cell {i} has tag {:#x}, its slot {:?}", c.tag, s.fp))
+                }
+                _ => return Err(format!("cell {i} points at free slot {}", c.slot)),
+            }
+        }
         for (i, &slot) in self.by_ppn.iter().enumerate() {
             if slot == NONE_SLOT {
                 continue;
             }
             let ppn = i as u64;
-            let s = self.slots[slot as usize]
-                .as_ref()
+            let s = self
+                .slots
+                .get(slot as usize)
+                .filter(|s| s.refs > 0)
                 .ok_or_else(|| format!("dangling ppn {ppn}"))?;
-            if s.entry.ppn != ppn {
-                return Err(format!("ppn {ppn} maps to entry at {}", s.entry.ppn));
+            if u64::from(s.ppn) != ppn {
+                return Err(format!("ppn {ppn} maps to entry at {}", s.ppn));
             }
-            if s.entry.refs == 0 || s.entry.max_refs < s.entry.refs {
-                return Err(format!("bad refcounts at ppn {ppn}: {:?}", s.entry));
+            if s.max_refs < s.refs {
+                return Err(format!("bad refcounts at ppn {ppn}: {:?}", s.entry()));
             }
             if self.find_slot(&s.fp) != Some(slot) {
                 return Err(format!("probe table lost the fingerprint at ppn {ppn}"));
@@ -519,14 +567,14 @@ impl FingerprintIndex {
     /// Sum of reference counts over all entries (= number of logical pages
     /// currently backed by deduplicated physical pages).
     pub fn total_refs(&self) -> u64 {
-        self.slots.iter().flatten().map(|s| s.entry.refs as u64).sum()
+        self.live().map(|s| u64::from(s.refs)).sum()
     }
 
     /// Histogram of current reference counts, bucketed {1, 2, 3, >3}.
     pub fn live_ref_histogram(&self) -> [u64; 4] {
         let mut h = [0u64; 4];
-        for s in self.slots.iter().flatten() {
-            let b = match s.entry.refs {
+        for s in self.live() {
+            let b = match s.refs {
                 1 => 0,
                 2 => 1,
                 3 => 2,
@@ -720,5 +768,58 @@ mod tests {
             assert_eq!(found, i % 2 == 1, "fp({i})");
         }
         ix.audit().unwrap();
+    }
+
+    #[test]
+    fn records_and_cells_are_flat() {
+        use std::mem::size_of;
+        assert!(size_of::<Slot>() <= 32, "slot: {} B", size_of::<Slot>());
+        assert_eq!(size_of::<Cell>(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "limit of 2^32 pages")]
+    fn insert_past_the_ppn_limit_panics() {
+        FingerprintIndex::new().insert(fp(1), 1 << 32, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "limit of 2^32 pages")]
+    fn relocate_past_the_ppn_limit_panics() {
+        let mut ix = FingerprintIndex::new();
+        ix.insert(fp(1), 1, 1);
+        ix.relocate(1, 1 << 32);
+    }
+
+    #[test]
+    fn audit_rejects_a_stale_or_mistagged_cell() {
+        let mut ix = FingerprintIndex::new();
+        for i in 0..8 {
+            ix.insert(fp(i), i, 1);
+        }
+        let freed = ix.by_ppn[3];
+        ix.forget_ppn(3).unwrap();
+        ix.audit().expect("consistent after a forget");
+
+        // A cell left pointing at the freed slot, where a vacancy was.
+        let mut stale = ix.clone();
+        let vacancy = stale.cells.iter().position(|c| c.slot == NONE_SLOT).unwrap();
+        stale.cells[vacancy] = Cell { tag: fp_tag(&fp(3)), slot: freed };
+        let err = stale.audit().expect_err("a stale cell must not pass");
+        assert!(err.contains("occupied cells"), "{err}");
+
+        // Every count right, but one cell names the wrong slot: the
+        // fingerprint that slot holds does not carry the cell's tag.
+        let mut crossed = ix.clone();
+        let (a, b) = (crossed.by_ppn[1], crossed.by_ppn[2]);
+        for c in crossed.cells.iter_mut() {
+            if c.slot == a {
+                c.slot = b;
+            } else if c.slot == b {
+                c.slot = a;
+            }
+        }
+        let err = crossed.audit().expect_err("a mistagged cell must not pass");
+        assert!(err.contains("has tag"), "{err}");
     }
 }

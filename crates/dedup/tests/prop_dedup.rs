@@ -45,102 +45,18 @@ harness_proptest! {
     /// the entry returned and in the `IndexStats` it leaves behind.
     #[test]
     fn index_agrees_with_naive_model(ops in vec((0u8..6, 0u64..20), 1..300)) {
-        let mut ix = FingerprintIndex::new();
-        // model: content -> (ppn, refs)
-        let mut model: HashMap<u64, (u64, u32)> = HashMap::new();
-        let mut next_ppn = 0u64;
-        let mut trim_releases = 0u64;
+        agrees_with_naive_model(&ops, |c| Fingerprint::of_content(ContentId(c)))?;
+    }
 
-        for &(op, content) in &ops {
-            let fp = Fingerprint::of_content(ContentId(content));
-            match op {
-                0 => {
-                    // "write": hit -> add ref; miss -> insert at fresh ppn
-                    if let std::collections::hash_map::Entry::Vacant(e) = model.entry(content) {
-                        ix.insert(fp, next_ppn, 1);
-                        e.insert((next_ppn, 1));
-                        next_ppn += 1;
-                    } else {
-                        ix.add_refs(&fp, 1);
-                        model.get_mut(&content).expect("present").1 += 1;
-                    }
-                }
-                1 | 3 => {
-                    // "overwrite/delete" (1) or "host trim" (3): release
-                    // one ref if present; a trim additionally counts in
-                    // the trim-release statistic.
-                    if let Some(&(ppn, refs)) = model.get(&content) {
-                        let rem = if op == 3 {
-                            trim_releases += 1;
-                            ix.release_ppn_trimmed(ppn).expect("tracked")
-                        } else {
-                            ix.release_ppn(ppn).expect("tracked")
-                        };
-                        if refs == 1 {
-                            prop_assert_eq!(rem, 0);
-                            model.remove(&content);
-                        } else {
-                            prop_assert_eq!(rem, refs - 1);
-                            model.get_mut(&content).expect("present").1 -= 1;
-                        }
-                    } else {
-                        prop_assert_eq!(ix.lookup(&fp), None);
-                    }
-                }
-                2 => {
-                    // "GC relocate" if present
-                    if let Some(entry) = model.get_mut(&content) {
-                        ix.relocate(entry.0, next_ppn);
-                        entry.0 = next_ppn;
-                        next_ppn += 1;
-                    }
-                }
-                4 => {
-                    // Recovery-style move: forget the entry, then restore
-                    // it at a fresh ppn with the same refcount (what the
-                    // post-crash rebuild does from OOB stamps).
-                    if let Some(entry) = model.get_mut(&content) {
-                        let e = ix.forget_ppn(entry.0).expect("tracked");
-                        prop_assert_eq!(e.refs, entry.1);
-                        ix.restore(fp, next_ppn, e.refs);
-                        entry.0 = next_ppn;
-                        next_ppn += 1;
-                    } else {
-                        prop_assert_eq!(ix.peek(&fp), None);
-                    }
-                }
-                _ => {
-                    // GC absorption: the copy's references move wholesale
-                    // to another stored copy and this entry is forgotten
-                    // without an invalidation record. The content becomes
-                    // untracked; a later write re-inserts it fresh.
-                    if let Some(&(ppn, refs)) = model.get(&content) {
-                        let e = ix.forget_ppn(ppn).expect("tracked");
-                        prop_assert_eq!(e.refs, refs);
-                        model.remove(&content);
-                    }
-                }
-            }
-            // Full agreement after every step.
-            prop_assert_eq!(ix.len(), model.len());
-            prop_assert_eq!(ix.ref_stats().trim_releases(), trim_releases);
-            for (&c, &(ppn, refs)) in &model {
-                let e = ix.peek(&Fingerprint::of_content(ContentId(c))).expect("entry");
-                prop_assert_eq!(e.ppn, ppn);
-                prop_assert_eq!(e.refs, refs);
-                prop_assert_eq!(ix.refs_of_ppn(ppn), Some(refs));
-                prop_assert_eq!(ix.fp_of_ppn(ppn), Some(Fingerprint::of_content(ContentId(c))));
-            }
-            ix.audit().map_err(TestCaseError::fail)?;
-            let (mut by_ppn, mut by_fp) = (ix.clone(), ix.clone());
-            for ppn in 0..next_ppn {
-                let expect = by_fp
-                    .fp_of_ppn(ppn)
-                    .map(|fp| (fp, by_fp.lookup(&fp).expect("a stored fingerprint is indexed")));
-                prop_assert_eq!(by_ppn.lookup_ppn(ppn), expect);
-                prop_assert_eq!(by_ppn.stats(), by_fp.stats());
-            }
-        }
+    /// The same model check where probe keys collide: a fingerprint's
+    /// first eight bytes (the probe key, so also the cell's 32-bit tag)
+    /// come from `content % 3` and its other twelve from `content`, so
+    /// up to a dozen distinct fingerprints share each key. Robin-Hood
+    /// displacement and backward-shift deletion then run inside runs of
+    /// equal tags, and every probe has to tell entries apart at the slab.
+    #[test]
+    fn index_agrees_with_naive_model_under_colliding_keys(ops in vec((0u8..6, 0u64..36), 1..300)) {
+        agrees_with_naive_model(&ops, colliding_fp)?;
     }
 
     /// total_refs equals the sum of model refcounts.
@@ -154,4 +70,123 @@ harness_proptest! {
         }
         prop_assert_eq!(ix.total_refs(), sum);
     }
+}
+
+/// A fingerprint whose probe key is that of `content % 3` and whose other
+/// twelve bytes are `content`'s own — distinct for distinct contents,
+/// because `of_content`'s second word is a bijection of the id too.
+fn colliding_fp(content: u64) -> Fingerprint {
+    let mut bytes = Fingerprint::of_content(ContentId(content)).0;
+    bytes[..8].copy_from_slice(&Fingerprint::of_content(ContentId(content % 3)).0[..8]);
+    Fingerprint(bytes)
+}
+
+/// Drive an index with `(op, content)` steps — insert / add_ref, release,
+/// relocate, trimmed release, forget + restore, absorption — keying each
+/// content by `fp_of`, and check it against a naive HashMap model after
+/// every step.
+fn agrees_with_naive_model(
+    ops: &[(u8, u64)],
+    fp_of: impl Fn(u64) -> Fingerprint,
+) -> Result<(), TestCaseError> {
+    let mut ix = FingerprintIndex::new();
+    // model: content -> (ppn, refs)
+    let mut model: HashMap<u64, (u64, u32)> = HashMap::new();
+    let mut next_ppn = 0u64;
+    let mut trim_releases = 0u64;
+
+    for &(op, content) in ops {
+        let fp = fp_of(content);
+        match op {
+            0 => {
+                // "write": hit -> add ref; miss -> insert at fresh ppn
+                if let std::collections::hash_map::Entry::Vacant(e) = model.entry(content) {
+                    ix.insert(fp, next_ppn, 1);
+                    e.insert((next_ppn, 1));
+                    next_ppn += 1;
+                } else {
+                    ix.add_refs(&fp, 1);
+                    model.get_mut(&content).expect("present").1 += 1;
+                }
+            }
+            1 | 3 => {
+                // "overwrite/delete" (1) or "host trim" (3): release
+                // one ref if present; a trim additionally counts in
+                // the trim-release statistic.
+                if let Some(&(ppn, refs)) = model.get(&content) {
+                    let rem = if op == 3 {
+                        trim_releases += 1;
+                        ix.release_ppn_trimmed(ppn).expect("tracked")
+                    } else {
+                        ix.release_ppn(ppn).expect("tracked")
+                    };
+                    if refs == 1 {
+                        prop_assert_eq!(rem, 0);
+                        model.remove(&content);
+                    } else {
+                        prop_assert_eq!(rem, refs - 1);
+                        model.get_mut(&content).expect("present").1 -= 1;
+                    }
+                } else {
+                    prop_assert_eq!(ix.lookup(&fp), None);
+                }
+            }
+            2 => {
+                // "GC relocate" if present
+                if let Some(entry) = model.get_mut(&content) {
+                    ix.relocate(entry.0, next_ppn);
+                    entry.0 = next_ppn;
+                    next_ppn += 1;
+                }
+            }
+            4 => {
+                // Recovery-style move: forget the entry, then restore
+                // it at a fresh ppn with the same refcount (what the
+                // post-crash rebuild does from OOB stamps).
+                if let Some(entry) = model.get_mut(&content) {
+                    let e = ix.forget_ppn(entry.0).expect("tracked");
+                    prop_assert_eq!(e.refs, entry.1);
+                    ix.restore(fp, next_ppn, e.refs);
+                    entry.0 = next_ppn;
+                    next_ppn += 1;
+                } else {
+                    prop_assert_eq!(ix.peek(&fp), None);
+                }
+            }
+            _ => {
+                // GC absorption: the copy's references move wholesale
+                // to another stored copy and this entry is forgotten
+                // without an invalidation record. The content becomes
+                // untracked; a later write re-inserts it fresh.
+                if let Some(&(ppn, refs)) = model.get(&content) {
+                    let e = ix.forget_ppn(ppn).expect("tracked");
+                    prop_assert_eq!(e.refs, refs);
+                    model.remove(&content);
+                }
+            }
+        }
+        // Full agreement after every step.
+        prop_assert_eq!(ix.len(), model.len());
+        prop_assert_eq!(ix.ref_stats().trim_releases(), trim_releases);
+        for (&c, &(ppn, refs)) in &model {
+            let e = ix.peek(&fp_of(c)).expect("entry");
+            prop_assert_eq!(e.ppn, ppn);
+            prop_assert_eq!(e.refs, refs);
+            prop_assert_eq!(ix.refs_of_ppn(ppn), Some(refs));
+            prop_assert_eq!(ix.fp_of_ppn(ppn), Some(fp_of(c)));
+        }
+        ix.audit().map_err(TestCaseError::fail)?;
+        let (mut by_ppn, mut by_fp) = (ix.clone(), ix.clone());
+        for ppn in 0..next_ppn {
+            let expect = by_fp.fp_of_ppn(ppn).map(|fp| {
+                (
+                    fp,
+                    by_fp.lookup(&fp).expect("a stored fingerprint is indexed"),
+                )
+            });
+            prop_assert_eq!(by_ppn.lookup_ppn(ppn), expect);
+            prop_assert_eq!(by_ppn.stats(), by_fp.stats());
+        }
+    }
+    Ok(())
 }

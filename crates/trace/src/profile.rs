@@ -28,8 +28,10 @@
 //! `(parent, name id)`. Strings exist once per bucket — the slash path
 //! is formatted after the last record, for tens of buckets — and the
 //! duration samples are sorted once, there and after a [`merge`]
-//! (`SpanProfile::merge`), never per export. Scratch is sized by
-//! containers or by child intervals, never one heap object per record.
+//! (`SpanProfile::merge`), never per export. Scratch is a few words per
+//! container, a 4-byte owner per leaf and one 16-byte interval per child
+//! (written once, into its owner's group), never one heap object per
+//! record.
 //!
 //! [`merge`]: SpanProfile::merge
 
@@ -362,9 +364,13 @@ impl SpanProfile {
         containers.sort_unstable_by_key(|c| (c.start, std::cmp::Reverse(c.end), c.rec));
 
         let (mut all, mut gc, mut host) = (Lane::default(), Lane::default(), Lane::default());
-        // Every interval some container's self time excludes (attributed
-        // leaves + directly nested containers), as (owner, start, end).
-        let mut children: Vec<(usize, u64, u64)> = Vec::new();
+        // The container whose self time each interval excludes — a
+        // directly nested container's encloser, an attributed leaf's
+        // owner — or `NO_OWNER`. Four bytes per record: the intervals
+        // themselves are read again from the recording when grouped.
+        const NO_OWNER: u32 = u32::MAX;
+        let mut enclosers = vec![NO_OWNER; containers.len()];
+        let mut owners: Vec<u32> = Vec::with_capacity(spans.len() - containers.len());
 
         // Nested containers: stack sweep over (start asc, end desc) order
         // finds each container's immediate enclosing container.
@@ -374,14 +380,15 @@ impl SpanProfile {
                 stack.pop();
             }
             if let Some(&top) = stack.last() {
-                children.push((top, c.start, c.end));
+                enclosers[k] = top as u32;
             }
             stack.push(k);
             all.push(k, c.start, c.end);
             if c.gc { &mut gc } else { &mut host }.push(k, c.start, c.end);
         }
 
-        // Leaves: attribute, bucket, and feed the owner's child list.
+        // Leaves: attribute, bucket, and note the owner of each one that
+        // has a duration.
         spans.iter().filter(|r| !is_container(r)).for_each(|rec| {
             let (ts, dur) = (rec.ts_ns(), rec.dur_ns());
             let (track, name) = (rec.track(), usize::from(rec.name_id()));
@@ -392,13 +399,13 @@ impl SpanProfile {
             };
             let parent = match preferred.or_else(|| all.find(ts)) {
                 Some(owner) => {
-                    let owner_end = containers[owner].end;
-                    if dur > 0 {
-                        children.push((owner, ts, (ts + dur).min(owner_end)));
-                    }
+                    owners.push(if dur > 0 { owner as u32 } else { NO_OWNER });
                     Parent::Bucket(containers[owner].bucket)
                 }
-                None => Parent::Category(track.category()),
+                None => {
+                    owners.push(NO_OWNER);
+                    Parent::Category(track.category())
+                }
             };
             let bucket = fold.bucket_id(parent, name);
             fold.buckets[bucket].record(dur);
@@ -408,17 +415,28 @@ impl SpanProfile {
         // A counting sort groups the intervals by owner (the cursors end
         // up at the group ends), then each small group is swept.
         let mut cursor = vec![0usize; containers.len()];
-        for &(owner, ..) in &children {
-            cursor[owner] += 1;
+        for &owner in enclosers.iter().chain(&owners).filter(|&&o| o != NO_OWNER) {
+            cursor[owner as usize] += 1;
         }
         let mut start = 0;
         for c in &mut cursor {
             start += std::mem::replace(c, start);
         }
-        let mut grouped = vec![(0u64, 0u64); children.len()];
-        for &(owner, s, e) in &children {
-            grouped[cursor[owner]] = (s, e);
-            cursor[owner] += 1;
+        let mut grouped = vec![(0u64, 0u64); start];
+        let mut place = |owner: u32, interval| {
+            if owner != NO_OWNER {
+                grouped[cursor[owner as usize]] = interval;
+                cursor[owner as usize] += 1;
+            }
+        };
+        for (c, &owner) in containers.iter().zip(&enclosers) {
+            place(owner, (c.start, c.end));
+        }
+        let leaves = spans.iter().filter(|r| !is_container(r));
+        for (rec, &owner) in leaves.zip(&owners) {
+            if let Some(c) = containers.get(owner as usize) {
+                place(owner, (rec.ts_ns(), (rec.ts_ns() + rec.dur_ns()).min(c.end)));
+            }
         }
         let mut start = 0;
         for (&end, c) in cursor.iter().zip(&containers) {

@@ -35,6 +35,10 @@ echo "== one trace layout: packed records and one content slab, read as views ==
 if grep -n 'pub requests: Vec<' crates/workloads/src/trace.rs || grep -rn 'to_request' crates; then
   echo "FAIL: a Trace is 24-byte records plus one ContentId slab that every producer fills in place; no Vec<Request> behind it and no view copied back into an owned Request (docs/PERFORMANCE.md, The trace is an arena)"; exit 1; fi
 
+echo "== one flat index: 32-byte slab records and 8-byte probe cells =="
+if grep -nE 'Vec<Option<Slot>>|hash: u64' crates/dedup/src/index.rs; then
+  echo "FAIL: a fingerprint-index record is a plain Copy record where refs == 0 marks a free slot, and a probe cell holds a 32-bit tag, never the whole 64-bit key (docs/PERFORMANCE.md, A flat fingerprint index)"; exit 1; fi
+
 echo "== one value, no knob: derived thresholds and fixed costs are not settable =="
 if grep -rnE 'pub (gc_low|gc_high|gc_reserve_blocks|read_miss_ns|lookup_ns|trim_ns|idle_threshold_ns|prehash_ns|program_retry_backoff_ns|max_read_retries|ecc_decode_ns):' crates \
   || grep -rnE 'endurance_limit|wearout_slope|FleetTelemetryConfig|enum ConfigError' crates; then
