@@ -1,8 +1,8 @@
-//! EXPERIMENTS.md's Fig. 9, 10, 11 and 13 tables mirror
-//! `results/fig{9,10,11,13}.csv`: every cell must agree with its CSV value
-//! at the precision the prose prints, so a golden cannot be re-pinned
-//! without its prose. Fig. 13's Greedy rows are Figs. 9 and 10's cells, so
-//! the CSVs must also agree with each other.
+//! EXPERIMENTS.md's Fig. 6, 9, 10, 11 and 13 tables mirror
+//! `results/fig{6,9,10,11,13}.csv`: every cell must agree with its CSV
+//! value at the precision the prose prints, so a golden cannot be
+//! re-pinned without its prose. Fig. 13's Greedy rows are Figs. 9 and 10's
+//! cells, so the CSVs must also agree with each other.
 
 use std::collections::HashMap;
 
@@ -83,6 +83,39 @@ fn check_counts_figure(fig: u32) {
         check(&format!("Fig. {fig} {w} default scale"), &row[default], &get(w, "reduction_pct"), true);
         let paper = row.last().expect("paper column");
         check(&format!("Fig. {fig} {w} scale paper"), paper, &get(w, "paper_reduction_pct"), true);
+    }
+}
+
+/// Fig. 6 prints percentages of fractions the CSV keeps to four decimals,
+/// so a cell passes within half a unit of its last printed digit plus the
+/// CSV's own rounding (0.005 percentage points). The prose's shape claim
+/// is checked on the CSV: refcount-1 pages make up more than 80 % of the
+/// invalidations and refcount > 3 less than 1 %, for every workload.
+#[test]
+fn fig6_prose_matches_its_csv() {
+    let md = read("EXPERIMENTS.md");
+    let data = csv("results/fig6.csv", 1);
+    let (_, rows) = table(&md, "## Fig. 6 ");
+    assert_eq!(rows.len(), 3, "Fig. 6: one row per workload");
+    for row in &rows {
+        let w = row[0].as_str();
+        let get = |col: &str| -> f64 {
+            data[&(w.to_string(), col.to_string())].parse().expect("csv fraction")
+        };
+        for (cell, col) in row[1..5].iter().zip(["ref1", "ref2", "ref3", "ref_gt3"]) {
+            let prose = cell.trim_end_matches('%').trim();
+            let decimals = prose.split_once('.').map_or(0, |(_, frac)| frac.len());
+            let printed: f64 =
+                prose.parse().unwrap_or_else(|e| panic!("Fig. 6 {w} {col}: `{cell}`: {e}"));
+            let tolerance = 0.5 * 10f64.powi(-(decimals as i32)) + 0.005;
+            let value = 100.0 * get(col);
+            assert!(
+                (printed - value).abs() <= tolerance + 1e-9,
+                "Fig. 6 {w} {col}: EXPERIMENTS.md says `{cell}`, the CSV says {value:.2} %"
+            );
+        }
+        assert!(get("ref1") > 0.80, "Fig. 6 {w}: refcount-1 share not above 80 %");
+        assert!(get("ref_gt3") < 0.01, "Fig. 6 {w}: refcount > 3 share not below 1 %");
     }
 }
 

@@ -1,4 +1,4 @@
-//! Garbage collection engines: the blind migrator and the content-aware one.
+//! Garbage collection: one collector, one relocation step, two per-page decisions.
 //!
 //! This module implements the workflow of Fig. 5:
 //!
@@ -13,9 +13,12 @@
 //! 4. the victim is erased once its last valid page is safely elsewhere,
 //!    and the next victim's migration overlaps the erase.
 //!
-//! Baseline and Inline-Dedupe use the blind migrator: every valid page is
-//! copied, no content processing (Inline-Dedupe already deduplicated on the
-//! write path, so its GC never sees redundant pages).
+//! Traditional GC (Fig. 3) is this pipeline without the hash and lookup
+//! stages: under Baseline and the inline schemes every valid page is
+//! copied blindly (Inline-Dedupe already deduplicated on the write path,
+//! so its GC never sees redundant pages). Both decisions take the same
+//! per-page step and move a page through the same `relocate_page`: the
+//! scheme decides only how one page is handled.
 //!
 //! There is one collector. Every entry point — the watermark trigger,
 //! [`Ssd::force_gc`], idle-window GC, the allocator's emergency round,
@@ -32,6 +35,41 @@ use cagc_trace::Track;
 
 use crate::config::{Scheme, SsdConfig};
 use crate::ssd::{fp_stamp, Ssd, TraceCtx};
+
+/// Counters describing all GC activity of a run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GcStats {
+    /// GC activations. Under run-to-completion GC this is the number of
+    /// watermark *trigger firings* (counted even when no block was
+    /// reclaimable) plus victims started by forced or idle-window rounds;
+    /// under preemptible GC it is the number of *victims started* (by a
+    /// slice, the urgent catch-up leg or a forced round — resuming a
+    /// suspended victim is not counted again).
+    pub invocations: u64,
+    /// Victim blocks erased (the Fig. 9 metric).
+    pub blocks_erased: u64,
+    /// Valid pages copied out of victims (the Fig. 10 metric). For CAGC
+    /// this counts only pages actually *written* to a new location; dedup
+    /// hits that resolve to metadata updates are counted in `dedup_hits`.
+    pub pages_migrated: u64,
+    /// Valid pages read out of victims (reads happen even on dedup hits).
+    pub pages_scanned: u64,
+    /// Migration writes avoided because the page's content was already
+    /// stored (CAGC only).
+    pub dedup_hits: u64,
+    /// Pages moved hot → cold because their refcount crossed the threshold.
+    pub promotions: u64,
+    /// Pages moved cold → hot because their refcount fell to the threshold
+    /// or below.
+    pub demotions: u64,
+    /// Trim-invalidated pages reclaimed by victim erases. Each such page is
+    /// a migration GC never had to perform: had the host not trimmed it,
+    /// the page would still be valid at collection time and would have been
+    /// copied out (counted in `pages_migrated`) before the erase.
+    pub trim_reclaimed_pages: u64,
+    /// Total simulated time spent inside GC rounds.
+    pub busy_ns: Nanos,
+}
 
 /// One victim being drained: the block, a snapshot of its valid pages
 /// taken when the job began, and a cursor. Every GC entry point drains
@@ -292,37 +330,29 @@ impl Ssd {
 
     /// Migrate up to `budget` still-valid pages of `job`'s snapshot,
     /// starting at `t`. Returns `(pages migrated or absorbed, completion)`.
+    ///
+    /// Absorption can drain *later* snapshot pages mid-quantum (promotion
+    /// of a stored copy inside this victim), so the quantum cannot be
+    /// counted out up front. The snapshot is taken in runs no longer than
+    /// the budget left: a run that held stale pages is followed by another.
     fn step_job(
         &mut self,
         job: &mut GcJob,
         budget: usize,
         t: Nanos,
     ) -> Result<(usize, Nanos), FlashError> {
-        match self.cfg.scheme {
-            Scheme::Baseline | Scheme::InlineDedup | Scheme::InlineSampled => {
-                self.migrate_blind(job, budget, t)
-            }
-            Scheme::Cagc => {
-                // Absorption can drain *later* snapshot pages mid-quantum
-                // (promotion of a stored copy inside this victim), so the
-                // quantum cannot be counted out up front. Take the snapshot
-                // in runs no longer than the budget left: a run that held
-                // stale pages is followed by another.
-                let mut read_ready = t;
-                let mut moved = 0;
-                let mut done = t;
-                while moved < budget && job.next < job.pages.len() {
-                    let run = (budget - moved).min(job.pages.len() - job.next);
-                    let pages = &job.pages[job.next..job.next + run];
-                    job.next += run;
-                    let (valid, end) =
-                        self.migrate_content_aware(job.victim, pages, &mut read_ready)?;
-                    moved += valid;
-                    done = done.max(end);
-                }
-                Ok((moved, done))
-            }
+        let mut read_ready = t;
+        let mut moved = 0;
+        let mut done = t;
+        while moved < budget && job.next < job.pages.len() {
+            let run = (budget - moved).min(job.pages.len() - job.next);
+            let pages = &job.pages[job.next..job.next + run];
+            job.next += run;
+            let (valid, end) = self.migrate_run(job.victim, pages, &mut read_ready)?;
+            moved += valid;
+            done = done.max(end);
         }
+        Ok((moved, done))
     }
 
     /// Run a job to completion: migrate every remaining valid page and
@@ -475,93 +505,16 @@ impl Ssd {
         Ok(erase_end)
     }
 
-    /// Blind migration: read + rewrite every valid page (Fig. 3), in two
-    /// grouped passes. Pass 1 issues every read + program back-to-back
-    /// (this fixes the flash timing — identical to the old per-page loop,
-    /// since reads all started at `t` and programs all queued in the same
-    /// order); pass 2 then updates mapping, reverse-map, index and
-    /// invalidation state for the whole batch. Grouping the metadata pass
-    /// keeps it in cache and lets each relocation take the O(1)
-    /// [`cagc_ftl::ReverseMap::relocate`] path. Blind migration never
-    /// touches other snapshot pages (no dedup absorption), so deferring
-    /// the metadata updates cannot change what later pages observe; each
-    /// source is invalidated at its *own* program-completion time, exactly
-    /// as before. For the same reason a snapshot page found stale in pass 1
-    /// (overwritten by the foreground since an earlier slice) was stale
-    /// before the pass began: skipping it there is a pre-filter.
-    ///
-    /// Takes up to `budget` still-valid pages from `job`'s cursor; returns
-    /// `(pages migrated, completion)`.
-    fn migrate_blind(
-        &mut self,
-        job: &mut GcJob,
-        budget: usize,
-        t: Nanos,
-    ) -> Result<(usize, Nanos), FlashError> {
-        let mut done = t;
-        let mut batch = std::mem::take(&mut self.gc_batch);
-        batch.clear();
-        while batch.len() < budget && job.next < job.pages.len() {
-            let ppn = job.pages[job.next];
-            job.next += 1;
-            if self.dev.page_state(ppn) != PageState::Valid {
-                continue;
-            }
-            self.gc_stats.pages_scanned += 1;
-            let read_end = match self.read_flash(ppn, t) {
-                Ok(v) => v,
-                Err(e) => {
-                    self.gc_batch = batch;
-                    return Err(e);
-                }
-            };
-            // Inline schemes track migrated pages in the index; carry the
-            // fingerprint stamp so the relocated copy stays recoverable.
-            let stamp = self.index.fp_of_ppn(ppn).map(|fp| fp_stamp(&fp));
-            match self.program_region(Region::Hot, true, PageOob::gc(stamp), read_end) {
-                Ok((end, new_ppn)) => {
-                    // The program physically copied the cells: record the
-                    // content before any later fallible step can tear the
-                    // relocation (recovery rebuilds the rest from OOB +
-                    // journal whether or not pass 2 ran).
-                    self.content_of[new_ppn as usize] = self.content_of[ppn as usize];
-                    batch.push((ppn, new_ppn, end));
-                    done = done.max(end);
-                }
-                Err(e) => {
-                    self.gc_batch = batch;
-                    return Err(e);
-                }
-            }
-        }
-        self.warm(batch.iter().map(|&(old, _, _)| old), std::iter::empty());
-        for i in 0..batch.len() {
-            let (old, new, end) = batch[i];
-            if let Err(e) = self.remap_sharers(old, new) {
-                self.gc_batch = batch;
-                return Err(e);
-            }
-            if self.index.fp_of_ppn(old).is_some() {
-                self.index.relocate(old, new);
-            }
-            self.dev.invalidate(old, end);
-            self.gc_stats.pages_migrated += 1;
-        }
-        let moved = batch.len();
-        batch.clear();
-        self.gc_batch = batch;
-        Ok((moved, done))
-    }
-
-    /// Content-aware migration (Fig. 5) of `pages`, a run of one victim's
-    /// valid-page snapshot: hash each still-valid page on the hash engine,
-    /// probe the index, and either absorb (hit) or place by reference
-    /// count (miss / stored copy).
+    /// Migrate `pages`, a run of one victim's valid-page snapshot: each
+    /// page still valid at its turn is read and then either copied blindly
+    /// (Fig. 3: Baseline and the inline schemes, whose write path already
+    /// deduplicated) or, under CAGC, hashed on the hash engine, probed in
+    /// the index and absorbed (hit) or placed by reference count (Fig. 5).
     ///
     /// Three passes (docs/PERFORMANCE.md, "gather → warm → apply"):
-    /// **gather** every page's fingerprint, **warm** the table lines the
-    /// pages are about to touch, then **apply** the per-page pipeline in
-    /// snapshot order. Fingerprinting is pure and the warm pass only
+    /// **gather** every page's fingerprint (CAGC only), **warm** the table
+    /// lines the pages are about to touch, then **apply** the per-page step
+    /// in snapshot order. Fingerprinting is pure and the warm pass only
     /// reads, so simulated time, event order and every counter are those
     /// of a page-at-a-time loop; what changes is that the run's
     /// independent cache misses overlap instead of each waiting behind the
@@ -570,7 +523,7 @@ impl Ssd {
     /// Returns `(pages still valid at their turn, completion)`.
     /// `read_ready` is when the next page's read may issue; it carries the
     /// `overlap_hash = false` stall from page to page and run to run.
-    fn migrate_content_aware(
+    fn migrate_run(
         &mut self,
         victim: BlockId,
         pages: &[Ppn],
@@ -578,16 +531,18 @@ impl Ssd {
     ) -> Result<(usize, Nanos), FlashError> {
         let mut fps = std::mem::take(&mut self.fps_scratch);
         fps.clear();
-        // A tracked page's fingerprint sits in the index slab, one dense-map
-        // load away (`Ssd::audit` checks it is the content's fingerprint);
-        // only untracked pages are computed.
-        fps.extend(pages.iter().map(|&ppn| match self.index.fp_of_ppn(ppn) {
-            Some(fp) => {
-                debug_assert_eq!(fp, Fingerprint::of_content(self.content_at(ppn)));
-                fp
-            }
-            None => Fingerprint::of_content(self.content_at(ppn)),
-        }));
+        if self.cfg.scheme == Scheme::Cagc {
+            // A tracked page's fingerprint sits in the index slab, one
+            // dense-map load away (`Ssd::audit` checks it is the content's
+            // fingerprint); only untracked pages are computed.
+            fps.extend(pages.iter().map(|&ppn| match self.index.fp_of_ppn(ppn) {
+                Some(fp) => {
+                    debug_assert_eq!(fp, Fingerprint::of_content(self.content_at(ppn)));
+                    fp
+                }
+                None => Fingerprint::of_content(self.content_at(ppn)),
+            }));
+        }
         // Only untracked pages probe by fingerprint; a tracked page is its
         // own stored copy and is looked up by address.
         let untracked =
@@ -596,7 +551,7 @@ impl Ssd {
         let mut valid = 0;
         let mut done = *read_ready;
         let mut outcome = Ok(());
-        for (&ppn, &fp) in pages.iter().zip(&fps) {
+        for (i, &ppn) in pages.iter().enumerate() {
             // A foreground overwrite between slices, or a promotion earlier
             // in this pass (its stored copy lived later in the same
             // victim), may have already drained this page.
@@ -604,7 +559,7 @@ impl Ssd {
                 continue;
             }
             valid += 1;
-            match self.migrate_page_content_aware(victim, ppn, fp, *read_ready) {
+            match self.migrate_page(victim, ppn, fps.get(i).copied(), *read_ready) {
                 Ok((end, next_ready)) => {
                     *read_ready = next_ready;
                     done = done.max(end);
@@ -619,21 +574,29 @@ impl Ssd {
         outcome.map(|()| (valid, done))
     }
 
-    /// Content-aware migration of one page (the Fig. 5 per-page pipeline):
-    /// read, fingerprint on the hash engine (`fp`, gathered beforehand, is
-    /// what the engine computes), probe the index, then absorb or place by
-    /// reference count. Returns `(completion, next_read_ready)` — the
-    /// second value carries the hash-serialization stall of the
-    /// `overlap_hash = false` ablation to the following page.
-    fn migrate_page_content_aware(
+    /// Migrate one page: read it, then copy it blindly when `fp` is `None`,
+    /// else run the Fig. 5 per-page pipeline — fingerprint on the hash
+    /// engine (`fp`, gathered beforehand, is what the engine computes),
+    /// probe the index, then absorb or place by reference count. Returns
+    /// `(completion, next_read_ready)` — the second value carries the
+    /// hash-serialization stall of the `overlap_hash = false` ablation to
+    /// the following page.
+    fn migrate_page(
         &mut self,
         victim: BlockId,
         ppn: Ppn,
-        fp: Fingerprint,
+        fp: Option<Fingerprint>,
         read_ready: Nanos,
     ) -> Result<(Nanos, Nanos), FlashError> {
         self.gc_stats.pages_scanned += 1;
         let read_end = self.read_flash(ppn, read_ready)?;
+        let Some(fp) = fp else {
+            // Inline schemes track migrated pages in the index; carry the
+            // fingerprint stamp so the relocated copy stays recoverable.
+            let stamp = self.index.fp_of_ppn(ppn).map(|fp| fp_stamp(&fp));
+            let (end, _) = self.relocate_page(ppn, Region::Hot, stamp, read_end)?;
+            return Ok((end, read_ready));
+        };
         // Fingerprint on the dedicated engine. With overlap enabled the
         // engine runs beside the dies; the ablation serializes the
         // pipeline by stalling the next read until the hash finishes.
@@ -666,7 +629,6 @@ impl Ssd {
                 let dest = self.region_for_refs(entry.refs);
                 let src = self.alloc.region_of(victim).unwrap_or(Region::Hot);
                 let (end, _) = self.relocate_page(ppn, dest, Some(fp_stamp(&fp)), decided)?;
-                self.gc_stats.pages_migrated += 1;
                 match (src, dest) {
                     (Region::Hot, Region::Cold) => self.gc_stats.promotions += 1,
                     (Region::Cold, Region::Hot) => self.gc_stats.demotions += 1,
@@ -682,7 +644,6 @@ impl Ssd {
                 let dest = self.region_for_refs(sharers);
                 let (end, new_ppn) = self.relocate_page(ppn, dest, Some(fp_stamp(&fp)), decided)?;
                 self.index.insert(fp, new_ppn, sharers);
-                self.gc_stats.pages_migrated += 1;
                 end
             }
         };
@@ -746,18 +707,19 @@ impl Ssd {
         {
             let read_end = self.read_flash(to, now)?;
             let (end, _) = self.relocate_page(to, Region::Cold, Some(fp_stamp(fp)), read_end)?;
-            self.gc_stats.pages_migrated += 1;
             self.gc_stats.promotions += 1;
             return Ok(end);
         }
         Ok(now)
     }
 
-    /// Move one valid page to the `dest` frontier: program a copy, remap
-    /// every sharer (each remap journaled — the durable record a crash
-    /// before the source's erase recovers from), carry index/content
-    /// metadata, and invalidate the source. Returns the program completion
-    /// time and the new PPN.
+    /// Move one valid page to the `dest` frontier — the one relocation
+    /// step every GC copy takes, blind or content-aware. The order is the
+    /// crash-safe one: program a copy, remap every sharer (each remap
+    /// journaled — the durable record a crash before the source's erase
+    /// recovers from), carry index/content metadata, and only then
+    /// invalidate the source. Counts the copy in `pages_migrated`; returns
+    /// the program completion time and the new PPN.
     fn relocate_page(
         &mut self,
         ppn: Ppn,
@@ -774,6 +736,7 @@ impl Ssd {
             self.index.relocate(ppn, new_ppn);
         }
         self.dev.invalidate(ppn, end);
+        self.gc_stats.pages_migrated += 1;
         Ok((end, new_ppn))
     }
 

@@ -30,13 +30,11 @@
 
 pub mod config;
 pub mod gc;
-pub mod parallel;
 pub mod recovery;
 pub mod report;
 pub mod ssd;
 
 pub use config::{GcThresholds, Scheme, SsdConfig};
-pub use parallel::{run_cell, run_cells};
 pub use recovery::RecoveryReport;
 pub use report::{FaultReport, HealthLog, LatencySummary, RunReport, TrafficTotals};
 pub use ssd::{CmdStatus, Completion, Ssd};
@@ -44,3 +42,80 @@ pub use ssd::{CmdStatus, Completion, Ssd};
 // Tracing entry points, re-exported so callers enabling tracing on an
 // [`Ssd`] don't need a direct cagc-trace dependency.
 pub use cagc_trace::{TelemetryReport, TraceConfig, Tracer};
+
+use cagc_workloads::Trace;
+
+/// Run one experiment cell: build an SSD per the config and replay the
+/// trace. Each simulation is single-threaded and deterministic.
+pub fn run_cell(config: SsdConfig, trace: &Trace) -> RunReport {
+    Ssd::new(config).replay(trace)
+}
+
+/// Run every `(config, trace)` cell of an experiment grid on the
+/// [`cagc_harness::pool`] scoped worker pool, using up to `workers` OS
+/// threads (0 ⇒ the machine's available parallelism). Results come back
+/// in input order, so the worker count never changes them. Host-interface
+/// cells (`cagc-host`) call [`cagc_harness::pool::map_ordered`] directly.
+pub fn run_cells(cells: &[(SsdConfig, &Trace)], workers: usize) -> Vec<RunReport> {
+    cagc_harness::pool::map_ordered(cells, workers, |(config, trace)| {
+        run_cell(config.clone(), trace)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cagc_workloads::SynthConfig;
+
+    fn tiny_trace(seed: u64) -> Trace {
+        SynthConfig {
+            requests: 300,
+            logical_pages: 2_000,
+            seed,
+            prefill_fraction: 0.5,
+            ..Default::default()
+        }
+        .generate()
+    }
+
+    #[test]
+    fn empty_grid_is_fine() {
+        assert!(run_cells(&[], 4).is_empty());
+    }
+
+    #[test]
+    fn parallel_equals_serial() {
+        let trace = tiny_trace(1);
+        let cells: Vec<(SsdConfig, &Trace)> = Scheme::ALL
+            .iter()
+            .map(|&s| (SsdConfig::tiny(s), &trace))
+            .collect();
+        let serial = run_cells(&cells, 1);
+        let parallel = run_cells(&cells, 4);
+        assert_eq!(serial.len(), parallel.len());
+        for (a, b) in serial.iter().zip(&parallel) {
+            // Full determinism: identical counters and latency stats.
+            assert_eq!(a.scheme, b.scheme);
+            assert_eq!(a.gc, b.gc);
+            assert_eq!(a.total_programs, b.total_programs);
+            assert_eq!(a.all.count, b.all.count);
+            assert_eq!(a.all.max_ns, b.all.max_ns);
+            assert!((a.all.mean_ns - b.all.mean_ns).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn results_preserve_input_order() {
+        let t1 = tiny_trace(1);
+        let t2 = tiny_trace(2);
+        let cells = vec![
+            (SsdConfig::tiny(Scheme::Baseline), &t1),
+            (SsdConfig::tiny(Scheme::Cagc), &t2),
+            (SsdConfig::tiny(Scheme::InlineDedup), &t1),
+        ];
+        let out = run_cells(&cells, 3);
+        assert_eq!(out[0].scheme, "Baseline");
+        assert_eq!(out[1].scheme, "CAGC");
+        assert_eq!(out[2].scheme, "Inline-Dedupe");
+    }
+}

@@ -1,12 +1,12 @@
 //! Per-run result report: everything the paper's figures are built from.
 
 use cagc_dedup::IndexStats;
-use cagc_ftl::GcStats;
 use cagc_harness::{Json, ToJson};
 use cagc_metrics::{Cdf, Histogram};
 use cagc_sim::time::{fmt_duration, Nanos};
 use cagc_trace::TelemetryReport;
 
+use crate::gc::GcStats;
 use crate::recovery::RecoveryReport;
 
 /// Fault-injection and fault-handling counters for one run.
@@ -444,8 +444,8 @@ impl ToJson for RunReport {
     /// is deterministic (stable key order, exact integers), so two reports
     /// are byte-identical iff the runs were — which is what the
     /// determinism regression test asserts across worker counts.
-    // GcStats and IndexStats live in foreign crates, so their fields are
-    // inlined here rather than given their own ToJson impls (orphan rule).
+    // `IndexStats` is foreign (orphan rule) and `GcStats` is inlined beside
+    // it, so the whole schema and its key order read in one place.
     fn to_json(&self) -> Json {
         let mut fields: Vec<(&'static str, Json)> = Vec::from([
             ("scheme", Json::Str(self.scheme.clone())),

@@ -21,15 +21,14 @@
 
 use cagc_dedup::{ContentId, Fingerprint, FingerprintIndex, HashEngine};
 use cagc_flash::{BlockId, FlashDevice, FlashError, JournalOp, PageOob, Ppn};
-use cagc_ftl::{
-    Allocator, GcStats, Lpn, MappingTable, Region, ReverseMap, VictimCandidate, VictimSelector,
-};
+use cagc_ftl::{Allocator, Lpn, MappingTable, Region, ReverseMap, VictimCandidate, VictimSelector};
 use cagc_metrics::{Cdf, Histogram};
 use cagc_sim::time::Nanos;
 use cagc_trace::{TraceConfig, Tracer, Track};
 use cagc_workloads::{OpKind, RequestView, Trace};
 
 use crate::config::{GcThresholds, Scheme, SsdConfig};
+use crate::gc::GcStats;
 use crate::recovery::RecoveryReport;
 use crate::report::{FaultReport, HealthLog, LatencySummary, RunReport};
 
@@ -240,11 +239,8 @@ pub struct Ssd {
     /// is answered by the device's victim index and never touches it.
     pub(crate) candidates_scratch: Vec<VictimCandidate>,
     /// Scratch for the fingerprints gathered ahead of a batch of pages
-    /// (GC migration run, multi-page inline-dedup write).
+    /// (a CAGC migration run, a multi-page inline-dedup write).
     pub(crate) fps_scratch: Vec<Fingerprint>,
-    /// Scratch for batched blind migration: `(old ppn, new ppn, program
-    /// end)` per migrated page, applied as one grouped metadata pass.
-    pub(crate) gc_batch: Vec<(Ppn, Ppn, Nanos)>,
     /// Sim time of the first bad-block retirement (erase failure), if any
     /// — the fleet's "time-to-first-retirement" lifetime proxy.
     pub(crate) first_retirement_ns: Option<Nanos>,
@@ -301,7 +297,6 @@ impl Ssd {
             valids_scratch: Vec::new(),
             candidates_scratch: Vec::new(),
             fps_scratch: Vec::new(),
-            gc_batch: Vec::new(),
             first_retirement_ns: None,
             end_ns: 0,
             dev,
@@ -350,8 +345,7 @@ impl Ssd {
         let scratch = self.sharers_scratch.capacity() * size_of::<Lpn>()
             + (self.valids_scratch.capacity() + lent) * size_of::<Ppn>()
             + self.candidates_scratch.capacity() * size_of::<VictimCandidate>()
-            + self.fps_scratch.capacity() * size_of::<Fingerprint>()
-            + self.gc_batch.capacity() * size_of::<(Ppn, Ppn, Nanos)>();
+            + self.fps_scratch.capacity() * size_of::<Fingerprint>();
         let hists = [&self.lat_read, &self.lat_write, &self.lat_trim, &self.lat_during_gc];
         self.dev.heap_bytes()
             + self.map.heap_bytes()
@@ -845,17 +839,8 @@ impl Ssd {
 
     fn write_page(&mut self, lpn: Lpn, content: ContentId, ready: Nanos) -> Result<Nanos, FlashError> {
         match self.cfg.scheme {
-            Scheme::Baseline | Scheme::Cagc => {
-                // Fast path: no content processing before the program.
-                // Out-of-place order: the overwritten copy is released only
-                // after the replacement program is durable, so a crash (or
-                // an emergency GC erase) in between can never destroy the
-                // last durable copy of acknowledged data.
-                let (end, ppn) = self.program_foreground(lpn, None, ready)?;
-                self.release_lpn(lpn, ready);
-                self.bind(lpn, ppn, content);
-                Ok(end)
-            }
+            // Fast path: no content processing before the program.
+            Scheme::Baseline | Scheme::Cagc => Ok(self.store_page(lpn, content, None, ready)?.0),
             Scheme::InlineDedup => self.write_page_inline(lpn, content, ready),
             Scheme::InlineSampled => self.write_page_sampled(lpn, content, ready),
         }
@@ -879,10 +864,7 @@ impl Ssd {
             self.write_page_inline(lpn, content, screened)
         } else {
             self.prehash_filter.insert(pre);
-            let (end, ppn) = self.program_foreground(lpn, None, screened)?;
-            self.release_lpn(lpn, screened);
-            self.bind(lpn, ppn, content);
-            Ok(end)
+            Ok(self.store_page(lpn, content, None, screened)?.0)
         }
     }
 
@@ -926,30 +908,38 @@ impl Ssd {
                 Ok(decided)
             }
             None => {
-                let (end, ppn) = self.program_foreground(lpn, Some(fp_stamp(&fp)), decided)?;
-                self.release_lpn(lpn, decided);
+                let (end, ppn) = self.store_page(lpn, content, Some(fp_stamp(&fp)), decided)?;
                 self.index.insert(fp, ppn, 1);
-                self.bind(lpn, ppn, content);
                 Ok(end)
             }
         }
     }
 
-    /// Program the next host-frontier page for the foreground path,
-    /// stamping the logical page (and, for inline schemes, the fingerprint)
-    /// into the page's OOB — the durable record recovery rebuilds the
-    /// mapping from, kept by the device when a fault plan is armed. The
-    /// host frontier is distinct from the GC frontiers, so user programs
-    /// never queue behind a burst of migration writes on the same block.
-    fn program_foreground(
+    /// Store `content` for `lpn` out of place — the one host page program
+    /// every scheme's write path takes. The order is the crash-safe one:
+    /// program the next host-frontier page, stamping the logical page (and,
+    /// for inline schemes, the fingerprint) into its OOB — the durable
+    /// record recovery rebuilds the mapping from, kept by the device when
+    /// a fault plan is armed — then release the overwritten copy, then
+    /// bind. The old copy goes only after its replacement is durable, so a
+    /// crash (or an emergency GC erase) in between can never destroy the
+    /// last durable copy of acknowledged data. The host frontier is
+    /// distinct from the GC frontiers, so user programs never queue behind
+    /// a burst of migration writes on the same block. Returns the program
+    /// completion time and the new PPN.
+    fn store_page(
         &mut self,
         lpn: Lpn,
+        content: ContentId,
         fp_stamp: Option<u64>,
         ready: Nanos,
     ) -> Result<(Nanos, Ppn), FlashError> {
-        let out = self.program_region(Region::Host, false, PageOob::host(lpn, fp_stamp), ready)?;
+        let (end, ppn) =
+            self.program_region(Region::Host, false, PageOob::host(lpn, fp_stamp), ready)?;
         self.user_programs += 1;
-        Ok(out)
+        self.release_lpn(lpn, ready);
+        self.bind(lpn, ppn, content);
+        Ok((end, ppn))
     }
 
     /// Allocate a frontier block in `region`. The GC path draws from the

@@ -527,17 +527,29 @@ fn fault_free_runs_stay_quiet_and_journal_free() {
 /// Sweep crash points across a run whose fault-free twin provably runs GC,
 /// so several of the crashes land *inside* GC rounds (mid-migration,
 /// between a dedup absorb and the victim erase) — the window CAGC's
-/// dedup-during-GC design is most exposed in. After each recovery the
-/// rest of the workload is replayed, torn request first, and the device
-/// must end up holding what the twin holds.
+/// dedup-during-GC design is most exposed in. Besides eight points spread
+/// over the run, the power fails at every durable op of the twin's first
+/// GC round that copies more than one page: between each page's program
+/// and its journaled remaps, and between one page's remaps and the next
+/// page's program, for the blind copy and the content-aware decision
+/// alike.
+/// After each recovery the rest of the workload is replayed, torn request
+/// first, and the device must end up holding what the twin holds.
 #[test]
 fn crash_points_inside_gc_recover_for_every_scheme() {
-    for scheme in [Scheme::Baseline, Scheme::InlineDedup, Scheme::Cagc] {
+    for scheme in [Scheme::Baseline, Scheme::InlineDedup, Scheme::InlineSampled, Scheme::Cagc] {
         // Fault-free twin: measure the durable-op span and confirm GC ran.
-        // Contents are mostly unique so even Inline-Dedupe programs enough
-        // pages to fill the device, with a small duplicated tail so CAGC's
+        // Its crash point is never reached, so it counts durable ops as
+        // the crashing runs do, journaled remaps included. Contents are
+        // mostly unique so even Inline-Dedupe programs enough pages to
+        // fill the device, with a small duplicated tail so CAGC's
         // dedup-during-GC path engages too.
-        let mut twin = Ssd::new(SsdConfig::paper(micro_flash(), scheme));
+        let armed = |crash_op| {
+            let mut cfg = SsdConfig::paper(micro_flash(), scheme);
+            cfg.faults = FaultConfig { crash_at_op: Some(crash_op), ..FaultConfig::none() };
+            cfg
+        };
+        let mut twin = Ssd::new(armed(u64::MAX));
         let mut rng = SimRng::for_stream(0xC4A5, "gc-crash-sweep");
         let mut at = 0;
         let mut reqs = Vec::new();
@@ -554,20 +566,32 @@ fn crash_points_inside_gc_recover_for_every_scheme() {
             };
             reqs.push(req);
         }
+        // The first GC round that copies more than one page (so one page's
+        // remaps precede the next page's program): the durable ops of the
+        // request it ran in.
+        let mut round = None;
         for r in &reqs {
+            let gc = *twin.gc_stats();
+            let ops = twin.device().durable_ops();
             twin.process(r);
+            let after = twin.gc_stats();
+            if round.is_none()
+                && after.invocations > gc.invocations
+                && after.pages_migrated >= gc.pages_migrated + 2
+            {
+                round = Some(ops..twin.device().durable_ops());
+            }
         }
         assert!(twin.gc_stats().blocks_erased > 0, "{scheme:?}: twin never ran GC");
+        let round = round.expect("a GC round copied pages");
         let span = twin.device().durable_ops();
         assert!(span > 100);
 
-        // Crash the same workload at eight points across the span.
-        for k in 1..=8u64 {
-            let crash_op = span * k / 9;
-            let mut cfg = SsdConfig::paper(micro_flash(), scheme);
-            cfg.faults =
-                FaultConfig { crash_at_op: Some(crash_op), ..FaultConfig::none() };
-            let mut ssd = Ssd::new(cfg);
+        // Crash the same workload at eight points across the span, then at
+        // every op of that round.
+        let last_spread = span * 8 / 9;
+        for crash_op in (1..=8u64).map(|k| span * k / 9).chain(round) {
+            let mut ssd = Ssd::new(armed(crash_op));
             let mut oracle = Oracle::new(ssd.logical_pages());
             let mut torn_at = None;
             for (i, req) in reqs.iter().enumerate() {
@@ -597,7 +621,7 @@ fn crash_points_inside_gc_recover_for_every_scheme() {
             let torn_at = torn_at.unwrap_or_else(|| {
                 panic!("{scheme:?}: crash point {crash_op} inside span {span} never fired")
             });
-            if scheme == Scheme::Cagc && k == 8 {
+            if scheme == Scheme::Cagc && crash_op == last_spread {
                 assert!(
                     ssd.gc_stats().dedup_hits > 0,
                     "the last crash point must land after GC has absorbed duplicates"

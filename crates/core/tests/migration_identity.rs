@@ -13,6 +13,12 @@
 //! victim policies those cells do not reach; it was recorded before the
 //! entry points were folded into one collector.
 //!
+//! Both tables also pin the fold of the blind migrator into the per-page
+//! step every scheme's GC now takes: the Baseline, Inline-Dedupe and
+//! Inline-Sampled cells were recorded while blind migration was still a
+//! batched pass of its own (all programs, then all remaps), and they
+//! reproduce unchanged with each page relocated in turn.
+//!
 //! A mismatch prints the whole freshly-computed table, so an *intended*
 //! behaviour change can re-pin by pasting it over the table that moved.
 
@@ -178,7 +184,7 @@ fn reports_and_traces_match_the_pre_restructuring_bytes() {
 
 /// `(cell, report digest, trace digest)` for the GC paths the 24 cells above
 /// do not reach: victim selection by every non-Greedy policy (candidate
-/// order and RNG draws), the idle-window round, the blind migrator over
+/// order and RNG draws), the idle-window round, the blind copy of
 /// untracked pages (Inline-Sampled), a suspended job resumed by each of
 /// `process`, `gc_pump` and `force_gc`, and the urgent catch-up leg.
 /// Recorded on the commit before the GC entry points were folded into one

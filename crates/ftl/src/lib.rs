@@ -12,9 +12,6 @@
 //!   frontiers and the GC reserve that prevents migration deadlock.
 //! * [`victim`] — the victim-selection policies, deterministic under a
 //!   seed.
-//! * [`gc`] — the [`gc::GcStats`] counters behind Figs. 9, 10 and 13 (the
-//!   watermark trigger itself is `GcThresholds`, derived from the flash
-//!   config in `cagc-core`).
 //!
 //! ## Victim-policy semantics
 //!
@@ -45,13 +42,11 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod allocator;
-pub mod gc;
 pub mod mapping;
 pub mod rmap;
 pub mod victim;
 
 pub use allocator::{Allocator, Region};
-pub use gc::GcStats;
 pub use mapping::{Lpn, MappingTable};
 pub use rmap::ReverseMap;
 pub use victim::{VictimCandidate, VictimKind, VictimSelector};

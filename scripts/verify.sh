@@ -39,6 +39,10 @@ echo "== one flat index: 32-byte slab records and 8-byte probe cells =="
 if grep -nE 'Vec<Option<Slot>>|hash: u64' crates/dedup/src/index.rs; then
   echo "FAIL: a fingerprint-index record is a plain Copy record where refs == 0 marks a free slot, and a probe cell holds a 32-bit tag, never the whole 64-bit key (docs/PERFORMANCE.md, A flat fingerprint index)"; exit 1; fi
 
+echo "== one move, one order: every GC copy through relocate_page, every host store through store_page =="
+if grep -rnE 'fn migrate_blind|gc_batch|fn program_foreground' crates/core/src || grep -n 'match self.cfg.scheme' crates/core/src/gc.rs; then
+  echo "FAIL: GC drains every victim through one per-page step that copies blindly or runs the Fig. 5 decision, and the host side stores through Ssd::store_page, the one owner of the out-of-place order (DESIGN.md, GC)"; exit 1; fi
+
 echo "== one value, no knob: derived thresholds and fixed costs are not settable =="
 if grep -rnE 'pub (gc_low|gc_high|gc_reserve_blocks|read_miss_ns|lookup_ns|trim_ns|idle_threshold_ns|prehash_ns|program_retry_backoff_ns|max_read_retries|ecc_decode_ns):' crates \
   || grep -rnE 'endurance_limit|wearout_slope|FleetTelemetryConfig|enum ConfigError' crates; then
