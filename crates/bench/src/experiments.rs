@@ -1166,7 +1166,7 @@ pub fn sweep_chaos(scale: &Scale) -> Artifacts {
                     survivors.to_string(),
                     rep.failed_ops.to_string(),
                     rep.first_degradation_ns.unwrap_or(0).to_string(),
-                    format!("{:.4}", rep.waf()),
+                    format!("{:.4}", rep.fleet.waf()),
                     format!("{survivor_waf:.4}"),
                     rep.fleet.total_erases.to_string(),
                 ]);

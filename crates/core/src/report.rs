@@ -572,6 +572,19 @@ impl TrafficTotals {
         self.pages_migrated += r.gc.pages_migrated;
     }
 
+    /// Fold another set of totals in: every counter sums, runs included.
+    pub fn merge(&mut self, o: &TrafficTotals) {
+        self.runs += o.runs;
+        self.host_pages_written += o.host_pages_written;
+        self.user_programs += o.user_programs;
+        self.total_programs += o.total_programs;
+        self.total_erases += o.total_erases;
+        self.dedup_lookups += o.dedup_lookups;
+        self.dedup_hits += o.dedup_hits;
+        self.gc_invocations += o.gc_invocations;
+        self.pages_migrated += o.pages_migrated;
+    }
+
     /// Aggregate write amplification: summed programs per summed host page.
     pub fn waf(&self) -> f64 {
         if self.host_pages_written == 0 {
@@ -709,5 +722,11 @@ mod tests {
         assert!((tot.waf() - 1.2).abs() < 1e-12);
         assert!((tot.dedup_hit_rate() - 0.9).abs() < 1e-12);
         assert!(tot.to_json().render().contains("\"dedup_hits\":900"));
+        // Merging totals is the same sum as adding their runs one by one.
+        let (mut left, mut right) = (TrafficTotals::default(), TrafficTotals::default());
+        left.add(&a);
+        right.add(&b);
+        left.merge(&right);
+        assert_eq!(left, tot);
     }
 }

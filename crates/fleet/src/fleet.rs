@@ -335,6 +335,7 @@ mod tests {
         assert_eq!(plain.fleet.total_erases, observed.fleet.total_erases);
         assert_eq!(plain.by_tenant.len(), observed.by_tenant.len());
         for (a, b) in plain.by_tenant.iter().zip(&observed.by_tenant) {
+            let (a, b) = (&a.report, &b.report);
             assert_eq!(a.lat().p99_ns, b.lat().p99_ns, "SLO tracking changed {}", a.tenant);
         }
         // Pay-as-you-go: the unobserved report has no trace of the plane.
@@ -360,6 +361,6 @@ mod tests {
             assert_eq!(dev.mix, cfg.mixes[d % cfg.mixes.len()].name);
         }
         assert!(rep.fleet.runs == cfg.devices as u64);
-        assert!(rep.waf() > 0.0);
+        assert!(rep.fleet.waf() > 0.0);
     }
 }

@@ -77,27 +77,11 @@ impl FleetTimeline {
         }
         Some(FleetTimeline { window_ns, series })
     }
-
-    /// CSV export: `series,start_ns,count,mean,max`, one row per
-    /// non-empty window, series in emission order. Floats use the
-    /// harness's shortest-round-trip formatting (byte-deterministic).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("series,start_ns,count,mean,max\n");
-        for (name, ts) in &self.series {
-            push_csv_rows(&mut out, name, ts);
-        }
-        out
-    }
-
-    /// Look up a series by exact name.
-    pub fn get(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.iter().find(|(n, _)| n == name).map(|(_, ts)| ts)
-    }
 }
 
-/// Append `series,start_ns,count,mean,max` rows for one named series
-/// (shared between the timeline CSV and the fleet artifact, which also
-/// carries SLO violation series).
+/// Append `series,start_ns,count,mean,max` rows for one named series, one
+/// row per non-empty window. Floats use the harness's shortest-round-trip
+/// formatting (byte-deterministic).
 pub(crate) fn push_csv_rows(out: &mut String, name: &str, ts: &TimeSeries) {
     for w in ts.windows() {
         out.push_str(&format!(
@@ -159,6 +143,10 @@ mod tests {
         }
     }
 
+    fn get<'a>(tl: &'a FleetTimeline, name: &str) -> &'a TimeSeries {
+        &tl.series.iter().find(|(n, _)| n == name).expect("series present").1
+    }
+
     #[test]
     fn device_series_never_alias_and_fleet_merge_is_exact() {
         let a = obs(&[("free_pages", &[(100, 10)]), ("waf_milli", &[(100, 1500)])]);
@@ -170,10 +158,10 @@ mod tests {
             vec!["dev000/free_pages", "dev000/waf_milli", "dev001/free_pages", "fleet/free_pages", "fleet/waf_milli"]
         );
         // The two devices' identically-named gauges stay distinct…
-        assert_eq!(tl.get("dev000/free_pages").unwrap().sample_count(), 1);
-        assert_eq!(tl.get("dev001/free_pages").unwrap().sample_count(), 1);
+        assert_eq!(get(&tl, "dev000/free_pages").sample_count(), 1);
+        assert_eq!(get(&tl, "dev001/free_pages").sample_count(), 1);
         // …while the fleet series is their exact integer merge.
-        let fleet = tl.get("fleet/free_pages").unwrap();
+        let fleet = get(&tl, "fleet/free_pages");
         assert_eq!(fleet.sample_count(), 2);
         assert_eq!(fleet.sample_sum(), 40);
         assert_eq!(fleet.windows()[0].max, 30);
@@ -183,7 +171,7 @@ mod tests {
     fn degraded_devices_form_a_cumulative_step() {
         let a = obs(&[("free_pages", &[(0, 1)])]);
         let tl = FleetTimeline::build(&[(4, &a)], &[5_000, 2_000]).unwrap();
-        let deg = tl.get("fleet/degraded_devices").unwrap();
+        let deg = get(&tl, "fleet/degraded_devices");
         let w = deg.windows();
         assert_eq!(w.len(), 2);
         assert_eq!((w[0].start_ns, w[0].max), (2_000, 1));
@@ -199,13 +187,14 @@ mod tests {
     fn csv_is_deterministic_with_header_and_exact_values() {
         let a = obs(&[("free_pages", &[(100, 10), (150, 20)])]);
         let tl = FleetTimeline::build(&[(0, &a)], &[]).unwrap();
+        let j = tl.to_json().render();
+        let rep = crate::FleetReport { timeline: Some(tl), ..Default::default() };
         assert_eq!(
-            tl.to_csv(),
+            rep.timeline_csv().unwrap(),
             "series,start_ns,count,mean,max\n\
              dev000/free_pages,0,2,15,20\n\
              fleet/free_pages,0,2,15,20\n"
         );
-        let j = tl.to_json().render();
         assert!(j.starts_with(r#"{"window_ns":1000,"series":[{"name":"dev000/free_pages","samples":2,"max":20}"#));
     }
 }

@@ -1,5 +1,5 @@
-//! Per-tenant SLO tracking: configurable latency objectives with
-//! rolling compliance windows and burn-rate counters.
+//! Per-tenant SLO tracking: one fleet-wide latency objective, tracked
+//! per tenant with rolling compliance windows and burn-rate counters.
 //!
 //! An SLO here is "at least `goal_permille` of a tenant's requests
 //! complete within `target_ns`". Violations are recorded as a 0/1
@@ -17,7 +17,7 @@
 use cagc_harness::{Json, ToJson};
 use cagc_metrics::TimeSeries;
 
-/// Fleet-wide SLO policy.
+/// Fleet-wide SLO policy: one objective for every tenant.
 #[derive(Debug, Clone)]
 pub struct SloConfig {
     /// Rolling compliance window width (simulated ns).
@@ -25,27 +25,17 @@ pub struct SloConfig {
     /// Fraction of requests that must meet the target, in permille
     /// (e.g. `990` = 99.0%).
     pub goal_permille: u64,
-    /// Latency objective applied to tenants without an override.
-    pub default_target_ns: u64,
-    /// Per-tenant overrides, matched by tenant label (`"Mail[0]"`).
-    pub targets: Vec<(String, u64)>,
+    /// Latency objective every tenant is held to.
+    pub target_ns: u64,
 }
 
 impl SloConfig {
-    /// A single-objective policy: every tenant gets `target_ns` at
-    /// `goal_permille`, windowed at `window_ns`.
+    /// Every tenant gets `target_ns` at `goal_permille`, windowed at
+    /// `window_ns`.
     pub fn uniform(target_ns: u64, goal_permille: u64, window_ns: u64) -> Self {
         assert!(goal_permille < 1000, "a 100% goal leaves no error budget");
         assert!(window_ns > 0, "zero-width compliance window");
-        Self { window_ns, goal_permille, default_target_ns: target_ns, targets: Vec::new() }
-    }
-
-    /// The latency objective for a tenant label.
-    pub fn target_for(&self, tenant: &str) -> u64 {
-        self.targets
-            .iter()
-            .find(|(t, _)| t == tenant)
-            .map_or(self.default_target_ns, |&(_, ns)| ns)
+        Self { window_ns, goal_permille, target_ns }
     }
 }
 
@@ -71,7 +61,7 @@ impl TenantSloTrack {
     pub fn new(tenant: &str, cfg: &SloConfig) -> Self {
         Self {
             tenant: tenant.to_string(),
-            target_ns: cfg.target_for(tenant),
+            target_ns: cfg.target_ns,
             goal_permille: cfg.goal_permille,
             requests: 0,
             violations: 0,
@@ -152,20 +142,7 @@ mod tests {
     use super::*;
 
     fn cfg() -> SloConfig {
-        SloConfig {
-            window_ns: 1_000,
-            goal_permille: 900,
-            default_target_ns: 100,
-            targets: vec![("Gold".into(), 50)],
-        }
-    }
-
-    #[test]
-    fn targets_resolve_with_overrides() {
-        let c = cfg();
-        assert_eq!(c.target_for("Gold"), 50);
-        assert_eq!(c.target_for("Mail[0]"), 100);
-        assert_eq!(SloConfig::uniform(250_000, 990, 1_000_000).target_for("x"), 250_000);
+        SloConfig::uniform(100, 900, 1_000)
     }
 
     #[test]
