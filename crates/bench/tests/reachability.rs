@@ -6,9 +6,15 @@
 //! of the file that defines it (an item only its own unit tests reach is
 //! dead weight kept alive by its tests).
 //!
-//! The scan matches whole identifiers, so a name that collides with
-//! another item's name (`new`, `len`, …) always looks reached; such items
-//! are checked by hand, not here.
+//! A free `pub fn`, struct or enum is reached by any whole-identifier
+//! match, since a free function can be passed by name. A `pub fn` defined
+//! inside an `impl` is reached only through a method- or path-shaped use:
+//! `.name(`, `.name::<`, or `Type::name` not followed by `::` — so a
+//! field, module or local that shares a method's name does not hide it.
+//!
+//! What the scan cannot see is the receiver's type: a method whose name
+//! another type's reached method shares (`new`, `len`, `next_free`, …)
+//! always looks reached. Such items are checked by hand, not here.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -74,6 +80,24 @@ fn identifiers(code: &str) -> impl Iterator<Item = &str> {
     code.split(|c: char| !(c.is_alphanumeric() || c == '_')).filter(|w| !w.is_empty())
 }
 
+/// Identifiers used as a method call or a path: `.name(`, `.name::<`,
+/// or `…::name` not followed by `::` (a turbofish `::<` still counts).
+fn method_uses(code: &str) -> impl Iterator<Item = &str> {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices(is_ident).filter_map(move |(i, _)| {
+        let (before, rest) = code.split_at(i);
+        if before.ends_with(is_ident) {
+            return None;
+        }
+        let len = rest.find(|c: char| !is_ident(c)).unwrap_or(rest.len());
+        let (name, after) = rest.split_at(len);
+        let turbofish = after.starts_with("::<");
+        let called = before.ends_with('.') && (after.starts_with('(') || turbofish);
+        let pathed = before.ends_with("::") && (!after.starts_with("::") || turbofish);
+        (called || pathed).then_some(name)
+    })
+}
+
 /// The name a line defines, if it is a `pub fn` / `struct` / `enum`.
 fn defined_name(line: &str) -> Option<&str> {
     let rest = line.trim_start().strip_prefix("pub ")?;
@@ -82,9 +106,13 @@ fn defined_name(line: &str) -> Option<&str> {
     identifiers(rest).next()
 }
 
-/// Every identifier occurrence that counts as a use: `(file, line)` per name.
-fn uses(sources: &[Source]) -> HashMap<&str, Vec<(usize, usize)>> {
-    let mut uses: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
+/// Sites per name: `(file, line)`.
+type Uses<'a> = HashMap<&'a str, Vec<(usize, usize)>>;
+
+/// Every identifier occurrence that counts as a use, and the method- or
+/// path-shaped subset of them.
+fn uses(sources: &[Source]) -> (Uses<'_>, Uses<'_>) {
+    let (mut uses, mut methods) = (Uses::new(), Uses::new());
     for (f, src) in sources.iter().enumerate() {
         let mut in_use = false;
         for (n, line) in src.lines.iter().enumerate() {
@@ -104,9 +132,12 @@ fn uses(sources: &[Source]) -> HashMap<&str, Vec<(usize, usize)>> {
             for word in identifiers(code) {
                 uses.entry(word).or_default().push((f, n));
             }
+            for word in method_uses(code) {
+                methods.entry(word).or_default().push((f, n));
+            }
         }
     }
-    uses
+    (uses, methods)
 }
 
 #[test]
@@ -128,14 +159,21 @@ fn every_pub_item_is_reached_outside_its_own_tests() {
         .filter(|&i| lib_dirs.iter().any(|d| sources[i].path.starts_with(d)))
         .collect();
     assert!(lib_files.len() > 50, "scan found only {} library files", lib_files.len());
-    let uses = uses(&sources);
+    let (uses, method_uses) = uses(&sources);
 
     let mut unreached = Vec::new();
     for &f in &lib_files {
         let src = &sources[f];
+        let mut in_impl = false;
         for (n, line) in src.lines[..src.test_start].iter().enumerate() {
+            // Items open and close at column 0 (rustfmt layout).
+            if line.starts_with(|c: char| !c.is_whitespace() && c != '/' && c != '#') {
+                in_impl = line.starts_with("impl");
+            }
             let Some(name) = defined_name(line) else { continue };
-            let reached = uses.get(name).is_some_and(|sites| {
+            // Only functions can be defined inside an `impl`.
+            let sites = if in_impl { &method_uses } else { &uses };
+            let reached = sites.get(name).is_some_and(|sites| {
                 sites.iter().any(|&(uf, un)| !(uf == f && (un == n || un >= src.test_start)))
             });
             if !reached {

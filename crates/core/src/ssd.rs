@@ -310,11 +310,6 @@ impl Ssd {
         self.map.logical_pages()
     }
 
-    /// The configuration this SSD runs.
-    pub fn config(&self) -> &SsdConfig {
-        &self.cfg
-    }
-
     /// Accumulated GC statistics.
     pub fn gc_stats(&self) -> &GcStats {
         &self.gc_stats

@@ -15,39 +15,17 @@ use cagc_sim::timeline::{Reservation, Timeline};
 pub struct HashEngine {
     unit: Timeline,
     hash_ns: Nanos,
-    hashed_pages: u64,
 }
 
 impl HashEngine {
     /// A hash engine with `hash_ns` per-page latency (Table I: 14_000).
     pub fn new(hash_ns: Nanos) -> Self {
-        Self { unit: Timeline::new(), hash_ns, hashed_pages: 0 }
-    }
-
-    /// Per-page hash latency.
-    pub fn hash_ns(&self) -> Nanos {
-        self.hash_ns
+        Self { unit: Timeline::new(), hash_ns }
     }
 
     /// Reserve the unit to fingerprint one page, ready at `ready_at`.
     pub fn hash_page(&mut self, ready_at: Nanos) -> Reservation {
-        self.hashed_pages += 1;
         self.unit.reserve(ready_at, self.hash_ns)
-    }
-
-    /// Number of pages fingerprinted so far.
-    pub fn hashed_pages(&self) -> u64 {
-        self.hashed_pages
-    }
-
-    /// Total busy time of the unit.
-    pub fn busy_total(&self) -> Nanos {
-        self.unit.busy_total()
-    }
-
-    /// Earliest time the unit could accept new work.
-    pub fn next_free(&self) -> Nanos {
-        self.unit.next_free()
     }
 }
 
@@ -64,8 +42,6 @@ mod tests {
         assert_eq!(a.end, us(14));
         assert_eq!(b.start, us(14));
         assert_eq!(b.end, us(28));
-        assert_eq!(e.hashed_pages(), 2);
-        assert_eq!(e.busy_total(), us(28));
     }
 
     #[test]

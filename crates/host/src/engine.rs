@@ -140,11 +140,6 @@ impl HostInterface {
         Ok(Self { cfg, ssd })
     }
 
-    /// The host configuration.
-    pub fn config(&self) -> &HostConfig {
-        &self.cfg
-    }
-
     /// The wrapped SSD (for audits and device-level queries).
     pub fn ssd(&self) -> &Ssd {
         &self.ssd

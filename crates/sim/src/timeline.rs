@@ -67,15 +67,6 @@ impl Timeline {
     pub fn ops(&self) -> u64 {
         self.ops
     }
-
-    /// Utilisation over `[0, horizon]`: busy time / horizon (clamped to 1.0).
-    pub fn utilization(&self, horizon: Nanos) -> f64 {
-        if horizon == 0 {
-            0.0
-        } else {
-            (self.busy_total as f64 / horizon as f64).min(1.0)
-        }
-    }
 }
 
 /// An indexed set of [`Timeline`]s (e.g. one per NAND die or channel).
@@ -167,15 +158,6 @@ mod tests {
         let r = t.reserve(0, 0);
         assert_eq!(r.start, us(10));
         assert_eq!(r.end, us(10));
-    }
-
-    #[test]
-    fn utilization_is_bounded() {
-        let mut t = Timeline::new();
-        t.reserve(0, us(50));
-        assert!((t.utilization(us(100)) - 0.5).abs() < 1e-12);
-        assert_eq!(t.utilization(us(10)), 1.0); // clamped
-        assert_eq!(t.utilization(0), 0.0);
     }
 
     #[test]

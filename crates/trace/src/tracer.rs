@@ -241,11 +241,6 @@ impl Tracer {
         &self.registry
     }
 
-    /// Configured knobs.
-    pub fn config(&self) -> &TraceConfig {
-        &self.cfg
-    }
-
     /// Summary for embedding in a run report. `None` when disabled, so
     /// reports from untraced runs stay byte-identical.
     pub fn report(&self) -> Option<TelemetryReport> {
