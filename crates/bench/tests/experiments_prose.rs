@@ -1,7 +1,8 @@
 //! EXPERIMENTS.md's Fig. 6, 9, 10, 11 and 13 tables mirror
-//! `results/fig{6,9,10,11,13}.csv`: every cell must agree with its CSV
-//! value at the precision the prose prints, so a golden cannot be
-//! re-pinned without its prose. Fig. 13's Greedy rows are Figs. 9 and 10's
+//! `results/fig{6,9,10,11,13}.csv`, and its "Fleet scale" table mirrors
+//! `results/sweep_fleet.csv`: every cell must agree with its CSV value at
+//! the precision the prose prints, so a golden cannot be re-pinned
+//! without its prose. Fig. 13's Greedy rows are Figs. 9 and 10's
 //! cells, so the CSVs must also agree with each other.
 
 use std::collections::HashMap;
@@ -172,5 +173,35 @@ fn fig13_greedy_rows_equal_figs_9_and_10() {
         let reduction = |fig: &HashMap<(String, String), String>| fig[&(w.to_string(), "reduction_pct".to_string())].clone();
         assert_eq!(greedy("erase_reduction_pct"), &reduction(&fig9), "{w}: Fig. 13 vs Fig. 9");
         assert_eq!(greedy("migration_reduction_pct"), &reduction(&fig10), "{w}: Fig. 13 vs Fig. 10");
+    }
+}
+
+/// The "Fleet scale" per-mix table prints the 32-device rows of
+/// `sweep_fleet.csv` (WAF per scheme, then CAGC's dedup hit rate), and the
+/// prose's stability claim — 8 → 32 devices moves per-mix WAF by < 1 % —
+/// holds for every (scheme, mix) in the CSV.
+#[test]
+fn fleet_prose_matches_its_csv() {
+    let md = read("EXPERIMENTS.md");
+    let data = csv("results/sweep_fleet.csv", 3);
+    let get = |devices: u32, scheme: &str, mix: &str, col: &str| -> &String {
+        let key = (format!("{devices}/{scheme}/{mix}"), col.to_string());
+        data.get(&key).unwrap_or_else(|| panic!("sweep_fleet.csv has no {key:?}"))
+    };
+    let schemes = ["Inline-Dedupe", "Baseline", "CAGC"];
+    let (_, rows) = table(&md, "## Fleet scale");
+    assert_eq!(rows.len(), 4, "Fleet scale: one row per mix");
+    for row in &rows {
+        let mix = row[0].as_str();
+        for (cell, scheme) in row[1..4].iter().zip(schemes) {
+            check(&format!("Fleet {mix} {scheme} WAF"), cell, get(32, scheme, mix, "waf"), false);
+        }
+        let hit = get(32, "CAGC", mix, "dedup_hit_rate");
+        check(&format!("Fleet {mix} CAGC dedup hit"), &row[4], hit, false);
+        for scheme in schemes {
+            let waf = |devices| -> f64 { get(devices, scheme, mix, "waf").parse().expect("waf") };
+            let moved = (waf(32) - waf(8)).abs() / waf(8);
+            assert!(moved < 0.01, "Fleet {scheme}/{mix}: 8 -> 32 devices moves WAF by {moved:.4}");
+        }
     }
 }
