@@ -4,8 +4,8 @@
 //! content chunks (Fig. 1: File 1 = A B C D …), deletion of a file
 //! decrements the reference counts of its chunks, and a chunk's page is
 //! invalidated only when the last file sharing it is gone. This builder
-//! scripts exactly such scenarios as traces — the quickstart example uses
-//! it to replay Fig. 8's "write four files, delete two" comparison.
+//! scripts exactly such scenarios as traces — `ssd_behavior.rs`'s Fig. 8
+//! test uses it to replay the "write four files, delete two" comparison.
 
 use crate::trace::{RequestView, Requests, Trace};
 use cagc_dedup::ContentId;

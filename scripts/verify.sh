@@ -43,6 +43,11 @@ echo "== one move, one order: every GC copy through relocate_page, every host st
 if grep -rnE 'fn migrate_blind|gc_batch|fn program_foreground' crates/core/src || grep -n 'match self.cfg.scheme' crates/core/src/gc.rs; then
   echo "FAIL: GC drains every victim through one per-page step that copies blindly or runs the Fig. 5 decision, and the host side stores through Ssd::store_page, the one owner of the out-of-place order (DESIGN.md, GC)"; exit 1; fi
 
+echo "== one fold: every fleet rollup merges one record type =="
+if grep -rnE 'struct TenantSloSummary|fn merge_totals|fn target_for|targets: Vec<\(String' crates/fleet/src \
+  || grep -n 'pub hist: Histogram' crates/fleet/src/report.rs; then
+  echo "FAIL: a fleet rollup folds the device records themselves (TrafficTotals::merge, TenantReport::merge, TenantSloTrack::merge) through one first-appearance upsert; no second tenant record, no mix wrapper, no per-tenant SLO override table (docs/FLEET.md, Rollups)"; exit 1; fi
+
 echo "== one value, no knob: derived thresholds and fixed costs are not settable =="
 if grep -rnE 'pub (gc_low|gc_high|gc_reserve_blocks|read_miss_ns|lookup_ns|trim_ns|idle_threshold_ns|prehash_ns|program_retry_backoff_ns|max_read_retries|ecc_decode_ns):' crates \
   || grep -rnE 'endurance_limit|wearout_slope|FleetTelemetryConfig|enum ConfigError' crates; then
