@@ -4,8 +4,8 @@
 //!
 //! * [`trace`] — the request/trace model: timestamped, page-granular,
 //!   content-carrying I/O (what the FIU SyLab traces provide), stored as an
-//!   arena of 24-byte records plus one content slab and read as
-//!   [`RequestView`]s.
+//!   arena of 16-byte records, a run table holding the high halves of
+//!   arrival and LPN, and one content slab, read as [`RequestView`]s.
 //! * [`synth`] — the synthetic deduplicating workload generator, with
 //!   controllable write ratio, dedup ratio, request-size distribution, LPN
 //!   locality and content-popularity skew.

@@ -7,61 +7,82 @@
 //! (time-ordering, extent bounds).
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-use crate::trace::{OpKind, RequestView, Requests, Trace};
+use crate::trace::{Iter, OpKind, RequestView, Requests, Trace};
 
 /// The one k-way tenant merge: yields `(tenant index, request)` over every
 /// request of `tenants`, ordered by arrival time with ties broken by tenant
 /// index then FIFO within a tenant. Tenant `i`'s LPNs are rebased past the
 /// combined space of tenants `0..i`, so no two tenants ever collide.
 /// Nothing is copied: the views borrow the tenants' contents, and the
-/// state is one cursor per tenant plus a heap of the tenants with requests
-/// left.
+/// state is one cursor per tenant with requests left plus a heap of those
+/// cursors keyed by their next arrival.
 pub fn merge<'a>(tenants: &[&'a Trace]) -> Merge<'a> {
     let mut cursors = Vec::with_capacity(tenants.len());
+    let mut heap = BinaryHeap::with_capacity(tenants.len());
     let mut offset = 0u64;
-    for t in tenants {
-        cursors.push((offset, &t.requests, 0));
+    for (tenant, t) in tenants.iter().enumerate() {
+        let mut requests = t.requests.iter();
+        if let Some(head) = requests.next() {
+            // Cursors are numbered in tenant order, so a heap keyed
+            // (arrival, cursor) breaks ties by tenant index; each tenant
+            // trace is time-ordered, so the order is globally stable.
+            heap.push(Reverse((head.at_ns, cursors.len())));
+            cursors.push(Cursor { tenant, offset, head, requests });
+        }
         offset += t.logical_pages;
     }
-    // Each tenant trace is already time-ordered, so a heap keyed
-    // (arrival, tenant index) yields the globally stable order.
-    let heap = tenants
-        .iter()
-        .enumerate()
-        .filter_map(|(i, t)| Some(Reverse((t.requests.first()?.at_ns, i))))
-        .collect();
-    Merge { cursors, heap }
+    let left = tenants.iter().map(|t| t.len()).sum();
+    Merge { cursors, heap, left }
+}
+
+/// One tenant's place in a [`Merge`].
+#[derive(Debug, Clone)]
+struct Cursor<'a> {
+    tenant: usize,
+    /// Where the tenant's namespace starts.
+    offset: u64,
+    /// The tenant's next request to yield.
+    head: RequestView<'a>,
+    /// The requests after `head`.
+    requests: Iter<'a>,
 }
 
 /// The iterator [`merge`] returns.
 #[derive(Debug, Clone)]
 pub struct Merge<'a> {
-    /// Per tenant: its namespace offset, its requests and the index of the
-    /// next one to yield.
-    cursors: Vec<(u64, &'a Requests, usize)>,
-    /// `(next arrival, tenant)` for every tenant with requests left.
+    cursors: Vec<Cursor<'a>>,
+    /// `(head arrival, cursor)` for every cursor with requests left.
     heap: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Requests not yet yielded.
+    left: usize,
 }
 
 impl<'a> Iterator for Merge<'a> {
     type Item = (usize, RequestView<'a>);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let Reverse((_, i)) = self.heap.pop()?;
-        let (offset, requests, next) = &mut self.cursors[i];
-        let r = requests.get(*next).expect("the heap names only tenants with requests left");
-        *next += 1;
-        if let Some(following) = requests.get(*next) {
-            self.heap.push(Reverse((following.at_ns, i)));
+        // Rekey the top in place (one sift on drop) rather than pop + push.
+        let mut top = self.heap.peek_mut()?;
+        let Reverse((_, k)) = *top;
+        let c = &mut self.cursors[k];
+        let r = c.head;
+        match c.requests.next() {
+            Some(following) => {
+                c.head = following;
+                *top = Reverse((following.at_ns, k));
+            }
+            None => {
+                PeekMut::pop(top);
+            }
         }
-        Some((i, RequestView { lpn: r.lpn + *offset, ..r }))
+        self.left -= 1;
+        Some((c.tenant, RequestView { lpn: r.lpn + c.offset, ..r }))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.cursors.iter().map(|(_, requests, next)| requests.len() - next).sum();
-        (left, Some(left))
+        (self.left, Some(self.left))
     }
 }
 
@@ -138,15 +159,16 @@ pub fn inject_trims(
     );
     let mut rng = cagc_sim::SimRng::seed_from_u64(seed ^ 0x7219_6D5F);
     let last_at = t.requests.last().map_or(0, |r| r.at_ns);
-    // Each trim takes a later request's arrival, so the trims come out
-    // time-ordered too.
+    // Each trim takes the arrival of the request `later` names, which runs
+    // `delay_requests` ahead of `r`, so the trims come out time-ordered too.
+    let mut later = t.requests.iter().skip(delay_requests.max(1));
     let mut trims = Vec::new();
-    for (i, r) in t.requests.iter().enumerate() {
+    for r in &t.requests {
+        let later_at = later.next().map_or(last_at, |l| l.at_ns);
         if r.kind != OpKind::Write || !rng.gen_bool(trim_fraction) {
             continue;
         }
-        let later = t.requests.get(i.saturating_add(delay_requests.max(1)));
-        trims.push(RequestView::trim(later.map_or(last_at, |l| l.at_ns), r.lpn, r.pages));
+        trims.push(RequestView::trim(later_at, r.lpn, r.pages));
     }
     // Merge the two ordered streams; on equal arrivals the original
     // request goes first.

@@ -144,11 +144,12 @@ pub fn write_native(trace: &Trace) -> String {
 /// Layout per line: `ts_ns pid process lba_sectors size_sectors op major
 /// minor hash` with `op` ∈ {R, W} (case-insensitive). Sector addresses are
 /// converted to 4 KB pages (8 sectors/page, rounded down/up to cover the
-/// extent); each written page receives the line's content hash.
+/// extent); each written page receives the line's content hash. Lines may
+/// come in any order: requests are sorted by timestamp (stably) and
+/// rebased to the earliest one.
 pub fn parse_fiu(name: &str, logical_pages: u64, text: &str) -> Result<Trace, ParseError> {
     const SECTORS_PER_PAGE: u64 = 8;
     let mut requests = reserve(text);
-    let mut t0: Option<u64> = None;
     for (i, raw) in text.lines().enumerate() {
         let lineno = i + 1;
         let line = raw.trim();
@@ -178,10 +179,8 @@ pub fn parse_fiu(name: &str, logical_pages: u64, text: &str) -> Result<Trace, Pa
             .max(1);
         let pages = u32::try_from(pages)
             .map_err(|_| err(lineno, format!("extent of {pages} pages exceeds u32")))?;
-        let t0v = *t0.get_or_insert(ts);
-        let at_ns = ts.saturating_sub(t0v);
         let pushed = match f[5] {
-            "R" | "r" => requests.push(RequestView::read(at_ns, lpn, pages)),
+            "R" | "r" => requests.push(RequestView::read(ts, lpn, pages)),
             "W" | "w" => {
                 // Hash string -> ContentId: fold the hex (or arbitrary
                 // string) into 64 bits. Per-page uniqueness within a
@@ -189,13 +188,15 @@ pub fn parse_fiu(name: &str, logical_pages: u64, text: &str) -> Result<Trace, Pa
                 // how the FIU collector hashed 4KB units.
                 let base = fold_hash(f[8]);
                 let contents = (0..u64::from(pages)).map(|p| ContentId(base ^ p));
-                requests.push_write(at_ns, lpn, pages, contents)
+                requests.push_write(ts, lpn, pages, contents)
             }
             other => return Err(err(lineno, format!("unknown op `{other}`"))),
         };
         pushed.map_err(|m| err(lineno, m))?;
     }
     requests.sort_by_arrival();
+    let t0 = requests.first().map_or(0, |r| r.at_ns);
+    requests.retime(|ts| ts - t0);
     Trace::from_requests(name, logical_pages, requests).map_err(|m| err(0, m))
 }
 
@@ -274,9 +275,21 @@ mod tests {
         // Identical hash => first page of request 3 duplicates page 10's
         // content.
         assert_eq!(t.requests.get(2).unwrap().contents[0], t.requests.get(0).unwrap().contents[0]);
-        // Timestamps are rebased to the first record.
+        // Timestamps are rebased to the earliest record.
         assert_eq!(t.requests.get(0).unwrap().at_ns, 0);
         assert_eq!(t.requests.get(1).unwrap().at_ns, 1_000_000);
+    }
+
+    #[test]
+    fn fiu_rebases_to_the_earliest_line_not_the_first() {
+        let text = "\
+2000 1 p 0 8 W 8 1 a
+1000 1 p 8 8 W 8 1 b
+3000 1 p 16 8 R 8 1 0
+";
+        let t = parse_fiu("fiu", 100, text).unwrap();
+        let got: Vec<(u64, u64)> = t.requests.iter().map(|r| (r.at_ns, r.lpn)).collect();
+        assert_eq!(got, [(0, 1), (1_000, 0), (2_000, 2)]);
     }
 
     #[test]

@@ -258,8 +258,9 @@ fn geometric(mean: f64, rng: &mut SimRng) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::OpKind;
+    use crate::trace::{OpKind, Record};
     use std::collections::HashSet;
+    use std::mem::size_of;
 
     fn quick(cfg: SynthConfig) -> Trace {
         cfg.generate()
@@ -383,10 +384,11 @@ mod tests {
         {
             let cfg = SynthConfig { requests, write_ratio, prefill_fraction, ..Default::default() };
             let t = cfg.generate();
-            let exact = 24 * t.len() + 8 * t.requests.contents_len();
+            let exact = size_of::<Record>() * t.len()
+                + size_of::<ContentId>() * t.requests.contents_len();
             let prefill_pages = (cfg.logical_pages as f64 * prefill_fraction) as u64;
             assert!(cfg.reserve(prefill_pages).heap_bytes() >= exact, "{requests} requests");
-            assert!(t.heap_bytes() <= exact);
+            assert!(t.heap_bytes() <= exact + t.requests.run_table_bytes());
         }
     }
 

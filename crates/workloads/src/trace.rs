@@ -7,13 +7,22 @@
 //!
 //! ## Layout
 //!
-//! A [`Trace`] is an arena ([`Requests`]): one packed 24-byte record per
-//! request (arrival, LPN, page count and operation in one word, offset of
-//! its first content id) and one slab holding every written page's
-//! [`ContentId`]. Readers get [`RequestView`]s, which borrow their contents
-//! from the slab; producers append views, so a trace costs two allocations
-//! however many writes it carries. [`Request`] is the owned form hand-built
-//! traces and tests use ([`Trace::new`]).
+//! A [`Trace`] is an arena ([`Requests`]) of three allocations however
+//! many writes it carries:
+//!
+//! * one packed 16-byte record per request: the low 32 bits of the arrival
+//!   and of the LPN, the page count and operation in one word, and the
+//!   offset of its first content id;
+//! * a run table holding the high 32 bits of arrival and LPN once per
+//!   maximal stretch of records that share them (a run opens when an
+//!   arrival crosses a 2³² ns ≈ 4.29 s boundary or an LPN crosses 2³²,
+//!   so a long trace has one run per 4.29 s of its span);
+//! * one slab holding every written page's [`ContentId`].
+//!
+//! Readers get [`RequestView`]s, which borrow their contents from the slab;
+//! an iterator carries its run's high halves, and `get(i)` binary-searches
+//! the run table. Producers append views. [`Request`] is the owned form
+//! hand-built traces and tests use ([`Trace::new`]).
 
 use std::fmt;
 use std::mem::size_of;
@@ -133,28 +142,69 @@ const MAX_PAGES: u32 = (1 << KIND_SHIFT) - 1;
 /// with a `u32` offset.
 const MAX_SLAB: u64 = 1 << 32;
 
-/// One packed request: 24 bytes, where a [`Request`] is 48 plus its
-/// contents' own allocation.
+/// One packed request: 16 bytes, where a [`Request`] is 48 plus its
+/// contents' own allocation. The arrival and the LPN keep their low 32
+/// bits here; their high halves live once per [`Run`].
 #[derive(Debug, Clone, Copy)]
-struct Record {
-    at_ns: Nanos,
-    lpn: u64,
+pub(crate) struct Record {
+    /// Low 32 bits of the arrival time.
+    at_lo: u32,
+    /// Low 32 bits of the first logical page.
+    lpn_lo: u32,
     /// Page count in the low 30 bits, the operation in the top two.
     pages_kind: u32,
     /// Slab index of the first page's content id (0 for non-writes).
     slab: u32,
 }
 
+/// A maximal stretch of records whose arrivals and LPNs share their high
+/// 32 bits, from record `first` up to the next run's `first`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    first: usize,
+    at_hi: u32,
+    lpn_hi: u32,
+}
+
+impl Run {
+    /// The high halves of the run, shifted into place.
+    #[inline]
+    fn bases(&self) -> (u64, u64) {
+        (u64::from(self.at_hi) << 32, u64::from(self.lpn_hi) << 32)
+    }
+}
+
+/// Each run with the range of records it covers in an arena of `len`.
+fn spans(runs: &[Run], len: usize) -> impl Iterator<Item = (Run, std::ops::Range<usize>)> + '_ {
+    let ends = runs.iter().skip(1).map(|next| next.first).chain([len]);
+    runs.iter().zip(ends).map(|(&run, end)| (run, run.first..end))
+}
+
+/// Open a run at record `first` unless the last run already carries the
+/// high halves of `at_ns` and `lpn`.
+fn extend_runs(runs: &mut Vec<Run>, first: usize, at_ns: Nanos, lpn: u64) {
+    let (at_hi, lpn_hi) = ((at_ns >> 32) as u32, (lpn >> 32) as u32);
+    if runs.last().is_none_or(|r| (r.at_hi, r.lpn_hi) != (at_hi, lpn_hi)) {
+        runs.push(Run { first, at_hi, lpn_hi });
+    }
+}
+
 impl Record {
     #[inline]
-    fn unpack(self, slab: &[ContentId]) -> RequestView<'_> {
+    fn unpack(self, (at_base, lpn_base): (u64, u64), slab: &[ContentId]) -> RequestView<'_> {
         let pages = self.pages_kind & MAX_PAGES;
         let (kind, contents) = match self.pages_kind >> KIND_SHIFT {
             0 => (OpKind::Read, &[][..]),
             1 => (OpKind::Write, &slab[self.slab as usize..][..pages as usize]),
             _ => (OpKind::Trim, &[][..]),
         };
-        RequestView { at_ns: self.at_ns, kind, lpn: self.lpn, pages, contents }
+        RequestView {
+            at_ns: at_base | u64::from(self.at_lo),
+            kind,
+            lpn: lpn_base | u64::from(self.lpn_lo),
+            pages,
+            contents,
+        }
     }
 }
 
@@ -167,11 +217,13 @@ fn slab_offset(len: usize, pages: u32) -> Result<u32, String> {
     Ok(len as u32)
 }
 
-/// A trace's requests, packed: one record per request plus one content
-/// slab. Indexed and iterated as [`RequestView`]s.
+/// A trace's requests, packed: one record per request, one run per
+/// stretch of records sharing the high halves of arrival and LPN, and one
+/// content slab. Indexed and iterated as [`RequestView`]s.
 #[derive(Clone, Default)]
 pub struct Requests {
     records: Vec<Record>,
+    runs: Vec<Run>,
     slab: Vec<ContentId>,
 }
 
@@ -179,7 +231,11 @@ impl Requests {
     /// An empty arena with room for `requests` records and `contents`
     /// content ids.
     pub(crate) fn with_capacity(requests: usize, contents: usize) -> Self {
-        Self { records: Vec::with_capacity(requests), slab: Vec::with_capacity(contents) }
+        Self {
+            records: Vec::with_capacity(requests),
+            runs: Vec::new(),
+            slab: Vec::with_capacity(contents),
+        }
     }
 
     /// Number of requests.
@@ -197,10 +253,13 @@ impl Requests {
         self.slab.len()
     }
 
-    /// The `i`-th request.
+    /// The `i`-th request: a binary search of the run table, then one
+    /// record.
     #[inline]
     pub fn get(&self, i: usize) -> Option<RequestView<'_>> {
-        self.records.get(i).map(|r| r.unpack(&self.slab))
+        let r = self.records.get(i)?;
+        let run = &self.runs[self.runs.partition_point(|run| run.first <= i) - 1];
+        Some(r.unpack(run.bases(), &self.slab))
     }
 
     /// The first request.
@@ -210,12 +269,19 @@ impl Requests {
 
     /// The last request.
     pub fn last(&self) -> Option<RequestView<'_>> {
-        self.records.last().map(|r| r.unpack(&self.slab))
+        let r = self.records.last()?;
+        Some(r.unpack(self.runs.last()?.bases(), &self.slab))
     }
 
     /// The requests in order.
     pub fn iter(&self) -> Iter<'_> {
-        Iter { records: self.records.iter(), slab: &self.slab }
+        Iter {
+            run: [].iter(),
+            bases: (0, 0),
+            rest: &self.records,
+            runs: &self.runs,
+            slab: &self.slab,
+        }
     }
 
     /// Append a request, copying its contents into the slab.
@@ -259,32 +325,66 @@ impl Requests {
         Ok(())
     }
 
-    /// Append a record whose page count [`check_pages`] accepted.
+    /// Append a record whose page count [`check_pages`] accepted, opening
+    /// a run if its high halves differ from the last run's.
     fn push_record(&mut self, at_ns: Nanos, kind: OpKind, lpn: u64, pages: u32, slab: u32) {
         let kind_bits = match kind {
             OpKind::Read => 0,
             OpKind::Write => 1,
             OpKind::Trim => 2,
         };
-        self.records.push(Record { at_ns, lpn, pages_kind: pages | kind_bits << KIND_SHIFT, slab });
+        extend_runs(&mut self.runs, self.records.len(), at_ns, lpn);
+        self.records.push(Record {
+            at_lo: at_ns as u32,
+            lpn_lo: lpn as u32,
+            pages_kind: pages | kind_bits << KIND_SHIFT,
+            slab,
+        });
     }
 
-    /// Heap bytes held, by capacity: records plus slab.
+    /// Heap bytes held, by capacity: records, run table and slab.
     pub(crate) fn heap_bytes(&self) -> usize {
         self.records.capacity() * size_of::<Record>()
+            + self.run_table_bytes()
             + self.slab.capacity() * size_of::<ContentId>()
     }
 
-    /// Stable-sort the requests by arrival. Records keep their slab
-    /// offsets, so no content moves.
-    pub(crate) fn sort_by_arrival(&mut self) {
-        self.records.sort_by_key(|r| r.at_ns);
+    /// Heap bytes the run table holds, by capacity.
+    pub(crate) fn run_table_bytes(&self) -> usize {
+        self.runs.capacity() * size_of::<Run>()
     }
 
-    /// Rewrite every arrival time in place.
+    /// Stable-sort the requests by arrival, through a temporary keyed by
+    /// the full arrival and LPN. Records keep their slab offsets, so no
+    /// content moves.
+    pub(crate) fn sort_by_arrival(&mut self) {
+        let mut keyed = Vec::with_capacity(self.records.len());
+        for (run, range) in spans(&self.runs, self.records.len()) {
+            let (at_base, lpn_base) = run.bases();
+            for r in &self.records[range] {
+                keyed.push((at_base | u64::from(r.at_lo), lpn_base | u64::from(r.lpn_lo), *r));
+            }
+        }
+        keyed.sort_by_key(|&(at, _, _)| at);
+        self.records.clear();
+        self.runs.clear();
+        for (at, lpn, r) in keyed {
+            extend_runs(&mut self.runs, self.records.len(), at, lpn);
+            self.records.push(r);
+        }
+    }
+
+    /// Rewrite every arrival time in place and rebuild the run table.
     pub(crate) fn retime(&mut self, mut f: impl FnMut(Nanos) -> Nanos) {
-        for r in &mut self.records {
-            r.at_ns = f(r.at_ns);
+        let old = std::mem::take(&mut self.runs);
+        for (run, range) in spans(&old, self.records.len()) {
+            let (at_base, lpn_base) = run.bases();
+            for i in range {
+                let r = &mut self.records[i];
+                let at = f(at_base | u64::from(r.at_lo));
+                r.at_lo = at as u32;
+                extend_runs(&mut self.runs, i, at, lpn_base);
+            }
         }
     }
 }
@@ -311,11 +411,34 @@ impl fmt::Debug for Requests {
     }
 }
 
-/// The iterator [`Requests::iter`] returns.
+/// The iterator [`Requests::iter`] returns. It walks one run at a time
+/// with that run's high halves in hand, so a step within a run is the one
+/// end-of-slice compare a plain slice iterator makes.
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
-    records: std::slice::Iter<'a, Record>,
+    /// The current run's records not yet yielded.
+    run: std::slice::Iter<'a, Record>,
+    /// The current run's arrival and LPN bases.
+    bases: (u64, u64),
+    /// The records of the runs not yet entered.
+    rest: &'a [Record],
+    /// The runs not yet entered.
+    runs: &'a [Run],
     slab: &'a [ContentId],
+}
+
+impl Iter<'_> {
+    /// Move to the next run; `None` past the last.
+    fn enter_next_run(&mut self) -> Option<()> {
+        let (run, later) = self.runs.split_first()?;
+        let len = later.first().map_or(self.rest.len(), |next| next.first - run.first);
+        let (records, rest) = self.rest.split_at(len);
+        self.run = records.iter();
+        self.bases = run.bases();
+        self.rest = rest;
+        self.runs = later;
+        Some(())
+    }
 }
 
 impl<'a> Iterator for Iter<'a> {
@@ -323,11 +446,17 @@ impl<'a> Iterator for Iter<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        self.records.next().map(|r| r.unpack(self.slab))
+        loop {
+            if let Some(r) = self.run.next() {
+                return Some(r.unpack(self.bases, self.slab));
+            }
+            self.enter_next_run()?;
+        }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.records.size_hint()
+        let left = self.run.len() + self.rest.len();
+        (left, Some(left))
     }
 }
 
@@ -379,6 +508,7 @@ impl Trace {
         mut requests: Requests,
     ) -> Result<Self, String> {
         requests.records.shrink_to_fit();
+        requests.runs.shrink_to_fit();
         requests.slab.shrink_to_fit();
         let t = Self { name: name.into(), logical_pages, requests };
         t.validate()?;
@@ -451,8 +581,8 @@ mod tests {
     }
 
     #[test]
-    fn a_record_is_at_most_24_bytes() {
-        assert!(size_of::<Record>() <= 24, "Record is {} bytes", size_of::<Record>());
+    fn a_record_is_16_bytes() {
+        assert_eq!(size_of::<Record>(), 16);
     }
 
     #[test]

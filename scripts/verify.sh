@@ -31,9 +31,10 @@ if grep -rn 'process_status\|process_checked' crates src examples tests \
   || grep -rn 'clone_from(contents)\|\.\.req\.clone()\|\.\.r\.clone()' crates/host/src crates/fleet/src crates/bench/src; then
   echo "FAIL: a command reaches the FTL through Ssd::submit, tenant streams merge in workloads::mixer::merge, and a driver restamps a RequestView instead of cloning a Request (DESIGN.md, request path)"; exit 1; fi
 
-echo "== one trace layout: packed records and one content slab, read as views =="
-if grep -n 'pub requests: Vec<' crates/workloads/src/trace.rs || grep -rn 'to_request' crates; then
-  echo "FAIL: a Trace is 24-byte records plus one ContentId slab that every producer fills in place; no Vec<Request> behind it and no view copied back into an owned Request (docs/PERFORMANCE.md, The trace is an arena)"; exit 1; fi
+echo "== one trace layout: 16-byte records, a run table and one content slab, read as views =="
+if grep -n 'pub requests: Vec<' crates/workloads/src/trace.rs || grep -rn 'to_request' crates \
+  || sed -n '/struct Record {/,/^}/p' crates/workloads/src/trace.rs | grep -nE ':[[:space:]]*(u64|Nanos|usize)\b'; then
+  echo "FAIL: a Trace is 16-byte records (four u32s: the low halves of arrival and LPN, pages + operation, slab offset) plus a run table holding the high halves once per run, plus one ContentId slab that every producer fills in place; no 64-bit field in a Record, no Vec<Request> behind it and no view copied back into an owned Request (docs/PERFORMANCE.md, 16-byte records)"; exit 1; fi
 
 echo "== one flat index: 32-byte slab records and 8-byte probe cells =="
 if grep -nE 'Vec<Option<Slot>>|hash: u64' crates/dedup/src/index.rs; then
