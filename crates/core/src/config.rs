@@ -1,7 +1,7 @@
 //! Scheme selection and full simulator configuration.
 
 use cagc_flash::{FaultConfig, UllConfig};
-use cagc_ftl::VictimKind;
+use cagc_ftl::{VictimKind, PAGE_LIMIT};
 use cagc_sim::time::{us, Nanos};
 
 /// Which FTL scheme the SSD runs — the three systems the paper compares,
@@ -222,6 +222,20 @@ impl SsdConfig {
 
     /// Sanity-check the configuration; called by the simulator constructor.
     pub fn validate(&self) -> Result<(), String> {
+        // The FTL tables store page numbers in 32 bits: the page count
+        // itself must stay below the limit (taken in u64, before anything
+        // below multiplies the geometry in u32).
+        let f = &self.flash;
+        let pages = [f.channels, f.dies_per_channel, f.planes_per_die, f.blocks_per_plane]
+            .into_iter()
+            .try_fold(u64::from(f.pages_per_block), |n, d| n.checked_mul(u64::from(d)));
+        if pages.is_none_or(|p| p >= PAGE_LIMIT) {
+            let pages = pages.map_or_else(|| "over 2^64".to_string(), |p| p.to_string());
+            return Err(format!(
+                "{pages} physical pages leave no room for the 32-bit FTL tables' sentinels \
+                 (PAGE_LIMIT = {PAGE_LIMIT})"
+            ));
+        }
         if !(0.0..).contains(&self.flash.gc_watermark) {
             return Err(format!("gc_watermark {} must be >= 0", self.flash.gc_watermark));
         }
@@ -304,6 +318,30 @@ mod tests {
         assert!(err.contains("too few"), "{err}");
         c.flash.blocks_per_plane = 7;
         c.validate().unwrap();
+    }
+
+    /// A geometry of `pages` one-page blocks on one plane.
+    fn one_plane_of(pages: u64) -> SsdConfig {
+        let mut c = SsdConfig::tiny(Scheme::Baseline);
+        (c.flash.channels, c.flash.dies_per_channel, c.flash.planes_per_die) = (1, 1, 1);
+        (c.flash.blocks_per_plane, c.flash.pages_per_block) = (pages as u32, 1);
+        c
+    }
+
+    #[test]
+    fn validation_accepts_the_largest_geometry_the_32_bit_tables_hold() {
+        // Validation only: nothing of this size is allocated.
+        one_plane_of(PAGE_LIMIT - 1).validate().unwrap();
+    }
+
+    #[test]
+    fn validation_rejects_a_geometry_past_the_32_bit_tables() {
+        let err = one_plane_of(PAGE_LIMIT).validate().unwrap_err();
+        assert!(err.contains("PAGE_LIMIT = 4294967294"), "{err}");
+        let mut c = SsdConfig::tiny(Scheme::Baseline);
+        c.flash.channels = u32::MAX; // a block count past u32 is past the limit too
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("PAGE_LIMIT"), "{err}");
     }
 
     #[test]

@@ -744,11 +744,11 @@ impl Ssd {
     /// no sharers of its own): retarget the forward entries in place —
     /// each remap journaled, which the device does only when a fault plan
     /// is armed ([`cagc_flash::FlashDevice::journal_append`]) — then move
-    /// the reverse-map slot wholesale ([`cagc_ftl::ReverseMap::relocate`],
-    /// O(1) and allocation-free).
+    /// the sharer list wholesale ([`cagc_ftl::ReverseMap::relocate`]: the
+    /// list head moves and each sharer's owner is rewritten, allocation-free).
     fn remap_sharers(&mut self, old: Ppn, new: Ppn) -> Result<(), FlashError> {
         debug_assert!(self.rmap.count(old) > 0, "relocating an unreferenced page");
-        for &l in self.rmap.lpns(old) {
+        for l in self.rmap.lpns(old) {
             self.map.set(l, new);
             self.dev.journal_append(JournalOp::Remap { lpn: l, ppn: new })?;
         }

@@ -154,7 +154,7 @@ impl Ssd {
         // --- 3. Rebuild forward/reverse maps (deterministic LPN order, so
         // downstream sharer orderings never depend on hash-map iteration). ---
         let mut map = MappingTable::new(logical);
-        let mut rmap = ReverseMap::new();
+        let mut rmap = ReverseMap::with_pages(total_pages, logical);
         let mut mappings_recovered = 0u64;
         for lpn in 0..logical {
             if let Some(ppn) = bound[lpn as usize] {
@@ -187,6 +187,7 @@ impl Ssd {
         }
         stamped.sort_unstable();
         let mut duplicate_copies_merged = 0u64;
+        let mut sharers = Vec::new();
         let mut i = 0;
         while i < stamped.len() {
             let mut j = i + 1;
@@ -205,7 +206,8 @@ impl Ssd {
                     if loser == winner {
                         continue;
                     }
-                    for l in rmap.take(loser) {
+                    rmap.take_into(loser, &mut sharers);
+                    for &l in &sharers {
                         map.set(l, winner);
                         rmap.add(winner, l);
                         self.dev

@@ -47,6 +47,6 @@ pub mod rmap;
 pub mod victim;
 
 pub use allocator::{Allocator, Region};
-pub use mapping::{Lpn, MappingTable};
+pub use mapping::{Lpn, MappingTable, PAGE_LIMIT};
 pub use rmap::ReverseMap;
 pub use victim::{VictimCandidate, VictimKind, VictimSelector};

@@ -7,45 +7,49 @@
 //!
 //! # Representation
 //!
-//! The map is on the GC hot path (every migrated page consults its sharer
-//! set; every host overwrite removes one pair), so it is a dense
-//! `Vec<RSlot>` indexed by PPN rather than a `HashMap<Ppn, Vec<Lpn>>`.
-//! The overwhelmingly common case — a page with exactly one sharer — is
-//! stored inline (`RSlot::One`) with no heap allocation at all; a `Vec`
-//! is only materialized once a second sharer appears (a dedup share), and
-//! is dropped again when the set shrinks back to one. Iteration order and
-//! the multiset semantics of the original `HashMap` version are preserved
-//! exactly; `iter` now walks PPNs in ascending order (callers treat the
-//! order as unspecified).
+//! The map is on the GC hot path (every migrated page walks its sharer
+//! set; every host overwrite removes one pair), and an LPN sits under at
+//! most one PPN at a time, so each sharer set is an intrusive doubly
+//! linked list threaded through per-LPN cells. Three flat `u32` columns
+//! hold it, with `u32::MAX` for "none":
+//!
+//! * `head[ppn]` — the first LPN of the PPN's sharer list;
+//! * `link[lpn]` — the LPN's `[prev, next]` neighbours in that list;
+//! * `owner[lpn]` — the PPN the LPN is linked under.
+//!
+//! That is 4 B per physical page plus 12 B per logical page, whatever
+//! the sharing, and no per-set allocation: [`ReverseMap::with_pages`]
+//! sizes the columns once from the geometry, while [`ReverseMap::new`]
+//! starts empty and grows them to the largest PPN and LPN seen. `add`
+//! pushes at the front and `remove` unlinks in O(1); the owner column
+//! makes the "is this LPN under that PPN" check O(1) as well, instead of
+//! a walk to the list head. Sharer order is unspecified — newest first
+//! today — and no caller may depend on it. Entries are stored in 32 bits
+//! behind the 64-bit [`Ppn`] / [`Lpn`] API, so a page number at or past
+//! [`PAGE_LIMIT`] panics naming the limit.
 
-use crate::mapping::Lpn;
+use crate::mapping::{narrow, Lpn, PAGE_LIMIT};
 use cagc_flash::Ppn;
 
-/// Per-PPN sharer set: empty, one inline LPN, or a spilled vector.
-#[derive(Debug, Clone, Default)]
-enum RSlot {
-    /// No LPN references this PPN.
-    #[default]
-    Empty,
-    /// Exactly one sharer, stored inline (the common, allocation-free case).
-    One(Lpn),
-    /// Two or more sharers (a deduplicated page).
-    Many(Vec<Lpn>),
+/// Empty `head` / `owner` entry and end-of-list link.
+const NIL: u32 = u32::MAX;
+
+/// One LPN's neighbours in its PPN's sharer list (`NIL` at either end).
+/// Meaningful only while the LPN's `owner` is set.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    prev: u32,
+    next: u32,
 }
+
+const UNLINKED: Link = Link { prev: NIL, next: NIL };
 
 /// Reverse mapping from physical page to the logical pages backed by it.
 #[derive(Debug, Clone, Default)]
 pub struct ReverseMap {
-    slots: Vec<RSlot>,
-    /// `pos[lpn]` = index of `lpn` inside its PPN's [`RSlot::Many`] vector,
-    /// making [`ReverseMap::remove`] O(1) instead of a linear scan (a hot
-    /// dedup page can have thousands of sharers, and every host overwrite
-    /// of one of them removes a pair). Maintained on every add/remove;
-    /// meaningless (stale) for LPNs not currently in a `Many` slot. With
-    /// duplicate LPN entries (multiset semantics) it points at *one*
-    /// occurrence, which is equally valid to remove since they are
-    /// indistinguishable.
-    pos: Vec<u32>,
+    head: Vec<u32>,
+    link: Vec<Link>,
+    owner: Vec<u32>,
     /// Number of PPNs with at least one sharer.
     occupied: usize,
     /// Total LPN references across all PPNs.
@@ -53,9 +57,31 @@ pub struct ReverseMap {
 }
 
 impl ReverseMap {
-    /// Empty map.
+    /// Empty map whose columns grow to the largest PPN and LPN added.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empty map with its columns sized for `physical_pages` PPNs and
+    /// `logical_pages` LPNs up front, so it never allocates again.
+    pub fn with_pages(physical_pages: u64, logical_pages: u64) -> Self {
+        let mut map = Self::new();
+        map.grow_ppns(physical_pages);
+        map.grow_lpns(logical_pages);
+        map
+    }
+
+    fn grow_ppns(&mut self, pages: u64) {
+        if pages as usize > self.head.len() {
+            self.head.resize(pages as usize, NIL);
+        }
+    }
+
+    fn grow_lpns(&mut self, pages: u64) {
+        if pages as usize > self.owner.len() {
+            self.link.resize(pages as usize, UNLINKED);
+            self.owner.resize(pages as usize, NIL);
+        }
     }
 
     /// Number of PPNs with at least one LPN.
@@ -68,199 +94,131 @@ impl ReverseMap {
         self.occupied == 0
     }
 
-    /// Bytes the map holds on the heap: the dense slot vector, every
-    /// spilled sharer vector and the positional index. O(slots): a
-    /// diagnostic, not a hot-path query.
+    /// Bytes the map holds on the heap: its three columns.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let spilled: usize = self
-            .slots
-            .iter()
-            .map(|s| match s {
-                RSlot::Many(v) => v.capacity() * size_of::<Lpn>(),
-                RSlot::Empty | RSlot::One(_) => 0,
-            })
-            .sum();
-        self.slots.capacity() * size_of::<RSlot>() + spilled + self.pos.capacity() * size_of::<u32>()
+        self.head.capacity() * size_of::<u32>()
+            + self.link.capacity() * size_of::<Link>()
+            + self.owner.capacity() * size_of::<u32>()
     }
 
-    fn slot_mut(&mut self, ppn: Ppn) -> &mut RSlot {
-        let i = ppn as usize;
-        if i >= self.slots.len() {
-            self.slots.resize_with(i + 1, RSlot::default);
-        }
-        &mut self.slots[i]
-    }
-
-    /// Grow the positional index to cover `lpn` and record its position.
-    #[inline]
-    fn set_pos(pos: &mut Vec<u32>, lpn: Lpn, p: u32) {
-        let i = lpn as usize;
-        if i >= pos.len() {
-            pos.resize(i + 1, 0);
-        }
-        pos[i] = p;
+    fn head_of(&self, ppn: Ppn) -> u32 {
+        self.head.get(ppn as usize).copied().unwrap_or(NIL)
     }
 
     /// Record that `lpn` now points at `ppn`.
+    ///
+    /// # Panics
+    /// Panics if `lpn` is already linked under a PPN (the forward map is a
+    /// function: an LPN is released before it is bound again), or if
+    /// either number is at or past [`PAGE_LIMIT`].
     #[inline]
     pub fn add(&mut self, ppn: Ppn, lpn: Lpn) {
-        let i = ppn as usize;
-        if i >= self.slots.len() {
-            self.slots.resize_with(i + 1, RSlot::default);
+        let (p, l) = (narrow(ppn, "ppn"), narrow(lpn, "lpn"));
+        self.grow_ppns(ppn + 1);
+        self.grow_lpns(lpn + 1);
+        let owner = self.owner[l as usize];
+        assert!(owner == NIL, "reverse map: lpn {lpn} already under ppn {owner}");
+        let first = self.head[p as usize];
+        if first == NIL {
+            self.occupied += 1;
+        } else {
+            self.link[first as usize].prev = l;
         }
-        let slot = &mut self.slots[i];
-        match slot {
-            RSlot::Empty => {
-                *slot = RSlot::One(lpn);
-                self.occupied += 1;
-            }
-            RSlot::One(first) => {
-                let f = *first;
-                *slot = RSlot::Many(vec![f, lpn]);
-                Self::set_pos(&mut self.pos, f, 0);
-                Self::set_pos(&mut self.pos, lpn, 1);
-            }
-            RSlot::Many(v) => {
-                let p = v.len() as u32;
-                v.push(lpn);
-                Self::set_pos(&mut self.pos, lpn, p);
-            }
-        }
+        self.link[l as usize] = Link { prev: NIL, next: first };
+        self.head[p as usize] = l;
+        self.owner[l as usize] = p;
         self.total += 1;
     }
 
-    /// Record that `lpn` no longer points at `ppn`. Returns how many LPNs
-    /// still reference the PPN.
+    /// Record that `lpn` no longer points at `ppn`. Returns whether other
+    /// LPNs still reference the PPN. O(1).
     ///
     /// # Panics
     /// Panics if the pair was not present — the forward and reverse maps
     /// must never disagree.
     #[inline]
-    pub fn remove(&mut self, ppn: Ppn, lpn: Lpn) -> usize {
-        let slot = self
-            .slots
-            .get_mut(ppn as usize)
-            .filter(|s| !matches!(s, RSlot::Empty))
-            .unwrap_or_else(|| panic!("reverse map: ppn {ppn} untracked"));
-        let remaining = match slot {
-            RSlot::Empty => unreachable!("filtered above"),
-            RSlot::One(l) => {
-                assert!(*l == lpn, "reverse map: lpn {lpn} not under ppn {ppn}");
-                *slot = RSlot::Empty;
-                self.occupied -= 1;
-                0
-            }
-            RSlot::Many(v) => {
-                // O(1) via the positional index; the hint is only trusted
-                // when it actually points at `lpn`, so a stale entry (from
-                // duplicate-LPN multiset use) degrades to the scan instead
-                // of corrupting the set.
-                let hint = self.pos.get(lpn as usize).copied().unwrap_or(0) as usize;
-                let i = if v.get(hint) == Some(&lpn) {
-                    hint
-                } else {
-                    v.iter()
-                        .position(|&l| l == lpn)
-                        .unwrap_or_else(|| panic!("reverse map: lpn {lpn} not under ppn {ppn}"))
-                };
-                v.swap_remove(i);
-                if let Some(&moved) = v.get(i) {
-                    self.pos[moved as usize] = i as u32;
-                }
-                if v.len() == 1 {
-                    // Shrink back to the inline representation, releasing
-                    // the spill vector.
-                    *slot = RSlot::One(v[0]);
-                    1
-                } else {
-                    v.len()
-                }
-            }
-        };
+    pub fn remove(&mut self, ppn: Ppn, lpn: Lpn) -> bool {
+        assert!(self.head_of(ppn) != NIL, "reverse map: ppn {ppn} untracked");
+        // A tracked `ppn` is below `PAGE_LIMIT`, so it never equals `NIL`.
+        let owner = self.owner.get(lpn as usize).copied().unwrap_or(NIL);
+        assert!(u64::from(owner) == ppn, "reverse map: lpn {lpn} not under ppn {ppn}");
+        let Link { prev, next } = self.link[lpn as usize];
+        if prev == NIL {
+            self.head[ppn as usize] = next;
+        } else {
+            self.link[prev as usize].next = next;
+        }
+        if next != NIL {
+            self.link[next as usize].prev = prev;
+        }
+        self.owner[lpn as usize] = NIL;
         self.total -= 1;
-        remaining
-    }
-
-    /// LPNs currently backed by `ppn` (empty slice if none).
-    pub fn lpns(&self, ppn: Ppn) -> &[Lpn] {
-        match self.slots.get(ppn as usize) {
-            Some(RSlot::One(l)) => std::slice::from_ref(l),
-            Some(RSlot::Many(v)) => v.as_slice(),
-            _ => &[],
+        let shared = self.head[ppn as usize] != NIL;
+        if !shared {
+            self.occupied -= 1;
         }
+        shared
     }
 
-    /// Number of LPNs backed by `ppn`.
+    /// The list starting at LPN `first`.
+    fn walk(&self, first: u32) -> impl Iterator<Item = Lpn> + Clone + '_ {
+        std::iter::successors((first != NIL).then_some(first), |&l| {
+            let next = self.link[l as usize].next;
+            (next != NIL).then_some(next)
+        })
+        .map(Lpn::from)
+    }
+
+    /// LPNs currently backed by `ppn` (none if untracked), in unspecified
+    /// order.
+    pub fn lpns(&self, ppn: Ppn) -> impl Iterator<Item = Lpn> + Clone + '_ {
+        self.walk(self.head_of(ppn))
+    }
+
+    /// Number of LPNs backed by `ppn`. Walks the sharer list.
     pub fn count(&self, ppn: Ppn) -> usize {
-        match self.slots.get(ppn as usize) {
-            Some(RSlot::One(_)) => 1,
-            Some(RSlot::Many(v)) => v.len(),
-            _ => 0,
-        }
+        self.lpns(ppn).count()
     }
 
-    /// Detach and return `ppn`'s whole sharer slot, fixing up the counters.
-    fn take_slot(&mut self, ppn: Ppn) -> RSlot {
-        let Some(slot) = self.slots.get_mut(ppn as usize) else {
-            return RSlot::Empty;
-        };
-        let taken = std::mem::take(slot);
-        match &taken {
-            RSlot::Empty => {}
-            RSlot::One(_) => {
-                self.occupied -= 1;
-                self.total -= 1;
-            }
-            RSlot::Many(v) => {
-                self.occupied -= 1;
-                self.total -= v.len() as u64;
-            }
-        }
-        taken
-    }
-
-    /// Remove and return all LPNs of `ppn` (migration: the set will be
-    /// re-added under the destination PPN).
-    pub fn take(&mut self, ppn: Ppn) -> Vec<Lpn> {
-        match self.take_slot(ppn) {
-            RSlot::Empty => Vec::new(),
-            RSlot::One(l) => vec![l],
-            RSlot::Many(v) => v,
-        }
-    }
-
-    /// [`ReverseMap::take`] into a caller-owned scratch buffer: `out` is
-    /// cleared and filled with `ppn`'s former sharers. Lets the GC hot path
-    /// reuse one allocation across migrations.
+    /// Remove all LPNs of `ppn` into a caller-owned scratch buffer (`out`
+    /// is cleared first), for migrations that re-add the set under another
+    /// PPN one sharer at a time.
     pub fn take_into(&mut self, ppn: Ppn, out: &mut Vec<Lpn>) {
         out.clear();
-        match self.take_slot(ppn) {
-            RSlot::Empty => {}
-            RSlot::One(l) => out.push(l),
-            RSlot::Many(v) => out.extend_from_slice(&v),
+        let first = self.head_of(ppn);
+        if first == NIL {
+            return;
         }
+        out.extend(self.walk(first));
+        for &l in out.iter() {
+            self.owner[l as usize] = NIL;
+        }
+        self.head[ppn as usize] = NIL;
+        self.occupied -= 1;
+        self.total -= out.len() as u64;
     }
 
     /// Move `from`'s entire sharer set under `to`, which must currently be
-    /// empty (GC relocation of a page to a fresh destination). O(1): the
-    /// slot moves wholesale, without visiting individual LPNs.
+    /// empty (GC relocation of a page to a fresh destination): the list
+    /// head moves and each sharer's owner is rewritten; no link changes.
     ///
     /// # Panics
     /// Panics if `from` is untracked or `to` already has sharers.
     pub fn relocate(&mut self, from: Ppn, to: Ppn) {
-        assert!(
-            self.count(to) == 0,
-            "reverse map: relocate target ppn {to} occupied"
-        );
-        let slot = self
-            .slots
-            .get_mut(from as usize)
-            .filter(|s| !matches!(s, RSlot::Empty))
-            .unwrap_or_else(|| panic!("reverse map: ppn {from} untracked"));
-        let moved = std::mem::take(slot);
-        *self.slot_mut(to) = moved;
-        // occupied/total are unchanged: one slot emptied, one filled.
+        let to32 = narrow(to, "ppn");
+        assert!(self.head_of(to) == NIL, "reverse map: relocate target ppn {to} occupied");
+        let first = self.head_of(from);
+        assert!(first != NIL, "reverse map: ppn {from} untracked");
+        self.grow_ppns(to + 1);
+        self.head[from as usize] = NIL;
+        self.head[to as usize] = first;
+        let mut l = first;
+        while l != NIL {
+            self.owner[l as usize] = to32;
+            l = self.link[l as usize].next;
+        }
+        // occupied/total are unchanged: one list emptied, one filled.
     }
 
     /// Total LPN references across all PPNs (= mapped LPN count; used by
@@ -269,20 +227,29 @@ impl ReverseMap {
         self.total
     }
 
-    /// Iterate `(ppn, sharing LPNs)` over all referenced physical pages
-    /// (order unspecified; audits and reports only).
-    pub fn iter(&self) -> impl Iterator<Item = (Ppn, &[Lpn])> {
-        self.slots.iter().enumerate().filter_map(|(p, s)| match s {
-            RSlot::Empty => None,
-            RSlot::One(l) => Some((p as Ppn, std::slice::from_ref(l))),
-            RSlot::Many(v) => Some((p as Ppn, v.as_slice())),
-        })
+    /// Iterate `(ppn, sharing LPNs)` over all referenced physical pages,
+    /// in ascending PPN order (audits and reports only).
+    pub fn iter(&self) -> impl Iterator<Item = (Ppn, impl Iterator<Item = Lpn> + Clone + '_)> {
+        self.head
+            .iter()
+            .enumerate()
+            .filter(|&(_, &first)| first != NIL)
+            .map(|(p, &first)| (p as Ppn, self.walk(first)))
     }
 }
+
+// `PAGE_LIMIT` leaves `NIL` out of the page space.
+const _: () = assert!(PAGE_LIMIT <= NIL as u64);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sorted(it: impl Iterator<Item = Lpn>) -> Vec<Lpn> {
+        let mut v: Vec<Lpn> = it.collect();
+        v.sort_unstable();
+        v
+    }
 
     #[test]
     fn add_remove_round_trip() {
@@ -290,23 +257,39 @@ mod tests {
         r.add(10, 1);
         r.add(10, 2);
         assert_eq!(r.count(10), 2);
-        assert_eq!(r.remove(10, 1), 1);
-        assert_eq!(r.lpns(10), &[2]);
-        assert_eq!(r.remove(10, 2), 0);
+        assert!(r.remove(10, 1));
+        assert_eq!(sorted(r.lpns(10)), vec![2]);
+        assert!(!r.remove(10, 2));
         assert!(r.is_empty());
     }
 
     #[test]
-    fn heap_bytes_counts_spilled_sharer_sets() {
+    fn a_link_cell_is_two_u32s() {
+        assert_eq!(std::mem::size_of::<Link>(), 8);
+    }
+
+    #[test]
+    fn heap_bytes_is_fixed_by_the_page_counts() {
+        assert_eq!(ReverseMap::new().heap_bytes(), 0, "an empty map allocates nothing");
+        let mut r = ReverseMap::with_pages(64, 48);
+        let sized = r.heap_bytes();
+        assert_eq!(sized, 64 * 4 + 48 * (8 + 4));
+        for l in 0..48 {
+            r.add(l % 3, l); // one 16-sharer list per PPN 0..3
+        }
+        r.relocate(0, 63);
+        assert_eq!(r.heap_bytes(), sized, "sharing allocates nothing");
+    }
+
+    #[test]
+    fn a_lazy_map_grows_to_the_largest_numbers_seen() {
         let mut r = ReverseMap::new();
-        assert_eq!(r.heap_bytes(), 0, "an empty map allocates nothing");
         r.add(3, 1);
-        let inline = r.heap_bytes();
-        assert_eq!(inline, r.slots.capacity() * std::mem::size_of::<RSlot>());
-        r.add(3, 2);
-        let RSlot::Many(v) = &r.slots[3] else { panic!("second sharer spills") };
-        let spilled = v.capacity() * std::mem::size_of::<Lpn>();
-        assert_eq!(r.heap_bytes(), inline + spilled + r.pos.capacity() * 4);
+        assert_eq!((r.head.len(), r.owner.len()), (4, 2));
+        r.add(1, 7);
+        assert_eq!((r.head.len(), r.owner.len()), (4, 8));
+        r.relocate(3, 9);
+        assert_eq!(r.head.len(), 10);
     }
 
     #[test]
@@ -324,19 +307,39 @@ mod tests {
     }
 
     #[test]
-    fn take_empties_the_ppn() {
+    #[should_panic(expected = "lpn 1 not under ppn 6")]
+    fn removing_an_lpn_linked_under_another_ppn_panics() {
+        // The owner column catches this in O(1), in release builds too.
         let mut r = ReverseMap::new();
-        r.add(7, 1);
-        r.add(7, 2);
-        let mut taken = r.take(7);
-        taken.sort_unstable();
-        assert_eq!(taken, vec![1, 2]);
-        assert_eq!(r.count(7), 0);
-        assert!(r.take(7).is_empty()); // idempotent on empty
+        r.add(5, 1);
+        r.add(6, 2);
+        r.remove(6, 1);
     }
 
     #[test]
-    fn take_into_reuses_the_scratch_buffer() {
+    #[should_panic(expected = "lpn 9 already under ppn 3")]
+    fn adding_an_lpn_that_is_already_linked_panics() {
+        // A sharer set is a set: an LPN is released before it is bound
+        // again, so a second add without a remove is a caller bug.
+        let mut r = ReverseMap::new();
+        r.add(3, 9);
+        r.add(4, 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "ppn 4294967294 is past the 32-bit table limit PAGE_LIMIT")]
+    fn adding_a_ppn_past_the_32_bit_limit_panics() {
+        ReverseMap::new().add(PAGE_LIMIT, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "lpn 4294967294 is past the 32-bit table limit PAGE_LIMIT")]
+    fn adding_an_lpn_past_the_32_bit_limit_panics() {
+        ReverseMap::new().add(0, PAGE_LIMIT);
+    }
+
+    #[test]
+    fn take_into_empties_the_ppn_into_the_scratch_buffer() {
         let mut r = ReverseMap::new();
         r.add(7, 1);
         r.add(7, 2);
@@ -346,29 +349,32 @@ mod tests {
         scratch.sort_unstable();
         assert_eq!(scratch, vec![1, 2]);
         assert_eq!(r.count(7), 0);
+        assert_eq!(r.len(), 1);
         r.take_into(8, &mut scratch); // clears the previous contents
         assert_eq!(scratch, vec![3]);
         r.take_into(9, &mut scratch); // empty ppn leaves it empty
         assert!(scratch.is_empty());
         assert_eq!(r.total_refs(), 0);
+        r.add(9, 1); // taken LPNs are free to be linked again
+        assert_eq!(sorted(r.lpns(9)), vec![1]);
     }
 
     #[test]
-    fn relocate_moves_the_slot_wholesale() {
+    fn relocate_moves_the_list_wholesale() {
         let mut r = ReverseMap::new();
         r.add(4, 40);
         r.add(4, 41);
         r.add(5, 50);
         r.relocate(4, 9);
         assert_eq!(r.count(4), 0);
-        let mut moved = r.lpns(9).to_vec();
-        moved.sort_unstable();
-        assert_eq!(moved, vec![40, 41]);
+        assert_eq!(sorted(r.lpns(9)), vec![40, 41]);
         assert_eq!(r.len(), 2);
         assert_eq!(r.total_refs(), 3);
-        // Single-sharer slots move too.
+        // The owners moved with the head: removal under the new PPN works.
+        assert!(r.remove(9, 40));
+        // Single-sharer lists move too.
         r.relocate(5, 4);
-        assert_eq!(r.lpns(4), &[50]);
+        assert_eq!(sorted(r.lpns(4)), vec![50]);
     }
 
     #[test]
@@ -388,24 +394,21 @@ mod tests {
 
     #[test]
     fn large_sharer_sets_remove_in_any_order() {
-        // Exercises the positional index across swap_remove reshuffles:
-        // remove from the middle, the ends, and interleave with re-adds.
+        // Unlinking from the middle, the head and the tail, interleaved
+        // with re-adds at the front.
         let mut r = ReverseMap::new();
         for l in 0..100 {
             r.add(1, l);
         }
         for l in (0..100).step_by(3) {
-            assert!(r.remove(1, l) > 0);
+            assert!(r.remove(1, l));
         }
-        for l in 0..100u64 {
-            if l % 3 == 0 {
-                r.add(1, l); // back in, at a fresh position
-            }
+        for l in (0..100).step_by(3) {
+            r.add(1, l);
         }
-        assert_eq!(r.count(1), 100);
-        let mut left: Vec<u64> = (0..100).collect();
+        assert_eq!(sorted(r.lpns(1)), (0..100).collect::<Vec<_>>());
         // Drain in an order unrelated to insertion order.
-        while let Some(l) = left.pop() {
+        for l in (0..100).rev() {
             r.remove(1, l);
         }
         assert_eq!(r.count(1), 0);
@@ -414,14 +417,12 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_lpn_entries_are_counted_separately() {
-        // Shouldn't occur in a consistent FTL, but the structure itself is
-        // a multiset and removal takes one occurrence at a time.
+    fn iter_lists_every_referenced_ppn_with_its_sharers() {
         let mut r = ReverseMap::new();
-        r.add(3, 9);
-        r.add(3, 9);
-        assert_eq!(r.count(3), 2);
-        assert_eq!(r.remove(3, 9), 1);
-        assert_eq!(r.remove(3, 9), 0);
+        r.add(6, 1);
+        r.add(2, 3);
+        r.add(6, 4);
+        let seen: Vec<(Ppn, Vec<Lpn>)> = r.iter().map(|(p, l)| (p, sorted(l))).collect();
+        assert_eq!(seen, vec![(2, vec![3]), (6, vec![1, 4])]);
     }
 }

@@ -40,6 +40,80 @@ harness_proptest! {
         }
     }
 
+    /// The reverse map against a `HashMap<Ppn, Vec<Lpn>>` model under
+    /// random add / remove / take_into / relocate. Sharer order is
+    /// unspecified, so sets compare sorted; `count`, `len`, `total_refs`
+    /// and `iter` are checked after every step. An add of a linked LPN
+    /// first removes it, as the FTL releases an LPN before binding it.
+    #[test]
+    fn reverse_map_matches_a_model(ops in vec((0u8..4, 0u64..24, 0u64..40), 1..400)) {
+        let mut rev = ReverseMap::new();
+        let mut model: HashMap<u64, Vec<u64>> = HashMap::new();
+        let owner_of = |model: &HashMap<u64, Vec<u64>>, lpn: u64| {
+            model.iter().find(|(_, s)| s.contains(&lpn)).map(|(&p, _)| p)
+        };
+        let mut taken = Vec::new();
+        for &(op, ppn, lpn) in &ops {
+            match op {
+                0 | 1 => {
+                    // op 0 adds (rebinding a linked LPN), op 1 removes.
+                    if let Some(old) = owner_of(&model, lpn) {
+                        let set = model.get_mut(&old).unwrap();
+                        set.retain(|&l| l != lpn);
+                        prop_assert_eq!(rev.remove(old, lpn), !set.is_empty());
+                        if set.is_empty() {
+                            model.remove(&old);
+                        }
+                    }
+                    if op == 0 {
+                        rev.add(ppn, lpn);
+                        model.entry(ppn).or_default().push(lpn);
+                    }
+                }
+                2 => {
+                    rev.take_into(ppn, &mut taken);
+                    taken.sort_unstable();
+                    let mut want = model.remove(&ppn).unwrap_or_default();
+                    want.sort_unstable();
+                    prop_assert_eq!(&taken, &want);
+                }
+                _ => {
+                    // relocate: `lpn` picks the target PPN.
+                    let to = lpn % 24;
+                    if model.contains_key(&ppn) && !model.contains_key(&to) {
+                        rev.relocate(ppn, to);
+                        let set = model.remove(&ppn).unwrap();
+                        model.insert(to, set);
+                    }
+                }
+            }
+            prop_assert_eq!(rev.len(), model.len());
+            prop_assert_eq!(rev.is_empty(), model.is_empty());
+            prop_assert_eq!(rev.total_refs(), model.values().map(|s| s.len() as u64).sum::<u64>());
+            let mut want: Vec<(u64, Vec<u64>)> = model
+                .iter()
+                .map(|(&p, s)| {
+                    let mut s = s.clone();
+                    s.sort_unstable();
+                    (p, s)
+                })
+                .collect();
+            want.sort_unstable();
+            let mut got = Vec::new();
+            for (p, lpns) in rev.iter() {
+                let mut s: Vec<u64> = lpns.collect();
+                s.sort_unstable();
+                prop_assert_eq!(rev.count(p), s.len());
+                let mut direct: Vec<u64> = rev.lpns(p).collect();
+                direct.sort_unstable();
+                prop_assert_eq!(&direct, &s);
+                got.push((p, s));
+            }
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(rev.count(ppn), model.get(&ppn).map_or(0, Vec::len));
+        }
+    }
+
     /// The allocator never double-hands-out a block, never exceeds device
     /// page capacity per block, and conserves blocks across release cycles.
     #[test]

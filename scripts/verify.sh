@@ -40,6 +40,10 @@ echo "== one flat index: 32-byte slab records and 8-byte probe cells =="
 if grep -nE 'Vec<Option<Slot>>|hash: u64' crates/dedup/src/index.rs; then
   echo "FAIL: a fingerprint-index record is a plain Copy record where refs == 0 marks a free slot, and a probe cell holds a 32-bit tag, never the whole 64-bit key (docs/PERFORMANCE.md, A flat fingerprint index)"; exit 1; fi
 
+echo "== one sharer list: intrusive lists in flat u32 columns, 32-bit forward-map entries =="
+if grep -nE 'RSlot|Many\(Vec<|pos: Vec<' crates/ftl/src/rmap.rs || grep -nE ':[[:space:]]*Vec<Ppn>' crates/ftl/src/mapping.rs; then
+  echo "FAIL: a PPN's sharers are an intrusive list (a u32 head per PPN, [prev, next] links and an owner PPN per LPN), allocated from the geometry and never per set, and a forward-map entry is a u32 behind the 64-bit API (docs/PERFORMANCE.md, Intrusive sharer lists)"; exit 1; fi
+
 echo "== one move, one order: every GC copy through relocate_page, every host store through store_page =="
 if grep -rnE 'fn migrate_blind|gc_batch|fn program_foreground' crates/core/src || grep -n 'match self.cfg.scheme' crates/core/src/gc.rs; then
   echo "FAIL: GC drains every victim through one per-page step that copies blindly or runs the Fig. 5 decision, and the host side stores through Ssd::store_page, the one owner of the out-of-place order (DESIGN.md, GC)"; exit 1; fi
