@@ -6,21 +6,21 @@
 //!
 //! Tenant streams are merged by `mixer::merge` (arrival time, ties by
 //! tenant index, FIFO within a tenant, each tenant's LPNs rebased into its
-//! own namespace). In direct mode nothing is materialized — the merge
-//! streams borrowed requests into `Ssd::submit` one at a time — so
-//! per-device transient memory is O(tenants) beyond the shared traces.
-//! With host queues configured, the merged trace is materialized
-//! transiently and replayed through the NVMe-style multi-queue interface
-//! instead, giving host-observed (queueing-inclusive) tenant latencies.
-//! Either way every request ends in the one `TenantLedger`, as a latency
-//! sample or as a failed op.
+//! own namespace), and nothing is materialized: in direct mode the merge
+//! streams borrowed requests into `Ssd::submit` one at a time; with host
+//! queues configured the same merge feeds the NVMe-style multi-queue
+//! interface, giving host-observed (queueing-inclusive) tenant latencies.
+//! Per-device transient memory is O(tenants) beyond the shared traces,
+//! plus the host's commands between arrival and reap. Either way every
+//! request ends in the one `TenantLedger`, as a latency sample or as a
+//! failed op.
 
 use std::sync::Arc;
 
 use cagc_core::{CmdStatus, RunReport, Scheme, Ssd, SsdConfig, TrafficTotals};
 use cagc_flash::{FaultConfig, UllConfig};
 use cagc_harness::{Json, ToJson};
-use cagc_host::{HostConfig, HostInterface};
+use cagc_host::{HostConfig, HostInterface, Loop};
 use cagc_metrics::Histogram;
 use cagc_core::LatencySummary;
 use cagc_sim::time::Nanos;
@@ -307,8 +307,9 @@ impl TenantLedger {
         if !status.is_ok() {
             self.tenants[tenant].failed_ops += 1;
             if status == CmdStatus::WriteProtected {
-                // Completions need not arrive in time order (the host
-                // path reports in trace order): keep the earliest.
+                // Completions need not arrive in time order (direct mode
+                // reports in arrival order, and dies finish out of it):
+                // keep the earliest.
                 self.degraded_at = Some(self.degraded_at.map_or(at_ns, |d| d.min(at_ns)));
             }
         }
@@ -364,16 +365,13 @@ pub fn simulate_device(spec: &DeviceSpec) -> DeviceReport {
             (ssd, run)
         }
         Some((pairs, depth)) => {
-            // Materialize the merged trace transiently (only while this
-            // cell is in flight) and replay it through the multi-queue
-            // host path; tags attribute each command's host-observed
-            // latency back to its tenant.
-            let (merged, tags) = mixer::interleave_n_tagged(&refs);
+            // The same merge through the multi-queue host path: each
+            // reaped command's host-observed latency goes to its tenant.
             let mut host = HostInterface::new(ssd, HostConfig::nvme(pairs, depth));
-            let (hreport, lats) = host.replay_open_loop_detailed(&merged);
-            for (cmd, &tag) in lats.iter().zip(&tags) {
-                ledger.complete(tag as usize, cmd.reaped_ns, cmd.latency_ns(), cmd.status);
-            }
+            let merged = mixer::merge(&refs);
+            let hreport = host.replay(Loop::Open, &spec.mix_name, merged, |tenant, cmd| {
+                ledger.complete(tenant, cmd.reaped_ns, cmd.latency_ns(), cmd.status)
+            });
             (host.into_ssd(), hreport.device)
         }
     };

@@ -2,7 +2,7 @@
 //! completion model wrapped around one [`Ssd`].
 //!
 //! Every state transition is driven by the `cagc-sim` event queue, whose
-//! FIFO tie-breaking makes the whole machine deterministic: same trace,
+//! FIFO tie-breaking makes the whole machine deterministic: same requests,
 //! same config, same seed ⇒ byte-identical reports. Commands flow
 //!
 //! ```text
@@ -17,6 +17,7 @@
 //! including every queueing effect the synchronous replay cannot see.
 
 use std::collections::VecDeque;
+use std::iter::Peekable;
 
 use cagc_core::{CmdStatus, Completion, Ssd};
 use cagc_metrics::{Cdf, Histogram};
@@ -29,25 +30,40 @@ use cagc_workloads::{OpKind, RequestView, Trace};
 use crate::config::HostConfig;
 use crate::report::{HostReport, ResilienceStats};
 
-/// Engine event payloads.
-#[derive(Debug, Clone)]
-enum Ev {
-    /// Open-loop arrival of command `cmd` (index into the trace).
-    Arrive { cmd: usize },
-    /// Device finished command `cmd`; its completion entry lands on `q`.
-    Complete { q: usize, cmd: usize },
-    /// Re-issue command `cmd` to the device after a retryable error
+/// How a replay offers its commands to the queue pairs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Loop {
+    /// Arrival-timed load: every command arrives at its timestamp whether
+    /// or not earlier ones completed. A full pair backlogs arrivals
+    /// host-side; latency still counts from the arrival, so backpressure
+    /// shows up in the tail exactly as an overloaded device would feel to
+    /// its host.
+    Open,
+    /// fio `iodepth` semantics: timestamps are ignored; each pair keeps
+    /// `queue_depth` commands outstanding, and every reaped completion
+    /// immediately submits the next command in stream order. Wanted time
+    /// is the submission, so latency is pure service + queueing under a
+    /// fixed offered depth.
+    Closed,
+}
+
+/// Engine event payloads. A command in flight travels inside its event.
+#[derive(Debug)]
+enum Ev<'a> {
+    /// The device finished the command; its completion entry lands on
+    /// its pair.
+    Complete(Cmd<'a>),
+    /// Re-issue the command to the device after a retryable error
     /// completion (backoff + jitter already elapsed).
-    Retry { q: usize, cmd: usize },
+    Retry(Cmd<'a>),
     /// Interrupt coalescing backstop for pair `q`, valid only at `gen`.
     IrqTimer { q: usize, gen: u64 },
     /// Continue idle-window GC pumping.
     Pump,
 }
 
-/// Lifecycle timestamps of one command (all simulated ns), in trace
-/// order. Returned by the `_detailed` replay variants for per-request
-/// analysis (time series, worst-offender listings).
+/// Lifecycle timestamps of one command (all simulated ns), handed to a
+/// replay's sink when the command is reaped.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CmdLatency {
     /// The queue pair that carried the command.
@@ -76,21 +92,32 @@ impl CmdLatency {
     }
 }
 
+/// A command between its arrival and its reap.
+#[derive(Debug, Clone, Copy)]
+struct Cmd<'a> {
+    /// Position in the request stream: the `req` of its trace events.
+    pos: usize,
+    /// The stream's tag for it, handed back to the sink.
+    tag: usize,
+    req: RequestView<'a>,
+    lat: CmdLatency,
+}
+
 /// One submission/completion queue pair.
 #[derive(Debug, Default)]
-struct QueuePair {
+struct QueuePair<'a> {
     /// Commands dispatched to the device, completion pending.
     inflight: usize,
     /// Completed commands awaiting the interrupt.
-    cq: Vec<usize>,
+    cq: Vec<Cmd<'a>>,
     /// Open-loop arrivals waiting for a free slot.
-    backlog: VecDeque<usize>,
+    backlog: VecDeque<Cmd<'a>>,
     /// Interrupt generation: a coalescing timer is valid only if no
     /// interrupt fired since it was scheduled.
     irq_gen: u64,
 }
 
-impl QueuePair {
+impl QueuePair<'_> {
     /// Slots in use: submission until completion consumed.
     fn occupancy(&self) -> usize {
         self.inflight + self.cq.len()
@@ -150,67 +177,56 @@ impl HostInterface {
         self.ssd
     }
 
-    /// Open-loop replay: every command arrives at its trace timestamp
-    /// whether or not earlier ones completed (arrival-timed load). A full
-    /// pair backlogs arrivals host-side; latency still counts from the
-    /// arrival, so backpressure shows up in the tail exactly as an
-    /// overloaded device would feel to its host.
+    /// [`Loop::Open`] replay of `trace`.
     pub fn replay_open_loop(&mut self, trace: &Trace) -> HostReport {
-        self.run(trace, false).0
+        self.replay(Loop::Open, &trace.name, trace.requests.iter().enumerate(), |_, _| {})
     }
 
-    /// [`replay_open_loop`](Self::replay_open_loop), also returning the
-    /// per-command lifecycle timestamps in trace order.
-    pub fn replay_open_loop_detailed(&mut self, trace: &Trace) -> (HostReport, Vec<CmdLatency>) {
-        self.run(trace, false)
-    }
-
-    /// Closed-loop replay (fio `iodepth` semantics): trace timestamps are
-    /// ignored; each pair keeps `queue_depth` commands outstanding, and
-    /// every reaped completion immediately submits the next command in
-    /// trace order. Wanted time is the submission, so latency is pure
-    /// service + queueing under a fixed offered depth.
+    /// [`Loop::Closed`] replay of `trace`.
     pub fn replay_closed_loop(&mut self, trace: &Trace) -> HostReport {
-        self.run(trace, true).0
+        self.replay(Loop::Closed, &trace.name, trace.requests.iter().enumerate(), |_, _| {})
     }
 
-    /// [`replay_closed_loop`](Self::replay_closed_loop), also returning
-    /// the per-command lifecycle timestamps in trace order.
-    pub fn replay_closed_loop_detailed(&mut self, trace: &Trace) -> (HostReport, Vec<CmdLatency>) {
-        self.run(trace, true)
-    }
-
-    fn run(&mut self, trace: &Trace, closed: bool) -> (HostReport, Vec<CmdLatency>) {
+    /// Replay a time-ordered stream of `(tag, request)` commands
+    /// (`trace.requests.iter().enumerate()`, or `mixer::merge` over
+    /// tenants) and report it under `name`. Commands are drawn as they
+    /// arrive (open loop) or as slots free (closed loop); each one is
+    /// handed to `sink` with its tag when its completion is reaped, so the
+    /// engine holds only the commands between arrival and reap. Pair
+    /// assignment is round-robin by stream position.
+    pub fn replay<'a>(
+        &mut self,
+        mode: Loop,
+        name: &str,
+        stream: impl IntoIterator<Item = (usize, RequestView<'a>)>,
+        mut sink: impl FnMut(usize, &CmdLatency),
+    ) -> HostReport {
         let pairs = self.cfg.queue_pairs as usize;
-        let n = trace.requests.len();
-        // Open loop schedules every arrival up front. A closed loop holds
-        // one pending completion or retry per queue slot plus a few timers
-        // (the queue grows past this reservation if it must).
-        let events = if closed { pairs * (self.cfg.queue_depth as usize + 1) } else { n };
         let mut r = Runner {
             cfg: self.cfg.clone(),
             ssd: &mut self.ssd,
-            trace,
-            events: EventQueue::with_capacity(events + 64),
-            cmds: vec![CmdLatency::default(); n],
+            stream: stream.into_iter().peekable(),
+            drawn: 0,
+            sink: &mut sink,
+            events: EventQueue::new(),
             queues: (0..pairs).map(|_| QueuePair::default()).collect(),
-            cursor: 0,
-            closed,
+            closed: mode == Loop::Closed,
             stats: RawStats::default(),
             pump_pending: false,
             retry_rng: SimRng::for_stream(self.cfg.retry_seed, "host-retry"),
         };
-        r.prime();
+        for q in 0..pairs {
+            r.refill(q, 0);
+        }
         let end_ns = r.drain();
         let stats = r.stats;
-        let cmds = r.cmds;
         debug_assert_eq!(
             stats.all.count() + stats.resilience.power_lost,
-            n as u64,
+            r.drawn as u64,
             "every command is reaped as a latency sample or counted lost"
         );
-        let report = HostReport {
-            mode: if closed { "closed-loop" } else { "open-loop" },
+        HostReport {
+            mode: if mode == Loop::Closed { "closed-loop" } else { "open-loop" },
             queue_pairs: self.cfg.queue_pairs,
             queue_depth: self.cfg.queue_depth,
             all: cagc_core::LatencySummary::of(&stats.all),
@@ -224,23 +240,24 @@ impl HostInterface {
             pump_slices: stats.pump_slices,
             peak_occupancy: stats.peak_occupancy,
             resilience: stats.resilience,
-            device: self.ssd.report(&trace.name),
+            device: self.ssd.report(name),
             end_ns,
-        };
-        (report, cmds)
+        }
     }
 }
 
-/// Per-run engine state; borrows the SSD for the duration of one replay.
-struct Runner<'a> {
+/// Per-run engine state; borrows the SSD and the sink for the duration of
+/// one replay.
+struct Runner<'r, 'a, I: Iterator<Item = (usize, RequestView<'a>)>> {
     cfg: HostConfig,
-    ssd: &'a mut Ssd,
-    trace: &'a Trace,
-    events: EventQueue<Ev>,
-    cmds: Vec<CmdLatency>,
-    queues: Vec<QueuePair>,
-    /// Closed-loop: next trace index to submit.
-    cursor: usize,
+    ssd: &'r mut Ssd,
+    /// Commands not yet drawn, in stream order.
+    stream: Peekable<I>,
+    /// Commands drawn so far: the next one's stream position.
+    drawn: usize,
+    sink: &'r mut dyn FnMut(usize, &CmdLatency),
+    events: EventQueue<Ev<'a>>,
+    queues: Vec<QueuePair<'a>>,
     closed: bool,
     stats: RawStats,
     pump_pending: bool,
@@ -250,62 +267,60 @@ struct Runner<'a> {
     retry_rng: SimRng,
 }
 
-impl<'a> Runner<'a> {
-    /// Trace command `cmd`.
-    fn request(&self, cmd: usize) -> RequestView<'a> {
-        self.trace.requests.get(cmd).expect("commands index the trace")
+impl<'a, I: Iterator<Item = (usize, RequestView<'a>)>> Runner<'_, 'a, I> {
+    /// Take the stream's next command, wanted at `wanted_ns`.
+    fn draw(&mut self, wanted_ns: Nanos) -> Option<Cmd<'a>> {
+        let (tag, req) = self.stream.next()?;
+        let pos = self.drawn;
+        self.drawn += 1;
+        Some(Cmd { pos, tag, req, lat: CmdLatency { wanted_ns, ..CmdLatency::default() } })
     }
 
-    /// Seed the event queue: open-loop schedules every arrival up front;
-    /// closed-loop fills each pair to its depth at t = 0.
-    fn prime(&mut self) {
+    /// When the next open-loop arrival is due. A closed loop draws its
+    /// commands as slots free, so nothing ever arrives on its own.
+    fn next_arrival(&mut self) -> Option<Nanos> {
         if self.closed {
-            let depth = (self.cfg.queue_depth as usize).min(self.trace.requests.len());
-            for q in 0..self.queues.len() {
-                for _ in 0..depth {
-                    if self.cursor >= self.trace.requests.len() {
-                        return;
-                    }
-                    let i = self.cursor;
-                    self.cursor += 1;
-                    self.cmds[i].wanted_ns = 0;
-                    self.submit(i, q, 0);
-                }
-            }
-        } else {
-            for (i, req) in self.trace.requests.iter().enumerate() {
-                self.events.push(req.at_ns, Ev::Arrive { cmd: i });
-            }
+            return None;
         }
+        self.stream.peek().map(|(_, r)| r.at_ns)
     }
 
-    /// Pop events to exhaustion; returns the last event timestamp.
+    /// Handle arrivals and events in time order until both run out;
+    /// returns the last timestamp handled.
     fn drain(&mut self) -> Nanos {
         let mut now = 0;
-        while let Some(ev) = self.events.pop() {
-            now = ev.at;
-            match ev.payload {
-                Ev::Arrive { cmd } => self.arrive(cmd, now),
-                Ev::Complete { q, cmd } => self.complete(q, cmd, now),
-                Ev::Retry { q, cmd } => self.issue(q, cmd, now),
-                Ev::IrqTimer { q, gen } => {
-                    if gen == self.queues[q].irq_gen && !self.queues[q].cq.is_empty() {
-                        self.fire_irq(q, now);
+        loop {
+            // An arrival due no later than the next event goes first, so
+            // one landing on a completion's instant finds its slot taken.
+            let next_event = self.events.peek_time();
+            if let Some(at) = self.next_arrival().filter(|&at| next_event.is_none_or(|t| at <= t)) {
+                now = at;
+                let cmd = self.draw(at).expect("an arrival was peeked");
+                self.arrive(cmd, now);
+            } else if let Some(ev) = self.events.pop() {
+                now = ev.at;
+                match ev.payload {
+                    Ev::Complete(cmd) => self.complete(cmd, now),
+                    Ev::Retry(cmd) => self.issue(cmd, now),
+                    Ev::IrqTimer { q, gen } => {
+                        if gen == self.queues[q].irq_gen && !self.queues[q].cq.is_empty() {
+                            self.fire_irq(q, now);
+                        }
+                    }
+                    Ev::Pump => {
+                        self.pump_pending = false;
                     }
                 }
-                Ev::Pump => {
-                    self.pump_pending = false;
-                }
+            } else {
+                return now;
             }
             self.maybe_pump(now);
         }
-        now
     }
 
     /// Open-loop arrival: take a slot on the round-robin pair, or backlog.
-    fn arrive(&mut self, cmd: usize, now: Nanos) {
-        let q = cmd % self.queues.len();
-        self.cmds[cmd].wanted_ns = now;
+    fn arrive(&mut self, cmd: Cmd<'a>, now: Nanos) {
+        let q = cmd.pos % self.queues.len();
         if self.queues[q].occupancy() >= self.cfg.queue_depth as usize {
             self.stats.backlogged += 1;
             self.queues[q].backlog.push_back(cmd);
@@ -318,9 +333,9 @@ impl<'a> Runner<'a> {
     /// to the device. The device call is synchronous state-wise but the
     /// *time* of the completion comes back as an event, so commands from
     /// other pairs interleave with this one on the simulated clock.
-    fn submit(&mut self, cmd: usize, q: usize, now: Nanos) {
-        self.cmds[cmd].queue = q;
-        self.cmds[cmd].submitted_ns = now;
+    fn submit(&mut self, mut cmd: Cmd<'a>, q: usize, now: Nanos) {
+        cmd.lat.queue = q;
+        cmd.lat.submitted_ns = now;
         self.queues[q].inflight += 1;
         let occ: u64 = self.queues.iter().map(|p| p.occupancy() as u64).sum();
         if occ > self.stats.peak_occupancy {
@@ -331,7 +346,7 @@ impl<'a> Runner<'a> {
             self.ssd.tracer_mut().gauge("queue_occupancy", now, occ);
         }
         self.stats.doorbells += 1;
-        self.issue(q, cmd, now + self.cfg.fetch_ns);
+        self.issue(cmd, now + self.cfg.fetch_ns);
         if traced {
             self.ssd.tracer_mut().instant(
                 Track::Queue { pair: q as u32 },
@@ -350,20 +365,19 @@ impl<'a> Runner<'a> {
     /// seeded jitter instead. Write-protection is never retried (the spare
     /// pool is gone for good), and neither is a command a dead device
     /// never serviced.
-    fn issue(&mut self, q: usize, cmd: usize, exec_at: Nanos) {
-        let req = RequestView { at_ns: exec_at, ..self.request(cmd) };
+    fn issue(&mut self, mut cmd: Cmd<'a>, exec_at: Nanos) {
         // A command torn by (or issued after) power loss is lost, not
         // completed. It still travels the CQ/IRQ path with that status at
         // issue time, so its slot frees and a closed loop keeps draining.
         let comp = self
             .ssd
-            .submit(req)
+            .submit(RequestView { at_ns: exec_at, ..cmd.req })
             .unwrap_or(Completion { end_ns: exec_at, status: CmdStatus::PowerLoss });
+        // Saturating, so a `u64::MAX` deadline is one that never passes.
+        let deadline = (self.cfg.deadline_ns > 0)
+            .then(|| cmd.lat.wanted_ns.saturating_add(self.cfg.deadline_ns));
         if !comp.status.is_ok() {
-            let wanted = self.cmds[cmd].wanted_ns;
-            let tries = self.cmds[cmd].retries;
-            let deadline =
-                if self.cfg.deadline_ns > 0 { Some(wanted + self.cfg.deadline_ns) } else { None };
+            let tries = cmd.lat.retries;
             if comp.status.is_retryable() && tries < self.cfg.max_retries {
                 let backoff = self.cfg.retry_backoff_ns << tries.min(16);
                 let jitter = if self.cfg.retry_jitter_ns > 0 {
@@ -372,22 +386,18 @@ impl<'a> Runner<'a> {
                     0
                 };
                 let retry_at = comp.end_ns + backoff + jitter;
-                let past_deadline = match deadline {
-                    Some(d) => retry_at > d,
-                    None => false,
-                };
-                if !past_deadline {
-                    self.cmds[cmd].retries += 1;
+                if deadline.is_none_or(|d| retry_at <= d) {
+                    cmd.lat.retries += 1;
                     self.stats.resilience.retries += 1;
                     if self.ssd.tracer().is_enabled() {
                         self.ssd.tracer_mut().instant(
-                            Track::Queue { pair: q as u32 },
+                            Track::Queue { pair: cmd.lat.queue as u32 },
                             "retry",
                             comp.end_ns,
-                            &[("req", cmd as u64), ("attempt", u64::from(tries) + 1)],
+                            &[("req", cmd.pos as u64), ("attempt", u64::from(tries) + 1)],
                         );
                     }
-                    self.events.push(retry_at, Ev::Retry { q, cmd });
+                    self.events.push(retry_at, Ev::Retry(cmd));
                     return;
                 }
                 // Budget remains but the next attempt would start past the
@@ -402,19 +412,20 @@ impl<'a> Runner<'a> {
                 CmdStatus::Success => {}
             }
         }
-        self.cmds[cmd].status = comp.status;
+        cmd.lat.status = comp.status;
         let end = comp.end_ns + self.cfg.completion_ns;
-        if self.cfg.deadline_ns > 0 && end > self.cmds[cmd].wanted_ns + self.cfg.deadline_ns {
+        if deadline.is_some_and(|d| end > d) {
             // Observational only: the completion is still delivered; the
             // counter is how an operator sees deadline pressure build.
             self.stats.resilience.timeouts += 1;
         }
-        self.events.push(end, Ev::Complete { q, cmd });
+        self.events.push(end, Ev::Complete(cmd));
     }
 
     /// Completion entry posted; interrupt now (depth reached) or arm the
     /// coalescing timer.
-    fn complete(&mut self, q: usize, cmd: usize, now: Nanos) {
+    fn complete(&mut self, cmd: Cmd<'a>, now: Nanos) {
+        let q = cmd.lat.queue;
         self.queues[q].inflight -= 1;
         self.queues[q].cq.push(cmd);
         if self.queues[q].cq.len() >= self.cfg.coalesce_depth as usize {
@@ -426,23 +437,21 @@ impl<'a> Runner<'a> {
     }
 
     /// Interrupt: reap every pending completion (stamping end-to-end
-    /// latency), then refill the freed slots — backlog first (open loop)
-    /// or the next trace commands (closed loop).
+    /// latency and handing it to the sink), then refill the freed slots.
     fn fire_irq(&mut self, q: usize, now: Nanos) {
         self.queues[q].irq_gen += 1;
         self.stats.irqs += 1;
-        let reaped = std::mem::take(&mut self.queues[q].cq);
+        let mut reaped = std::mem::take(&mut self.queues[q].cq);
         let traced = self.ssd.tracer().is_enabled();
-        for &cmd in &reaped {
-            let kind = self.request(cmd).kind;
-            let rec = &mut self.cmds[cmd];
+        for cmd in &mut reaped {
+            let rec = &mut cmd.lat;
             rec.reaped_ns = now;
             // A lost command was never serviced: it is a failed op
             // (`ResilienceStats::power_lost`), not a latency sample.
             if rec.status != CmdStatus::PowerLoss {
                 let lat = now - rec.wanted_ns;
                 self.stats.all.record(lat);
-                match kind {
+                match cmd.req.kind {
                     OpKind::Read => self.stats.reads.record(lat),
                     OpKind::Write => self.stats.writes.record(lat),
                     OpKind::Trim => {}
@@ -450,15 +459,15 @@ impl<'a> Runner<'a> {
                 self.stats.queue_wait.record(rec.submitted_ns - rec.wanted_ns);
             }
             if traced {
-                let (submitted, queue) = (rec.submitted_ns, rec.queue as u32);
                 self.ssd.tracer_mut().span(
-                    Track::Queue { pair: queue },
+                    Track::Queue { pair: rec.queue as u32 },
                     "cmd",
-                    submitted,
+                    rec.submitted_ns,
                     now,
-                    &[("req", cmd as u64)],
+                    &[("req", cmd.pos as u64)],
                 );
             }
+            (self.sink)(cmd.tag, rec);
         }
         if traced {
             self.ssd.tracer_mut().instant(
@@ -468,15 +477,17 @@ impl<'a> Runner<'a> {
                 &[("reaped", reaped.len() as u64)],
             );
         }
-        // Refill freed slots.
+        self.refill(q, now);
+    }
+
+    /// Fill pair `q`'s free slots: backlog first (open loop), else the
+    /// stream's next commands (closed loop).
+    fn refill(&mut self, q: usize, now: Nanos) {
         while self.queues[q].occupancy() < self.cfg.queue_depth as usize {
             if let Some(cmd) = self.queues[q].backlog.pop_front() {
                 self.submit(cmd, q, now);
-            } else if self.closed && self.cursor < self.trace.requests.len() {
-                let i = self.cursor;
-                self.cursor += 1;
-                self.cmds[i].wanted_ns = now;
-                self.submit(i, q, now);
+            } else if let Some(cmd) = self.closed.then(|| self.draw(now)).flatten() {
+                self.submit(cmd, q, now);
             } else {
                 break;
             }
@@ -484,10 +495,11 @@ impl<'a> Runner<'a> {
     }
 
     /// Idle-window GC: when nothing is queued, in flight, or backlogged
-    /// anywhere — and no event fires at this very instant — run one
-    /// preemptible GC quantum and chain a [`Ev::Pump`] at its completion.
-    /// An arriving command naturally queues behind the in-progress slice
-    /// on the die timelines: the quantum is the preemption granularity.
+    /// anywhere — and nothing arrives or fires at this very instant — run
+    /// one preemptible GC quantum and chain a [`Ev::Pump`] at its
+    /// completion. An arriving command naturally queues behind the
+    /// in-progress slice on the die timelines: the quantum is the
+    /// preemption granularity.
     fn maybe_pump(&mut self, now: Nanos) {
         if !self.cfg.gc_pump || self.pump_pending {
             return;
@@ -496,7 +508,9 @@ impl<'a> Runner<'a> {
             .queues
             .iter()
             .all(|p| p.occupancy() == 0 && p.backlog.is_empty());
-        if !idle || self.events.peek_time().is_some_and(|t| t <= now) {
+        let due = |t: Nanos| t <= now;
+        if !idle || self.events.peek_time().is_some_and(due) || self.next_arrival().is_some_and(due)
+        {
             return;
         }
         if let Some(end) = self.ssd.gc_pump(now) {

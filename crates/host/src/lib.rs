@@ -7,13 +7,13 @@
 //! * N submission/completion **queue pairs** with bounded depth — a
 //!   command occupies a slot from submission until its completion is
 //!   reaped.
-//! * **Doorbell batching**: submissions accumulate and the doorbell rings
-//!   on a count threshold or a flush timeout, fetching the whole batch.
 //! * **Interrupt coalescing**: completions are delivered in bursts, on a
 //!   depth threshold or a timeout.
-//! * **Open-loop** replay (arrival-timed, backlogs under overload) and
-//!   **closed-loop** replay (fio `iodepth` semantics: a fixed number of
-//!   commands kept outstanding per pair).
+//! * One replay loop over any time-ordered request stream (a trace, or
+//!   `mixer::merge` over tenants), **open-loop** (arrival-timed, backlogs
+//!   under overload) or **closed-loop** (fio `iodepth` semantics: a fixed
+//!   number of commands kept outstanding per pair), handing each reaped
+//!   command's [`CmdLatency`] to a caller sink.
 //! * An **idle-window GC pump**: when every queue drains, the host lets
 //!   the device run preemptible GC quanta ([`cagc_core::Ssd::gc_pump`])
 //!   until the next command arrives.
@@ -37,5 +37,5 @@ pub mod engine;
 pub mod report;
 
 pub use config::HostConfig;
-pub use engine::{CmdLatency, HostInterface};
+pub use engine::{CmdLatency, HostInterface, Loop};
 pub use report::{HostReport, ResilienceStats};

@@ -2,11 +2,11 @@
 //! identity with the synchronous replay path, closed-loop QD=1 equivalence,
 //! determinism, coalescing, backpressure, and the idle GC pump.
 
-use cagc_core::{CmdStatus, Scheme, Ssd, SsdConfig};
+use cagc_core::{CmdStatus, Scheme, Ssd, SsdConfig, TraceConfig};
 use cagc_flash::FaultConfig;
 use cagc_harness::ToJson;
-use cagc_host::{HostConfig, HostInterface, HostReport};
-use cagc_workloads::{RequestView, SynthConfig, Trace};
+use cagc_host::{HostConfig, HostInterface, HostReport, Loop};
+use cagc_workloads::{mixer, Request, RequestView, SynthConfig, Trace};
 
 fn churn_trace(seed: u64, requests: usize, mean_interarrival_ns: u64) -> Trace {
     let flash = cagc_flash::UllConfig::tiny_for_tests();
@@ -284,7 +284,10 @@ fn power_loss_mid_replay_is_lost_commands_not_completions() {
     let mut dev = SsdConfig::tiny(Scheme::Cagc);
     dev.faults = FaultConfig { crash_at_op: Some(2_000), ..FaultConfig::none() };
     let mut host = HostInterface::new(Ssd::new(dev), HostConfig::nvme(2, 8));
-    let (report, cmds) = host.replay_closed_loop_detailed(&trace);
+    let mut cmds = Vec::new();
+    let report = host.replay(Loop::Closed, &trace.name, trace.requests.iter().enumerate(), |_, c| {
+        cmds.push(*c)
+    });
     let lost = report.resilience.power_lost;
     assert!(lost > 0 && report.all.count > 0, "the crash point lies inside the replay");
     assert_eq!(report.all.count + lost, trace.len() as u64);
@@ -295,6 +298,7 @@ fn power_loss_mid_replay_is_lost_commands_not_completions() {
         lost,
         "each lost command carries the status"
     );
+    assert_eq!(cmds.len(), trace.len(), "every command reaches the sink");
     assert!(cmds.iter().all(|c| c.reaped_ns >= c.submitted_ns), "every slot was reaped");
     assert!(report.to_json().render().contains(&format!("\"power_lost\":{lost}")));
     assert!(report.render().contains(&format!("power_lost={lost}")));
@@ -329,4 +333,128 @@ fn idle_windows_pump_preemptible_gc() {
         report.pump_slices > 0,
         "idle windows on a churning device should pump GC quanta"
     );
+}
+
+/// FNV-1a, 64-bit: enough to pin bytes, no dependency.
+fn digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Replay `trace` with tracing on and digest `[HostReport JSON,
+/// per-command rows in stream order, Chrome trace]`.
+fn traced_digests(mut ssd: Ssd, cfg: HostConfig, mode: Loop, t: &Trace) -> (HostReport, [u64; 3]) {
+    ssd.enable_tracing(TraceConfig::default());
+    let mut host = HostInterface::new(ssd, cfg);
+    let mut rows = vec![String::new(); t.len()];
+    let report = host.replay(mode, &t.name, t.requests.iter().enumerate(), |i, c| {
+        rows[i] = format!(
+            "{i} {} {} {} {} {:?} {}\n",
+            c.queue, c.wanted_ns, c.submitted_ns, c.reaped_ns, c.status, c.retries
+        );
+    });
+    let digests = [
+        digest(report.to_json().render().as_bytes()),
+        digest(rows.concat().as_bytes()),
+        digest(host.ssd().chrome_trace().as_bytes()),
+    ];
+    (report, digests)
+}
+
+/// Byte pins for the engine itself: (a) a backlogging open loop on the
+/// NVMe shape, pumping GC quanta into a preemptible device between
+/// bursts; (b) a closed loop on a faulty device with the resilience
+/// policy retrying, aborting and timing out. Any change to event order,
+/// pair assignment, retry draws or trace events moves a digest.
+#[test]
+fn engine_output_is_pinned() {
+    let mut dev = SsdConfig::tiny(Scheme::Cagc);
+    dev.gc_preempt = true;
+    dev.gc_slice_pages = 4;
+    let trace = churn_trace(59, 3_000, 150_000);
+    let (a, digests) = traced_digests(Ssd::new(dev), HostConfig::nvme(2, 4), Loop::Open, &trace);
+    let (backlogged, pumped) = (a.backlogged, a.pump_slices);
+    assert!(backlogged > 0 && pumped > 0, "{backlogged} backlogged, {pumped} pumped");
+    let want = [0x517bcc0c0b8f93f0, 0x8d134faa6c243b20, 0x3f7fb285bb17eee6];
+    assert_eq!(digests, want, "open loop");
+
+    let trace = churn_trace(61, 3_000, 200_000);
+    let cfg = HostConfig::nvme(2, 8).with_resilience(4_000_000, 3, 50_000, 10_000, 5);
+    let (b, digests) = traced_digests(Ssd::new(faulty_config(67)), cfg, Loop::Closed, &trace);
+    let r = &b.resilience;
+    assert!(r.retries > 0 && r.aborts > 0 && r.timeouts > 0, "{r:?}");
+    let want = [0xbc906a022eb1f5a3, 0x0c6d8153b51ff661, 0xe0320f589dda63d6];
+    assert_eq!(digests, want, "closed loop");
+}
+
+/// The engine takes any request stream: open-loop passthrough over the
+/// tenant merge drives the device exactly as `Ssd::replay` drives the
+/// materialised interleave, and the sink hears from every tenant's every
+/// command.
+#[test]
+fn merged_stream_matches_materialised_interleave() {
+    let half = cagc_flash::UllConfig::tiny_for_tests().logical_pages() * 9 / 20;
+    let tenant = |seed| {
+        SynthConfig {
+            requests: 1_500,
+            logical_pages: half,
+            mean_interarrival_ns: 300_000,
+            seed,
+            ..Default::default()
+        }
+        .generate()
+    };
+    let (a, b) = (tenant(73), tenant(79));
+    let merged = mixer::interleave_n(&[&a, &b]);
+    let want = Ssd::new(SsdConfig::tiny(Scheme::Cagc)).replay(&merged).to_json().render();
+
+    let ssd = Ssd::new(SsdConfig::tiny(Scheme::Cagc));
+    let mut host = HostInterface::new(ssd, HostConfig::passthrough());
+    let mut seen = [0usize; 2];
+    let stream = mixer::merge(&[&a, &b]);
+    let report = host.replay(Loop::Open, &merged.name, stream, |tenant, _| seen[tenant] += 1);
+    assert_eq!(report.device.to_json().render(), want);
+    assert_eq!(seen, [a.len(), b.len()]);
+}
+
+/// QD=1 open loop where every arrival lands on the exact instant the
+/// previous command's completion interrupt fires. An arrival due at an
+/// event's instant is handled before that event, so each one finds the
+/// slot still taken and backlogs, and the device still sees the chain
+/// `at = previous completion`.
+#[test]
+fn arrival_at_the_interrupt_instant_backlogs_before_the_reap() {
+    let base = churn_trace(71, 1_000, 0);
+    let mut reference = Ssd::new(SsdConfig::tiny(Scheme::Cagc));
+    let mut t = 0;
+    let mut requests = Vec::with_capacity(base.len());
+    for r in &base.requests {
+        let at_ns = t;
+        t = reference.submit(RequestView { at_ns, ..r }).expect("no crash plan").end_ns;
+        let contents = r.contents.to_vec();
+        requests.push(Request { at_ns, kind: r.kind, lpn: r.lpn, pages: r.pages, contents });
+    }
+    let trace = Trace::new("chain", base.logical_pages, requests);
+    let want = reference.report(&trace.name).to_json().render();
+
+    let mut cfg = HostConfig::passthrough();
+    cfg.queue_depth = 1;
+    let mut host = HostInterface::new(Ssd::new(SsdConfig::tiny(Scheme::Cagc)), cfg);
+    let report = host.replay_open_loop(&trace);
+    assert_eq!(trace.len(), 3_718);
+    assert_eq!(report.backlogged, 3_717, "every arrival but the first backlogs");
+    assert_eq!(report.device.to_json().render(), want);
+    assert_eq!(report.end_ns, t);
+}
+
+/// A `u64::MAX` deadline means "never": no overflow, no timeouts.
+#[test]
+fn maximal_deadline_never_times_out() {
+    let trace = churn_trace(67, 2_000, 100_000);
+    let cfg = HostConfig::passthrough().with_resilience(u64::MAX, 0, 0, 0, 0);
+    let mut host = HostInterface::new(Ssd::new(SsdConfig::tiny(Scheme::Cagc)), cfg);
+    let report = host.replay_open_loop(&trace);
+    assert_eq!(report.resilience.timeouts, 0);
+    assert_eq!(report.all.count, trace.len() as u64);
 }

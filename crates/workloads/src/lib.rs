@@ -34,7 +34,7 @@ pub mod zipf;
 
 pub use analyze::TraceProfile;
 pub use files::{FileId, FileWorkloadBuilder};
-pub use mixer::{inject_trims, interleave_n, interleave_n_tagged, merge, scale_rate};
+pub use mixer::{inject_trims, interleave_n, merge, scale_rate};
 pub use fiu::FiuWorkload;
 pub use parser::{parse_fiu, parse_native, write_native, ParseError};
 pub use synth::SynthConfig;

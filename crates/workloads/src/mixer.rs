@@ -93,31 +93,17 @@ impl ExactSizeIterator for Merge<'_> {}
 /// # Panics
 /// Panics on an empty tenant list.
 pub fn interleave_n(tenants: &[&Trace]) -> Trace {
-    interleave_n_tagged(tenants).0
-}
-
-/// [`interleave_n`] plus per-request tenant attribution: the second
-/// element tags each merged request with the index (into `tenants`) of
-/// the trace it came from. The fleet's host mode uses the tags to account
-/// per-command latency per tenant after replaying the merged trace.
-///
-/// # Panics
-/// Panics on an empty tenant list.
-pub fn interleave_n_tagged(tenants: &[&Trace]) -> (Trace, Vec<u32>) {
     assert!(!tenants.is_empty(), "interleave_n needs at least one tenant");
     let merged = merge(tenants);
     let contents = tenants.iter().map(|t| t.requests.contents_len()).sum();
     let mut requests = Requests::with_capacity(merged.len(), contents);
-    let mut tags = Vec::with_capacity(merged.len());
-    for (i, r) in merged {
-        tags.push(i as u32);
+    for (_, r) in merged {
         requests.push(r).unwrap_or_else(|e| panic!("interleave_n: {e}"));
     }
     let name = tenants.iter().map(|t| t.name.as_str()).collect::<Vec<_>>().join("||");
     let total_pages = tenants.iter().map(|t| t.logical_pages).sum();
-    let trace = Trace::from_requests(name, total_pages, requests)
-        .unwrap_or_else(|e| panic!("interleave_n: {e}"));
-    (trace, tags)
+    Trace::from_requests(name, total_pages, requests)
+        .unwrap_or_else(|e| panic!("interleave_n: {e}"))
 }
 
 /// Rescale arrival times by `factor` (2.0 = twice as slow, 0.5 = twice as
@@ -256,27 +242,19 @@ mod tests {
     }
 
     #[test]
-    fn interleave_n_tags_attribute_every_request() {
+    fn merge_attributes_every_request_to_its_tenant() {
         let traces: Vec<Trace> = (1..=3).map(small).collect();
         let refs: Vec<&Trace> = traces.iter().collect();
-        let (merged, tags) = interleave_n_tagged(&refs);
-        assert_eq!(tags.len(), merged.len());
-        // Per-tenant request counts survive the merge...
-        for (i, t) in traces.iter().enumerate() {
-            assert_eq!(tags.iter().filter(|&&g| g == i as u32).count(), t.len());
-        }
-        // ...and each tagged request falls inside its tenant's namespace
-        // and matches that tenant's FIFO order.
+        // Each tagged request falls inside its tenant's namespace and
+        // matches that tenant's FIFO order, and every request is tagged.
         let mut pos = vec![0usize; traces.len()];
         let offsets = [0, traces[0].logical_pages, traces[0].logical_pages + traces[1].logical_pages];
-        for (r, &tag) in merged.requests.iter().zip(&tags) {
-            let i = tag as usize;
+        for (i, r) in merge(&refs) {
             let orig = traces[i].requests.get(pos[i]).unwrap();
-            assert_eq!(r.lpn, orig.lpn + offsets[i]);
-            assert_eq!(r.at_ns, orig.at_ns);
-            assert_eq!(r.kind, orig.kind);
+            assert_eq!(r, RequestView { lpn: orig.lpn + offsets[i], ..orig });
             pos[i] += 1;
         }
+        assert!(pos.iter().zip(&traces).all(|(&n, t)| n == t.len()));
     }
 
     #[test]

@@ -69,13 +69,14 @@ fn main() {
             // Closed-loop through the multi-queue host interface:
             // per-request latency is host-observed (queueing included).
             let mut host = HostInterface::new(ssd, HostConfig::nvme(1, depth));
-            let (hr, cmds) = host.replay_closed_loop_detailed(&trace);
-            for c in &cmds {
+            let mut slowest = Vec::with_capacity(trace.len());
+            let stream = trace.requests.iter().enumerate();
+            let hr = host.replay(Loop::Closed, &trace.name, stream, |i, c| {
                 series.record(c.wanted_ns, c.latency_ns());
-            }
-            let mut slowest: Vec<(usize, &cagc::host::CmdLatency)> =
-                cmds.iter().enumerate().collect();
-            slowest.sort_by_key(|(_, c)| std::cmp::Reverse(c.latency_ns()));
+                slowest.push((i, *c));
+            });
+            // Slowest first; equal latencies in trace order.
+            slowest.sort_by_key(|&(i, c)| (std::cmp::Reverse(c.latency_ns()), i));
             let mut lines = format!(
                 "host qd={depth}: p95 {:>8.1}us  p99.9 {:>8.1}us  irqs {}  slowest requests:\n",
                 hr.all.p95_ns as f64 / 1000.0,

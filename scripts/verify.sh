@@ -53,6 +53,10 @@ if grep -rnE 'struct TenantSloSummary|fn merge_totals|fn target_for|targets: Vec
   || grep -n 'pub hist: Histogram' crates/fleet/src/report.rs; then
   echo "FAIL: a fleet rollup folds the device records themselves (TrafficTotals::merge, TenantReport::merge, TenantSloTrack::merge) through one first-appearance upsert; no second tenant record, no mix wrapper, no per-tenant SLO override table (docs/FLEET.md, Rollups)"; exit 1; fi
 
+echo "== one host loop: the engine draws commands from a stream and hands each reap to a sink =="
+if grep -rnE 'fn replay_open_loop_detailed|fn replay_closed_loop_detailed|Arrive \{' crates/host/src || grep -rn 'interleave_n_tagged' crates; then
+  echo "FAIL: HostInterface::replay is one event loop over a (tag, RequestView) stream that draws open-loop arrivals lazily and hands each reaped CmdLatency to a caller sink; no per-command twin of a replay, no arrival events scheduled up front, no merged trace materialised for the fleet's host mode (docs/HOST_INTERFACE.md, Queue model)"; exit 1; fi
+
 echo "== one value, no knob: derived thresholds and fixed costs are not settable =="
 if grep -rnE 'pub (gc_low|gc_high|gc_reserve_blocks|read_miss_ns|lookup_ns|trim_ns|idle_threshold_ns|prehash_ns|program_retry_backoff_ns|max_read_retries|ecc_decode_ns):' crates \
   || grep -rnE 'endurance_limit|wearout_slope|FleetTelemetryConfig|enum ConfigError' crates; then

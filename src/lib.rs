@@ -3,26 +3,29 @@
 //! A from-scratch Rust reproduction of *"CAGC: A Content-aware Garbage
 //! Collection Scheme for Ultra-Low Latency Flash-based SSDs"* (Wu, Du, Li,
 //! Jiang, Shen, Mao — IPDPS 2021): a full event-driven SSD simulator
-//! (FlashSim-class), a page-mapping FTL with three victim-selection
+//! (FlashSim-class), a page-mapping FTL with five victim-selection
 //! policies, a deduplication substrate (from-scratch SHA-1,
 //! reference-counted fingerprint index), FIU-like content-carrying
-//! workloads, and the three schemes the paper compares — **Baseline**,
-//! **Inline-Dedupe**, and **CAGC** itself.
+//! workloads, and four schemes: the three the paper compares —
+//! **Baseline**, **Inline-Dedupe**, and **CAGC** itself — plus the
+//! CAFTL-style **Inline-Sampled** comparator.
 //!
-//! This crate is a facade: it re-exports the workspace's crates under one
-//! roof and provides a [`prelude`]. See the individual crates for depth:
+//! This crate is a facade: it re-exports the crates its examples reach
+//! through it ([`sim`], [`flash`], [`dedup`], [`metrics`], [`workloads`])
+//! and provides a [`prelude`]. See the individual crates for depth:
 //!
 //! | crate | what it is |
 //! |-------|------------|
-//! | [`sim`] | discrete-event substrate: time base, event queue, resource timelines |
-//! | [`flash`] | NAND device model: geometry, page/block state machine, Table I timing |
-//! | [`dedup`] | SHA-1, fingerprints, fingerprint index with refcounts, hash engine |
-//! | [`ftl`] | mapping table, reverse map, region allocator, victim policies |
-//! | [`core`] | the schemes: `Ssd`, content-aware GC (preemptible slices), reports |
-//! | [`host`] | NVMe-style multi-queue host interface: SQ/CQ pairs, doorbells, interrupt coalescing, GC pump |
-//! | [`workloads`] | traces, FIU-like generators, parsers, file scenarios |
-//! | [`metrics`] | latency histograms, CDFs, summary stats, report tables |
-//! | [`trace`] | deterministic tracing: spans over simulated time, Chrome/JSONL export, gauge registry |
+//! | [`cagc_sim`] | discrete-event substrate: time base, event queue, resource timelines |
+//! | [`cagc_flash`] | NAND device model: geometry, page/block state machine, Table I timing |
+//! | [`cagc_dedup`] | SHA-1, fingerprints, fingerprint index with refcounts, hash engine |
+//! | [`cagc_ftl`] | mapping table, reverse map, region allocator, victim policies |
+//! | [`cagc_core`] | the schemes: `Ssd`, content-aware GC (preemptible slices), reports |
+//! | [`cagc_host`] | NVMe-style multi-queue host interface: SQ/CQ pairs, interrupt coalescing, one replay loop over a request stream, GC pump |
+//! | [`cagc_workloads`] | traces, FIU-like generators, parsers, file scenarios, the tenant merge |
+//! | [`cagc_metrics`] | latency histograms, CDFs, summary stats, report tables |
+//! | [`cagc_trace`] | deterministic tracing: spans over simulated time, Chrome/JSONL export, gauge registry |
+//! | [`cagc_fleet`] | multi-tenant devices fanned out over the worker pool, per-tenant QoS and SLO rollups |
 //!
 //! ## Quickstart
 //!
@@ -48,15 +51,10 @@
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub use cagc_core as core;
 pub use cagc_dedup as dedup;
 pub use cagc_flash as flash;
-pub use cagc_fleet as fleet;
-pub use cagc_ftl as ftl;
-pub use cagc_host as host;
 pub use cagc_metrics as metrics;
 pub use cagc_sim as sim;
-pub use cagc_trace as trace;
 pub use cagc_workloads as workloads;
 
 /// The names most programs need, in one import.
@@ -67,7 +65,7 @@ pub mod prelude {
     pub use cagc_dedup::{ContentId, Fingerprint, FingerprintIndex};
     pub use cagc_flash::{FaultConfig, FlashDevice, FlashError, Geometry, Timing, UllConfig};
     pub use cagc_ftl::{VictimKind, Region};
-    pub use cagc_host::{HostConfig, HostInterface, HostReport};
+    pub use cagc_host::{HostConfig, HostInterface, HostReport, Loop};
     pub use cagc_metrics::{Cdf, Histogram};
     pub use cagc_trace::{TraceConfig, Tracer};
     pub use cagc_workloads::{
