@@ -64,7 +64,23 @@ fn smoke(scale: &Scale, trace_out: Option<&std::path::Path>, sample: u64, preemp
     let mut ssd = smoke_device(trace_out.is_some(), sample, preempt);
     let trace = smoke_trace(scale);
     let report = ssd.replay(&trace);
-    println!("{}", report.render());
+    let mut t = cagc_metrics::Table::new(vec![
+        "scheme", "workload", "requests", "mean_us", "p99_us", "gc_rounds", "blocks_erased",
+        "pages_migrated", "dedup_hits", "waf",
+    ]);
+    t.row(vec![
+        report.scheme.clone(),
+        report.workload.clone(),
+        report.all.count.to_string(),
+        format!("{:.2}", report.all.mean_ns / 1e3),
+        format!("{:.2}", report.all.p99_ns as f64 / 1e3),
+        report.gc.invocations.to_string(),
+        report.gc.blocks_erased.to_string(),
+        report.gc.pages_migrated.to_string(),
+        report.index.hits.to_string(),
+        format!("{:.3}", report.waf()),
+    ]);
+    print!("{}", t.render());
     if let Some(path) = trace_out {
         let chrome = ssd.chrome_trace();
         let parsed = cagc_harness::Json::parse(&chrome).expect("emitted trace must parse");
@@ -156,12 +172,12 @@ fn inspect(
         );
     }
     let profile = SpanProfile::from_spans(&parsed.spans);
-    let anatomy = GcAnatomy::from_spans(&parsed.spans);
-    println!("{}", profile.render());
-    println!("{}", anatomy.render());
+    let (spans, phases) = (profile.table(), GcAnatomy::from_spans(&parsed.spans).table());
+    println!("Span profile (simulated ns)\n\n{}", spans.render());
+    println!("GC anatomy (simulated ns; the total row is the GC wall)\n\n{}", phases.render());
     for (name, content) in [
-        ("inspect_profile.csv", profile.to_csv()),
-        ("inspect_anatomy.csv", anatomy.to_csv()),
+        ("inspect_profile.csv", spans.to_csv()),
+        ("inspect_anatomy.csv", phases.to_csv()),
         ("inspect_flame.txt", profile.flamegraph()),
     ] {
         let path = out_dir.join(name);

@@ -980,10 +980,7 @@ pub fn sweep_fleet(scale: &Scale) -> Artifacts {
             // latency includes queueing, not just device service time.
             if scheme == Scheme::Cagc && devices == *fleet_sizes.last().expect("non-empty") {
                 let host_cfg = FleetConfig { host_queues: Some((2, 8)), ..cfg.clone() };
-                let host_rep = run_fleet(&host_cfg);
-                text.push_str(&host_rep.render());
-                text.push_str("\n\n");
-                qos_csv = Some(host_rep.qos_csv());
+                qos_csv = Some(run_fleet(&host_cfg).qos_csv());
             }
         }
     }
@@ -1003,11 +1000,7 @@ pub fn sweep_fleet(scale: &Scale) -> Artifacts {
         slo: Some(SloConfig::uniform(100_000_000, 900, 100_000_000)),
         ..base.clone()
     };
-    let obs_rep = run_fleet(&obs_cfg);
-    text.push_str("Observability cell (host-mode CAGC fleet, gauges + per-tenant SLO armed):\n");
-    text.push_str(&obs_rep.render());
-    text.push_str("\n\n");
-    let timeline_csv = obs_rep.timeline_csv();
+    let timeline_csv = run_fleet(&obs_cfg).timeline_csv();
 
     text.push_str(&tab.render());
 

@@ -1,6 +1,7 @@
 //! EXPERIMENTS.md's Fig. 6, 9, 10, 11 and 13 tables mirror
-//! `results/fig{6,9,10,11,13}.csv`, and its "Fleet scale" table mirrors
-//! `results/sweep_fleet.csv`: every cell must agree with its CSV value at
+//! `results/fig{6,9,10,11,13}.csv`, and its "Trim sensitivity", "Fault
+//! sensitivity", "Queue-depth sensitivity" and "Fleet scale" tables mirror
+//! `results/sweep_{trim,faults,qd,fleet}.csv`: every cell must agree with its CSV value at
 //! the precision the prose prints, so a golden cannot be re-pinned
 //! without its prose. Fig. 13's Greedy rows are Figs. 9 and 10's
 //! cells, so the CSVs must also agree with each other.
@@ -202,6 +203,93 @@ fn fleet_prose_matches_its_csv() {
             let waf = |devices| -> f64 { get(devices, scheme, mix, "waf").parse().expect("waf") };
             let moved = (waf(32) - waf(8)).abs() / waf(8);
             assert!(moved < 0.01, "Fleet {scheme}/{mix}: 8 -> 32 devices moves WAF by {moved:.4}");
+        }
+    }
+}
+
+/// A prose cell holding two values, `a / b`.
+fn pair(cell: &str) -> (&str, &str) {
+    cell.split_once(" / ").unwrap_or_else(|| panic!("`{cell}` is not an `a / b` pair"))
+}
+
+/// The "Trim sensitivity" table prints `sweep_trim.csv`: per injected trim
+/// fraction, Baseline WAF and erases and CAGC WAF, each honoring / ignoring
+/// the hints.
+#[test]
+fn trim_prose_matches_its_csv() {
+    let md = read("EXPERIMENTS.md");
+    let data = csv("results/sweep_trim.csv", 3);
+    let (_, rows) = table(&md, "## Trim sensitivity");
+    assert_eq!(rows.len(), 5, "Trim sensitivity: one row per trim fraction");
+    for row in &rows {
+        let pct: f64 = row[0].trim_end_matches('%').trim().parse().expect("trim percent");
+        let frac = format!("{}", pct / 100.0);
+        let cells = [("Baseline", "waf"), ("Baseline", "blocks_erased"), ("CAGC", "waf")];
+        for (cell, (scheme, col)) in row[1..4].iter().zip(cells) {
+            let (honor, ignore) = pair(cell);
+            for (prose, honored) in [(honor, "true"), (ignore, "false")] {
+                let key = (format!("{frac}/{scheme}/{honored}"), col.to_string());
+                check(&format!("Trim {frac} {scheme} {col} honor={honored}"), prose, &data[&key], false);
+            }
+        }
+    }
+}
+
+/// A fault rate as the prose prints it (`0`, `10⁻⁴`, `5·10⁻³`), spelled
+/// the way `sweep_faults.csv` keys it (`0.0001`, `0.005`).
+fn fault_rate(prose: &str) -> String {
+    if prose == "0" {
+        return prose.to_string();
+    }
+    let (mantissa, power) = prose.split_once('·').unwrap_or(("1", prose));
+    let exponent = power.strip_prefix("10⁻").expect("a negative power of ten").chars().fold(0, |e, c| {
+        10 * e + "⁰¹²³⁴⁵⁶⁷⁸⁹".chars().position(|d| d == c).expect("a superscript digit") as i32
+    });
+    let mantissa: f64 = mantissa.parse().expect("mantissa");
+    format!("{}", mantissa / 10f64.powi(exponent))
+}
+
+/// The "Fault sensitivity" table prints `sweep_faults.csv`: per fault rate
+/// and scheme, program / ECC failures, WAF, and mean / p99 latency.
+#[test]
+fn fault_prose_matches_its_csv() {
+    let md = read("EXPERIMENTS.md");
+    let data = csv("results/sweep_faults.csv", 2);
+    let (_, rows) = table(&md, "## Fault sensitivity");
+    assert_eq!(rows.len(), 5, "Fault sensitivity: one row per fault rate");
+    for row in &rows {
+        let rate = fault_rate(&row[0]);
+        for (scheme, cells) in [("Baseline", &row[1..4]), ("CAGC", &row[4..7])] {
+            let get = |col: &str| &data[&(format!("{rate}/{scheme}"), col.to_string())];
+            let what = |col: &str| format!("Faults {rate} {scheme} {col}");
+            let (prog, ecc) = pair(&cells[0]);
+            check(&what("program_failures"), prog, get("program_failures"), false);
+            check(&what("read_ecc_errors"), ecc, get("read_ecc_errors"), false);
+            check(&what("waf"), &cells[1], get("waf"), false);
+            let (mean, p99) = pair(&cells[2]);
+            check(&what("mean_us"), mean, get("mean_us"), false);
+            check(&what("p99_us"), p99, get("p99_us"), false);
+        }
+    }
+}
+
+/// The "Queue-depth sensitivity" table prints the read tail of
+/// `sweep_qd.csv`: per queue depth, p99, p99.9 and max with preemptible
+/// GC off and on.
+#[test]
+fn qd_prose_matches_its_csv() {
+    let md = read("EXPERIMENTS.md");
+    let data = csv("results/sweep_qd.csv", 4);
+    let (_, rows) = table(&md, "## Queue-depth sensitivity");
+    assert_eq!(rows.len(), 6, "Queue-depth sensitivity: one row per depth");
+    for row in &rows {
+        let qd = &row[0];
+        let cols = ["reads_p99_us", "reads_p999_us", "reads_max_us"];
+        for (pair, col) in row[1..7].chunks(2).zip(cols) {
+            for (cell, preempt) in pair.iter().zip(["false", "true"]) {
+                let key = (format!("Mail/1/{qd}/{preempt}"), col.to_string());
+                check(&format!("QD {qd} {col} preempt={preempt}"), cell, &data[&key], false);
+            }
         }
     }
 }

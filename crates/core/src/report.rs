@@ -3,7 +3,7 @@
 use cagc_dedup::IndexStats;
 use cagc_harness::{Json, ToJson};
 use cagc_metrics::{Cdf, Histogram};
-use cagc_sim::time::{fmt_duration, Nanos};
+use cagc_sim::time::Nanos;
 use cagc_trace::TelemetryReport;
 
 use crate::gc::GcStats;
@@ -12,9 +12,9 @@ use crate::recovery::RecoveryReport;
 /// Fault-injection and fault-handling counters for one run.
 ///
 /// All-false/all-zero on fault-free runs — [`FaultReport::is_quiet`] —
-/// in which case [`RunReport`] omits it from both the JSON and the human
-/// rendering, keeping fault-free output byte-identical to output from
-/// before the fault subsystem existed.
+/// in which case [`RunReport`] omits it from the JSON, keeping fault-free
+/// output byte-identical to output from before the fault subsystem
+/// existed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultReport {
     /// Whether a fault plan was configured (even if nothing fired).
@@ -115,23 +115,6 @@ pub struct HealthLog {
     pub read_only: bool,
 }
 
-impl HealthLog {
-    /// One-line human rendering ("SMART" row).
-    pub fn render(&self) -> String {
-        format!(
-            "media_errors={} unrecoverable={} retired={} spare={:.1}% wear p50/p90/max={}/{}/{} read_only={}",
-            self.media_errors,
-            self.unrecoverable_errors,
-            self.retired_blocks,
-            self.spare_pool_permille as f64 / 10.0,
-            self.wear_p50,
-            self.wear_p90,
-            self.wear_max,
-            self.read_only,
-        )
-    }
-}
-
 impl ToJson for HealthLog {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -183,21 +166,6 @@ impl LatencySummary {
             p999_ns: p999,
             max_ns: h.max(),
         }
-    }
-
-    /// One-line human rendering.
-    pub fn render(&self) -> String {
-        format!(
-            "n={} mean={} p50={} p90={} p95={} p99={} p99.9={} max={}",
-            self.count,
-            fmt_duration(self.mean_ns as u64),
-            fmt_duration(self.p50_ns),
-            fmt_duration(self.p90_ns),
-            fmt_duration(self.p95_ns),
-            fmt_duration(self.p99_ns),
-            fmt_duration(self.p999_ns),
-            fmt_duration(self.max_ns),
-        )
     }
 }
 
@@ -280,19 +248,19 @@ pub struct RunReport {
     /// dies — how well the workload + FTL exploited device parallelism.
     pub die_utilization: (f64, f64, f64),
     /// Fault-injection counters ([`FaultReport::is_quiet`] on fault-free
-    /// runs, and then omitted from JSON and rendering).
+    /// runs, and then omitted from JSON).
     pub faults: FaultReport,
     /// Sim time of the first bad-block retirement, if any — the
     /// "time-to-first-retirement" device-lifetime proxy the fleet layer
     /// aggregates. Retirements only happen on injected erase failures, so
     /// this rides the fault section's pay-as-you-go gating: `None` on
-    /// fault-free runs and then absent from JSON and rendering.
+    /// fault-free runs and then absent from JSON.
     pub first_retirement_ns: Option<Nanos>,
     /// The most recent power-loss recovery pass, if one ran.
     pub recovery: Option<RecoveryReport>,
     /// Tracing summary (event/drop counts, gauge windows). `None` unless
-    /// tracing was enabled, and then omitted from JSON and rendering —
-    /// the same pay-as-you-go gating as the fault section.
+    /// tracing was enabled, and then omitted from JSON — the same
+    /// pay-as-you-go gating as the fault section.
     pub telemetry: Option<TelemetryReport>,
     /// When the last request completed.
     pub end_ns: Nanos,
@@ -329,113 +297,6 @@ impl RunReport {
         } else {
             self.index.hits as f64 / self.index.lookups as f64
         }
-    }
-
-    /// Multi-line human rendering used by examples and the harness.
-    pub fn render(&self) -> String {
-        let fig6 = {
-            let total: u64 = self.invalidation_by_refcount.iter().sum();
-            if total == 0 {
-                "n/a".to_string()
-            } else {
-                let f = self.invalidation_by_refcount.map(|b| b as f64 / total as f64 * 100.0);
-                format!("ref1 {:.1}% / ref2 {:.1}% / ref3 {:.1}% / ref>3 {:.1}%", f[0], f[1], f[2], f[3])
-            }
-        };
-        let mut out = format!(
-            "{} on {} (victim: {})\n\
-             \x20 latency  : {}\n\
-             \x20 reads    : {}\n\
-             \x20 writes   : {}\n\
-             \x20 during GC: {}\n\
-             \x20 GC       : {} rounds, {} blocks erased, {} pages migrated, {} scanned, {} dedup hits\n\
-             \x20 placement: {} promotions, {} demotions\n\
-             \x20 trim     : honored={}, {} requests, {} pages invalidated, {} shared-ref drops, {} reclaimed without migration\n\
-             \x20 traffic  : {} host pages, {} user programs, {} total programs (WAF {:.3})\n\
-             \x20 invalidations by refcount: {}\n\
-             \x20 wear     : erase min {} / max {} / mean {:.2} / stddev {:.2}\n\
-             \x20 dies     : utilization min {:.1}% / max {:.1}% / mean {:.1}%",
-            self.scheme,
-            self.workload,
-            self.victim,
-            self.all.render(),
-            self.reads.render(),
-            self.writes.render(),
-            self.during_gc.render(),
-            self.gc.invocations,
-            self.gc.blocks_erased,
-            self.gc.pages_migrated,
-            self.gc.pages_scanned,
-            self.gc.dedup_hits,
-            self.gc.promotions,
-            self.gc.demotions,
-            self.honor_trim,
-            self.trims,
-            self.trim_invalidated_pages,
-            self.trim_ref_releases,
-            self.gc.trim_reclaimed_pages,
-            self.host_pages_written,
-            self.user_programs,
-            self.total_programs,
-            self.waf(),
-            fig6,
-            self.wear.0,
-            self.wear.1,
-            self.wear.2,
-            self.wear_stddev,
-            self.die_utilization.0 * 100.0,
-            self.die_utilization.1 * 100.0,
-            self.die_utilization.2 * 100.0,
-        );
-        if !self.faults.is_quiet() || self.recovery.is_some() {
-            let f = &self.faults;
-            out.push_str(&format!(
-                "\n\x20 faults   : crashed={} read_only={}, {} program fails ({} retries, {} forced), \
-                 {} erase fails ({} blocks retired), {} ECC errors ({} re-reads, {} decodes), \
-                 {} media-read + {} write-fault errors, \
-                 {} writes + {} trims rejected, {} journal records",
-                f.crashed,
-                f.read_only,
-                f.program_failures,
-                f.program_retries,
-                f.forced_programs,
-                f.erase_failures,
-                f.blocks_retired,
-                f.read_ecc_errors,
-                f.read_retries,
-                f.ecc_decodes,
-                f.media_read_errors,
-                f.write_faults,
-                f.writes_rejected,
-                f.trims_rejected,
-                f.journal_appends,
-            ));
-            if let Some(ns) = self.first_retirement_ns {
-                out.push_str(&format!("\n\x20 lifetime : first block retired at {}", fmt_duration(ns)));
-            }
-            if let Some(r) = &self.recovery {
-                out.push_str(&format!(
-                    "\n\x20 recovery : {} pages scanned, {} journal entries, {} mappings, \
-                     {} fingerprints, {} duplicate copies merged, cost {}",
-                    r.pages_scanned,
-                    r.journal_entries,
-                    r.mappings_recovered,
-                    r.fingerprints_rebuilt,
-                    r.duplicate_copies_merged,
-                    fmt_duration(r.recovery_ns),
-                ));
-            }
-        }
-        if let Some(t) = &self.telemetry {
-            out.push('\n');
-            for line in t.render().lines() {
-                out.push_str("\x20 ");
-                out.push_str(line);
-                out.push('\n');
-            }
-            out.pop(); // drop the trailing newline to match sibling sections
-        }
-        out
     }
 }
 
@@ -626,6 +487,14 @@ impl ToJson for TrafficTotals {
 mod tests {
     use super::*;
 
+    /// Whether the report's JSON has `key` at its top level.
+    fn has_key(r: &RunReport, key: &str) -> bool {
+        match r.to_json() {
+            Json::Obj(fields) => fields.iter().any(|(k, _)| k == key),
+            other => panic!("a report is a JSON object, not {other:?}"),
+        }
+    }
+
     #[test]
     fn latency_summary_from_histogram() {
         let mut h = Histogram::new();
@@ -636,7 +505,6 @@ mod tests {
         assert_eq!(s.count, 5);
         assert_eq!(s.max_ns, 1_000_000);
         assert!(s.p50_ns >= 20_000 && s.p50_ns <= 32_000);
-        assert!(s.render().contains("n=5"));
     }
 
     #[test]
@@ -676,23 +544,19 @@ mod tests {
         };
         assert_eq!(r.waf(), 0.0);
         assert_eq!(r.dedup_hit_rate(), 0.0);
-        assert!(r.render().contains("Baseline"));
-        // Quiet faults stay out of both renderings entirely.
-        assert!(!r.render().contains("faults"));
-        assert!(!r.to_json().render().contains("faults"));
+        // Quiet faults stay out of the JSON entirely.
+        assert!(!has_key(&r, "faults"));
         let mut noisy = r.clone();
         noisy.faults.program_failures = 1;
-        assert!(noisy.render().contains("faults"));
-        assert!(noisy.to_json().render().contains("\"faults\""));
+        assert!(has_key(&noisy, "faults"));
         // First-retirement timestamp rides the fault section's gating.
-        assert!(!noisy.to_json().render().contains("first_retirement_ns"));
+        assert!(!has_key(&noisy, "first_retirement_ns"));
         noisy.faults.erase_failures = 1;
         noisy.faults.blocks_retired = 1;
         noisy.first_retirement_ns = Some(5_000_000);
         assert!(noisy.to_json().render().contains("\"first_retirement_ns\":5000000"));
-        assert!(noisy.render().contains("first block retired at"));
         // Untraced runs carry no telemetry section; traced runs do.
-        assert!(!r.to_json().render().contains("telemetry"));
+        assert!(!has_key(&r, "telemetry"));
         let mut traced = r.clone();
         traced.telemetry = Some(TelemetryReport {
             events_recorded: 4,
@@ -701,8 +565,7 @@ mod tests {
             gauge_window_ns: 1_000,
             gauges: Vec::new(),
         });
-        assert!(traced.to_json().render().contains("\"telemetry\""));
-        assert!(traced.render().contains("telemetry: 4 events recorded"));
+        assert!(has_key(&traced, "telemetry"));
 
         // TrafficTotals recomputes ratios from summed counters.
         let mut a = r.clone();

@@ -506,7 +506,9 @@ fn health_log_tracks_degradation() {
     assert_eq!(h.unrecoverable_errors, 0, "no unrecoverable faults were armed");
     assert!(h.wear_p50 <= h.wear_p90 && h.wear_p90 <= h.wear_max);
     assert!(h.spare_pool_permille <= pristine.spare_pool_permille);
-    assert!(!h.render().is_empty());
+    let json = h.to_json().render();
+    assert!(json.contains(&format!("\"retired_blocks\":{}", h.retired_blocks)), "{json}");
+    assert!(json.ends_with("\"read_only\":true}"), "{json}");
 }
 
 #[test]
@@ -520,7 +522,8 @@ fn fault_free_runs_stay_quiet_and_journal_free() {
     let report = ssd.report("quiet");
     assert!(report.faults.is_quiet(), "fault-free run produced fault counters");
     assert!(report.recovery.is_none());
-    assert!(!report.render().contains("faults"));
+    let json = report.to_json().render();
+    assert!(!json.contains("\"faults\"") && !json.contains("\"telemetry\""), "{json}");
     assert!(ssd.device().journal().is_empty(), "fault-free runs must not journal");
 }
 

@@ -3,6 +3,8 @@
 use cagc_core::{Scheme, Ssd, SsdConfig};
 use cagc_dedup::ContentId;
 use cagc_flash::UllConfig;
+use cagc_ftl::VictimKind;
+use cagc_harness::prop::{harness_proptest, prop_assert, prop_assert_eq};
 use cagc_sim::time::us;
 use cagc_workloads::{FileWorkloadBuilder, FiuWorkload, OpKind, Request, SynthConfig, Trace};
 
@@ -464,4 +466,48 @@ fn s_audit(trace: Trace) {
     let mut s = ssd(Scheme::InlineSampled);
     s.replay(&trace);
     s.audit().unwrap();
+}
+
+// ------------------------------------------------- metamorphic relations
+
+harness_proptest! {
+    #![config(cases = 3)]
+    /// CAGC differs from Baseline only through repeated content. On a trace
+    /// in which no content repeats (reads, trims and multi-page writes),
+    /// every scheme does the same flash work: programs, erases, pages
+    /// migrated, blocks erased and each block's erase count. Latencies may
+    /// differ, so only the victim policies that never read a block's
+    /// modification time are held to it (DESIGN.md, "Metamorphic relations").
+    #[test]
+    fn unique_content_makes_every_scheme_do_the_same_flash_work(
+        seed in 0u64..0x1_0000_0000,
+        trim_permille in 5u64..100,
+    ) {
+        let flash = UllConfig::tiny_for_tests();
+        let trace = SynthConfig {
+            requests: 4_000,
+            logical_pages: (flash.logical_pages() as f64 * 0.9) as u64,
+            dedup_ratio: 0.0,
+            trim_ratio: trim_permille as f64 / 1000.0,
+            seed,
+            ..SynthConfig::default()
+        }
+        .generate();
+        for victim in [VictimKind::Greedy, VictimKind::Random, VictimKind::DChoices] {
+            let work = |scheme| {
+                let mut ssd = Ssd::new(SsdConfig { victim, ..SsdConfig::tiny(scheme) });
+                let report = ssd.replay(&trace);
+                let device = ssd.device();
+                let erases: Vec<u32> =
+                    (0..device.block_count()).map(|b| device.block(b).erase_count()).collect();
+                let stats = device.stats();
+                (stats.programs, stats.erases, report.gc.pages_migrated, report.gc.blocks_erased, erases)
+            };
+            let baseline = work(Scheme::Baseline);
+            prop_assert!(baseline.3 > 0, "{victim:?}: the trace never ran GC");
+            for scheme in Scheme::EXTENDED {
+                prop_assert_eq!(work(scheme), baseline, "{:?} under {:?}", scheme, victim);
+            }
+        }
+    }
 }

@@ -314,71 +314,6 @@ impl FleetReport {
         }
         out
     }
-
-    /// Short human summary.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "fleet: {} devices, {} mixes, {} distinct traces\n\
-             \x20 waf {:.4}, dedup hit rate {:.4}, {} erases, {} host pages",
-            self.devices.len(),
-            self.by_mix.len(),
-            self.distinct_traces,
-            self.fleet.waf(),
-            self.fleet.dedup_hit_rate(),
-            self.fleet.total_erases,
-            self.fleet.host_pages_written,
-        );
-        if let Some(ns) = self.earliest_retirement_ns {
-            out.push_str(&format!(
-                "\n\x20 lifetime: {} devices retired a block, earliest at {ns} ns",
-                self.retired_devices
-            ));
-        }
-        if self.degraded_devices > 0 || self.failed_ops > 0 {
-            let surviving = self.devices.len() as u64 - self.degraded_devices;
-            out.push_str(&format!(
-                "\n\x20 degradation: {} devices read-only ({} surviving), {} failed ops",
-                self.degraded_devices, surviving, self.failed_ops
-            ));
-            if let Some(ns) = self.first_degradation_ns {
-                out.push_str(&format!(", first at {ns} ns"));
-            }
-        }
-        for m in &self.by_mix {
-            out.push_str(&format!(
-                "\n\x20 mix {:<16} {} devs  waf {:.4}  dedup {:.4}",
-                m.mix,
-                m.devices,
-                m.totals.waf(),
-                m.totals.dedup_hit_rate()
-            ));
-        }
-        // Pay-as-you-go: unobserved fleets print none of these lines.
-        if let Some(tl) = &self.timeline {
-            let fleet_series = tl.series.iter().filter(|(n, _)| n.starts_with("fleet/")).count();
-            out.push_str(&format!(
-                "\n\x20 observability: {} timeline series ({} fleet-merged), {} events dropped",
-                tl.series.len(),
-                fleet_series,
-                self.dropped_events()
-            ));
-            if let Some(p) = &self.profile {
-                out.push_str(&format!(", {} profile buckets", p.rows().len()));
-            }
-        }
-        for (mix, t) in self.slo.iter().flatten() {
-            out.push_str(&format!(
-                "\n\x20 slo {mix}/{}: {}/1000 compliant (goal {}), burn {}m, worst window {}/1000 — {}",
-                t.tenant,
-                t.compliance_permille(),
-                t.goal_permille,
-                t.burn_rate_milli(),
-                t.worst_window_permille(),
-                if t.met() { "met" } else { "VIOLATED" }
-            ));
-        }
-        out
-    }
 }
 
 impl ToJson for FleetReport {

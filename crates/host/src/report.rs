@@ -4,13 +4,13 @@
 use cagc_core::{LatencySummary, RunReport};
 use cagc_harness::{Json, ToJson};
 use cagc_metrics::Cdf;
-use cagc_sim::time::{fmt_duration, Nanos};
+use cagc_sim::time::Nanos;
 
 /// Host resilience-policy counters: what the retry/deadline machinery did
 /// and which error completions ultimately surfaced to the host.
 ///
 /// All-zero on a fault-free run (the policy never fires), and the whole
-/// section is omitted from rendered/JSON output in that case, keeping
+/// section is omitted from JSON output in that case, keeping
 /// fault-free reports byte-identical with or without the policy armed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
@@ -39,23 +39,6 @@ impl ResilienceStats {
     /// section carries no information and is omitted from output.
     pub fn is_quiet(&self) -> bool {
         *self == Self::default()
-    }
-
-    /// One-line human-readable summary.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "retries={} timeouts={} aborts={} errors: media_read={} write_fault={} write_protected={}",
-            self.retries,
-            self.timeouts,
-            self.aborts,
-            self.media_read_errors,
-            self.write_faults,
-            self.write_protected,
-        );
-        if self.power_lost > 0 {
-            out.push_str(&format!(" power_lost={}", self.power_lost));
-        }
-        out
     }
 }
 
@@ -123,33 +106,6 @@ pub struct HostReport {
     pub device: RunReport,
     /// Simulated time of the last event.
     pub end_ns: Nanos,
-}
-
-impl HostReport {
-    /// Multi-line human-readable summary.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "host {} pairs={} qd={} end={}\n  all:    {}\n  reads:  {}\n  writes: {}\n  wait:   {}\n  doorbells={} irqs={} backlogged={} pump_slices={} peak_occupancy={}",
-            self.mode,
-            self.queue_pairs,
-            self.queue_depth,
-            fmt_duration(self.end_ns),
-            self.all.render(),
-            self.reads.render(),
-            self.writes.render(),
-            self.queue_wait.render(),
-            self.doorbells,
-            self.irqs,
-            self.backlogged,
-            self.pump_slices,
-            self.peak_occupancy,
-        );
-        if !self.resilience.is_quiet() {
-            out.push_str("\n  resilience: ");
-            out.push_str(&self.resilience.render());
-        }
-        out
-    }
 }
 
 impl ToJson for HostReport {

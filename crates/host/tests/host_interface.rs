@@ -301,7 +301,6 @@ fn power_loss_mid_replay_is_lost_commands_not_completions() {
     assert_eq!(cmds.len(), trace.len(), "every command reaches the sink");
     assert!(cmds.iter().all(|c| c.reaped_ns >= c.submitted_ns), "every slot was reaped");
     assert!(report.to_json().render().contains(&format!("\"power_lost\":{lost}")));
-    assert!(report.render().contains(&format!("power_lost={lost}")));
 }
 
 /// Malformed host configs come back as reportable errors from `try_new`;

@@ -1,7 +1,8 @@
 //! ASCII tables and bar charts for harness output.
 //!
-//! The repro harness prints every figure/table of the paper as text; these
-//! renderers keep that output aligned and diff-friendly.
+//! A [`Table`] is every human view in the workspace: reports are written
+//! only as JSON, and a caller that prints one picks its cells into a
+//! table. The same table yields the aligned text and the CSV artifact.
 
 /// Column-aligned ASCII table builder.
 #[derive(Debug, Clone, Default)]
@@ -69,11 +70,23 @@ impl Table {
     }
 
     /// The same cells as CSV: the header line, then one comma-joined line
-    /// per row (cells are written as-is, so they must not contain commas).
+    /// per row. A cell holding `,`, `"`, `\r` or `\n` is quoted RFC 4180
+    /// style (inner `"` doubled); every other cell is written as-is.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         for line in std::iter::once(&self.header).chain(&self.rows) {
-            out.push_str(&line.join(","));
+            for (i, cell) in line.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                if cell.contains([',', '"', '\r', '\n']) {
+                    out.push('"');
+                    out.push_str(&cell.replace('"', "\"\""));
+                    out.push('"');
+                } else {
+                    out.push_str(cell);
+                }
+            }
             out.push('\n');
         }
         out
@@ -130,6 +143,20 @@ mod tests {
         t.row(vec!["x"]);
         assert_eq!(t.to_csv(), "a,b,c\n1,2,3\nx,,\n");
         assert_eq!(Table::new(vec!["only", "header"]).to_csv(), "only,header\n");
+    }
+
+    #[test]
+    fn csv_quotes_only_cells_that_need_it() {
+        let mut t = Table::new(vec!["name", "n"]);
+        t.row(vec!["a,b", "1"]);
+        t.row(vec!["say \"hi\"", "2"]);
+        t.row(vec!["two\nlines", "3"]);
+        t.row(vec!["cr\r", "4"]);
+        t.row(vec!["plain", "5"]);
+        assert_eq!(
+            t.to_csv(),
+            "name,n\n\"a,b\",1\n\"say \"\"hi\"\"\",2\n\"two\nlines\",3\n\"cr\r\",4\nplain,5\n"
+        );
     }
 
     #[test]

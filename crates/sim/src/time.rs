@@ -26,22 +26,6 @@ pub const fn ms(n: u64) -> Nanos {
     n * 1_000_000
 }
 
-/// Render a duration with an adaptive unit (`ns`, `us`, `ms`, `s`).
-///
-/// Used by report printers; favours two decimal places which is plenty for
-/// human-readable latency tables.
-pub fn fmt_duration(t: Nanos) -> String {
-    if t < 1_000 {
-        format!("{t}ns")
-    } else if t < 1_000_000 {
-        format!("{:.2}us", t as f64 / 1_000.0)
-    } else if t < 1_000_000_000 {
-        format!("{:.2}ms", t as f64 / 1_000_000.0)
-    } else {
-        format!("{:.2}s", t as f64 / 1_000_000_000.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,13 +45,5 @@ mod tests {
         assert_eq!(us(16), 16_000); // write
         assert_eq!(ms(1) + us(500), 1_500_000); // erase 1.5ms
         assert_eq!(us(14), 14_000); // hash
-    }
-
-    #[test]
-    fn duration_formatting_picks_sane_units() {
-        assert_eq!(fmt_duration(999), "999ns");
-        assert_eq!(fmt_duration(us(12)), "12.00us");
-        assert_eq!(fmt_duration(ms(1) + us(500)), "1.50ms");
-        assert_eq!(fmt_duration(ms(3_000)), "3.00s");
     }
 }

@@ -19,10 +19,11 @@
 //! that silently un-names GC work fails loudly.
 
 use cagc_harness::{Json, ToJson};
+use cagc_metrics::Table;
 
 use crate::event::Track;
 use crate::recording::Recording;
-use crate::profile::{intersect, subtract, total_len, union};
+use crate::profile::{cells, intersect, subtract, total_len, union};
 
 /// The Fig. 8 phase order. `victim_select` is an instant (a pure
 /// metadata decision with no simulated duration), so it contributes a
@@ -155,27 +156,27 @@ impl GcAnatomy {
         GcAnatomy { gc_wall_ns, rounds, slices, phases, covered_ns, accounted_permille }
     }
 
-    /// CSV export: one row per phase plus a `total` row carrying the
-    /// wall, its covered length, and `accounted_permille`.
-    pub fn to_csv(&self) -> String {
-        let mut out =
-            String::from("phase,calls,busy_ns,exclusive_ns,overlapped_ns,share_permille\n");
+    /// One row per phase plus a `total` row carrying the wall, its
+    /// covered length, and `accounted_permille`: the CSV export and the
+    /// text `repro inspect` prints.
+    pub fn table(&self) -> Table {
+        let mut t = Table::new(vec![
+            "phase", "calls", "busy_ns", "exclusive_ns", "overlapped_ns", "share_permille",
+        ]);
         for p in &self.phases {
-            let share = self.share_permille(p.busy_ns);
-            out.push_str(&format!(
-                "{},{},{},{},{},{}\n",
-                p.name, p.calls, p.busy_ns, p.exclusive_ns, p.overlapped_ns, share
-            ));
+            let share = (p.busy_ns * 1000).checked_div(self.gc_wall_ns).unwrap_or(0);
+            t.row(cells(p.name, [p.calls, p.busy_ns, p.exclusive_ns, p.overlapped_ns, share]));
         }
-        out.push_str(&format!(
-            "total,{},{},{},{},{}\n",
-            self.rounds + self.slices,
-            self.gc_wall_ns,
-            self.covered_ns,
-            self.shared_ns(),
-            self.accounted_permille
+        t.row(cells(
+            "total",
+            [self.rounds + self.slices, self.gc_wall_ns, self.covered_ns, self.shared_ns(), self.accounted_permille],
         ));
-        out
+        t
+    }
+
+    /// [`GcAnatomy::table`] as CSV.
+    pub fn to_csv(&self) -> String {
+        self.table().to_csv()
     }
 
     /// Wall time covered by two or more phases at once. Derived exactly:
@@ -187,40 +188,6 @@ impl GcAnatomy {
     /// reports it as.
     fn shared_ns(&self) -> u64 {
         self.phases.iter().map(|p| p.overlapped_ns).sum::<u64>() / 2
-    }
-
-    /// A phase's busy time as a per-mille share of the GC wall.
-    fn share_permille(&self, busy_ns: u64) -> u64 {
-        (busy_ns * 1000).checked_div(self.gc_wall_ns).unwrap_or(0)
-    }
-
-    /// Human-readable decomposition.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "GC anatomy: wall {} ns over {} rounds + {} slices, {}.{}% accounted\n",
-            self.gc_wall_ns,
-            self.rounds,
-            self.slices,
-            self.accounted_permille / 10,
-            self.accounted_permille % 10,
-        );
-        out.push_str(
-            "  phase              calls     busy_ns  exclusive  overlapped  share\n",
-        );
-        for p in &self.phases {
-            let share = self.share_permille(p.busy_ns);
-            out.push_str(&format!(
-                "  {:<16} {:>7} {:>11} {:>10} {:>11} {:>4}.{}%\n",
-                p.name,
-                p.calls,
-                p.busy_ns,
-                p.exclusive_ns,
-                p.overlapped_ns,
-                share / 10,
-                share % 10,
-            ));
-        }
-        out
     }
 
     /// Per-phase deltas against another anatomy (`self` = A, `other` = B):

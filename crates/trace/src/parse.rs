@@ -246,6 +246,49 @@ mod tests {
         }
     }
 
+    /// A span name is the file's text: one holding a comma, a quote or a
+    /// line break still profiles to a CSV whose every row has 8 fields.
+    #[test]
+    fn odd_names_keep_the_profile_csv_rectangular() {
+        let names = ["a,b", "say \"hi\"", "two\nlines", "cr\r"];
+        let text: String = names
+            .iter()
+            .map(|name| {
+                let line = Json::obj([
+                    ("track", Json::Str("gc".into())),
+                    ("name", Json::Str(name.to_string())),
+                    ("kind", Json::Str("instant".into())),
+                    ("at_ns", Json::U64(0)),
+                ]);
+                line.render() + "\n"
+            })
+            .collect();
+        let csv = crate::SpanProfile::from_spans(&parse_jsonl(&text).unwrap().spans).to_csv();
+        // Split into records by RFC 4180: a quoted field may hold `,`,
+        // a line break and doubled quotes.
+        let (mut records, mut record, mut field, mut quoted) = (vec![], vec![], String::new(), false);
+        let mut chars = csv.chars().peekable();
+        while let Some(c) = chars.next() {
+            match c {
+                '"' if quoted && chars.peek() == Some(&'"') => field.push(chars.next().unwrap()),
+                '"' => quoted = !quoted,
+                ',' if !quoted => record.push(std::mem::take(&mut field)),
+                '\n' if !quoted => {
+                    record.push(std::mem::take(&mut field));
+                    records.push(std::mem::take(&mut record));
+                }
+                _ => field.push(c),
+            }
+        }
+        assert_eq!(records.len(), 1 + names.len(), "{csv}");
+        assert!(records.iter().all(|r| r.len() == 8), "{csv}");
+        let mut paths: Vec<String> = records[1..].iter().map(|r| r[0].clone()).collect();
+        paths.sort();
+        let mut want: Vec<String> = names.iter().map(|n| format!("gc/{n}")).collect();
+        want.sort();
+        assert_eq!(paths, want);
+    }
+
     #[test]
     fn blank_lines_are_skipped() {
         let parsed = parse_jsonl("\n\n").unwrap();

@@ -38,6 +38,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use cagc_harness::{Json, ToJson};
+use cagc_metrics::Table;
 
 use crate::event::{Track, CATEGORIES};
 use crate::names::Memo;
@@ -335,6 +336,11 @@ pub struct SpanProfile {
     buckets: BTreeMap<String, Bucket>,
 }
 
+/// A table row: `label`, then each number in decimal.
+pub(crate) fn cells<const N: usize>(label: impl Into<String>, numbers: [u64; N]) -> Vec<String> {
+    std::iter::once(label.into()).chain(numbers.map(|n| n.to_string())).collect()
+}
+
 /// Nearest-rank percentile over a sorted sample set.
 fn percentile(sorted: &[u64], p: u64) -> u64 {
     if sorted.is_empty() {
@@ -488,17 +494,22 @@ impl SpanProfile {
             .collect()
     }
 
-    /// CSV export (`path,calls,total_ns,self_ns,min_ns,p50_ns,p99_ns,max_ns`),
-    /// rows in path order.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("path,calls,total_ns,self_ns,min_ns,p50_ns,p99_ns,max_ns\n");
+    /// One row per bucket in path order, under
+    /// `path,calls,total_ns,self_ns,min_ns,p50_ns,p99_ns,max_ns`: the
+    /// CSV export and the text `repro inspect` prints.
+    pub fn table(&self) -> Table {
+        let mut t = Table::new(vec![
+            "path", "calls", "total_ns", "self_ns", "min_ns", "p50_ns", "p99_ns", "max_ns",
+        ]);
         for r in self.rows() {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{}\n",
-                r.path, r.calls, r.total_ns, r.self_ns, r.min_ns, r.p50_ns, r.p99_ns, r.max_ns
-            ));
+            t.row(cells(r.path, [r.calls, r.total_ns, r.self_ns, r.min_ns, r.p50_ns, r.p99_ns, r.max_ns]));
         }
-        out
+        t
+    }
+
+    /// [`SpanProfile::table`] as CSV.
+    pub fn to_csv(&self) -> String {
+        self.table().to_csv()
     }
 
     /// Collapsed-stack flamegraph text: one `a;b;c self_ns` line per
@@ -511,22 +522,6 @@ impl SpanProfile {
                 continue;
             }
             out.push_str(&format!("{} {}\n", r.path.replace('/', ";"), r.self_ns));
-        }
-        out
-    }
-
-    /// Human-readable table sorted by total time (descending, then path).
-    pub fn render(&self) -> String {
-        let mut rows = self.rows();
-        rows.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.path.cmp(&b.path)));
-        let mut out = String::from(
-            "span profile (simulated ns)\n  path                                     calls      total       self        p50        p99\n",
-        );
-        for r in &rows {
-            out.push_str(&format!(
-                "  {:<40} {:>6} {:>10} {:>10} {:>10} {:>10}\n",
-                r.path, r.calls, r.total_ns, r.self_ns, r.p50_ns, r.p99_ns
-            ));
         }
         out
     }
@@ -696,6 +691,6 @@ mod tests {
         let fg = p.flamegraph();
         assert_eq!(fg, "gc;gc_round;erase 10\n");
         assert!(p.to_json().render().starts_with(r#"{"buckets":[{"path":"gc/gc_round""#));
-        assert!(p.render().contains("gc/gc_round/erase"));
+        assert!(p.table().render().contains("gc/gc_round/erase"));
     }
 }

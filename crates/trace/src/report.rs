@@ -22,35 +22,6 @@ pub struct TelemetryReport {
     pub gauges: Vec<(String, Vec<Window>)>,
 }
 
-impl TelemetryReport {
-    /// Human-readable lines for the ASCII report.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "telemetry: {} events recorded, {} dropped (sample 1/{})\n",
-            self.events_recorded, self.dropped_events, self.sample
-        ));
-        if self.dropped_events > 0 {
-            out.push_str(&format!(
-                "  WARNING: event cap hit — {} events dropped; profiles and \
-                 anatomy from this trace are truncated (raise max_events or \
-                 the sampling stride)\n",
-                self.dropped_events
-            ));
-        }
-        for (name, windows) in &self.gauges {
-            let last = windows.last();
-            out.push_str(&format!(
-                "  gauge {:<20} {:>4} windows, last mean {:.1}\n",
-                name,
-                windows.len(),
-                last.map_or(0.0, |w| w.mean),
-            ));
-        }
-        out
-    }
-}
-
 impl ToJson for TelemetryReport {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -76,7 +47,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn renders_json_and_text() {
+    fn json_carries_counts_and_every_gauge() {
         let report = TelemetryReport {
             events_recorded: 12,
             dropped_events: 3,
@@ -88,15 +59,7 @@ mod tests {
             )],
         };
         let json = report.to_json().render();
-        assert!(json.contains("\"dropped_events\":3"));
+        assert!(json.starts_with(r#"{"events_recorded":12,"dropped_events":3,"sample":2"#));
         assert!(json.contains("\"free_pages\":[{"));
-        let text = report.render();
-        assert!(text.contains("12 events recorded"));
-        assert!(text.contains("free_pages"));
-        // Nonzero drop count surfaces a truncation warning…
-        assert!(text.contains("WARNING: event cap hit — 3 events dropped"));
-        // …which disappears entirely when nothing was dropped.
-        let clean = TelemetryReport { dropped_events: 0, ..report };
-        assert!(!clean.render().contains("WARNING"));
     }
 }

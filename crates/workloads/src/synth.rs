@@ -12,7 +12,7 @@
 //!
 //! Every written page draws its content as follows: with probability
 //! `dedup_ratio` it *reuses* an already-written content, sampled Zipf-style
-//! over the pool in first-appearance order (early contents stay popular);
+//! over the contents in first-appearance order (early contents stay popular);
 //! otherwise it is a fresh, globally unique content. The realized
 //! write-stream redundancy therefore converges to `dedup_ratio` by
 //! construction, and reference-count skew emerges naturally — exactly the
@@ -215,24 +215,21 @@ impl SynthConfig {
 struct ContentGen {
     dedup_ratio: f64,
     zipf: Zipf,
-    pool: Vec<ContentId>,
+    /// Contents issued so far are ids `0..next_unique`: a Zipf rank is an id.
     next_unique: u64,
 }
 
 impl ContentGen {
     fn new(dedup_ratio: f64, zipf: Zipf) -> Self {
-        Self { dedup_ratio, zipf, pool: Vec::new(), next_unique: 0 }
+        Self { dedup_ratio, zipf, next_unique: 0 }
     }
 
     fn next_content(&mut self, rng: &mut SimRng) -> ContentId {
-        if !self.pool.is_empty() && rng.next_f64() < self.dedup_ratio {
-            let rank = self.zipf.sample(self.pool.len() as u64, rng);
-            self.pool[rank as usize]
+        if self.next_unique > 0 && rng.next_f64() < self.dedup_ratio {
+            ContentId(self.zipf.sample(self.next_unique, rng))
         } else {
-            let c = ContentId(self.next_unique);
             self.next_unique += 1;
-            self.pool.push(c);
-            c
+            ContentId(self.next_unique - 1)
         }
     }
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use cagc::flash::UllConfig;
-use cagc::metrics::reduction_pct;
+use cagc::metrics::{reduction_pct, Table};
 use cagc::prelude::*;
 
 fn main() {
@@ -32,9 +32,25 @@ fn main() {
         .collect();
     let reports = run_cells(&cells, 0);
 
+    let mut t = Table::new(vec![
+        "scheme", "workload", "requests", "mean_us", "p99_us", "gc_rounds", "blocks_erased",
+        "pages_migrated", "dedup_hits", "waf",
+    ]);
     for r in &reports {
-        println!("{}\n", r.render());
+        t.row(vec![
+            r.scheme.clone(),
+            r.workload.clone(),
+            r.all.count.to_string(),
+            format!("{:.2}", r.all.mean_ns / 1e3),
+            format!("{:.2}", r.all.p99_ns as f64 / 1e3),
+            r.gc.invocations.to_string(),
+            r.gc.blocks_erased.to_string(),
+            r.gc.pages_migrated.to_string(),
+            r.index.hits.to_string(),
+            format!("{:.3}", r.waf()),
+        ]);
     }
+    println!("{}", t.render());
 
     let base = reports.iter().find(|r| r.scheme == "Baseline").expect("baseline ran");
     let cagc = reports.iter().find(|r| r.scheme == "CAGC").expect("cagc ran");

@@ -62,6 +62,11 @@ if grep -rnE 'pub (gc_low|gc_high|gc_reserve_blocks|read_miss_ns|lookup_ns|trim_
   || grep -rnE 'endurance_limit|wearout_slope|FleetTelemetryConfig|enum ConfigError' crates; then
   echo "FAIL: GC thresholds are GcThresholds::of(flash) and controller costs are SsdConfig consts; fleet telemetry takes a TraceConfig, config errors are Strings (DESIGN.md, what stays settable)"; exit 1; fi
 
+echo "== one report schema: a report is written once, by its ToJson; human views are Tables =="
+if grep -rn 'fn render(&self) -> String' crates/core/src crates/host/src crates/fleet/src crates/trace/src \
+  || grep -rn 'fn fmt_duration' crates; then
+  echo "FAIL: a report's one schema is its ToJson; a human view is a cagc_metrics::Table whose cells the caller picks, and the only text renderers are Json::render and Table::render (docs/OBSERVABILITY.md, Report sections)"; exit 1; fi
+
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
 

@@ -38,7 +38,7 @@
 //! let report = ssd.replay(&trace);
 //!
 //! assert!(report.gc.dedup_hits > 0); // GC eliminated redundant writes
-//! println!("{}", report.render());
+//! println!("{} blocks erased, WAF {:.3}", report.gc.blocks_erased, report.waf());
 //! ```
 //!
 //! Regenerate the paper's tables and figures with the harness:
