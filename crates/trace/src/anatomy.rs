@@ -31,6 +31,13 @@ use crate::profile::{cells, intersect, subtract, total_len, union};
 pub const GC_PHASES: [&str; 5] =
     ["victim_select", "migrate_read", "fingerprint", "migrate_write", "erase"];
 
+/// `part` of `whole` in permille, 0 for an empty whole; the product is
+/// taken in `u128`, so a wall near `u64::MAX` does not wrap it.
+fn permille(part: u64, whole: u64) -> u64 {
+    let p = (u128::from(part) * 1000).checked_div(u128::from(whole)).unwrap_or(0);
+    u64::try_from(p).unwrap_or(u64::MAX)
+}
+
 /// What a name is to the anatomy, decided once per name.
 #[derive(Clone, Copy)]
 enum Role {
@@ -131,7 +138,7 @@ impl GcAnatomy {
             .collect();
 
         let covered_ns = total_len(&union(clipped.iter().flatten().copied().collect()));
-        let accounted_permille = (covered_ns * 1000).checked_div(gc_wall_ns).unwrap_or(0);
+        let accounted_permille = permille(covered_ns, gc_wall_ns);
 
         let phases = GC_PHASES
             .iter()
@@ -164,7 +171,7 @@ impl GcAnatomy {
             "phase", "calls", "busy_ns", "exclusive_ns", "overlapped_ns", "share_permille",
         ]);
         for p in &self.phases {
-            let share = (p.busy_ns * 1000).checked_div(self.gc_wall_ns).unwrap_or(0);
+            let share = permille(p.busy_ns, self.gc_wall_ns);
             t.row(cells(p.name, [p.calls, p.busy_ns, p.exclusive_ns, p.overlapped_ns, share]));
         }
         t.row(cells(
@@ -187,7 +194,8 @@ impl GcAnatomy {
     /// stacking makes this an upper bound, which is all the `total` row
     /// reports it as.
     fn shared_ns(&self) -> u64 {
-        self.phases.iter().map(|p| p.overlapped_ns).sum::<u64>() / 2
+        let sum: u128 = self.phases.iter().map(|p| u128::from(p.overlapped_ns)).sum();
+        u64::try_from(sum / 2).unwrap_or(u64::MAX)
     }
 
     /// Per-phase deltas against another anatomy (`self` = A, `other` = B):
@@ -204,7 +212,7 @@ impl GcAnatomy {
                 b.calls,
                 a.busy_ns,
                 b.busy_ns,
-                b.busy_ns as i64 - a.busy_ns as i64
+                i128::from(b.busy_ns) - i128::from(a.busy_ns)
             ));
         }
         out.push_str(&format!(
@@ -213,7 +221,7 @@ impl GcAnatomy {
             other.rounds + other.slices,
             self.gc_wall_ns,
             other.gc_wall_ns,
-            other.gc_wall_ns as i64 - self.gc_wall_ns as i64
+            i128::from(other.gc_wall_ns) - i128::from(self.gc_wall_ns)
         ));
         out
     }

@@ -16,12 +16,13 @@
 //! * **Bounded** — [`TraceConfig::max_events`] caps retained events;
 //!   overflow increments a `dropped_events` counter instead of growing.
 //! * **No heap per event, written once** — recording appends 32-byte
-//!   events and 16-byte payload pairs to fixed-size segments that are
-//!   never reallocated; that [`Recording`] is the record stream the
+//!   events and 10-byte payload pairs (a `u16` key column and a `u64`
+//!   value column) to fixed-size segments that are never reallocated; that [`Recording`] is the record stream the
 //!   analyzers and exporters read where it lies (a JSONL dump parses back
 //!   into the same type), names and buckets are small integers
 //!   throughout, and a `String` exists once per output row, not once per
-//!   event.
+//!   event. A profile keeps its durations as `(value, count)` runs, and
+//!   its fold's scratch is sized by containers, not records.
 //!
 //! Exports: [`chrome_trace`] (Perfetto / `chrome://tracing` loadable)
 //! and [`jsonl`] (one event per line for scripted analysis).

@@ -95,6 +95,9 @@ fn parse_line(pairs: &[(String, Json)], out: &mut Recording) -> Result<(), Strin
             }
             other => return Err(format!("unknown kind {other:?}")),
         };
+    if end_ns < start_ns {
+        return Err(format!("span {name:?} ends at {end_ns} before it starts at {start_ns}"));
+    }
     let args = match field(pairs, "args") {
         Some(Json::Obj(kv)) => kv
             .iter()
@@ -287,6 +290,48 @@ mod tests {
         let mut want: Vec<String> = names.iter().map(|n| format!("gc/{n}")).collect();
         want.sort();
         assert_eq!(paths, want);
+    }
+
+    fn span_line(track: &str, name: &str, start_ns: u64, end_ns: u64) -> String {
+        format!(
+            "{{\"track\":\"{track}\",{}\"name\":\"{name}\",\"kind\":\"span\",\"start_ns\":{start_ns},\"end_ns\":{end_ns}}}\n",
+            if track == "die" { "\"channel\":0,\"die\":0," } else { "" }
+        )
+    }
+
+    /// Spans that end at `u64::MAX` saturate the profile's sums and keep
+    /// the anatomy's permille products exact, instead of overflowing (a
+    /// panic in a debug build, a wrapped total in a release one).
+    #[test]
+    fn spans_ending_at_u64_max_profile_and_anatomize() {
+        let text = [
+            span_line("host", "write", 0, u64::MAX),
+            span_line("host", "write", 1, u64::MAX),
+            span_line("gc", "gc_round", 2, u64::MAX),
+            span_line("die", "erase", 3, u64::MAX),
+        ]
+        .concat();
+        let parsed = parse_jsonl(&text).unwrap();
+        let rows = crate::SpanProfile::from_spans(&parsed.spans).rows();
+        let row = |path: &str| rows.iter().find(|r| r.path == path).unwrap().clone();
+        let write = row("host/write");
+        assert_eq!((write.calls, write.total_ns, write.self_ns), (2, u64::MAX, 2));
+        assert_eq!((write.min_ns, write.max_ns), (u64::MAX - 1, u64::MAX));
+        let round = row("gc/gc_round");
+        assert_eq!((round.total_ns, round.self_ns), (u64::MAX - 2, 1));
+        assert_eq!(row("gc/gc_round/erase").self_ns, u64::MAX - 3);
+        let anatomy = crate::GcAnatomy::from_spans(&parsed.spans);
+        assert_eq!((anatomy.gc_wall_ns, anatomy.covered_ns), (u64::MAX - 2, u64::MAX - 3));
+        assert_eq!(anatomy.accounted_permille, 999);
+        assert!(anatomy.to_csv().contains("\nerase,1,18446744073709551612,"), "{}", anatomy.to_csv());
+        assert!(anatomy.to_csv().ends_with(",999\n"), "{}", anatomy.to_csv());
+    }
+
+    #[test]
+    fn a_span_ending_before_it_starts_is_refused_with_its_line() {
+        let text = span_line("gc", "gc_round", 0, 10) + &span_line("gc", "gc_round", 10, 5);
+        let err = parse_jsonl(&text).unwrap_err();
+        assert!(err.starts_with("line 2:") && err.contains("ends at 5 before it starts at 10"), "{err}");
     }
 
     #[test]

@@ -26,14 +26,25 @@
 //! Inside the fold identities are small integers: a name is the id the
 //! recording interned it under, and a bucket is addressed by
 //! `(parent, name id)`. Strings exist once per bucket — the slash path
-//! is formatted after the last record, for tens of buckets — and the
-//! duration samples are sorted once, there and after a [`merge`]
-//! (`SpanProfile::merge`), never per export. Scratch is a few words per
-//! container, a 4-byte owner per leaf and one 16-byte interval per child
-//! (written once, into its owner's group), never one heap object per
-//! record.
+//! is formatted after the last record, for tens of buckets. A bucket
+//! keeps its durations as sorted `(value, count)` runs: new samples wait
+//! in a pending buffer of 1 024 that is sorted into the runs when it fills
+//! and after the last record, a [`merge`](SpanProfile::merge) is a linear
+//! merge of two run lists, and an export reads ranks off the cumulative
+//! counts. A recording of 852 k spans holds some 13 k distinct
+//! (bucket, duration) pairs, so the profile keeps kilobytes, not a `u64`
+//! per span.
 //!
-//! [`merge`]: SpanProfile::merge
+//! Scratch is sized by containers, not records: per container a 24-byte
+//! record (start, end, record index, bucket with a GC bit) in one array
+//! that holds the GC track's containers and then the host track's, so a
+//! track's lane is a run of it plus a prefix-max end each; a `u32`
+//! encloser and a `u32` cursor. Per leaf that has a duration, a `u32`
+//! owner. Per child, a `u32` reference — a record index, or a nested
+//! container's position with the top bit set — grouped by owner with a
+//! counting sort and turned back into intervals one group at a time.
+//! Nothing is one heap object per record, and the owners are reserved
+//! exactly, from a count taken on the containers' pass.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -128,30 +139,117 @@ fn is_container(rec: &Record) -> bool {
     rec.is_span() && matches!(rec.track(), Track::Gc | Track::Host)
 }
 
-/// `durs` is kept sorted outside the fold (see [`SpanProfile::merge`]).
+/// Samples a bucket takes in before it sorts them into its runs.
+const PENDING: usize = 1024;
+
+/// Outside the fold `pending` is empty and `runs` holds every duration
+/// sample: the distinct values in ascending order, each with how often it
+/// was seen. A recording spells a few thousand distinct durations across
+/// hundreds of thousands of spans, so the runs are what a profile keeps.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Bucket {
     calls: u64,
     total_ns: u64,
     self_ns: u64,
-    durs: Vec<u64>,
+    runs: Vec<(u64, u64)>,
+    /// Samples not yet in `runs`, in arrival order.
+    pending: Vec<u64>,
 }
 
 impl Bucket {
-    fn record(&mut self, dur_ns: u64) {
+    /// One span or instant of `dur_ns` whose own time is `self_ns` (a
+    /// container's is added once its children are known). Sums saturate:
+    /// a JSONL span may end at `u64::MAX`.
+    fn record(&mut self, dur_ns: u64, self_ns: u64) {
         self.calls += 1;
-        self.total_ns += dur_ns;
-        self.self_ns += dur_ns;
-        self.durs.push(dur_ns);
+        self.total_ns = self.total_ns.saturating_add(dur_ns);
+        self.self_ns = self.self_ns.saturating_add(self_ns);
+        self.pending.push(dur_ns);
+        if self.pending.len() == PENDING {
+            self.settle();
+        }
     }
 
-    /// Counts and times add; samples concatenate, unsorted.
-    fn absorb(&mut self, other: &Bucket) {
-        self.calls += other.calls;
-        self.total_ns += other.total_ns;
-        self.self_ns += other.self_ns;
-        self.durs.extend_from_slice(&other.durs);
+    /// Sort the pending samples into the runs. A value already in a run
+    /// adds to its count in place; only new values are merged in.
+    fn settle(&mut self) {
+        self.pending.sort_unstable();
+        let mut fresh: Vec<(u64, u64)> = Vec::new();
+        let mut from = 0;
+        for run in self.pending.chunk_by(|a, b| a == b) {
+            let (value, count) = (run[0], run.len() as u64);
+            match self.runs[from..].binary_search_by_key(&value, |&(v, _)| v) {
+                Ok(i) => {
+                    from += i;
+                    self.runs[from].1 += count;
+                }
+                Err(i) => {
+                    from += i;
+                    fresh.push((value, count));
+                }
+            }
+        }
+        self.pending.clear();
+        if !fresh.is_empty() {
+            self.runs = merge_runs(&self.runs, &fresh);
+        }
     }
+
+    /// Counts and times add; the runs merge into one sorted multiset.
+    fn absorb(&mut self, other: &Bucket) {
+        debug_assert!(self.pending.is_empty() && other.pending.is_empty());
+        self.calls += other.calls;
+        self.total_ns = self.total_ns.saturating_add(other.total_ns);
+        self.self_ns = self.self_ns.saturating_add(other.self_ns);
+        self.runs = merge_runs(&self.runs, &other.runs);
+    }
+
+    /// Nearest-rank min, p50, p99 and max over the runs (all 0 when
+    /// there is no sample), read off their cumulative counts.
+    fn quantiles(&self) -> [u64; 4] {
+        let n: u64 = self.runs.iter().map(|&(_, count)| count).sum();
+        let at = |p: u64| {
+            let mut rank = (p * n.saturating_sub(1) + 50) / 100;
+            for &(value, count) in &self.runs {
+                if rank < count {
+                    return value;
+                }
+                rank -= count;
+            }
+            0
+        };
+        let (min, max) = match (self.runs.first(), self.runs.last()) {
+            (Some(first), Some(last)) => (first.0, last.0),
+            _ => (0, 0),
+        };
+        [min, at(50), at(99), max]
+    }
+}
+
+/// Linear merge of two run lists; equal values add their counts.
+fn merge_runs(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u64)> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        match x.0.cmp(&y.0) {
+            std::cmp::Ordering::Less => {
+                out.push(x);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(y);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                out.push((x.0, x.1 + y.1));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 /// What a bucket hangs under: a track category (containers and
@@ -201,7 +299,7 @@ impl Fold<'_> {
     /// Give every bucket its slash path. A parent is created before its
     /// children, so its path is already there to extend; two keys that
     /// spell the same path (a JSONL name with a `/` in it) share a bucket.
-    fn finish(self) -> SpanProfile {
+    fn finish(mut self) -> SpanProfile {
         let mut paths: Vec<String> = Vec::with_capacity(self.keys.len());
         for &(parent, name) in &self.keys {
             let prefix = match parent {
@@ -211,59 +309,83 @@ impl Fold<'_> {
             paths.push(format!("{prefix}/{}", self.names[name]));
         }
         let mut profile = SpanProfile::default();
-        for (path, bucket) in paths.into_iter().zip(&self.buckets) {
+        for (path, bucket) in paths.into_iter().zip(&mut self.buckets) {
+            bucket.settle();
             profile.buckets.entry(path).or_default().absorb(bucket);
         }
-        profile.sort_samples();
         profile
     }
 }
 
-/// A container span, resolved while its record was at hand.
+/// A child reference with this bit set is a nested container's position
+/// in the sorted container array; without it, a leaf's record index. On a
+/// container's bucket it marks a span on the GC track.
+const TOP_BIT: u32 = 1 << 31;
+
+/// Record index `i` as a child reference (31 bits).
+fn reference(i: usize) -> u32 {
+    u32::try_from(i)
+        .ok()
+        .filter(|&r| r < TOP_BIT)
+        .unwrap_or_else(|| panic!("record {i}: a profile folds at most 2^31 records"))
+}
+
+/// A container span, resolved while its record was at hand: 24 bytes.
+#[derive(Clone, Copy)]
 struct Container {
     start: u64,
     end: u64,
     /// Position in the record stream (the order among equal intervals).
-    rec: usize,
-    /// On the GC track (else on the host track).
-    gc: bool,
-    bucket: usize,
+    rec: u32,
+    /// Its bucket, with [`TOP_BIT`] set for a span on the GC track.
+    bucket: u32,
 }
 
-/// One track's containers in `(start asc, end desc, record)` order, with
-/// the prefix maxima of their ends bounding the backward search.
-#[derive(Default)]
-struct Lane {
-    start: Vec<u64>,
-    end: Vec<u64>,
+impl Container {
+    fn bucket(&self) -> usize {
+        (self.bucket & !TOP_BIT) as usize
+    }
+
+    fn gc(&self) -> bool {
+        self.bucket & TOP_BIT != 0
+    }
+}
+
+/// One track's containers: a run of the container array, which holds the
+/// GC track's containers and then the host track's, each in
+/// `(start asc, end desc, record)` order; with the prefix maxima of their
+/// ends bounding the backward search.
+struct Lane<'c> {
+    run: &'c [Container],
+    /// Where the run starts in the container array.
+    first: usize,
     max_end: Vec<u64>,
-    /// Position of each entry in the all-tracks container order.
-    at: Vec<usize>,
     /// The last [`Lane::started_by`] answer.
     hint: usize,
 }
 
-impl Lane {
-    fn push(&mut self, at: usize, start: u64, end: u64) {
-        let run = self.max_end.last().copied().unwrap_or(0).max(end);
-        self.start.push(start);
-        self.end.push(end);
-        self.max_end.push(run);
-        self.at.push(at);
+impl<'c> Lane<'c> {
+    fn new(run: &'c [Container], first: usize) -> Self {
+        let mut reach = 0;
+        let max_end = run.iter().map(|c| {
+            reach = reach.max(c.end);
+            reach
+        });
+        Lane { run, first, max_end: max_end.collect(), hint: 0 }
     }
 
-    /// How many containers start at or before `ts`. Records arrive in
-    /// roughly increasing time, so the search gallops outward from the
-    /// previous answer before it bisects.
+    /// How many of the lane's containers start at or before `ts`. Records
+    /// arrive in roughly increasing time, so the search gallops outward
+    /// from the previous answer before it bisects.
     fn started_by(&mut self, ts: u64) -> usize {
-        let starts = &self.start[..];
+        let run = self.run;
         let (mut lo, mut hi, mut step) = (self.hint, self.hint, 1);
-        if lo > 0 && starts[lo - 1] > ts {
+        if lo > 0 && run[lo - 1].start > ts {
             // The answer lies left of the hint: in [lo, hi] once lo stops.
             hi -= 1;
             lo = loop {
                 let probe = hi.saturating_sub(step);
-                if starts[probe] <= ts {
+                if run[probe].start <= ts {
                     break probe + 1;
                 }
                 hi = probe;
@@ -275,29 +397,30 @@ impl Lane {
         } else {
             hi = loop {
                 let probe = lo + step - 1;
-                if probe >= starts.len() {
-                    break starts.len();
+                if probe >= run.len() {
+                    break run.len();
                 }
-                if starts[probe] > ts {
+                if run[probe].start > ts {
                     break probe;
                 }
                 lo = probe + 1;
                 step *= 2;
             };
         }
-        self.hint = lo + starts[lo..hi].partition_point(|&s| s <= ts);
+        self.hint = lo + run[lo..hi].partition_point(|c| c.start <= ts);
         self.hint
     }
 
-    /// The latest-starting container whose interval contains `ts`.
+    /// The position of the latest-starting container of this lane whose
+    /// interval contains `ts`.
     fn find(&mut self, ts: u64) -> Option<usize> {
-        let hi = self.started_by(ts);
+        let (run, hi) = (self.run, self.started_by(ts));
         for k in (0..hi).rev() {
             if self.max_end[k] < ts {
                 return None; // nothing earlier can reach ts
             }
-            if self.end[k] >= ts {
-                return Some(self.at[k]);
+            if run[k].end >= ts {
+                return Some(self.first + k);
             }
         }
         None
@@ -328,9 +451,10 @@ pub struct ProfileRow {
 
 /// A mergeable hierarchical span profile.
 ///
-/// Buckets keep their raw duration samples so profiles from many devices
-/// merge exactly: quantiles are computed over the merged (sorted) sample
-/// set at export time, making every output independent of merge order.
+/// Buckets keep every duration sample, as sorted `(value, count)` runs,
+/// so profiles from many devices merge exactly: quantiles are read off
+/// the merged runs at export time, making every output independent of
+/// merge order. Times saturate at `u64::MAX` rather than wrap.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanProfile {
     buckets: BTreeMap<String, Bucket>,
@@ -341,86 +465,96 @@ pub(crate) fn cells<const N: usize>(label: impl Into<String>, numbers: [u64; N])
     std::iter::once(label.into()).chain(numbers.map(|n| n.to_string())).collect()
 }
 
-/// Nearest-rank percentile over a sorted sample set.
-fn percentile(sorted: &[u64], p: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = (p * (sorted.len() as u64 - 1) + 50) / 100;
-    sorted[idx as usize]
-}
-
 impl SpanProfile {
     /// Fold a record stream into a profile, reading it where it lies.
+    ///
+    /// # Panics
+    /// When a container, or a leaf with a duration, sits past record
+    /// 2³¹ − 1: a child reference is a 31-bit record index.
     pub fn from_spans(spans: &Recording) -> Self {
         let names = spans.names().spellings();
         let gc_pipeline = names.iter().map(|n| gc_pipeline_name(n)).collect();
         let mut fold = Fold { names, gc_pipeline, ..Fold::default() };
-        // Containers, bucketed while their record is at hand. Self time
-        // starts at the duration; the children come off below.
+        // Containers, bucketed while their record is at hand; their self
+        // time is added below, once their children are known. The leaves
+        // with a duration are counted on the way.
         let mut containers: Vec<Container> = Vec::new();
-        spans.iter().enumerate().filter(|(_, r)| is_container(r)).for_each(|(rec, r)| {
+        let mut timed_leaves = 0;
+        spans.iter().enumerate().for_each(|(rec, r)| {
+            if !is_container(&r) {
+                timed_leaves += usize::from(r.dur_ns() > 0);
+                return;
+            }
             let (start, end) = (r.ts_ns(), r.ts_ns() + r.dur_ns());
             let track = r.track();
             let bucket =
                 fold.bucket_id(Parent::Category(track.category()), usize::from(r.name_id()));
-            fold.buckets[bucket].record(end - start);
-            containers.push(Container { start, end, rec, gc: track == Track::Gc, bucket });
+            fold.buckets[bucket].record(end - start, 0);
+            let gc = if track == Track::Gc { TOP_BIT } else { 0 };
+            containers.push(Container { start, end, rec: reference(rec), bucket: bucket as u32 | gc });
         });
-        containers.sort_unstable_by_key(|c| (c.start, std::cmp::Reverse(c.end), c.rec));
+        let order = |c: &Container| (c.start, std::cmp::Reverse(c.end), c.rec);
+        containers.sort_unstable_by_key(|c| (!c.gc(), order(c)));
+        let split = containers.partition_point(Container::gc);
+        let (mut gc, mut host) =
+            (Lane::new(&containers[..split], 0), Lane::new(&containers[split..], split));
 
-        let (mut all, mut gc, mut host) = (Lane::default(), Lane::default(), Lane::default());
-        // The container whose self time each interval excludes — a
-        // directly nested container's encloser, an attributed leaf's
-        // owner — or `NO_OWNER`. Four bytes per record: the intervals
-        // themselves are read again from the recording when grouped.
+        // The container whose self time each child excludes — a directly
+        // nested container's encloser, a timed leaf's owner — or
+        // `NO_OWNER`. Four bytes per container and per leaf with a
+        // duration: the intervals are read again when grouped.
         const NO_OWNER: u32 = u32::MAX;
         let mut enclosers = vec![NO_OWNER; containers.len()];
-        let mut owners: Vec<u32> = Vec::with_capacity(spans.len() - containers.len());
+        let mut owners: Vec<u32> = Vec::with_capacity(timed_leaves);
 
-        // Nested containers: stack sweep over (start asc, end desc) order
-        // finds each container's immediate enclosing container.
+        // Nested containers: a stack sweep over both lanes merged into
+        // (start asc, end desc, record) order finds each container's
+        // immediate enclosing container.
         let mut stack: Vec<usize> = Vec::new();
-        for (k, c) in containers.iter().enumerate() {
-            while stack.last().is_some_and(|&top| containers[top].end < c.end) {
+        let (mut g, mut h) = (0, split);
+        while g < split || h < containers.len() {
+            let from_gc = h == containers.len()
+                || (g < split && order(&containers[g]) < order(&containers[h]));
+            let k = if from_gc { g += 1; g - 1 } else { h += 1; h - 1 };
+            while stack.last().is_some_and(|&top| containers[top].end < containers[k].end) {
                 stack.pop();
             }
             if let Some(&top) = stack.last() {
                 enclosers[k] = top as u32;
             }
             stack.push(k);
-            all.push(k, c.start, c.end);
-            if c.gc { &mut gc } else { &mut host }.push(k, c.start, c.end);
         }
 
-        // Leaves: attribute, bucket, and note the owner of each one that
-        // has a duration.
+        // Leaves: attribute and bucket each one, and note the owner of
+        // each one that has a duration. When the preferred lane holds no
+        // container of `ts`, the latest-starting one of all is the other
+        // lane's.
         spans.iter().filter(|r| !is_container(r)).for_each(|rec| {
             let (ts, dur) = (rec.ts_ns(), rec.dur_ns());
             let (track, name) = (rec.track(), usize::from(rec.name_id()));
-            let preferred = if track == Track::Gc || fold.gc_pipeline[name] {
-                gc.find(ts)
+            let (preferred, other) = if track == Track::Gc || fold.gc_pipeline[name] {
+                (&mut gc, &mut host)
             } else {
-                host.find(ts)
+                (&mut host, &mut gc)
             };
-            let parent = match preferred.or_else(|| all.find(ts)) {
-                Some(owner) => {
-                    owners.push(if dur > 0 { owner as u32 } else { NO_OWNER });
-                    Parent::Bucket(containers[owner].bucket)
-                }
-                None => {
-                    owners.push(NO_OWNER);
-                    Parent::Category(track.category())
-                }
+            let owner = preferred.find(ts).or_else(|| other.find(ts));
+            if dur > 0 {
+                owners.push(owner.map_or(NO_OWNER, |o| o as u32));
+            }
+            let parent = match owner {
+                Some(owner) => Parent::Bucket(containers[owner].bucket()),
+                None => Parent::Category(track.category()),
             };
             let bucket = fold.bucket_id(parent, name);
-            fold.buckets[bucket].record(dur);
+            fold.buckets[bucket].record(dur, dur);
         });
+        drop((gc, host));
 
         // Container self times: duration minus the union of the children.
-        // A counting sort groups the intervals by owner (the cursors end
-        // up at the group ends), then each small group is swept.
-        let mut cursor = vec![0usize; containers.len()];
+        // A counting sort groups the children by owner as `u32`
+        // references (the cursors end up at the group ends); each group
+        // is turned back into intervals and swept on its own.
+        let mut cursor = vec![0u32; containers.len()];
         for &owner in enclosers.iter().chain(&owners).filter(|&&o| o != NO_OWNER) {
             cursor[owner as usize] += 1;
         }
@@ -428,47 +562,47 @@ impl SpanProfile {
         for c in &mut cursor {
             start += std::mem::replace(c, start);
         }
-        let mut grouped = vec![(0u64, 0u64); start];
-        let mut place = |owner: u32, interval| {
+        let mut grouped = vec![0u32; start as usize];
+        let mut place = |owner: u32, child: u32| {
             if owner != NO_OWNER {
-                grouped[cursor[owner as usize]] = interval;
+                grouped[cursor[owner as usize] as usize] = child;
                 cursor[owner as usize] += 1;
             }
         };
-        for (c, &owner) in containers.iter().zip(&enclosers) {
-            place(owner, (c.start, c.end));
+        for (k, &owner) in enclosers.iter().enumerate() {
+            place(owner, k as u32 | TOP_BIT);
         }
-        let leaves = spans.iter().filter(|r| !is_container(r));
-        for (rec, &owner) in leaves.zip(&owners) {
-            if let Some(c) = containers.get(owner as usize) {
-                place(owner, (rec.ts_ns(), (rec.ts_ns() + rec.dur_ns()).min(c.end)));
-            }
+        let timed = spans.iter().enumerate().filter(|(_, r)| !is_container(r) && r.dur_ns() > 0);
+        for ((rec, _), &owner) in timed.zip(&owners) {
+            place(owner, reference(rec));
         }
-        let mut start = 0;
-        for (&end, c) in cursor.iter().zip(&containers) {
-            fold.buckets[c.bucket].self_ns -= union_len(&mut grouped[start..end]);
-            start = end;
+        drop((enclosers, owners));
+        let (mut from, mut intervals) = (0, Vec::new());
+        for (&to, c) in cursor.iter().zip(&containers) {
+            intervals.clear();
+            intervals.extend(grouped[from as usize..to as usize].iter().map(|&child| {
+                if child & TOP_BIT != 0 {
+                    let nested = &containers[(child & !TOP_BIT) as usize];
+                    (nested.start, nested.end)
+                } else {
+                    let leaf = spans.record(child as usize);
+                    (leaf.ts_ns(), (leaf.ts_ns() + leaf.dur_ns()).min(c.end))
+                }
+            }));
+            let own = (c.end - c.start).saturating_sub(union_len(&mut intervals));
+            let bucket = &mut fold.buckets[c.bucket()];
+            bucket.self_ns = bucket.self_ns.saturating_add(own);
+            from = to;
         }
         fold.finish()
     }
 
-    /// Restore the invariant that every bucket's samples are sorted.
-    fn sort_samples(&mut self) {
-        for b in self.buckets.values_mut() {
-            b.durs.sort_unstable();
-        }
-    }
-
     /// Fold `other` into this profile. Exact: counts and times add and
-    /// the duration samples form one sorted multiset, so the result is
+    /// the duration runs merge into one sorted multiset, so the result is
     /// independent of merge order.
     pub fn merge(&mut self, other: &SpanProfile) {
         for (path, src) in &other.buckets {
-            let dst = self.buckets.entry(path.clone()).or_default();
-            dst.absorb(src);
-            // Two sorted runs back to back: the stable sort merges them
-            // in one linear pass.
-            dst.durs.sort();
+            self.buckets.entry(path.clone()).or_default().absorb(src);
         }
     }
 
@@ -481,15 +615,18 @@ impl SpanProfile {
     pub fn rows(&self) -> Vec<ProfileRow> {
         self.buckets
             .iter()
-            .map(|(path, b)| ProfileRow {
-                path: path.clone(),
-                calls: b.calls,
-                total_ns: b.total_ns,
-                self_ns: b.self_ns,
-                min_ns: b.durs.first().copied().unwrap_or(0),
-                p50_ns: percentile(&b.durs, 50),
-                p99_ns: percentile(&b.durs, 99),
-                max_ns: b.durs.last().copied().unwrap_or(0),
+            .map(|(path, b)| {
+                let [min_ns, p50_ns, p99_ns, max_ns] = b.quantiles();
+                ProfileRow {
+                    path: path.clone(),
+                    calls: b.calls,
+                    total_ns: b.total_ns,
+                    self_ns: b.self_ns,
+                    min_ns,
+                    p50_ns,
+                    p99_ns,
+                    max_ns,
+                }
             })
             .collect()
     }
@@ -664,8 +801,57 @@ mod tests {
         let spans: Vec<Spec> = [40u64, 10, 30, 20].iter().map(|&d| die("y", 0, d)).collect();
         let r = &profile(&spans).rows()[0];
         assert_eq!((r.min_ns, r.p50_ns, r.p99_ns, r.max_ns), (10, 30, 40, 40));
-        assert_eq!(percentile(&[], 50), 0);
-        assert_eq!(percentile(&[7], 99), 7);
+        let one = profile(&[die("y", 0, 7)]);
+        assert_eq!(one.rows()[0].p99_ns, 7);
+    }
+
+    #[test]
+    fn an_empty_bucket_reads_zero() {
+        assert_eq!(Bucket::default().quantiles(), [0; 4]);
+    }
+
+    #[test]
+    fn a_hundred_thousand_equal_spans_are_one_run() {
+        let spans: Vec<Spec> = (0..100_000).map(|i| die("read", i, i + 5)).collect();
+        let p = profile(&spans);
+        let bucket = &p.buckets["flash/read"];
+        assert_eq!(bucket.runs, [(5, 100_000)]);
+        assert!(bucket.pending.is_empty());
+        let r = &p.rows()[0];
+        assert_eq!((r.calls, r.total_ns, r.min_ns, r.p50_ns, r.p99_ns, r.max_ns), (100_000, 500_000, 5, 5, 5, 5));
+    }
+
+    /// Interleaved distinct values across several settles of the pending
+    /// buffer: the runs count every sample once, in order, and read the
+    /// same ranks a sorted sample vector would.
+    #[test]
+    fn runs_across_the_pending_boundary_count_every_sample() {
+        let n = 3 * PENDING + 17;
+        let value = |i: usize| (i * 7 % 11) as u64 * 10;
+        let mut b = Bucket::default();
+        for i in 0..n {
+            b.record(value(i), 0);
+            assert!(b.pending.len() < PENDING);
+        }
+        assert_eq!(b.runs.iter().map(|r| r.1).sum::<u64>(), 3 * PENDING as u64);
+        b.settle();
+        assert!(b.pending.is_empty());
+        assert_eq!(b.runs.len(), 11);
+        assert!(b.runs.windows(2).all(|w| w[0].0 < w[1].0));
+        for (v, count) in &b.runs {
+            assert_eq!(*count, (0..n).filter(|&i| value(i) == *v).count() as u64);
+        }
+        let mut sorted: Vec<u64> = (0..n).map(value).collect();
+        sorted.sort_unstable();
+        let rank = |p: usize| sorted[(p * (n - 1) + 50) / 100];
+        assert_eq!(b.quantiles(), [sorted[0], rank(50), rank(99), sorted[n - 1]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a profile folds at most 2^31 records")]
+    fn a_record_index_past_31_bits_panics() {
+        assert_eq!(reference((1 << 31) - 1), (1 << 31) - 1);
+        reference(1 << 31);
     }
 
     #[test]

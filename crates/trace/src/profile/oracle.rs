@@ -1,29 +1,83 @@
 //! Reference implementation of [`SpanProfile::from_spans`] — the
-//! string-keyed fold the integer-keyed one replaced — and the property
-//! test that the two agree on every export.
+//! string-keyed fold the integer-keyed one replaced, keeping every raw
+//! duration sample — and the property tests that the two agree on every
+//! row, and that merged duration runs equal the concatenated samples.
 
 use std::collections::BTreeMap;
 
 use cagc_harness::prop::*;
-use cagc_harness::ToJson;
 
-use super::{gc_pipeline_name, total_len, union, SpanProfile, CATEGORIES};
+use super::{gc_pipeline_name, total_len, union, ProfileRow, SpanProfile, CATEGORIES};
 use crate::event::{EventKind, Track};
 use crate::recording::testing::{instant, recording, span, Spec};
 use crate::recording::{Record, Recording};
 
-fn add(profile: &mut SpanProfile, path: String, dur_ns: u64, self_ns: u64) {
-    let b = profile.buckets.entry(path).or_default();
+/// A bucket as the oracle keeps it: every duration sample, raw.
+#[derive(Debug, Clone, Default)]
+struct RawBucket {
+    calls: u64,
+    total_ns: u64,
+    self_ns: u64,
+    samples: Vec<u64>,
+}
+
+/// Buckets by slash path.
+type RawProfile = BTreeMap<String, RawBucket>;
+
+fn add(profile: &mut RawProfile, path: String, dur_ns: u64, self_ns: u64) {
+    let b = profile.entry(path).or_default();
     b.calls += 1;
-    b.total_ns += dur_ns;
-    b.self_ns += self_ns;
-    b.durs.push(dur_ns);
+    b.total_ns = b.total_ns.saturating_add(dur_ns);
+    b.self_ns = b.self_ns.saturating_add(self_ns);
+    b.samples.push(dur_ns);
+}
+
+/// Nearest-rank percentile over a sorted sample set.
+fn percentile(sorted: &[u64], p: u64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let idx = (p * (sorted.len() as u64 - 1) + 50) / 100;
+    sorted[idx as usize]
+}
+
+/// The rows [`SpanProfile::rows`] reads off its runs, computed over a
+/// sorted copy of the raw samples.
+fn rows(profile: &RawProfile) -> Vec<ProfileRow> {
+    profile
+        .iter()
+        .map(|(path, b)| {
+            let mut sorted = b.samples.clone();
+            sorted.sort_unstable();
+            ProfileRow {
+                path: path.clone(),
+                calls: b.calls,
+                total_ns: b.total_ns,
+                self_ns: b.self_ns,
+                min_ns: sorted.first().copied().unwrap_or(0),
+                p50_ns: percentile(&sorted, 50),
+                p99_ns: percentile(&sorted, 99),
+                max_ns: sorted.last().copied().unwrap_or(0),
+            }
+        })
+        .collect()
+}
+
+/// Counts and times add, samples concatenate.
+fn merge_raw(into: &mut RawProfile, from: &RawProfile) {
+    for (path, b) in from {
+        let dst = into.entry(path.clone()).or_default();
+        dst.calls += b.calls;
+        dst.total_ns = dst.total_ns.saturating_add(b.total_ns);
+        dst.self_ns = dst.self_ns.saturating_add(b.self_ns);
+        dst.samples.extend_from_slice(&b.samples);
+    }
 }
 
 /// The fold as it was before buckets were addressed by integers: every
 /// record formats its bucket path and probes the path-keyed map, and every
 /// container owns a vector of child intervals.
-fn from_spans_by_path(recording: &Recording) -> SpanProfile {
+fn from_spans_by_path(recording: &Recording) -> RawProfile {
     let spans: Vec<Record> = recording.iter().collect();
     let category = |track: Track| track.category();
     // Containers, as (start, end, rec index), in (start, idx) order.
@@ -90,7 +144,7 @@ fn from_spans_by_path(recording: &Recording) -> SpanProfile {
     // Per container instance: the child intervals its self time
     // excludes (attributed leaves + directly nested containers).
     let mut children: BTreeMap<usize, Vec<(u64, u64)>> = BTreeMap::new();
-    let mut profile = SpanProfile::default();
+    let mut profile = RawProfile::default();
 
     // Nested containers: stack sweep over (start asc, end desc) order
     // finds each container's immediate enclosing container.
@@ -161,22 +215,19 @@ fn from_spans_by_path(recording: &Recording) -> SpanProfile {
         let rec = &spans[idx];
         let path = format!("{}/{}", CATEGORIES[category(rec.track())], rec.name());
         let slf = (e - s).saturating_sub(covered);
-        if let Some(b) = profile.buckets.get_mut(&path) {
-            b.self_ns += slf;
+        if let Some(b) = profile.get_mut(&path) {
+            b.self_ns = b.self_ns.saturating_add(slf);
         }
     }
-    // `rows()` used to sort a copy of the samples at every export.
-    profile.sort_samples();
     profile
 }
 
 fn assert_matches_oracle(spans: &[Spec]) -> Result<(), TestCaseError> {
     let spans = recording(spans);
     let (new, old) = (SpanProfile::from_spans(&spans), from_spans_by_path(&spans));
-    prop_assert_eq!(new.to_csv(), old.to_csv());
-    prop_assert_eq!(new.flamegraph(), old.flamegraph());
-    prop_assert_eq!(new.to_json().render(), old.to_json().render());
-    prop_assert_eq!(new, old);
+    prop_assert_eq!(new.rows(), rows(&old));
+    // Outside the fold every sample is in a run.
+    prop_assert!(new.buckets.values().all(|b| b.pending.is_empty()));
     Ok(())
 }
 
@@ -225,6 +276,27 @@ harness_proptest! {
     ) {
         let spans: Vec<Spec> = recs.into_iter().map(record).collect();
         assert_matches_oracle(&spans)?;
+    }
+
+    /// Profiles of k random streams merged front to back and back to
+    /// front: both read the rows of the streams' raw samples, concatenated.
+    #[test]
+    fn merged_runs_equal_the_concatenated_samples(
+        streams in vec(vec((0usize..8, 0usize..180, 0u8..6, 0u64..300, 0u64..40), 0..120), 1..6)
+    ) {
+        let recordings: Vec<Recording> = streams
+            .into_iter()
+            .map(|recs| recording(&recs.into_iter().map(record).collect::<Vec<_>>()))
+            .collect();
+        let profiles: Vec<SpanProfile> = recordings.iter().map(SpanProfile::from_spans).collect();
+        let (mut forward, mut backward) = (SpanProfile::default(), SpanProfile::default());
+        profiles.iter().for_each(|p| forward.merge(p));
+        profiles.iter().rev().for_each(|p| backward.merge(p));
+        let mut raw = RawProfile::default();
+        recordings.iter().for_each(|r| merge_raw(&mut raw, &from_spans_by_path(r)));
+        prop_assert_eq!(forward.rows(), rows(&raw));
+        prop_assert_eq!(backward.rows(), rows(&raw));
+        prop_assert_eq!(forward, backward);
     }
 
     /// Streams that use many names at once: every record a different one

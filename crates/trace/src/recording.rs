@@ -5,16 +5,19 @@
 //! An event is 32 bytes: two timestamps, where its payload starts, its
 //! track packed into one word, its name as an id into the recording's
 //! [`Names`], a payload length and a span/instant flag. A payload pair is
-//! 16 bytes (key id + value). Both live in fixed-size segments that are
-//! pushed, never grown: recording copies nothing as it gets longer and
-//! never holds an old and a new buffer at once.
+//! 10 bytes in two columns: a `u16` key id and a `u64` value, at the same
+//! position in each (a 16-byte struct of the two would pad 6 bytes).
+//! All three columns live in fixed-size segments that are pushed, never
+//! grown: recording copies nothing as it gets longer and never holds an
+//! old and a new buffer at once.
 
 use std::mem::size_of;
 
 use crate::event::{EventKind, Track};
 use crate::names::Names;
 
-/// Items per segment: 128 KiB of events, 64 KiB of payload pairs.
+/// Items per segment: 128 KiB of events, 8 KiB of payload keys and
+/// 32 KiB of payload values.
 pub(crate) const SEGMENT: usize = 4096;
 
 /// Append-only storage in segments of [`SEGMENT`] items, addressed by
@@ -60,10 +63,17 @@ impl<T> Segments<T> {
         self.segments.push(Vec::with_capacity(SEGMENT));
     }
 
-    /// Append to the last segment, which [`Segments::room_for`] sized.
+    /// The last segment, which [`Segments::room_for`] sized for the run
+    /// about to be pushed into it.
+    #[inline]
+    fn tail(&mut self) -> &mut Vec<T> {
+        self.segments.last_mut().expect("room_for opened a segment")
+    }
+
+    /// Append to the last segment.
     #[inline]
     fn push(&mut self, item: T) {
-        let last = self.segments.last_mut().expect("room_for opened a segment");
+        let last = self.tail();
         debug_assert!(last.len() < last.capacity(), "a segment is never grown");
         last.push(item);
     }
@@ -102,18 +112,14 @@ pub(crate) struct Event {
     instant: bool,
 }
 
-/// One payload pair, packed.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PackedArg {
-    value: u64,
-    key: u16,
-}
-
 /// A recorded stream of spans and instants, in recording order.
 #[derive(Debug, Clone, Default)]
 pub struct Recording {
     events: Segments<Event>,
-    args: Segments<PackedArg>,
+    /// The payload's key ids; a pair's value sits at the same position
+    /// of `arg_values` (the two columns are pushed in lockstep).
+    arg_keys: Segments<u16>,
+    arg_values: Segments<u64>,
     names: Names,
 }
 
@@ -141,10 +147,16 @@ impl Recording {
         const NAMES: &str = "more than 65536 distinct names and argument keys";
         let args_len = u8::try_from(args.len()).map_err(|_| "more than 255 arguments")?;
         let name = intern(&mut self.names, name).ok_or(NAMES)?;
-        let args_at = self.args.room_for(args.len());
-        for &(key, value) in args {
-            let key = intern(&mut self.names, key).ok_or(NAMES)?;
-            self.args.push(PackedArg { value, key });
+        let args_at = self.arg_keys.room_for(args.len());
+        let values_at = self.arg_values.room_for(args.len());
+        debug_assert_eq!(args_at, values_at, "the payload columns open segments together");
+        if !args.is_empty() {
+            let (keys, values) = (self.arg_keys.tail(), self.arg_values.tail());
+            for &(key, value) in args {
+                keys.push(intern(&mut self.names, key).ok_or(NAMES)?);
+                values.push(value);
+            }
+            debug_assert!(keys.len() <= SEGMENT, "a segment is never grown");
         }
         self.events.room_for(1);
         self.events.push(Event { start_ns, end_ns, args_at, track, name, args_len, instant });
@@ -172,10 +184,19 @@ impl Recording {
         &self.names
     }
 
+    /// The `i`-th event in recording order: a segment and an offset (an
+    /// event is a run of one, so no segment has a gap).
+    pub(crate) fn record(&self, i: usize) -> Record<'_> {
+        Record { event: &self.events.segments[i / SEGMENT][i % SEGMENT], recording: self }
+    }
+
     /// Bytes held on the heap: event and payload segments plus the name
     /// table.
     pub fn heap_bytes(&self) -> usize {
-        self.events.heap_bytes() + self.args.heap_bytes() + self.names.heap_bytes()
+        self.events.heap_bytes()
+            + self.arg_keys.heap_bytes()
+            + self.arg_values.heap_bytes()
+            + self.names.heap_bytes()
     }
 }
 
@@ -231,8 +252,9 @@ impl<'a> Record<'a> {
 
     /// The payload as `(key id, value)` pairs, in recording order.
     pub fn arg_ids(&self) -> impl ExactSizeIterator<Item = (u16, u64)> + 'a {
-        let run = self.recording.args.run(self.event.args_at, usize::from(self.event.args_len));
-        run.iter().map(|a| (a.key, a.value))
+        let (at, len) = (self.event.args_at, usize::from(self.event.args_len));
+        let keys = self.recording.arg_keys.run(at, len);
+        keys.iter().copied().zip(self.recording.arg_values.run(at, len).iter().copied())
     }
 
     /// The payload as `(key, value)` pairs, in recording order.
@@ -302,10 +324,45 @@ mod tests {
     use crate::parse::{from_tracer, parse_jsonl};
     use crate::{Arg, GcAnatomy, SpanProfile, TraceConfig, Tracer};
 
+    /// The size of one item of a column, whatever it holds.
+    fn item_bytes<T>(_: &Segments<T>) -> usize {
+        size_of::<T>()
+    }
+
     #[test]
-    fn an_event_is_32_bytes_and_an_argument_16() {
-        assert!(size_of::<Event>() <= 32);
-        assert!(size_of::<PackedArg>() <= 16);
+    fn an_event_is_at_most_32_bytes_and_an_argument_10() {
+        let r = Recording::default();
+        assert!(item_bytes(&r.events) <= 32);
+        assert_eq!(item_bytes(&r.arg_keys) + item_bytes(&r.arg_values), 10);
+    }
+
+    /// The size of a column's table of segments.
+    fn table_bytes<T>(column: &Segments<T>) -> usize {
+        column.segments.capacity() * size_of::<Vec<T>>()
+    }
+
+    /// Three full segments of events and a few more, 0–4 arguments each:
+    /// the heap holds 32 B per event and 10 B per argument, plus at most
+    /// one segment of slack per column (the last one's free tail and the
+    /// runs that did not fit at a segment's end), the columns' tables of
+    /// segments and the name table.
+    #[test]
+    fn heap_bytes_stay_within_32_per_event_and_10_per_argument() {
+        const KEYS: [&str; 4] = ["a", "b", "c", "d"];
+        let mut t = Tracer::enabled(TraceConfig::default());
+        let events = 3 * SEGMENT + 5;
+        let mut args = 0;
+        for i in 0..events {
+            let payload: Vec<Arg> = KEYS[..i % 5].iter().map(|&k| (k, i as u64)).collect();
+            args += payload.len();
+            t.span(Track::Gc, "gc_round", i as u64, i as u64 + 1, &payload);
+        }
+        let slack = SEGMENT * (size_of::<Event>() + size_of::<u16>() + size_of::<u64>());
+        let r = t.events();
+        let tables = table_bytes(&r.events) + table_bytes(&r.arg_keys) + table_bytes(&r.arg_values);
+        let bound = 32 * events + 10 * args + slack + tables + r.names().heap_bytes();
+        assert!(t.heap_bytes() <= bound, "{} > {bound}", t.heap_bytes());
+        assert!(t.heap_bytes() >= size_of::<Event>() * events + 10 * args);
     }
 
     #[test]
@@ -395,7 +452,8 @@ mod tests {
         // Segments are pushed, never grown, and none is opened early.
         prop_assert_eq!(live.events.segments.len(), kept.len().div_ceil(SEGMENT));
         prop_assert!(live.events.segments.iter().all(|s| s.capacity() == SEGMENT));
-        prop_assert!(live.args.segments.iter().all(|s| s.capacity() == SEGMENT));
+        prop_assert!(live.arg_keys.segments.iter().all(|s| s.capacity() == SEGMENT));
+        prop_assert!(live.arg_values.segments.iter().all(|s| s.capacity() == SEGMENT));
         prop_assert!(t.heap_bytes() >= kept.len() * size_of::<Event>());
 
         let text = jsonl(&t);

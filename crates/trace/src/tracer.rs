@@ -7,7 +7,8 @@
 //! off are byte-identical to a build that never heard of tracing.
 //!
 //! A live tracer appends to a [`Recording`] — 32-byte events and
-//! 16-byte payload pairs in fixed-size segments — so recording costs no
+//! 10-byte payload pairs (a `u16` key and a `u64` value, in two columns)
+//! in fixed-size segments — so recording costs no
 //! heap allocation per event and no copy as the recording grows, and
 //! what it wrote is what the analyzers and exporters read.
 
@@ -41,11 +42,11 @@ impl Default for TraceConfig {
     fn default() -> Self {
         Self {
             sample: 1,
-            // 32 bytes/event plus 16 per argument (1.7 on average, four
-            // at most anywhere in the simulator: ~59 bytes/event) ⇒ the
-            // default cap bounds a full-scale run to ~60 MiB instead of
-            // letting --trace OOM the host. The two sizes are pinned by
-            // `an_event_is_32_bytes_and_an_argument_16`.
+            // 32 bytes/event plus 10 per argument (1.7 on average, four
+            // at most anywhere in the simulator: ~49 bytes/event) ⇒ the
+            // default cap bounds a full-scale run to ~50 MiB instead of
+            // letting --trace OOM the host. The sizes are pinned by
+            // `an_event_is_at_most_32_bytes_and_an_argument_10`.
             max_events: 1 << 20,
             counter_window_ns: 1_000_000, // 1 ms
             record_spans: true,

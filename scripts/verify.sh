@@ -21,6 +21,12 @@ if grep -rn 'fn journal(' crates/core/src; then
 echo "== one record stream: a recording is written once and read where it lies =="
 if grep -rn 'SpanRec\|Args::Live\|Args::Parsed\|Vec<Event>' crates/trace/src; then echo "FAIL: the Tracer's segmented Recording is the record stream — no per-event copy at ingest, no flat event vector that reallocates as it grows (docs/PERFORMANCE.md, Trace pipeline)"; exit 1; fi
 
+echo "== one profile fold: samples as runs, scratch sized by containers, payload in two columns =="
+if grep -rnE 'durs: Vec<u64>|struct PackedArg|Segments<PackedArg>' crates/trace/src \
+  || find crates/trace/src -name '*.rs' -exec sed -n '/struct Lane[<[:space:]{]/,/^}/p' {} + \
+     | grep -nE '(^|[^[:alnum:]_])(start|end)[[:space:]]*:[[:space:]]*Vec<'; then
+  echo "FAIL: a profile bucket keeps its durations as sorted (value, count) runs, the fold's lanes are runs of the one 24-byte container array plus their prefix-max ends, and a payload is a u16 key column and a u64 value column (docs/PERFORMANCE.md, Samples as runs)"; exit 1; fi
+
 echo "== one perf ledger: no committed host-time baseline, no second bench runner =="
 if [ -n "$(git ls-files 'results/BENCH_*.json' 'crates/*/BENCH_*.json')" ] || grep -rn 'harness::bench\|bench_check' crates src Cargo.toml; then
   echo "FAIL: speed claims are parent-vs-change on benchmark/; the workspace gates host time only as ratios inside one run (ROADMAP Decisions)"; exit 1; fi
