@@ -144,11 +144,11 @@ fn inspect(
     if let Some((a, b)) = diff {
         let an_a = GcAnatomy::from_spans(&load(a).spans);
         let an_b = GcAnatomy::from_spans(&load(b).spans);
-        let csv = an_a.diff_csv(&an_b);
-        println!("GC anatomy diff (A = {}, B = {}):", a.display(), b.display());
-        print!("{csv}");
+        let diff = an_a.diff_table(&an_b);
+        let (a, b) = (a.display(), b.display());
+        println!("GC anatomy diff (A = {a}, B = {b}; simulated ns)\n\n{}", diff.render());
         let path = out_dir.join("inspect_diff.csv");
-        std::fs::write(&path, &csv).expect("write diff CSV");
+        std::fs::write(&path, diff.to_csv()).expect("write diff CSV");
         println!("  -> {}", path.display());
         return;
     }

@@ -358,14 +358,11 @@ pub fn fig12(aged: &AgedResults) -> Artifacts {
     let mut csvs = Vec::new();
     for w in FiuWorkload::ALL {
         let (_, base, cagc) = aged.of(w);
-        let mut csv = String::from("scheme,latency_us,cum_fraction\n");
+        let mut t = Table::new(vec!["scheme", "latency_us", "cum_fraction"]);
         for (name, r) in [("Baseline", base), ("CAGC", cagc)] {
             for p in r.cdf.downsample(64) {
-                csv.push_str(&format!(
-                    "{name},{:.2},{:.5}\n",
-                    p.value_ns as f64 / 1000.0,
-                    p.fraction
-                ));
+                let us = format!("{:.2}", p.value_ns as f64 / 1000.0);
+                t.row(vec![name.to_string(), us, format!("{:.5}", p.fraction)]);
             }
         }
         let at = |r: &RunReport, q: f64| r.cdf.value_at(q) as f64 / 1000.0;
@@ -379,7 +376,8 @@ pub fn fig12(aged: &AgedResults) -> Artifacts {
             at(cagc, 0.99),
             at(base, 0.99)
         ));
-        csvs.push((format!("fig12_{}.csv", w.name().to_lowercase().replace('-', "_")), csv));
+        let file = format!("fig12_{}.csv", w.name().to_lowercase().replace('-', "_"));
+        csvs.push((file, t.to_csv()));
     }
     text.push_str("\n(full curves in results/fig12_*.csv)\n");
     Artifacts { text, csv: csvs }
@@ -869,14 +867,11 @@ pub fn sweep_qd(scale: &Scale, resilient: bool) -> Artifacts {
     }
 
     // Fig. 12-style tail curves where the preemption gap lives: QD=8.
-    let mut cdf_csv = String::from("source,queue_depth,preempt,latency_us,cum_frac\n");
+    let mut cdf = Table::new(vec!["source", "queue_depth", "preempt", "latency_us", "cum_frac"]);
     for (&(qd, preempt), r) in cells.iter().zip(&reports).filter(|((qd, _), _)| *qd == 8) {
         for p in r.read_cdf.downsample(96) {
-            cdf_csv.push_str(&format!(
-                "closed-loop,{qd},{preempt},{},{:.6}\n",
-                us(p.value_ns),
-                p.fraction
-            ));
+            let (lat, frac) = (us(p.value_ns), format!("{:.6}", p.fraction));
+            cdf.row(vec!["closed-loop".into(), qd.to_string(), preempt.to_string(), lat, frac]);
         }
     }
 
@@ -893,7 +888,7 @@ pub fn sweep_qd(scale: &Scale, resilient: bool) -> Artifacts {
          knob is tail-only, exactly as intended. See docs/HOST_INTERFACE.md.\n",
         "sweep_qd.csv",
     );
-    art.csv.push(("gc_preempt_cdf.csv".into(), cdf_csv));
+    art.csv.push(("gc_preempt_cdf.csv".into(), cdf.to_csv()));
     art
 }
 

@@ -1,10 +1,13 @@
 //! EXPERIMENTS.md's Fig. 6, 9, 10, 11 and 13 tables mirror
 //! `results/fig{6,9,10,11,13}.csv`, and its "Trim sensitivity", "Fault
 //! sensitivity", "Queue-depth sensitivity" and "Fleet scale" tables mirror
-//! `results/sweep_{trim,faults,qd,fleet}.csv`: every cell must agree with its CSV value at
-//! the precision the prose prints, so a golden cannot be re-pinned
-//! without its prose. Fig. 13's Greedy rows are Figs. 9 and 10's
-//! cells, so the CSVs must also agree with each other.
+//! `results/sweep_{trim,faults,qd,fleet}.csv`, and every number its
+//! "Ablations (beyond the paper)" bullets quote comes from
+//! `results/{ablate_*,compare_inline,sweep_utilization,wear_study}.csv`:
+//! every cell must agree with its CSV value at the precision the prose
+//! prints, so a golden cannot be re-pinned without its prose. Fig. 13's
+//! Greedy rows are Figs. 9 and 10's cells, so the CSVs must also agree
+//! with each other.
 
 use std::collections::HashMap;
 
@@ -291,5 +294,171 @@ fn qd_prose_matches_its_csv() {
                 check(&format!("QD {qd} {col} preempt={preempt}"), cell, &data[&key], false);
             }
         }
+    }
+}
+
+/// `n` with its thousands grouped by spaces, as the prose prints counts
+/// (`12 456`).
+fn grouped(n: u64) -> String {
+    let digits = n.to_string();
+    let mut out = String::new();
+    for (i, d) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i).is_multiple_of(3) {
+            out.push(' ');
+        }
+        out.push(d);
+    }
+    out
+}
+
+/// The lowest and highest of `values`, as the prose prints a range
+/// (`16-32`) at `decimals` places.
+fn span(values: impl IntoIterator<Item = f64>, decimals: usize) -> String {
+    let (lo, hi) = values
+        .into_iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| (lo.min(v), hi.max(v)));
+    format!("{lo:.decimals$}-{hi:.decimals$}")
+}
+
+/// The "Ablations (beyond the paper)" bullets quote numbers from
+/// `results/ablate_*.csv`, `compare_inline.csv`, `sweep_utilization.csv`
+/// and `wear_study.csv`. Each phrase is rebuilt from its CSV at the
+/// precision the prose prints and must appear in the section (line breaks
+/// read as spaces), so neither side can move alone.
+#[test]
+fn ablation_prose_matches_its_csvs() {
+    let md = read("EXPERIMENTS.md");
+    let from = md.find("## Ablations (beyond the paper)").expect("ablations section");
+    let to = md[from + 1..].find("\n## ").map_or(md.len(), |i| from + 1 + i);
+    let prose = md[from..to].split_whitespace().collect::<Vec<_>>().join(" ");
+    let mut claims = Vec::new();
+
+    let number = |data: &HashMap<(String, String), String>, key: &str, col: &str| -> f64 {
+        let cell = data
+            .get(&(key.to_string(), col.to_string()))
+            .unwrap_or_else(|| panic!("no {key}/{col}"));
+        cell.parse().unwrap_or_else(|e| panic!("{key}/{col}: `{cell}`: {e}"))
+    };
+    let count = |data: &HashMap<(String, String), String>, key: &str, col: &str| {
+        grouped(number(data, key, col) as u64)
+    };
+    let workloads = ["Homes", "Web-vm", "Mail"];
+
+    // Placement: dedup-in-GC alone vs full CAGC, and what promotion costs.
+    let placement = csv("results/ablate_placement.csv", 2);
+    let threshold = csv("results/ablate_threshold.csv", 2);
+    claims.push(format!(
+        "Mail {} vs {}",
+        count(&placement, "Mail/dedup_only", "blocks_erased"),
+        count(&placement, "Mail/full", "blocks_erased"),
+    ));
+    let promotions = workloads.map(|w| number(&threshold, &format!("{w}/1"), "promotions") / 1e3);
+    let extra = workloads.map(|w| {
+        let migrated = |v: &str| number(&placement, &format!("{w}/{v}"), "pages_migrated");
+        (migrated("full") - migrated("dedup_only")) / 1e3
+    });
+    claims.push(format!(
+        "({} k promotions at threshold 1, {} k more migrations than dedup-only)",
+        span(promotions, 0),
+        span(extra, 0),
+    ));
+
+    // Threshold 1 -> 8 on Mail.
+    claims.push(format!(
+        "(Mail: {}→{}) and total migrations ({:.0} k→{:.0} k)",
+        count(&threshold, "Mail/1", "promotions"),
+        count(&threshold, "Mail/8", "promotions"),
+        number(&threshold, "Mail/1", "pages_migrated") / 1e3,
+        number(&threshold, "Mail/8", "pages_migrated") / 1e3,
+    ));
+
+    // Hash overlap: serial vs overlapped GC busy time and GC-period mean.
+    let overlap = csv("results/ablate_overlap.csv", 2);
+    let growth = |w: &str, col: &str| {
+        100.0 * (number(&overlap, &format!("{w}/serial"), col)
+            / number(&overlap, &format!("{w}/overlap"), col)
+            - 1.0)
+    };
+    claims.push(format!(
+        "by ~{} % (Homes: {:.1} s→{:.1} s) and GC-period response by up to {:.0} % (Homes: {:.0}→{:.0} µs)",
+        span(workloads.map(|w| growth(w, "gc_busy_ms")), 0),
+        number(&overlap, "Homes/overlap", "gc_busy_ms") / 1e3,
+        number(&overlap, "Homes/serial", "gc_busy_ms") / 1e3,
+        workloads.map(|w| growth(w, "gc_mean_us")).into_iter().fold(f64::MIN, f64::max),
+        number(&overlap, "Homes/overlap", "gc_mean_us"),
+        number(&overlap, "Homes/serial", "gc_mean_us"),
+    ));
+
+    // Idle-period GC: the cut per scheme, erases, and the best cell.
+    let idle = csv("results/ablate_idle_gc.csv", 3);
+    let cut = |w: &str, s: &str, col: &str| {
+        let at = |on: &str| number(&idle, &format!("{w}/{s}/{on}"), col);
+        100.0 * (1.0 - at("true") / at("false"))
+    };
+    let cuts = |ws: &[&str]| -> Vec<f64> {
+        ws.iter().flat_map(|w| ["Baseline", "CAGC"].map(|s| cut(w, s, "gc_mean_us"))).collect()
+    };
+    claims.push(format!(
+        "(by {} % on Homes and Mail, {} % on Web-vm) with erase counts within 1 %",
+        span(cuts(&["Homes", "Mail"]), 0),
+        span(cuts(&["Web-vm"]), 0),
+    ));
+    for w in workloads {
+        for s in ["Baseline", "CAGC"] {
+            let moved = cut(w, s, "blocks_erased").abs();
+            assert!(moved < 1.0, "idle GC moves {w}/{s} erases by {moved:.2} %");
+        }
+        let best = number(&idle, &format!("{w}/CAGC/true"), "gc_mean_us");
+        for cell in ["Baseline/false", "Baseline/true", "CAGC/false"] {
+            let other = number(&idle, &format!("{w}/{cell}"), "gc_mean_us");
+            assert!(best < other, "idle GC: {w} CAGC+idle {best} is not below {cell} {other}");
+        }
+    }
+    claims.push(format!(
+        "Mail {:.0} µs vs Baseline-no-idle {:.0} µs",
+        number(&idle, "Mail/CAGC/true", "gc_mean_us"),
+        number(&idle, "Mail/Baseline/false", "gc_mean_us"),
+    ));
+
+    // Inline design space on Homes.
+    let inline = csv("results/compare_inline.csv", 2);
+    claims.push(format!(
+        "(Homes: {:.2}× vs {:.2}× Baseline) but keeps only part of the dedup coverage ({:.1} k vs {:.1} k hits)",
+        number(&inline, "Homes/Inline-Sampled", "normalized"),
+        number(&inline, "Homes/Inline-Dedupe", "normalized"),
+        number(&inline, "Homes/Inline-Sampled", "dedup_hits") / 1e3,
+        number(&inline, "Homes/Inline-Dedupe", "dedup_hits") / 1e3,
+    ));
+
+    // Utilization: WAF at 70 % and 97 % footprint.
+    let util = csv("results/sweep_utilization.csv", 2);
+    claims.push(format!(
+        "Baseline WAF grows from {:.2} at 70 % footprint to {:.2} at 97 % while CAGC stays {:.2}→{:.2}",
+        number(&util, "0.7/Baseline", "waf"),
+        number(&util, "0.97/Baseline", "waf"),
+        number(&util, "0.7/CAGC", "waf"),
+        number(&util, "0.97/CAGC", "waf"),
+    ));
+
+    // Wear: mean erases per block and their spread under Greedy.
+    let wear = csv("results/wear_study.csv", 3);
+    claims.push(format!(
+        "(Mail Greedy: {:.2}→{:.2} per block; Web-vm: {:.2}→{:.2}) and, in our runs, also narrows the per-block spread (σ {:.2}→{:.2} under Greedy)",
+        number(&wear, "Mail/Greedy/Baseline", "erase_mean"),
+        number(&wear, "Mail/Greedy/CAGC", "erase_mean"),
+        number(&wear, "Web-vm/Greedy/Baseline", "erase_mean"),
+        number(&wear, "Web-vm/Greedy/CAGC", "erase_mean"),
+        number(&wear, "Web-vm/Greedy/Baseline", "erase_stddev"),
+        number(&wear, "Web-vm/Greedy/CAGC", "erase_stddev"),
+    ));
+    for w in ["Mail", "Web-vm"] {
+        for s in ["Baseline", "CAGC"] {
+            let spread = |p: &str| number(&wear, &format!("{w}/{p}/{s}"), "erase_stddev");
+            assert!(spread("Cost-Benefit") < spread("Greedy"), "wear: {w}/{s} Cost-Benefit is not tightest");
+        }
+    }
+
+    for claim in &claims {
+        assert!(prose.contains(claim.as_str()), "EXPERIMENTS.md ablations do not say `{claim}`");
     }
 }

@@ -79,22 +79,6 @@ impl FleetTimeline {
     }
 }
 
-/// Append `series,start_ns,count,mean,max` rows for one named series, one
-/// row per non-empty window. Floats use the harness's shortest-round-trip
-/// formatting (byte-deterministic).
-pub(crate) fn push_csv_rows(out: &mut String, name: &str, ts: &TimeSeries) {
-    for w in ts.windows() {
-        out.push_str(&format!(
-            "{},{},{},{},{}\n",
-            name,
-            w.start_ns,
-            w.count,
-            Json::F64(w.mean).render(),
-            w.max
-        ));
-    }
-}
-
 impl ToJson for FleetTimeline {
     /// Compact summary (`{"window_ns":…,"series":[{name,samples,max}…]}`)
     /// — the full windows live in the CSV artifact, not the report.

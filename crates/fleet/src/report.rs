@@ -13,11 +13,12 @@
 
 use cagc_core::TrafficTotals;
 use cagc_harness::{Json, ToJson};
+use cagc_metrics::{Table, TimeSeries};
 use cagc_sim::time::Nanos;
 use cagc_trace::SpanProfile;
 
 use crate::device::{DeviceReport, TenantReport};
-use crate::observe::{self, DeviceObservability, FleetTimeline};
+use crate::observe::{DeviceObservability, FleetTimeline};
 use crate::slo::TenantSloTrack;
 
 /// Rollup over every device serving one tenant mix.
@@ -254,65 +255,76 @@ impl FleetReport {
         if self.timeline.is_none() && self.slo.is_none() {
             return None;
         }
-        let mut out = String::from("series,start_ns,count,mean,max\n");
-        if let Some(tl) = &self.timeline {
-            for (name, ts) in &tl.series {
-                observe::push_csv_rows(&mut out, name, ts);
+        let mut t = Table::new(vec!["series", "start_ns", "count", "mean", "max"]);
+        let mut push = |name: &str, ts: &TimeSeries| {
+            // Floats use the harness's shortest-round-trip formatting
+            // (byte-deterministic).
+            for w in ts.windows() {
+                t.row(vec![
+                    name.to_string(),
+                    w.start_ns.to_string(),
+                    w.count.to_string(),
+                    Json::F64(w.mean).render(),
+                    w.max.to_string(),
+                ]);
             }
+        };
+        for (name, ts) in self.timeline.iter().flat_map(|tl| &tl.series) {
+            push(name, ts);
         }
-        for (mix, t) in self.slo.iter().flatten() {
-            observe::push_csv_rows(&mut out, &format!("slo/{mix}/{}", t.tenant), &t.series);
+        for (mix, track) in self.slo.iter().flatten() {
+            push(&format!("slo/{mix}/{}", track.tenant), &track.series);
         }
-        Some(out)
+        Some(t.to_csv())
     }
 
     /// Per-device CSV: one row per device, exact integer ns.
     pub fn device_csv(&self) -> String {
-        let mut out = String::from(
-            "device,mix,scheme,waf,dedup_hit_rate,erases,host_pages,p50_ns,p99_ns,p999_ns,end_ns\n",
-        );
+        let mut t = Table::new(vec![
+            "device", "mix", "scheme", "waf", "dedup_hit_rate", "erases", "host_pages", "p50_ns",
+            "p99_ns", "p999_ns", "end_ns",
+        ]);
         for d in &self.devices {
-            out.push_str(&format!(
-                "{},{},{},{:.4},{:.4},{},{},{},{},{},{}\n",
-                d.device,
-                d.mix,
-                d.scheme,
-                d.totals.waf(),
-                d.totals.dedup_hit_rate(),
-                d.totals.total_erases,
-                d.totals.host_pages_written,
-                d.lat.p50_ns,
-                d.lat.p99_ns,
-                d.lat.p999_ns,
-                d.end_ns,
-            ));
+            t.row(vec![
+                d.device.to_string(),
+                d.mix.clone(),
+                d.scheme.clone(),
+                format!("{:.4}", d.totals.waf()),
+                format!("{:.4}", d.totals.dedup_hit_rate()),
+                d.totals.total_erases.to_string(),
+                d.totals.host_pages_written.to_string(),
+                d.lat.p50_ns.to_string(),
+                d.lat.p99_ns.to_string(),
+                d.lat.p999_ns.to_string(),
+                d.end_ns.to_string(),
+            ]);
         }
-        out
+        t.to_csv()
     }
 
     /// Per-tenant QoS CSV: one row per (mix, tenant), latency from the
     /// merged cross-device distribution.
     pub fn qos_csv(&self) -> String {
-        let mut out = String::from(
-            "mix,tenant,devices,requests,pages_written,p50_ns,p90_ns,p99_ns,p999_ns,max_ns\n",
-        );
+        let mut t = Table::new(vec![
+            "mix", "tenant", "devices", "requests", "pages_written", "p50_ns", "p90_ns", "p99_ns",
+            "p999_ns", "max_ns",
+        ]);
         for s in &self.by_tenant {
-            let (t, lat) = (&s.report, s.report.lat());
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{}\n",
-                s.mix,
-                t.tenant,
-                s.devices,
-                t.requests,
-                t.pages_written,
-                lat.p50_ns,
-                lat.p90_ns,
-                lat.p99_ns,
-                lat.p999_ns,
-                lat.max_ns,
-            ));
+            let (r, lat) = (&s.report, s.report.lat());
+            t.row(vec![
+                s.mix.clone(),
+                r.tenant.clone(),
+                s.devices.to_string(),
+                r.requests.to_string(),
+                r.pages_written.to_string(),
+                lat.p50_ns.to_string(),
+                lat.p90_ns.to_string(),
+                lat.p99_ns.to_string(),
+                lat.p999_ns.to_string(),
+                lat.max_ns.to_string(),
+            ]);
         }
-        out
+        t.to_csv()
     }
 }
 

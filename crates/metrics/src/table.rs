@@ -1,8 +1,9 @@
 //! ASCII tables and bar charts for harness output.
 //!
-//! A [`Table`] is every human view in the workspace: reports are written
-//! only as JSON, and a caller that prints one picks its cells into a
-//! table. The same table yields the aligned text and the CSV artifact.
+//! A [`Table`] is every human view *and* every CSV artifact in the
+//! workspace: reports are written only as JSON, and a caller that prints
+//! or exports one picks its cells into a table. [`Table::to_csv`] is the
+//! only code that writes a CSV row; [`Table::render`] is the aligned text.
 
 /// Column-aligned ASCII table builder.
 #[derive(Debug, Clone, Default)]
@@ -17,10 +18,20 @@ impl Table {
         Self { header: header.into_iter().map(Into::into).collect(), rows: Vec::new() }
     }
 
-    /// Append a row (padded/truncated to the header width).
+    /// Append a row.
+    ///
+    /// # Panics
+    /// When the row does not have exactly one cell per header column: a
+    /// miscounted row would otherwise shift or drop a CSV column silently.
     pub fn row<S: Into<String>>(&mut self, cells: Vec<S>) -> &mut Self {
-        let mut cells: Vec<String> = cells.into_iter().map(Into::into).collect();
-        cells.resize(self.header.len(), String::new());
+        let cells: Vec<String> = cells.into_iter().map(Into::into).collect();
+        assert_eq!(
+            cells.len(),
+            self.header.len(),
+            "table row has {} cells but the header has {} columns",
+            cells.len(),
+            self.header.len()
+        );
         self.rows.push(cells);
         self
     }
@@ -129,20 +140,15 @@ mod tests {
     }
 
     #[test]
-    fn short_rows_are_padded() {
-        let mut t = Table::new(vec!["a", "b", "c"]);
-        t.row(vec!["x"]);
-        assert_eq!(t.len(), 1);
-        assert!(t.render().contains('x'));
+    #[should_panic(expected = "table row has 1 cells but the header has 3 columns")]
+    fn a_short_row_panics_naming_both_lengths() {
+        Table::new(vec!["a", "b", "c"]).row(vec!["x"]);
     }
 
     #[test]
-    fn csv_is_header_then_one_line_per_row_padded_like_render() {
-        let mut t = Table::new(vec!["a", "b", "c"]);
-        t.row(vec!["1", "2", "3"]);
-        t.row(vec!["x"]);
-        assert_eq!(t.to_csv(), "a,b,c\n1,2,3\nx,,\n");
-        assert_eq!(Table::new(vec!["only", "header"]).to_csv(), "only,header\n");
+    #[should_panic(expected = "table row has 4 cells but the header has 3 columns")]
+    fn a_long_row_panics_naming_both_lengths() {
+        Table::new(vec!["a", "b", "c"]).row(vec!["1", "2", "3", "4"]);
     }
 
     #[test]
@@ -157,6 +163,7 @@ mod tests {
             t.to_csv(),
             "name,n\n\"a,b\",1\n\"say \"\"hi\"\"\",2\n\"two\nlines\",3\n\"cr\r\",4\nplain,5\n"
         );
+        assert_eq!(Table::new(vec!["only", "header"]).to_csv(), "only,header\n");
     }
 
     #[test]

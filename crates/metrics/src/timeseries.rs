@@ -116,23 +116,6 @@ impl TimeSeries {
             .collect()
     }
 
-    /// Dump the non-empty windows as CSV (`start_ns,count,mean,max` header
-    /// included). Floats use the harness's shortest-round-trip formatting,
-    /// so the output is byte-deterministic for a given series.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("start_ns,count,mean,max\n");
-        for w in self.windows() {
-            out.push_str(&format!(
-                "{},{},{},{}\n",
-                w.start_ns,
-                w.count,
-                Json::F64(w.mean).render(),
-                w.max
-            ));
-        }
-        out
-    }
-
     /// ASCII sparkline of per-window means (log-scaled), for terminal
     /// diagnostics. Empty windows render as spaces.
     pub fn sparkline(&self, width: usize) -> String {
@@ -174,8 +157,7 @@ impl TimeSeries {
 }
 
 impl ToJson for TimeSeries {
-    /// `{"window_ns":…,"windows":[…]}` with empty windows skipped — the
-    /// JSON twin of [`TimeSeries::to_csv`].
+    /// `{"window_ns":…,"windows":[…]}` with empty windows skipped.
     fn to_json(&self) -> Json {
         Json::obj([
             ("window_ns", Json::U64(self.window_ns)),
@@ -249,15 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_json_dumps_agree_with_windows() {
+    fn json_dump_agrees_with_windows() {
         let mut ts = TimeSeries::new(1_000);
         ts.record(100, 10);
         ts.record(900, 30);
         ts.record(2_500, 7);
-        assert_eq!(
-            ts.to_csv(),
-            "start_ns,count,mean,max\n0,2,20,30\n2000,1,7,7\n"
-        );
         assert_eq!(
             ts.to_json().render(),
             r#"{"window_ns":1000,"windows":[{"start_ns":0,"count":2,"mean":20,"max":30},{"start_ns":2000,"count":1,"mean":7,"max":7}]}"#
@@ -267,7 +245,6 @@ mod tests {
     #[test]
     fn empty_series_dumps_header_only() {
         let ts = TimeSeries::new(10);
-        assert_eq!(ts.to_csv(), "start_ns,count,mean,max\n");
         assert_eq!(ts.to_json().render(), r#"{"window_ns":10,"windows":[]}"#);
     }
 
@@ -294,7 +271,7 @@ mod tests {
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
-        assert_eq!(ab.to_csv(), ba.to_csv());
+        assert_eq!(ab.to_json().render(), ba.to_json().render());
         let w = ab.windows();
         assert_eq!(w[0].count, 2);
         assert!((w[0].mean - 15.0).abs() < 1e-12);

@@ -199,31 +199,27 @@ impl GcAnatomy {
     }
 
     /// Per-phase deltas against another anatomy (`self` = A, `other` = B):
-    /// CSV `phase,calls_a,calls_b,busy_a_ns,busy_b_ns,delta_ns` plus a
-    /// `gc_wall` row — the attribution companion to the PR-7 perf gate:
-    /// *which phase* got slower, not just that the run did.
-    pub fn diff_csv(&self, other: &GcAnatomy) -> String {
-        let mut out = String::from("phase,calls_a,calls_b,busy_a_ns,busy_b_ns,delta_ns\n");
-        for (a, b) in self.phases.iter().zip(&other.phases) {
-            out.push_str(&format!(
-                "{},{},{},{},{},{}\n",
-                a.name,
-                a.calls,
-                b.calls,
-                a.busy_ns,
-                b.busy_ns,
-                i128::from(b.busy_ns) - i128::from(a.busy_ns)
-            ));
+    /// columns `phase,calls_a,calls_b,busy_a_ns,busy_b_ns,delta_ns` plus a
+    /// `gc_wall` row: *which phase* got slower, not just that the run
+    /// did. The CSV export and the text `repro inspect --diff` prints.
+    pub fn diff_table(&self, other: &GcAnatomy) -> Table {
+        let mut t =
+            Table::new(vec!["phase", "calls_a", "calls_b", "busy_a_ns", "busy_b_ns", "delta_ns"]);
+        let rows = self.phases.iter().zip(&other.phases).map(|(a, b)| {
+            (a.name, [a.calls, b.calls], [a.busy_ns, b.busy_ns])
+        });
+        let wall = (
+            "gc_wall",
+            [self.rounds + self.slices, other.rounds + other.slices],
+            [self.gc_wall_ns, other.gc_wall_ns],
+        );
+        for (name, [calls_a, calls_b], [busy_a, busy_b]) in rows.chain([wall]) {
+            let delta = i128::from(busy_b) - i128::from(busy_a);
+            let mut row = cells(name, [calls_a, calls_b, busy_a, busy_b]);
+            row.push(delta.to_string());
+            t.row(row);
         }
-        out.push_str(&format!(
-            "gc_wall,{},{},{},{},{}\n",
-            self.rounds + self.slices,
-            other.rounds + other.slices,
-            self.gc_wall_ns,
-            other.gc_wall_ns,
-            i128::from(other.gc_wall_ns) - i128::from(self.gc_wall_ns)
-        ));
-        out
+        t
     }
 }
 
@@ -361,7 +357,7 @@ mod tests {
         assert!(a.to_csv().starts_with("phase,calls,busy_ns"));
         assert!(a.to_csv().contains("\ntotal,1,100,"));
         // Self-diff: every delta is zero.
-        let d = a.diff_csv(&b);
+        let d = a.diff_table(&b).to_csv();
         for line in d.lines().skip(1) {
             assert!(line.ends_with(",0"), "{line}");
         }
@@ -369,7 +365,7 @@ mod tests {
         let mut slow = round();
         slow[0] = span(Track::Gc, "gc_round", 0, 130);
         slow[5] = die("erase", 60, 130, 0);
-        let d = a.diff_csv(&anatomy(&slow));
+        let d = a.diff_table(&anatomy(&slow)).to_csv();
         let erase_row: Vec<&str> =
             d.lines().find(|l| l.starts_with("erase")).unwrap().split(',').collect();
         assert_eq!(erase_row[5], "30");

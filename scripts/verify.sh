@@ -73,6 +73,11 @@ if grep -rn 'fn render(&self) -> String' crates/core/src crates/host/src crates/
   || grep -rn 'fn fmt_duration' crates; then
   echo "FAIL: a report's one schema is its ToJson; a human view is a cagc_metrics::Table whose cells the caller picks, and the only text renderers are Json::render and Table::render (docs/OBSERVABILITY.md, Report sections)"; exit 1; fi
 
+echo "== one CSV encoder: every CSV row is written by Table::to_csv =="
+if grep -rnE --include='*.rs' 'String::from\("[^"]*,[^"]*\\n"\)|"[^"]*(\},|,\{)[^"]*\\n"' crates/*/src src \
+  | grep -v '^crates/metrics/src/table\.rs:'; then
+  echo "FAIL: a CSV artifact is a cagc_metrics::Table whose to_csv writes the header and every row, quoting a cell that holds a comma or a quote; no code outside crates/metrics/src/table.rs joins CSV cells (DESIGN.md, Adding an experiment)"; exit 1; fi
+
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
 
