@@ -953,6 +953,10 @@ pub fn sweep_fleet(scale: &Scale) -> Artifacts {
     ]);
     let mut qos_csv = None;
     for &devices in fleet_sizes {
+        // How many devices the fleet simulates (`FleetConfig::cells`); the
+        // same for every scheme and for the host-mode re-run.
+        let cells = FleetConfig { devices, ..base.clone() }.cells().len();
+        eprintln!("[sweep-fleet: devices {devices}, distinct cells {cells}]");
         for scheme in Scheme::ALL {
             let cfg = FleetConfig { devices, scheme, ..base.clone() };
             let rep = run_fleet(&cfg);

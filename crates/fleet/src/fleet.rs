@@ -1,7 +1,7 @@
-//! The fleet fan-out: compose device specs, schedule them dynamically,
-//! aggregate the results.
+//! The fleet fan-out: group identical devices into cells, simulate each
+//! cell once on the dynamic scheduler, aggregate the device results.
 
-use cagc_core::Scheme;
+use cagc_core::{Scheme, SsdConfig};
 use cagc_flash::{FaultConfig, UllConfig};
 use cagc_harness::pool::map_ordered_dynamic_chunked;
 use cagc_trace::TraceConfig;
@@ -9,8 +9,12 @@ use cagc_trace::TraceConfig;
 use crate::device::{simulate_device, DeviceSpec, TenantTrace};
 use crate::library::TraceLibrary;
 use crate::mix::TenantMix;
-use crate::report::FleetReport;
+use crate::report::{upsert, FleetReport};
 use crate::slo::SloConfig;
+
+/// Everything a device's report depends on: its mix index, its seed
+/// group, and its index when the fault template is armed.
+type CellKey = (usize, usize, Option<usize>);
 
 /// Everything that determines a fleet run. Two equal configs produce
 /// byte-identical [`FleetReport`]s at any worker count.
@@ -31,15 +35,19 @@ pub struct FleetConfig {
     pub footprint_frac: f64,
     /// Base PRNG seed.
     pub seed: u64,
-    /// Distinct trace variants per tenant slot: device `d` draws from
-    /// seed group `d % seed_groups`, so devices differ while trace
-    /// memory stays bounded by `mixes × slots × seed_groups` — never by
-    /// the device count.
+    /// Distinct trace variants per tenant slot (at least 1): device `d`
+    /// draws from seed group `d % seed_groups`, so trace memory stays
+    /// bounded by `mixes × slots × seed_groups` — never by the device
+    /// count. Mix and group are a device's only inputs when the fault
+    /// template is inactive, so devices `d` and `d'` are then identical
+    /// exactly when `d ≡ d' (mod lcm(mixes, seed_groups))`: coprime
+    /// counts give same-mix devices different streams, equal counts
+    /// cycle in lockstep and give each mix one stream.
     pub seed_groups: usize,
     /// Worker threads for the fan-out (0 = machine parallelism).
     pub workers: usize,
-    /// Devices claimed per scheduler grab. 1 maximizes balance; larger
-    /// chunks amortize claiming on huge fleets.
+    /// Device cells claimed per scheduler grab. 1 maximizes balance;
+    /// larger chunks amortize claiming on huge fleets.
     pub chunk: usize,
     /// `Some((queue_pairs, queue_depth))` replays every device through
     /// the NVMe-style host interface (host-observed tenant latency);
@@ -89,18 +97,67 @@ impl FleetConfig {
             slo: None,
         }
     }
+
+    /// Check the fleet's shape, and the device shape every cell builds,
+    /// so a bad config fails before the fan-out, not inside a worker
+    /// thread.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.devices == 0 {
+            return Err("empty fleet".into());
+        }
+        if self.mixes.is_empty() {
+            return Err("no tenant mixes".into());
+        }
+        if let Some(mix) = self.mixes.iter().find(|m| m.tenants.is_empty()) {
+            return Err(format!("tenant mix {} has no tenants", mix.name));
+        }
+        if self.seed_groups == 0 {
+            return Err("seed_groups must be >= 1".into());
+        }
+        if let Some((pairs, depth)) = self.host_queues {
+            if pairs == 0 || depth == 0 {
+                return Err(format!("host queue shape {pairs}x{depth} must be non-zero"));
+            }
+        }
+        if !(self.footprint_frac > 0.0 && self.footprint_frac <= 1.0) {
+            return Err(format!("footprint fraction {} outside (0, 1]", self.footprint_frac));
+        }
+        SsdConfig::paper(self.flash, self.scheme).validate()?;
+        self.faults.validate()
+    }
+
+    /// The fleet's distinct devices, in first-appearance order: each cell
+    /// lists the devices it stands for, and its first device's spec is
+    /// the one simulated. A device's inputs are its mix and seed group,
+    /// plus its own fault-plan seed when the fault template is active
+    /// (an inactive one draws nothing), so that is the cell key: with
+    /// faults armed every device is its own cell.
+    pub fn cells(&self) -> Vec<Vec<u32>> {
+        let armed = self.faults.is_active();
+        let mut cells: Vec<(CellKey, Vec<u32>)> = Vec::new();
+        for d in 0..self.devices {
+            let key = (d % self.mixes.len(), d % self.seed_groups, armed.then_some(d));
+            let (cell, _) = upsert(&mut cells, |(k, _)| *k == key, || (key, Vec::new()));
+            cell.1.push(d as u32);
+        }
+        cells.into_iter().map(|(_, devices)| devices).collect()
+    }
 }
 
-/// Build the per-device specs: intern every tenant trace in the
+/// Build the specs of devices `ds`: intern every tenant trace in the
 /// [`TraceLibrary`] and hand out shared `Arc` handles. Runs serially —
 /// trace generation is deterministic and its order must not depend on
 /// scheduling.
-fn build_specs(cfg: &FleetConfig, lib: &mut TraceLibrary) -> Vec<DeviceSpec> {
+fn build_specs(
+    cfg: &FleetConfig,
+    lib: &mut TraceLibrary,
+    ds: impl IntoIterator<Item = usize>,
+) -> Vec<DeviceSpec> {
     let logical = cfg.flash.logical_pages();
-    (0..cfg.devices)
+    ds.into_iter()
         .map(|d| {
             let mix = &cfg.mixes[d % cfg.mixes.len()];
-            let group = (d % cfg.seed_groups.max(1)) as u64;
+            let group = (d % cfg.seed_groups) as u64;
             let per_tenant_pages =
                 (logical as f64 * cfg.footprint_frac / mix.tenants.len() as f64) as u64;
             let tenants = mix
@@ -144,32 +201,40 @@ fn build_specs(cfg: &FleetConfig, lib: &mut TraceLibrary) -> Vec<DeviceSpec> {
         .collect()
 }
 
-/// Run the whole fleet: every device cell is a pure function of its
-/// spec, scheduled over the deterministic dynamic pool (small chunks
-/// claimed from a shared cursor), results collected in device order and
-/// rolled up. Output is byte-identical at every worker count.
+/// Run the whole fleet: each distinct device cell ([`FleetConfig::cells`])
+/// is simulated once from its first device's spec, scheduled over the
+/// deterministic dynamic pool (small chunks claimed from a shared
+/// cursor); every device then gets its cell's report under its own index,
+/// in device order, and the reports are rolled up. Output is
+/// byte-identical at every worker count, and to simulating every device.
 ///
 /// # Panics
-/// Panics on an empty fleet, empty mix list, a footprint outside
-/// `(0, 1]`, or a zero-sized host queue shape — checked up front so a
-/// bad config fails here with a clear message, not inside a worker
-/// thread mid-fan-out.
+/// Panics with [`FleetConfig::validate`]'s message on a bad config —
+/// checked up front so it fails here, not inside a worker thread
+/// mid-fan-out.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
-    assert!(cfg.devices > 0, "empty fleet");
-    assert!(!cfg.mixes.is_empty(), "no tenant mixes");
-    if let Some((pairs, depth)) = cfg.host_queues {
-        assert!(pairs > 0 && depth > 0, "host queue shape {pairs}x{depth} must be non-zero");
+    if let Err(e) = cfg.validate() {
+        panic!("{e}");
     }
-    assert!(
-        cfg.footprint_frac > 0.0 && cfg.footprint_frac <= 1.0,
-        "footprint fraction {} outside (0, 1]",
-        cfg.footprint_frac
-    );
+    let cells = cfg.cells();
     let mut lib = TraceLibrary::new();
-    let specs = build_specs(cfg, &mut lib);
+    let specs = build_specs(cfg, &mut lib, cells.iter().map(|cell| cell[0] as usize));
     let reports =
         map_ordered_dynamic_chunked(&specs, cfg.workers, cfg.chunk.max(1), simulate_device);
-    FleetReport::aggregate(reports, lib.distinct())
+    let mut cell_of = vec![0; cfg.devices];
+    for (c, cell) in cells.iter().enumerate() {
+        cell.iter().for_each(|&d| cell_of[d as usize] = c);
+    }
+    let devices = cell_of
+        .iter()
+        .enumerate()
+        .map(|(d, &c)| {
+            let mut report = reports[c].clone();
+            report.device = d as u32;
+            report
+        })
+        .collect();
+    FleetReport::aggregate(devices, lib.distinct())
 }
 
 #[cfg(test)]
@@ -180,9 +245,12 @@ mod tests {
     #[test]
     fn report_is_byte_identical_across_worker_counts() {
         use cagc_harness::ToJson;
-        let mut cfg = FleetConfig::small_test();
+        // 2 mixes x 3 seed groups: every device is its own cell, so the
+        // pool has six cells to schedule.
+        let mut cfg = FleetConfig { seed_groups: 3, ..FleetConfig::small_test() };
+        assert_eq!(cfg.cells().len(), cfg.devices);
         let baseline = run_fleet(&cfg).to_json().render();
-        // Single-device claims, then the static split: one contiguous
+        // Single-cell claims, then the static split: one contiguous
         // chunk per worker, so claiming has nothing left to balance.
         let per_worker = |workers: usize| (workers, cfg.devices.div_ceil(workers));
         for (workers, chunk) in [(2, 1), (8, 1), per_worker(2), per_worker(3)] {
@@ -193,23 +261,81 @@ mod tests {
         }
     }
 
+    /// Every device's spec, built one by one with no cell sharing, and
+    /// the number of distinct traces they hold.
+    fn every_device_spec(cfg: &FleetConfig) -> (Vec<DeviceSpec>, usize) {
+        let mut lib = TraceLibrary::new();
+        let specs = build_specs(cfg, &mut lib, 0..cfg.devices);
+        (specs, lib.distinct())
+    }
+
+    /// The fleet without cells: `simulate_device` on every device's spec,
+    /// then the fold.
+    fn every_device_simulated(cfg: &FleetConfig) -> FleetReport {
+        let (specs, distinct) = every_device_spec(cfg);
+        FleetReport::aggregate(specs.iter().map(simulate_device).collect(), distinct)
+    }
+
+    /// The JSON report and its three CSVs (an absent timeline is empty).
+    fn rendered(rep: &FleetReport) -> [String; 4] {
+        use cagc_harness::ToJson;
+        [
+            rep.to_json().render(),
+            rep.device_csv(),
+            rep.qos_csv(),
+            rep.timeline_csv().unwrap_or_default(),
+        ]
+    }
+
     #[test]
     fn trace_memory_scales_with_mixes_not_devices() {
         let mut cfg = FleetConfig::small_test();
-        let mut lib_small = TraceLibrary::new();
-        let _ = build_specs(&cfg, &mut lib_small);
+        let (_, small) = every_device_spec(&cfg);
         cfg.devices *= 4;
-        let mut lib_big = TraceLibrary::new();
-        let specs_big = build_specs(&cfg, &mut lib_big);
-        assert_eq!(
-            lib_small.distinct(),
-            lib_big.distinct(),
-            "4x devices must not generate new traces"
-        );
+        let (specs_big, big) = every_device_spec(&cfg);
+        assert_eq!(small, big, "4x devices must not generate new traces");
         // Same-group devices share the same allocation, not a copy.
         let a = &specs_big[0].tenants[0].trace;
         let b = &specs_big[cfg.mixes.len() * cfg.seed_groups].tenants[0].trace;
         assert!(Arc::ptr_eq(a, b), "same (mix, group, slot) must share one Arc");
+    }
+
+    fn gcd(a: usize, b: usize) -> usize {
+        if b == 0 { a } else { gcd(b, a % b) }
+    }
+
+    #[test]
+    fn cells_are_the_distinct_mix_and_group_pairs_unless_faults_are_armed() {
+        for m in 1..=4 {
+            for g in 1..=5 {
+                let lcm = m * g / gcd(m, g);
+                for devices in 1..=25 {
+                    let mut cfg = FleetConfig {
+                        devices,
+                        mixes: TenantMix::all()[..m].to_vec(),
+                        seed_groups: g,
+                        ..FleetConfig::small_test()
+                    };
+                    let cells = cfg.cells();
+                    assert_eq!(cells.len(), devices.min(lcm), "{m} mixes x {g} groups, {devices}");
+                    let mut seen: Vec<u32> = cells.concat();
+                    seen.sort_unstable();
+                    assert_eq!(seen, (0..devices as u32).collect::<Vec<_>>(), "one cell each");
+                    for cell in &cells {
+                        let first = cell[0] as usize;
+                        assert!(cell.iter().all(|&d| {
+                            let d = d as usize;
+                            d % m == first % m && d % g == first % g
+                        }));
+                    }
+                    // A never-reached crash arms the template: every device
+                    // has its own fault-plan seed, so its own cell.
+                    cfg.faults = FaultConfig { crash_at_op: Some(u64::MAX), ..FaultConfig::none() };
+                    let armed = cfg.cells();
+                    assert_eq!(armed, (0..devices as u32).map(|d| vec![d]).collect::<Vec<_>>());
+                }
+            }
+        }
     }
 
     /// A chaos fleet on a deliberately tiny 32-block device: heavy erase
@@ -348,6 +474,74 @@ mod tests {
         assert!(observed.slo.as_ref().is_some_and(|s| !s.is_empty()));
         let j = observed.to_json().render();
         assert!(j.contains("\"observability\"") && j.contains("\"slo\""));
+    }
+
+    /// Simulating each distinct cell once renders every byte that
+    /// simulating every device does: the lockstep and coprime mix/group
+    /// cycles, host mode with gauges and SLO tracking, and a fault-armed
+    /// fleet whose cells are its devices.
+    #[test]
+    fn shared_cells_render_what_every_device_simulated_renders() {
+        let lockstep = FleetConfig {
+            devices: 12,
+            mixes: TenantMix::all(),
+            seed_groups: 4,
+            requests_per_tenant: 200,
+            ..FleetConfig::small_test()
+        };
+        let coprime = FleetConfig { devices: 24, seed_groups: 3, ..lockstep.clone() };
+        let observed = FleetConfig {
+            host_queues: Some((2, 8)),
+            telemetry: Some(TraceConfig::gauges_only(1_000_000, 1)),
+            slo: Some(SloConfig::uniform(200_000, 900, 1_000_000)),
+            ..FleetConfig::small_test()
+        };
+        let cases = [("lockstep", lockstep, 4), ("coprime", coprime, 12), ("observed", observed, 2)];
+        for (name, cfg, cells) in cases.into_iter().chain([("chaos", chaos_test(), 4)]) {
+            assert_eq!(cfg.cells().len(), cells, "{name}: cell count");
+            let shared = rendered(&run_fleet(&cfg));
+            let every = rendered(&every_device_simulated(&cfg));
+            for (i, (a, b)) in shared.iter().zip(&every).enumerate() {
+                assert_eq!(a, b, "{name}: artifact {i} differs from simulating every device");
+            }
+        }
+    }
+
+    #[test]
+    fn validate_names_the_first_bad_field() {
+        let ok = FleetConfig::small_test();
+        assert_eq!(ok.validate(), Ok(()));
+        let mut no_tenants = TenantMix::balanced();
+        no_tenants.tenants.clear();
+        let cases = [
+            (FleetConfig { devices: 0, ..ok.clone() }, "empty fleet"),
+            (FleetConfig { mixes: vec![], ..ok.clone() }, "no tenant mixes"),
+            (FleetConfig { mixes: vec![no_tenants], ..ok.clone() }, "has no tenants"),
+            (FleetConfig { seed_groups: 0, ..ok.clone() }, "seed_groups must be >= 1"),
+            (FleetConfig { host_queues: Some((0, 8)), ..ok.clone() }, "host queue shape 0x8"),
+            (FleetConfig { footprint_frac: 1.5, ..ok.clone() }, "footprint fraction 1.5"),
+            (
+                FleetConfig { flash: UllConfig { gc_watermark: -1.0, ..ok.flash }, ..ok.clone() },
+                "gc_watermark",
+            ),
+            (
+                FleetConfig {
+                    faults: FaultConfig { erase_fail_prob: 2.0, ..FaultConfig::none() },
+                    ..ok.clone()
+                },
+                "erase_fail_prob 2 outside [0, 1]",
+            ),
+        ];
+        for (cfg, want) in cases {
+            let err = cfg.validate().expect_err(want);
+            assert!(err.contains(want), "`{err}` does not name `{want}`");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "seed_groups must be >= 1")]
+    fn run_fleet_panics_with_the_validators_message() {
+        run_fleet(&FleetConfig { seed_groups: 0, ..FleetConfig::small_test() });
     }
 
     #[test]

@@ -22,8 +22,10 @@
 //!   materialized) into `Ssd::submit`, or a multi-queue NVMe-style
 //!   replay via `cagc_host` when queue pairs are configured.
 //! - [`fleet`] — the fan-out: device cells are pure functions of their
-//!   spec, scheduled with `map_ordered_dynamic_chunked`, so the
-//!   [`FleetReport`] is byte-identical at every worker count.
+//!   spec, so identical devices share one simulation
+//!   ([`FleetConfig::cells`]), and cells are scheduled with
+//!   `map_ordered_dynamic_chunked`, so the [`FleetReport`] is
+//!   byte-identical at every worker count.
 //! - [`analytic`] — Li/Lee/Lui-style mean-field write-amplification
 //!   curves (FIFO and greedy cleaning) the measured fleet WAF is
 //!   validated against under uniform random traffic.

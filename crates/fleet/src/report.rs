@@ -170,8 +170,9 @@ fn earliest(so_far: Option<Nanos>, ns: Nanos) -> Option<Nanos> {
 
 /// The rollup `is` picks, appended as `first()` when its key has not
 /// appeared yet, so every keyed rollup is in first-appearance (device)
-/// order; `true` when it was just appended.
-fn upsert<T>(
+/// order; `true` when it was just appended. The fleet's device cells are
+/// grouped the same way ([`crate::FleetConfig::cells`]).
+pub(crate) fn upsert<T>(
     rollups: &mut Vec<T>,
     is: impl Fn(&T) -> bool,
     first: impl FnOnce() -> T,
