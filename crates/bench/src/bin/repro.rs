@@ -135,10 +135,19 @@ fn inspect(
 ) {
     use cagc_trace::{from_tracer, parse_jsonl, GcAnatomy, ParsedTrace, SpanProfile};
 
+    /// A trace file that cannot be read or parsed stops the run before
+    /// anything is written: an error naming the file (and, from
+    /// `parse_jsonl`, the line), never a panic.
     fn load(path: &std::path::Path) -> ParsedTrace<'static> {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        parse_jsonl(&text).unwrap_or_else(|e| panic!("parse {}: {e}", path.display()))
+        let parsed = std::fs::read_to_string(path)
+            .map_err(|e| format!("read {}: {e}", path.display()))
+            .and_then(|text| {
+                parse_jsonl(&text).map_err(|e| format!("parse {}: {e}", path.display()))
+            });
+        parsed.unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        })
     }
 
     if let Some((a, b)) = diff {

@@ -56,3 +56,37 @@ fn an_unknown_command_stops_repro_before_anything_runs() {
     assert!(!stdout.contains("Table I"), "table1 ran before `nosuch` was rejected:\n{stdout}");
     assert_eq!(written, 0, "nothing may be written when a command name is unknown");
 }
+
+#[test]
+fn an_unreadable_trace_stops_inspect_with_an_error_and_writes_nothing() {
+    let dir = std::env::temp_dir().join(format!("cagc_repro_bad_trace_{}", std::process::id()));
+    let out = dir.join("out");
+    std::fs::create_dir_all(&out).expect("create temp out dir");
+    let bad = dir.join("bad.jsonl");
+    std::fs::write(&bad, "\n{not json\n").expect("write malformed trace");
+    let missing = dir.join("missing.jsonl");
+    let (bad, missing) = (bad.to_str().expect("utf-8 path"), missing.to_str().expect("utf-8 path"));
+    // The file loaded first decides the message: a parse error names the
+    // line, a read error the file.
+    let cases: [(&[&str], &str); 4] = [
+        (&["--trace", bad, "inspect"], "line 2"),
+        (&["--trace", missing, "inspect"], missing),
+        (&["--diff", bad, missing, "inspect"], "line 2"),
+        (&["--diff", missing, bad, "inspect"], missing),
+    ];
+    for (args, expect) in cases {
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("--out")
+            .arg(&out)
+            .args(args)
+            .output()
+            .expect("run repro");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        let written = std::fs::read_dir(&out).expect("read temp out dir").count();
+        assert!(!run.status.success(), "{args:?}: a bad trace must fail the run");
+        assert!(!stderr.contains("panicked"), "{args:?}: panicked instead of an error:\n{stderr}");
+        assert!(stderr.contains("error: ") && stderr.contains(expect), "{args:?}: {stderr}");
+        assert_eq!(written, 0, "{args:?}: nothing may be written for a bad trace");
+    }
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}

@@ -6,7 +6,9 @@
 //! footprint, as the benchmark's `gc_write_heavy` workload does, on an
 //! eighth of its 1 GB device with an eighth of its requests (the same
 //! shape, small enough for a debug test run), and pins
-//! the whole device per physical page and the index per live entry.
+//! the whole device per physical page and the index per live entry. The
+//! two "replayed eighth" rows of docs/PERFORMANCE.md's "Bytes per
+//! physical page" table print what it measures, at their precision.
 
 use cagc_core::{Scheme, Ssd, SsdConfig};
 use cagc_flash::UllConfig;
@@ -31,4 +33,17 @@ fn a_replayed_device_costs_what_its_tables_cost_per_physical_page() {
     // page, 124 k entries).
     assert!(per_page <= 63.0, "device: {per_page:.3} B per physical page");
     assert!(per_entry <= 63.6, "index: {per_entry:.3} B per live entry");
+
+    let page = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/PERFORMANCE.md");
+    let page = std::fs::read_to_string(page).expect("read docs/PERFORMANCE.md");
+    let printed: Vec<&str> = page
+        .lines()
+        .filter(|l| l.starts_with("| replayed eighth |"))
+        .map(|l| l.split('|').nth(3).expect("a fault-free cell").trim())
+        .collect();
+    let [device, index] = printed[..] else { panic!("want two replayed rows: {printed:?}") };
+    for (what, prose, value) in [("device", device, per_page), ("index", index, per_entry)] {
+        let decimals = prose.split_once('.').map_or(0, |(_, frac)| frac.len());
+        assert_eq!(prose, format!("{value:.decimals$}"), "{what}: PERFORMANCE.md says {prose}");
+    }
 }

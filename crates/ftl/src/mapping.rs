@@ -131,6 +131,11 @@ mod tests {
     }
 
     #[test]
+    fn an_entry_is_4_bytes_a_logical_page() {
+        assert_eq!(MappingTable::new(100).heap_bytes(), 100 * 4);
+    }
+
+    #[test]
     fn set_get_clear_round_trip() {
         let mut t = MappingTable::new(10);
         assert_eq!(t.set(3, 77), None);

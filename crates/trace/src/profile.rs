@@ -696,6 +696,11 @@ mod tests {
     use super::*;
     use crate::recording::testing::{instant, recording, span, Spec};
 
+    #[test]
+    fn a_container_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Container>(), 24);
+    }
+
     fn die(name: &'static str, start: u64, end: u64) -> Spec {
         span(Track::Die { channel: 0, die: 0 }, name, start, end)
     }

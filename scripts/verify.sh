@@ -35,7 +35,7 @@ echo "== one request path: Ssd::submit, one k-way merge, no request copied to be
 if grep -rn 'process_status\|process_checked' crates src examples tests \
   || grep -rn 'BinaryHeap' crates/fleet/src \
   || grep -rn 'clone_from(contents)\|\.\.req\.clone()\|\.\.r\.clone()' crates/host/src crates/fleet/src crates/bench/src; then
-  echo "FAIL: a command reaches the FTL through Ssd::submit, tenant streams merge in workloads::mixer::merge, and a driver restamps a RequestView instead of cloning a Request (DESIGN.md, request path)"; exit 1; fi
+  echo "FAIL: a command reaches the FTL through Ssd::submit, tenant streams merge in workloads::mixer::merge, and a driver restamps a RequestView instead of cloning a Request (DESIGN.md, System inventory)"; exit 1; fi
 
 echo "== one trace layout: 16-byte records, a run table and one content slab, read as views =="
 if grep -n 'pub requests: Vec<' crates/workloads/src/trace.rs || grep -rn 'to_request' crates \
@@ -52,7 +52,7 @@ if grep -nE 'RSlot|Many\(Vec<|pos: Vec<' crates/ftl/src/rmap.rs || grep -nE ':[[
 
 echo "== one move, one order: every GC copy through relocate_page, every host store through store_page =="
 if grep -rnE 'fn migrate_blind|gc_batch|fn program_foreground' crates/core/src || grep -n 'match self.cfg.scheme' crates/core/src/gc.rs; then
-  echo "FAIL: GC drains every victim through one per-page step that copies blindly or runs the Fig. 5 decision, and the host side stores through Ssd::store_page, the one owner of the out-of-place order (DESIGN.md, GC)"; exit 1; fi
+  echo "FAIL: GC drains every victim through one per-page step that copies blindly or runs the Fig. 5 decision, and the host side stores through Ssd::store_page, the one owner of the out-of-place order (DESIGN.md, CAGC GC workflow)"; exit 1; fi
 
 echo "== one fold: every fleet rollup merges one record type =="
 if grep -rnE 'struct TenantSloSummary|fn merge_totals|fn target_for|targets: Vec<\(String' crates/fleet/src \
