@@ -85,9 +85,9 @@ fn smoke(scale: &Scale, trace_out: Option<&std::path::Path>, sample: u64, preemp
         let chrome = ssd.chrome_trace();
         let parsed = cagc_harness::Json::parse(&chrome).expect("emitted trace must parse");
         assert_eq!(parsed.render(), chrome, "harness parser round-trip");
-        std::fs::write(path, &chrome).expect("write Chrome trace");
+        checked(path, std::fs::write(path, &chrome));
         let jsonl_path = path.with_extension("jsonl");
-        std::fs::write(&jsonl_path, ssd.trace_jsonl()).expect("write JSONL log");
+        checked(&jsonl_path, std::fs::write(&jsonl_path, ssd.trace_jsonl()));
         println!(
             "  trace: {} events recorded, {} dropped, parser round-trip OK",
             ssd.tracer().events().len(),
@@ -157,7 +157,7 @@ fn inspect(
         let (a, b) = (a.display(), b.display());
         println!("GC anatomy diff (A = {a}, B = {b}; simulated ns)\n\n{}", diff.render());
         let path = out_dir.join("inspect_diff.csv");
-        std::fs::write(&path, diff.to_csv()).expect("write diff CSV");
+        checked(&path, std::fs::write(&path, diff.to_csv()));
         println!("  -> {}", path.display());
         return;
     }
@@ -190,9 +190,18 @@ fn inspect(
         ("inspect_flame.txt", profile.flamegraph()),
     ] {
         let path = out_dir.join(name);
-        std::fs::write(&path, &content).expect("write inspect artifact");
+        checked(&path, std::fs::write(&path, &content));
         println!("  -> {}", path.display());
     }
+}
+
+/// An output path that cannot be used stops the run with an error naming
+/// it, never a panic.
+fn checked<T>(path: &std::path::Path, result: std::io::Result<T>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {}: {e}", path.display());
+        std::process::exit(1)
+    })
 }
 
 /// The next argument — a flag's value — or usage.
@@ -263,7 +272,7 @@ fn main() {
         }
     }
 
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
+    checked(&out_dir, std::fs::create_dir_all(&out_dir));
     println!(
         "# CAGC repro | device {}GB | requests {} (Mail {}) | seed {}\n",
         scale.device_gb, scale.requests, scale.mail_requests, scale.seed
@@ -291,7 +300,7 @@ fn main() {
                 println!("{}", art.text);
                 for (name, csv) in &art.csv {
                     let path = out_dir.join(name);
-                    std::fs::write(&path, csv).expect("write CSV artifact");
+                    checked(&path, std::fs::write(&path, csv));
                     println!("  -> {}", path.display());
                 }
             }

@@ -803,13 +803,11 @@ pub fn sweep_qd(scale: &Scale, resilient: bool) -> Artifacts {
     let device = |preempt: bool| {
         let mut cfg = SsdConfig::paper(flash, Scheme::Cagc);
         cfg.gc_preempt = preempt;
-        cfg.gc_slice_pages = 8;
         cfg
     };
     let run_cell = |&(qd, preempt): &(u32, bool)| -> HostReport {
         let mut host_cfg = HostConfig::passthrough();
         host_cfg.queue_depth = qd;
-        host_cfg.gc_pump = preempt;
         if resilient {
             // Arm the full resilience policy (deadline well above the
             // fault-free tail). On a fault-free device it must be
@@ -883,7 +881,7 @@ pub fn sweep_qd(scale: &Scale, resilient: bool) -> Artifacts {
         "\nRead p99 climbs with queue depth — deeper queues stack more commands\n\
          behind every GC round — and preemptible GC claws the extreme tail back:\n\
          at QD >= 8 the p99.9 read latency drops versus whole-victim GC because a\n\
-         queued read waits for at most one migration quantum (gc_slice_pages)\n\
+         queued read waits for at most one migration quantum (8 pages)\n\
          instead of a full victim migration + erase. Medians are untouched; the\n\
          knob is tail-only, exactly as intended. See docs/HOST_INTERFACE.md.\n",
         "sweep_qd.csv",

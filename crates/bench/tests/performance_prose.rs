@@ -7,7 +7,8 @@
 //! test asserts (`device_bytes.rs` checks the replayed figures itself).
 //! A byte figure in the page's prose must be one the two tables state,
 //! so a layout cannot change without the page, nor the page without the
-//! layout.
+//! layout. docs/OBSERVABILITY.md's recording sizes are held the same way:
+//! each byte figure in its prose must be one a size-pinning test states.
 
 use cagc_core::{Scheme, Ssd, SsdConfig};
 use cagc_flash::{FaultConfig, UllConfig};
@@ -202,6 +203,27 @@ fn every_byte_figure_in_the_prose_is_one_the_tables_state() {
     let mut sample = prose_byte_figures("a 40-byte x, 8 B per y, 32 bytes, 3 MiB, 2 Bs");
     sample.sort();
     assert_eq!(sample, ["32", "40", "8"], "the scanner lost a unit");
+}
+
+#[test]
+fn every_byte_figure_in_the_observability_prose_is_one_a_size_pin_states() {
+    let pins = [
+        ("crates/trace/src/recording.rs", "an_event_is_at_most_32_bytes_and_an_argument_10"),
+        ("crates/trace/src/profile.rs", "a_container_is_24_bytes"),
+        (
+            "crates/host/tests/traced_chaos.rs",
+            "live_and_jsonl_analyses_agree_on_a_faulted_preempting_host_replay",
+        ),
+    ]
+    .map(|(file, test)| test_body(file, test));
+    let figures = prose_byte_figures(&read("docs/OBSERVABILITY.md"));
+    assert!(figures.len() >= 4, "the recording sizes left the page: {figures:?}");
+    for n in figures {
+        assert!(
+            pins.iter().any(|body| states(body, &n)),
+            "docs/OBSERVABILITY.md states {n} B, which no size-pinning test states"
+        );
+    }
 }
 
 #[test]

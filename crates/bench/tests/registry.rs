@@ -90,3 +90,31 @@ fn an_unreadable_trace_stops_inspect_with_an_error_and_writes_nothing() {
     }
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }
+
+#[test]
+fn an_unusable_output_path_stops_repro_with_an_error() {
+    let dir = std::env::temp_dir().join(format!("cagc_repro_bad_out_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let file = dir.join("a_file");
+    std::fs::write(&file, "").expect("write a regular file");
+    let trace = file.join("t.json");
+    let utf8 = |p: &std::path::Path| p.to_str().expect("utf-8 path").to_string();
+    let (out, file, trace) = (utf8(&dir), utf8(&file), utf8(&trace));
+    // `--out` at a regular file fails creating the directory; a trace path
+    // under it fails writing the trace.
+    let cases: [(&[&str], &str); 2] = [
+        (&["--out", &file, "table1"], &file),
+        (&["--out", &out, "--trace", &trace, "smoke"], &trace),
+    ];
+    for (args, expect) in cases {
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("run repro");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked at"), "{args:?}: panicked instead of an error:\n{stderr}");
+        assert!(stderr.contains(&format!("error: {expect}: ")), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}

@@ -87,35 +87,21 @@ pub struct SsdConfig {
     /// RNG, so fault-free runs stay bit-identical to builds without the
     /// fault subsystem.
     pub faults: FaultConfig,
-    /// Program-failure handling: how many fresh frontier blocks to try
-    /// before falling back to a forced program on the last one.
-    pub max_program_retries: u32,
     /// Read-only degradation floor: when bad-block retirement shrinks the
     /// usable pool to the GC reserve ([`GcThresholds::reserve_blocks`])
     /// plus this many blocks or fewer, the device stops accepting writes
     /// and trims.
     pub read_only_floor_blocks: u32,
     /// Preemptible GC scheduling (time-efficient GC, Nagel et al.). When
-    /// true, victim collection is sliced into [`Self::gc_slice_pages`]-page
+    /// true, victim collection is sliced into [`Self::GC_SLICE_PAGES`]-page
     /// quanta: each foreground write that trips the low watermark advances
     /// the in-flight victim by one quantum and then *yields* back to host
     /// commands instead of migrating the whole block inline. The remainder
     /// is carried as a suspended GC job, resumed on later triggers, idle
     /// windows ([`Self::idle_gc`]) or explicit [`crate::Ssd::gc_pump`]
-    /// calls. When false (default) GC is the paper's run-to-completion
-    /// loop — byte-identical behavior to builds without this knob.
+    /// calls, escalating below [`GcThresholds::urgent_fraction`]. When
+    /// false (default) GC is the paper's run-to-completion loop.
     pub gc_preempt: bool,
-    /// Pages migrated per preemption quantum (only with
-    /// [`Self::gc_preempt`]). Smaller slices mean finer-grained yielding —
-    /// lower foreground tail latency but more scheduling overhead.
-    pub gc_slice_pages: u32,
-    /// Urgency escalation floor for preemptible GC: when the free-block
-    /// fraction falls below this, preemption is suspended and GC runs
-    /// whole victims to completion until the low watermark clears (guards
-    /// against the foreground outrunning sliced reclamation). Defaults to
-    /// [`GcThresholds::urgent_fraction`]; must not exceed the low
-    /// watermark.
-    pub gc_urgent_fraction: f64,
 }
 
 /// The GC trigger thresholds a flash configuration implies — a function of
@@ -138,9 +124,10 @@ pub struct GcThresholds {
     /// Free blocks withheld from foreground allocation for GC migration
     /// (deadlock guard).
     pub reserve_blocks: u32,
-    /// Default [`SsdConfig::gc_urgent_fraction`]: halfway between the hard
-    /// reserve and the low watermark — enough headroom that whole-victim
-    /// catch-up can still clear the trigger before the allocator stalls.
+    /// Urgency floor for preemptible GC: below this free-block fraction,
+    /// slicing is suspended and whole victims run until the low watermark
+    /// clears. 5 % of the OP pool above the reserve — enough headroom that
+    /// catch-up can clear the trigger before the allocator stalls.
     pub urgent_fraction: f64,
 }
 
@@ -186,12 +173,18 @@ impl SsdConfig {
     /// Simulated controller time charged per program retry (frontier
     /// close + re-allocate + re-issue).
     pub const PROGRAM_RETRY_BACKOFF_NS: Nanos = us(20);
+    /// Program-failure handling: fresh frontier blocks tried before the
+    /// program is forced through on the last one.
+    pub const MAX_PROGRAM_RETRIES: u32 = 4;
     /// Read ECC handling: device re-reads attempted before the heroic
     /// soft-decode path.
     pub const MAX_READ_RETRIES: u32 = 2;
     /// Simulated cost of the heroic ECC soft-decode invoked when re-reads
     /// keep failing (the data is always recovered; only time is lost).
     pub const ECC_DECODE_NS: Nanos = us(5);
+    /// Pages migrated per preemption quantum ([`Self::gc_preempt`]): a
+    /// queued read waits for at most this many migrations.
+    pub const GC_SLICE_PAGES: usize = 8;
 
     /// The paper's configuration for a given scheme at the given device
     /// scale. Its GC trigger is [`GcThresholds::of`] the flash config.
@@ -207,11 +200,8 @@ impl SsdConfig {
             placement: true,
             idle_gc: false,
             faults: FaultConfig::none(),
-            max_program_retries: 4,
             read_only_floor_blocks: 4,
             gc_preempt: false,
-            gc_slice_pages: 8,
-            gc_urgent_fraction: GcThresholds::of(&flash).urgent_fraction,
         }
     }
 
@@ -250,16 +240,12 @@ impl SsdConfig {
         if self.scheme == Scheme::Cagc && self.cold_threshold == 0 {
             return Err("cold_threshold 0 would send every page cold".into());
         }
-        if self.gc_preempt {
-            if self.gc_slice_pages == 0 {
-                return Err("gc_slice_pages must be >= 1".into());
-            }
-            if !(0.0 < self.gc_urgent_fraction && self.gc_urgent_fraction <= gc.low) {
-                return Err(format!(
-                    "gc_urgent_fraction {} must sit in (0, low watermark {}]",
-                    self.gc_urgent_fraction, gc.low
-                ));
-            }
+        if self.gc_preempt && gc.urgent_fraction > gc.low {
+            return Err(format!(
+                "gc_watermark {} puts the low watermark {} under the preemptible GC's \
+                 urgent floor {}: preemption needs a gc_watermark of at least 0.05",
+                self.flash.gc_watermark, gc.low, gc.urgent_fraction
+            ));
         }
         self.faults.validate()?;
         Ok(())
@@ -284,7 +270,7 @@ mod tests {
         assert!(low_blocks > gc.reserve_blocks as f64);
         assert!(low_blocks < total * c.flash.op_ratio + gc.reserve_blocks as f64 + 2.0);
         assert!(gc.high > gc.low);
-        assert_eq!(c.gc_urgent_fraction, gc.urgent_fraction);
+        assert!(0.0 < gc.urgent_fraction && gc.urgent_fraction <= gc.low);
         c.validate().unwrap();
     }
 
@@ -349,7 +335,6 @@ mod tests {
         let c = SsdConfig::tiny(Scheme::Cagc);
         assert!(!c.faults.is_active(), "paper config is fault-free");
         assert!(c.faults.crash_at_op.is_none());
-        assert!(c.max_program_retries >= 1);
         c.validate().unwrap();
     }
 
@@ -359,13 +344,15 @@ mod tests {
         assert!(!c.gc_preempt, "preemption must default off (byte-identical baseline)");
         c.gc_preempt = true;
         c.validate().unwrap();
-        let low = GcThresholds::of(&c.flash).low;
-        assert!(0.0 < c.gc_urgent_fraction && c.gc_urgent_fraction <= low);
-        c.gc_slice_pages = 0;
-        assert!(c.validate().is_err());
-        c.gc_slice_pages = 8;
-        c.gc_urgent_fraction = low + 0.1;
-        assert!(c.validate().is_err());
+        // The urgent floor sits 5 % of the OP pool above the reserve, so
+        // a watermark under 5 % would put the trigger below it.
+        c.flash.gc_watermark = 0.05;
+        c.validate().unwrap();
+        c.flash.gc_watermark = 0.04;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("gc_watermark 0.04"), "{err}");
+        c.gc_preempt = false;
+        c.validate().unwrap();
     }
 
     #[test]

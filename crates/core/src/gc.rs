@@ -75,7 +75,7 @@ pub struct GcStats {
 /// taken when the job began, and a cursor. Every GC entry point drains
 /// victims through a job; run-to-completion GC steps it once with an
 /// unbounded budget, preemptible GC ([`crate::SsdConfig::gc_preempt`])
-/// steps it [`crate::SsdConfig::gc_slice_pages`] at a time and parks it in
+/// steps it [`SsdConfig::GC_SLICE_PAGES`] at a time and parks it in
 /// `Ssd::gc_job` between quanta. Pages invalidated after the snapshot
 /// (foreground overwrites between slices, dedup absorption) are re-checked
 /// and skipped when their turn comes.
@@ -108,15 +108,16 @@ impl Ssd {
     ///
     /// Preemptible ([`crate::SsdConfig::gc_preempt`]), per trigger check:
     ///
-    /// * **urgent** (free < `gc_urgent_fraction`): preemption is suspended
-    ///   — whole victims until the low watermark clears ([`Ssd::catch_up`]);
+    /// * **urgent** (free below [`crate::GcThresholds::urgent_fraction`]):
+    ///   preemption is suspended — whole victims until the low watermark
+    ///   clears ([`Ssd::catch_up`]);
     /// * **triggered** (job pending, or free below the low watermark): run
-    ///   exactly one `gc_slice_pages` quantum, then yield back to the
-    ///   foreground with the remainder suspended in [`GcJob`];
+    ///   exactly one [`SsdConfig::GC_SLICE_PAGES`] quantum, then yield back
+    ///   to the foreground with the remainder suspended in [`GcJob`];
     /// * otherwise: no work.
     pub(crate) fn maybe_gc(&mut self, now: Nanos) -> Result<Nanos, FlashError> {
         let free = self.free_fraction();
-        let end = if self.cfg.gc_preempt && free < self.cfg.gc_urgent_fraction {
+        let end = if self.cfg.gc_preempt && free < self.thresholds.urgent_fraction {
             self.as_gc(now, Self::catch_up)?
         } else if self.gc_job.is_none() && free >= self.thresholds.low {
             return Ok(now);
@@ -284,13 +285,13 @@ impl Ssd {
     }
 
     /// One preemption quantum: take the suspended job (or begin one),
-    /// migrate up to `gc_slice_pages` still-valid pages, then either erase
-    /// the drained victim or suspend the remainder and yield.
+    /// migrate up to [`SsdConfig::GC_SLICE_PAGES`] still-valid pages, then
+    /// either erase the drained victim or suspend the remainder and yield.
     fn slice(&mut self, now: Nanos) -> Result<Nanos, FlashError> {
         let Some(mut job) = self.gc_job.take().or_else(|| self.begin_job(now)) else {
             return Ok(now);
         };
-        let (moved, done) = self.step_job(&mut job, self.cfg.gc_slice_pages as usize, now)?;
+        let (moved, done) = self.step_job(&mut job, SsdConfig::GC_SLICE_PAGES, now)?;
         let remaining = (job.pages.len() - job.next) as u64;
         let end = if remaining == 0 { self.erase_victim(job.victim, done)? } else { done };
         self.tracer.span(
@@ -779,24 +780,27 @@ mod tests {
     /// closed-block walk derives from the device and allocator state, in
     /// the configurations that used to force the walk: faults armed
     /// (program failures sealing frontiers, refused forced programs
-    /// closing them short, erase failures retiring blocks, a power loss
-    /// re-closing everything) × preemptible GC (selections between
-    /// suspended jobs) × tracing on. A selection is probed after every
-    /// request, so the comparison also runs in release-mode test builds,
-    /// where the `debug_assert` oracle in `select_victim` is compiled out.
+    /// closing them short — scheduled runs of failures exhaust the
+    /// retries — erase failures retiring blocks, some scheduled too, a
+    /// power loss re-closing everything) × preemptible GC (selections
+    /// between suspended jobs) × tracing on. A selection is probed after
+    /// every request, so the comparison also runs in release-mode test
+    /// builds, where the `debug_assert` oracle in `select_victim` is
+    /// compiled out.
     #[test]
     fn traced_selections_report_what_the_walk_finds_under_faults_and_preemption() {
         for preempt in [false, true] {
             let mut cfg = SsdConfig::tiny(Scheme::Cagc);
             cfg.gc_preempt = preempt;
-            cfg.gc_slice_pages = 2;
-            cfg.max_program_retries = 1;
+            let retries = u64::from(SsdConfig::MAX_PROGRAM_RETRIES);
             cfg.faults = FaultConfig {
                 program_fail_prob: 2e-2,
                 erase_fail_prob: 2e-3,
                 unrecoverable_prob: 0.3,
                 crash_at_op: Some(30_000),
                 seed: 5,
+                fail_program_ops: (1..40).flat_map(|k| k * 500..k * 500 + retries).collect(),
+                fail_erase_ops: vec![100, 300],
                 ..FaultConfig::none()
             };
             let trace = FiuWorkload::Mail
@@ -845,7 +849,10 @@ mod tests {
             // The run reached the states the index has to get right.
             assert!(recovered, "the crash point was never reached");
             assert!(stranded_max > 0 && selected > 1_000, "{stranded_max} {selected}");
-            assert!(ssd.fh.program_retries > 0 && ssd.fh.write_faults > 0);
+            assert!(ssd.fh.program_retries > 0 && ssd.fh.forced_programs > 0);
+            assert!(ssd.fh.write_faults > 0);
+            let suspended = ssd.tracer.events().iter().any(|e| e.name() == "gc_yield");
+            assert_eq!(suspended, preempt, "a sliced job was suspended");
             assert!(ssd.dev.stats().blocks_retired > 0);
             assert_eq!(ssd.tracer.dropped_events(), 0);
         }

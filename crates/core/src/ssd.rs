@@ -987,7 +987,7 @@ impl Ssd {
     /// Issue one page program on `region`'s frontier, absorbing injected
     /// program failures: each failure closes the frontier (the suspect
     /// block drains to GC), charges the retry backoff to simulated time,
-    /// and retries on a fresh block; after `max_program_retries` failures
+    /// and retries on a fresh block; after [`SsdConfig::MAX_PROGRAM_RETRIES`] failures
     /// the program is forced through on ECC margin as a last resort.
     pub(crate) fn program_region(
         &mut self,
@@ -999,7 +999,7 @@ impl Ssd {
         let mut retries = 0;
         loop {
             let block = self.alloc_block(region, for_gc, ready)?;
-            let forced = retries >= self.cfg.max_program_retries;
+            let forced = retries >= SsdConfig::MAX_PROGRAM_RETRIES;
             // The forced program is the write path's last resort. On the
             // host path it may fail unrecoverably (write-fault completion);
             // the GC path never rolls — migration failures are absorbed

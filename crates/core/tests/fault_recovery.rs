@@ -320,13 +320,13 @@ fn program_failure_retries_on_a_fresh_block() {
 
 #[test]
 fn exhausted_retries_force_the_program_through() {
-    // Default max_program_retries = 4: ordinals 0..=3 all fail, the fifth
+    // MAX_PROGRAM_RETRIES = 4: ordinals 0..=3 all fail, the fifth
     // attempt takes the forced (fault-bypassing) path.
     let cfg = schedule_config(
         Scheme::Baseline,
         FaultConfig { fail_program_ops: vec![0, 1, 2, 3], ..FaultConfig::none() },
     );
-    let retries = cfg.max_program_retries as u64;
+    let retries = u64::from(SsdConfig::MAX_PROGRAM_RETRIES);
     let mut ssd = Ssd::new(cfg);
     let done = ssd.submit(Request::write(1_000, 0, vec![ContentId(9)]).view()).unwrap().end_ns;
     let fr = ssd.fault_report();

@@ -1,8 +1,10 @@
 //! Behavioral tests for preemptible (sliced) GC scheduling.
 
-use cagc_core::{Scheme, Ssd, SsdConfig};
+use cagc_core::{Scheme, Ssd, SsdConfig, TraceConfig};
+use cagc_dedup::ContentId;
 use cagc_harness::ToJson;
-use cagc_workloads::{SynthConfig, Trace};
+use cagc_sim::SimRng;
+use cagc_workloads::{Request, SynthConfig, Trace};
 
 fn churn_trace(seed: u64, requests: usize) -> Trace {
     let flash = cagc_flash::UllConfig::tiny_for_tests();
@@ -56,7 +58,6 @@ fn preempt_on_stays_consistent_across_schemes() {
         let off = run(SsdConfig::tiny(scheme), &trace);
         let mut cfg = SsdConfig::tiny(scheme);
         cfg.gc_preempt = true;
-        cfg.gc_slice_pages = 4;
         let on = run(cfg, &trace);
         assert!(off.gc.blocks_erased > 0, "{}: GC never ran", scheme.name());
         assert!(on.gc.blocks_erased > 0, "{}: sliced GC never ran", scheme.name());
@@ -79,7 +80,6 @@ fn preempt_shortens_worst_case_write_stall() {
     let off = run(SsdConfig::tiny(Scheme::Cagc), &trace);
     let mut cfg = SsdConfig::tiny(Scheme::Cagc);
     cfg.gc_preempt = true;
-    cfg.gc_slice_pages = 2;
     let on = run(cfg, &trace);
     assert!(
         on.writes.max_ns < off.writes.max_ns,
@@ -94,7 +94,6 @@ fn preempt_is_deterministic() {
     let trace = churn_trace(17, 8_000);
     let mut cfg = SsdConfig::tiny(Scheme::Cagc);
     cfg.gc_preempt = true;
-    cfg.gc_slice_pages = 4;
     let a = run(cfg.clone(), &trace);
     let b = run(cfg, &trace);
     assert_eq!(a.to_json().render(), b.to_json().render());
@@ -108,7 +107,6 @@ fn gc_pump_reclaims_in_idle_windows() {
     let trace = churn_trace(21, 9_000);
     let mut cfg = SsdConfig::tiny(Scheme::Cagc);
     cfg.gc_preempt = true;
-    cfg.gc_slice_pages = 4;
     let mut ssd = Ssd::new(cfg);
     ssd.replay(&trace);
     let before = ssd.gc_stats().blocks_erased;
@@ -125,4 +123,37 @@ fn gc_pump_reclaims_in_idle_windows() {
     // Converged: free space reached the high watermark, so the pump has
     // nothing left to do.
     assert!(ssd.gc_pump(t).is_none());
+}
+
+/// Back-to-back writes of a whole block each outrun one 8-page slice per
+/// write: free space falls below the urgent floor and the catch-up leg runs
+/// whole victims. Every acknowledged write's content survives it.
+#[test]
+fn write_bursts_outrunning_slices_escalate_to_catch_up() {
+    let mut cfg = SsdConfig::tiny(Scheme::Cagc);
+    cfg.gc_preempt = true;
+    let pages_per_burst = cfg.flash.pages_per_block;
+    let span = cfg.flash.logical_pages() * 9 / 10 - u64::from(pages_per_burst);
+    let mut ssd = Ssd::new(cfg);
+    ssd.enable_tracing(TraceConfig::default());
+    let mut rng = SimRng::seed_from_u64(3);
+    let mut want = vec![None; ssd.logical_pages() as usize];
+    let (mut t, mut next) = (0, 0u64);
+    for _ in 0..2_000 {
+        let lpn = rng.gen_range_u64(0..span);
+        let contents: Vec<ContentId> = (0..pages_per_burst)
+            .map(|i| ContentId(next + u64::from(i) % 4)) // some duplicates
+            .collect();
+        next += u64::from(pages_per_burst);
+        t = ssd.submit(Request::write(t, lpn, contents.clone()).view()).unwrap().end_ns;
+        for (i, c) in contents.into_iter().enumerate() {
+            want[lpn as usize + i] = Some(c);
+        }
+    }
+    let urgent = ssd.tracer().events().iter().filter(|e| e.name() == "gc_urgent").count();
+    assert!(urgent > 0, "the catch-up leg never ran");
+    ssd.audit().expect("audit after catch-up");
+    for (lpn, &c) in want.iter().enumerate() {
+        assert_eq!(ssd.stored_content(lpn as u64), c, "lpn {lpn}");
+    }
 }

@@ -33,6 +33,10 @@ use cagc_workloads::{SynthConfig, Trace};
 /// GC runs hundreds of rounds on the tiny device and CAGC sees dedup hits,
 /// stored-copy relocations, first-time inserts and promotions.
 fn churn_trace() -> Trace {
+    churn_config().generate()
+}
+
+fn churn_config() -> SynthConfig {
     SynthConfig {
         name: "identity".into(),
         requests: 6_000,
@@ -45,7 +49,15 @@ fn churn_trace() -> Trace {
         seed: 7,
         ..Default::default()
     }
-    .generate()
+}
+
+/// The churn with multi-page write bursts (up to a whole block per
+/// request): a victim holds more than one 8-page slice of valid pages, so
+/// sliced jobs suspend, and one slice per write falls behind, so the urgent
+/// catch-up leg runs.
+fn burst_trace() -> Trace {
+    SynthConfig { name: "burst".into(), mean_req_pages: 12.0, max_req_pages: 32, ..churn_config() }
+        .generate()
 }
 
 /// FNV-1a, 64-bit: enough to pin bytes, no dependency.
@@ -78,9 +90,9 @@ enum Drive {
     Scripted,
 }
 
-/// One cell's `(report digest, JSONL trace digest)`; the trace digest is 0
-/// when tracing is off.
-fn run_cfg(cfg: SsdConfig, traced: bool, drive: Drive, trace: &Trace) -> (u64, u64) {
+/// One cell's `(report digest, JSONL trace digest)` and the device it
+/// leaves; the trace digest is 0 when tracing is off.
+fn run_cfg(cfg: SsdConfig, traced: bool, drive: Drive, trace: &Trace) -> (u64, u64, Ssd) {
     let scheme = cfg.scheme;
     let mut ssd = Ssd::new(cfg);
     if traced {
@@ -108,7 +120,7 @@ fn run_cfg(cfg: SsdConfig, traced: bool, drive: Drive, trace: &Trace) -> (u64, u
     } else {
         0
     };
-    (digest(report.to_json().render().as_bytes()), trace_digest)
+    (digest(report.to_json().render().as_bytes()), trace_digest, ssd)
 }
 
 fn run_cell(
@@ -123,7 +135,8 @@ fn run_cell(
     if faulted {
         cfg.faults = fault_plan();
     }
-    run_cfg(cfg, traced, Drive::Replay, trace)
+    let (report, jsonl, _) = run_cfg(cfg, traced, Drive::Replay, trace);
+    (report, jsonl)
 }
 
 /// `(scheme, gc_preempt, faults armed, traced, report digest, trace digest)`.
@@ -188,7 +201,11 @@ fn reports_and_traces_match_the_pre_restructuring_bytes() {
 /// untracked pages (Inline-Sampled), a suspended job resumed by each of
 /// `process`, `gc_pump` and `force_gc`, and the urgent catch-up leg.
 /// Recorded on the commit before the GC entry points were folded into one
-/// collector (DESIGN.md §4, "CAGC GC workflow").
+/// collector (DESIGN.md §4, "CAGC GC workflow"); the two sliced
+/// Inline-Sampled cells and the three `urgent/` cells were re-recorded on
+/// the commit before the slice size and the urgent floor became constants,
+/// when they moved from a hand-set 1- or 2-page slice and floor to the
+/// defaults on [`burst_trace`].
 #[rustfmt::skip]
 const PINNED_COLLECTOR: &[(&str, u64, u64)] = &[
     ("cagc/Random/traced=false", 0xfbb670ed3e1d6feb, 0x0000000000000000),
@@ -202,20 +219,23 @@ const PINNED_COLLECTOR: &[(&str, u64, u64)] = &[
     ("cagc/idle_gc/preempt=false", 0x5bb5c6eb464bce71, 0x5af4b86da8552b08),
     ("cagc/idle_gc/preempt=true", 0xf5db525037583f0a, 0xc00c207d08762cae),
     ("inline_sampled/preempt=false/faulted=false", 0xdf444340a74c66de, 0x2846cfefc42847f6),
-    ("inline_sampled/preempt=true/faulted=false", 0x78d2175818594cd6, 0x1d4e774d1fdd15da),
-    ("inline_sampled/preempt=true/faulted=true", 0xbd694c9bc913d53a, 0x716c50029d5653bc),
+    ("inline_sampled/preempt=true/faulted=false", 0x03f865ed670fe808, 0xe7eea32ee321b5fb),
+    ("inline_sampled/preempt=true/faulted=true", 0x7ade97fc24ba0ea3, 0x2aac7a49a8eb92cc),
     ("scripted/CAGC/faulted=false", 0x2c1a059881f2a051, 0xfc7a737be1318f29),
     ("scripted/CAGC/faulted=true", 0x934a215e0c5f3471, 0x7f6b5abfc7243c8e),
     ("scripted/Baseline/faulted=true", 0x597d981653abef27, 0xaa0885f4b0cf4aa4),
-    ("urgent/CAGC/faulted=false/scripted=false", 0x089e40252224991f, 0xe23105c214c2965e),
-    ("urgent/CAGC/faulted=true/scripted=true", 0xd0a96ffe9fec116c, 0xe0461e47b909c104),
-    ("urgent/Baseline/faulted=false/scripted=false", 0xca9047251747cb49, 0x736be991dfb57f0c),
+    ("urgent/CAGC/faulted=false/scripted=false", 0x9e755210b0232c21, 0xac740227ffd905b5),
+    ("urgent/CAGC/faulted=true/scripted=true", 0x4bc8d293e0d49ed6, 0x0be7e34d1a5e6b6d),
+    ("urgent/Baseline/faulted=false/scripted=false", 0xd5cf2404f441a6f4, 0xb1300a52d5c473d8),
 ];
+
+/// `(cell, device, traced, drive, trace, GC events the run must record)`.
+type Cell<'t> = (String, SsdConfig, bool, Drive, &'t Trace, &'static [&'static str]);
 
 #[test]
 fn rerouted_collector_paths_match_the_pre_refactor_bytes() {
-    let trace = churn_trace();
-    let mut cells: Vec<(String, SsdConfig, bool, Drive)> = Vec::new();
+    let (churn, burst) = (churn_trace(), burst_trace());
+    let mut cells: Vec<Cell> = Vec::new();
     for victim in [
         VictimKind::Random,
         VictimKind::CostBenefit,
@@ -225,26 +245,29 @@ fn rerouted_collector_paths_match_the_pre_refactor_bytes() {
         for traced in [false, true] {
             let mut cfg = SsdConfig::tiny(Scheme::Cagc);
             cfg.victim = victim;
-            cells.push((format!("cagc/{}/traced={traced}", victim.name()), cfg, traced, Drive::Replay));
+            let name = format!("cagc/{}/traced={traced}", victim.name());
+            cells.push((name, cfg, traced, Drive::Replay, &churn, &[]));
         }
     }
     for preempt in [false, true] {
         let mut cfg = SsdConfig::tiny(Scheme::Cagc);
         cfg.idle_gc = true;
         cfg.gc_preempt = preempt;
-        cells.push((format!("cagc/idle_gc/preempt={preempt}"), cfg, true, Drive::Replay));
+        let name = format!("cagc/idle_gc/preempt={preempt}");
+        cells.push((name, cfg, true, Drive::Replay, &churn, &[]));
     }
     for (preempt, faulted) in [(false, false), (true, false), (true, true)] {
         let mut cfg = SsdConfig::tiny(Scheme::InlineSampled);
         cfg.gc_preempt = preempt;
-        // Victims here hold few valid pages: a 2-page quantum makes jobs
-        // actually suspend.
-        cfg.gc_slice_pages = 2;
         if faulted {
             cfg.faults = fault_plan();
         }
+        // Inline-Sampled victims on the churn hold few valid pages; the
+        // bursts leave more than one slice's worth, so jobs suspend.
+        let (trace, events): (_, &[&str]) =
+            if preempt { (&burst, &["gc_yield"]) } else { (&churn, &[]) };
         let name = format!("inline_sampled/preempt={preempt}/faulted={faulted}");
-        cells.push((name, cfg, true, Drive::Replay));
+        cells.push((name, cfg, true, Drive::Replay, trace, events));
     }
     for (scheme, faulted) in [(Scheme::Cagc, false), (Scheme::Cagc, true), (Scheme::Baseline, true)] {
         let mut cfg = SsdConfig::tiny(scheme);
@@ -253,11 +276,11 @@ fn rerouted_collector_paths_match_the_pre_refactor_bytes() {
             cfg.faults = fault_plan();
         }
         let name = format!("scripted/{}/faulted={faulted}", scheme.name());
-        cells.push((name, cfg, true, Drive::Scripted));
+        cells.push((name, cfg, true, Drive::Scripted, &churn, &["gc_yield"]));
     }
-    // Slices too small to keep up and an urgent floor one block under the
-    // low watermark: the catch-up leg runs (dozens of `gc_urgent` episodes
-    // per cell), draining suspended jobs and then whole victims.
+    // One 8-page slice per write cannot keep up with the bursts: the
+    // catch-up leg runs (dozens of `gc_urgent` episodes per cell),
+    // draining suspended jobs and then whole victims.
     for (scheme, faulted, drive) in [
         (Scheme::Cagc, false, Drive::Replay),
         (Scheme::Cagc, true, Drive::Scripted),
@@ -265,19 +288,21 @@ fn rerouted_collector_paths_match_the_pre_refactor_bytes() {
     ] {
         let mut cfg = SsdConfig::tiny(scheme);
         cfg.gc_preempt = true;
-        cfg.gc_slice_pages = 1;
-        cfg.gc_urgent_fraction = 6.5 / f64::from(cfg.flash.geometry().total_blocks());
         if faulted {
             cfg.faults = fault_plan();
         }
         let scripted = drive == Drive::Scripted;
         let name = format!("urgent/{}/faulted={faulted}/scripted={scripted}", scheme.name());
-        cells.push((name, cfg, true, drive));
+        cells.push((name, cfg, true, drive, &burst, &["gc_yield", "gc_urgent"]));
     }
     let actual: Vec<(String, u64, u64)> = cells
         .into_iter()
-        .map(|(name, cfg, traced, drive)| {
-            let (report, jsonl) = run_cfg(cfg, traced, drive, &trace);
+        .map(|(name, cfg, traced, drive, trace, events)| {
+            let (report, jsonl, ssd) = run_cfg(cfg, traced, drive, trace);
+            for event in events {
+                let seen = ssd.tracer().events().iter().any(|e| e.name() == *event);
+                assert!(seen, "{name} never reached {event}");
+            }
             (name, report, jsonl)
         })
         .collect();

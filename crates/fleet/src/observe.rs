@@ -15,6 +15,8 @@ use cagc_harness::{Json, ToJson};
 use cagc_metrics::TimeSeries;
 use cagc_trace::SpanProfile;
 
+use crate::report::upsert;
+
 /// What one armed device hands back with its report.
 #[derive(Debug, Clone)]
 pub struct DeviceObservability {
@@ -55,9 +57,11 @@ impl FleetTimeline {
         for &(id, obs) in devices {
             for (name, ts) in &obs.gauges {
                 series.push((format!("dev{id:03}/{name}"), ts.clone()));
-                match merged.iter_mut().find(|(n, _)| n == name) {
-                    Some((_, m)) => m.merge(ts),
-                    None => merged.push((name.clone(), ts.clone())),
+                // A merged series starts as a clone of the first device's.
+                let ((_, m), fresh) =
+                    upsert(&mut merged, |(n, _)| n == name, || (name.clone(), ts.clone()));
+                if !fresh {
+                    m.merge(ts);
                 }
             }
         }

@@ -6,11 +6,12 @@ use cagc_sim::time::Nanos;
 
 /// Configuration of the NVMe-style host interface.
 ///
-/// Two presets cover the common cases: [`HostConfig::passthrough`] is the
-/// zero-overhead single-queue shape whose open-loop replay is byte-identical
-/// to [`cagc_core::Ssd::replay`], and [`HostConfig::nvme`] is a realistic
-/// multi-queue controller with interrupt coalescing. Every submission rings
-/// the doorbell (classic NVMe).
+/// Two presets fix the interrupt coalescing and the controller costs:
+/// [`HostConfig::passthrough`] is the zero-overhead single-queue shape
+/// whose open-loop replay is byte-identical to [`cagc_core::Ssd::replay`],
+/// and [`HostConfig::nvme`] is a realistic multi-queue controller with
+/// interrupt coalescing. Every submission rings the doorbell (classic
+/// NVMe).
 /// Both ship with the resilience policy disabled; arm it with
 /// [`HostConfig::with_resilience`]. An armed policy on a fault-free device
 /// never fires (no retries, no PRNG draws, no extra events), so reports
@@ -28,20 +29,15 @@ pub struct HostConfig {
     pub queue_depth: u32,
     /// Interrupt coalescing: the completion interrupt fires once this many
     /// completions are pending. `1` interrupts on every completion.
-    pub coalesce_depth: u32,
+    pub(crate) coalesce_depth: u32,
     /// Coalescing timeout: pending completions are delivered at most this
     /// long after the first one. Ignored when `coalesce_depth == 1`.
-    pub coalesce_ns: Nanos,
+    pub(crate) coalesce_ns: Nanos,
     /// Controller cost to fetch a command after the doorbell (submission
     /// queue read + decode).
-    pub fetch_ns: Nanos,
+    pub(crate) fetch_ns: Nanos,
     /// Controller cost to post one completion entry.
-    pub completion_ns: Nanos,
-    /// Pump preemptible GC in host-idle windows: whenever no command is
-    /// queued or in flight, run [`cagc_core::Ssd::gc_pump`] quanta until
-    /// work arrives. Requires `gc_preempt` on the device to have any
-    /// effect.
-    pub gc_pump: bool,
+    pub(crate) completion_ns: Nanos,
     /// Per-command deadline from the moment the host wanted the I/O.
     /// `0` disables it. Completions landing past the deadline count as
     /// timeouts; a retry that would *start* past it is abandoned and the
@@ -65,9 +61,10 @@ pub struct HostConfig {
 impl HostConfig {
     /// Zero-overhead single-queue shape: one pair, unbounded depth, every
     /// submission rings the doorbell, every completion interrupts, no
-    /// controller costs, no pumping. Open-loop replay through this config
-    /// executes each command at its arrival time in trace order — byte
-    /// identical to the synchronous [`cagc_core::Ssd::replay`] path.
+    /// controller costs. Open-loop replay through this config executes
+    /// each command at its arrival time in trace order — byte identical to
+    /// the synchronous [`cagc_core::Ssd::replay`] path on a device without
+    /// preemptible GC.
     pub fn passthrough() -> Self {
         Self {
             queue_pairs: 1,
@@ -76,7 +73,6 @@ impl HostConfig {
             coalesce_ns: 0,
             fetch_ns: 0,
             completion_ns: 0,
-            gc_pump: false,
             deadline_ns: 0,
             max_retries: 0,
             retry_backoff_ns: 0,
@@ -95,7 +91,6 @@ impl HostConfig {
             coalesce_ns: 8_000,
             fetch_ns: 200,
             completion_ns: 300,
-            gc_pump: true,
             deadline_ns: 0,
             max_retries: 0,
             retry_backoff_ns: 0,
@@ -138,14 +133,6 @@ impl HostConfig {
         if self.queue_depth == 0 {
             return Err("queue_depth must be >= 1".into());
         }
-        if self.coalesce_depth == 0 {
-            // The interrupt would never fire.
-            return Err("coalesce_depth must be >= 1".into());
-        }
-        if self.coalesce_depth > 1 && self.coalesce_ns == 0 {
-            // Pending completions would never be delivered.
-            return Err("coalesce_depth > 1 needs a nonzero coalesce timeout".into());
-        }
         if self.max_retries > 0 && self.retry_backoff_ns == 0 {
             // The retry loop would re-issue at the failure instant,
             // busy-spinning simulated time.
@@ -179,8 +166,6 @@ mod tests {
         };
         rejects(|c| c.queue_pairs = 0, "queue_pairs");
         rejects(|c| c.queue_depth = 0, "queue_depth");
-        rejects(|c| c.coalesce_depth = 0, "coalesce_depth");
-        rejects(|c| c.coalesce_depth = 4, "coalesce timeout");
         // Retries with no backoff would spin in place.
         rejects(|c| c.max_retries = 2, "retry_backoff_ns");
     }

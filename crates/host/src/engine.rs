@@ -497,11 +497,11 @@ impl<'a, I: Iterator<Item = (usize, RequestView<'a>)>> Runner<'_, 'a, I> {
     /// Idle-window GC: when nothing is queued, in flight, or backlogged
     /// anywhere — and nothing arrives or fires at this very instant — run
     /// one preemptible GC quantum and chain a [`Ev::Pump`] at its
-    /// completion. An arriving command naturally queues behind the
-    /// in-progress slice on the die timelines: the quantum is the
-    /// preemption granularity.
+    /// completion (a device without preemptible GC has none to run). An
+    /// arriving command naturally queues behind the in-progress slice on
+    /// the die timelines: the quantum is the preemption granularity.
     fn maybe_pump(&mut self, now: Nanos) {
-        if !self.cfg.gc_pump || self.pump_pending {
+        if self.pump_pending {
             return;
         }
         let idle = self

@@ -15,7 +15,7 @@
 //!   number of commands kept outstanding per pair), handing each reaped
 //!   command's [`CmdLatency`] to a caller sink.
 //! * An **idle-window GC pump**: when every queue drains, the host lets
-//!   the device run preemptible GC quanta ([`cagc_core::Ssd::gc_pump`])
+//!   a device with preemptible GC run quanta ([`cagc_core::Ssd::gc_pump`])
 //!   until the next command arrives.
 //!
 //! Everything runs on the `cagc-sim` event engine, so replays are

@@ -79,7 +79,6 @@ fn multi_queue_replay_is_deterministic() {
     let run = || {
         let mut dev = SsdConfig::tiny(Scheme::Cagc);
         dev.gc_preempt = true;
-        dev.gc_slice_pages = 4;
         let mut host = HostInterface::new(Ssd::new(dev), HostConfig::nvme(2, 8));
         let r = host.replay_closed_loop(&trace);
         host.ssd().audit().expect("audit after nvme replay");
@@ -88,15 +87,12 @@ fn multi_queue_replay_is_deterministic() {
     assert_eq!(run(), run());
 }
 
-/// With coalescing depth > 1, completions are delivered in bursts: fewer
-/// interrupts than commands.
+/// The NVMe shape coalesces interrupts (4 completions or 8 µs): completions
+/// are delivered in bursts, fewer interrupts than commands.
 #[test]
 fn coalescing_reduces_interrupts() {
     let trace = churn_trace(19, 4_000, 200_000);
-    let mut cfg = HostConfig::passthrough();
-    cfg.queue_depth = 8;
-    cfg.coalesce_depth = 4;
-    cfg.coalesce_ns = 8_000;
+    let cfg = HostConfig::nvme(1, 8);
     let mut host = HostInterface::new(Ssd::new(SsdConfig::tiny(Scheme::Cagc)), cfg);
     let report = host.replay_closed_loop(&trace);
     assert_eq!(report.all.count, trace.requests.len() as u64);
@@ -315,23 +311,22 @@ fn malformed_config_is_reported_not_panicked() {
     assert_eq!(err, "max_retries > 0 needs a nonzero retry_backoff_ns");
 }
 
-/// With preemptible GC on the device and the pump enabled, an open-loop
-/// trace with wide idle gaps lets the host reclaim space between bursts.
+/// With preemptible GC on the device, an open-loop trace with wide idle
+/// gaps lets the host reclaim space between bursts — on either preset.
 #[test]
 fn idle_windows_pump_preemptible_gc() {
     let trace = churn_trace(31, 8_000, 400_000);
-    let mut dev = SsdConfig::tiny(Scheme::Cagc);
-    dev.gc_preempt = true;
-    dev.gc_slice_pages = 4;
-    let mut cfg = HostConfig::nvme(1, 8);
-    cfg.gc_pump = true;
-    let mut host = HostInterface::new(Ssd::new(dev), cfg);
-    let report = host.replay_open_loop(&trace);
-    host.ssd().audit().expect("audit after pumped replay");
-    assert!(
-        report.pump_slices > 0,
-        "idle windows on a churning device should pump GC quanta"
-    );
+    for cfg in [HostConfig::nvme(1, 8), HostConfig::passthrough()] {
+        let mut dev = SsdConfig::tiny(Scheme::Cagc);
+        dev.gc_preempt = true;
+        let mut host = HostInterface::new(Ssd::new(dev), cfg);
+        let report = host.replay_open_loop(&trace);
+        host.ssd().audit().expect("audit after pumped replay");
+        assert!(
+            report.pump_slices > 0,
+            "idle windows on a churning device should pump GC quanta"
+        );
+    }
 }
 
 /// FNV-1a, 64-bit: enough to pin bytes, no dependency.
@@ -370,12 +365,11 @@ fn traced_digests(mut ssd: Ssd, cfg: HostConfig, mode: Loop, t: &Trace) -> (Host
 fn engine_output_is_pinned() {
     let mut dev = SsdConfig::tiny(Scheme::Cagc);
     dev.gc_preempt = true;
-    dev.gc_slice_pages = 4;
     let trace = churn_trace(59, 3_000, 150_000);
     let (a, digests) = traced_digests(Ssd::new(dev), HostConfig::nvme(2, 4), Loop::Open, &trace);
     let (backlogged, pumped) = (a.backlogged, a.pump_slices);
     assert!(backlogged > 0 && pumped > 0, "{backlogged} backlogged, {pumped} pumped");
-    let want = [0x517bcc0c0b8f93f0, 0x8d134faa6c243b20, 0x3f7fb285bb17eee6];
+    let want = [0xba5fd9ff58e46416, 0x40cb9da3d1f726c4, 0x503871e489c99c5a];
     assert_eq!(digests, want, "open loop");
 
     let trace = churn_trace(61, 3_000, 200_000);

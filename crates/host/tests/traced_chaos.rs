@@ -18,19 +18,20 @@ fn traced_chaos_replay() -> HostInterface {
         .generate();
     let mut cfg = SsdConfig::tiny(Scheme::Cagc);
     cfg.gc_preempt = true;
-    // Slices too small to keep up and an urgent floor just under the low
-    // watermark, so that the catch-up leg runs as well.
-    cfg.gc_slice_pages = 1;
-    cfg.gc_urgent_fraction = 6.5 / f64::from(cfg.flash.geometry().total_blocks());
-    // One retry before the forced program, so that some host writes end
-    // in a write-fault completion.
-    cfg.max_program_retries = 1;
     cfg.faults = FaultConfig {
         program_fail_prob: 1e-2,
         erase_fail_prob: 5e-4,
         read_ecc_prob: 0.15,
         unrecoverable_prob: 0.3,
         seed,
+        // Runs of `MAX_PROGRAM_RETRIES` scheduled failures exhaust the
+        // retries: the program is forced through (some host writes end in
+        // a write-fault completion), and each run seals that many frontier
+        // blocks at once — faster than 8-page slices reclaim, so the
+        // catch-up leg runs as well.
+        fail_program_ops: (1..40)
+            .flat_map(|k| k * 500..k * 500 + u64::from(SsdConfig::MAX_PROGRAM_RETRIES))
+            .collect(),
         ..FaultConfig::none()
     };
     let mut ssd = Ssd::new(cfg);
@@ -47,13 +48,14 @@ fn live_and_jsonl_analyses_agree_on_a_faulted_preempting_host_replay() {
     let tracer = host.ssd().tracer();
     assert_eq!(tracer.dropped_events(), 0);
     // Segments, payload and name table all told (`from_tracer` adds none).
-    let per_event = tracer.heap_bytes() as f64 / tracer.events().len() as f64;
-    assert!(per_event <= 64.0, "{per_event:.1} heap bytes per retained event");
+    let (heap, events) = (tracer.heap_bytes(), tracer.events().len());
+    assert!(heap <= 64 * events, "{heap} heap bytes for {events} retained events");
 
     // The recording really is the slow cell's.
     let has = |name: &str| tracer.events().iter().any(|e| e.name() == name);
     for name in [
-        "gc_slice", "gc_yield", "gc_urgent", "read_ecc_retry", "program_retry", "write_fault",
+        "gc_slice", "gc_yield", "gc_urgent", "read_ecc_retry", "program_retry", "forced_program",
+        "write_fault",
     ] {
         assert!(has(name), "expected at least one {name:?} event");
     }

@@ -64,9 +64,10 @@ if grep -rnE 'fn replay_open_loop_detailed|fn replay_closed_loop_detailed|Arrive
   echo "FAIL: HostInterface::replay is one event loop over a (tag, RequestView) stream that draws open-loop arrivals lazily and hands each reaped CmdLatency to a caller sink; no per-command twin of a replay, no arrival events scheduled up front, no merged trace materialised for the fleet's host mode (docs/HOST_INTERFACE.md, Queue model)"; exit 1; fi
 
 echo "== one value, no knob: derived thresholds and fixed costs are not settable =="
-if grep -rnE 'pub (gc_low|gc_high|gc_reserve_blocks|read_miss_ns|lookup_ns|trim_ns|idle_threshold_ns|prehash_ns|program_retry_backoff_ns|max_read_retries|ecc_decode_ns):' crates \
+if grep -rnE 'pub (gc_low|gc_high|gc_reserve_blocks|read_miss_ns|lookup_ns|trim_ns|idle_threshold_ns|prehash_ns|program_retry_backoff_ns|max_read_retries|ecc_decode_ns|coalesce_depth|coalesce_ns|fetch_ns|completion_ns):' crates \
+  || grep -rnE '^[[:space:]]*(pub(\([a-z]+\))? )?(gc_slice_pages|gc_urgent_fraction|max_program_retries|gc_pump):' crates \
   || grep -rnE 'endurance_limit|wearout_slope|FleetTelemetryConfig|enum ConfigError' crates; then
-  echo "FAIL: GC thresholds are GcThresholds::of(flash) and controller costs are SsdConfig consts; fleet telemetry takes a TraceConfig, config errors are Strings (DESIGN.md, what stays settable)"; exit 1; fi
+  echo "FAIL: GC thresholds are GcThresholds::of(flash), the GC slice and the retry budget are SsdConfig consts, the host pumps whenever the device preempts and its controller costs are fixed by the presets; fleet telemetry takes a TraceConfig, config errors are Strings (DESIGN.md, what stays settable)"; exit 1; fi
 
 echo "== one report schema: a report is written once, by its ToJson; human views are Tables =="
 if grep -rn 'fn render(&self) -> String' crates/core/src crates/host/src crates/fleet/src crates/trace/src \
