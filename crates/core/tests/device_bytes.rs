@@ -27,11 +27,12 @@ fn a_replayed_device_costs_what_its_tables_cost_per_physical_page() {
     let index = ssd.fingerprint_index();
     let per_page = ssd.heap_bytes() as f64 / ssd.device().geometry().total_pages() as f64;
     let per_entry = index.heap_bytes() as f64 / index.len() as f64;
-    // Measured: 15 471 live entries, 62.95 B per physical page and 63.57 B
-    // per live entry — 32 768 cells of 8 B, 16 384 slab records of 32 B,
-    // the PPN map and the free list (the full 1 GB device: 57.05 B per
-    // page, 124 k entries).
-    assert!(per_page <= 63.0, "device: {per_page:.3} B per physical page");
+    // Measured: 15 471 live entries, 59.65 B per physical page (1.95 of
+    // them the four latency histograms: their bucket windows and exact
+    // tails) and 63.57 B per live entry — 32 768 cells of 8 B, 16 384
+    // slab records of 32 B, the PPN map and the free list (the full 1 GB
+    // device: 57.05 B per page, 124 k entries).
+    assert!(per_page <= 59.7, "device: {per_page:.3} B per physical page");
     assert!(per_entry <= 63.6, "index: {per_entry:.3} B per live entry");
 
     let page = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/PERFORMANCE.md");

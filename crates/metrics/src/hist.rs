@@ -1,25 +1,38 @@
 //! Log-bucket latency histogram.
 //!
 //! An HDR-style histogram: values are bucketed by (exponent, mantissa-slice)
-//! with `SUB_BITS` linear sub-buckets per power of two, giving a bounded
-//! relative error of `2^-SUB_BITS` (≈1.6 % with the default 6 bits) across
-//! the full `u64` range in constant memory. Used for response-time
-//! distributions (Fig. 11 means, Fig. 12 CDFs, tail percentiles).
+//! with `SUB_BITS` significant bits kept per value, giving a bounded
+//! relative error of `2^-(SUB_BITS-1)` (≈3.1 % with the default 6 bits)
+//! across the full `u64` range. Used for response-time distributions
+//! (Fig. 11 means, Fig. 12 CDFs, tail percentiles).
+//!
+//! The bucket index is compact: 64 exact slots for values below 64, then
+//! 32 slots per tier (a tier is the values sharing a most significant
+//! bit, and a value of 64 or more keeps only the top 32 of its tier's 64
+//! mantissa slices), up to msb 63 — 1 920 slots in all. A histogram holds
+//! one contiguous window of that index, covering only the tiers its values
+//! have reached: an empty histogram allocates nothing, and a stream of
+//! latencies from 1 µs to 1 s holds 21 tiers, 672 slots.
 
 const SUB_BITS: u32 = 6;
 const SUB_COUNT: usize = 1 << SUB_BITS;
-/// Number of top-level (exponent) tiers.
-const TIERS: usize = 64 - SUB_BITS as usize;
+/// Slots per tier above tier 0: the upper half of its mantissa slices.
+const TIER_SLOTS: usize = SUB_COUNT / 2;
 /// Exact values retained for the upper tail: quantiles whose rank falls
 /// within the largest `TAIL_KEEP` recorded values (p99.9 of a ≤1M-sample
 /// run, every quantile of a ≤1024-sample run) are exact order statistics,
 /// not bucket approximations. Bounded memory, amortized O(1) per record.
 const TAIL_KEEP: usize = 1024;
 
-/// A fixed-memory log-bucket histogram over `u64` values (nanoseconds).
+/// A log-bucket histogram over `u64` values (nanoseconds) whose buckets
+/// span only the tiers its values reach.
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    buckets: Vec<u64>, // TIERS * SUB_COUNT
+    /// Counts of the index slots `base..base + buckets.len()`; the window
+    /// starts and ends on tier boundaries, and is empty until the first
+    /// value. A boxed slice: it only ever changes size by reallocation.
+    buckets: Box<[u64]>,
+    base: usize,
     count: u64,
     sum: u128,
     min: u64,
@@ -43,10 +56,11 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram.
+    /// An empty histogram. Allocates nothing.
     pub fn new() -> Self {
         Self {
-            buckets: vec![0; TIERS * SUB_COUNT],
+            buckets: Box::default(),
+            base: 0,
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -56,10 +70,10 @@ impl Histogram {
         }
     }
 
-    /// Bytes the histogram holds on the heap: its fixed bucket array and
-    /// the exact-tail buffer.
+    /// Bytes the histogram holds on the heap: its bucket window and the
+    /// exact-tail buffer.
     pub fn heap_bytes(&self) -> usize {
-        (self.buckets.capacity() + self.tail.capacity()) * std::mem::size_of::<u64>()
+        (self.buckets.len() + self.tail.capacity()) * std::mem::size_of::<u64>()
     }
 
     /// Offer `v` to the exact-tail buffer. Values below the established
@@ -92,39 +106,80 @@ impl Histogram {
         self.count.min(TAIL_KEEP as u64) as usize
     }
 
+    /// Index slot of `v`.
     #[inline]
-    fn bucket_of(v: u64) -> usize {
+    fn slot_of(v: u64) -> usize {
         if v < SUB_COUNT as u64 {
             return v as usize; // exact in tier 0
         }
         // msb >= SUB_BITS here. Values in tier t keep their top SUB_BITS
-        // bits: sub = v >> t lands in [SUB_COUNT/2, SUB_COUNT).
+        // bits: sub = v >> t lands in [TIER_SLOTS, SUB_COUNT), so tier t
+        // takes the slots [(t + 1) * TIER_SLOTS, (t + 2) * TIER_SLOTS).
         let msb = 63 - v.leading_zeros();
         let tier = (msb - SUB_BITS + 1) as usize;
         let sub = (v >> tier) as usize;
-        debug_assert!((SUB_COUNT / 2..SUB_COUNT).contains(&sub), "sub {sub} for {v}");
-        tier * SUB_COUNT + sub
+        debug_assert!((TIER_SLOTS..SUB_COUNT).contains(&sub), "sub {sub} for {v}");
+        tier * TIER_SLOTS + sub
     }
 
-    /// Representative (upper-edge) value of bucket `idx`.
-    fn bucket_value(idx: usize) -> u64 {
-        let tier = idx / SUB_COUNT;
-        let sub = (idx % SUB_COUNT) as u64;
-        if tier == 0 {
-            return sub;
+    /// The slots of the tier holding `slot`.
+    fn tier_of(slot: usize) -> std::ops::Range<usize> {
+        if slot < SUB_COUNT {
+            return 0..SUB_COUNT;
         }
-        ((sub + 1) << tier) - 1
+        let start = slot - slot % TIER_SLOTS;
+        start..start + TIER_SLOTS
+    }
+
+    /// Representative (upper-edge) value of index slot `slot`.
+    fn bucket_value(slot: usize) -> u64 {
+        if slot < SUB_COUNT {
+            return slot as u64;
+        }
+        let tier = slot / TIER_SLOTS - 1;
+        let sub = (slot % TIER_SLOTS + TIER_SLOTS) as u64;
+        // `(sub + 1) << tier` would overflow in the top tier.
+        (sub << tier) | ((1 << tier) - 1)
     }
 
     /// Record one value.
     #[inline]
     pub fn record(&mut self, v: u64) {
-        self.buckets[Self::bucket_of(v)] += 1;
+        let slot = Self::slot_of(v);
+        match self.buckets.get_mut(slot.wrapping_sub(self.base)) {
+            Some(c) => *c += 1,
+            None => self.record_outside(slot),
+        }
         self.count += 1;
         self.sum += v as u128;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
         self.tail_push(v);
+    }
+
+    /// Count a value whose slot lies outside the window: the window grows
+    /// by the slot's tier (and the tiers between) first.
+    #[cold]
+    #[inline(never)]
+    fn record_outside(&mut self, slot: usize) {
+        self.widen(Self::tier_of(slot));
+        self.buckets[slot - self.base] += 1;
+    }
+
+    /// Grow the window to its union with `slots`, which start and end on
+    /// tier boundaries. The new window is allocated at its exact size.
+    fn widen(&mut self, slots: std::ops::Range<usize>) {
+        let (lo, hi) = (self.base, self.base + self.buckets.len());
+        if self.buckets.is_empty() {
+            self.buckets = vec![0; slots.len()].into_boxed_slice();
+            self.base = slots.start;
+        } else if slots.start < lo || slots.end > hi {
+            let (start, end) = (slots.start.min(lo), slots.end.max(hi));
+            let mut buckets = vec![0; end - start];
+            buckets[lo - start..hi - start].copy_from_slice(&self.buckets);
+            self.buckets = buckets.into_boxed_slice();
+            self.base = start;
+        }
     }
 
     /// Number of recorded values.
@@ -159,55 +214,71 @@ impl Histogram {
     /// retained exact tail (the largest `TAIL_KEEP` values — p99.9 of a
     /// million-sample run, *every* quantile of a small run) are exact order
     /// statistics; lower ranks fall back to the bucket approximation
-    /// (≈1.6 % relative error). Min/max are always exact. Returns 0 when
+    /// (≈3.1 % relative error). Min/max are always exact. Returns 0 when
     /// empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        self.quantile_inner(q, &mut None)
+        self.quantiles([q])[0]
     }
 
-    /// Values at several quantiles at once. Equivalent to calling
-    /// [`Self::quantile`] per entry, but the exact-tail buffer is sorted at
-    /// most once for the whole batch — use this on report paths that
+    /// Values at several quantiles at once, each equal to what
+    /// [`Self::quantile`] returns for it. The batch costs one walk over
+    /// the buckets and one copy of the exact-tail buffer, narrowed by a
+    /// quickselect per tail rank — use this on report paths that
     /// summarize many percentiles of the same histogram.
     pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [u64; N] {
-        let mut sorted_tail = None;
-        qs.map(|q| self.quantile_inner(q, &mut sorted_tail))
-    }
-
-    /// [`Self::quantile`] with a caller-held cache of the descending-sorted
-    /// tail, filled on first use so a batch of queries sorts once.
-    fn quantile_inner(&self, q: f64, sorted_tail: &mut Option<Vec<u64>>) -> u64 {
         if self.count == 0 {
-            return 0;
+            return [0; N];
         }
-        let q = q.clamp(0.0, 1.0);
-        if q <= 0.0 {
-            return self.min();
+        // Unanswered entries keep the walk's fallback, the maximum.
+        let mut out = [self.max; N];
+        // (rank from the top, entry) for the exact tail, and (rank from
+        // the bottom, entry) for the bucket walk.
+        let (mut tail, mut walk) = ([(0, 0); N], [(0, 0); N]);
+        let (mut n_tail, mut n_walk) = (0, 0);
+        for (i, q) in qs.into_iter().enumerate() {
+            let q = q.clamp(0.0, 1.0);
+            if q.is_nan() || q <= 0.0 {
+                out[i] = self.min;
+            } else if q < 1.0 {
+                let target = (q * self.count as f64).ceil() as u64;
+                let from_top = self.count.saturating_sub(target) as usize;
+                if from_top < self.tail_exact_len() {
+                    tail[n_tail] = (from_top, i);
+                    n_tail += 1;
+                } else {
+                    walk[n_walk] = (target, i);
+                    n_walk += 1;
+                }
+            }
         }
-        if q >= 1.0 {
-            return self.max;
+        if n_tail > 0 {
+            // Rank falls inside the exact tail: the true order statistic.
+            // Ascending ranks each select within what the previous left
+            // below it, so the batch partitions one copy, never sorts it.
+            let tail = &mut tail[..n_tail];
+            tail.sort_unstable();
+            let mut values = self.tail.clone();
+            let mut done = 0;
+            for &(rank, i) in tail.iter() {
+                let (_, v, _) = values[done..].select_nth_unstable_by(rank - done, |a, b| b.cmp(a));
+                out[i] = *v;
+                done = rank;
+            }
         }
-        let target = (q * self.count as f64).ceil() as u64;
-        let from_top = self.count - target; // 0 = the maximum
-        if (from_top as usize) < self.tail_exact_len() {
-            // Rank falls inside the exact tail: return the true order
-            // statistic. Queries are rare (report time), so sorting a copy
-            // here beats paying for ordering on every record.
-            let sorted = sorted_tail.get_or_insert_with(|| {
-                let mut s = self.tail.clone();
-                s.sort_unstable_by(|a, b| b.cmp(a));
-                s
-            });
-            return sorted[from_top as usize];
-        }
+        let walk = &mut walk[..n_walk];
+        walk.sort_unstable();
+        let mut pending = walk.iter().peekable();
         let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
-            if seen >= target {
-                return Self::bucket_value(i).min(self.max).max(self.min);
+            while let Some(&(_, entry)) = pending.next_if(|&&(target, _)| seen >= target) {
+                out[entry] = Self::bucket_value(self.base + i).min(self.max).max(self.min);
+            }
+            if pending.peek().is_none() {
+                break;
             }
         }
-        self.max
+        out
     }
 
     /// Iterate `(bucket_upper_value, count)` over non-empty buckets,
@@ -217,13 +288,18 @@ impl Histogram {
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_value(i), c))
+            .map(|(i, &c)| (Self::bucket_value(self.base + i), c))
     }
 
-    /// Merge another histogram into this one.
+    /// Merge another histogram into this one; the window grows to the
+    /// union of both.
     pub fn merge(&mut self, other: &Self) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
+        if !other.buckets.is_empty() {
+            self.widen(other.base..other.base + other.buckets.len());
+            let at = other.base - self.base;
+            for (a, b) in self.buckets[at..].iter_mut().zip(other.buckets.iter()) {
+                *a += b;
+            }
         }
         self.count += other.count;
         self.sum += other.sum;
@@ -239,8 +315,12 @@ impl Histogram {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Cdf;
 
     #[test]
     fn empty_histogram_reports_zeros() {
@@ -393,7 +473,7 @@ mod tests {
     fn buckets_are_monotone_in_value() {
         let mut prev = 0;
         for v in (0..1u64 << 40).step_by(1 << 22) {
-            let b = Histogram::bucket_of(v);
+            let b = Histogram::slot_of(v);
             assert!(b >= prev, "bucket index regressed at {v}");
             prev = b;
         }
@@ -404,9 +484,65 @@ mod tests {
         // For sampled values, bucket_value(bucket_of(v)) must be >= v and
         // within the relative error bound.
         for v in [1u64, 63, 64, 65, 127, 128, 1_000, 12_000, 1_500_000, 10_000_000_000] {
-            let bv = Histogram::bucket_value(Histogram::bucket_of(v));
+            let bv = Histogram::bucket_value(Histogram::slot_of(v));
             assert!(bv >= v, "bucket value {bv} below {v}");
             assert!((bv as f64) <= v as f64 * 1.04 + 1.0, "bucket value {bv} too far above {v}");
         }
+    }
+
+    #[test]
+    fn values_up_to_u64_max_are_recorded_and_read_back() {
+        let values = [0, 63, 64, (1 << 63) - 1, 1 << 63, u64::MAX];
+        let mut h = Histogram::new();
+        let (mut low, mut high) = (Histogram::new(), Histogram::new());
+        for (i, &v) in values.iter().enumerate() {
+            h.record(v);
+            if i < 3 {
+                low.record(v)
+            } else {
+                high.record(v)
+            }
+        }
+        let top = (1 << 63) + (1 << 58) - 1; // 2^63's bucket: the top tier's first
+        let buckets = [(0, 1), (63, 1), (65, 1), ((1 << 63) - 1, 1), (top, 1), (u64::MAX, 1)];
+        assert_eq!(h.iter_buckets().collect::<Vec<_>>(), buckets);
+        assert_eq!((h.min(), h.max(), h.count()), (0, u64::MAX, 6));
+        // Six values rank inside the exact tail: every quantile is one of them.
+        let exact = [0, 63, 64, (1 << 63) - 1, u64::MAX, u64::MAX];
+        assert_eq!(h.quantiles([0.0, 0.2, 0.5, 0.6, 0.9, 1.0]), exact);
+        assert_eq!(h.quantile(0.7), 1 << 63);
+        for (mut a, b) in [(low.clone(), &high), (high.clone(), &low)] {
+            a.merge(b);
+            assert_eq!(a.iter_buckets().collect::<Vec<_>>(), buckets);
+            assert_eq!(a.quantiles([0.5, 0.7]), [64, 1 << 63]);
+        }
+        let cdf = Cdf::from_histogram(&h);
+        let values: Vec<u64> = cdf.points().iter().map(|p| p.value_ns).collect();
+        assert_eq!(values, buckets.map(|(v, _)| v));
+        assert_eq!(cdf.points().last().map(|p| p.fraction), Some(1.0));
+    }
+
+    #[test]
+    fn a_window_holds_only_the_tiers_its_values_reach() {
+        assert_eq!(Histogram::new().heap_bytes(), 0, "an empty histogram allocates nothing");
+        // Latencies from 1 µs to 1 s have msb 9 to 29: 21 tiers of 32
+        // slots, 8 bytes each.
+        let mut h = Histogram::new();
+        let mut v = 1_000u64;
+        while v < 1_000_000_000 {
+            h.record(v);
+            v += v / 16;
+        }
+        h.record(1_000_000_000);
+        let window = |h: &Histogram| std::mem::size_of_val(&*h.buckets);
+        assert_eq!(window(&h), 5376);
+        let mut one = Histogram::new();
+        one.record(1_000);
+        assert_eq!(window(&one), 256, "one value, one tier");
+        // A value at each end of the u64 range opens the whole index: 64
+        // exact slots and 58 tiers of 32.
+        h.record(0);
+        h.record(u64::MAX);
+        assert_eq!(window(&h), 15360);
     }
 }

@@ -3,8 +3,9 @@
 //! The statistics layer that turns simulator events into the numbers the
 //! paper reports:
 //!
-//! * [`hist::Histogram`] — fixed-memory log-bucket latency histogram
-//!   (HDR-style; ≈3 % worst-case relative error) for response times.
+//! * [`hist::Histogram`] — log-bucket latency histogram (HDR-style; ≈3 %
+//!   worst-case relative error) for response times, holding buckets only
+//!   for the tiers its values reach.
 //! * [`cdf::Cdf`] — cumulative distributions for Fig. 12.
 //! * [`summary::reduction_pct`] — the exact normalization used by
 //!   Figs. 9/10/13.

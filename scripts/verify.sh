@@ -82,6 +82,9 @@ if grep -rnE --include='*.rs' 'String::from\("[^"]*,[^"]*\\n"\)|"[^"]*(\},|,\{)[
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
 
+echo "== metrics tests in release: bucket arithmetic at the top of u64 without overflow checks =="
+cargo test --release -q --offline -p cagc-metrics
+
 echo "== clippy (offline, deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
