@@ -432,7 +432,9 @@ pub fn ablate_placement(scale: &Scale) -> Artifacts {
     let mut t = Table::new(vec![
         "workload", "variant", "blocks_erased", "pages_migrated", "gc_mean_us",
     ]);
-    for (w, (variant, _), r) in grid(scale, &traces, &cells, |c, (_, on)| c.placement = on) {
+    let no_cold_region =
+        |c: &mut SsdConfig, (_, placed)| c.cold_threshold = c.cold_threshold.filter(|_| placed);
+    for (w, (variant, _), r) in grid(scale, &traces, &cells, no_cold_region) {
         t.row(vec![
             w.name().to_string(),
             variant.to_string(),
@@ -477,7 +479,7 @@ pub fn ablate_threshold(scale: &Scale) -> Artifacts {
     let mut t = Table::new(vec![
         "workload", "threshold", "blocks_erased", "pages_migrated", "promotions",
     ]);
-    for (w, th, r) in grid(scale, &traces, &cells, |c, th| c.cold_threshold = th) {
+    for (w, th, r) in grid(scale, &traces, &cells, |c, th| c.cold_threshold = Some(th)) {
         t.row(vec![
             w.name().to_string(),
             th.to_string(),

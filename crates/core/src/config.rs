@@ -54,11 +54,11 @@ pub struct SsdConfig {
     pub scheme: Scheme,
     /// Victim-selection policy (paper default: Greedy).
     pub victim: VictimKind,
-    /// Seed for the Random victim policy.
-    pub victim_seed: u64,
-    /// Reference-count threshold for cold placement (Sec. III-C, "e.g. 1"):
-    /// pages with refcount strictly greater go to the cold region.
-    pub cold_threshold: u32,
+    /// CAGC's reference-count threshold for cold placement (Sec. III-C,
+    /// "e.g. 1"): pages with refcount strictly greater go to the cold
+    /// region. `None` keeps every page hot — the ablation that isolates
+    /// the placement claim.
+    pub cold_threshold: Option<u32>,
     /// Honor host trim (deallocate) hints. When true (default), a trim
     /// releases each logical page immediately: the mapping clears, the
     /// backing page's reference count drops, and a page whose last
@@ -73,9 +73,6 @@ pub struct SsdConfig {
     /// migration pipeline instead of overlapping on the hash engine
     /// (isolates the parallelization claim of Sec. III-B).
     pub overlap_hash: bool,
-    /// CAGC ablation: when false, all pages go to the hot region regardless
-    /// of refcount (isolates the placement claim of Sec. III-C).
-    pub placement: bool,
     /// Background GC in idle periods (Sec. III-B: "flash-based SSDs
     /// utilize the system idle periods to conduct GC"). When the gap since
     /// the last request exceeds [`Self::IDLE_THRESHOLD_NS`] and free space
@@ -182,6 +179,8 @@ impl SsdConfig {
     /// Simulated cost of the heroic ECC soft-decode invoked when re-reads
     /// keep failing (the data is always recovered; only time is lost).
     pub const ECC_DECODE_NS: Nanos = us(5);
+    /// Seed of the victim policies that draw (Random, D-Choices).
+    pub const VICTIM_SEED: u64 = 0xCA6C;
     /// Pages migrated per preemption quantum ([`Self::gc_preempt`]): a
     /// queued read waits for at most this many migrations.
     pub const GC_SLICE_PAGES: usize = 8;
@@ -193,11 +192,9 @@ impl SsdConfig {
             flash,
             scheme,
             victim: VictimKind::Greedy,
-            victim_seed: 0xCA6C,
-            cold_threshold: 1,
+            cold_threshold: Some(1),
             honor_trim: true,
             overlap_hash: true,
-            placement: true,
             idle_gc: false,
             faults: FaultConfig::none(),
             read_only_floor_blocks: 4,
@@ -237,7 +234,7 @@ impl SsdConfig {
                 gc.reserve_blocks
             ));
         }
-        if self.scheme == Scheme::Cagc && self.cold_threshold == 0 {
+        if self.scheme == Scheme::Cagc && self.cold_threshold == Some(0) {
             return Err("cold_threshold 0 would send every page cold".into());
         }
         if self.gc_preempt && gc.urgent_fraction > gc.low {
@@ -260,8 +257,8 @@ mod tests {
     fn paper_config_matches_table1() {
         let c = SsdConfig::tiny(Scheme::Cagc);
         assert_eq!(c.victim, VictimKind::Greedy);
-        assert_eq!(c.cold_threshold, 1);
-        assert!(c.overlap_hash && c.placement);
+        assert_eq!(c.cold_threshold, Some(1));
+        assert!(c.overlap_hash);
         // The 20% watermark applies to the OP pool: the low trigger sits
         // between the GC reserve and the reserve plus all OP blocks.
         let gc = GcThresholds::of(&c.flash);
@@ -365,10 +362,12 @@ mod tests {
     #[test]
     fn validation_catches_zero_threshold_for_cagc() {
         let mut c = SsdConfig::tiny(Scheme::Cagc);
-        c.cold_threshold = 0;
+        c.cold_threshold = Some(0);
         assert!(c.validate().is_err());
+        c.cold_threshold = None; // no cold region
+        assert!(c.validate().is_ok());
         let mut b = SsdConfig::tiny(Scheme::Baseline);
-        b.cold_threshold = 0; // irrelevant for baseline
+        b.cold_threshold = Some(0); // irrelevant for baseline
         assert!(b.validate().is_ok());
     }
 }

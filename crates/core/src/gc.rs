@@ -367,8 +367,8 @@ impl Ssd {
         Ok((done, erase_end))
     }
 
-    /// Choose the next victim. Open frontiers, free blocks and blocks whose
-    /// erase would reclaim nothing are never victims. The reclaim gain
+    /// Choose the next victim among the device's collectible blocks
+    /// ([`cagc_flash::FlashDevice::is_collectible`]). The reclaim gain
     /// counts stranded free pages — pages a program failure (or recovery)
     /// left behind a closed write pointer — alongside the invalid ones:
     /// without that, a block abandoned before accumulating any garbage is
@@ -376,36 +376,21 @@ impl Ssd {
     /// happens to land there, which under sustained fault injection starves
     /// foreground allocation outright.
     ///
-    /// Which path answers is a property of the policy alone. Greedy's key
-    /// is a function of block state, so the device's victim index answers
-    /// it — and the two aggregates a traced selection reports — in time
-    /// independent of the device size, faults armed or not, traced or not.
-    /// The other policies key on `now`, an RNG draw or the candidate
-    /// list's order, and walk the closed blocks.
+    /// Greedy's key is a function of block state, so the device's victim
+    /// index answers it in time independent of the device size. The other
+    /// policies key on `now`, an RNG draw or the candidate list's order,
+    /// and walk. Either way, the aggregates a traced selection reports are
+    /// the device's running sums.
     fn select_victim(&mut self, now: Nanos) -> Option<BlockId> {
-        let (chosen, stranded, candidates) = if self.selector.kind() == VictimKind::Greedy {
-            let indexed = (
-                self.dev.greedy_full_victim(),
-                self.dev.stranded_pages(),
-                self.dev.victim_candidates(),
-            );
-            // Debug builds re-derive every selection by the walk, so each
-            // test replay cross-checks the index (and the invariant that a
-            // full or sealed block is never an open frontier). Release
-            // builds do not: there, a frontier close that forgets to seal
-            // (the sites are `program_region` and `seal_if_closed_short`)
-            // changes victims silently, and only the faulted × preempting ×
-            // traced test below would notice.
-            debug_assert_eq!(indexed, self.select_by_walk(now, &mut Vec::new()));
-            indexed
+        // Every debug-build selection is held against the oracle.
+        debug_assert_eq!(self.audit_victims().err(), None);
+        let chosen = if self.selector.kind() == VictimKind::Greedy {
+            self.dev.greedy_full_victim()
         } else {
-            let mut scratch = std::mem::take(&mut self.candidates_scratch);
-            let walked = self.select_by_walk(now, &mut scratch);
-            self.candidates_scratch = scratch;
-            walked
+            self.select_by_walk(now)
         };
         if self.tracer.is_enabled() {
-            self.tracer.gauge("stranded_pages", now, stranded);
+            self.tracer.gauge("stranded_pages", now, self.dev.stranded_pages());
             if let Some(block) = chosen {
                 let blk = self.dev.block(block);
                 self.tracer.instant(
@@ -416,7 +401,7 @@ impl Ssd {
                         ("block", u64::from(block)),
                         ("valid", u64::from(blk.valid_count())),
                         ("invalid", u64::from(blk.invalid_count())),
-                        ("candidates", u64::from(candidates)),
+                        ("candidates", u64::from(self.dev.victim_candidates())),
                     ],
                 );
             }
@@ -424,37 +409,14 @@ impl Ssd {
         chosen
     }
 
-    /// Selection by walking every block: collect the closed blocks whose
-    /// erase would gain a page into `candidates` and let the policy choose.
-    /// Returns (victim, Σ stranded free pages, candidate count).
-    fn select_by_walk(
-        &mut self,
-        now: Nanos,
-        candidates: &mut Vec<VictimCandidate>,
-    ) -> (Option<BlockId>, u64, u32) {
-        candidates.clear();
-        let mut stranded = 0;
-        for b in 0..self.dev.block_count() {
-            if self.alloc.is_open(b) || self.dev.is_retired(b) {
-                continue;
-            }
-            let blk = self.dev.block(b);
-            if blk.is_free() || blk.invalid_count() + blk.free_count() == 0 {
-                continue;
-            }
-            stranded += u64::from(blk.free_count());
-            candidates.push(VictimCandidate {
-                block: b,
-                valid: blk.valid_count(),
-                invalid: blk.invalid_count(),
-                trimmed: blk.trimmed_count(),
-                stranded: blk.free_count(),
-                pages: blk.pages(),
-                erase_count: blk.erase_count(),
-                last_modified: blk.last_modified(),
-            });
-        }
-        (self.selector.select(candidates, now), stranded, candidates.len() as u32)
+    /// Let the policy choose among snapshots of the collectible blocks, in
+    /// block-id order (the order Random and D-Choices draw from).
+    fn select_by_walk(&mut self, now: Nanos) -> Option<BlockId> {
+        let dev = &self.dev;
+        self.candidates_scratch.clear();
+        self.candidates_scratch
+            .extend(dev.collectible_blocks().map(|b| VictimCandidate::of(b, dev.block(b))));
+        self.selector.select(&self.candidates_scratch, now)
     }
 
     /// Erase a fully-drained victim at `done`: snapshot trim attribution,
@@ -653,7 +615,7 @@ impl Ssd {
 
     /// Sec. III-C placement rule: refcount above the threshold ⇒ cold.
     fn region_for_refs(&self, refs: u32) -> Region {
-        if self.cfg.placement && refs > self.cfg.cold_threshold {
+        if self.cfg.cold_threshold.is_some_and(|th| refs > th) {
             Region::Cold
         } else {
             Region::Hot
@@ -701,8 +663,7 @@ impl Ssd {
         // collected), and a copy inside the current victim will be
         // migrated, with the correct region, when its turn comes.
         let stored_block = self.dev.geometry().block_of(to);
-        if self.cfg.placement
-            && new_refs > self.cfg.cold_threshold
+        if self.cfg.cold_threshold.is_some_and(|th| new_refs > th)
             && self.alloc.region_of(stored_block) == Some(Region::Hot)
             && !self.alloc.is_open(stored_block)
         {
@@ -775,86 +736,107 @@ mod tests {
             .map_or((0, 0), |(_, ts)| (ts.sample_count(), ts.sample_sum()))
     }
 
-    /// What a traced Greedy selection records — the `stranded_pages` gauge
-    /// sample and the `victim_select` instant — must be what the
-    /// closed-block walk derives from the device and allocator state, in
-    /// the configurations that used to force the walk: faults armed
-    /// (program failures sealing frontiers, refused forced programs
-    /// closing them short — scheduled runs of failures exhaust the
-    /// retries — erase failures retiring blocks, some scheduled too, a
-    /// power loss re-closing everything) × preemptible GC (selections
-    /// between suspended jobs) × tracing on. A selection is probed after
-    /// every request, so the comparison also runs in release-mode test
-    /// builds, where the `debug_assert` oracle in `select_victim` is
-    /// compiled out.
+    /// What a traced selection records — the `stranded_pages` gauge sample
+    /// and the `victim_select` instant — and the victim it picks must be
+    /// what the allocator-side recount (`Ssd::audit_victims`) derives, for
+    /// every policy, in the configurations that stress the collectible
+    /// set: faults armed (program failures sealing frontiers, refused
+    /// forced programs closing them short — scheduled runs of failures
+    /// exhaust the retries — erase failures retiring blocks, some
+    /// scheduled too, a power loss re-closing everything) × preemptible
+    /// GC (selections between suspended jobs) × tracing on. The recount is
+    /// audited and a selection probed after every request, so the
+    /// comparison also runs in release-mode test builds, where the
+    /// `debug_assert` oracle in `select_victim` is compiled out. The
+    /// expected pick is the policy's own choice over the recount, drawn
+    /// from a clone of the selector so Random and D-Choices draw the same.
     #[test]
     fn traced_selections_report_what_the_walk_finds_under_faults_and_preemption() {
-        for preempt in [false, true] {
-            let mut cfg = SsdConfig::tiny(Scheme::Cagc);
-            cfg.gc_preempt = preempt;
-            let retries = u64::from(SsdConfig::MAX_PROGRAM_RETRIES);
-            cfg.faults = FaultConfig {
-                program_fail_prob: 2e-2,
-                erase_fail_prob: 2e-3,
-                unrecoverable_prob: 0.3,
-                crash_at_op: Some(30_000),
-                seed: 5,
-                fail_program_ops: (1..40).flat_map(|k| k * 500..k * 500 + retries).collect(),
-                fail_erase_ops: vec![100, 300],
-                ..FaultConfig::none()
-            };
-            let trace = FiuWorkload::Mail
-                .synth_config((cfg.flash.logical_pages() as f64 * 0.95) as u64, 8_000, 5)
-                .generate();
-            let mut ssd = Ssd::new(cfg);
-            ssd.enable_tracing(TraceConfig::default());
-            let (mut recovered, mut stranded_max, mut selected) = (false, 0, 0);
-            for req in &trace.requests {
-                if ssd.submit(req).is_err() {
-                    ssd.recover().expect("durable state is consistent");
-                    recovered = true;
-                }
-                let events = ssd.tracer.events().len();
-                let (samples, sum) = stranded_gauge(&ssd);
-                let chosen = ssd.select_victim(req.at_ns);
-                let (walked, stranded, candidates) = ssd.select_by_walk(req.at_ns, &mut Vec::new());
-                assert_eq!(chosen, walked, "victim (preempt {preempt})");
-                assert_eq!(
-                    stranded_gauge(&ssd),
-                    (samples + 1, sum + u128::from(stranded)),
-                    "stranded_pages gauge sample (preempt {preempt})"
-                );
-                let recorded: Vec<_> = ssd.tracer.events().iter().skip(events).collect();
-                let Some(block) = chosen else {
-                    assert!(recorded.is_empty(), "no victim, no instant");
-                    continue;
+        for kind in VictimKind::EXTENDED {
+            for preempt in [false, true] {
+                let what = format!("{} (preempt {preempt})", kind.name());
+                let mut cfg = SsdConfig::tiny(Scheme::Cagc);
+                cfg.victim = kind;
+                cfg.gc_preempt = preempt;
+                let retries = u64::from(SsdConfig::MAX_PROGRAM_RETRIES);
+                cfg.faults = FaultConfig {
+                    program_fail_prob: 2e-2,
+                    erase_fail_prob: 2e-3,
+                    unrecoverable_prob: 0.3,
+                    crash_at_op: Some(30_000),
+                    seed: 5,
+                    fail_program_ops: (1..40).flat_map(|k| k * 500..k * 500 + retries).collect(),
+                    fail_erase_ops: vec![100, 300],
+                    ..FaultConfig::none()
                 };
-                let blk = ssd.dev.block(block);
-                assert!(!ssd.alloc.is_open(block), "an open frontier was selected");
-                assert_eq!(recorded.len(), 1);
-                assert_eq!(recorded[0].name(), "victim_select");
-                assert_eq!(recorded[0].kind(), EventKind::Instant { at_ns: req.at_ns });
-                assert_eq!(
-                    recorded[0].args().collect::<Vec<_>>(),
-                    [
-                        ("block", u64::from(block)),
-                        ("valid", u64::from(blk.valid_count())),
-                        ("invalid", u64::from(blk.invalid_count())),
-                        ("candidates", u64::from(candidates)),
-                    ]
-                );
-                stranded_max = stranded_max.max(stranded);
-                selected += 1;
+                let trace = FiuWorkload::Mail
+                    .synth_config((cfg.flash.logical_pages() as f64 * 0.95) as u64, 8_000, 5)
+                    .generate();
+                let mut ssd = Ssd::new(cfg);
+                // Wide gauge windows keep the per-probe gauge read short.
+                ssd.enable_tracing(TraceConfig {
+                    counter_window_ns: 1_000_000_000,
+                    ..TraceConfig::default()
+                });
+                let (mut recovered, mut stranded_max, mut selected) = (false, 0, 0);
+                let mut instants = Vec::new();
+                for req in &trace.requests {
+                    if ssd.submit(req).is_err() {
+                        ssd.recover().expect("durable state is consistent");
+                        recovered = true;
+                    }
+                    let recount = ssd.audit_victims().unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let stranded: u64 = recount.iter().map(|c| u64::from(c.stranded)).sum();
+                    let expected = ssd.selector.clone().select(&recount, req.at_ns);
+                    let events = ssd.tracer.events().len();
+                    let (samples, sum) = stranded_gauge(&ssd);
+                    let chosen = ssd.select_victim(req.at_ns);
+                    assert_eq!(chosen, expected, "victim, {what}");
+                    assert_eq!(
+                        stranded_gauge(&ssd),
+                        (samples + 1, sum + u128::from(stranded)),
+                        "stranded_pages gauge sample, {what}"
+                    );
+                    let recorded = ssd.tracer.events().len() - events;
+                    let Some(block) = chosen else {
+                        assert_eq!(recorded, 0, "no victim, no instant");
+                        continue;
+                    };
+                    assert!(!ssd.alloc.is_open(block), "an open frontier was selected");
+                    assert_eq!(recorded, 1, "one instant per selection");
+                    let blk = ssd.dev.block(block);
+                    instants.push((
+                        events,
+                        req.at_ns,
+                        [
+                            ("block", u64::from(block)),
+                            ("valid", u64::from(blk.valid_count())),
+                            ("invalid", u64::from(blk.invalid_count())),
+                            ("candidates", recount.len() as u64),
+                        ],
+                    ));
+                    stranded_max = stranded_max.max(stranded);
+                    selected += 1;
+                }
+                // Each probe's instant, read back in one pass over the recording.
+                let mut probes = instants.iter().peekable();
+                for (i, event) in ssd.tracer.events().iter().enumerate() {
+                    let Some((_, at_ns, args)) = probes.next_if(|p| p.0 == i) else { continue };
+                    assert_eq!(event.name(), "victim_select", "{what}");
+                    assert_eq!(event.kind(), EventKind::Instant { at_ns: *at_ns }, "{what}");
+                    assert_eq!(event.args().collect::<Vec<_>>(), args, "{what}");
+                }
+                assert_eq!(probes.next(), None, "every probe's instant was recorded, {what}");
+                // The run reached the states the collectible set has to get right.
+                assert!(recovered, "the crash point was never reached, {what}");
+                assert!(stranded_max > 0 && selected > 1_000, "{stranded_max} {selected}, {what}");
+                assert!(ssd.fh.program_retries > 0 && ssd.fh.forced_programs > 0, "{what}");
+                assert!(ssd.fh.write_faults > 0, "{what}");
+                let suspended = ssd.tracer.events().iter().any(|e| e.name() == "gc_yield");
+                assert_eq!(suspended, preempt, "a sliced job was suspended, {what}");
+                assert!(ssd.dev.stats().blocks_retired > 0, "{what}");
+                assert_eq!(ssd.tracer.dropped_events(), 0, "{what}");
             }
-            // The run reached the states the index has to get right.
-            assert!(recovered, "the crash point was never reached");
-            assert!(stranded_max > 0 && selected > 1_000, "{stranded_max} {selected}");
-            assert!(ssd.fh.program_retries > 0 && ssd.fh.forced_programs > 0);
-            assert!(ssd.fh.write_faults > 0);
-            let suspended = ssd.tracer.events().iter().any(|e| e.name() == "gc_yield");
-            assert_eq!(suspended, preempt, "a sliced job was suspended");
-            assert!(ssd.dev.stats().blocks_retired > 0);
-            assert_eq!(ssd.tracer.dropped_events(), 0);
         }
     }
 }

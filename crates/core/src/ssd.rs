@@ -21,7 +21,9 @@
 
 use cagc_dedup::{ContentId, Fingerprint, FingerprintIndex, HashEngine};
 use cagc_flash::{BlockId, FlashDevice, FlashError, JournalOp, PageOob, Ppn};
-use cagc_ftl::{Allocator, Lpn, MappingTable, Region, ReverseMap, VictimCandidate, VictimSelector};
+use cagc_ftl::{
+    Allocator, Lpn, MappingTable, Region, ReverseMap, VictimCandidate, VictimKind, VictimSelector,
+};
 use cagc_metrics::{Cdf, Histogram};
 use cagc_sim::time::Nanos;
 use cagc_trace::{TraceConfig, Tracer, Track};
@@ -274,7 +276,7 @@ impl Ssd {
             ),
             index: FingerprintIndex::new(),
             hash: HashEngine::new(cfg.flash.hash_ns),
-            selector: VictimSelector::new(cfg.victim, cfg.victim_seed),
+            selector: VictimSelector::new(cfg.victim, SsdConfig::VICTIM_SEED),
             gc_stats: GcStats::default(),
             content_of: vec![NO_CONTENT; geom.total_pages() as usize],
             prehash_filter: std::collections::HashSet::new(),
@@ -989,6 +991,10 @@ impl Ssd {
     /// block drains to GC), charges the retry backoff to simulated time,
     /// and retries on a fresh block; after [`SsdConfig::MAX_PROGRAM_RETRIES`] failures
     /// the program is forced through on ECC margin as a last resort.
+    /// The allocator alone decides when a block is closed: after every
+    /// attempt, a block it no longer calls open is sealed on the device (a
+    /// no-op on a full one) — short of full after a failed host program,
+    /// or after a refused forced program took a slot without a page.
     pub(crate) fn program_region(
         &mut self,
         region: Region,
@@ -1005,22 +1011,26 @@ impl Ssd {
             // the GC path never rolls — migration failures are absorbed
             // below and never become host-visible errors. The roll happens
             // before the attempt: old data and the mapping stay intact.
-            if forced && !for_gc && self.dev.roll_unrecoverable() {
-                self.fh.write_faults += 1;
-                self.tracer.instant(
-                    Track::Fault,
-                    "write_fault",
-                    ready,
-                    &[("retries", retries as u64)],
-                );
-                self.seal_if_closed_short(block);
-                return Err(FlashError::Unrecoverable { at: ready });
-            }
-            let res = if forced {
+            let res = if forced && !for_gc && self.dev.roll_unrecoverable() {
+                Err(FlashError::Unrecoverable { at: ready })
+            } else if forced {
                 self.dev.program_next_forced(block, ready, oob)
             } else {
                 self.dev.program_next(block, ready, oob)
             };
+            // The host path abandons a block that failed a program (it
+            // drains to GC) and retries on a fresh one. The GC path must
+            // NOT: closing a frontier strands the block's free pages, and
+            // a burst of failures mid-round would bleed the bounded
+            // reserve dry. It retries on the next page — the failed page
+            // is already consumed as invalid, so failures cost pages,
+            // never reserve blocks.
+            if !for_gc && matches!(res, Err(FlashError::ProgramFailed { .. })) {
+                self.alloc.close_frontier(region);
+            }
+            if !self.alloc.is_open(block) {
+                self.dev.seal(block);
+            }
             match res {
                 Ok((r, ppn)) => {
                     if forced {
@@ -1033,9 +1043,6 @@ impl Ssd {
                         );
                     }
                     self.trace_die_span(ppn, "program", "migrate_write", r.start, r.end, r.queued);
-                    if !for_gc {
-                        self.seal_if_closed_short(block);
-                    }
                     return Ok((r.end, ppn));
                 }
                 Err(FlashError::ProgramFailed { at, ppn }) => {
@@ -1047,36 +1054,21 @@ impl Ssd {
                         at,
                         &[("ppn", ppn), ("attempt", retries as u64)],
                     );
-                    // The host path abandons the suspect block (it drains
-                    // to GC) and retries on a fresh one. The GC path must
-                    // NOT: closing a frontier strands the block's free
-                    // pages, and a burst of failures mid-round would bleed
-                    // the bounded reserve dry. It retries on the next page
-                    // — the failed page is already consumed as invalid, so
-                    // failures cost pages, never reserve blocks.
-                    if !for_gc {
-                        if let Some(closed) = self.alloc.close_frontier(region) {
-                            self.dev.seal(closed);
-                        }
-                    }
                     ready = at + SsdConfig::PROGRAM_RETRY_BACKOFF_NS;
+                }
+                Err(e @ FlashError::Unrecoverable { .. }) => {
+                    self.fh.write_faults += 1;
+                    self.tracer.instant(
+                        Track::Fault,
+                        "write_fault",
+                        ready,
+                        &[("retries", retries as u64)],
+                    );
+                    return Err(e);
                 }
                 Err(FlashError::PowerLoss) => return Err(FlashError::PowerLoss),
                 Err(e) => panic!("flash program failed: {e}"),
             }
-        }
-    }
-
-    /// Keep the device's set of closed blocks equal to the allocator's on
-    /// the host path. A refused forced program (above) takes a frontier
-    /// slot without programming a page; from then on the allocator runs
-    /// ahead of that block's write pointer and closes the frontier — by its
-    /// own count — short of full. The unwritten tail is stranded exactly as
-    /// after [`Allocator::close_frontier`], so the block is sealed the
-    /// moment the allocator stops calling it open.
-    fn seal_if_closed_short(&mut self, block: BlockId) {
-        if !self.dev.block(block).is_full() && !self.alloc.is_open(block) {
-            self.dev.seal(block);
         }
     }
 
@@ -1234,9 +1226,11 @@ impl Ssd {
     /// stores for a page is the fingerprint of the content stored there
     /// (what lets GC migration take a tracked page's fingerprint from the
     /// index instead of hashing — however the entry got there: GC insert,
-    /// inline write, relocation or crash recovery).
+    /// inline write, relocation or crash recovery); the device's GC
+    /// candidates are the allocator-side recount (`audit_victims`).
     pub fn audit(&self) -> Result<(), String> {
         self.index.audit()?;
+        self.audit_victims()?;
         if self.rmap.total_refs() != self.map.mapped_count() {
             return Err(format!(
                 "rmap holds {} refs but mapping has {} mapped LPNs",
@@ -1286,6 +1280,40 @@ impl Ssd {
         }
         Ok(())
     }
+
+    /// The oracle of the GC candidate set: the allocator-side recount —
+    /// not an open frontier, not retired, written, gaining a page by its
+    /// erase — must be the device's collectible set, with the device's
+    /// running candidate count and stranded total, and its index's Greedy
+    /// pick. Returns the recount, in block-id order.
+    pub(crate) fn audit_victims(&self) -> Result<Vec<VictimCandidate>, String> {
+        let mut recount = Vec::new();
+        for b in 0..self.dev.block_count() {
+            let blk = self.dev.block(b);
+            let closed = !self.alloc.is_open(b)
+                && !blk.is_retired()
+                && !blk.is_free()
+                && blk.invalid_count() + blk.free_count() > 0;
+            match (closed, self.dev.is_collectible(b)) {
+                (true, false) => return Err(format!("block {b}: closed by the allocator, unsealed")),
+                (false, true) => return Err(format!("block {b}: collectible, not in the recount")),
+                (true, true) => recount.push(VictimCandidate::of(b, blk)),
+                (false, false) => {}
+            }
+        }
+        let stranded = recount.iter().map(|c| u64::from(c.stranded)).sum();
+        let greedy = VictimSelector::new(VictimKind::Greedy, 0).select(&recount, 0);
+        let dev = &self.dev;
+        let device = (dev.victim_candidates(), dev.stranded_pages(), dev.greedy_full_victim());
+        if device != (recount.len() as u32, stranded, greedy) {
+            return Err(format!(
+                "the device's candidates, stranded pages and Greedy pick {device:?} are not the \
+                 recount's {:?}",
+                (recount.len(), stranded, greedy)
+            ));
+        }
+        Ok(recount)
+    }
 }
 
 #[cfg(test)]
@@ -1303,6 +1331,18 @@ mod tests {
         ssd.content_of[ppn as usize] = 8;
         let err = ssd.audit().expect_err("index still holds the fingerprint of content 7");
         assert!(err.contains("indexed fingerprint"), "{err}");
+    }
+
+    #[test]
+    fn audit_rejects_a_block_the_allocator_closed_short_that_the_device_never_sealed() {
+        let mut ssd = Ssd::new(SsdConfig::tiny(Scheme::Baseline));
+        ssd.process(&Request::write(1_000, 3, vec![ContentId(7)]));
+        ssd.audit().expect("consistent after one write");
+        // Close the host frontier behind the device's back: one page
+        // written, the rest stranded, and the block never sealed.
+        let closed = ssd.alloc.close_frontier(Region::Host).expect("the write opened a frontier");
+        let err = ssd.audit().expect_err("a closed, unsealed block is no GC candidate");
+        assert!(err.contains(&format!("block {closed}: closed by the allocator, unsealed")), "{err}");
     }
 
     /// Heap bytes per physical page of a fresh 1 GB CAGC device.

@@ -6,7 +6,7 @@ use crate::fault::{FaultConfig, FaultPlan, FlashError, JournalEntry, JournalOp, 
 use crate::geometry::Geometry;
 use crate::stats::DeviceStats;
 use crate::timing::Timing;
-use crate::victim_index::VictimIndex;
+use crate::victim_index::{greedy_tie_break, VictimIndex};
 use cagc_sim::time::Nanos;
 use cagc_sim::timeline::{Reservation, Timeline, TimelineGroup};
 
@@ -61,13 +61,10 @@ pub struct FlashDevice {
     journal: Vec<JournalEntry>,
     /// Shared durable sequence counter for OOB stamps and journal records.
     seq: u64,
-    /// The Greedy victim index: every *collectible* block — written, not
-    /// retired, and either full or sealed ([`FlashDevice::seal`]) — that an
-    /// erase would gain from, filed under its valid-page count. A block
-    /// still being programmed is neither full nor sealed, so an open write
-    /// frontier is never in the index. Kept exact by
-    /// `sync_victim_index` on every fill / invalidate / seal / erase /
-    /// retire / recovery transition.
+    /// The Greedy victim index: every collectible block
+    /// ([`FlashDevice::is_collectible`]) filed under its valid-page count.
+    /// Kept exact by `sync_victim_index` on every fill / invalidate / seal
+    /// / erase / retire / recovery transition.
     victims: VictimIndex,
     /// `wear_hist[c]` = blocks erased exactly `c` times, maintained by
     /// [`FlashDevice::erase`] so wear percentiles need no per-call sort.
@@ -108,25 +105,34 @@ impl FlashDevice {
         }
     }
 
-    /// Re-file block `b` in the victim index from its authoritative state
-    /// (see the `victims` field docs): O(1), whatever changed.
+    /// Whether block `b` is a GC candidate, the one definition every victim
+    /// policy reads: full or sealed (an open frontier is neither), not
+    /// retired, and holding a page its erase would gain.
     #[inline]
-    fn sync_victim_index(&mut self, b: BlockId) {
+    pub fn is_collectible(&self, b: BlockId) -> bool {
         let blk = &self.blocks[b as usize];
-        let valid = blk.valid_count();
-        let collectible =
-            (blk.is_full() || blk.is_sealed()) && !blk.is_retired() && valid < blk.pages();
-        self.victims.file(b, collectible.then_some(valid));
+        (blk.is_full() || blk.is_sealed()) && !blk.is_retired() && blk.valid_count() < blk.pages()
     }
 
-    /// Declare that no more pages will be programmed into `b` before its
-    /// next erase: the FTL closed this write frontier early (program-failure
-    /// retry) or lost it (power loss). The never-written tail is *stranded*
-    /// — only an erase brings it back — so the block becomes collectible
-    /// with those pages counted in its reclaim gain (pages − valid, exactly
-    /// as for a full block). A block with nothing written has nothing to
-    /// collect, a full one strands nothing, and a retired one is gone; all
-    /// three are left unsealed. Sealing twice is sealing once.
+    /// The collectible blocks, in block-id order.
+    pub fn collectible_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
+        (0..self.block_count()).filter(|&b| self.is_collectible(b))
+    }
+
+    /// Re-file block `b` in the victim index from its authoritative state:
+    /// O(1), whatever changed.
+    #[inline]
+    fn sync_victim_index(&mut self, b: BlockId) {
+        let filed = self.is_collectible(b).then(|| self.blocks[b as usize].valid_count());
+        self.victims.file(b, filed);
+    }
+
+    /// Declare that nothing more will be programmed into `b` before its
+    /// next erase: the FTL closed this frontier short of full, or lost it
+    /// to a power cut. The never-written tail is *stranded* — only an erase
+    /// brings it back — so the block becomes collectible with those pages
+    /// in its reclaim gain (pages − valid, as for a full block). A free,
+    /// full or retired block is left unsealed; sealing twice is sealing once.
     pub fn seal(&mut self, b: BlockId) {
         let blk = &mut self.blocks[b as usize];
         if !blk.is_free() && !blk.is_full() && !blk.is_retired() && !blk.is_sealed() {
@@ -136,30 +142,25 @@ impl FlashDevice {
         self.sync_victim_index(b);
     }
 
-    /// The Greedy GC victim, answered from the victim index without looking
-    /// at any block outside the lowest occupied valid-count bucket: the
-    /// collectible block with the fewest valid pages (= the largest reclaim
-    /// gain, invalid + stranded), ties broken exactly like the `Greedy`
-    /// policy key — most trimmed pages, then fewest erases, then lowest
-    /// block id. `None` when no collectible block would reclaim anything.
-    /// Exact in every configuration: sealed blocks are index members, so
-    /// armed faults and power-loss recovery need no fallback.
+    /// The Greedy GC victim, read from the lowest occupied valid-count
+    /// bucket of the victim index: the collectible block with the largest
+    /// reclaim gain (invalid + stranded), ties broken by
+    /// [`greedy_tie_break`]. `None` when no block is collectible.
     pub fn greedy_full_victim(&self) -> Option<BlockId> {
         self.victims.lowest_bucket().min_by_key(|&b| {
             let blk = &self.blocks[b as usize];
-            (u32::MAX - blk.trimmed_count(), blk.erase_count(), b)
+            greedy_tie_break(blk.trimmed_count(), blk.erase_count(), b)
         })
     }
 
-    /// Number of blocks a victim policy may choose from right now (the
-    /// collectible blocks whose erase would reclaim at least one page).
+    /// Number of collectible blocks (a running count).
     #[inline]
     pub fn victim_candidates(&self) -> u32 {
         self.victims.filed()
     }
 
-    /// Free pages stranded behind sealed write pointers, over all victim
-    /// candidates — capacity only GC can return.
+    /// Free pages stranded behind sealed write pointers (a running sum) —
+    /// capacity only GC can return.
     #[inline]
     pub fn stranded_pages(&self) -> u64 {
         self.victims.stranded_total()
@@ -1001,6 +1002,7 @@ mod tests {
                 walk_victims(&d, &closed),
                 "index diverged from the walk at step {step}"
             );
+            assert_eq!(d.collectible_blocks().count() as u32, d.victim_candidates());
         }
         // The churn reached every transition the index has to follow.
         assert!(

@@ -77,3 +77,4 @@ pub use fault::{FaultConfig, FaultPlan, FlashError, JournalEntry, JournalOp, Pag
 pub use geometry::Geometry;
 pub use stats::DeviceStats;
 pub use timing::Timing;
+pub use victim_index::greedy_tie_break;

@@ -14,6 +14,20 @@
 //! the one cost left that follows the population.
 
 use crate::addr::BlockId;
+use std::cmp::Reverse;
+
+/// Greedy's order among blocks of equal reclaim gain, smallest key first,
+/// shared by [`crate::FlashDevice::greedy_full_victim`] and the `Greedy`
+/// policy's key: most trim garbage (stable, unlike overwrite garbage),
+/// then least worn, then lowest id, which makes the order total.
+#[inline]
+pub fn greedy_tie_break(
+    trimmed: u32,
+    erase_count: u32,
+    block: BlockId,
+) -> (Reverse<u32>, u32, BlockId) {
+    (Reverse(trimmed), erase_count, block)
+}
 
 /// `links` entry of a block that is in no bucket.
 const UNFILED: [u32; 2] = [u32::MAX; 2];

@@ -254,8 +254,9 @@ impl Allocator {
     /// different block — re-programming the next page of a block that
     /// just failed a program is exactly what real FTLs avoid. Returns the
     /// block that was closed: whatever it had left unwritten is stranded
-    /// until GC erases it, which the caller tells the device
-    /// (`FlashDevice::seal`).
+    /// until GC erases it. The allocator is the one owner of "closed":
+    /// the FTL seals on the device every block [`Allocator::is_open`]
+    /// stops naming (`FlashDevice::seal`).
     pub fn close_frontier(&mut self, region: Region) -> Option<BlockId> {
         let o = self.open[region.idx()].as_mut()?;
         o.used = self.pages_per_block;

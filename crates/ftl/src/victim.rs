@@ -1,26 +1,29 @@
 //! Victim-block selection policies (Sec. II-C, Sec. IV-C).
 //!
-//! The paper evaluates CAGC under three victim-selection algorithms:
+//! Every policy scores the same snapshot, one [`VictimCandidate`] per
+//! collectible block (valid / invalid / trimmed / stranded page counts,
+//! erase count, last-modified time). The paper evaluates three:
 //!
-//! * **Random** — uniformly random among blocks holding invalid pages
-//!   (cheap, naturally wear-even) \[29\];
-//! * **Greedy** — the block with the most invalid pages \[10\]; the paper's
-//!   default for all main experiments;
+//! * **Random** — uniform over candidates (cheap, naturally wear-even)
+//!   \[29\]; the floor every other policy is measured against (Fig. 13);
+//! * **Greedy** — the most reclaimable pages \[10\]; the paper's default
+//!   for all main experiments. Ties go by `cagc_flash::greedy_tie_break`:
+//!   most *trimmed* pages (trim garbage cannot be re-validated, while
+//!   overwrite garbage keeps accruing, so waiting is worth more there),
+//!   then fewest erases, then lowest block id;
 //! * **Cost-Benefit** — maximize `age × (1 − u) / 2u` where `u` is the
-//!   valid-page utilization (Kawaguchi et al. \[16\]), trading reclaim
-//!   efficiency against block age/wear.
+//!   valid-page utilization (Kawaguchi et al. \[16\]); age rewards cold
+//!   blocks whose garbage has stopped growing, so it needs no trim term.
 //!
-//! Policies are pure over a candidate snapshot, so the same policy objects
-//! drive any scheme; determinism comes from seeded RNG and stable
-//! tie-breaking (most trimmed pages, then lowest erase count, then lowest
-//! block id). The trimmed-page tie-break makes greedy-family policies
-//! trim-aware: among equally-invalid blocks, prefer the one whose garbage
-//! is host-deallocated (stable) over one that merely got overwritten and
-//! may keep accumulating invalid pages if deferred.
+//! Extensions ([`VictimKind::EXTENDED`]): **FIFO** (oldest last-modified)
+//! and **D-Choices** (Greedy's key over a seeded sample of *d*
+//! candidates — the scalable approximation). The full trim data path,
+//! host op to victim score, is in `docs/TRIM.md`.
 
-use cagc_flash::BlockId;
+use cagc_flash::{greedy_tie_break, Block, BlockId};
 use cagc_sim::time::Nanos;
 use cagc_sim::SimRng;
+use std::cmp::Reverse;
 
 /// Snapshot of one candidate block at selection time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,18 +55,27 @@ pub struct VictimCandidate {
 }
 
 impl VictimCandidate {
+    /// The snapshot of block `block`, whose record is `blk`.
+    pub fn of(block: BlockId, blk: &Block) -> Self {
+        Self {
+            block,
+            valid: blk.valid_count(),
+            invalid: blk.invalid_count(),
+            trimmed: blk.trimmed_count(),
+            stranded: blk.free_count(),
+            pages: blk.pages(),
+            erase_count: blk.erase_count(),
+            last_modified: blk.last_modified(),
+        }
+    }
+
     /// Greedy ordering: the *smallest* key is the best victim. Max reclaim
-    /// gain (invalid + stranded) first; ties go to the block with the most
-    /// trim garbage (stable — deferring a trim-heavy block gains nothing,
-    /// while an overwrite-hot block grows more invalid pages by waiting),
-    /// then the least-worn, then the lowest id (which makes the order
-    /// total, so selection is deterministic).
-    fn greedy_key(&self) -> (u32, u32, u32, BlockId) {
+    /// gain (invalid + stranded) first, then the device's
+    /// [`greedy_tie_break`], which its victim index orders by too.
+    fn greedy_key(&self) -> (Reverse<u32>, (Reverse<u32>, u32, BlockId)) {
         (
-            u32::MAX - (self.invalid + self.stranded),
-            u32::MAX - self.trimmed,
-            self.erase_count,
-            self.block,
+            Reverse(self.invalid + self.stranded),
+            greedy_tie_break(self.trimmed, self.erase_count, self.block),
         )
     }
 }
@@ -135,8 +147,9 @@ impl VictimSelector {
         self.kind
     }
 
-    /// Choose a victim among `candidates` (each must have `invalid > 0`;
-    /// callers pre-filter). Returns `None` when there is nothing to reclaim.
+    /// Choose a victim among `candidates` (the device's collectible blocks,
+    /// `FlashDevice::collectible_blocks`). Returns `None` when there is
+    /// nothing to reclaim.
     pub fn select(&mut self, candidates: &[VictimCandidate], now: Nanos) -> Option<BlockId> {
         if candidates.is_empty() {
             return None;

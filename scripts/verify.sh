@@ -65,9 +65,16 @@ if grep -rnE 'fn replay_open_loop_detailed|fn replay_closed_loop_detailed|Arrive
 
 echo "== one value, no knob: derived thresholds and fixed costs are not settable =="
 if grep -rnE 'pub (gc_low|gc_high|gc_reserve_blocks|read_miss_ns|lookup_ns|trim_ns|idle_threshold_ns|prehash_ns|program_retry_backoff_ns|max_read_retries|ecc_decode_ns|coalesce_depth|coalesce_ns|fetch_ns|completion_ns):' crates \
-  || grep -rnE '^[[:space:]]*(pub(\([a-z]+\))? )?(gc_slice_pages|gc_urgent_fraction|max_program_retries|gc_pump):' crates \
+  || grep -rnE '^[[:space:]]*(pub(\([a-z]+\))? )?(gc_slice_pages|gc_urgent_fraction|max_program_retries|gc_pump|victim_seed|placement):' crates \
   || grep -rnE 'endurance_limit|wearout_slope|FleetTelemetryConfig|enum ConfigError' crates; then
-  echo "FAIL: GC thresholds are GcThresholds::of(flash), the GC slice and the retry budget are SsdConfig consts, the host pumps whenever the device preempts and its controller costs are fixed by the presets; fleet telemetry takes a TraceConfig, config errors are Strings (DESIGN.md, what stays settable)"; exit 1; fi
+  echo "FAIL: GC thresholds are GcThresholds::of(flash), the GC slice, the retry budget and the victim seed are SsdConfig consts, no cold region is cold_threshold: None, the host pumps whenever the device preempts and its controller costs are fixed by the presets; fleet telemetry takes a TraceConfig, config errors are Strings (DESIGN.md, what stays settable)"; exit 1; fi
+
+echo "== one owner for closed: the allocator closes, one rule seals, the device says what is collectible =="
+walk="$(sed -n '/fn select_by_walk(/,/^    }$/p' crates/core/src/gc.rs)"
+if grep -rn 'fn seal_if_closed_short' crates \
+  || [ "$(grep -rn '\.seal(' crates/core/src | wc -l)" -gt 1 ] \
+  || [ -z "$walk" ] || grep -nE 'is_open|is_retired|is_free|invalid_count' <<<"$walk"; then
+  echo "FAIL: Ssd::program_region seals, once per program attempt, a block the allocator no longer calls open, and select_by_walk reads FlashDevice::collectible_blocks with no filter of its own (docs/PERFORMANCE.md, Victim index)"; exit 1; fi
 
 echo "== one report schema: a report is written once, by its ToJson; human views are Tables =="
 if grep -rn 'fn render(&self) -> String' crates/core/src crates/host/src crates/fleet/src crates/trace/src \

@@ -57,14 +57,9 @@ fn random_victim_policy_is_seed_deterministic() {
     let t = trace(11);
     let mut cfg = SsdConfig::tiny(Scheme::Cagc);
     cfg.victim = VictimKind::Random;
-    cfg.victim_seed = 1234;
     let a = run_cell(cfg.clone(), &t);
-    let b = run_cell(cfg.clone(), &t);
+    let b = run_cell(cfg, &t);
     assert_eq!(fingerprint_report(&a), fingerprint_report(&b));
-    // A different victim seed reshuffles GC decisions.
-    cfg.victim_seed = 5678;
-    let c = run_cell(cfg, &t);
-    assert_ne!(fingerprint_report(&a), fingerprint_report(&c));
 }
 
 #[test]
