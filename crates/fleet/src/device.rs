@@ -196,7 +196,10 @@ impl DeviceReport {
         ledger: TenantLedger,
         obs: Option<DeviceObservability>,
     ) -> Self {
-        let TenantLedger { tenants, slo, degraded_at: degraded_at_ns } = ledger;
+        let TenantLedger { mut tenants, slo, degraded_at: degraded_at_ns } = ledger;
+        // Finished: a clone per device then copies at most the exact tail,
+        // and a summary reads its ranks by index.
+        tenants.iter_mut().for_each(|t| t.hist.freeze());
         let mut totals = TrafficTotals::default();
         totals.add(run);
         let failed_ops = tenants.iter().map(|t| t.failed_ops).sum();

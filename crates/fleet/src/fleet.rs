@@ -7,7 +7,7 @@ use cagc_harness::pool::map_ordered_dynamic_chunked;
 use cagc_trace::TraceConfig;
 
 use crate::device::{simulate_device, DeviceSpec, TenantTrace};
-use crate::library::TraceLibrary;
+use crate::library::{TraceLibrary, Variant};
 use crate::mix::TenantMix;
 use crate::report::{upsert, FleetReport};
 use crate::slo::SloConfig;
@@ -98,9 +98,9 @@ impl FleetConfig {
         }
     }
 
-    /// Check the fleet's shape, and the device shape every cell builds,
-    /// so a bad config fails before the fan-out, not inside a worker
-    /// thread.
+    /// Check the fleet's shape, the device shape every cell builds and
+    /// the trace every tenant synthesises, so a bad config fails before
+    /// the fan-out, not inside a worker thread.
     pub fn validate(&self) -> Result<(), String> {
         if self.devices == 0 {
             return Err("empty fleet".into());
@@ -123,6 +123,17 @@ impl FleetConfig {
             return Err(format!("footprint fraction {} outside (0, 1]", self.footprint_frac));
         }
         SsdConfig::paper(self.flash, self.scheme).validate()?;
+        for mix in &self.mixes {
+            let pages = tenant_pages(self, mix);
+            for ts in &mix.tenants {
+                let (name, rate) = (mix.name, ts.rate_factor);
+                if rate.is_nan() || rate <= 0.0 {
+                    return Err(format!("tenant mix {name}: rate factor {rate} must be positive"));
+                }
+                let synth = ts.workload.synth_config(pages, self.requests_per_tenant, self.seed);
+                synth.validate().map_err(|e| format!("tenant mix {name}: {e}"))?;
+            }
+        }
         self.faults.validate()
     }
 
@@ -144,38 +155,49 @@ impl FleetConfig {
     }
 }
 
+/// The trace variants device `d`'s tenants replay, in slot order: each
+/// mix tenant's workload and rate over an even share of the fleet's
+/// footprint.
+fn tenant_variants(cfg: &FleetConfig, d: usize) -> impl Iterator<Item = Variant> + '_ {
+    let mix = &cfg.mixes[d % cfg.mixes.len()];
+    let group = (d % cfg.seed_groups) as u64;
+    let logical_pages = tenant_pages(cfg, mix);
+    mix.tenants.iter().enumerate().map(move |(slot, ts)| Variant {
+        workload: ts.workload,
+        logical_pages,
+        requests: cfg.requests_per_tenant,
+        // Distinct seed per (group, slot): devices in different groups
+        // see different streams, while same-group devices share the
+        // same Arcs.
+        seed: cfg.seed.wrapping_add(group * 1009 + slot as u64 * 523),
+        rate_factor: ts.rate_factor,
+    })
+}
+
+/// The logical pages each tenant of `mix` addresses.
+fn tenant_pages(cfg: &FleetConfig, mix: &TenantMix) -> u64 {
+    (cfg.flash.logical_pages() as f64 * cfg.footprint_frac / mix.tenants.len() as f64) as u64
+}
+
 /// Build the specs of devices `ds`: intern every tenant trace in the
-/// [`TraceLibrary`] and hand out shared `Arc` handles. Runs serially —
-/// trace generation is deterministic and its order must not depend on
-/// scheduling.
+/// [`TraceLibrary`] and hand out shared `Arc` handles. A trace the
+/// library does not hold yet is generated here, on the calling thread.
 fn build_specs(
     cfg: &FleetConfig,
     lib: &mut TraceLibrary,
     ds: impl IntoIterator<Item = usize>,
 ) -> Vec<DeviceSpec> {
-    let logical = cfg.flash.logical_pages();
     ds.into_iter()
         .map(|d| {
             let mix = &cfg.mixes[d % cfg.mixes.len()];
-            let group = (d % cfg.seed_groups) as u64;
-            let per_tenant_pages =
-                (logical as f64 * cfg.footprint_frac / mix.tenants.len() as f64) as u64;
             let tenants = mix
                 .tenants
                 .iter()
+                .zip(tenant_variants(cfg, d))
                 .enumerate()
-                .map(|(slot, ts)| TenantTrace {
+                .map(|(slot, (ts, variant))| TenantTrace {
                     label: format!("{}[{slot}]", ts.workload.name()),
-                    trace: lib.get(
-                        ts.workload,
-                        per_tenant_pages,
-                        cfg.requests_per_tenant,
-                        // Distinct seed per (group, slot): devices in
-                        // different groups see different streams, while
-                        // same-group devices share the same Arcs.
-                        cfg.seed.wrapping_add(group * 1009 + slot as u64 * 523),
-                        ts.rate_factor,
-                    ),
+                    trace: lib.intern(variant),
                 })
                 .collect();
             // Derive an independent fault-plan seed per device: the
@@ -201,8 +223,20 @@ fn build_specs(
         .collect()
 }
 
-/// Run the whole fleet: each distinct device cell ([`FleetConfig::cells`])
-/// is simulated once from its first device's spec, scheduled over the
+/// The spec of each cell's first device, and the number of distinct
+/// traces they hold. Every distinct tenant trace is synthesised once,
+/// in parallel on the pool, before any spec is built.
+fn cell_specs(cfg: &FleetConfig, cells: &[Vec<u32>]) -> (Vec<DeviceSpec>, usize) {
+    let firsts = || cells.iter().map(|cell| cell[0] as usize);
+    let mut lib = TraceLibrary::new();
+    lib.synthesize(firsts().flat_map(|d| tenant_variants(cfg, d)), cfg.workers);
+    let specs = build_specs(cfg, &mut lib, firsts());
+    (specs, lib.distinct())
+}
+
+/// Run the whole fleet: every distinct tenant trace is synthesised once
+/// on the pool; each distinct device cell ([`FleetConfig::cells`]) is
+/// then simulated once from its first device's spec, scheduled over the
 /// deterministic dynamic pool (small chunks claimed from a shared
 /// cursor); every device then gets its cell's report under its own index,
 /// in device order, and the reports are rolled up. Output is
@@ -217,8 +251,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         panic!("{e}");
     }
     let cells = cfg.cells();
-    let mut lib = TraceLibrary::new();
-    let specs = build_specs(cfg, &mut lib, cells.iter().map(|cell| cell[0] as usize));
+    let (specs, distinct) = cell_specs(cfg, &cells);
     let reports =
         map_ordered_dynamic_chunked(&specs, cfg.workers, cfg.chunk.max(1), simulate_device);
     let mut cell_of = vec![0; cfg.devices];
@@ -234,12 +267,13 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
             report
         })
         .collect();
-    FleetReport::aggregate(devices, lib.distinct())
+    FleetReport::aggregate(devices, distinct)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cagc_workloads::Trace;
     use std::sync::Arc;
 
     #[test]
@@ -258,6 +292,44 @@ mod tests {
             cfg.chunk = chunk;
             let got = run_fleet(&cfg).to_json().render();
             assert_eq!(got, baseline, "workers={workers} chunk={chunk} changed the fleet report");
+        }
+    }
+
+    /// A fault-armed fleet whose cells are its devices while its traces
+    /// are shared between them: its traces are synthesised on the pool,
+    /// each once, yet the report is the same at every worker count and
+    /// under the static split, and same-variant tenants share one `Arc`.
+    #[test]
+    fn armed_cells_share_pool_synthesised_traces_at_every_worker_count() {
+        // A never-reached crash arms the template without a fault.
+        let faults = FaultConfig { crash_at_op: Some(u64::MAX), ..FaultConfig::none() };
+        let mut cfg = FleetConfig { devices: 8, faults, ..FleetConfig::small_test() };
+        let cells = cfg.cells();
+        assert_eq!(cells.len(), cfg.devices, "every armed device is its own cell");
+        let (_, serial) = every_device_spec(&cfg);
+        assert!(serial < cfg.devices * 3, "cells must share traces ({serial} distinct)");
+
+        let baseline = rendered(&run_fleet(&cfg));
+        let per_worker = |workers: usize| (workers, cfg.devices.div_ceil(workers));
+        for (workers, chunk) in [(2, 1), (8, 1), per_worker(2), per_worker(3)] {
+            cfg.workers = workers;
+            cfg.chunk = chunk;
+            let report = run_fleet(&cfg);
+            assert_eq!(report.distinct_traces, serial, "workers={workers}: distinct traces");
+            assert_eq!(rendered(&report), baseline, "workers={workers} chunk={chunk}");
+
+            let (specs, distinct) = cell_specs(&cfg, &cells);
+            assert_eq!(distinct, serial);
+            let tenants: Vec<(Variant, &Arc<Trace>)> = specs
+                .iter()
+                .flat_map(|s| tenant_variants(&cfg, s.id as usize).zip(&s.tenants))
+                .map(|(v, t)| (v, &t.trace))
+                .collect();
+            for (va, a) in &tenants {
+                for (vb, b) in &tenants {
+                    assert_eq!(Arc::ptr_eq(a, b), va.key() == vb.key(), "{va:?} and {vb:?}");
+                }
+            }
         }
     }
 
@@ -513,6 +585,8 @@ mod tests {
         assert_eq!(ok.validate(), Ok(()));
         let mut no_tenants = TenantMix::balanced();
         no_tenants.tenants.clear();
+        let mut stalled = TenantMix::mail_heavy();
+        stalled.tenants[2].rate_factor = 0.0;
         let cases = [
             (FleetConfig { devices: 0, ..ok.clone() }, "empty fleet"),
             (FleetConfig { mixes: vec![], ..ok.clone() }, "no tenant mixes"),
@@ -520,6 +594,14 @@ mod tests {
             (FleetConfig { seed_groups: 0, ..ok.clone() }, "seed_groups must be >= 1"),
             (FleetConfig { host_queues: Some((0, 8)), ..ok.clone() }, "host queue shape 0x8"),
             (FleetConfig { footprint_frac: 1.5, ..ok.clone() }, "footprint fraction 1.5"),
+            (
+                FleetConfig { footprint_frac: 1e-9, ..ok.clone() },
+                "tenant mix balanced: synthetic trace `Homes`: empty logical space",
+            ),
+            (
+                FleetConfig { mixes: vec![stalled], ..ok.clone() },
+                "tenant mix mail-heavy: rate factor 0 must be positive",
+            ),
             (
                 FleetConfig { flash: UllConfig { gc_watermark: -1.0, ..ok.flash }, ..ok.clone() },
                 "gc_watermark",

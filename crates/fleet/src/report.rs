@@ -226,6 +226,8 @@ impl FleetReport {
                 }
             }
         }
+        // The rollups are final: their summaries read the tail by index.
+        r.by_tenant.iter_mut().for_each(|t| t.report.hist.freeze());
         // Observability rollups: pure folds over the per-device
         // captures, in device order.
         let obs_devices: Vec<(u32, &DeviceObservability)> =

@@ -32,7 +32,12 @@ pub struct Histogram {
     /// starts and ends on tier boundaries, and is empty until the first
     /// value. A boxed slice: it only ever changes size by reallocation.
     buckets: Box<[u64]>,
-    base: usize,
+    /// First slot of the window (the index has 1 920 slots).
+    base: u32,
+    /// Set by [`Self::freeze`]: `tail` is exactly the largest
+    /// `min(count, TAIL_KEEP)` values, sorted descending, at that
+    /// capacity. The next value the tail takes in clears it.
+    frozen: bool,
     count: u64,
     sum: u128,
     min: u64,
@@ -61,6 +66,7 @@ impl Histogram {
         Self {
             buckets: Box::default(),
             base: 0,
+            frozen: false,
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -73,7 +79,39 @@ impl Histogram {
     /// Bytes the histogram holds on the heap: its bucket window and the
     /// exact-tail buffer.
     pub fn heap_bytes(&self) -> usize {
-        (self.buckets.len() + self.tail.capacity()) * std::mem::size_of::<u64>()
+        std::mem::size_of_val(&*self.buckets) + self.tail_bytes()
+    }
+
+    /// Bytes the exact-tail buffer holds on the heap (its capacity).
+    pub fn tail_bytes(&self) -> usize {
+        self.tail.capacity() * std::mem::size_of::<u64>()
+    }
+
+    /// Finish the histogram for reading: the exact tail keeps only the
+    /// largest `min(count, TAIL_KEEP)` values, sorted descending, at
+    /// exactly that capacity, so [`Self::quantiles`] reads its ranks by
+    /// index and a clone copies at most `TAIL_KEEP` values. Every answer
+    /// stays what it was. A later [`Self::record`] or [`Self::merge`]
+    /// whose values reach the tail makes the histogram an ordinary one
+    /// again.
+    pub fn freeze(&mut self) {
+        let keep = self.tail_exact_len();
+        if self.tail.len() > keep {
+            self.tail.select_nth_unstable_by(keep - 1, |a, b| b.cmp(a));
+            self.tail.truncate(keep);
+        }
+        self.tail.sort_unstable_by(|a, b| b.cmp(a));
+        self.tail.shrink_to_fit();
+        if keep == TAIL_KEEP {
+            // Now the true K-th largest: what falls below it stays frozen.
+            self.tail_floor = self.tail[keep - 1];
+        }
+        self.frozen = true;
+    }
+
+    /// Whether [`Self::freeze`] ran and no value has reached the tail since.
+    pub fn is_frozen(&self) -> bool {
+        self.frozen
     }
 
     /// Offer `v` to the exact-tail buffer. Values below the established
@@ -85,6 +123,7 @@ impl Histogram {
         if v < self.tail_floor {
             return;
         }
+        self.frozen = false;
         self.tail.push(v);
         if self.tail.len() >= 2 * TAIL_KEEP {
             self.tail_compact();
@@ -146,7 +185,7 @@ impl Histogram {
     #[inline]
     pub fn record(&mut self, v: u64) {
         let slot = Self::slot_of(v);
-        match self.buckets.get_mut(slot.wrapping_sub(self.base)) {
+        match self.buckets.get_mut(slot.wrapping_sub(self.base as usize)) {
             Some(c) => *c += 1,
             None => self.record_outside(slot),
         }
@@ -163,22 +202,23 @@ impl Histogram {
     #[inline(never)]
     fn record_outside(&mut self, slot: usize) {
         self.widen(Self::tier_of(slot));
-        self.buckets[slot - self.base] += 1;
+        self.buckets[slot - self.base as usize] += 1;
     }
 
     /// Grow the window to its union with `slots`, which start and end on
     /// tier boundaries. The new window is allocated at its exact size.
     fn widen(&mut self, slots: std::ops::Range<usize>) {
-        let (lo, hi) = (self.base, self.base + self.buckets.len());
+        let lo = self.base as usize;
+        let hi = lo + self.buckets.len();
         if self.buckets.is_empty() {
             self.buckets = vec![0; slots.len()].into_boxed_slice();
-            self.base = slots.start;
+            self.base = slots.start as u32;
         } else if slots.start < lo || slots.end > hi {
             let (start, end) = (slots.start.min(lo), slots.end.max(hi));
             let mut buckets = vec![0; end - start];
             buckets[lo - start..hi - start].copy_from_slice(&self.buckets);
             self.buckets = buckets.into_boxed_slice();
-            self.base = start;
+            self.base = start as u32;
         }
     }
 
@@ -222,9 +262,11 @@ impl Histogram {
 
     /// Values at several quantiles at once, each equal to what
     /// [`Self::quantile`] returns for it. The batch costs one walk over
-    /// the buckets and one copy of the exact-tail buffer, narrowed by a
-    /// quickselect per tail rank — use this on report paths that
-    /// summarize many percentiles of the same histogram.
+    /// the buckets, plus, for tail ranks, one copy of the exact-tail
+    /// buffer narrowed by a quickselect per rank — or, once
+    /// [`Self::freeze`] has sorted the tail, one index per rank and no
+    /// allocation. Use this on report paths that summarize many
+    /// percentiles of the same histogram.
     pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [u64; N] {
         if self.count == 0 {
             return [0; N];
@@ -251,7 +293,12 @@ impl Histogram {
                 }
             }
         }
-        if n_tail > 0 {
+        if self.frozen {
+            // The tail is the top ranks in order: read them.
+            for &(rank, i) in &tail[..n_tail] {
+                out[i] = self.tail[rank];
+            }
+        } else if n_tail > 0 {
             // Rank falls inside the exact tail: the true order statistic.
             // Ascending ranks each select within what the previous left
             // below it, so the batch partitions one copy, never sorts it.
@@ -272,7 +319,7 @@ impl Histogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             while let Some(&(_, entry)) = pending.next_if(|&&(target, _)| seen >= target) {
-                out[entry] = Self::bucket_value(self.base + i).min(self.max).max(self.min);
+                out[entry] = Self::bucket_value(self.base as usize + i).min(self.max).max(self.min);
             }
             if pending.peek().is_none() {
                 break;
@@ -288,15 +335,16 @@ impl Histogram {
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_value(self.base + i), c))
+            .map(|(i, &c)| (Self::bucket_value(self.base as usize + i), c))
     }
 
     /// Merge another histogram into this one; the window grows to the
     /// union of both.
     pub fn merge(&mut self, other: &Self) {
         if !other.buckets.is_empty() {
-            self.widen(other.base..other.base + other.buckets.len());
-            let at = other.base - self.base;
+            let start = other.base as usize;
+            self.widen(start..start + other.buckets.len());
+            let at = start - self.base as usize;
             for (a, b) in self.buckets[at..].iter_mut().zip(other.buckets.iter()) {
                 *a += b;
             }
@@ -544,6 +592,24 @@ mod tests {
         h.record(0);
         h.record(u64::MAX);
         assert_eq!(window(&h), 15360);
+    }
+
+    #[test]
+    fn a_frozen_tail_holds_at_most_1024_values_at_that_capacity() {
+        let mut h = Histogram::new();
+        for i in 0..3_000u64 {
+            h.record(i * 7_919 % 3_001);
+        }
+        assert!(h.tail_bytes() > 8192, "a growing tail holds more than its top ranks");
+        h.freeze();
+        assert_eq!(h.tail_bytes(), 8192, "1 024 values of 8 B");
+        assert_eq!(h.heap_bytes(), 8192 + std::mem::size_of_val(&*h.buckets));
+        assert_eq!(h.clone().tail_bytes(), 8192, "a clone copies the frozen tail");
+        let mut few = Histogram::new();
+        [5, 9, 9].into_iter().for_each(|v| few.record(v));
+        few.freeze();
+        assert_eq!(few.tail_bytes(), 24, "below 1 024 values, all of them");
+        assert_eq!(Histogram::new().tail_bytes(), 0);
     }
 
     #[test]

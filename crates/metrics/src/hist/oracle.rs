@@ -1,8 +1,9 @@
 //! Reference implementation of [`Histogram`] — the dense layout the
 //! windowed one replaced, one slot per (tier, mantissa slice) over every
 //! tier, allocated up front — and the property tests that the two agree
-//! on every observable for narrow, wide, extreme and empty streams, and
-//! on merges in both orders. The dense layout carries one fix over the
+//! on every observable for narrow, wide, extreme and empty streams, on
+//! merges in both orders, and once frozen (read, recorded into, merged
+//! into and merged from). The dense layout carries one fix over the
 //! one it replaced: a tier for msb 63, without which a value of 2^63 or
 //! more indexed past the end.
 
@@ -212,6 +213,50 @@ fn assert_merges_agree(a: &[u64], b: &[u64]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// `a` recorded and frozen: its tail is exactly the largest
+/// `min(count, TAIL_KEEP)` values, sorted descending, at that capacity,
+/// and so is a clone's.
+fn frozen(a: &[u64]) -> Result<(Histogram, Dense), TestCaseError> {
+    let (mut h, d) = both(a);
+    h.freeze();
+    for h in [&h, &h.clone()] {
+        prop_assert!(h.is_frozen());
+        let keep = d.count.min(TAIL_KEEP as u64) as usize;
+        let mut want = d.tail.clone();
+        want.sort_unstable_by(|a, b| b.cmp(a));
+        want.truncate(keep);
+        prop_assert_eq!(&h.tail, &want);
+        prop_assert_eq!(h.tail.capacity(), keep);
+    }
+    Ok((h, d))
+}
+
+/// A frozen `a` agrees with the oracle as it is, after `b` is recorded
+/// into it, after `b` is merged into it, after it is merged into `b`,
+/// and frozen again after each.
+fn assert_freezes_agree(a: &[u64], b: &[u64]) -> Result<(), TestCaseError> {
+    let (fa, da) = frozen(a)?;
+    let (hb, db) = both(b);
+    assert_agrees(&fa, &da)?;
+    let (mut recorded, mut d_recorded) = (fa.clone(), da.clone());
+    for &v in b {
+        recorded.record(v);
+        d_recorded.record(v);
+    }
+    let (mut into, mut d_into) = (fa.clone(), da.clone());
+    into.merge(&hb);
+    d_into.merge(&db);
+    let (mut from, mut d_from) = (hb.clone(), db.clone());
+    from.merge(&fa);
+    d_from.merge(&da);
+    for (mut h, d) in [(recorded, d_recorded), (into, d_into), (from, d_from)] {
+        assert_agrees(&h, &d)?;
+        h.freeze();
+        assert_agrees(&h, &d)?;
+    }
+    Ok(())
+}
+
 harness_proptest! {
     #![config(cases = 256)]
     /// Streams over any msb band — a narrow one when `width` is small, a
@@ -245,6 +290,24 @@ harness_proptest! {
         let b: Vec<u64> = b.into_iter().map(|d| value(lo + shift, width, extreme, d)).collect();
         assert_merges_agree(&a, &b)?;
     }
+
+    /// A frozen histogram reads like the oracle, and so does one that
+    /// takes values after freezing: recorded one by one, merged in, or
+    /// merged from it into another. `a` runs past `TAIL_KEEP` values
+    /// often, so the tail is cut as well as sorted.
+    #[test]
+    fn a_frozen_window_reads_like_the_dense_layout(
+        lo in 0u32..65,
+        width in 0u32..8,
+        shift in 0u32..24,
+        extreme in any::<bool>(),
+        a in vec((any::<u32>(), any::<u64>()), 0..2_500),
+        b in vec((any::<u32>(), any::<u64>()), 0..1_500)
+    ) {
+        let a: Vec<u64> = a.into_iter().map(|d| value(lo, width, extreme, d)).collect();
+        let b: Vec<u64> = b.into_iter().map(|d| value(lo + shift, width, extreme, d)).collect();
+        assert_freezes_agree(&a, &b)?;
+    }
 }
 
 /// The layouts' corner cases by name, so that a change to the random
@@ -259,6 +322,7 @@ fn named_corner_cases_match_the_oracle() {
         assert_agrees(&h, &d).unwrap_or_else(|e| panic!("{a:?}: {e}"));
         for b in streams {
             assert_merges_agree(a, b).unwrap_or_else(|e| panic!("{a:?} + {b:?}: {e}"));
+            assert_freezes_agree(a, b).unwrap_or_else(|e| panic!("frozen {a:?} + {b:?}: {e}"));
         }
     }
 }

@@ -92,22 +92,44 @@ impl Default for SynthConfig {
 }
 
 impl SynthConfig {
-    /// Generate the trace.
-    ///
-    /// # Panics
-    /// Panics on nonsensical parameters (empty space, ratios outside
-    /// `[0,1]`, zero mean size).
-    pub fn generate(&self) -> Trace {
-        assert!(self.logical_pages > 0, "empty logical space");
-        for (name, v) in [
+    /// Check the parameters [`Self::generate`] needs: a non-empty space,
+    /// ratios in `[0, 1]`, a mean request of at least one page, and both
+    /// Zipf skews in `[0, 1)`. The error names the first bad field.
+    pub fn validate(&self) -> Result<(), String> {
+        let name = &self.name;
+        if self.logical_pages == 0 {
+            return Err(format!("synthetic trace `{name}`: empty logical space"));
+        }
+        for (field, v) in [
             ("write_ratio", self.write_ratio),
             ("dedup_ratio", self.dedup_ratio),
             ("trim_ratio", self.trim_ratio),
             ("prefill_fraction", self.prefill_fraction),
         ] {
-            assert!((0.0..=1.0).contains(&v), "{name} {v} outside [0,1]");
+            if !(0.0..=1.0).contains(&v) {
+                return Err(format!("synthetic trace `{name}`: {field} {v} outside [0,1]"));
+            }
         }
-        assert!(self.mean_req_pages >= 1.0, "mean_req_pages must be >= 1");
+        let v = self.mean_req_pages;
+        if !(1.0..).contains(&v) {
+            return Err(format!("synthetic trace `{name}`: mean_req_pages {v} must be >= 1"));
+        }
+        for (field, v) in [("lpn_theta", self.lpn_theta), ("content_theta", self.content_theta)] {
+            if !(0.0..1.0).contains(&v) {
+                return Err(format!("synthetic trace `{name}`: {field} {v} outside [0,1)"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Generate the trace.
+    ///
+    /// # Panics
+    /// Panics with [`Self::validate`]'s message on nonsensical parameters.
+    pub fn generate(&self) -> Trace {
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
 
         let mut rng = SimRng::seed_from_u64(self.seed);
         let lpn_zipf = Zipf::new(self.lpn_theta);
@@ -413,5 +435,31 @@ mod tests {
     #[should_panic(expected = "outside [0,1]")]
     fn bad_ratio_rejected() {
         quick(SynthConfig { dedup_ratio: 1.5, ..Default::default() });
+    }
+
+    #[test]
+    fn validate_names_every_input_generate_cannot_take() {
+        let ok = SynthConfig { requests: 10, ..Default::default() };
+        assert_eq!(ok.validate(), Ok(()));
+        let cases = [
+            (SynthConfig { logical_pages: 0, ..ok.clone() }, "empty logical space"),
+            (SynthConfig { write_ratio: -0.1, ..ok.clone() }, "write_ratio -0.1 outside [0,1]"),
+            (SynthConfig { dedup_ratio: 1.5, ..ok.clone() }, "dedup_ratio 1.5 outside [0,1]"),
+            (SynthConfig { trim_ratio: f64::NAN, ..ok.clone() }, "trim_ratio NaN outside [0,1]"),
+            (SynthConfig { prefill_fraction: 2.0, ..ok.clone() }, "prefill_fraction 2 outside"),
+            (SynthConfig { mean_req_pages: 0.5, ..ok.clone() }, "mean_req_pages 0.5 must be"),
+            (SynthConfig { mean_req_pages: f64::NAN, ..ok.clone() }, "mean_req_pages NaN"),
+            (SynthConfig { lpn_theta: 1.0, ..ok.clone() }, "lpn_theta 1 outside [0,1)"),
+            (SynthConfig { lpn_theta: -0.5, ..ok.clone() }, "lpn_theta -0.5 outside"),
+            (SynthConfig { content_theta: 1.0, ..ok.clone() }, "content_theta 1 outside [0,1)"),
+        ];
+        for (cfg, want) in cases {
+            let err = cfg.validate().expect_err(want);
+            assert!(err.contains(want), "`{err}` does not name `{want}`");
+            assert!(err.starts_with("synthetic trace `synthetic`"), "{err}");
+            // `generate` panics with the same message, never a deeper one.
+            let panic = std::panic::catch_unwind(|| cfg.generate()).expect_err(want);
+            assert_eq!(panic.downcast_ref::<String>(), Some(&err));
+        }
     }
 }
