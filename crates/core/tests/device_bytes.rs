@@ -8,7 +8,8 @@
 //! shape, small enough for a debug test run), and pins
 //! the whole device per physical page and the index per live entry. The
 //! two "replayed eighth" rows of docs/PERFORMANCE.md's "Bytes per
-//! physical page" table print what it measures, at their precision.
+//! physical page" table print what it measures, at their precision. It
+//! also pins the inline size of the `Ssd` record itself.
 
 use cagc_core::{Scheme, Ssd, SsdConfig};
 use cagc_flash::UllConfig;
@@ -47,4 +48,18 @@ fn a_replayed_device_costs_what_its_tables_cost_per_physical_page() {
         let decimals = prose.split_once('.').map_or(0, |(_, frac)| frac.len());
         assert_eq!(prose, format!("{value:.decimals$}"), "{what}: PERFORMANCE.md says {prose}");
     }
+}
+
+/// `Ssd`'s inline record, pinned exactly: its speed moves with it. A
+/// 16-byte larger `Histogram` (four sit inline) once cost `paper_grid` 7 %
+/// of `req_per_s`, so a field that grows or moves this record is measured
+/// on the benchmark before the pin moves. `Ssd::submit` reads these
+/// inline fields on every command: `map` (the logical page count), `dev`
+/// (the crash flag), `tracer` (host-op sampling), `cfg.idle_gc`, `tctx`,
+/// `gc_active_until`, the four latency histograms `lat_read`,
+/// `lat_write`, `lat_trim` and `lat_during_gc`, `end_ns` and
+/// `acknowledged`.
+#[test]
+fn an_ssd_is_2688_bytes_inline() {
+    assert_eq!(std::mem::size_of::<Ssd>(), 2688);
 }

@@ -153,14 +153,19 @@ impl ToJson for TenantReport {
 
 /// One device's result: distilled device-level counters plus per-tenant
 /// accounting.
+///
+/// The variable-size parts (tenant records, telemetry capture, SLO
+/// ledgers, the mix name) are shared, so every device of a fleet cell
+/// holds its cell's report as a fixed-size record: a clone copies that
+/// record and allocates nothing.
 #[derive(Debug, Clone)]
 pub struct DeviceReport {
     /// Device index within the fleet.
     pub device: u32,
     /// Tenant-mix name the device served.
-    pub mix: String,
-    /// Scheme name.
-    pub scheme: String,
+    pub mix: Arc<str>,
+    /// Scheme name ([`Scheme::name`]).
+    pub scheme: &'static str,
     /// This device's additive traffic counters (one run folded in).
     pub totals: TrafficTotals,
     /// Device-level all-request latency summary.
@@ -181,12 +186,12 @@ pub struct DeviceReport {
     /// Sim time when the device finished its replay.
     pub end_ns: Nanos,
     /// Per-tenant accounting, in namespace order.
-    pub tenants: Vec<TenantReport>,
+    pub tenants: Arc<[TenantReport]>,
     /// Telemetry capture (only when [`DeviceSpec::telemetry`] was set).
-    pub obs: Option<DeviceObservability>,
+    pub obs: Option<Arc<DeviceObservability>>,
     /// Per-tenant SLO ledgers, namespace order (only when
     /// [`DeviceSpec::slo`] was set).
-    pub slo: Option<Vec<TenantSloTrack>>,
+    pub slo: Option<Arc<[TenantSloTrack]>>,
 }
 
 impl DeviceReport {
@@ -197,16 +202,16 @@ impl DeviceReport {
         obs: Option<DeviceObservability>,
     ) -> Self {
         let TenantLedger { mut tenants, slo, degraded_at: degraded_at_ns } = ledger;
-        // Finished: a clone per device then copies at most the exact tail,
-        // and a summary reads its ranks by index.
+        // Finished: a summary reads each tail's ranks by index, and the
+        // devices of a fleet cell share these records.
         tenants.iter_mut().for_each(|t| t.hist.freeze());
         let mut totals = TrafficTotals::default();
         totals.add(run);
         let failed_ops = tenants.iter().map(|t| t.failed_ops).sum();
         Self {
             device: spec.id,
-            mix: spec.mix_name.clone(),
-            scheme: spec.scheme.name().to_string(),
+            mix: spec.mix_name.as_str().into(),
+            scheme: spec.scheme.name(),
             totals,
             lat: run.all.clone(),
             first_retirement_ns: run.first_retirement_ns,
@@ -214,9 +219,9 @@ impl DeviceReport {
             degraded_at_ns,
             failed_ops,
             end_ns: run.end_ns,
-            tenants,
-            obs,
-            slo,
+            tenants: tenants.into(),
+            obs: obs.map(Arc::new),
+            slo: slo.map(Into::into),
         }
     }
 }
@@ -225,8 +230,8 @@ impl ToJson for DeviceReport {
     fn to_json(&self) -> Json {
         let mut fields: Vec<(&'static str, Json)> = Vec::from([
             ("device", Json::U64(u64::from(self.device))),
-            ("mix", Json::Str(self.mix.clone())),
-            ("scheme", Json::Str(self.scheme.clone())),
+            ("mix", Json::Str(self.mix.to_string())),
+            ("scheme", Json::Str(self.scheme.to_string())),
             ("waf", Json::F64(self.totals.waf())),
             ("dedup_hit_rate", Json::F64(self.totals.dedup_hit_rate())),
             ("erases", Json::U64(self.totals.total_erases)),
@@ -633,7 +638,7 @@ mod tests {
             let rep = simulate_device(&s);
             let tracks = rep.slo.as_ref().expect("armed cell must track SLOs");
             assert_eq!(tracks.len(), rep.tenants.len());
-            for (track, tenant) in tracks.iter().zip(&rep.tenants) {
+            for (track, tenant) in tracks.iter().zip(rep.tenants.iter()) {
                 assert_eq!(track.tenant, tenant.tenant);
                 assert_eq!(track.requests, tenant.hist.count());
                 // A 1ns objective is unmeetable: every request violates.

@@ -6,7 +6,7 @@ use cagc_flash::{FaultConfig, UllConfig};
 use cagc_harness::pool::map_ordered_dynamic_chunked;
 use cagc_trace::TraceConfig;
 
-use crate::device::{simulate_device, DeviceSpec, TenantTrace};
+use crate::device::{simulate_device, DeviceReport, DeviceSpec, TenantTrace};
 use crate::library::{TraceLibrary, Variant};
 use crate::mix::TenantMix;
 use crate::report::{upsert, FleetReport};
@@ -239,8 +239,11 @@ fn cell_specs(cfg: &FleetConfig, cells: &[Vec<u32>]) -> (Vec<DeviceSpec>, usize)
 /// then simulated once from its first device's spec, scheduled over the
 /// deterministic dynamic pool (small chunks claimed from a shared
 /// cursor); every device then gets its cell's report under its own index,
-/// in device order, and the reports are rolled up. Output is
-/// byte-identical at every worker count, and to simulating every device.
+/// in device order, and the reports are rolled up. A device's copy is the
+/// report's fixed-size record: its tenant records, telemetry and SLO
+/// ledgers are the cell's, shared, so a report's heap grows with cells,
+/// not devices. Output is byte-identical at every worker count, and to
+/// simulating every device.
 ///
 /// # Panics
 /// Panics with [`FleetConfig::validate`]'s message on a bad config —
@@ -261,11 +264,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     let devices = cell_of
         .iter()
         .enumerate()
-        .map(|(d, &c)| {
-            let mut report = reports[c].clone();
-            report.device = d as u32;
-            report
-        })
+        .map(|(d, &c)| DeviceReport { device: d as u32, ..reports[c].clone() })
         .collect();
     FleetReport::aggregate(devices, distinct)
 }
@@ -579,6 +578,41 @@ mod tests {
         }
     }
 
+    /// Every device of a cell holds its cell's tenant records, telemetry
+    /// and SLO ledgers as one shared allocation each, and the devices are
+    /// those payloads' only owners: one per device of the cell, so one
+    /// each in a fault-armed fleet.
+    #[test]
+    fn devices_of_a_cell_share_its_payloads_and_own_them_alone() {
+        let observed = FleetConfig {
+            devices: 10,
+            telemetry: Some(TraceConfig::gauges_only(1_000_000, 1)),
+            slo: Some(SloConfig::uniform(200_000, 900, 1_000_000)),
+            ..FleetConfig::small_test()
+        };
+        let faults = FaultConfig { crash_at_op: Some(u64::MAX), ..FaultConfig::none() };
+        let armed = FleetConfig { faults, ..observed.clone() };
+        for cfg in [observed, armed] {
+            let cells = cfg.cells();
+            let rep = run_fleet(&cfg);
+            for cell in &cells {
+                let first = &rep.devices[cell[0] as usize];
+                let (obs, slo) = (first.obs.as_ref().unwrap(), first.slo.as_ref().unwrap());
+                assert_eq!(Arc::strong_count(&first.tenants), cell.len(), "cell {cell:?}");
+                assert_eq!(Arc::strong_count(obs), cell.len(), "cell {cell:?}");
+                assert_eq!(Arc::strong_count(slo), cell.len(), "cell {cell:?}");
+                assert_eq!(Arc::strong_count(&first.mix), cell.len(), "cell {cell:?}");
+                for &d in cell {
+                    let dev = &rep.devices[d as usize];
+                    assert_eq!(dev.device, d);
+                    assert!(Arc::ptr_eq(&dev.tenants, &first.tenants), "device {d}");
+                    assert!(Arc::ptr_eq(dev.obs.as_ref().unwrap(), obs), "device {d}");
+                    assert!(Arc::ptr_eq(dev.slo.as_ref().unwrap(), slo), "device {d}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn validate_names_the_first_bad_field() {
         let ok = FleetConfig::small_test();
@@ -633,7 +667,7 @@ mod tests {
         assert_eq!(rep.devices.len(), cfg.devices);
         for (d, dev) in rep.devices.iter().enumerate() {
             assert_eq!(dev.device as usize, d);
-            assert_eq!(dev.mix, cfg.mixes[d % cfg.mixes.len()].name);
+            assert_eq!(*dev.mix, *cfg.mixes[d % cfg.mixes.len()].name);
         }
         assert!(rep.fleet.runs == cfg.devices as u64);
         assert!(rep.fleet.waf() > 0.0);

@@ -206,19 +206,19 @@ impl FleetReport {
                 r.first_degradation_ns = earliest(r.first_degradation_ns, ns);
             }
             r.failed_ops += dev.failed_ops;
-            upsert(&mut r.by_mix, |m| m.mix == dev.mix, || MixSummary::new(&dev.mix)).0.merge(dev);
-            for t in &dev.tenants {
-                let is = |s: &TenantSummary| s.mix == dev.mix && s.report.tenant == t.tenant;
+            upsert(&mut r.by_mix, |m| *m.mix == *dev.mix, || MixSummary::new(&dev.mix)).0.merge(dev);
+            for t in dev.tenants.iter() {
+                let is = |s: &TenantSummary| *s.mix == *dev.mix && s.report.tenant == t.tenant;
                 upsert(&mut r.by_tenant, is, || TenantSummary::new(&dev.mix, &t.tenant)).0.merge(t);
             }
             // An SLO rollup starts as a clone of the first device's ledger.
             if let Some(tracks) = &dev.slo {
                 let slo = r.slo.get_or_insert_with(Vec::new);
-                for t in tracks {
+                for t in tracks.iter() {
                     let ((_, rollup), fresh) = upsert(
                         slo,
-                        |(m, s)| *m == dev.mix && s.tenant == t.tenant,
-                        || (dev.mix.clone(), t.clone()),
+                        |(m, s)| **m == *dev.mix && s.tenant == t.tenant,
+                        || (dev.mix.to_string(), t.clone()),
                     );
                     if !fresh {
                         rollup.merge(t);
@@ -231,7 +231,7 @@ impl FleetReport {
         // Observability rollups: pure folds over the per-device
         // captures, in device order.
         let obs_devices: Vec<(u32, &DeviceObservability)> =
-            devices.iter().filter_map(|d| d.obs.as_ref().map(|o| (d.device, o))).collect();
+            devices.iter().filter_map(|d| d.obs.as_deref().map(|o| (d.device, o))).collect();
         let degraded_instants: Vec<u64> =
             devices.iter().filter_map(|d| d.degraded_at_ns).collect();
         r.timeline = FleetTimeline::build(&obs_devices, &degraded_instants);
@@ -290,8 +290,8 @@ impl FleetReport {
         for d in &self.devices {
             t.row(vec![
                 d.device.to_string(),
-                d.mix.clone(),
-                d.scheme.clone(),
+                d.mix.to_string(),
+                d.scheme.to_string(),
                 format!("{:.4}", d.totals.waf()),
                 format!("{:.4}", d.totals.dedup_hit_rate()),
                 d.totals.total_erases.to_string(),

@@ -39,6 +39,9 @@ pub struct TimeSeries {
     window_ns: u64,
     // Dense from window 0; simulations start at t=0 anyway.
     slots: Vec<(u64, u128, u64)>, // (count, sum, max)
+    /// The slots' counts and sums, kept as they are added.
+    count: u64,
+    sum: u128,
 }
 
 impl TimeSeries {
@@ -48,7 +51,7 @@ impl TimeSeries {
     /// Panics on a zero-width window.
     pub fn new(window_ns: u64) -> Self {
         assert!(window_ns > 0, "zero-width window");
-        Self { window_ns, slots: Vec::new() }
+        Self { window_ns, slots: Vec::new(), count: 0, sum: 0 }
     }
 
     /// Window width.
@@ -66,6 +69,8 @@ impl TimeSeries {
         slot.0 += 1;
         slot.1 += value as u128;
         slot.2 = slot.2.max(value);
+        self.count += 1;
+        self.sum += value as u128;
     }
 
     /// Fold `other` into this series, window by window: counts and sums
@@ -89,16 +94,18 @@ impl TimeSeries {
             dst.1 += src.1;
             dst.2 = dst.2.max(src.2);
         }
+        self.count += other.count;
+        self.sum += other.sum;
     }
 
     /// Total samples recorded across all windows.
     pub fn sample_count(&self) -> u64 {
-        self.slots.iter().map(|&(c, _, _)| c).sum()
+        self.count
     }
 
     /// Sum of all recorded values across all windows.
     pub fn sample_sum(&self) -> u128 {
-        self.slots.iter().map(|&(_, s, _)| s).sum()
+        self.sum
     }
 
     /// Aggregated windows, ascending in time (empty windows skipped).
@@ -278,6 +285,36 @@ mod tests {
         assert_eq!(w[0].max, 20);
         assert_eq!(ab.sample_count(), 4);
         assert_eq!(ab.sample_sum(), 41);
+    }
+
+    /// The running totals are the windows' counts and sums after every
+    /// `record` and every `merge`, whatever the time order.
+    #[test]
+    fn running_totals_are_the_window_sums_after_every_step() {
+        let totals = |ts: &TimeSeries| {
+            let w = ts.windows();
+            let count: u64 = w.iter().map(|w| w.count).sum();
+            let sum: u128 = ts.slots.iter().map(|&(_, s, _)| s).sum();
+            assert_eq!((ts.sample_count(), ts.sample_sum()), (count, sum));
+        };
+        let mut a = TimeSeries::new(100);
+        let mut b = TimeSeries::new(100);
+        totals(&a);
+        for i in 0..500u64 {
+            // Out of time order, values up to u64::MAX.
+            let (at, value) = ((i * 7_919) % 3_000, i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            if i % 3 == 0 { &mut b } else { &mut a }.record(at, value);
+            totals(&a);
+            totals(&b);
+            if i % 50 == 49 {
+                a.merge(&b);
+                totals(&a);
+            }
+        }
+        let before = a.sample_count();
+        a.merge(&TimeSeries::new(100));
+        assert_eq!(a.sample_count(), before, "an empty series adds nothing");
+        totals(&a);
     }
 
     #[test]

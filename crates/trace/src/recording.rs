@@ -184,6 +184,12 @@ impl Recording {
         &self.names
     }
 
+    /// The `i`-th event in recording order, `None` past the last: O(1),
+    /// what `iter().nth(i)` finds by walking every earlier event.
+    pub fn get(&self, i: usize) -> Option<Record<'_>> {
+        (i < self.len()).then(|| self.record(i))
+    }
+
     /// The `i`-th event in recording order: a segment and an offset (an
     /// event is a run of one, so no segment has a gap).
     pub(crate) fn record(&self, i: usize) -> Record<'_> {
@@ -379,6 +385,29 @@ mod tests {
         assert!(copy.events().events.segments.iter().all(|s| s.capacity() == SEGMENT));
         assert!(copy.events().iter().zip(t.events().iter()).all(|(a, b)| a.name() == b.name()));
         assert_eq!(copy.events().iter().last().unwrap().arg("i"), Some(SEGMENT as u64 - 1));
+    }
+
+    /// A positioned read is the walk's record at every position, across
+    /// segment boundaries and whatever each event's payload, and nothing
+    /// past the last.
+    #[test]
+    fn get_reads_what_the_walk_reaches() {
+        let mut t = Tracer::enabled(TraceConfig::default());
+        let events = 2 * SEGMENT + 9;
+        for i in 0..events as u64 {
+            let payload: Vec<Arg> = KEYS[..i as usize % 5].iter().map(|&k| (k, i)).collect();
+            t.span(Track::Gc, NAMES[i as usize % NAMES.len()], i, i + i % 3, &payload);
+        }
+        let r = t.events();
+        let shown = |e: Record<'_>| format!("{e:?}");
+        for (i, walked) in r.iter().enumerate() {
+            assert_eq!(r.get(i).map(shown), Some(shown(walked)), "event {i}");
+        }
+        for i in [0, SEGMENT - 1, SEGMENT, 2 * SEGMENT, events - 1] {
+            assert_eq!(r.get(i).map(shown), r.iter().nth(i).map(shown), "event {i}");
+        }
+        assert!(r.get(events).is_none() && r.get(usize::MAX).is_none());
+        assert!(Recording::default().get(0).is_none());
     }
 
     const NAMES: [&str; 12] = [
