@@ -33,13 +33,13 @@ impl Timing {
         Self { read_ns: us(50), program_ns: us(500), erase_ns: ms(3) + us(500), bus_xfer_ns: 0 }
     }
 
-    /// Service time of a read as seen by the die (read + transfer).
+    /// Flash time of a read: the cell read, then the page's transfer out.
     #[inline]
     pub const fn read_service(&self) -> Nanos {
         self.read_ns + self.bus_xfer_ns
     }
 
-    /// Service time of a program as seen by the die (transfer + program).
+    /// Flash time of a program: the page's transfer in, then the program.
     #[inline]
     pub const fn program_service(&self) -> Nanos {
         self.program_ns + self.bus_xfer_ns

@@ -222,3 +222,78 @@ fn full_block_lifecycle_with_table1_timing() {
     assert_eq!(d.block(0).erase_count(), 1);
     assert_eq!(d.stats().erases, 1);
 }
+
+harness_proptest! {
+    /// Every reservation the device returns matches a plain model of
+    /// per-die and per-channel `busy_until`, with and without a modelled
+    /// bus transfer: a read holds its die for tR and then its channel, a
+    /// program holds its channel and then its die for tPROG, an erase
+    /// holds only its die. Per-die busy totals count cell time only.
+    #[test]
+    fn reservations_follow_a_per_die_and_channel_model(
+        xfer_us in 0u64..2,
+        ops in vec((0u8..3, 0u32..16, 0u64..30), 1..300),
+    ) {
+        // 2 channels × 2 dies × 1 plane × 4 blocks × 4 pages.
+        let g = Geometry::new(2, 2, 1, 4, 4, 4096);
+        let t = Timing { bus_xfer_ns: xfer_us * 2_000, ..Timing::ull() };
+        let mut d = FlashDevice::new(g, t);
+        let mut die_busy = vec![0u64; g.total_dies() as usize];
+        let mut die_total = vec![0u64; g.total_dies() as usize];
+        let mut chan_busy = vec![0u64; g.channels as usize];
+        let mut written: Vec<u64> = Vec::new();
+        let mut now = 0u64;
+        for &(kind, sel, step_us) in &ops {
+            now += step_us * 1_000;
+            let blk = sel % g.total_blocks();
+            let die = g.die_of_block(blk) as usize;
+            let chan = die / g.dies_per_channel as usize;
+            let (got, want) = match kind {
+                0 if d.block(blk).next_program_page().is_some() => {
+                    let (r, ppn) = d.program_next(blk, now, PageOob::gc(None)).unwrap();
+                    written.push(ppn);
+                    let bus_start = now.max(chan_busy[chan]);
+                    chan_busy[chan] = bus_start + t.bus_xfer_ns;
+                    let cell_start = chan_busy[chan].max(die_busy[die]);
+                    die_busy[die] = cell_start + t.program_ns;
+                    die_total[die] += t.program_ns;
+                    let start = if t.bus_xfer_ns > 0 { bus_start } else { cell_start };
+                    (r, (start, die_busy[die]))
+                }
+                1 if !written.is_empty() => {
+                    let ppn = written[sel as usize % written.len()];
+                    let die = g.die_of(ppn) as usize;
+                    let chan = g.channel_of(ppn) as usize;
+                    let r = d.read(ppn, now).unwrap();
+                    let cell_start = now.max(die_busy[die]);
+                    die_busy[die] = cell_start + t.read_ns;
+                    die_total[die] += t.read_ns;
+                    let end = if t.bus_xfer_ns > 0 {
+                        chan_busy[chan] = die_busy[die].max(chan_busy[chan]) + t.bus_xfer_ns;
+                        chan_busy[chan]
+                    } else {
+                        die_busy[die]
+                    };
+                    (r, (cell_start, end))
+                }
+                2 if !d.block(blk).is_free() => {
+                    written.retain(|&p| {
+                        let here = g.block_of(p) == blk;
+                        if here {
+                            d.invalidate(p, now);
+                        }
+                        !here
+                    });
+                    let r = d.erase(blk, now).unwrap();
+                    let start = now.max(die_busy[die]);
+                    die_busy[die] = start + t.erase_ns;
+                    die_total[die] += t.erase_ns;
+                    (r, (start, die_busy[die]))
+                }
+                _ => continue,
+            };
+            prop_assert_eq!((got.start, got.end, got.queued), (want.0, want.1, want.0 - now));
+        }
+        prop_assert_eq!(d.die_busy_totals(), die_total);
+    }
+}

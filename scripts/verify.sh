@@ -98,14 +98,30 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== docs (offline, no deps, whole workspace, broken links denied) =="
 cargo doc --no-deps --offline --workspace
 
-echo "== smoke: regenerate Figs. 9-11 (one aged grid; tracing disabled => byte-identical CSVs) =="
-cargo run --release --offline -p cagc-bench --bin repro -- fig9 fig10 fig11
-git diff --exit-code -- results/fig9.csv results/fig10.csv results/fig11.csv \
-  || { echo "FAIL: untraced repro must regenerate results/fig{9,10,11}.csv byte-identical"; exit 1; }
-
-echo "== smoke: deterministic trace (Chrome JSON, parser round-trip, seed-stable) =="
 TRACE_TMP="$(mktemp -d)"
 trap 'rm -rf "$TRACE_TMP"' EXIT
+
+# Every CSV of a fresh repro output directory equals its committed twin.
+matches_golden() { # <committed dir> <fresh out dir> <what a difference means>
+  for f in "$2"/*.csv; do
+    cmp "$1/$(basename "$f")" "$f" || { echo "FAIL: $3"; exit 1; }
+  done
+}
+
+echo "== goldens: every figure, table, ablation and sweep at the default scale (results/) =="
+# One untraced default-scale run regenerates all 26 CSVs results/ commits and
+# compares every byte, so no default-scale result can go stale unseen (the
+# prose test holds EXPERIMENTS.md to these files). Its sweep-fleet arms the
+# observability cell (gauges + SLO tracking for one fleet); every other fleet
+# cell stays unobserved and must still match its golden (docs/OBSERVABILITY.md).
+cargo run --release --offline -p cagc-bench --bin repro -- \
+  --out "$TRACE_TMP/default" all ablations > /dev/null
+diff <(cd results/quick && ls) <(cd "$TRACE_TMP/default" && ls) \
+  || { echo "FAIL: repro all ablations must write the 26 CSVs results/quick/ names"; exit 1; }
+matches_golden results "$TRACE_TMP/default" \
+  "repro all ablations must regenerate the default-scale CSVs in results/ byte-identical"
+
+echo "== smoke: deterministic trace (Chrome JSON, parser round-trip, seed-stable) =="
 cargo run --release --offline -p cagc-bench --bin repro -- \
   --smoke --trace "$TRACE_TMP/a.json" | grep "parser round-trip OK"
 cargo run --release --offline -p cagc-bench --bin repro -- \
@@ -137,11 +153,9 @@ grep -q "^gc_wall," "$TRACE_TMP/insp/inspect_diff.csv" \
   || { echo "FAIL: inspect --diff must report a gc_wall delta row"; exit 1; }
 
 echo "== goldens: every figure, table, ablation and sweep at --scale quick (results/quick/) =="
-# Figs. 9-11 above are three artifacts of thirty; this regenerates the whole
-# `all ablations` set (26 CSVs) and compares every byte, so a change to the
-# code under any of them cannot rot a committed result unseen. Experiments
+# The same 26 CSVs at the quick scale, compared byte for byte. Experiments
 # that carry asserted gates (sweep-trim, sweep-qd with its QD=1 equivalence,
-# sweep-fleet, sweep-chaos) check them here too.
+# sweep-fleet, sweep-chaos) check them here and in the default-scale run.
 cargo run --release --offline -p cagc-bench --bin repro -- \
   --scale quick --out "$TRACE_TMP/quick" all ablations > /dev/null
 diff -r results/quick "$TRACE_TMP/quick" \
@@ -151,18 +165,13 @@ diff -r results/quick "$TRACE_TMP/quick" \
 # compared every byte, so a run below that matches results/quick/ matches that
 # run too (as that run matched the committed same-seed bytes): armed-resilience
 # and worker-count identity by transitivity.
-matches_quick() { # <fresh out dir> <what a difference means>
-  for f in "$1"/*.csv; do
-    cmp "results/quick/$(basename "$f")" "$f" || { echo "FAIL: $2"; exit 1; }
-  done
-}
 
 echo "== smoke: armed resilience is invisible on fault-free devices =="
 # --resilient arms the host retry/backoff/deadline policy; with no
 # injected faults it must not change a single byte (docs/FAULTS.md).
 cargo run --release --offline -p cagc-bench --bin repro -- \
   --scale quick --out "$TRACE_TMP/qd_resilient" --resilient sweep-qd > /dev/null
-matches_quick "$TRACE_TMP/qd_resilient" "--resilient must not change fault-free sweep-qd CSVs"
+matches_golden results/quick "$TRACE_TMP/qd_resilient" "--resilient must not change fault-free sweep-qd CSVs"
 
 echo "== smoke: fleet sweep (analytic WAF gate + worker-count byte-determinism) =="
 # The dynamic scheduler must be invisible in the output: one worker vs
@@ -170,16 +179,7 @@ echo "== smoke: fleet sweep (analytic WAF gate + worker-count byte-determinism) 
 cargo run --release --offline -p cagc-bench --bin repro -- \
   --scale quick --out "$TRACE_TMP/fleet_w1" --workers 1 sweep-fleet \
   | grep "fleet WAF tracks analytic greedy curve"
-matches_quick "$TRACE_TMP/fleet_w1" "sweep-fleet CSVs must be byte-identical across worker counts"
-
-echo "== smoke: observability is pay-as-you-go (default sweep-fleet vs goldens) =="
-# The observability cell arms gauges + SLO tracking for one fleet; every
-# other grid cell stays untraced and must keep regenerating the committed
-# sweep-fleet goldens byte-identically (docs/OBSERVABILITY.md).
-cargo run --release --offline -p cagc-bench --bin repro -- \
-  --out results sweep-fleet > /dev/null
-git diff --exit-code -- results/sweep_fleet.csv results/fleet_qos.csv results/fleet_timeline.csv \
-  || { echo "FAIL: sweep-fleet must regenerate its goldens byte-identical with observability armed"; exit 1; }
+matches_golden results/quick "$TRACE_TMP/fleet_w1" "sweep-fleet CSVs must be byte-identical across worker counts"
 
 echo "== smoke: chaos campaign (graceful degradation + worker-count byte-determinism) =="
 # The sweep asserts its own gates (zero-fault cells byte-identical to a
@@ -189,7 +189,7 @@ echo "== smoke: chaos campaign (graceful degradation + worker-count byte-determi
 cargo run --release --offline -p cagc-bench --bin repro -- \
   --scale quick --out "$TRACE_TMP/chaos_w1" --workers 1 sweep-chaos \
   | grep "chaos gate OK"
-matches_quick "$TRACE_TMP/chaos_w1" "sweep_chaos.csv must be byte-identical across worker counts"
+matches_golden results/quick "$TRACE_TMP/chaos_w1" "sweep_chaos.csv must be byte-identical across worker counts"
 
 echo "== benchmark package: unit tests + short GC-heavy and traced-chaos runs (BENCHMARK.json) =="
 # benchmark/ is a workspace of its own, so `cargo test --workspace` above
