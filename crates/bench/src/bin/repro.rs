@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--scale quick|default|full] [--seed N] [--out DIR] [--workers N]
-//!       [--trace PATH] [--trace-sample N] [--resilient] [--preempt]
+//!       [--trace PATH] [--trace-sample N] [--preempt]
 //!       [--diff A B] [--smoke] CMD...
 //!
 //! CMD: an experiment from `cagc_bench::experiments::COMMANDS`, or
@@ -21,10 +21,7 @@
 //! (default `results/`). `--smoke` is shorthand for the `smoke` command;
 //! `--trace-sample N` records every Nth host request's spans (GC, fault
 //! and gauge activity is always recorded). `--preempt` runs the seeded
-//! smoke/inspect replay with preemptible (sliced) GC. `--resilient` arms
-//! the host retry/deadline policy in `sweep-qd` — on fault-free devices
-//! it must change nothing (the byte-identity gate `scripts/verify.sh`
-//! runs).
+//! smoke/inspect replay with preemptible (sliced) GC.
 
 use cagc_bench::experiments as exp;
 use cagc_bench::Scale;
@@ -47,7 +44,7 @@ enum Step {
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--scale quick|default|full] [--seed N] [--out DIR] [--workers N]\n\
-         \x20            [--trace PATH] [--trace-sample N] [--resilient] [--preempt]\n\
+         \x20            [--trace PATH] [--trace-sample N] [--preempt]\n\
          \x20            [--diff A B] [--smoke] CMD...\n\
          CMD:\n{}  {SMOKE} | {INSPECT}",
         exp::command_usage()
@@ -221,13 +218,11 @@ fn main() {
     let mut cmds: Vec<String> = Vec::new();
     let mut trace_out: Option<PathBuf> = None;
     let mut trace_sample: u64 = 1;
-    let mut resilient = false;
     let mut preempt = false;
     let mut diff: Option<(PathBuf, PathBuf)> = None;
 
     while let Some(a) = args.pop_front() {
         match a.as_str() {
-            "--resilient" => resilient = true,
             "--preempt" => preempt = true,
             "--diff" => diff = Some((value(&mut args).into(), value(&mut args).into())),
             "--trace" => trace_out = Some(value(&mut args).into()),
@@ -278,7 +273,7 @@ fn main() {
         scale.device_gb, scale.requests, scale.mail_requests, scale.seed
     );
 
-    let mut ctx = exp::Ctx::new(scale, resilient);
+    let mut ctx = exp::Ctx::new(scale);
     for (cmd, step) in steps {
         let t = Instant::now();
         match step {

@@ -786,7 +786,7 @@ pub fn sweep_faults(scale: &Scale) -> Artifacts {
 /// asserted byte-identical (device-side report) to the sequential
 /// `t = process(at = t)` chain, so every other cell differs from the
 /// golden synchronous path only by what the queues add.
-pub fn sweep_qd(scale: &Scale, resilient: bool) -> Artifacts {
+pub fn sweep_qd(scale: &Scale) -> Artifacts {
     use cagc_core::Ssd;
     use cagc_harness::pool::map_ordered;
     use cagc_harness::ToJson;
@@ -810,13 +810,6 @@ pub fn sweep_qd(scale: &Scale, resilient: bool) -> Artifacts {
     let run_cell = |&(qd, preempt): &(u32, bool)| -> HostReport {
         let mut host_cfg = HostConfig::passthrough();
         host_cfg.queue_depth = qd;
-        if resilient {
-            // Arm the full resilience policy (deadline well above the
-            // fault-free tail). On a fault-free device it must be
-            // invisible: verify.sh gates that this sweep's CSVs stay
-            // byte-identical with and without --resilient.
-            host_cfg = host_cfg.with_resilience(1_000_000_000, 3, 50_000, 10_000, scale.seed);
-        }
         let mut host = HostInterface::new(Ssd::new(device(preempt)), host_cfg);
         let report = host.replay_closed_loop(&trace);
         host.ssd().audit().expect("audit after sweep-qd cell");
@@ -1184,19 +1177,17 @@ pub fn sweep_chaos(scale: &Scale) -> Artifacts {
 
 // ------------------------------------------------------------ Registry
 
-/// What a command may read: the scale, `--resilient`, and the aged grid.
+/// What a command may read: the scale and the aged grid.
 pub struct Ctx {
     /// Experiment scale (`--scale`, `--seed`, `--workers`).
     pub scale: Scale,
-    /// `--resilient`: arm the host retry/deadline policy in `sweep-qd`.
-    pub resilient: bool,
     aged: Option<AgedResults>,
 }
 
 impl Ctx {
     /// A context whose aged grid has not run yet.
-    pub fn new(scale: Scale, resilient: bool) -> Self {
-        Self { scale, resilient, aged: None }
+    pub fn new(scale: Scale) -> Self {
+        Self { scale, aged: None }
     }
 
     /// The aged grid, run on first use and shared by Figs. 6 and 9–12.
@@ -1265,11 +1256,7 @@ pub const COMMANDS: [(&str, &[Command]); 2] = [
             cmd("sweep-utilization", |c| sweep_utilization(&c.scale), &["sweep_utilization.csv"]),
             cmd("sweep-trim", |c| sweep_trim(&c.scale), &["sweep_trim.csv"]),
             cmd("sweep-faults", |c| sweep_faults(&c.scale), &["sweep_faults.csv"]),
-            cmd(
-                "sweep-qd",
-                |c| sweep_qd(&c.scale, c.resilient),
-                &["sweep_qd.csv", "gc_preempt_cdf.csv"],
-            ),
+            cmd("sweep-qd", |c| sweep_qd(&c.scale), &["sweep_qd.csv", "gc_preempt_cdf.csv"]),
             cmd(
                 "sweep-fleet",
                 |c| sweep_fleet(&c.scale),

@@ -13,8 +13,13 @@
 //! field, module or local that shares a method's name does not hide it.
 //!
 //! What the scan cannot see is the receiver's type: a method whose name
-//! another type's reached method shares (`new`, `len`, `next_free`, …)
+//! another type's reached method shares (`new`, `len`, `get`, …)
 //! always looks reached. Such items are checked by hand, not here.
+//!
+//! A second pass lists the `pub` methods only tests call. For it a caller
+//! is production code: a library file before its `#[cfg(test)]`, an
+//! example or the benchmark package, never a test file. Each such method
+//! is named in `TEST_FACING` with the reason it stays `pub`.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -140,14 +145,24 @@ fn uses(sources: &[Source]) -> (Uses<'_>, Uses<'_>) {
     (uses, methods)
 }
 
-#[test]
-fn every_pub_item_is_reached_outside_its_own_tests() {
+/// The scanned tree: every source a use may sit in, which of them are
+/// library files, and which are test files (`crates/*/tests`, `tests/`).
+struct Scan {
+    root: PathBuf,
+    sources: Vec<Source>,
+    lib_files: Vec<usize>,
+    test_files: Vec<usize>,
+}
+
+fn scan() -> Scan {
     let root = root();
     let mut lib_dirs = crate_dirs("src");
     lib_dirs.push(root.join("src"));
+    let mut test_dirs = crate_dirs("tests");
+    test_dirs.push(root.join("tests"));
     let mut ref_dirs = lib_dirs.clone();
-    ref_dirs.extend(crate_dirs("tests"));
-    for dir in ["tests", "examples", "benchmark/src"] {
+    ref_dirs.extend(test_dirs.iter().cloned());
+    for dir in ["examples", "benchmark/src"] {
         ref_dirs.push(root.join(dir));
     }
     let this_file = Path::new(file!()).file_name().expect("file name");
@@ -155,31 +170,54 @@ fn every_pub_item_is_reached_outside_its_own_tests() {
         .into_iter()
         .filter(|s| !(s.path.ends_with(Path::new("tests").join(this_file))))
         .collect();
-    let lib_files: Vec<usize> = (0..sources.len())
-        .filter(|&i| lib_dirs.iter().any(|d| sources[i].path.starts_with(d)))
-        .collect();
+    let under = |dirs: &[PathBuf]| -> Vec<usize> {
+        let within = |i: &usize| dirs.iter().any(|d| sources[*i].path.starts_with(d));
+        (0..sources.len()).filter(within).collect()
+    };
+    let (lib_files, test_files) = (under(&lib_dirs), under(&test_dirs));
     assert!(lib_files.len() > 50, "scan found only {} library files", lib_files.len());
-    let (uses, method_uses) = uses(&sources);
+    Scan { root, sources, lib_files, test_files }
+}
 
-    let mut unreached = Vec::new();
-    for &f in &lib_files {
-        let src = &sources[f];
+/// A `pub` item a library file defines: `(file, line, name, inside an impl)`.
+fn definitions(scan: &Scan) -> Vec<(usize, usize, &str, bool)> {
+    let mut defs = Vec::new();
+    for &f in &scan.lib_files {
+        let src = &scan.sources[f];
         let mut in_impl = false;
         for (n, line) in src.lines[..src.test_start].iter().enumerate() {
             // Items open and close at column 0 (rustfmt layout).
             if line.starts_with(|c: char| !c.is_whitespace() && c != '/' && c != '#') {
                 in_impl = line.starts_with("impl");
             }
-            let Some(name) = defined_name(line) else { continue };
-            // Only functions can be defined inside an `impl`.
-            let sites = if in_impl { &method_uses } else { &uses };
-            let reached = sites.get(name).is_some_and(|sites| {
-                sites.iter().any(|&(uf, un)| !(uf == f && (un == n || un >= src.test_start)))
-            });
-            if !reached {
-                let rel = src.path.strip_prefix(&root).unwrap_or(&src.path);
-                unreached.push(format!("{}::{name}", rel.display()));
+            if let Some(name) = defined_name(line) {
+                defs.push((f, n, name, in_impl));
             }
+        }
+    }
+    defs
+}
+
+/// `path::name`, the form both lists name an item by.
+fn item(scan: &Scan, f: usize, name: &str) -> String {
+    let path = &scan.sources[f].path;
+    format!("{}::{name}", path.strip_prefix(&scan.root).unwrap_or(path).display())
+}
+
+#[test]
+fn every_pub_item_is_reached_outside_its_own_tests() {
+    let scan = scan();
+    let (uses, method_uses) = uses(&scan.sources);
+    let mut unreached = Vec::new();
+    for (f, n, name, in_impl) in definitions(&scan) {
+        // Only functions can be defined inside an `impl`.
+        let sites = if in_impl { &method_uses } else { &uses };
+        let test_start = scan.sources[f].test_start;
+        let reached = sites.get(name).is_some_and(|sites| {
+            sites.iter().any(|&(uf, un)| !(uf == f && (un == n || un >= test_start)))
+        });
+        if !reached {
+            unreached.push(item(&scan, f, name));
         }
     }
 
@@ -193,5 +231,106 @@ fn every_pub_item_is_reached_outside_its_own_tests() {
         "pub items nothing outside their own unit tests names — delete them \
          (with their tests) or use them:\n  {}",
         dead.iter().map(|s| s.as_str()).collect::<Vec<_>>().join("\n  ")
+    );
+}
+
+/// Methods only tests call, each with the reason it stays `pub`. The list
+/// may only shrink: an entry that production code reaches, or that is
+/// gone, fails the test until it is removed.
+const TEST_FACING: &[(&str, &str)] = &[
+    (
+        "crates/core/src/recovery.rs::recover",
+        "power-loss recovery: no experiment or benchmark workload crashes a device",
+    ),
+    (
+        "crates/core/src/ssd.rs::nvme_code",
+        "the NVMe status code a completion models, pinned per status",
+    ),
+    (
+        "crates/core/src/ssd.rs::fingerprint_index",
+        "read-only view whose bytes per live entry device_bytes.rs pins",
+    ),
+    (
+        "crates/core/src/ssd.rs::stored_content",
+        "the data-integrity oracle: what a host read of an LPN returns",
+    ),
+    (
+        "crates/core/src/ssd.rs::mapped_ppn",
+        "crash tests recount reference histograms from the forward map",
+    ),
+    (
+        "crates/core/src/ssd.rs::ref_histogram",
+        "crash tests hold the recovered index's histogram to a recount",
+    ),
+    (
+        "crates/dedup/src/fingerprint.rs::of_bytes",
+        "the real-data fingerprint path, hashing page bytes",
+    ),
+    (
+        "crates/dedup/src/refstats.rs::total",
+        "the invalidation count index tests check a release records",
+    ),
+    (
+        "crates/ftl/src/mapping.rs::iter_mapped",
+        "the forward-map walk the FTL property model compares",
+    ),
+    (
+        "crates/host/src/engine.rs::replay_open_loop",
+        "the open-loop twin of replay_closed_loop over a whole Trace",
+    ),
+    (
+        "crates/metrics/src/timeseries.rs::sample_sum",
+        "the running sum merges must keep equal to the windows' sum",
+    ),
+    (
+        "crates/sim/src/timeline.rs::next_free",
+        "a timeline's drain point, held to its last reservation's end",
+    ),
+    (
+        "crates/workloads/src/files.rs::fig8_scenario",
+        "the paper's Fig. 8 walk-through, pinned at 7 unique pages",
+    ),
+    (
+        "crates/workloads/src/trace.rs::written_pages",
+        "trace arithmetic the arena and cross-crate tests check",
+    ),
+];
+
+#[test]
+fn every_pub_method_only_tests_call_is_listed() {
+    let scan = scan();
+    let (_, method_uses) = uses(&scan.sources);
+    let mut test_only = Vec::new();
+    for (f, n, name, in_impl) in definitions(&scan) {
+        if !in_impl {
+            continue;
+        }
+        // A production caller: library, example or benchmark code outside
+        // a test file and before its own file's `#[cfg(test)]`.
+        let called = method_uses.get(name).is_some_and(|sites| {
+            sites.iter().any(|&(uf, un)| {
+                !scan.test_files.contains(&uf)
+                    && un < scan.sources[uf].test_start
+                    && (uf, un) != (f, n)
+            })
+        });
+        if !called {
+            test_only.push(item(&scan, f, name));
+        }
+    }
+
+    let stale: Vec<&str> = TEST_FACING
+        .iter()
+        .map(|&(entry, _)| entry)
+        .filter(|entry| !test_only.iter().any(|t| t == entry))
+        .collect();
+    assert!(stale.is_empty(), "listed methods have a production caller or are gone: {stale:?}");
+    let unlisted: Vec<&String> =
+        test_only.iter().filter(|t| !TEST_FACING.iter().any(|&(entry, _)| entry == *t)).collect();
+    assert!(
+        unlisted.is_empty(),
+        "pub methods only tests call — give each a production caller, delete it, or list it \
+         in TEST_FACING with the reason it stays:\n  {}",
+        unlisted.iter().map(|s| s.as_str()).collect::<Vec<_>>().join("\n  ")
     );
 }

@@ -115,21 +115,6 @@ pub struct HealthLog {
     pub read_only: bool,
 }
 
-impl ToJson for HealthLog {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("media_errors", Json::U64(self.media_errors)),
-            ("unrecoverable_errors", Json::U64(self.unrecoverable_errors)),
-            ("retired_blocks", Json::U64(u64::from(self.retired_blocks))),
-            ("spare_pool_permille", Json::U64(self.spare_pool_permille)),
-            ("wear_p50", Json::U64(u64::from(self.wear_p50))),
-            ("wear_p90", Json::U64(u64::from(self.wear_p90))),
-            ("wear_max", Json::U64(u64::from(self.wear_max))),
-            ("read_only", Json::Bool(self.read_only)),
-        ])
-    }
-}
-
 /// Latency distribution summary for one request class.
 #[derive(Debug, Clone)]
 pub struct LatencySummary {

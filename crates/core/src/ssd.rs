@@ -219,8 +219,6 @@ pub struct Ssd {
     trims: u64,
     /// Fault-handling counters (retries, rejections, recoveries).
     pub(crate) fh: FaultHandling,
-    /// Requests fully completed and acknowledged to the host.
-    acknowledged: u64,
     /// Report of the most recent power-loss recovery pass, if any.
     pub(crate) last_recovery: Option<RecoveryReport>,
     /// Trace sink (disabled no-op by default; see [`Ssd::enable_tracing`]).
@@ -290,7 +288,6 @@ impl Ssd {
             read_misses: 0,
             trims: 0,
             fh: FaultHandling::default(),
-            acknowledged: 0,
             last_recovery: None,
             tracer: Tracer::disabled(),
             tctx: TraceCtx::Off,
@@ -479,7 +476,6 @@ impl Ssd {
             OpKind::Trim => self.lat_trim.record(latency),
         }
         self.end_ns = self.end_ns.max(completion);
-        self.acknowledged += 1;
         Ok(Completion { end_ns: completion, status })
     }
 
@@ -576,9 +572,10 @@ impl Ssd {
         self.alloc.free_blocks() as f64 / self.dev.usable_blocks() as f64
     }
 
-    /// Requests fully completed and acknowledged to the host.
+    /// Requests fully completed and acknowledged to the host: each one is
+    /// recorded under exactly one of the per-kind latency histograms.
     pub fn acknowledged_requests(&self) -> u64 {
-        self.acknowledged
+        self.lat_read.count() + self.lat_write.count() + self.lat_trim.count()
     }
 
     /// Snapshot of fault-injection and fault-handling counters.
@@ -592,7 +589,7 @@ impl Ssd {
             erase_failures: d.erase_failures,
             read_ecc_errors: d.read_ecc_errors,
             blocks_retired: d.blocks_retired,
-            journal_appends: d.journal_appends,
+            journal_appends: self.dev.journal().len() as u64,
             program_retries: self.fh.program_retries,
             forced_programs: self.fh.forced_programs,
             read_retries: self.fh.read_retries,

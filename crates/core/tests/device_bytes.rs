@@ -28,7 +28,7 @@ fn a_replayed_device_costs_what_its_tables_cost_per_physical_page() {
     let index = ssd.fingerprint_index();
     let per_page = ssd.heap_bytes() as f64 / ssd.device().geometry().total_pages() as f64;
     let per_entry = index.heap_bytes() as f64 / index.len() as f64;
-    // Measured: 15 471 live entries, 59.65 B per physical page (1.95 of
+    // Measured: 15 471 live entries, 59.64 B per physical page (1.95 of
     // them the four latency histograms: their bucket windows and exact
     // tails) and 63.57 B per live entry — 32 768 cells of 8 B, 16 384
     // slab records of 32 B, the PPN map and the free list (the full 1 GB
@@ -57,9 +57,8 @@ fn a_replayed_device_costs_what_its_tables_cost_per_physical_page() {
 /// inline fields on every command: `map` (the logical page count), `dev`
 /// (the crash flag), `tracer` (host-op sampling), `cfg.idle_gc`, `tctx`,
 /// `gc_active_until`, the four latency histograms `lat_read`,
-/// `lat_write`, `lat_trim` and `lat_during_gc`, `end_ns` and
-/// `acknowledged`.
+/// `lat_write`, `lat_trim` and `lat_during_gc`, and `end_ns`.
 #[test]
-fn an_ssd_is_2688_bytes_inline() {
-    assert_eq!(std::mem::size_of::<Ssd>(), 2688);
+fn an_ssd_is_2640_bytes_inline() {
+    assert_eq!(std::mem::size_of::<Ssd>(), 2640);
 }

@@ -506,9 +506,6 @@ fn health_log_tracks_degradation() {
     assert_eq!(h.unrecoverable_errors, 0, "no unrecoverable faults were armed");
     assert!(h.wear_p50 <= h.wear_p90 && h.wear_p90 <= h.wear_max);
     assert!(h.spare_pool_permille <= pristine.spare_pool_permille);
-    let json = h.to_json().render();
-    assert!(json.contains(&format!("\"retired_blocks\":{}", h.retired_blocks)), "{json}");
-    assert!(json.ends_with("\"read_only\":true}"), "{json}");
 }
 
 #[test]

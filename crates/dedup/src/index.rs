@@ -478,19 +478,6 @@ impl FingerprintIndex {
         self.set_ppn_slot(new_ppn, slot);
     }
 
-    /// Forget the entry at `ppn` without counting an invalidation (used when
-    /// a tracked page's references are transferred wholesale, e.g. a dedup
-    /// hit during migration absorbs this copy into another entry).
-    pub fn forget_ppn(&mut self, ppn: u64) -> Option<FpEntry> {
-        let slot = self.ppn_slot(ppn);
-        if slot == NONE_SLOT {
-            return None;
-        }
-        let entry = self.slots[slot as usize].entry();
-        self.unplace(slot);
-        Some(entry)
-    }
-
     /// Record an invalidation of an *untracked* page (refcount implicitly 1)
     /// so Fig. 6 statistics also cover the never-deduplicated population.
     pub fn record_untracked_invalidation(&mut self) {
@@ -682,16 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn forget_drops_without_invalidation_stat() {
-        let mut ix = FingerprintIndex::new();
-        ix.insert(fp(1), 1, 3);
-        let e = ix.forget_ppn(1).unwrap();
-        assert_eq!(e.refs, 3);
-        assert_eq!(ix.ref_stats().total(), 0); // no invalidation recorded
-        assert!(ix.is_empty());
-    }
-
-    #[test]
     fn restore_rebuilds_without_traffic_stats() {
         let mut ix = FingerprintIndex::new();
         ix.restore(fp(1), 100, 3);
@@ -761,7 +738,7 @@ mod tests {
             ix.insert(fp(i), i, 1);
         }
         for i in (0..64u64).step_by(2) {
-            ix.forget_ppn(i).unwrap();
+            assert_eq!(ix.release_ppn(i), Some(0));
         }
         for i in 0..64u64 {
             let found = ix.peek(&fp(i)).is_some();
@@ -798,8 +775,8 @@ mod tests {
             ix.insert(fp(i), i, 1);
         }
         let freed = ix.by_ppn[3];
-        ix.forget_ppn(3).unwrap();
-        ix.audit().expect("consistent after a forget");
+        assert_eq!(ix.release_ppn(3), Some(0));
+        ix.audit().expect("consistent after a removal");
 
         // A cell left pointing at the freed slot, where a vacancy was.
         let mut stale = ix.clone();

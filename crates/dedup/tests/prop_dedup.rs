@@ -31,20 +31,19 @@ harness_proptest! {
     }
 
     /// Index model check: drive the index with random insert / add_ref /
-    /// release / trimmed-release / forget+restore / absorption operations
-    /// and mirror it against a naive HashMap model. The index must agree
-    /// with the model after every operation, and its internal audit must
-    /// always pass. Ops 3–5 cover the paths the open-addressed rewrite had
-    /// to keep drop-in compatible: trim-attributed releases, the
-    /// recovery-style forget-then-restore move, and the GC-absorption
-    /// forget that drops an entry without counting an invalidation.
+    /// release / trimmed-release / rebuild operations and mirror it
+    /// against a naive HashMap model. The index must agree with the model
+    /// after every operation, and its internal audit must always pass.
+    /// Ops 3–4 cover the paths the open-addressed rewrite had to keep
+    /// drop-in compatible: trim-attributed releases and the post-crash
+    /// rebuild that restores every entry into a fresh index.
     ///
     /// After every operation it also checks, for every physical page ever
     /// used, that the by-address lookup GC migration relies on is the
     /// by-fingerprint one: `lookup_ppn(p)` ≡ `lookup(&fp_of_ppn(p))`, in
     /// the entry returned and in the `IndexStats` it leaves behind.
     #[test]
-    fn index_agrees_with_naive_model(ops in vec((0u8..6, 0u64..20), 1..300)) {
+    fn index_agrees_with_naive_model(ops in vec((0u8..5, 0u64..20), 1..300)) {
         agrees_with_naive_model(&ops, |c| Fingerprint::of_content(ContentId(c)))?;
     }
 
@@ -55,7 +54,7 @@ harness_proptest! {
     /// displacement and backward-shift deletion then run inside runs of
     /// equal tags, and every probe has to tell entries apart at the slab.
     #[test]
-    fn index_agrees_with_naive_model_under_colliding_keys(ops in vec((0u8..6, 0u64..36), 1..300)) {
+    fn index_agrees_with_naive_model_under_colliding_keys(ops in vec((0u8..5, 0u64..36), 1..300)) {
         agrees_with_naive_model(&ops, colliding_fp)?;
     }
 
@@ -82,7 +81,7 @@ fn colliding_fp(content: u64) -> Fingerprint {
 }
 
 /// Drive an index with `(op, content)` steps — insert / add_ref, release,
-/// relocate, trimmed release, forget + restore, absorption — keying each
+/// relocate, trimmed release, rebuild — keying each
 /// content by `fp_of`, and check it against a naive HashMap model after
 /// every step.
 fn agrees_with_naive_model(
@@ -139,30 +138,17 @@ fn agrees_with_naive_model(
                     next_ppn += 1;
                 }
             }
-            4 => {
-                // Recovery-style move: forget the entry, then restore
-                // it at a fresh ppn with the same refcount (what the
-                // post-crash rebuild does from OOB stamps).
-                if let Some(entry) = model.get_mut(&content) {
-                    let e = ix.forget_ppn(entry.0).expect("tracked");
-                    prop_assert_eq!(e.refs, entry.1);
-                    ix.restore(fp, next_ppn, e.refs);
-                    entry.0 = next_ppn;
-                    next_ppn += 1;
-                } else {
-                    prop_assert_eq!(ix.peek(&fp), None);
-                }
-            }
             _ => {
-                // GC absorption: the copy's references move wholesale
-                // to another stored copy and this entry is forgotten
-                // without an invalidation record. The content becomes
-                // untracked; a later write re-inserts it fresh.
-                if let Some(&(ppn, refs)) = model.get(&content) {
-                    let e = ix.forget_ppn(ppn).expect("tracked");
-                    prop_assert_eq!(e.refs, refs);
-                    model.remove(&content);
+                // Recovery rebuild: a fresh index restores every tracked
+                // entry at its page with its refcount (what the post-crash
+                // rebuild does from OOB stamps), with no traffic history.
+                let mut tracked: Vec<_> = model.iter().collect();
+                tracked.sort_unstable();
+                ix = FingerprintIndex::new();
+                for (&c, &(ppn, refs)) in tracked {
+                    ix.restore(fp_of(c), ppn, refs);
                 }
+                trim_releases = 0;
             }
         }
         // Full agreement after every step.

@@ -286,8 +286,8 @@ impl FlashDevice {
     /// counts toward the crash point. Metadata writes ride the controller's
     /// capacitor-backed buffer, so no die time is charged.
     ///
-    /// With no fault plan armed this is a no-op — no record, no durable
-    /// operation, no `journal_appends` count — so callers append
+    /// With no fault plan armed this is a no-op — no record and no durable
+    /// operation — so callers append
     /// unconditionally and the device decides.
     #[inline]
     pub fn journal_append(&mut self, op: JournalOp) -> Result<(), FlashError> {
@@ -297,7 +297,6 @@ impl FlashDevice {
         self.plan.note_durable_op()?;
         let seq = self.bump_seq();
         self.journal.push(JournalEntry { seq, op });
-        self.stats.journal_appends += 1;
         Ok(())
     }
 
@@ -322,7 +321,6 @@ impl FlashDevice {
         }
         let r = self.reserve_page_op(block, ready_at, OpKind::Read);
         self.stats.reads += 1;
-        self.stats.read_busy_ns += self.timing.read_service();
         if self.plan.roll_read() {
             self.stats.read_ecc_errors += 1;
             return Err(FlashError::ReadEcc { ppn, at: r.end });
@@ -391,7 +389,6 @@ impl FlashDevice {
         let ppn = self.geometry.ppn(block, page);
         let seq = self.bump_seq();
         self.stats.programs += 1;
-        self.stats.program_busy_ns += self.timing.program_service();
         if faultable && self.plan.roll_program() {
             // The attempt spoiled the page: consumed, unreadable, torn OOB
             // (a roll only fires on an armed plan, so the OOB exists).
@@ -465,7 +462,6 @@ impl FlashDevice {
             self.blocks[block as usize].retire();
             self.stats.erase_failures += 1;
             self.stats.blocks_retired += 1;
-            self.stats.erase_busy_ns += self.timing.erase_ns;
             self.sync_victim_index(block);
             return Err(FlashError::EraseFailed { block, at: r.end });
         }
@@ -482,7 +478,6 @@ impl FlashDevice {
             }
         }
         self.stats.erases += 1;
-        self.stats.erase_busy_ns += self.timing.erase_ns;
         Ok(r)
     }
 
@@ -746,8 +741,8 @@ mod tests {
         let (_, _p1) = d.program_next(0, 0, host(1)).unwrap();
         d.read(p0, 0).unwrap();
         d.invalidate(p0, 0);
-        assert_eq!(d.stats().program_busy_ns, us(32));
-        assert_eq!(d.stats().read_busy_ns, us(12));
+        // Both programs and the read are cell time on die 0.
+        assert_eq!(d.die_busy_totals(), vec![us(44), 0]);
         assert_eq!(d.stats().total_ops(), 3);
     }
 
@@ -780,7 +775,8 @@ mod tests {
         // Queued behind that read on die 0: cell 30..42, transfer 42..44.
         let r = d.read(ppn, w.end).unwrap();
         assert_eq!((r.start, r.end, r.queued), (us(30), us(44), us(12)));
-        assert_eq!(d.stats().read_busy_ns, 2 * us(14));
+        // The die holds cell time only: one program and two reads.
+        assert_eq!(d.die_busy_totals()[0], us(40));
     }
 
     #[test]
@@ -824,7 +820,6 @@ mod tests {
         assert_eq!(d.journal().len(), 2);
         assert_eq!(d.journal()[1].seq, 3);
         assert_eq!(d.journal()[1].op, JournalOp::Unmap { lpn: 2 });
-        assert_eq!(d.stats().journal_appends, 2);
         assert_eq!(d.durable_ops(), 4);
     }
 
@@ -835,7 +830,6 @@ mod tests {
         d.journal_append(JournalOp::Remap { lpn: 2, ppn: p0 }).unwrap();
         d.journal_append(JournalOp::Unmap { lpn: 2 }).unwrap();
         assert!(d.journal().is_empty());
-        assert_eq!(d.stats().journal_appends, 0);
         assert_eq!(d.durable_ops(), 1, "only the program was a durable op");
     }
 

@@ -1,6 +1,8 @@
 //! Device-level operation counters.
-
-use cagc_sim::time::Nanos;
+//!
+//! Busy time is the die timelines' ([`crate::FlashDevice::die_busy_totals`])
+//! and the journal's length is the journal's
+//! ([`crate::FlashDevice::journal`]); no counter here repeats either.
 
 /// Counters maintained by [`crate::FlashDevice`] across its lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -14,12 +16,6 @@ pub struct DeviceStats {
     /// Pages invalidated by host trim (deallocations; metadata-only, so
     /// they contribute no busy time — see `FlashDevice::deallocate`).
     pub trimmed_pages: u64,
-    /// Total die-busy time consumed by reads.
-    pub read_busy_ns: Nanos,
-    /// Total die-busy time consumed by programs.
-    pub program_busy_ns: Nanos,
-    /// Total die-busy time consumed by erases.
-    pub erase_busy_ns: Nanos,
     /// Injected program failures (the attempt consumed a page and die time
     /// but stored nothing readable).
     pub program_failures: u64,
@@ -30,8 +26,6 @@ pub struct DeviceStats {
     pub read_ecc_errors: u64,
     /// Blocks retired to the bad-block table.
     pub blocks_retired: u64,
-    /// Mapping-delta records appended to the metadata journal.
-    pub journal_appends: u64,
 }
 
 impl DeviceStats {
@@ -56,5 +50,10 @@ mod tests {
         };
         // Trims are metadata-only: they do not count as ops.
         assert_eq!(s.total_ops(), 6);
+    }
+
+    #[test]
+    fn device_stats_are_64_bytes() {
+        assert_eq!(std::mem::size_of::<DeviceStats>(), 64);
     }
 }

@@ -38,12 +38,6 @@ impl Timing {
     pub const fn read_service(&self) -> Nanos {
         self.read_ns + self.bus_xfer_ns
     }
-
-    /// Flash time of a program: the page's transfer in, then the program.
-    #[inline]
-    pub const fn program_service(&self) -> Nanos {
-        self.program_ns + self.bus_xfer_ns
-    }
 }
 
 impl Default for Timing {
@@ -86,6 +80,5 @@ mod tests {
     fn service_times_include_bus_transfer() {
         let t = Timing { bus_xfer_ns: 1_000, ..Timing::ull() };
         assert_eq!(t.read_service(), 13_000);
-        assert_eq!(t.program_service(), 17_000);
     }
 }

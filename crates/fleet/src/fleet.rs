@@ -46,8 +46,8 @@ pub struct FleetConfig {
     pub seed_groups: usize,
     /// Worker threads for the fan-out (0 = machine parallelism).
     pub workers: usize,
-    /// Device cells claimed per scheduler grab. 1 maximizes balance;
-    /// larger chunks amortize claiming on huge fleets.
+    /// Device cells claimed per scheduler grab (at least 1). 1 maximizes
+    /// balance; larger chunks amortize claiming on huge fleets.
     pub chunk: usize,
     /// `Some((queue_pairs, queue_depth))` replays every device through
     /// the NVMe-style host interface (host-observed tenant latency);
@@ -113,6 +113,18 @@ impl FleetConfig {
         }
         if self.seed_groups == 0 {
             return Err("seed_groups must be >= 1".into());
+        }
+        if self.chunk == 0 {
+            return Err("chunk must be >= 1".into());
+        }
+        if let Some(slo) = &self.slo {
+            if slo.window_ns == 0 {
+                return Err("zero-width SLO compliance window".into());
+            }
+            if slo.goal_permille >= 1000 {
+                let goal = slo.goal_permille;
+                return Err(format!("SLO goal {goal} permille leaves no error budget"));
+            }
         }
         if let Some((pairs, depth)) = self.host_queues {
             if pairs == 0 || depth == 0 {
@@ -255,8 +267,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     }
     let cells = cfg.cells();
     let (specs, distinct) = cell_specs(cfg, &cells);
-    let reports =
-        map_ordered_dynamic_chunked(&specs, cfg.workers, cfg.chunk.max(1), simulate_device);
+    let reports = map_ordered_dynamic_chunked(&specs, cfg.workers, cfg.chunk, simulate_device);
     let mut cell_of = vec![0; cfg.devices];
     for (c, cell) in cells.iter().enumerate() {
         cell.iter().for_each(|&d| cell_of[d as usize] = c);
@@ -621,11 +632,22 @@ mod tests {
         no_tenants.tenants.clear();
         let mut stalled = TenantMix::mail_heavy();
         stalled.tenants[2].rate_factor = 0.0;
+        // Built as a literal, an SLO skips `SloConfig::uniform`'s asserts.
+        let slo = SloConfig::uniform(500_000, 990, 1_000_000);
         let cases = [
             (FleetConfig { devices: 0, ..ok.clone() }, "empty fleet"),
             (FleetConfig { mixes: vec![], ..ok.clone() }, "no tenant mixes"),
             (FleetConfig { mixes: vec![no_tenants], ..ok.clone() }, "has no tenants"),
             (FleetConfig { seed_groups: 0, ..ok.clone() }, "seed_groups must be >= 1"),
+            (FleetConfig { chunk: 0, ..ok.clone() }, "chunk must be >= 1"),
+            (
+                FleetConfig { slo: Some(SloConfig { window_ns: 0, ..slo.clone() }), ..ok.clone() },
+                "zero-width SLO compliance window",
+            ),
+            (
+                FleetConfig { slo: Some(SloConfig { goal_permille: 1001, ..slo }), ..ok.clone() },
+                "SLO goal 1001 permille leaves no error budget",
+            ),
             (FleetConfig { host_queues: Some((0, 8)), ..ok.clone() }, "host queue shape 0x8"),
             (FleetConfig { footprint_frac: 1.5, ..ok.clone() }, "footprint fraction 1.5"),
             (

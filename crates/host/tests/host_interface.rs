@@ -254,20 +254,35 @@ fn deadline_aborts_retries_and_counts_timeouts() {
 
 /// An armed resilience policy on a fault-free device never fires — no
 /// retries, no PRNG draws, no extra events — so the host report is
-/// byte-identical to a run without it.
+/// byte-identical to a run without it: on the NVMe preset, and in every
+/// `sweep-qd` shape (a passthrough closed loop at queue depth 1, 8 and 32,
+/// with preemptible GC off and on).
 #[test]
 fn armed_resilience_is_invisible_on_fault_free_runs() {
     let trace = churn_trace(47, 5_000, 100_000);
-    let run = |cfg: HostConfig| {
-        let mut host = HostInterface::new(Ssd::new(SsdConfig::tiny(Scheme::Cagc)), cfg);
+    let run = |cfg: HostConfig, preempt: bool| {
+        let mut dev = SsdConfig::tiny(Scheme::Cagc);
+        dev.gc_preempt = preempt;
+        let mut host = HostInterface::new(Ssd::new(dev), cfg);
         host.replay_closed_loop(&trace).to_json().render()
     };
     // The deadline must sit above the fault-free tail (timeouts are
     // counted even without faults — deadline pressure is observable); one
     // simulated second clears it by orders of magnitude.
+    let arm = |cfg: HostConfig| cfg.with_resilience(1_000_000_000, 3, 50_000, 10_000, 7);
     let base = HostConfig::nvme(2, 8);
-    let armed = base.clone().with_resilience(1_000_000_000, 3, 50_000, 10_000, 7);
-    assert_eq!(run(base), run(armed), "armed policy must be invisible without faults");
+    assert_eq!(run(base.clone(), false), run(arm(base), false), "nvme(2, 8)");
+    for qd in [1, 8, 32] {
+        for preempt in [false, true] {
+            let mut base = HostConfig::passthrough();
+            base.queue_depth = qd;
+            assert_eq!(
+                run(base.clone(), preempt),
+                run(arm(base), preempt),
+                "armed policy must be invisible without faults: QD {qd}, preempt {preempt}"
+            );
+        }
+    }
 }
 
 /// A crash plan kills the device mid-replay. The closed loop still drains

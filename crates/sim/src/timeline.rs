@@ -30,13 +30,12 @@ pub struct Reservation {
 pub struct Timeline {
     busy_until: Nanos,
     busy_total: Nanos,
-    ops: u64,
 }
 
 impl Timeline {
     /// An idle timeline at time zero.
     pub const fn new() -> Self {
-        Self { busy_until: 0, busy_total: 0, ops: 0 }
+        Self { busy_until: 0, busy_total: 0 }
     }
 
     /// Reserve `duration` of service, no earlier than `ready_at`.
@@ -46,7 +45,6 @@ impl Timeline {
         let end = start + duration;
         self.busy_until = end;
         self.busy_total += duration;
-        self.ops += 1;
         Reservation { start, end, queued: start - ready_at }
     }
 
@@ -60,12 +58,6 @@ impl Timeline {
     #[inline]
     pub fn busy_total(&self) -> Nanos {
         self.busy_total
-    }
-
-    /// Number of operations reserved.
-    #[inline]
-    pub fn ops(&self) -> u64 {
-        self.ops
     }
 }
 
@@ -105,16 +97,6 @@ impl TimelineGroup {
     pub fn get(&self, idx: usize) -> &Timeline {
         &self.lines[idx]
     }
-
-    /// Sum of busy time across all timelines.
-    pub fn busy_total(&self) -> Nanos {
-        self.lines.iter().map(Timeline::busy_total).sum()
-    }
-
-    /// Total operations across all timelines.
-    pub fn ops(&self) -> u64 {
-        self.lines.iter().map(Timeline::ops).sum()
-    }
 }
 
 #[cfg(test)]
@@ -148,7 +130,6 @@ mod tests {
         let r = t.reserve(us(50), us(10)); // arrives long after drain
         assert_eq!(r.start, us(50));
         assert_eq!(t.busy_total(), us(20)); // holes don't count as busy
-        assert_eq!(t.ops(), 2);
     }
 
     #[test]
@@ -161,12 +142,16 @@ mod tests {
     }
 
     #[test]
+    fn a_timeline_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Timeline>(), 16);
+    }
+
+    #[test]
     fn group_reserves_independently() {
         let mut g = TimelineGroup::new(4);
         g.reserve(0, 0, us(100));
         let r = g.reserve(1, 0, us(5)); // different die: no interference
         assert_eq!(r.start, 0);
-        assert_eq!(g.busy_total(), us(105));
-        assert_eq!(g.ops(), 2);
+        assert_eq!((g.get(0).busy_total(), g.get(1).busy_total()), (us(100), us(5)));
     }
 }

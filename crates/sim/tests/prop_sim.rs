@@ -134,7 +134,6 @@ harness_proptest! {
         }
         prop_assert_eq!(t.busy_total(), total);
         prop_assert_eq!(t.next_free(), prev_end);
-        prop_assert_eq!(t.ops(), ops.len() as u64);
     }
 
     /// With monotone nondecreasing arrivals the queueing delay telescopes:

@@ -161,35 +161,9 @@ cargo run --release --offline -p cagc-bench --bin repro -- \
 diff -r results/quick "$TRACE_TMP/quick" \
   || { echo "FAIL: repro --scale quick all ablations must regenerate results/quick/ byte-identical"; exit 1; }
 
-# The stage above ran sweep-qd, sweep-fleet and sweep-chaos at --workers 0 and
-# compared every byte, so a run below that matches results/quick/ matches that
-# run too (as that run matched the committed same-seed bytes): armed-resilience
-# and worker-count identity by transitivity.
-
-echo "== smoke: armed resilience is invisible on fault-free devices =="
-# --resilient arms the host retry/backoff/deadline policy; with no
-# injected faults it must not change a single byte (docs/FAULTS.md).
-cargo run --release --offline -p cagc-bench --bin repro -- \
-  --scale quick --out "$TRACE_TMP/qd_resilient" --resilient sweep-qd > /dev/null
-matches_golden results/quick "$TRACE_TMP/qd_resilient" "--resilient must not change fault-free sweep-qd CSVs"
-
-echo "== smoke: fleet sweep (analytic WAF gate + worker-count byte-determinism) =="
-# The dynamic scheduler must be invisible in the output: one worker vs
-# machine parallelism, byte-identical CSVs (docs/FLEET.md).
-cargo run --release --offline -p cagc-bench --bin repro -- \
-  --scale quick --out "$TRACE_TMP/fleet_w1" --workers 1 sweep-fleet \
-  | grep "fleet WAF tracks analytic greedy curve"
-matches_golden results/quick "$TRACE_TMP/fleet_w1" "sweep-fleet CSVs must be byte-identical across worker counts"
-
-echo "== smoke: chaos campaign (graceful degradation + worker-count byte-determinism) =="
-# The sweep asserts its own gates (zero-fault cells byte-identical to a
-# fault-free fleet; every harsh cell degrades with tenant attribution)
-# and prints the token grepped here. Worker counts must be invisible in
-# the bytes even when devices degrade mid-replay (docs/FAULTS.md).
-cargo run --release --offline -p cagc-bench --bin repro -- \
-  --scale quick --out "$TRACE_TMP/chaos_w1" --workers 1 sweep-chaos \
-  | grep "chaos gate OK"
-matches_golden results/quick "$TRACE_TMP/chaos_w1" "sweep_chaos.csv must be byte-identical across worker counts"
+# Worker-count identity of the fleet and chaos sweeps (--workers 1 and 2
+# against these same goldens) is tier-1's: crates/bench/tests/fleet_goldens.rs.
+# Armed resilience on fault-free runs is too: crates/host/tests/host_interface.rs.
 
 echo "== benchmark package: unit tests + short GC-heavy and traced-chaos runs (BENCHMARK.json) =="
 # benchmark/ is a workspace of its own, so `cargo test --workspace` above
